@@ -36,7 +36,7 @@ from .errors import (
 from .fokker_planck import EvolutionConfig, evolve, gaussian_density, sobolev_norm
 from .kernels import kernel_mass, kernel_sobolev_audit, make_kernels
 from .model import AssumptionReport, check_A, check_B, check_S
-from .simulate import RngSpec, simulate_batch
+from .simulate import OdeOptions, RngSpec, simulate_batch
 
 
 def _sha256(path: str) -> str:
@@ -93,7 +93,8 @@ def _cmd_simulate(cfg: ExperimentConfig, out_dir: Path, args, seed: int) -> tupl
         kernels = make_kernels(coeffs, cfg.kernels.n_values, cfg.kernels.cutoff_order, cfg.kernels.theta)
     batch = simulate_batch(
         coeffs, sim.x0, sim.t_end, trunc, RngSpec(seed), sim.runs,
-        i=sim.i, kernels=kernels, filter_n=sim.filter_n, threads=args.threads,
+        i=sim.i, kernels=kernels, filter_n=sim.filter_n,
+        ode_opts=OdeOptions(max_step=sim.max_step), threads=args.threads,
     )
     outputs = ["terminal.txt", "summary.json"]
     _save_columns(out_dir / "terminal.txt", {"terminal": batch["terminal"]})
@@ -169,6 +170,7 @@ def _cmd_certify(cfg: ExperimentConfig, out_dir: Path, args, seed: int) -> tuple
         xi_min=diag.xi_min,
         xi_max=diag.xi_max,
         threads=args.threads,
+        ode_opts=OdeOptions(max_step=sim.max_step),
     )
     x0 = diag.x0 if diag.x0 is not None else sim.x0
     t_end = diag.t_end if diag.t_end is not None else sim.t_end
@@ -224,6 +226,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     t0 = time.monotonic()
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         cfg = load_config(args.config)
         seed = args.seed if args.seed is not None else cfg.seed
         out_dir = Path(args.out if args.out is not None else cfg.output_dir)

@@ -172,7 +172,11 @@ class SimulationStanza:
     trunc: int | None = None
     i: int | None = None
     filter_n: int | None = None
-    max_step: float = 1e-3
+    max_step: float = 1e-3  # RK4 step bound for the drift flow between candidates
+
+    def __post_init__(self):
+        if not self.max_step > 0.0:
+            raise ValueError(f"max_step must be positive, got {self.max_step}")
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ from .calculus import transfer_alpha_grid, transfer_beta_grid
 from .errors import (
     ContractError,
     DivergenceError,
+    JumpsmoothError,
     MassConservationError,
     StabilityError,
     WindowTooSmallError,
@@ -479,8 +480,9 @@ def norm_growth_audit(
     exponential growth rate on the first quarter of each run, and checks
     (a) every later checkpoint sits below norm(0) * exp(1.1 * fitted * t) and
     (b) the fitted rate moves by at most 20% (absolute floor 0.1) when i
-    doubles.  Numerical failures (degenerate models blow up or cannot even
-    build the pullback) are caught and reported as failed audits.
+    doubles.  Package errors and floating-point traps (degenerate models blow
+    up or cannot even build the pullback) are caught and reported as failed
+    audits; any other exception is a bug and propagates.
     """
     ts = np.linspace(0.0, t_end, checkpoints + 1)
     report: dict = {"t": [float(v) for v in ts], "passed": False}
@@ -507,7 +509,7 @@ def norm_growth_audit(
     try:
         norms_1 = run(cfg.i)
         norms_2 = run(2 * cfg.i)
-    except Exception as exc:  # noqa: BLE001 - audit must report, not crash
+    except (JumpsmoothError, FloatingPointError) as exc:
         report["status"] = "numerical_failure"
         report["error"] = f"{type(exc).__name__}: {exc}"
         return report

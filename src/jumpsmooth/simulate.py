@@ -14,8 +14,11 @@ drift-poissonized variant replaces the flow with Poisson kicks b(X)/i at rate
 i, which is the chain whose density evolution the adjoint solver mirrors.
 
 Random streams are organized as a fixed fan-out of 32 Philox substreams per
-(seed, stream) pair, so batch results are byte-identical regardless of how
-many worker threads consume the chunks.
+(seed, stream) pair, one per chunk of a batch's runs.  A batch advances its
+chunks in lockstep on one merged state array, one candidate round at a time,
+while each chunk keeps drawing from its own substream in a fixed order; worker
+threads take contiguous groups of chunks, so batch results are byte-identical
+regardless of the thread count.
 """
 
 from __future__ import annotations
@@ -66,7 +69,6 @@ class OdeOptions:
     max_step: float = 1e-3
     min_substeps: int = 8
     blow_up: float = 1e8
-    max_batch_substeps: int = 4096
 
 
 class MarkSampler:
@@ -89,8 +91,12 @@ class MarkSampler:
         self._zs = zs
         self._cdf = cdf / self.mass
 
+    def invert(self, uniforms: np.ndarray) -> np.ndarray:
+        """Marks at the given CDF levels in [0, 1]."""
+        return np.interp(uniforms, self._cdf, self._zs)
+
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return np.interp(rng.uniform(0.0, 1.0, size), self._cdf, self._zs)
+        return self.invert(rng.uniform(0.0, 1.0, size))
 
 
 @dataclass(frozen=True)
@@ -164,24 +170,45 @@ def _drift_flow_scalar(coeffs, x: float, seg: float, opts: OdeOptions) -> float:
     return x
 
 
-def _drift_flow_batch(coeffs, x: np.ndarray, seg: np.ndarray, opts: OdeOptions) -> np.ndarray:
+def _drift_flow_batch(
+    coeffs, x: np.ndarray, seg: np.ndarray, opts: OdeOptions, starts
+) -> np.ndarray:
+    """RK4 flow of each run over its own segment length.
+
+    `starts` are the offsets where each chunk's runs begin (all non-empty).
+    A chunk takes max(min_substeps, ceil(longest / max_step)) steps, shared by
+    its runs so that each run's step hstep = seg / steps depends only on its
+    chunk; the sweep runs to the largest count and moves only the runs whose
+    chunk still has steps left.
+    """
     if x.size == 0 or coeffs.b.is_zero:
         return x
-    longest = float(np.max(seg))
-    if longest <= 0.0:
-        return x
-    steps = int(
-        min(opts.max_batch_substeps, max(opts.min_substeps, math.ceil(longest / opts.max_step)))
-    )
-    hstep = seg / steps  # per-run step; common count keeps the sweep vectorized
+    starts = np.asarray(starts, dtype=np.intp)
+    longest = np.maximum.reduceat(seg, starts)
+    chunk_steps = np.where(
+        longest > 0.0,
+        np.maximum(opts.min_substeps, np.ceil(longest / opts.max_step)),
+        0.0,
+    ).astype(np.int64)
+    steps = np.repeat(chunk_steps, np.diff(np.append(starts, x.size)))
+    hstep = seg / np.maximum(steps, 1)
     b = coeffs.b.value
+    x = x.copy()
+    done = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(steps):
-            k1 = np.asarray(b(x), dtype=float)
-            k2 = np.asarray(b(x + 0.5 * hstep * k1), dtype=float)
-            k3 = np.asarray(b(x + 0.5 * hstep * k2), dtype=float)
-            k4 = np.asarray(b(x + hstep * k3), dtype=float)
-            x = x + hstep * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        for level in np.unique(chunk_steps):
+            if level <= done:
+                continue
+            moving = steps > done
+            xs, hs = x[moving], hstep[moving]
+            for _ in range(level - done):
+                k1 = np.asarray(b(xs), dtype=float)
+                k2 = np.asarray(b(xs + 0.5 * hs * k1), dtype=float)
+                k3 = np.asarray(b(xs + 0.5 * hs * k2), dtype=float)
+                k4 = np.asarray(b(xs + hs * k3), dtype=float)
+                xs = xs + hs * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+            x[moving] = xs
+            done = int(level)
     if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > opts.blow_up:
         raise BlowUpError("drift flow left the finite range in a batch segment")
     return x
@@ -391,13 +418,13 @@ def _chunk_sizes(runs: int) -> list[int]:
     return [base + 1 if c < rem else base for c in range(N_CHUNKS)]
 
 
-def _batch_chunk(
+def _batch_group(
     coeffs,
     x0: np.ndarray,
     t_end: float,
-    rng: np.random.Generator,
-    m: int,
-    sampler: MarkSampler,
+    gens: list[np.random.Generator],
+    sizes: list[int],
+    sampler: MarkSampler | None,
     active: tuple[float, float],
     ubar: float,
     lam: float,
@@ -406,33 +433,52 @@ def _batch_chunk(
     filter_n: int | None,
     opts: OdeOptions,
 ):
+    """Thinning rounds for a contiguous group of chunks, in lockstep.
+
+    Runs are laid out chunk after chunk and the alive ones stay in that
+    order, so each chunk's share of a round is one slice.  Every chunk draws
+    from its own generator, per round: gaps, [kick w], mark uniforms, u, v,
+    each sized by its alive count; a chunk with no alive runs draws nothing.
+    A chunk's draws are therefore the same however chunks are grouped.
+    """
+    m = len(x0)
     x = np.array(x0, dtype=float, copy=True)
     t = np.zeros(m)
     tau = np.full(m, np.inf)
     jumps = np.zeros(m, dtype=np.int64)
-    alive = np.ones(m, dtype=bool)
     if lam == 0.0 and i is None:  # no jumps, no kicks: one drift segment
-        x = _drift_flow_batch(coeffs, x, np.full(m, t_end), opts)
+        # every chunk's longest segment is t_end, so one step count fits all
+        x = _drift_flow_batch(coeffs, x, np.full(m, t_end), opts, [0])
         return x, tau, jumps
+    offsets = np.cumsum([0] + list(sizes))
     total = lam if i is None else float(i) + lam
-    while True:
-        idx = np.nonzero(alive)[0]
-        if idx.size == 0:
-            break
-        gaps = rng.exponential(1.0 / total, idx.size)
-        if i is not None:
-            wkick = rng.uniform(0.0, 1.0, idx.size)
-        if sampler is not None:
-            z = sampler.sample(rng, idx.size)
-        else:
-            z = np.full(idx.size, np.nan)
-        u = rng.uniform(0.0, ubar, idx.size)
-        v = rng.uniform(0.0, 1.0, idx.size)
+    idx = np.arange(m)
+    while idx.size:
+        n = idx.size
+        bounds = np.searchsorted(idx, offsets)
+        gaps = np.empty(n)
+        wkick = np.empty(n)
+        uni = np.empty(n)
+        u = np.empty(n)
+        v = np.empty(n)
+        for gen, lo, hi in zip(gens, bounds[:-1], bounds[1:]):
+            k = hi - lo
+            if k == 0:
+                continue
+            gaps[lo:hi] = gen.exponential(1.0 / total, k)
+            if i is not None:
+                wkick[lo:hi] = gen.uniform(0.0, 1.0, k)
+            if sampler is not None:
+                uni[lo:hi] = gen.uniform(0.0, 1.0, k)
+            u[lo:hi] = gen.uniform(0.0, ubar, k)
+            v[lo:hi] = gen.uniform(0.0, 1.0, k)
+        z = sampler.invert(uni) if sampler is not None else np.full(n, np.nan)
         t_next = t[idx] + gaps
         landed = t_next <= t_end
         if i is None:
             seg = np.minimum(t_next, t_end) - t[idx]
-            pre = _drift_flow_batch(coeffs, x[idx], seg, opts)
+            starts = bounds[:-1][np.diff(bounds) > 0]
+            pre = _drift_flow_batch(coeffs, x[idx], seg, opts, starts)
         else:
             pre = x[idx].copy()
         gam = np.asarray(coeffs.gamma.value(pre), dtype=float)
@@ -458,7 +504,7 @@ def _batch_chunk(
             raise BlowUpError("batch state blew up")
         x[idx] = post
         t[idx] = np.minimum(t_next, t_end)
-        alive[idx] = landed
+        idx = idx[landed]
     return x, tau, jumps
 
 
@@ -481,11 +527,14 @@ def simulate_batch(
     (for matching a spread-out initial density).  Set `i` for the
     drift-poissonized chain, None for the exact flow.  When `filter_n` is
     given, `tau` holds the first time each run's jumps passed the n-th
-    filtered kernel (inf if none did).  Results are byte-identical for any
-    `threads` value under a fixed RngSpec.
+    filtered kernel (inf if none did).  The 32 chunks are split into
+    `threads` contiguous groups, one worker each; results are byte-identical
+    for any `threads` value under a fixed RngSpec.
     """
     if runs < 1:
         raise ContractError("batch needs at least one run")
+    if threads < 1:
+        raise ContractError(f"threads must be at least 1, got {threads}")
     x0_all = np.broadcast_to(np.asarray(x0, dtype=float), (runs,))
     if filter_n is not None:
         if kernels is None:
@@ -499,21 +548,22 @@ def simulate_batch(
     sampler, active, ubar, lam = _candidate_frame(coeffs, trunc, None)
     sizes = _chunk_sizes(runs)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
+    groups = [g for g in np.array_split(np.arange(N_CHUNKS), threads) if g.size]
 
-    def run_chunk(c: int):
-        if sizes[c] == 0:
-            return (np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))
-        return _batch_chunk(
-            coeffs, x0_all[offsets[c] : offsets[c + 1]], t_end,
-            rng_spec.chunk_generator(c), sizes[c],
+    def run_group(chunks: np.ndarray):
+        first, last = int(chunks[0]), int(chunks[-1])
+        return _batch_group(
+            coeffs, x0_all[offsets[first] : offsets[last + 1]], t_end,
+            [rng_spec.chunk_generator(int(c)) for c in chunks],
+            [sizes[c] for c in chunks],
             sampler, active, ubar, lam, i, kernels, filter_n, opts,
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run_chunk, range(N_CHUNKS)))
+    if len(groups) > 1:
+        with ThreadPoolExecutor(max_workers=len(groups)) as pool:
+            parts = list(pool.map(run_group, groups))
     else:
-        parts = [run_chunk(c) for c in range(N_CHUNKS)]
+        parts = [run_group(groups[0])]
     out = {
         "terminal": np.concatenate([p[0] for p in parts]),
         "jumps": np.concatenate([p[2] for p in parts]),

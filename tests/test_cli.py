@@ -133,6 +133,31 @@ def test_simulate_outputs_thread_invariant(tmp_path):
     assert terminal.shape == (2000,)
 
 
+def test_simulate_honours_max_step(tmp_path):
+    cfg = _base_config(tmp_path / "out")
+    cfg["simulation"]["runs"] = 200
+    assert main(["simulate", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "a")]) == 0
+    cfg["simulation"]["max_step"] = 1e-3  # the default, spelled out
+    assert main(["simulate", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "b")]) == 0
+    cfg["simulation"]["max_step"] = 0.25
+    assert main(["simulate", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "c")]) == 0
+    default = (tmp_path / "a" / "terminal.txt").read_bytes()
+    assert (tmp_path / "b" / "terminal.txt").read_bytes() == default
+    assert (tmp_path / "c" / "terminal.txt").read_bytes() != default
+
+
+def test_nonpositive_max_step_or_threads_exit_2(tmp_path, capsys):
+    cfg = _base_config(tmp_path / "out")
+    for bad in (0.0, -1e-3):
+        cfg["simulation"]["max_step"] = bad
+        assert main(["simulate", "--config", _write(tmp_path, cfg)]) == 2
+        assert "max_step must be positive" in capsys.readouterr().err
+    path = _write(tmp_path, _base_config(tmp_path / "out"), "good.yaml")
+    assert main(["simulate", "--config", path, "--threads", "0"]) == 2
+    assert "--threads must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 def test_simulate_seed_override(tmp_path):
     cfg = _base_config(tmp_path / "out")
     path = _write(tmp_path, cfg)

@@ -197,3 +197,13 @@ def test_norm_growth_audit_reports_numerical_failure():
     rep = js.norm_growth_audit(m, init, 2.0, js.EvolutionConfig(i=50, trunc=1, escape_tol=1e-3))
     assert rep["status"] == "numerical_failure"
     assert not rep["passed"]
+
+
+def test_norm_growth_audit_propagates_programming_errors(wobble_model, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("not a numerical failure")
+
+    monkeypatch.setattr(js.fokker_planck, "evolve", broken)
+    init = js.gaussian_density((-8.0, 8.0), 256, order=2, sigma=0.8)
+    with pytest.raises(TypeError, match="not a numerical failure"):
+        js.norm_growth_audit(wobble_model, init, 0.6, js.EvolutionConfig(i=8, trunc=3))

@@ -1,5 +1,6 @@
 """Path simulation: thinning, poissonized drift, filtered jumps, estimators."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -64,6 +65,60 @@ def test_batch_thread_count_does_not_change_results(wobble_model):
     assert np.array_equal(base["terminal"], four["terminal"])
     assert np.array_equal(base["jumps"], four["jumps"])
     assert base["runs"] == 3001
+
+
+# sha256 of the batch outputs, recorded before the chunks were advanced in
+# lockstep; every thread count must reproduce them byte for byte
+PINNED_BATCHES = {
+    "exact_drift": {
+        "terminal": "322b6dd5b1014e7920c09a9c468a2c323a7624ff251a33a368670f3aea247178",
+        "jumps": "913c78ad930b1b2146da15b008026fbec913ade1c5df142960cb1fbe2381fca2",
+    },
+    "exact_sparse": {
+        "terminal": "6cbe2e0d0e3c8631b7179c4bd456d281b55865880cb6a1ac91e0b9c90ef56ddd",
+        "jumps": "3e8622c3c56871757a03fa4e70c4be436521b8810349a63badd3afa7a6d44fe9",
+    },
+    "poissonized": {
+        "terminal": "14eb02546afc10f44f94db565621dfdfecc98c739cbd82a1678f997d0463a20b",
+        "jumps": "3d399fb6531387a90cbc8fe1022f3f22ceb7dd0f6642e57a18f04dbfbc80e7c5",
+    },
+    "filtered": {
+        "terminal": "4526f29297149cdef45d13b7720115cc571e5e8784aedf65de6c09a3111b1adf",
+        "jumps": "e0156def8a4ad6aa81b8c3a11ebf810860c59a84e47e08382e5030b6c3bea51c",
+        "tau": "57b8bc757b3f3deb3585ad359c71bdac1231b268d731bc8b3c1f028a3e48fc9e",
+    },
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 5])
+@pytest.mark.parametrize("case", sorted(PINNED_BATCHES))
+def test_batch_outputs_pinned(case, threads, wobble_model, exp_unit_model):
+    if case == "exact_drift":  # chunks need different RK4 step counts
+        out = js.simulate_batch(wobble_model, 0.2, 1.5, 1, js.RngSpec(2024), 645, threads=threads)
+    elif case == "exact_sparse":  # fewer runs than chunks: most chunks are empty
+        out = js.simulate_batch(wobble_model, 0.2, 1.5, 1, js.RngSpec(2024), 20, threads=threads)
+    elif case == "poissonized":
+        out = js.simulate_batch(
+            wobble_model, np.linspace(-1.0, 1.0, 2000), 1.5, 2, js.RngSpec(2025), 2000,
+            i=8, threads=threads,
+        )
+    else:
+        kd = js.make_kernels(exp_unit_model, (2,), theta=4.2)
+        out = js.simulate_batch(
+            exp_unit_model, 0.0, 1.0, 1, js.RngSpec(2026), 2000,
+            kernels=kd, filter_n=2, threads=threads,
+        )
+    digests = {
+        key: hashlib.sha256(np.ascontiguousarray(out[key]).tobytes()).hexdigest()
+        for key in PINNED_BATCHES[case]
+    }
+    assert digests == PINNED_BATCHES[case]
+
+
+def test_batch_rejects_nonpositive_threads(wobble_model):
+    for threads in (0, -1):
+        with pytest.raises(js.ContractError, match="threads"):
+            js.simulate_batch(wobble_model, 0.0, 0.1, 1, js.RngSpec(1), 8, threads=threads)
 
 
 def test_batch_accepts_per_run_initial_states(wobble_model):
@@ -173,6 +228,34 @@ def test_zero_rate_exact_is_pure_flow():
     out = js.simulate_batch(m, 2.0, 1.0, 1, js.RngSpec(4), 64)
     assert np.allclose(out["terminal"], 2.0 * math.exp(-1.0), rtol=1e-9)
     assert out["candidate_rate"] == 0.0
+
+
+class _CountingDrift(js.Function1D):
+    """Linear decay -x/10 that counts how many states it was evaluated at."""
+
+    def __init__(self):
+        self.evals = 0
+
+    def derivative(self, x, l: int):
+        x = np.asarray(x, dtype=float)
+        if l == 0:
+            self.evals += x.size
+            return -0.1 * x
+        return np.full_like(x, -0.1) if l == 1 else np.zeros_like(x)
+
+
+def test_batch_drift_steps_honour_max_step():
+    # pure drift over t=10 at max_step 1e-3: 10 000 RK4 steps of 4 drift
+    # evaluations for every run, with no cap on the step count
+    drift = _CountingDrift()
+    m = _drift_model(drift)
+    runs = 5
+    drift.evals = 0
+    out = js.simulate_batch(
+        m, 2.0, 10.0, 1, js.RngSpec(8), runs, ode_opts=js.OdeOptions(max_step=1e-3)
+    )
+    assert drift.evals == 4 * 10_000 * runs
+    assert np.allclose(out["terminal"], 2.0 * math.exp(-1.0), rtol=1e-12)
 
 
 def test_poissonized_kick_moments():
