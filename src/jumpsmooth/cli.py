@@ -137,11 +137,13 @@ def _cmd_evolve(cfg: ExperimentConfig, out_dir: Path, args) -> tuple[int, list[s
         "steps": result.steps,
         "dt": result.dt,
         "mass_drift": result.mass_drift,
+        "time_error": result.time_error,
         "escape_fraction": result.escape_fraction,
         "sobolev": [float(sobolev_norm(final, l)) for l in range(final.order + 1)],
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    print(f"evolved to t={ev.t_end} in {result.steps} steps; mass drift {result.mass_drift:.2e}")
+    print(f"evolved to t={ev.t_end} in {result.steps} steps; mass drift {result.mass_drift:.2e}; "
+          f"time error {result.time_error:.2e}")
     return 0, ["density.txt", "mass.txt", "summary.json"]
 
 

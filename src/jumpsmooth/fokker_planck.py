@@ -23,8 +23,10 @@ in lockstep with explicit Euler steps, each derivative obeying the
 differentiated equation.
 
 Everything state-independent (inverse maps, transfer tables, quadrature and
-interpolation weights) is precomputed once per grid; a time step is a few
-gathers and contractions.
+interpolation weights) is folded once per grid into one sparse linear map on
+the flattened stack, so a time step is a single sparse product.  `evolve`
+repeats the run at half the step on the same map to estimate its own
+time-discretisation error.
 """
 
 from __future__ import annotations
@@ -164,19 +166,17 @@ def _interp_weights(points: np.ndarray, lo: float, spacing: float, size: int):
     return base, w
 
 
-def _gather(row: np.ndarray, base: np.ndarray, w: np.ndarray) -> np.ndarray:
-    out = w[..., 0] * row[base]
-    for o in range(1, 4):
-        out = out + w[..., o] * row[base + o]
-    return out
-
-
 class AdjointOperator:
-    """Precomputed action of the adjoint generator on one grid.
+    """The adjoint generator on one grid, assembled once as a sparse map.
 
-    Splits into a drift pullback through tau_i and a mark-integrated jump
-    pullback through tau(., z) at the quadrature nodes; both use the transfer
-    tables so the whole derivative stack is advanced consistently.
+    The generator is linear in the density stack with a fixed stencil: the
+    drift pullback through tau_i and the mark-integrated jump pullback through
+    tau(., z) read the stack at the inverse-map points by cubic interpolation,
+    and the transfer tables turn each read into a fixed combination of the
+    derivative rows.  The constructor folds all of it into coefficient
+    triples (rows, cols, data) over the flattened stack, where entry
+    ``l * size + j`` is the l-th derivative at node j; `apply` is one
+    gather-multiply-bincount product.
     """
 
     def __init__(self, coeffs: CoefficientSet, grid_density: GridDensity, cfg: EvolutionConfig):
@@ -193,66 +193,128 @@ class AdjointOperator:
         self.spacing = grid_density.spacing
         grid = grid_density.grid
         self.grid = grid
-        k = self.k
+        k, n = self.k, self.size
 
         self.i = int(cfg.i)
         i0 = coeffs.min_drift_index()
         if self.i < i0:
             raise ContractError(f"drift surrogate index i={self.i} below i0={i0}")
 
-        self.binom = [[comb(r, j) for j in range(r + 1)] for r in range(k + 1)]
+        # Both pullbacks read the stack on cubic stencils: one column of
+        # stencils per inverse map, base index and weights per node, and a
+        # coefficient per (node, column) for each derivative block (l, r).
+        bases, weights, coefs = [], [], []
 
-        # Drift pullback tables (skipped entirely for a zero drift).
+        # Drift pullback i [g(tau_i) tau_i' - g], skipped for a zero drift.
         self.drift_active = not coeffs.b.is_zero
         if self.drift_active:
             beta, taui = transfer_beta_grid(coeffs, grid, self.i, k, cfg.solver_tol)
-            self.beta = beta
-            self.drift_base, self.drift_w = _interp_weights(
-                taui[0], self.lo, self.spacing, self.size
-            )
+            base, w = _interp_weights(taui[0], self.lo, self.spacing, n)
+            bases.append(base[:, None])
+            weights.append(w[:, None, :])
+            coefs.append(lambda l, r: (self.i * ((l == r) + beta[l, r]))[:, None])
 
-        # Jump pullback tables.
+        # Jump pullback: integral q(dz) (gamma g)(tau(., z)) tau'(., z).
         trunc = cfg.trunc if cfg.trunc is not None else len(coeffs.q.truncations)
         self.trunc = trunc
         zlo, zhi = coeffs.q.trunc_interval(trunc)
         z, w = gauss_panels(zlo, zhi, cfg.quad_nodes, cfg.quad_panels)
-        rho = np.asarray(coeffs.q.density.value(z), dtype=float)
-        self.z_nodes = z
-        self.wq = w * rho
-        self.qmass = float(np.sum(self.wq))
+        wq = w * np.asarray(coeffs.q.density.value(z), dtype=float)
+        self.qmass = float(np.sum(wq))
         self.gamma_sup = coeffs.gamma_sup()
         self.jump_active = self.qmass > 0.0 and self.gamma_sup > 0.0
         if self.jump_active:
-            m, M = self.size, z.size
-            alpha = np.empty((k + 1, k + 1, m, M))
-            tau0 = np.empty((m, M))
+            M = z.size
+            alpha = np.empty((k + 1, k + 1, n, M))
+            tau0 = np.empty((n, M))
             for mi in range(M):
                 a, tau = transfer_alpha_grid(coeffs, grid, float(z[mi]), k, cfg.solver_tol)
                 alpha[:, :, :, mi] = a
                 tau0[:, mi] = tau[0]
-            self.alpha = alpha
-            self.jump_base, self.jump_w = _interp_weights(tau0, self.lo, self.spacing, self.size)
-            self.gamma_at_tau = np.stack(
-                [np.asarray(coeffs.gamma.derivative(tau0, j), dtype=float) for j in range(k + 1)]
-            )
+            base, w = _interp_weights(tau0, self.lo, self.spacing, n)
             # Per-state fraction of transported mark mass that reads outside
             # the window; large values in the interior mean the window is too
             # small for this truncation.
-            outside = np.all(self.jump_w == 0.0, axis=-1)
-            escape = (outside * self.wq[None, :]).sum(axis=1) / max(self.qmass, 1e-300)
-            inner = slice(self.size // 5, self.size - self.size // 5)
+            outside = np.all(w == 0.0, axis=-1)
+            escape = (outside * wq[None, :]).sum(axis=1) / max(self.qmass, 1e-300)
+            inner = slice(n // 5, n - n // 5)
             self.escape_fraction = float(np.max(escape[inner]))
             if self.escape_fraction > cfg.escape_tol:
                 raise WindowTooSmallError(
                     f"{self.escape_fraction:.2%} of transported mark mass leaves the "
                     "window at interior states; widen the window"
                 )
+            gamma_tau = [np.asarray(coeffs.gamma.derivative(tau0, j), dtype=float)
+                         for j in range(k + 1)]
+            w *= wq[None, :, None]
+            bases.append(base)
+            weights.append(w)
+
+            def jump_coef(l, r0):
+                # sum_r (delta_lr + alpha[l, r]) C(r, r0) gamma^(r - r0)(tau)
+                coef = comb(l, r0) * gamma_tau[l - r0]
+                for r in range(r0, l + 1):
+                    coef = coef + alpha[l, r] * (comb(r, r0) * gamma_tau[r - r0])
+                return coef
+
+            coefs.append(jump_coef)
         else:
             self.escape_fraction = 0.0
 
-        self.gamma_at_grid = np.stack(
-            [np.asarray(coeffs.gamma.derivative(grid, j), dtype=float) for j in range(k + 1)]
-        )
+        parts = []
+        if bases:
+            parts += self._merge_stencils(np.concatenate(bases, axis=1),
+                                          np.concatenate(weights, axis=1), coefs)
+        nodes = np.arange(n)
+        if self.drift_active:
+            for l in range(k + 1):
+                parts.append((l * n + nodes, l * n + nodes, np.full(n, -float(self.i))))
+        if self.jump_active:
+            # local loss -qmass (gamma g)^(l), Leibniz over the stacks
+            gamma_grid = [np.asarray(coeffs.gamma.derivative(grid, j), dtype=float)
+                          for j in range(k + 1)]
+            for l in range(k + 1):
+                for r in range(l + 1):
+                    data = -self.qmass * comb(l, r) * np.broadcast_to(gamma_grid[l - r], (n,))
+                    parts.append((l * n + nodes, r * n + nodes, data))
+
+        if parts:
+            self.rows, self.cols, self.data = (
+                np.concatenate([p[c] for p in parts]) for c in range(3)
+            )
+        else:
+            self.rows = self.cols = np.zeros(0, dtype=np.intp)
+            self.data = np.zeros(0)
+
+    def _merge_stencils(self, base, w, coefs):
+        """Sparse triples of every block (l, r) with duplicate keys summed.
+
+        `base` (nodes, columns) and `w` (nodes, columns, 4) are the stencils,
+        `coefs` the per-pullback block coefficients over their columns.  The
+        (node, stencil node) keys get one slot map, then each block is one
+        bincount over it.  The slot map is a mask over all nodes**2 node pairs
+        plus its int32 running count, 5 bytes per pair during assembly, which
+        avoids sorting the keys.
+        """
+        n = self.size
+        keys = (np.arange(n)[:, None, None] * n + base[..., None] + np.arange(4)).ravel()
+        present = np.zeros(n * n, dtype=bool)
+        present[keys] = True
+        slots = np.flatnonzero(present)
+        inverse = (np.cumsum(present, dtype=np.int32)[keys] - 1).astype(np.intp)
+        del present, keys
+        srow, scol = slots // n, slots % n
+        coef = np.empty(base.shape)
+        entry = np.empty(w.shape)
+        parts = []
+        for l in range(self.k + 1):
+            for r in range(l + 1):
+                np.concatenate([c(l, r) for c in coefs], axis=1, out=coef)
+                np.multiply(coef[..., None], w, out=entry)
+                data = np.bincount(inverse, weights=entry.ravel(), minlength=slots.size)
+                keep = data != 0.0
+                parts.append((l * n + srow[keep], r * n + scol[keep], data[keep]))
+        return parts
 
     @property
     def lipschitz_bound(self) -> float:
@@ -262,41 +324,14 @@ class AdjointOperator:
     def stable_dt(self) -> float:
         return 0.5 * self.cfg.stability_margin / self.lipschitz_bound
 
-    def _weighted_stack(self, vals: np.ndarray, gamma_stack: np.ndarray) -> np.ndarray:
-        """(gamma * f)^(r) for r = 0..k from the stacks of gamma and f."""
-        out = np.empty_like(vals)
-        for r in range(self.k + 1):
-            acc = self.binom[r][0] * gamma_stack[r] * vals[0]
-            for j in range(1, r + 1):
-                acc = acc + self.binom[r][j] * gamma_stack[r - j] * vals[j]
-            out[r] = acc
-        return out
-
     def apply(self, vals: np.ndarray) -> np.ndarray:
         """Adjoint rate of change of the full derivative stack."""
         if vals.shape != (self.k + 1, self.size):
             raise ContractError("stack shape does not match the operator grid")
-        rate = np.zeros_like(vals)
-
-        if self.drift_active:
-            pulled = np.stack(
-                [_gather(vals[r], self.drift_base, self.drift_w) for r in range(self.k + 1)]
-            )
-            rate += self.i * (
-                pulled + np.einsum("lrj,rj->lj", self.beta, pulled) - vals
-            )
-
-        if self.jump_active:
-            pulled = np.stack(
-                [_gather(vals[r], self.jump_base, self.jump_w) for r in range(self.k + 1)]
-            )
-            weighted = self._weighted_stack(pulled, self.gamma_at_tau)
-            core = weighted + np.einsum("lrjm,rjm->ljm", self.alpha, weighted)
-            jump_in = np.einsum("ljm,m->lj", core, self.wq)
-            local = self._weighted_stack(vals, self.gamma_at_grid)
-            rate += jump_in - self.qmass * local
-
-        return rate
+        flat = np.bincount(
+            self.rows, weights=vals.ravel()[self.cols] * self.data, minlength=vals.size
+        )
+        return flat.reshape(vals.shape)
 
 
 def apply_adjoint(
@@ -330,6 +365,13 @@ def apply_generator(coeffs: CoefficientSet, phi, y: np.ndarray, cfg: EvolutionCo
 
 @dataclass
 class EvolutionResult:
+    """Outcome of `evolve`.
+
+    ``time_error`` is Richardson's estimate of the explicit-Euler error in
+    the order-0 final, in L1: twice the gap between this run and a companion
+    run at dt / 2 on the same operator.
+    """
+
     final: GridDensity
     snapshots: list[GridDensity]
     times: np.ndarray
@@ -337,28 +379,15 @@ class EvolutionResult:
     dt: float
     steps: int
     escape_fraction: float
+    time_error: float
 
     @property
     def mass_drift(self) -> float:
         return float(np.max(np.abs(self.masses - self.masses[0])))
 
 
-def evolve(
-    coeffs: CoefficientSet,
-    initial: GridDensity,
-    t_end: float,
-    cfg: EvolutionConfig,
-    snapshot_times: tuple[float, ...] = (),
-) -> EvolutionResult:
-    """Explicit Euler evolution of the density stack to time t_end.
-
-    Snapshot times are hit exactly with shortened steps.  Mass is tracked at
-    every step; drift beyond ``cfg.mass_tol * max(1, t_end)`` raises (the
-    window or step budget is inadequate), as does any non-finite value.
-    """
-    if t_end < 0:
-        raise ContractError("t_end must be >= 0")
-    op = AdjointOperator(coeffs, initial, cfg)
+def _checked_step(op: AdjointOperator, cfg: EvolutionConfig) -> float:
+    """The configured (or largest stable) step, rejected beyond the budget."""
     dt_cap = 0.5 / op.lipschitz_bound
     dt = op.stable_dt() if cfg.dt is None else float(cfg.dt)
     if dt > dt_cap * (1.0 + 1e-12):
@@ -366,19 +395,29 @@ def evolve(
             f"dt={dt:.3e} exceeds the stability budget {dt_cap:.3e} "
             f"(lipschitz scale {op.lipschitz_bound:.3e})"
         )
+    return dt
 
-    wanted = sorted(set(float(s) for s in snapshot_times))
-    for s in wanted:
-        if s < 0 or s > t_end + 1e-12:
-            raise ContractError(f"snapshot time {s} outside [0, {t_end}]")
 
+def _euler(
+    op: AdjointOperator,
+    initial: GridDensity,
+    t_end: float,
+    dt: float,
+    cfg: EvolutionConfig,
+    snapshot_times: list[float] | tuple[float, ...] = (),
+):
+    """Explicit Euler steps of `op` from `initial` to t_end.
+
+    Returns (final, snapshots, times, masses).  Sorted snapshot times are hit
+    exactly with shortened steps; mass drift beyond the budget and
+    non-finite values raise.
+    """
     vals = initial.values.copy()
     t = 0.0
     snaps: list[GridDensity] = []
     times = [0.0]
     masses = [float(np.trapezoid(vals[0], dx=initial.spacing))]
-    pending = list(wanted)
-    steps = 0
+    pending = list(snapshot_times)
     while pending and abs(pending[0]) <= 1e-12:
         snaps.append(GridDensity(initial.lo, initial.hi, vals.copy(), initial.time))
         pending.pop(0)
@@ -388,9 +427,8 @@ def evolve(
         step = min(dt, target - t, t_end - t)
         vals = vals + step * op.apply(vals)
         t += step
-        steps += 1
         if not np.all(np.isfinite(vals)):
-            raise DivergenceError(f"density stack became non-finite at step {steps}")
+            raise DivergenceError(f"density stack became non-finite at step {len(times)}")
         mass = float(np.trapezoid(vals[0], dx=initial.spacing))
         times.append(t)
         masses.append(mass)
@@ -404,14 +442,45 @@ def evolve(
             pending.pop(0)
 
     final = GridDensity(initial.lo, initial.hi, vals, initial.time + t)
+    return final, snaps, np.asarray(times), np.asarray(masses)
+
+
+def evolve(
+    coeffs: CoefficientSet,
+    initial: GridDensity,
+    t_end: float,
+    cfg: EvolutionConfig,
+    snapshot_times: tuple[float, ...] = (),
+) -> EvolutionResult:
+    """Explicit Euler evolution of the density stack to time t_end.
+
+    Snapshot times are hit exactly with shortened steps.  Mass is tracked at
+    every step; drift beyond ``cfg.mass_tol * max(1, t_end)`` raises (the
+    window or step budget is inadequate), as does any non-finite value.  A
+    companion run at dt / 2 on the same operator gives ``time_error``.
+    """
+    if t_end < 0:
+        raise ContractError("t_end must be >= 0")
+    op = AdjointOperator(coeffs, initial, cfg)
+    dt = _checked_step(op, cfg)
+
+    wanted = sorted(set(float(s) for s in snapshot_times))
+    for s in wanted:
+        if s < 0 or s > t_end + 1e-12:
+            raise ContractError(f"snapshot time {s} outside [0, {t_end}]")
+
+    final, snaps, times, masses = _euler(op, initial, t_end, dt, cfg, wanted)
+    half = _euler(op, initial, t_end, 0.5 * dt, cfg)[0]
+    gap = np.trapezoid(np.abs(final.values[0] - half.values[0]), dx=initial.spacing)
     return EvolutionResult(
         final=final,
         snapshots=snaps,
-        times=np.asarray(times),
-        masses=np.asarray(masses),
+        times=times,
+        masses=masses,
         dt=dt,
-        steps=steps,
+        steps=len(times) - 1,
         escape_fraction=op.escape_fraction,
+        time_error=2.0 * float(gap),
     )
 
 
@@ -426,9 +495,12 @@ def picard_validate(
     """Fixed-point iteration of the integral form on a short horizon.
 
     Iterates f_{m+1}(t) = f_0 + integral_0^t L* f_m(s) ds with trapezoidal
-    time quadrature, then compares the final sweep against the Euler engine
-    at t_short.  A validation tool, not a production integrator.
+    time quadrature, then compares the final sweep against explicit Euler on
+    the same operator at t_short.  A validation tool, not a production
+    integrator.
     """
+    if t_short < 0:
+        raise ContractError("t_short must be >= 0")
     op = AdjointOperator(coeffs, initial, cfg)
     if t_short > 4.0 * op.stable_dt() * (time_nodes - 1):
         raise ContractError("picard horizon too long for the requested time grid")
@@ -445,7 +517,7 @@ def picard_validate(
             new_states.append(initial.values + acc)
         states = new_states
     picard_final = GridDensity(initial.lo, initial.hi, states[-1], initial.time + t_short)
-    euler = evolve(coeffs, initial, t_short, cfg).final
+    euler = _euler(op, initial, t_short, _checked_step(op, cfg), cfg)[0]
     gap = float(
         np.trapezoid(np.abs(picard_final.values[0] - euler.values[0]), dx=initial.spacing)
     )

@@ -23,6 +23,7 @@ certificate is reproducible.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -61,15 +62,24 @@ class QuadratureSpec:
     horizon: float | None = None
 
 
-def gauss_panels(lo: float, hi: float, nodes: int = 256, panels: int = 8):
-    """Gauss-Legendre nodes and weights on [lo, hi] split into equal panels."""
+@functools.lru_cache(maxsize=None)
+def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only n-point Gauss-Legendre rule on [-1, 1], computed once per n."""
     from scipy.special import roots_legendre
 
+    x, w = roots_legendre(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def gauss_panels(lo: float, hi: float, nodes: int = 256, panels: int = 8):
+    """Gauss-Legendre nodes and weights on [lo, hi] split into equal panels."""
     if not (hi > lo):
         raise ContractError(f"empty quadrature interval [{lo}, {hi}]")
     panels = max(1, int(panels))
     per = max(2, int(math.ceil(nodes / panels)))
-    x, w = roots_legendre(per)
+    x, w = _legendre(per)
     edges = np.linspace(lo, hi, panels + 1)
     zs, ws = [], []
     for a, b in zip(edges[:-1], edges[1:]):

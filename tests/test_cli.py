@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,10 +174,11 @@ def test_simulate_seed_override(tmp_path):
     assert not np.array_equal(ta, tc)
 
 
-def test_evolve_writes_density_columns(tmp_path):
+def test_evolve_writes_density_columns(tmp_path, capsys):
     cfg = _base_config(tmp_path / "out")
     path = _write(tmp_path, cfg)
     assert main(["evolve", "--config", path]) == 0
+    assert "time error" in capsys.readouterr().out
     density = np.loadtxt(tmp_path / "out" / "density.txt")
     assert density.shape == (384, 4)  # y, d0, d1, d2
     header = (tmp_path / "out" / "density.txt").read_text().splitlines()[0]
@@ -184,6 +189,19 @@ def test_evolve_writes_density_columns(tmp_path):
     assert summary["mass_drift"] <= 1e-4
     assert len(summary["sobolev"]) == 3
     assert summary["steps"] >= 10
+    assert 0.0 < summary["time_error"] < 0.05
+
+
+def test_package_import_leaves_scipy_unloaded():
+    # scipy is imported lazily where it is used; importing it up front costs
+    # every CLI run a fixed start-up delay
+    import jumpsmooth
+
+    env = dict(os.environ, PYTHONPATH=str(Path(jumpsmooth.__file__).resolve().parents[1]))
+    code = "import sys, jumpsmooth; print([m for m in sys.modules if m.startswith('scipy')])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_kernels_audit_pass_and_fail(tmp_path, capsys):

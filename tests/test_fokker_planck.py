@@ -82,6 +82,52 @@ def test_duality_residual_small(wobble_model, phi):
     assert out["residual"] <= 1e-6
 
 
+# apply() at nine nodes per order, recorded with the per-step
+# gather-and-contract operator that the assembled one replaced.  Wobble jumps
+# translate the state (the jump transfer table vanishes); ripple jumps depend
+# on the state, so its rates also pin the jump transfer terms.
+_RECORDED_RATES = {
+    "wobble_model": (
+        dict(window=(-8.0, 8.0), size=1024, sigma=1.0, trunc=3),
+        np.linspace(320, 703, 9).round().astype(int),
+        [[-0.0006991156268270383, 0.008694135708380318, 0.015229059569147801,
+          -0.07269327901433731, -0.13273344828528222, 0.018096688341363798,
+          0.1078718057362249, 0.04776721879975085, 0.00688424764510762],
+         [0.002290473513445926, 0.023925266883381494, -0.03647160625407092,
+          -0.17097354620908878, 0.07864113609839274, 0.24251944583062013,
+          -0.0197594379734769, -0.08944729407938601, -0.022630799003535366],
+         [0.01650872564244571, 0.01923258774610831, -0.2063948110942364,
+          0.012130872839301587, 0.5070427103385526, -0.17242668525523785,
+          -0.31204675433770945, 0.07545928397049728, 0.06118190941335089]],
+    ),
+    "ripple_model": (
+        dict(window=(-6.0, 6.0), size=512, sigma=0.8, trunc=1),
+        np.linspace(160, 351, 9).round().astype(int),
+        [[0.0018035183166142353, -0.016793528843685623, -0.10392628123592962,
+          -0.19282736049460003, -0.04592341327876581, 0.17602560029086867,
+          0.14562016083030915, 0.03724975510924161, 0.002261085575899279],
+         [-0.003552408750014696, -0.08161472685142335, -0.21428603396851642,
+          -0.008357598591160587, 0.4860390092490207, 0.19691382483225728,
+          -0.2133812700344404, -0.12706195369374945, -0.017478044629180026],
+         [-0.04690387238989158, -0.24289709602216236, -0.08600472216911381,
+          0.8613612809303982, 0.3699409546679009, -1.0815374506308628,
+          -0.18738988104423715, 0.2890295550649039, 0.08748365998100988]],
+    ),
+}
+
+
+@pytest.mark.parametrize("model_name", sorted(_RECORDED_RATES))
+def test_adjoint_matches_recorded_rates(request, model_name):
+    setup, nodes, want = _RECORDED_RATES[model_name]
+    model = request.getfixturevalue(model_name)
+    g = js.gaussian_density(setup["window"], setup["size"], order=2, sigma=setup["sigma"])
+    op = js.AdjointOperator(model, g, js.EvolutionConfig(i=8, trunc=setup["trunc"]))
+    rate = op.apply(g.values)
+    np.testing.assert_allclose(rate[:, nodes], want, rtol=1e-12, atol=0.0)
+    with pytest.raises(js.ContractError):
+        op.apply(g.values[:, :-1])
+
+
 def test_duality_accepts_plain_callable(wobble_model):
     g = js.gaussian_density((-8.0, 8.0), 1024, order=2)
     out = js.duality_residual(
@@ -147,6 +193,35 @@ def test_evolve_snapshots_and_mass_track(wobble_model):
     tame = np.abs(d.values[0]) > 1e-3
     err = np.abs(num - d.values[1])[tame]
     assert np.median(err / np.maximum(np.abs(d.values[1][tame]), 0.1)) < 0.05
+
+
+def test_evolve_time_error_is_richardson_estimate(wobble_model):
+    init = js.gaussian_density((-8.0, 8.0), 512, order=2, sigma=0.8)
+    coarse = js.evolve(wobble_model, init, 0.3, js.EvolutionConfig(i=8, trunc=3))
+    dt = coarse.dt
+    fine = js.evolve(wobble_model, init, 0.3, js.EvolutionConfig(i=8, trunc=3, dt=dt / 2))
+    ref = js.evolve(wobble_model, init, 0.3, js.EvolutionConfig(i=8, trunc=3, dt=dt / 16))
+    gap = np.trapezoid(np.abs(coarse.final.values[0] - ref.final.values[0]), dx=init.spacing)
+    assert gap / 1.25 <= coarse.time_error <= 1.25 * gap
+    # first order in time: halving dt halves the error
+    assert 0.4 <= fine.time_error / coarse.time_error <= 0.6
+
+
+def test_evolve_and_picard_build_the_operator_once(wobble_model, monkeypatch):
+    built = []
+
+    class Counting(js.AdjointOperator):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(js.fokker_planck, "AdjointOperator", Counting)
+    init = js.gaussian_density((-8.0, 8.0), 256, order=2, sigma=0.8)
+    cfg = js.EvolutionConfig(i=8, trunc=3)
+    res = js.evolve(wobble_model, init, 0.1, cfg)
+    assert len(built) == 1 and res.time_error > 0.0
+    js.picard_validate(wobble_model, init, 0.02, cfg)
+    assert len(built) == 2
 
 
 def test_evolve_rejects_unstable_step(wobble_model):

@@ -259,3 +259,39 @@ def test_reports_serialize(exp_unit_model):
     blob = rep.to_json()
     assert '"inversion_budget"' in blob
     assert '"passed": true' in blob
+
+
+def test_gauss_panels_computes_each_legendre_rule_once(exp_unit_model, monkeypatch):
+    import scipy.special
+
+    real = scipy.special.roots_legendre
+    calls: dict[int, int] = {}
+
+    def counting(n):
+        calls[n] = calls.get(n, 0) + 1
+        return real(n)
+
+    js.model._legendre.cache_clear()
+    monkeypatch.setattr(scipy.special, "roots_legendre", counting)
+    first = js.check_B(exp_unit_model, n_max=6, theta=4.2)
+    second = js.check_B(exp_unit_model, n_max=6, theta=4.2)
+    js.model._legendre.cache_clear()
+    assert calls and set(calls.values()) == {1}
+    assert first.to_dict() == second.to_dict()
+
+
+def test_gauss_panels_matches_the_reference_rule():
+    from scipy.special import roots_legendre
+
+    z, w = js.gauss_panels(-1.0, 3.0, nodes=24, panels=3)
+    x, v = roots_legendre(8)
+    edges = np.linspace(-1.0, 3.0, 4)
+    for p in range(3):
+        a, b = edges[p], edges[p + 1]
+        half = 0.5 * (b - a)
+        assert np.array_equal(z[8 * p: 8 * p + 8], 0.5 * (a + b) + half * x)
+        assert np.array_equal(w[8 * p: 8 * p + 8], half * v)
+    z[0] = 99.0  # the returned arrays are the caller's own
+    assert js.gauss_panels(-1.0, 3.0, nodes=24, panels=3)[0][0] != 99.0
+    rule = js.model._legendre(8)
+    assert not rule[0].flags.writeable and not rule[1].flags.writeable
