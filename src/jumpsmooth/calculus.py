@@ -240,16 +240,22 @@ def inverse_derivatives(forward: DerivativeStack, order: int | None = None) -> D
     return DerivativeStack(float(forward.values[0]), tau)
 
 
+def _leibniz_row(a, b, n: int):
+    """n-th derivative of a product from the derivatives 0..n of its factors
+    (stacks, or sequences of arrays)."""
+    acc = 0.0
+    for j in range(n + 1):
+        acc = acc + comb(n, j) * a[j] * b[n - j]
+    return acc
+
+
 def leibniz_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Derivative stack of a product from the stacks of its factors
     (order axis first, broadcasting)."""
     order = min(a.shape[0], b.shape[0]) - 1
     out = np.empty((order + 1,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]), dtype=float)
     for n in range(order + 1):
-        acc = np.zeros(out.shape[1:], dtype=float)
-        for j in range(n + 1):
-            acc = acc + comb(n, j) * a[j] * b[n - j]
-        out[n] = acc
+        out[n] = _leibniz_row(a, b, n)
     return out
 
 

@@ -19,7 +19,7 @@ from math import comb
 
 import numpy as np
 
-from .calculus import _compose_values
+from .calculus import _compose_values, _leibniz_row
 from .errors import ContractError
 
 _STACK_MAX = 16  # hard cap on requested derivative order
@@ -437,10 +437,8 @@ class FunctionProduct(Function1D):
 
     def derivative(self, x, l: int):
         x = _as_array(x)
-        out = np.zeros_like(x)
-        for j in range(l + 1):
-            out = out + comb(l, j) * self.left.derivative(x, j) * self.right.derivative(x, l - j)
-        return out
+        left = [self.left.derivative(x, j) for j in range(l + 1)]
+        return _leibniz_row(left, [self.right.derivative(x, j) for j in range(l + 1)], l)
 
     @property
     def smooth_order(self) -> int | None:  # type: ignore[override]

@@ -1,24 +1,23 @@
 """Pathwise simulation of the jumping dynamics by thinning.
 
-Candidate jump marks arrive as a Poisson stream with intensity ubar * q(G)
-(ubar a constant upper bound for the state-dependent rate, G the active mark
-window); each candidate carries a mark z ~ q|_G, a rate variable u uniform on
-(0, ubar), and a filter variable v uniform on (0, 1).  A candidate becomes a
-real jump when u <= gamma(X-), reproducing jumps at the exact state-dependent
-rate; v is drawn for every candidate whether or not a filtered-kernel check
-is requested, so runs with and without filtering consume identical random
-streams and can be coupled pathwise.
-
+One engine, `_thinning`, draws and classifies every candidate
+(thinning as in Lewis & Shedler 1979 and Ogata 1981).  Candidates arrive as
+a Poisson stream with intensity ubar * q(G), for ubar a constant bound on the
+state-dependent rate and G the mark window.  Each carries a mark z ~ q|_G, a
+rate variable u uniform on (0, ubar) and a filter variable v uniform on
+(0, 1), and becomes a jump when u <= gamma(X-).  v is drawn whether or not a
+filtered kernel is checked, so filtered and plain runs can be coupled.
 Between candidates the state follows the drift flow (fixed-step RK4); the
-drift-poissonized variant replaces the flow with Poisson kicks b(X)/i at rate
-i, which is the chain whose density evolution the adjoint solver mirrors.
+drift-poissonized chain, whose density evolution the adjoint solver mirrors,
+replaces the flow with kicks b(X)/i at rate i.
 
-Random streams are organized as a fixed fan-out of 32 Philox substreams per
-(seed, stream) pair, one per chunk of a batch's runs.  A batch advances its
-chunks in lockstep on one merged state array, one candidate round at a time,
-while each chunk keeps drawing from its own substream in a fixed order; worker
-threads take contiguous groups of chunks, so batch results are byte-identical
-regardless of the thread count.
+Random streams fan out into 32 Philox substreams per (seed, stream) pair, one
+per chunk of a batch's runs.  The engine advances a group of chunks in
+lockstep, one candidate round at a time, each chunk drawing from its own
+substream in a fixed order, so batch output is byte-identical for any thread
+count.  `simulate_exact`, `simulate_poissonized` and `sample_tau_n` are
+batches of one on the caller's generator: the coupling between single paths
+and batches holds by construction.
 """
 
 from __future__ import annotations
@@ -151,25 +150,6 @@ def _check_rate_bound(gam_pre, ubar: float) -> None:
         )
 
 
-def _drift_flow_scalar(coeffs, x: float, seg: float, opts: OdeOptions) -> float:
-    if seg <= 0.0 or coeffs.b.is_zero:
-        return x
-    steps = max(opts.min_substeps, math.ceil(seg / opts.max_step))
-    hstep = seg / steps
-    b = coeffs.b.value
-    # overflow to inf is fine: the guard below turns it into BlowUpError
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(steps):
-            k1 = float(b(x))
-            k2 = float(b(x + 0.5 * hstep * k1))
-            k3 = float(b(x + 0.5 * hstep * k2))
-            k4 = float(b(x + hstep * k3))
-            x = x + hstep * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-    if not math.isfinite(x) or abs(x) > opts.blow_up:
-        raise BlowUpError(f"drift flow left the finite range near x={x}")
-    return x
-
-
 def _drift_flow_batch(
     coeffs, x: np.ndarray, seg: np.ndarray, opts: OdeOptions, starts
 ) -> np.ndarray:
@@ -230,6 +210,144 @@ def _candidate_frame(coeffs: CoefficientSet, trunc: int, couple_top: int | None)
     return sampler, active, ubar, ubar * sampler.mass
 
 
+def _check_drift_index(coeffs: CoefficientSet, i: int) -> None:
+    if i < (i0 := coeffs.min_drift_index()):
+        raise ContractError(f"drift index {i} below the contraction threshold {i0}")
+
+
+@dataclass(frozen=True)
+class _Round:
+    """One candidate for each alive run `idx`, in run order.
+
+    `landed` marks candidates at or before t_end (a run whose candidate did
+    not land has drifted to t_end and is done).  Of the landed ones, `kick`
+    marks drift kicks, `in_window` marks inside the active window (the
+    others are skips), `acc` the accepted jumps and `kept` the jumps the
+    filtered kernel also kept.  `pre` and `post` are the states just before
+    and after each candidate.
+    """
+
+    idx: np.ndarray
+    t_next: np.ndarray
+    landed: np.ndarray
+    kick: np.ndarray
+    in_window: np.ndarray
+    acc: np.ndarray
+    kept: np.ndarray
+    pre: np.ndarray
+    post: np.ndarray
+    z: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+
+
+def _thinning(
+    coeffs, x: np.ndarray, t_end: float, gens: list[np.random.Generator], sizes: list[int],
+    frame, i: int | None, opts: OdeOptions, on_round,
+    kernels: KernelDecomposition | None = None, filter_n: int | None = None,
+) -> None:
+    """The thinning engine: candidate rounds for a group of chunks, in lockstep.
+
+    `x` holds the initial states, chunk after chunk (`sizes[c]` runs drawing
+    from `gens[c]`), and is advanced in place to t_end.  `frame` comes from
+    `_candidate_frame`; `i` selects the drift-poissonized chain (None: the
+    exact flow); `filter_n` fills `kept` from the n-th filtered kernel.
+
+    The alive runs stay in order, so each chunk's share of a round is one
+    slice.  Per round, every chunk with alive runs draws from its own
+    generator, each sized by its alive count: gaps, [kick w], mark uniforms,
+    u, v.  A chunk's draws are therefore the same however chunks are
+    grouped, and a batch of one on a caller's generator is the same run as
+    inside a batch.  After the states are updated, `on_round` gets the
+    round's `_Round` (a callback, so no round's arrays outlive the next
+    round's); a true return stops the engine, and its draws, there.
+    """
+    sampler, active, ubar, lam = frame
+    m = x.size
+    if lam == 0.0 and i is None:  # no jumps, no kicks: one drift segment
+        # every chunk's longest segment is t_end, so one step count fits all
+        x[:] = _drift_flow_batch(coeffs, x, np.full(m, t_end), opts, [0])
+        return
+    offsets = np.cumsum([0] + list(sizes))
+    total = lam if i is None else float(i) + lam
+    t = np.zeros(m)
+    idx = np.arange(m)
+    while idx.size:
+        n = idx.size
+        bounds = np.searchsorted(idx, offsets)
+        gaps, wkick, uni, u, v = np.empty((5, n))
+        for gen, lo, hi in zip(gens, bounds[:-1], bounds[1:]):
+            k = hi - lo
+            if k == 0:
+                continue
+            gaps[lo:hi] = gen.exponential(1.0 / total, k)
+            if i is not None:
+                wkick[lo:hi] = gen.uniform(0.0, 1.0, k)
+            if sampler is not None:
+                uni[lo:hi] = gen.uniform(0.0, 1.0, k)
+            u[lo:hi] = gen.uniform(0.0, ubar, k)
+            v[lo:hi] = gen.uniform(0.0, 1.0, k)
+        z = sampler.invert(uni) if sampler is not None else np.full(n, np.nan)
+        t_next = t[idx] + gaps
+        landed = t_next <= t_end
+        if i is None:
+            seg = np.minimum(t_next, t_end) - t[idx]
+            starts = bounds[:-1][np.diff(bounds) > 0]
+            pre = _drift_flow_batch(coeffs, x[idx], seg, opts, starts)
+            kick = np.zeros(n, dtype=bool)
+        else:
+            pre = x[idx].copy()
+            kick = landed & (wkick <= i / total)
+        gam = np.asarray(coeffs.gamma.value(pre), dtype=float)
+        _check_rate_bound(gam[landed], ubar)
+        in_window = (z >= active[0]) & (z <= active[1])
+        acc = landed & ~kick & in_window & (u <= gam)
+        kept = np.zeros(n, dtype=bool)
+        post = pre.copy()
+        if np.any(acc):
+            post[acc] = pre[acc] + np.asarray(coeffs.h.value(pre[acc], z[acc]), dtype=float)
+            if filter_n is not None:
+                kept[acc] = v[acc] <= kernels.acceptance(filter_n, pre[acc], z[acc])
+        if np.any(kick):
+            post[kick] = pre[kick] + np.asarray(coeffs.b.value(pre[kick]), dtype=float) / i
+        if not np.all(np.isfinite(post)) or np.max(np.abs(post)) > opts.blow_up:
+            raise BlowUpError("state blew up at a thinning candidate")
+        x[idx] = post
+        t[idx] = np.minimum(t_next, t_end)
+        if on_round(_Round(idx, t_next, landed, kick, in_window, acc, kept, pre, post, z, u, v)):
+            return
+        idx = idx[landed]
+
+
+def _single_path(
+    coeffs, x0: float, t_end: float, trunc: int, rng, couple_top, i, ode_opts, record: bool
+) -> Trajectory:
+    """A batch of one of the thinning engine on `rng`, its landed candidates
+    recorded as events."""
+    frame = _candidate_frame(coeffs, trunc, couple_top)
+    x = np.array([float(x0)])
+    events: list[JumpEvent] = []
+
+    def on_round(r: _Round) -> None:
+        if not (record and r.landed[0]):
+            return
+        if len(events) == 1_000_000:
+            raise BlowUpError("event budget exhausted; rate is too large to record")
+        kind = ("drift" if r.kick[0] else "skip" if not r.in_window[0]
+                else "jump" if r.acc[0] else "reject")
+        events.append(JumpEvent(
+            float(r.t_next[0]), kind, float(r.pre[0]), float(r.post[0]),
+            float(r.z[0]), float(r.u[0]), float(r.v[0]),
+        ))
+
+    _thinning(coeffs, x, t_end, [rng], [1], frame, i, ode_opts or OdeOptions(), on_round)
+    times = [0.0] + [e.time for e in events] + [float(t_end)]
+    states = [float(x0)] + [e.post for e in events] + [float(x[0])]
+    return Trajectory(
+        float(x0), float(t_end), np.asarray(times), np.asarray(states), tuple(events), trunc
+    )
+
+
 def simulate_exact(
     coeffs: CoefficientSet,
     x0: float,
@@ -242,57 +360,15 @@ def simulate_exact(
 ) -> Trajectory:
     """One path of the jumping diffusion with truncated marks.
 
-    Draws (gap, mark, u, v) for every candidate in that order; v is unused
-    here but keeps the stream aligned with filtered runs under the same seed.
+    A batch of one of the thinning engine on `rng`: it draws (gap, mark, u,
+    v) per candidate exactly as each run of `simulate_batch` does, so on
+    `RngSpec(s).chunk_generator(0)` it is run 0 of a one-run batch under
+    `RngSpec(s)`, bit for bit.  v is unused here but keeps the stream
+    aligned with filtered runs.  With `couple_top`, marks come from that
+    wider window and those outside the `trunc` window are recorded as
+    skips, so paths at different truncations share every draw.
     """
-    opts = ode_opts or OdeOptions()
-    sampler, active, ubar, lam = _candidate_frame(coeffs, trunc, couple_top)
-    x = float(x0)
-    t = 0.0
-    events: list[JumpEvent] = []
-    times = [0.0]
-    states = [x]
-    if lam == 0.0:  # rate vanishes identically: pure drift flow
-        x = _drift_flow_scalar(coeffs, x, t_end, opts)
-        return Trajectory(
-            float(x0), float(t_end), np.asarray([0.0, t_end]), np.asarray([states[0], x]),
-            (), trunc,
-        )
-    max_events = 1_000_000
-    while True:
-        gap = rng.exponential(1.0 / lam)
-        z = float(sampler.sample(rng, 1)[0])
-        u = float(rng.uniform(0.0, ubar))
-        v = float(rng.uniform(0.0, 1.0))
-        t_next = t + gap
-        if t_next > t_end:
-            x = _drift_flow_scalar(coeffs, x, t_end - t, opts)
-            t = t_end
-            break
-        pre = _drift_flow_scalar(coeffs, x, gap, opts)
-        gam = float(coeffs.gamma.value(pre))
-        _check_rate_bound(gam, ubar)
-        if not (active[0] <= z <= active[1]):
-            kind, post = "skip", pre
-        elif u <= gam:
-            post = pre + float(coeffs.h.value(pre, z))
-            kind = "jump"
-        else:
-            kind, post = "reject", pre
-        if not math.isfinite(post) or abs(post) > opts.blow_up:
-            raise BlowUpError(f"state blew up at t={t_next} (pre={pre}, mark={z})")
-        x, t = post, t_next
-        if record:
-            events.append(JumpEvent(t_next, kind, pre, post, z, u, v))
-            times.append(t_next)
-            states.append(post)
-            if len(events) > max_events:
-                raise BlowUpError("event budget exhausted; rate is too large to record")
-    times.append(t_end)
-    states.append(x)
-    return Trajectory(
-        float(x0), float(t_end), np.asarray(times), np.asarray(states), tuple(events), trunc
-    )
+    return _single_path(coeffs, x0, t_end, trunc, rng, couple_top, None, ode_opts, record)
 
 
 def simulate_poissonized(
@@ -306,52 +382,10 @@ def simulate_poissonized(
     record: bool = True,
 ) -> Trajectory:
     """One path of the drift-poissonized chain: drift kicks b(X)/i at rate i
-    superposed with the thinned jump stream, no continuous motion."""
-    if i < coeffs.min_drift_index():
-        raise ContractError(
-            f"drift index {i} below the contraction threshold {coeffs.min_drift_index()}"
-        )
-    opts = ode_opts or OdeOptions()
-    sampler, active, ubar, lam = _candidate_frame(coeffs, trunc, None)
-    total = float(i) + lam
-    x = float(x0)
-    t = 0.0
-    events: list[JumpEvent] = []
-    times = [0.0]
-    states = [x]
-    while True:
-        gap = rng.exponential(1.0 / total)
-        w = float(rng.uniform(0.0, 1.0))
-        z = float(sampler.sample(rng, 1)[0]) if sampler is not None else math.nan
-        u = float(rng.uniform(0.0, ubar))
-        v = float(rng.uniform(0.0, 1.0))
-        t_next = t + gap
-        if t_next > t_end:
-            break
-        pre = x
-        if sampler is None or w <= i / total:
-            post = pre + float(coeffs.b.value(pre)) / i
-            kind = "drift"
-        else:
-            gam = float(coeffs.gamma.value(pre))
-            _check_rate_bound(gam, ubar)
-            if u <= gam:
-                post = pre + float(coeffs.h.value(pre, z))
-                kind = "jump"
-            else:
-                kind, post = "reject", pre
-        if not math.isfinite(post) or abs(post) > opts.blow_up:
-            raise BlowUpError(f"state blew up at t={t_next}")
-        x, t = post, t_next
-        if record:
-            events.append(JumpEvent(t_next, kind, pre, post, z, u, v))
-            times.append(t_next)
-            states.append(post)
-    times.append(t_end)
-    states.append(x)
-    return Trajectory(
-        float(x0), float(t_end), np.asarray(times), np.asarray(states), tuple(events), trunc
-    )
+    superposed with the thinned jump stream, no continuous motion.  A batch
+    of one of the thinning engine, like `simulate_exact`."""
+    _check_drift_index(coeffs, i)
+    return _single_path(coeffs, x0, t_end, trunc, rng, None, i, ode_opts, record)
 
 
 def _audit_filtered_rate(coeffs, kernels: KernelDecomposition, n: int, trunc: int) -> None:
@@ -383,129 +417,30 @@ def sample_tau_n(
 ) -> RegularizingJumpRecord | None:
     """First jump kept by the n-th filtered kernel along one exact path.
 
-    Candidates use the same draw pattern as `simulate_exact`, so under a
-    common seed the filtered time picks out one of the exact path's jumps.
-    Returns None when no filtered jump occurs before t_max.
+    A batch of one of the thinning engine on `rng` that stops at its first
+    kept jump, so it draws exactly what `simulate_exact` draws up to that
+    candidate: under a common seed the record is one of the exact path's
+    jumps.  Returns None when no filtered jump occurs before t_max.
     """
     _audit_filtered_rate(coeffs, kernels, n, trunc)
-    opts = ode_opts or OdeOptions()
-    sampler, active, ubar, lam = _candidate_frame(coeffs, trunc, None)
-    x = float(x0)
-    t = 0.0
-    while True:
-        gap = rng.exponential(1.0 / lam)
-        z = float(sampler.sample(rng, 1)[0])
-        u = float(rng.uniform(0.0, ubar))
-        v = float(rng.uniform(0.0, 1.0))
-        t_next = t + gap
-        if t_next > t_max:
-            return None
-        pre = _drift_flow_scalar(coeffs, x, gap, opts)
-        gam = float(coeffs.gamma.value(pre))
-        _check_rate_bound(gam, ubar)
-        post = pre
-        if active[0] <= z <= active[1] and u <= gam:
-            post = pre + float(coeffs.h.value(pre, z))
-            if v <= float(kernels.acceptance(n, pre, z)):
-                return RegularizingJumpRecord(t_next, pre, post, z)
-        if not math.isfinite(post) or abs(post) > opts.blow_up:
-            raise BlowUpError(f"state blew up at t={t_next}")
-        x, t = post, t_next
+    frame = _candidate_frame(coeffs, trunc, None)
+    found: list[RegularizingJumpRecord] = []
+
+    def on_round(r: _Round) -> bool:
+        if r.kept[0]:
+            found.append(RegularizingJumpRecord(
+                float(r.t_next[0]), float(r.pre[0]), float(r.post[0]), float(r.z[0])
+            ))
+        return bool(found)
+
+    _thinning(coeffs, np.array([float(x0)]), t_max, [rng], [1], frame, None,
+              ode_opts or OdeOptions(), on_round, kernels, n)
+    return found[0] if found else None
 
 
 def _chunk_sizes(runs: int) -> list[int]:
     base, rem = divmod(runs, N_CHUNKS)
     return [base + 1 if c < rem else base for c in range(N_CHUNKS)]
-
-
-def _batch_group(
-    coeffs,
-    x0: np.ndarray,
-    t_end: float,
-    gens: list[np.random.Generator],
-    sizes: list[int],
-    sampler: MarkSampler | None,
-    active: tuple[float, float],
-    ubar: float,
-    lam: float,
-    i: int | None,
-    kernels: KernelDecomposition | None,
-    filter_n: int | None,
-    opts: OdeOptions,
-):
-    """Thinning rounds for a contiguous group of chunks, in lockstep.
-
-    Runs are laid out chunk after chunk and the alive ones stay in that
-    order, so each chunk's share of a round is one slice.  Every chunk draws
-    from its own generator, per round: gaps, [kick w], mark uniforms, u, v,
-    each sized by its alive count; a chunk with no alive runs draws nothing.
-    A chunk's draws are therefore the same however chunks are grouped.
-    """
-    m = len(x0)
-    x = np.array(x0, dtype=float, copy=True)
-    t = np.zeros(m)
-    tau = np.full(m, np.inf)
-    jumps = np.zeros(m, dtype=np.int64)
-    if lam == 0.0 and i is None:  # no jumps, no kicks: one drift segment
-        # every chunk's longest segment is t_end, so one step count fits all
-        x = _drift_flow_batch(coeffs, x, np.full(m, t_end), opts, [0])
-        return x, tau, jumps
-    offsets = np.cumsum([0] + list(sizes))
-    total = lam if i is None else float(i) + lam
-    idx = np.arange(m)
-    while idx.size:
-        n = idx.size
-        bounds = np.searchsorted(idx, offsets)
-        gaps = np.empty(n)
-        wkick = np.empty(n)
-        uni = np.empty(n)
-        u = np.empty(n)
-        v = np.empty(n)
-        for gen, lo, hi in zip(gens, bounds[:-1], bounds[1:]):
-            k = hi - lo
-            if k == 0:
-                continue
-            gaps[lo:hi] = gen.exponential(1.0 / total, k)
-            if i is not None:
-                wkick[lo:hi] = gen.uniform(0.0, 1.0, k)
-            if sampler is not None:
-                uni[lo:hi] = gen.uniform(0.0, 1.0, k)
-            u[lo:hi] = gen.uniform(0.0, ubar, k)
-            v[lo:hi] = gen.uniform(0.0, 1.0, k)
-        z = sampler.invert(uni) if sampler is not None else np.full(n, np.nan)
-        t_next = t[idx] + gaps
-        landed = t_next <= t_end
-        if i is None:
-            seg = np.minimum(t_next, t_end) - t[idx]
-            starts = bounds[:-1][np.diff(bounds) > 0]
-            pre = _drift_flow_batch(coeffs, x[idx], seg, opts, starts)
-        else:
-            pre = x[idx].copy()
-        gam = np.asarray(coeffs.gamma.value(pre), dtype=float)
-        _check_rate_bound(gam[landed], ubar)
-        in_window = (z >= active[0]) & (z <= active[1])
-        acc = landed & in_window & (u <= gam)
-        if i is not None:
-            is_kick = landed & (wkick <= i / total)
-            acc &= ~is_kick
-        post = pre.copy()
-        if np.any(acc):
-            post[acc] = pre[acc] + np.asarray(coeffs.h.value(pre[acc], z[acc]), dtype=float)
-            jumps[idx[acc]] += 1
-            if filter_n is not None:
-                keep = v[acc] <= kernels.acceptance(filter_n, pre[acc], z[acc])
-                newly = idx[acc][keep]
-                tau[newly] = np.minimum(tau[newly], t_next[acc][keep])
-        if i is not None and np.any(is_kick):
-            post[is_kick] = pre[is_kick] + np.asarray(
-                coeffs.b.value(pre[is_kick]), dtype=float
-            ) / i
-        if not np.all(np.isfinite(post)) or np.max(np.abs(post)) > opts.blow_up:
-            raise BlowUpError("batch state blew up")
-        x[idx] = post
-        t[idx] = np.minimum(t_next, t_end)
-        idx = idx[landed]
-    return x, tau, jumps
 
 
 def simulate_batch(
@@ -540,24 +475,29 @@ def simulate_batch(
         if kernels is None:
             raise ContractError("filtering needs a kernel decomposition")
         _audit_filtered_rate(coeffs, kernels, filter_n, trunc)
-    if i is not None and i < coeffs.min_drift_index():
-        raise ContractError(
-            f"drift index {i} below the contraction threshold {coeffs.min_drift_index()}"
-        )
+    if i is not None:
+        _check_drift_index(coeffs, i)
     opts = ode_opts or OdeOptions()
-    sampler, active, ubar, lam = _candidate_frame(coeffs, trunc, None)
+    frame = _candidate_frame(coeffs, trunc, None)
     sizes = _chunk_sizes(runs)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     groups = [g for g in np.array_split(np.arange(N_CHUNKS), threads) if g.size]
 
     def run_group(chunks: np.ndarray):
         first, last = int(chunks[0]), int(chunks[-1])
-        return _batch_group(
-            coeffs, x0_all[offsets[first] : offsets[last + 1]], t_end,
-            [rng_spec.chunk_generator(int(c)) for c in chunks],
-            [sizes[c] for c in chunks],
-            sampler, active, ubar, lam, i, kernels, filter_n, opts,
-        )
+        x = np.array(x0_all[offsets[first] : offsets[last + 1]], dtype=float)
+        tau = np.full(x.size, np.inf)
+        jumps = np.zeros(x.size, dtype=np.int64)
+
+        def on_round(r: _Round) -> None:
+            jumps[r.idx[r.acc]] += 1
+            hit = r.idx[r.kept]
+            tau[hit] = np.minimum(tau[hit], r.t_next[r.kept])
+
+        gens = [rng_spec.chunk_generator(int(c)) for c in chunks]
+        _thinning(coeffs, x, t_end, gens, [sizes[c] for c in chunks], frame, i, opts,
+                  on_round, kernels, filter_n)
+        return x, tau, jumps
 
     if len(groups) > 1:
         with ThreadPoolExecutor(max_workers=len(groups)) as pool:
@@ -569,8 +509,8 @@ def simulate_batch(
         "jumps": np.concatenate([p[2] for p in parts]),
         "runs": runs,
         "t_end": float(t_end),
-        "rate_bound": ubar,
-        "candidate_rate": lam,
+        "rate_bound": frame[2],
+        "candidate_rate": frame[3],
     }
     if filter_n is not None:
         out["tau"] = np.concatenate([p[1] for p in parts])

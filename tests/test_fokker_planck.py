@@ -1,5 +1,6 @@
 """Density evolution: adjoint action, duality, mass, norm propagation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -224,6 +225,27 @@ def test_evolve_and_picard_build_the_operator_once(wobble_model, monkeypatch):
     assert len(built) == 2
 
 
+def test_norm_growth_audit_runs_one_euler_pass_per_index(wobble_model, monkeypatch):
+    # one pass at i and one at 2 i, at the stable step and without the dt/2
+    # companion; every other config field reaches the passes unchanged
+    calls = []
+    euler = js.fokker_planck._euler
+
+    def counting(op, initial, t_end, dt, cfg, snapshot_times=()):
+        calls.append((cfg, dt, op.stable_dt(), len(snapshot_times)))
+        return euler(op, initial, t_end, dt, cfg, snapshot_times)
+
+    monkeypatch.setattr(js.fokker_planck, "_euler", counting)
+    init = js.gaussian_density((-8.0, 8.0), 256, order=2, sigma=0.8)
+    cfg = js.EvolutionConfig(i=8, dt=1e-3, trunc=3, quad_nodes=128, mass_tol=1e-3)
+    report = js.norm_growth_audit(wobble_model, init, 0.3, cfg, checkpoints=6)
+    assert report["status"] == "ok"
+    assert [c[0] for c in calls] == [
+        dataclasses.replace(cfg, i=8, dt=None), dataclasses.replace(cfg, i=16, dt=None)
+    ]
+    assert all(dt == stable and snaps == 7 for _, dt, stable, snaps in calls)
+
+
 def test_evolve_rejects_unstable_step(wobble_model):
     init = js.gaussian_density((-8.0, 8.0), 512, order=2)
     with pytest.raises(js.StabilityError):
@@ -278,7 +300,8 @@ def test_norm_growth_audit_propagates_programming_errors(wobble_model, monkeypat
     def broken(*args, **kwargs):
         raise TypeError("not a numerical failure")
 
-    monkeypatch.setattr(js.fokker_planck, "evolve", broken)
+    # the audit steps each operator with the internal Euler loop
+    monkeypatch.setattr(js.fokker_planck, "_euler", broken)
     init = js.gaussian_density((-8.0, 8.0), 256, order=2, sigma=0.8)
     with pytest.raises(TypeError, match="not a numerical failure"):
         js.norm_growth_audit(wobble_model, init, 0.6, js.EvolutionConfig(i=8, trunc=3))

@@ -1,7 +1,9 @@
 """Path simulation: thinning, poissonized drift, filtered jumps, estimators."""
 
 import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -351,6 +353,97 @@ def test_filtered_survival_rate(exp_unit_model):
     want = math.exp(-3.0 * 0.5)
     sigma = math.sqrt(want * (1.0 - want) / runs)
     assert abs(surv - want) <= 4.0 * sigma
+
+
+# ---------------------------------------------------------------------------
+# single paths: batch-of-one runs of the thinning core
+# ---------------------------------------------------------------------------
+
+# recorded from the per-path thinning loops that preceded the shared core
+SCALAR_PINS = Path(__file__).parent / "data" / "scalar_paths.json"
+
+
+def _path_record(tr) -> dict:
+    return {
+        "kinds": [e.kind for e in tr.events],
+        "draws": [[e.time, e.mark, e.u, e.v] for e in tr.events],
+        "pre": [e.pre for e in tr.events],
+        "post": [e.post for e in tr.events],
+        "states": tr.states.tolist(),
+    }
+
+
+def _scalar_paths(wobble, ripple, power, exp_unit) -> dict:
+    out = {}
+    for s in (3, 7, 11):
+        tr = js.simulate_exact(wobble, 0.2, 1.5, 1, js.RngSpec(s).generator())
+        out[f"exact/wobble/{s}"] = _path_record(tr)
+    for s in (5, 9):  # marks from the trunc-2 window, skipped outside trunc 1
+        tr = js.simulate_exact(ripple, 0.0, 1.0, 1, js.RngSpec(s).generator(), couple_top=2)
+        out[f"exact/ripple-coupled/{s}"] = _path_record(tr)
+    tr = js.simulate_exact(_drift_model(js.Affine(0.0, -1.0)), 2.0, 1.0, 1, js.RngSpec(4).generator())
+    out["exact/zero-rate/4"] = _path_record(tr)
+    for s in (6, 12):
+        tr = js.simulate_poissonized(wobble, 0.2, 1.0, 8, 1, js.RngSpec(s).generator())
+        out[f"poissonized/wobble/{s}"] = _path_record(tr)
+        tr = js.simulate_poissonized(power, 0.5, 1.0, 4, 1, js.RngSpec(s).generator())
+        out[f"poissonized/power/{s}"] = _path_record(tr)
+    kd = js.make_kernels(exp_unit, (2,), theta=4.2)
+    rng = js.RngSpec(100).generator()  # shared: each call starts where the last stopped
+    recs = [js.sample_tau_n(exp_unit, kd, 0.0, 2, 2.0, 1, rng) for _ in range(12)]
+    out["tau/exp-unit/100"] = [
+        None if r is None else [r.tau, r.pre, r.post, r.mark] for r in recs
+    ]
+    return out
+
+
+def test_scalar_paths_pinned(wobble_model, ripple_model, power_model, exp_unit_model):
+    # draws and event kinds must repeat exactly; states may move at rounding level
+    want = json.loads(SCALAR_PINS.read_text())
+    got = _scalar_paths(wobble_model, ripple_model, power_model, exp_unit_model)
+    assert got.keys() == want.keys()
+    for key, w in want.items():
+        g = got[key]
+        if key.startswith("tau/"):
+            assert [r is None for r in g] == [r is None for r in w]
+            hits = [(a, b) for a, b in zip(g, w) if b is not None]
+            assert len(hits) >= 4
+            for a, b in hits:
+                assert a[3] == b[3]  # the mark
+                np.testing.assert_allclose(a[:3], b[:3], rtol=1e-12, atol=0.0)
+            continue
+        assert g["kinds"] == w["kinds"], key
+        assert g["draws"] == w["draws"], key
+        for field in ("pre", "post", "states"):
+            np.testing.assert_allclose(g[field], w[field], rtol=1e-12, atol=0.0, err_msg=key)
+
+
+def test_scalar_paths_are_batches_of_one(wobble_model, ripple_model, power_model, exp_unit_model):
+    # one thinning engine: a single path on chunk 0's generator is run 0 of a
+    # one-run batch under the same RngSpec, bit for bit
+    opts = js.OdeOptions(max_step=1e-2)
+    for m in (wobble_model, ripple_model, power_model):
+        for s in range(40):
+            spec = js.RngSpec(s)
+            tr = js.simulate_exact(m, 0.2, 1.0, 1, spec.chunk_generator(0), ode_opts=opts)
+            out = js.simulate_batch(m, 0.2, 1.0, 1, spec, 1, ode_opts=opts)
+            assert tr.states[-1:].tobytes() == out["terminal"].tobytes(), (m.label, s)
+            assert tr.count("jump") == out["jumps"][0]
+            tr = js.simulate_poissonized(m, 0.2, 1.0, 8, 1, spec.chunk_generator(0))
+            out = js.simulate_batch(m, 0.2, 1.0, 1, spec, 1, i=8)
+            assert tr.states[-1:].tobytes() == out["terminal"].tobytes(), (m.label, s)
+            assert tr.count("jump") == out["jumps"][0]
+    # the filtered first jump is one of the exact path's jumps under a common seed
+    kd = js.make_kernels(exp_unit_model, (2,), theta=4.2)
+    hits = 0
+    for s in range(30):
+        rec = js.sample_tau_n(exp_unit_model, kd, 0.0, 2, 2.0, 1, js.RngSpec(s).generator())
+        tr = js.simulate_exact(exp_unit_model, 0.0, 2.0, 1, js.RngSpec(s).generator())
+        if rec is not None:
+            hits += 1
+            jumps = [(e.time, e.pre, e.post, e.mark) for e in tr.events if e.kind == "jump"]
+            assert (rec.tau, rec.pre, rec.post, rec.mark) in jumps
+    assert hits >= 20
 
 
 # ---------------------------------------------------------------------------
