@@ -191,6 +191,7 @@ def _cmd_certify(cfg: ExperimentConfig, out_dir: Path, args, seed: int) -> tuple
         "two_term": report["two_term"],
         "magnitude_floor": report["magnitude_floor"],
         "runs": report["runs"],
+        "cf_binning_error": report["cf"].binning_error,
         "xi": [float(v) for v in report["cf"].xi],
         "cf_magnitude": [float(v) for v in report["cf"].magnitude()],
     }

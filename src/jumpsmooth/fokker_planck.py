@@ -527,15 +527,24 @@ def picard_validate(
 def duality_residual(
     coeffs: CoefficientSet, density: GridDensity, phi, cfg: EvolutionConfig
 ) -> dict:
-    """Scale-free residual of <L phi, g> = <phi, L* g> on the window."""
-    grid = density.grid
-    phi_val = getattr(phi, "value", phi)
-    lhs = float(
-        np.trapezoid(density.values[0] * apply_generator(coeffs, phi, grid, cfg), dx=density.spacing)
-    )
-    rate = apply_adjoint(coeffs, density, cfg)
-    rhs = float(np.trapezoid(phi_val(grid) * rate.values[0], dx=density.spacing))
-    resid = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+    """Scale-free residual of <L phi, g> = <phi, L* g> on the window.
+
+    `phi` is one test function or a sequence of them; L* g does not depend
+    on phi, so the adjoint operator is built once per call.  For a sequence,
+    `lhs` and `rhs` are per-function lists and `residual` is their maximum.
+    """
+    many = isinstance(phi, (list, tuple))
+    phis = list(phi) if many else [phi]
+    if not phis:
+        raise ContractError("duality check needs at least one test function")
+    grid, dx = density.grid, density.spacing
+    rate = AdjointOperator(coeffs, density, cfg).apply(density.values)[0]
+    lhs = [float(np.trapezoid(density.values[0] * apply_generator(coeffs, f, grid, cfg), dx=dx))
+           for f in phis]
+    rhs = [float(np.trapezoid(getattr(f, "value", f)(grid) * rate, dx=dx)) for f in phis]
+    resid = float(np.max([abs(l - r) / max(1.0, abs(l), abs(r)) for l, r in zip(lhs, rhs)]))
+    if not many:
+        return {"lhs": lhs[0], "rhs": rhs[0], "residual": resid}
     return {"lhs": lhs, "rhs": rhs, "residual": resid}
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -231,4 +232,5 @@ def test_certify_smooth_model_exits_0(tmp_path, capsys):
     assert len(payload["xi"]) == 96
     assert len(payload["cf_magnitude"]) == 96
     assert payload["predicted_exponent"] == pytest.approx(2.0 * 0.5 / 12.5)
+    assert 0.0 < payload["cf_binning_error"] <= 0.1 / math.sqrt(payload["runs"])
     assert "certificate:" in capsys.readouterr().out

@@ -137,6 +137,17 @@ def test_duality_accepts_plain_callable(wobble_model):
     assert out["residual"] <= 1e-6
 
 
+def test_duality_residual_takes_a_sequence(wobble_model):
+    g = js.gaussian_density((-8.0, 8.0), 1024, order=2)
+    cfg = js.EvolutionConfig(i=8, trunc=3)
+    phis = [js.GaussBump(1.0, 0.3, 1.2), lambda y: np.cos(y)]
+    out = js.duality_residual(wobble_model, g, phis, cfg)
+    singles = [js.duality_residual(wobble_model, g, phi, cfg) for phi in phis]
+    assert out["lhs"] == [r["lhs"] for r in singles]
+    assert out["rhs"] == [r["rhs"] for r in singles]
+    assert out["residual"] == max(r["residual"] for r in singles)
+
+
 def test_generator_constant_test_function_is_null(wobble_model):
     y = np.linspace(-6, 6, 257)
     vals = js.apply_generator(wobble_model, js.constant(3.0), y, js.EvolutionConfig(i=8, trunc=3))

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -519,3 +520,81 @@ def test_empirical_cf_symmetric_grid_conjugate():
     assert np.allclose(cf.values, np.conj(cf.values[::-1]), atol=1e-12)
     with pytest.raises(js.ContractError):
         js.empirical_cf(s, np.array([[1.0, 2.0]]))
+
+
+def test_estimators_refuse_bad_samples():
+    good = js.RngSpec(66).generator().normal(size=1000)
+    for bad, count in ((np.nan, 1), (np.inf, 1), (-np.inf, 3)):
+        s = good.copy()
+        s[:count] = bad
+        with pytest.raises(js.ContractError, match=f"{count} of 1000 samples are not finite"):
+            js.estimate_density(s, (-4.0, 4.0))
+        with pytest.raises(js.ContractError, match=f"{count} of 1000 samples are not finite"):
+            js.empirical_cf(s, np.array([1.0]))
+    for empty in (np.array([]), np.zeros((10, 10))):
+        with pytest.raises(js.ContractError, match="non-empty 1-d"):
+            js.empirical_cf(empty, np.array([1.0]))
+    # a kernel far narrower than the node step would need ~1e9 fine bins
+    with pytest.raises(js.ContractError, match="too narrow"):
+        js.estimate_density(good, (-4.0, 4.0), bandwidth=1e-6)
+
+
+def _direct_cf(s, xi):
+    return np.exp(1j * np.multiply.outer(s, xi)).mean(axis=0)
+
+
+@pytest.mark.parametrize("law", ["normal", "exponential", "atom_mixture", "cauchy"])
+def test_empirical_cf_within_binning_error_of_direct_sum(law):
+    rng = js.RngSpec(67).generator()
+    n = 20_000
+    s = {
+        "normal": lambda: rng.normal(0.3, 1.0, n),
+        "exponential": lambda: rng.exponential(1.0, n),
+        "atom_mixture": lambda: np.where(rng.random(n) < 0.2, 0.5, rng.normal(0.0, 1.0, n)),
+        "cauchy": lambda: 10.0 * rng.standard_cauchy(n),
+    }[law]()
+    if law == "cauchy":
+        assert np.ptp(s) >= 1e5
+    xi = np.concatenate([-np.geomspace(0.5, 14.0, 24)[::-1], [0.0], np.geomspace(0.5, 14.0, 24)])
+    cf = js.empirical_cf(s, xi)
+    assert 0.0 < cf.binning_error <= 0.1 * cf.stderr
+    assert np.max(np.abs(cf.values - _direct_cf(s, xi))) <= cf.binning_error
+
+
+def _direct_kde_rows(s, grid, h, order):
+    rows = np.zeros((order + 1, grid.size))
+    for block in np.array_split(s, 10):
+        u = (grid[None, :] - block[:, None]) / h
+        weight = np.exp(-0.5 * u * u) / (s.size * h * math.sqrt(2.0 * math.pi))
+        herm = [np.ones_like(u), u]
+        for l in range(2, order + 1):
+            herm.append(u * herm[l - 1] - (l - 1) * herm[l - 2])
+        rows += [(-1.0 / h) ** l * np.sum(herm[l] * weight, axis=0) for l in range(order + 1)]
+    return rows / np.trapezoid(rows[0], grid)
+
+
+def test_estimate_density_matches_direct_sum():
+    rng = js.RngSpec(68).generator()
+    n = 20_000
+    s = np.where(rng.random(n) < 0.3, rng.normal(-1.5, 0.4, n), rng.normal(1.0, 0.8, n))
+    s[:50] = 40.0  # beyond the kernel reach of the window: dropped, still counted
+    dens = js.estimate_density(s, (-5.0, 5.0), size=300, order=2)
+    sd = float(np.std(s))
+    q75, q25 = np.percentile(s, [75.0, 25.0])
+    h = 0.9 * min(sd, (q75 - q25) / 1.34) * n ** (-0.2)
+    ref = _direct_kde_rows(s, dens.grid, h, 2)
+    gap = np.trapezoid(np.abs(dens.values - ref), dens.grid, axis=1)
+    size = np.trapezoid(np.abs(ref), dens.grid, axis=1)
+    assert gap[0] <= 1e-4
+    assert np.all(gap[1:] <= 1e-3 * size[1:])
+
+
+def test_estimate_density_memory_does_not_scale_with_nodes_times_samples():
+    s = js.RngSpec(69).generator().normal(size=200_000)
+    tracemalloc.start()
+    try:
+        js.estimate_density(s, (-5.0, 5.0), size=512, order=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
