@@ -87,7 +87,7 @@ def _cmd_check(cfg: ExperimentConfig, out_dir: Path, args) -> tuple[int, list[st
 
 def _cmd_simulate(cfg: ExperimentConfig, out_dir: Path, args, seed: int) -> tuple[int, list[str]]:
     coeffs, sim = cfg.coeffs, cfg.simulation
-    trunc = sim.trunc if sim.trunc is not None else len(coeffs.q.truncations)
+    trunc = coeffs.q.resolve_trunc(sim.trunc)
     kernels = None
     if sim.filter_n is not None:
         kernels = make_kernels(coeffs, cfg.kernels.n_values, cfg.kernels.cutoff_order, cfg.kernels.theta)

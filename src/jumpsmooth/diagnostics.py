@@ -185,7 +185,7 @@ def smoothness_pipeline(
         raise ContractError("kernel decomposition was built for a different model")
     if kernels is not None and kernels.theta is None:
         raise ContractError("pipeline needs a kernel decomposition with a declared theta")
-    trunc = cfg.trunc if cfg.trunc is not None else len(coeffs.q.truncations)
+    trunc = coeffs.q.resolve_trunc(cfg.trunc)
     batch = simulate_batch(
         coeffs, x0, t_end, trunc, rng_spec, cfg.runs,
         ode_opts=cfg.ode_opts, threads=cfg.threads,

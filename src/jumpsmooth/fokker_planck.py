@@ -215,7 +215,7 @@ class AdjointOperator:
             coefs.append(lambda l, r: (self.i * ((l == r) + beta[l, r]))[:, None])
 
         # Jump pullback: integral q(dz) (gamma g)(tau(., z)) tau'(., z).
-        trunc = cfg.trunc if cfg.trunc is not None else len(coeffs.q.truncations)
+        trunc = coeffs.q.resolve_trunc(cfg.trunc)
         self.trunc = trunc
         zlo, zhi = coeffs.q.trunc_interval(trunc)
         z, w = gauss_panels(zlo, zhi, cfg.quad_nodes, cfg.quad_panels)
@@ -352,7 +352,7 @@ def apply_generator(coeffs: CoefficientSet, phi, y: np.ndarray, cfg: EvolutionCo
     y = np.asarray(y, dtype=float)
     i = int(cfg.i)
     out = i * (phi(y + np.asarray(coeffs.b.value(y)) / i) - phi(y))
-    trunc = cfg.trunc if cfg.trunc is not None else len(coeffs.q.truncations)
+    trunc = coeffs.q.resolve_trunc(cfg.trunc)
     zlo, zhi = coeffs.q.trunc_interval(trunc)
     z, w = gauss_panels(zlo, zhi, cfg.quad_nodes, cfg.quad_panels)
     wq = w * np.asarray(coeffs.q.density.value(z), dtype=float)

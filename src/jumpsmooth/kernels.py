@@ -23,6 +23,13 @@ has three structural properties this module computes and audits:
 The acceptance ratio d_n(y, z) = phi_n(w) / rho(z) (rho = mark density,
 audited >= 1 on the cutoff windows) lets the simulator mark exactly the jumps
 that the filtered kernel keeps.
+
+Every routine reads mu_n at a state through one private kernel object built
+once per (y, n): it checks the rate and the monotonicity of H, fixes phi_n and
+the image window, and provides the density's derivative stack and the one
+panel quadrature in w (L1 norm of each stack row, plus the mass).
+`KernelDecomposition` owns the filtered-rate audit the simulator runs before
+filtering, and remembers each passing (index, truncation).
 """
 
 from __future__ import annotations
@@ -76,100 +83,114 @@ class CutoffFamily:
         return float(np.max(np.abs(vals)))
 
 
-def _window_frame(coeffs: CoefficientSet, y: float):
-    """Scaled-coordinate frame at state y: (gamma, a, sigma_z).
-
-    w(z) = gamma * sigma_z * (z - a); marks extend in the sigma_z direction.
-    """
-    gam = float(coeffs.gamma.value(y))
-    if not np.isfinite(gam) or gam <= 0.0:
+def _frame(coeffs: CoefficientSet, y):
+    """Scaled-coordinate frame at state(s) y: (gamma, a, sigma), broadcast
+    over y.  w(z) = gamma * sigma * (z - a); marks extend in the sigma
+    direction.  The rate must be positive: it scales the coordinate."""
+    gam = np.asarray(coeffs.gamma.value(y), dtype=float)
+    if not np.all(np.isfinite(gam) & (gam > 0.0)):
         raise InvalidModelError(f"jump rate must be positive for kernels; gamma({y})={gam}")
-    a = float(coeffs.q.endpoint_fn().value(y))
-    sigma = -1.0 if coeffs.q.orientation == "left" else 1.0
-    return gam, a, sigma
+    a = np.asarray(coeffs.q.endpoint_fn().value(y), dtype=float)
+    return gam, a, coeffs.q.direction
 
 
-def _z_of_w(w, gam: float, a: float, sigma: float):
-    return a + sigma * np.asarray(w, dtype=float) / gam
+def _mass_panels(n: int) -> list[tuple[float, float, int]]:
+    return [(1.0, 2.0, 64), (2.0, float(n + 2), 32), (float(n + 2), float(n + 3), 64)]
 
 
-def _displacement_stack(coeffs, y: float, w_pts: np.ndarray, gam, a, sigma, depth: int):
-    """Stack of H(w) = h(y, z(w)) in w at the given w points, orders 0..depth."""
-    z = _z_of_w(w_pts, gam, a, sigma)
-    stack = coeffs.h.z_stack(y, z, depth)
-    scale = 1.0
-    for m in range(depth + 1):
-        stack[m] = stack[m] * scale
-        scale *= sigma / gam
-    return stack
+class _Kernel:
+    """The n-th filtered kernel at one state y, built once per (y, n).
 
+    Construction checks that the rate is positive and that the displacement
+    map H(w) = h(y, z(w)) is strictly monotone on the cutoff window, and fixes
+    the cutoff phi_n and the image window H([1, n+3]).  Every kernel routine
+    reads the kernel through `stack` (derivatives of the density mu_n at given
+    displacements) and `integrals` (the panel quadrature in w).
+    """
 
-def _monotone_sign(coeffs, y: float, n: int, gam, a, sigma) -> float:
-    """Sign of dH/dw on the cutoff window (must not change or vanish)."""
-    w = np.linspace(0.75, n + 3.25, 257)
-    slope = coeffs.h.dz(y, _z_of_w(w, gam, a, sigma), 1) * sigma / gam
-    signs = np.sign(slope)
-    if np.any(np.abs(slope) < 1e-280) or float(np.max(signs)) != float(np.min(signs)):
-        raise DegenerateKernelError(
-            f"displacement map is not strictly monotone in the mark at y={y}, n={n}"
+    def __init__(self, coeffs: CoefficientSet, y: float, n: int, cutoff_order: int | None):
+        gam, a, sigma = _frame(coeffs, y)
+        self.coeffs, self.y, self.n = coeffs, y, n
+        self.gam, self.a, self.sigma = float(gam), float(a), sigma
+        slope = self.dH(np.linspace(0.75, n + 3.25, 257))
+        signs = np.sign(slope)
+        if np.any(np.abs(slope) < 1e-280) or float(np.max(signs)) != float(np.min(signs)):
+            raise DegenerateKernelError(
+                f"displacement map is not strictly monotone in the mark at y={y}, n={n}"
+            )
+        self.sign = float(signs[0])
+        self.phi = make_cutoff(n, coeffs.k if cutoff_order is None else cutoff_order)
+        self.window = sorted(float(self.H(np.asarray(w))) for w in (1.0, float(n + 3)))
+
+    def z(self, w):
+        return self.a + self.sigma * np.asarray(w, dtype=float) / self.gam
+
+    def H(self, w):
+        return np.asarray(self.coeffs.h.value(self.y, self.z(w)), dtype=float)
+
+    def dH(self, w):
+        return np.asarray(self.coeffs.h.dz(self.y, self.z(w), 1), dtype=float) * self.sigma / self.gam
+
+    def stack(self, u_pts, order: int) -> np.ndarray:
+        """Derivative stack (orders 0..order) of the density mu_n(y, .) at
+        displacement values u_pts; zero outside the image window."""
+        u_pts = np.asarray(u_pts, dtype=float)
+        out = np.zeros((order + 1, u_pts.size))
+        inside = (u_pts > self.window[0]) & (u_pts < self.window[1])
+        if not np.any(inside):
+            return out
+        target = u_pts[inside]
+        sgn = self.sign
+        w_sol = _bracketed_newton(
+            lambda w: sgn * self.H(w), lambda w: sgn * self.dH(w), sgn * target,
+            np.full(target.shape, 0.75), np.full(target.shape, self.n + 3.25), 1e-12,
+            slope_floor=0.0,
         )
-    return float(signs[0])
 
+        # stack of H in w at the solutions, orders 0..order+1
+        fwd = self.coeffs.h.z_stack(self.y, self.z(w_sol), order + 1)
+        scale = 1.0
+        for m in range(order + 2):
+            fwd[m] = fwd[m] * scale
+            scale *= self.sigma / self.gam
+        inv = _invert_values(fwd, slope_floor=0.0)
+        inv[0] = w_sol  # inverse map W(u): rows 1..order+1 are its derivatives
 
-def _mu_stack_at(
-    coeffs: CoefficientSet,
-    y: float,
-    n: int,
-    u_pts: np.ndarray,
-    order: int,
-    cutoff_order: int,
-    solver_tol: float = 1e-12,
-) -> np.ndarray:
-    """Derivative stack (orders 0..order) of the filtered kernel density
-    mu_n(y, .) at displacement values u_pts; zero outside the image window."""
-    u_pts = np.asarray(u_pts, dtype=float)
-    gam, a, sigma = _window_frame(coeffs, y)
-    s_h = _monotone_sign(coeffs, y, n, gam, a, sigma)
-    phi = make_cutoff(n, cutoff_order)
+        outer = np.stack([self.phi.derivative(w_sol, j) for j in range(order + 1)])
+        comp = _compose_values(outer, inv[: order + 1])
 
-    def H(w):
-        return np.asarray(coeffs.h.value(y, _z_of_w(w, gam, a, sigma)), dtype=float)
-
-    def dH(w):
-        return np.asarray(coeffs.h.dz(y, _z_of_w(w, gam, a, sigma), 1), dtype=float) * sigma / gam
-
-    lo_u, hi_u = sorted((float(H(np.asarray(1.0))), float(H(np.asarray(float(n + 3))))))
-    out = np.zeros((order + 1, u_pts.size))
-    inside = (u_pts > lo_u) & (u_pts < hi_u)
-    if not np.any(inside):
+        for l in range(order + 1):
+            acc = np.zeros_like(target)
+            for j in range(l + 1):
+                acc = acc + math.comb(l, j) * comp[j] * (sgn * inv[l - j + 1])
+            out[l][inside] = acc
         return out
-    target = u_pts[inside]
 
-    sgn = 1.0 if s_h > 0 else -1.0
+    def integrals(self, order: int, scale: int = 1) -> tuple[np.ndarray, float]:
+        """L1 norms of the stack rows 0..order and the mass of mu_n, by Gauss
+        panels in the scaled coordinate (du = |H'(w)| dw, so thin exponential
+        image windows cost nothing); `scale` multiplies the node counts."""
+        norms = np.zeros(order + 1)
+        mass = 0.0
+        for w_lo, w_hi, nodes in _mass_panels(self.n):
+            w, v = gauss_panels(w_lo, w_hi, nodes * scale, max(1, (nodes * scale) // 16))
+            stack = self.stack(self.H(w), order)
+            slope = np.abs(self.dH(w))
+            for l in range(order + 1):
+                norms[l] += float(np.sum(v * slope * np.abs(stack[l])))
+            mass += float(np.sum(v * slope * stack[0]))
+        return norms, mass
 
-    def fun(w):
-        return sgn * H(w)
-
-    def dfun(w):
-        return sgn * dH(w)
-
-    w_lo = np.full(target.shape, 0.75)
-    w_hi = np.full(target.shape, n + 3.25)
-    w_sol = _bracketed_newton(fun, dfun, sgn * target, w_lo, w_hi, solver_tol, slope_floor=0.0)
-
-    fwd = _displacement_stack(coeffs, y, w_sol, gam, a, sigma, order + 1)
-    inv = _invert_values(fwd, slope_floor=0.0)
-    inv[0] = w_sol  # inverse map W(u): rows 1..order+1 are its derivatives
-
-    outer = np.stack([phi.derivative(w_sol, j) for j in range(order + 1)])
-    comp = _compose_values(outer, inv[: order + 1])
-
-    for l in range(order + 1):
-        acc = np.zeros_like(target)
-        for j in range(l + 1):
-            acc = acc + math.comb(l, j) * comp[j] * (s_h * inv[l - j + 1])
-        out[l][inside] = acc
-    return out
+    def mass(self) -> float:
+        """Quadrature mass, checked against the construction bracket [n, n+2]."""
+        n = self.n
+        total = self.integrals(0)[1]
+        slack = 1e-8 * (n + 3.0)
+        if not (n - slack <= total <= n + 2.0 + slack):
+            raise MassBracketError(
+                f"kernel mass {total!r} outside [{n}, {n + 2}] at y={self.y}, n={n}"
+            )
+        return total
 
 
 def mu_density(coeffs: CoefficientSet, y: float, n: int, u_grid, cutoff_order: int | None = None) -> np.ndarray:
@@ -178,13 +199,7 @@ def mu_density(coeffs: CoefficientSet, y: float, n: int, u_grid, cutoff_order: i
     Vanishes outside the image of the cutoff window under the displacement
     map; inside it equals phi_n(W(u)) |W'(u)| with W the scaled inverse map.
     """
-    if cutoff_order is None:
-        cutoff_order = coeffs.k
-    return _mu_stack_at(coeffs, y, n, np.asarray(u_grid, dtype=float), 0, cutoff_order)[0]
-
-
-def _mass_panels(n: int) -> list[tuple[float, float, int]]:
-    return [(1.0, 2.0, 64), (2.0, float(n + 2), 32), (float(n + 2), float(n + 3), 64)]
+    return _Kernel(coeffs, y, n, cutoff_order).stack(u_grid, 0)[0]
 
 
 def kernel_mass(coeffs: CoefficientSet, y: float, n: int, cutoff_order: int | None = None) -> float:
@@ -195,24 +210,7 @@ def kernel_mass(coeffs: CoefficientSet, y: float, n: int, cutoff_order: int | No
     image windows cost nothing), and checks the construction bracket
     [n, n+2]; the symmetric ramps make the exact value n+1.
     """
-    if cutoff_order is None:
-        cutoff_order = coeffs.k
-    gam, a, sigma = _window_frame(coeffs, y)
-    total = 0.0
-    for w_lo, w_hi, nodes in _mass_panels(n):
-        w, v = gauss_panels(w_lo, w_hi, nodes, max(1, nodes // 16))
-        u = np.asarray(coeffs.h.value(y, _z_of_w(w, gam, a, sigma)), dtype=float)
-        dens = _mu_stack_at(coeffs, y, n, u, 0, cutoff_order)[0]
-        slope = np.abs(
-            np.asarray(coeffs.h.dz(y, _z_of_w(w, gam, a, sigma), 1), dtype=float) / gam
-        )
-        total += float(np.sum(v * slope * dens))
-    slack = 1e-8 * (n + 3.0)
-    if not (n - slack <= total <= n + 2.0 + slack):
-        raise MassBracketError(
-            f"kernel mass {total!r} outside [{n}, {n + 2}] at y={y}, n={n}"
-        )
-    return total
+    return _Kernel(coeffs, y, n, cutoff_order).mass()
 
 
 def cutoff_window_mass(
@@ -225,9 +223,7 @@ def cutoff_window_mass(
     """Mass of the cutoff in the scaled coordinate, optionally restricted to
     a mark interval (the filtered acceptance rate available to a truncated
     simulation): integral of phi_n over w(z_interval) intersect [1, n+3]."""
-    if cutoff_order is None:
-        cutoff_order = coeffs.k
-    gam, a, sigma = _window_frame(coeffs, y)
+    gam, a, sigma = (float(v) for v in _frame(coeffs, y))
     w_lo, w_hi = 1.0, float(n + 3)
     if z_interval is not None:
         bounds = sorted(
@@ -240,7 +236,7 @@ def cutoff_window_mass(
         w_hi = min(w_hi, bounds[1])
     if w_hi <= w_lo:
         return 0.0
-    phi = make_cutoff(n, cutoff_order)
+    phi = make_cutoff(n, coeffs.k if cutoff_order is None else cutoff_order)
     # integrate ramp pieces separately so panel edges sit on the joins;
     # the plateau piece is exact
     total = 0.0
@@ -260,7 +256,6 @@ def kernel_sobolev_audit(
     n_values,
     theta: float,
     cutoff_order: int | None = None,
-    nodes_per_panel: int = 64,
 ) -> dict:
     """Sobolev-norm audit of the filtered kernels.
 
@@ -271,35 +266,17 @@ def kernel_sobolev_audit(
     head half's envelope constant (same rule as the inversion-budget audit).
     A refinement check recomputes the worst entry at doubled quadrature.
     """
-    if cutoff_order is None:
-        cutoff_order = coeffs.k
     y_grid = np.asarray(y_grid, dtype=float)
     n_values = [int(n) for n in n_values]
     if len(n_values) < 2:
         raise ContractError("kernel audit needs at least two kernel indices")
     k = coeffs.k
 
-    def norm_at(y: float, n: int, scale: int = 1) -> tuple[float, float]:
-        gam, a, sigma = _window_frame(coeffs, y)
-        total = np.zeros(k + 1)
-        mass = 0.0
-        for w_lo, w_hi, nodes in _mass_panels(n):
-            w, v = gauss_panels(w_lo, w_hi, nodes * scale, max(1, (nodes * scale) // 16))
-            u = np.asarray(coeffs.h.value(y, _z_of_w(w, gam, a, sigma)), dtype=float)
-            stack = _mu_stack_at(coeffs, y, n, u, k, cutoff_order)
-            slope = np.abs(
-                np.asarray(coeffs.h.dz(y, _z_of_w(w, gam, a, sigma), 1), dtype=float) / gam
-            )
-            for l in range(k + 1):
-                total[l] += float(np.sum(v * slope * np.abs(stack[l])))
-            mass += float(np.sum(v * slope * stack[0]))
-        return float(np.sum(total)), mass
-
     table = np.zeros((len(n_values), y_grid.size))
     for jn, n in enumerate(n_values):
         for jy, y in enumerate(y_grid):
-            norm, mass = norm_at(float(y), n)
-            table[jn, jy] = norm / mass
+            norms, mass = _Kernel(coeffs, float(y), n, cutoff_order).integrals(k)
+            table[jn, jy] = float(np.sum(norms)) / mass
 
     weight = 1.0 + np.abs(y_grid) ** coeffs.p
     per_n = np.max(table / weight[None, :], axis=1)
@@ -312,8 +289,8 @@ def kernel_sobolev_audit(
 
     iw = np.unravel_index(np.argmax(table / weight[None, :]), table.shape)
     worst_y, worst_n = float(y_grid[iw[1]]), n_values[iw[0]]
-    norm_coarse, _ = norm_at(worst_y, worst_n, scale=1)
-    norm_fine, _ = norm_at(worst_y, worst_n, scale=2)
+    worst_kernel = _Kernel(coeffs, worst_y, worst_n, cutoff_order)
+    norm_coarse, norm_fine = (float(np.sum(worst_kernel.integrals(k, s)[0])) for s in (1, 2))
     refine_change = abs(norm_fine - norm_coarse) / max(norm_fine, 1e-300)
 
     return {
@@ -343,17 +320,16 @@ def conditional_jump_density(
     returned on the given uniform state grid with its full derivative stack.
     Raises when the grid captures less than 99% of the kernel mass.
     """
-    if cutoff_order is None:
-        cutoff_order = coeffs.k
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 8:
         raise ContractError("conditional density needs a 1-d grid with >= 8 nodes")
     spac = np.diff(grid)
     if np.max(np.abs(spac - spac[0])) > 1e-9 * abs(spac[0]):
         raise ContractError("conditional density grid must be uniform")
-    stack = _mu_stack_at(coeffs, float(y), n, grid - float(y), coeffs.k, cutoff_order)
+    kernel = _Kernel(coeffs, float(y), n, cutoff_order)
+    stack = kernel.stack(grid - float(y), coeffs.k)
     grid_mass = float(np.trapezoid(stack[0], dx=float(spac[0])))
-    true_mass = kernel_mass(coeffs, float(y), n, cutoff_order)
+    true_mass = kernel.mass()
     if grid_mass < 0.99 * true_mass:
         raise ResolutionError(
             f"state grid captures only {grid_mass / true_mass:.1%} of the kernel mass"
@@ -376,6 +352,8 @@ class KernelDecomposition:
     cutoff_order: int
     theta: float | None = None
     audit: dict = field(default_factory=dict)
+    # (n, trunc) pairs whose filtered rate passed `_audit_rate`
+    _rate_audited: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     def cutoff(self, n: int) -> SmoothstepBump:
         return make_cutoff(n, self.cutoff_order)
@@ -383,11 +361,8 @@ class KernelDecomposition:
     def acceptance(self, n: int, y, z) -> np.ndarray:
         """Filter ratio d_n(y, z) in [0, 1]: the probability that a jump with
         mark z from state y is kept by the n-th filtered kernel."""
-        y = np.asarray(y, dtype=float)
         z = np.asarray(z, dtype=float)
-        gam = np.asarray(self.coeffs.gamma.value(y), dtype=float)
-        a = np.asarray(self.coeffs.q.endpoint_fn().value(y), dtype=float)
-        sigma = -1.0 if self.coeffs.q.orientation == "left" else 1.0
+        gam, a, sigma = _frame(self.coeffs, np.asarray(y, dtype=float))
         w = gam * sigma * (z - a)
         phi = self.cutoff(n)
         rho = np.asarray(self.coeffs.q.density.value(z), dtype=float)
@@ -405,6 +380,29 @@ class KernelDecomposition:
         """Rate at which filtered jumps arrive from state y when candidate
         marks are restricted to z_interval."""
         return cutoff_window_mass(self.coeffs, y, n, z_interval, self.cutoff_order)
+
+    def _audit_rate(self, coeffs: CoefficientSet, n: int, trunc: int) -> None:
+        """Refuse to filter a simulation of `coeffs` on truncation `trunc`
+        through the n-th kernel unless the decomposition belongs to the model,
+        declares n, and the truncated marks leave the full rate n on the audit
+        states.  The rate quadratures run once per passing (n, trunc)."""
+        if self.coeffs is not coeffs:
+            raise ContractError("kernel decomposition was built for a different model")
+        if n not in self.n_values:
+            raise ContractError(f"kernel index {n} was not declared in the decomposition")
+        if (n, trunc) in self._rate_audited:
+            return
+        interval = coeffs.q.trunc_interval(trunc)
+        grid = coeffs.y_audit_grid()
+        worst = min(
+            self.acceptance_rate(n, float(y), interval)
+            for y in grid[:: max(1, grid.size // 24)]
+        )
+        if worst < n - 1e-6:
+            raise ContractError(
+                f"truncation window clips the filtered kernel: rate {worst:.6f} < {n}"
+            )
+        self._rate_audited.add((n, trunc))
 
     def describe(self) -> dict:
         return {
@@ -435,10 +433,9 @@ def make_kernels(
     y_grid = coeffs.y_audit_grid()
     density_floor = np.inf
     for y in y_grid[:: max(1, y_grid.size // 24)]:
-        gam, a, sigma = _window_frame(coeffs, float(y))
-        _monotone_sign(coeffs, float(y), n_values[-1], gam, a, sigma)
+        kernel = _Kernel(coeffs, float(y), n_values[-1], cutoff_order)
         w = np.linspace(1.0, n_values[-1] + 3.0, 257)
-        rho = np.asarray(coeffs.q.density.value(_z_of_w(w, gam, a, sigma)), dtype=float)
+        rho = np.asarray(coeffs.q.density.value(kernel.z(w)), dtype=float)
         density_floor = min(density_floor, float(np.min(rho)))
     if density_floor < 1.0 - 1e-9:
         raise InvalidModelError(

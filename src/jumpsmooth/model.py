@@ -129,6 +129,11 @@ class JumpMeasureSpec:
         return "right" if math.isinf(hi) else "left"
 
     @property
+    def direction(self) -> float:
+        """-1 when marks extend leftwards from the anchor, +1 otherwise."""
+        return -1.0 if self.orientation == "left" else 1.0
+
+    @property
     def anchor(self) -> float:
         """Finite endpoint of the support (0 on the whole line)."""
         lo, hi = self.support
@@ -147,7 +152,14 @@ class JumpMeasureSpec:
             raise ContractError(
                 f"truncation index {i} outside 1..{len(self.truncations)}"
             )
-        ext = self.truncations[i - 1]
+        return self._cut(self.truncations[i - 1])
+
+    def resolve_trunc(self, i: int | None) -> int:
+        """Truncation index i, or the widest truncation when i is None."""
+        return len(self.truncations) if i is None else i
+
+    def _cut(self, ext: float) -> tuple[float, float]:
+        """The support cut to extent ext from the anchor."""
         if self.orientation == "right":
             return (self.anchor, self.anchor + ext)
         if self.orientation == "left":
@@ -226,9 +238,6 @@ class CoefficientSet:
             bad = grid[~np.isfinite(vals)][0]
             raise InvalidModelError(f"{tag} derivative {order} non-finite at y={bad!r}")
         return float(np.max(np.abs(vals)))
-
-    def b_sup(self) -> float:
-        return self._grid_sup(self.b, 0, "drift")
 
     def b_prime_sup(self) -> float:
         return self._grid_sup(self.b, 1, "drift")
@@ -334,8 +343,10 @@ def check_A(
     """Smoothness-budget audit for orders 0..k.
 
     Fails when some y-derivative of h escapes the declared bound eta on the
-    grid, or when eta is not q-integrable at powers 1 and p on the declared
-    horizon.  Non-finite coefficient values raise immediately.
+    grid, when eta is not q-integrable at powers 1 and p on the declared
+    horizon, or when b, gamma or a y-factor of h declares a `smooth_order`
+    below k (listed under ``details["smooth_order_below_k"]``).  Non-finite
+    coefficient values raise immediately.
     """
     if y_grid is None:
         y_grid = coeffs.y_audit_grid()
@@ -372,15 +383,8 @@ def check_A(
     sup_b = [coeffs._grid_sup(coeffs.b, l, "drift") for l in range(coeffs.k + 1)]
     sup_gamma = [coeffs._grid_sup(coeffs.gamma, l, "jump rate") for l in range(coeffs.k + 1)]
 
-    lo, hi = coeffs.q.support
     horizon = coeffs.q.quad_horizon(quadrature)
-    if coeffs.q.orientation == "right":
-        qlo, qhi = lo, lo + horizon
-    elif coeffs.q.orientation == "left":
-        qlo, qhi = hi - horizon, hi
-    else:
-        qlo, qhi = -horizon, horizon
-    z, w = gauss_panels(qlo, qhi, quadrature.nodes, quadrature.panels)
+    z, w = gauss_panels(*coeffs.q._cut(horizon), quadrature.nodes, quadrature.panels)
     rho = np.asarray(coeffs.q.density.value(z), dtype=float)
     eta_q = np.asarray(coeffs.eta.value(z), dtype=float)
     eta_l1 = float(np.sum(w * rho * np.abs(eta_q)))
@@ -388,9 +392,16 @@ def check_A(
 
     dominated = all(m <= 1e-12 for m in margins.values())
     integrable = np.isfinite(eta_l1) and np.isfinite(eta_lp)
+    details = {"domination_margins": margins, "quad_horizon": horizon}
+    orders = {
+        "b": coeffs.b.smooth_order, "gamma": coeffs.gamma.smooth_order, "h": coeffs.h.smooth_order_y
+    }
+    below = {name: o for name, o in orders.items() if o is not None and o < coeffs.k}
+    if below:
+        details["smooth_order_below_k"] = below
     return AssumptionReport(
         name="smoothness_budget",
-        passed=bool(dominated and integrable),
+        passed=bool(dominated and integrable and not below),
         constants={
             "eta_L1": eta_l1,
             "eta_Lp": eta_lp,
@@ -399,7 +410,7 @@ def check_A(
             "sup_gamma_derivs": sup_gamma,
         },
         worst=worst,
-        details={"domination_margins": margins, "quad_horizon": horizon},
+        details=details,
     )
 
 
@@ -430,7 +441,6 @@ def check_B(
     quadrature = quadrature or QuadratureSpec()
     y = np.asarray(y_grid, dtype=float)
     endpoint = coeffs.q.endpoint_fn()
-    left = coeffs.q.orientation == "left"
 
     values = np.zeros((n_max, y.size))
     density_floor = np.inf
@@ -441,7 +451,7 @@ def check_B(
         a = float(endpoint.value(yj))
         for n in range(1, n_max + 1):
             width = n / gam
-            lo, hi = (a - width, a) if left else (a, a + width)
+            lo, hi = sorted((a, a + coeffs.q.direction * width))
             z, w = gauss_panels(lo, hi, quadrature.nodes, quadrature.panels)
             slope = np.abs(np.asarray(coeffs.h.dz(yj, z, 1), dtype=float))
             if np.any(slope < 1e-12):

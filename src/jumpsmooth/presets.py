@@ -33,8 +33,8 @@ class Function1D:
     """One scalar function with analytic derivatives of every order.
 
     ``smooth_order`` is the largest derivative order that is globally
-    continuous (None means infinitely smooth); audits refuse to certify
-    smoothness budgets beyond it.
+    continuous (None means infinitely smooth); `check_A` refuses smoothness
+    budgets beyond it for the drift, the rate and the y-factors of h.
     """
 
     smooth_order: int | None = None
@@ -511,12 +511,6 @@ class JumpAmplitude:
     @property
     def smooth_order_y(self) -> int | None:
         orders = [fy.smooth_order for fy, _ in self.terms]
-        finite = [o for o in orders if o is not None]
-        return min(finite) if finite else None
-
-    @property
-    def smooth_order_z(self) -> int | None:
-        orders = [gz.smooth_order for _, gz in self.terms]
         finite = [o for o in orders if o is not None]
         return min(finite) if finite else None
 

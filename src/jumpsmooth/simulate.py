@@ -388,23 +388,6 @@ def simulate_poissonized(
     return _single_path(coeffs, x0, t_end, trunc, rng, None, i, ode_opts, record)
 
 
-def _audit_filtered_rate(coeffs, kernels: KernelDecomposition, n: int, trunc: int) -> None:
-    if kernels.coeffs is not coeffs:
-        raise ContractError("kernel decomposition was built for a different model")
-    if n not in kernels.n_values:
-        raise ContractError(f"kernel index {n} was not declared in the decomposition")
-    interval = coeffs.q.trunc_interval(trunc)
-    grid = coeffs.y_audit_grid()
-    worst = min(
-        kernels.acceptance_rate(n, float(y), interval)
-        for y in grid[:: max(1, grid.size // 24)]
-    )
-    if worst < n - 1e-6:
-        raise ContractError(
-            f"truncation window clips the filtered kernel: rate {worst:.6f} < {n}"
-        )
-
-
 def sample_tau_n(
     coeffs: CoefficientSet,
     kernels: KernelDecomposition,
@@ -422,7 +405,7 @@ def sample_tau_n(
     candidate: under a common seed the record is one of the exact path's
     jumps.  Returns None when no filtered jump occurs before t_max.
     """
-    _audit_filtered_rate(coeffs, kernels, n, trunc)
+    kernels._audit_rate(coeffs, n, trunc)
     frame = _candidate_frame(coeffs, trunc, None)
     found: list[RegularizingJumpRecord] = []
 
@@ -474,7 +457,7 @@ def simulate_batch(
     if filter_n is not None:
         if kernels is None:
             raise ContractError("filtering needs a kernel decomposition")
-        _audit_filtered_rate(coeffs, kernels, filter_n, trunc)
+        kernels._audit_rate(coeffs, filter_n, trunc)
     if i is not None:
         _check_drift_index(coeffs, i)
     opts = ode_opts or OdeOptions()
@@ -620,7 +603,7 @@ def estimate_density(
 
 def histogram_density(samples, window: tuple[float, float], bins: int = 64, time: float = 0.0) -> GridDensity:
     """Bin-averaged density on bin centers; no derivative rows."""
-    s = np.asarray(samples, dtype=float)
+    s = _finite_samples(samples)
     counts, edges = np.histogram(s, bins=bins, range=(float(window[0]), float(window[1])))
     centers = 0.5 * (edges[1:] + edges[:-1])
     vals = counts / (s.size * np.diff(edges))

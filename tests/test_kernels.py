@@ -1,5 +1,8 @@
 """Filtered jump-kernel family: cutoffs, densities, masses, norm audits."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -244,3 +247,36 @@ def test_kernel_mass_error_out_of_bracket_is_diagnosed():
     masses = [js.kernel_mass(m, 0.0, n) for n in (1, 2, 4, 8, 16)]
     for n, mass in zip((1, 2, 4, 8, 16), masses):
         assert mass == pytest.approx(n + 1.0, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# pinned values of the whole kernel layer
+# ---------------------------------------------------------------------------
+
+# recorded from the per-routine frame and quadrature code that preceded the
+# shared per-state kernel object; the arithmetic is unchanged, so every value
+# must repeat exactly
+KERNEL_PINS = Path(__file__).parent / "data" / "kernel_layer.json"
+
+
+def _kernel_layer(wobble, exp_unit) -> dict:
+    out = {}
+    u = np.geomspace(1e-5, 0.5, 64)
+    models = (("wobble", wobble, 12.0), ("exp-unit", exp_unit, 4.2), ("left", _left_model(), 4.2))
+    for name, m, theta in models:
+        ys = np.linspace(*m.y_window, 4)
+        out[f"mass/{name}"] = [[js.kernel_mass(m, float(y), n) for n in (1, 3, 8, 21)] for y in ys]
+        out[f"mu/{name}"] = [js.mu_density(m, float(y), 3, u).tolist() for y in ys[1:3]]
+        audit = js.kernel_sobolev_audit(m, ys, (2, 4), theta)
+        out[f"sobolev/{name}"] = [audit["ratio_table"], audit["refinement_change"]]
+    grid = np.linspace(1e-4, np.exp(-1.0), 801)
+    out["conditional/exp-unit"] = js.conditional_jump_density(exp_unit, 0.0, 3, grid).values.tolist()
+    return out
+
+
+def test_kernel_layer_pinned(wobble_model, exp_unit_model):
+    want = json.loads(KERNEL_PINS.read_text())
+    got = _kernel_layer(wobble_model, exp_unit_model)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key] == want[key], key

@@ -1,5 +1,6 @@
 """Assumption audits: slope condition, smoothness budget, inversion budget."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -155,6 +156,24 @@ def test_budget_integrability_constants_power_law():
     assert rep.constants["eta_Lp"] == pytest.approx(0.2, rel=1e-6)
 
 
+def test_budget_refuses_drift_less_smooth_than_k():
+    xs = np.linspace(-12.0, 12.0, 13)
+    drift = js.Tabulated(xs, 0.1 * np.sin(xs))  # cubic spline: smooth_order 2
+    terms = ((js.constant(0.4), js.ExpDecay(1.0, 1.0)),)
+    assert js.check_A(_model(terms, js.ExpDecay(0.4, 1.0), k=2, b=drift)).passed
+    rep = js.check_A(_model(terms, js.ExpDecay(0.4, 1.0), k=5, b=drift))
+    assert not rep.passed
+    assert rep.details["smooth_order_below_k"] == {"b": 2}
+
+
+def test_budget_refuses_indicator_state_factor():
+    terms = ((js.Indicator(-1.0, 1.0, 0.4), js.ExpDecay(1.0, 1.0)),)
+    rep = js.check_A(_model(terms, js.ExpDecay(0.4, 1.0), k=2))
+    assert not rep.passed
+    assert rep.details["smooth_order_below_k"] == {"h": -1}
+    assert max(rep.details["domination_margins"].values()) <= 1e-12  # eta still dominates
+
+
 def test_budget_second_order_fails_iso_power_state():
     # |d^2/dy^2 (1+y^2)^{-1/2 * 2}| reaches 2 at y=0, above eta amp 1
     m = _model(
@@ -252,6 +271,18 @@ def test_inversion_budget_argument_validation(exp_unit_model):
         js.check_B(exp_unit_model, n_max=1, theta=1.0)
     with pytest.raises(js.ContractError):
         js.check_B(exp_unit_model, n_max=4, theta=-0.5)
+
+
+def test_audits_mirror_for_left_support(exp_unit_model):
+    # h = e^{z} on z < 0 is the mirror image of exp_unit's h = e^{-z} on z > 0
+    h = js.JumpAmplitude(((js.constant(1.0), js.ExpDecay(1.0, -1.0)),))
+    q = js.JumpMeasureSpec((-np.inf, 0.0), js.constant(1.0), exp_unit_model.q.truncations)
+    left = dataclasses.replace(exp_unit_model, h=h, eta=js.ExpDecay(1.0, -1.0), q=q)
+    for check in (lambda m: js.check_A(m), lambda m: js.check_B(m, n_max=6, theta=4.2)):
+        got, want = check(left), check(exp_unit_model)
+        assert got.passed == want.passed
+        for key, value in want.constants.items():
+            assert got.constants[key] == pytest.approx(value, rel=1e-12), key
 
 
 def test_reports_serialize(exp_unit_model):

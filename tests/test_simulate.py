@@ -1,5 +1,6 @@
 """Path simulation: thinning, poissonized drift, filtered jumps, estimators."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -11,6 +12,7 @@ import pytest
 from scipy import stats
 
 import jumpsmooth as js
+from jumpsmooth import kernels as kernels_module
 
 
 def _thin_model(rate_fn=None, amp=0.01, trunc=(2.0,), window=(-6.0, 6.0), b=None):
@@ -343,6 +345,31 @@ def test_filtered_rate_clipped_by_truncation():
     assert rec is None or rec.tau > 0.0
 
 
+def test_filtered_rate_audited_once_per_index_and_truncation(exp_unit_model, monkeypatch):
+    calls = []
+    real = kernels_module.cutoff_window_mass
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kernels_module, "cutoff_window_mass", counted)
+    kd = js.make_kernels(exp_unit_model, (2,), theta=4.2)
+    counts = []
+    for _ in range(2):
+        js.sample_tau_n(exp_unit_model, kd, 0.0, 2, 1.0, 1, js.RngSpec(1).generator())
+        counts.append(len(calls))
+    assert counts == [25, 25]  # 25 audit states, then the passed audit is reused
+    # a failing audit is not remembered
+    q = js.JumpMeasureSpec((0.0, np.inf), js.constant(1.0), (2.0,))
+    clipped = dataclasses.replace(exp_unit_model, q=q)
+    kd = js.make_kernels(clipped, (2,), theta=4.2)
+    for _ in range(2):
+        with pytest.raises(js.ContractError, match="clips"):
+            js.sample_tau_n(clipped, kd, 0.0, 2, 1.0, 1, js.RngSpec(1).generator())
+    assert len(calls) == 75
+
+
 def test_filtered_survival_rate(exp_unit_model):
     # the n-th filtered kernel fires at rate mass(n) = n + 1
     n, t_end, runs = 2, 1.0, 20000
@@ -494,6 +521,14 @@ def test_histogram_density_mass():
     s = rng.normal(0.0, 1.0, 50_000)
     hist = js.histogram_density(s, (-6.0, 6.0), bins=80)
     assert hist.mass() == pytest.approx(1.0, abs=2e-3)
+
+
+def test_histogram_density_refuses_non_finite_samples():
+    # dropping them would leave a density of mass 0.95 and no error
+    s = js.RngSpec(63).generator().normal(0.0, 1.0, 10_000)
+    s[::20] = np.nan
+    with pytest.raises(js.ContractError, match="500 of 10000 samples are not finite"):
+        js.histogram_density(s, (-6.0, 6.0), bins=80)
 
 
 def test_empirical_cf_point_mass_and_zero_frequency():
