@@ -16,6 +16,11 @@ This module provides the three layers of that calculus:
   density ``[phi(tau(y)) tau'(y)]^(l)`` over the stack ``phi^(r)(tau(y))``
   (`transfer_alpha` for the jump map, `transfer_beta` for the drift map).
 
+Both maps have the form x -> x + step(x), so one private pipeline inverts
+them: a bracketed pre-image solve, the forward stack at the pre-image, its
+inversion, and the transfer table.  Only the increment and the initial
+bracket radius differ between the jump and the drift map.
+
 Scalar entry points operate on `DerivativeStack` records; the ``*_grid``
 variants broadcast over numpy arrays of base points and back the density
 evolution engine.
@@ -328,6 +333,53 @@ def _expand_bracket(fun, target, center, radius):
     )
 
 
+def _jump_map(coeffs: "CoefficientSet", z: float):
+    """Increment h(., z) of the jump map and its initial bracket radius, the
+    jump size bound eta(z)."""
+    radius = abs(float(coeffs.eta.value(z))) * (1.0 + 1e-9) + 1e-9
+    return (lambda x, l: coeffs.h.dy(x, z, l)), radius
+
+
+def _drift_map(coeffs: "CoefficientSet", y: np.ndarray, i: int):
+    """Increment b/i of the drift-step map and its initial bracket radius
+    (|b(y)| + 1) / i around the post-step states y."""
+    i0 = coeffs.min_drift_index()
+    if i < i0:
+        raise ContractError(
+            f"drift surrogate index i={i} below i0={i0} (= 2 sup|b'| audited)"
+        )
+    radius = (np.abs(coeffs.b.value(y)) + 1.0) / i + 1e-9
+    return (lambda x, l: coeffs.b.derivative(x, l) / i), radius
+
+
+def _preimage(step, radius, y: np.ndarray, tol: float) -> np.ndarray:
+    """The x with x + step(x, 0) = y, for an increasing map, by safeguarded
+    Newton inside a bracket grown from [y - radius, y + radius]."""
+
+    def fun(x):
+        return x + step(x, 0)
+
+    def dfun(x):
+        return 1.0 + step(x, 1)
+
+    lo, hi = _expand_bracket(fun, y, y, radius)
+    return _bracketed_newton(fun, dfun, y, lo, hi, tol)
+
+
+def _inverse_stack(step, radius, y: np.ndarray, order: int, tol: float) -> np.ndarray:
+    """Inverse-map stack of x -> x + step(x, 0) at y, shape (order+1, len(y)):
+    the pre-image, the forward stack there, then its inversion."""
+    tau0 = _preimage(step, radius, y, tol)
+    fwd = np.empty((order + 1,) + tau0.shape)
+    for l in range(order + 1):
+        fwd[l] = step(tau0, l)
+    fwd[0] += tau0
+    fwd[1] += 1.0
+    tau = _invert_values(fwd)
+    tau[0] = tau0
+    return tau
+
+
 def solve_tau(coeffs: "CoefficientSet", y: float, z: float, tol: float = 1e-12) -> float:
     """Pre-jump state: the unique tau with tau + h(tau, z) = y.
 
@@ -342,17 +394,7 @@ def solve_tau_grid(
     coeffs: "CoefficientSet", y: np.ndarray, z: float, tol: float = 1e-12
 ) -> np.ndarray:
     """Vectorized `solve_tau` over an array of post-jump states."""
-    y = np.asarray(y, dtype=float)
-
-    def fun(x):
-        return x + coeffs.h.value(x, z)
-
-    def dfun(x):
-        return 1.0 + coeffs.h.dy(x, z, 1)
-
-    radius = abs(float(coeffs.eta.value(z))) * (1.0 + 1e-9) + 1e-9
-    lo, hi = _expand_bracket(fun, y, y, radius)
-    return _bracketed_newton(fun, dfun, y, lo, hi, tol)
+    return _preimage(*_jump_map(coeffs, z), np.asarray(y, dtype=float), tol)
 
 
 def solve_tau_i(coeffs: "CoefficientSet", y: float, i: int, tol: float = 1e-12) -> float:
@@ -369,21 +411,7 @@ def solve_tau_i_grid(
 ) -> np.ndarray:
     """Vectorized `solve_tau_i`."""
     y = np.asarray(y, dtype=float)
-    i0 = coeffs.min_drift_index()
-    if i < i0:
-        raise ContractError(
-            f"drift surrogate index i={i} below i0={i0} (= 2 sup|b'| audited)"
-        )
-
-    def fun(x):
-        return x + coeffs.b.value(x) / i
-
-    def dfun(x):
-        return 1.0 + coeffs.b.derivative(x, 1) / i
-
-    radius = (np.abs(coeffs.b.value(y)) + 1.0) / i + 1e-9
-    lo, hi = _expand_bracket(fun, y, y, radius)
-    return _bracketed_newton(fun, dfun, y, lo, hi, tol)
+    return _preimage(*_drift_map(coeffs, y, i), y, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -430,24 +458,6 @@ def _alpha_from_tau(tau: np.ndarray) -> np.ndarray:
     return alpha
 
 
-def _jump_forward_stack(coeffs: "CoefficientSet", tau_pts: np.ndarray, z: float, depth: int) -> np.ndarray:
-    """Stack of the forward jump map F(x) = x + h(x, z) at given points."""
-    tau_pts = np.asarray(tau_pts, dtype=float)
-    fwd = coeffs.h.y_stack(tau_pts, z, depth)
-    fwd[0] = fwd[0] + tau_pts
-    fwd[1] = fwd[1] + 1.0
-    return fwd
-
-
-def _drift_forward_stack(coeffs: "CoefficientSet", tau_pts: np.ndarray, i: int, depth: int) -> np.ndarray:
-    """Stack of the forward drift-step map F(x) = x + b(x)/i."""
-    tau_pts = np.asarray(tau_pts, dtype=float)
-    fwd = coeffs.b.stack(tau_pts, depth) / i
-    fwd[0] = fwd[0] + tau_pts
-    fwd[1] = fwd[1] + 1.0
-    return fwd
-
-
 def tau_stack_grid(
     coeffs: "CoefficientSet", y: np.ndarray, z: float, order: int, tol: float = 1e-12
 ) -> np.ndarray:
@@ -455,12 +465,7 @@ def tau_stack_grid(
 
     Returns shape (order+1, len(y)): row l holds tau^(l)(y) (row 0 is tau).
     """
-    y = np.asarray(y, dtype=float)
-    tau0 = solve_tau_grid(coeffs, y, z, tol)
-    fwd = _jump_forward_stack(coeffs, tau0, z, order)
-    tau = _invert_values(fwd)
-    tau[0] = tau0
-    return tau
+    return _inverse_stack(*_jump_map(coeffs, z), np.asarray(y, dtype=float), order, tol)
 
 
 def tau_i_stack_grid(
@@ -468,11 +473,13 @@ def tau_i_stack_grid(
 ) -> np.ndarray:
     """Inverse-map stacks of the drift-step map over an array of base points."""
     y = np.asarray(y, dtype=float)
-    tau0 = solve_tau_i_grid(coeffs, y, i, tol)
-    fwd = _drift_forward_stack(coeffs, tau0, i, order)
-    tau = _invert_values(fwd)
-    tau[0] = tau0
-    return tau
+    return _inverse_stack(*_drift_map(coeffs, y, i), y, order, tol)
+
+
+def _transfer_at(y: float, tau: np.ndarray) -> TransferCoefficients:
+    """Transfer coefficients at one point from its one-column inverse stack."""
+    stack = DerivativeStack(float(y), tau[:, 0])
+    return TransferCoefficients(float(y), stack, _alpha_from_tau(tau)[:, :, 0])
 
 
 def transfer_alpha(
@@ -487,9 +494,7 @@ def transfer_alpha(
     for l = 0..order.  Needs y-derivatives of h up to order+1.
     """
     tau = tau_stack_grid(coeffs, np.asarray([y], dtype=float), z, order + 1, tol)
-    alpha = _alpha_from_tau(tau)[:, :, 0]
-    stack = DerivativeStack(float(y), tau[:, 0])
-    return TransferCoefficients(float(y), stack, alpha)
+    return _transfer_at(y, tau)
 
 
 def transfer_beta(
@@ -502,9 +507,7 @@ def transfer_beta(
     grows, which is what keeps the drift surrogate stable.
     """
     tau = tau_i_stack_grid(coeffs, np.asarray([y], dtype=float), i, order + 1, tol)
-    beta = _alpha_from_tau(tau)[:, :, 0]
-    stack = DerivativeStack(float(y), tau[:, 0])
-    return TransferCoefficients(float(y), stack, beta)
+    return _transfer_at(y, tau)
 
 
 def transfer_alpha_grid(

@@ -21,6 +21,7 @@ stanza path, so the command line can map them to its config exit code.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import yaml
@@ -164,6 +165,13 @@ def build_model(node, path: str = "model") -> CoefficientSet:
         raise _fail(path, str(exc)) from None
 
 
+def _check_t_end_and_runs(t_end: float | None, runs: int | None = None) -> None:
+    if t_end is not None and not t_end >= 0.0:
+        raise ValueError(f"t_end must be >= 0, got {t_end}")
+    if runs is not None and runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
+
+
 @dataclass(frozen=True)
 class SimulationStanza:
     x0: float = 0.0
@@ -175,8 +183,9 @@ class SimulationStanza:
     max_step: float = 1e-3  # RK4 step bound for the drift flow between candidates
 
     def __post_init__(self):
-        if not self.max_step > 0.0:
-            raise ValueError(f"max_step must be positive, got {self.max_step}")
+        if not (math.isfinite(self.max_step) and self.max_step > 0.0):
+            raise ValueError(f"max_step must be positive and finite, got {self.max_step}")
+        _check_t_end_and_runs(self.t_end, self.runs)
 
 
 @dataclass(frozen=True)
@@ -190,6 +199,11 @@ class EvolutionStanza:
     dt: float | None = None
     trunc: int | None = None
     quad_nodes: int = 256
+
+    def __post_init__(self):
+        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        _check_t_end_and_runs(self.t_end)
 
 
 @dataclass(frozen=True)
@@ -207,6 +221,9 @@ class DiagnosticsStanza:
     xi_points: int = 96
     xi_min: float = 1.0
     xi_max: float | None = None
+
+    def __post_init__(self):
+        _check_t_end_and_runs(self.t_end, self.runs)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,11 @@ from .errors import ContractError, ResolutionError, WindowTooSmallError
 from .fokker_planck import GridDensity
 from .kernels import KernelDecomposition
 from .model import CoefficientSet
-from .simulate import CFEstimate, OdeOptions, RngSpec, empirical_cf, simulate_batch
+from .simulate import FLOOR_MULT, CFEstimate, OdeOptions, RngSpec, empirical_cf, simulate_batch
+
+# A CF magnitude that stays above this (or 5 standard errors) over the upper
+# half of the usable band is read as an atom.
+ATOM_FLOOR = 0.05
 
 
 @dataclass(frozen=True)
@@ -48,14 +52,10 @@ class DecayReport:
         return int(math.floor(self.certified_exponent - 1.0))
 
 
-def decay_fit(
-    cf: CFEstimate,
-    band: tuple[float, float] | None = None,
-    floor_mult: float = 3.0,
-) -> DecayReport:
+def decay_fit(cf: CFEstimate, band: tuple[float, float] | None = None) -> DecayReport:
     """Fit |cf| ~ C |xi|^slope on the usable part of a frequency band.
 
-    Frequencies where the magnitude sits within floor_mult standard errors of
+    Frequencies where the magnitude sits within FLOOR_MULT standard errors of
     the 1/sqrt(N) sampling floor are excluded: below that the estimate is
     noise and would fake decay.  Needs at least 10 usable points.
     """
@@ -63,7 +63,7 @@ def decay_fit(
     mask = cf.xi > 0
     if band is not None:
         mask &= (cf.xi >= band[0]) & (cf.xi <= band[1])
-    mask &= cf.usable(floor_mult)
+    mask &= cf.usable()
     n_pts = int(np.count_nonzero(mask))
     if n_pts < 10:
         raise ResolutionError(
@@ -139,16 +139,22 @@ def compare_densities(left: GridDensity, right: GridDensity, coverage: float = 0
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Controls for the sampling half of the smoothness pipeline."""
+    """Controls for the sampling half of the smoothness pipeline.
+
+    ``runs`` terminal samples on mark truncation ``trunc`` (default the last
+    declared), drawn by ``threads`` workers with ``ode_opts`` for the drift
+    flow.  The CF is read at ``xi_points`` log-spaced frequencies from
+    ``xi_min`` to ``xi_max`` (default from the run count, see
+    `frequency_grid`); the decay fit uses all of them that clear the
+    sampling floor (FLOOR_MULT), and ATOM_FLOOR separates an atom from slow
+    decay.
+    """
 
     runs: int = 200_000
     trunc: int | None = None
     xi_points: int = 96
     xi_min: float = 1.0
     xi_max: float | None = None
-    band: tuple[float, float] | None = None
-    floor_mult: float = 3.0
-    atom_floor: float = 0.05
     threads: int = 1
     ode_opts: OdeOptions | None = None
 
@@ -192,7 +198,7 @@ def smoothness_pipeline(
     )
     xi = frequency_grid(cfg.runs, cfg)
     cf = empirical_cf(batch["terminal"], xi)
-    fit = decay_fit(cf, cfg.band, cfg.floor_mult)
+    fit = decay_fit(cf)
     mag = cf.magnitude()
 
     predicted = None
@@ -205,7 +211,7 @@ def smoothness_pipeline(
         predicted = k * t_end / (theta + t_end)
         # envelope constant calibrated on the lower third of the band,
         # checked on the rest with the sampling floor as slack
-        usable = cf.usable(cfg.floor_mult)
+        usable = cf.usable()
         if np.count_nonzero(usable) >= 6:
             xs = cf.xi[usable]
             ms = mag[usable]
@@ -219,7 +225,7 @@ def smoothness_pipeline(
                 {"n": int(n), "constant": float(np.max(excess) * math.exp(-theta * n))}
             )
 
-    floor = max(cfg.atom_floor, 5.0 * cf.stderr)
+    floor = max(ATOM_FLOOR, 5.0 * cf.stderr)
     min_mag = float(np.min(mag))
     # Atom signature: the magnitude sits on an O(1) floor and has stopped
     # falling on the upper half of the usable band.  A slow smooth law also
@@ -228,7 +234,7 @@ def smoothness_pipeline(
     if not tail_flat and min_mag >= floor:
         try:
             mid = math.sqrt(fit.band[0] * fit.band[1])
-            tail_flat = decay_fit(cf, (mid, fit.band[1]), cfg.floor_mult).verdict == "no decay"
+            tail_flat = decay_fit(cf, (mid, fit.band[1])).verdict == "no decay"
         except ResolutionError:
             tail_flat = False
     if min_mag >= 1.0 - max(0.01, 5.0 * cf.stderr):

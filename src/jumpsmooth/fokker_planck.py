@@ -124,26 +124,32 @@ def sobolev_norm(density: GridDensity, order: int | None = None) -> float:
     )
 
 
+# Gauss-Legendre panels of the mark quadrature (`quad_nodes` nodes in all).
+QUAD_PANELS = 8
+# Share of the stability budget that the default step uses.
+STABILITY_MARGIN = 0.9
+
+
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Knobs of the explicit evolution.
+    """Controls of the explicit evolution.
 
     ``i`` is the drift surrogate index; ``trunc`` the mark truncation index
-    (defaults to the last declared).  ``dt=None`` picks the largest step
-    inside the stability budget dt * (2 i + 2 sup(gamma) q(G)) <= 0.5 scaled
-    by ``stability_margin``.
+    (defaults to the last declared).  ``dt`` must be positive and finite;
+    ``None`` picks the largest step inside the stability budget
+    dt * (2 i + 2 sup(gamma) q(G)) <= 0.5, scaled by STABILITY_MARGIN.
+    ``quad_nodes`` is the node count of the mark quadrature, in QUAD_PANELS
+    panels.  Mass drift beyond ``mass_tol`` per unit horizon raises; an
+    interior escape fraction above ``escape_tol`` means the window is too
+    small.  The inverse maps are solved to the calculus default tolerance.
     """
 
     i: int
     dt: float | None = None
     trunc: int | None = None
     quad_nodes: int = 256
-    quad_panels: int = 8
-    stability_margin: float = 0.9
     mass_tol: float = 1e-4
-    enforce_mass: bool = True
     escape_tol: float = 0.5
-    solver_tol: float = 1e-12
 
 
 def _interp_weights(points: np.ndarray, lo: float, spacing: float, size: int):
@@ -208,7 +214,7 @@ class AdjointOperator:
         # Drift pullback i [g(tau_i) tau_i' - g], skipped for a zero drift.
         self.drift_active = not coeffs.b.is_zero
         if self.drift_active:
-            beta, taui = transfer_beta_grid(coeffs, grid, self.i, k, cfg.solver_tol)
+            beta, taui = transfer_beta_grid(coeffs, grid, self.i, k)
             base, w = _interp_weights(taui[0], self.lo, self.spacing, n)
             bases.append(base[:, None])
             weights.append(w[:, None, :])
@@ -218,7 +224,7 @@ class AdjointOperator:
         trunc = coeffs.q.resolve_trunc(cfg.trunc)
         self.trunc = trunc
         zlo, zhi = coeffs.q.trunc_interval(trunc)
-        z, w = gauss_panels(zlo, zhi, cfg.quad_nodes, cfg.quad_panels)
+        z, w = gauss_panels(zlo, zhi, cfg.quad_nodes, QUAD_PANELS)
         wq = w * np.asarray(coeffs.q.density.value(z), dtype=float)
         self.qmass = float(np.sum(wq))
         self.gamma_sup = coeffs.gamma_sup()
@@ -228,7 +234,7 @@ class AdjointOperator:
             alpha = np.empty((k + 1, k + 1, n, M))
             tau0 = np.empty((n, M))
             for mi in range(M):
-                a, tau = transfer_alpha_grid(coeffs, grid, float(z[mi]), k, cfg.solver_tol)
+                a, tau = transfer_alpha_grid(coeffs, grid, float(z[mi]), k)
                 alpha[:, :, :, mi] = a
                 tau0[:, mi] = tau[0]
             base, w = _interp_weights(tau0, self.lo, self.spacing, n)
@@ -322,7 +328,7 @@ class AdjointOperator:
         return 2.0 * self.i + 2.0 * self.gamma_sup * self.qmass
 
     def stable_dt(self) -> float:
-        return 0.5 * self.cfg.stability_margin / self.lipschitz_bound
+        return 0.5 * STABILITY_MARGIN / self.lipschitz_bound
 
     def apply(self, vals: np.ndarray) -> np.ndarray:
         """Adjoint rate of change of the full derivative stack."""
@@ -354,7 +360,7 @@ def apply_generator(coeffs: CoefficientSet, phi, y: np.ndarray, cfg: EvolutionCo
     out = i * (phi(y + np.asarray(coeffs.b.value(y)) / i) - phi(y))
     trunc = coeffs.q.resolve_trunc(cfg.trunc)
     zlo, zhi = coeffs.q.trunc_interval(trunc)
-    z, w = gauss_panels(zlo, zhi, cfg.quad_nodes, cfg.quad_panels)
+    z, w = gauss_panels(zlo, zhi, cfg.quad_nodes, QUAD_PANELS)
     wq = w * np.asarray(coeffs.q.density.value(z), dtype=float)
     gam = np.asarray(coeffs.gamma.value(y), dtype=float)
     acc = np.zeros_like(y)
@@ -387,9 +393,12 @@ class EvolutionResult:
 
 
 def _checked_step(op: AdjointOperator, cfg: EvolutionConfig) -> float:
-    """The configured (or largest stable) step, rejected beyond the budget."""
+    """The configured (or largest stable) step.  A step that is not positive
+    and finite is refused; one beyond the stability budget raises."""
     dt_cap = 0.5 / op.lipschitz_bound
     dt = op.stable_dt() if cfg.dt is None else float(cfg.dt)
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ContractError(f"dt must be positive and finite, got {dt!r}")
     if dt > dt_cap * (1.0 + 1e-12):
         raise StabilityError(
             f"dt={dt:.3e} exceeds the stability budget {dt_cap:.3e} "
@@ -432,7 +441,7 @@ def _euler(
         mass = float(np.trapezoid(vals[0], dx=initial.spacing))
         times.append(t)
         masses.append(mass)
-        if cfg.enforce_mass and abs(mass - masses[0]) > cfg.mass_tol * max(1.0, t_end):
+        if abs(mass - masses[0]) > cfg.mass_tol * max(1.0, t_end):
             raise MassConservationError(
                 f"mass drifted by {abs(mass - masses[0]):.3e} at t={t:.4f} "
                 f"(budget {cfg.mass_tol:.1e} per unit horizon)"
@@ -502,6 +511,7 @@ def picard_validate(
     if t_short < 0:
         raise ContractError("t_short must be >= 0")
     op = AdjointOperator(coeffs, initial, cfg)
+    euler_dt = _checked_step(op, cfg)
     if t_short > 4.0 * op.stable_dt() * (time_nodes - 1):
         raise ContractError("picard horizon too long for the requested time grid")
     ts = np.linspace(0.0, t_short, time_nodes)
@@ -517,7 +527,7 @@ def picard_validate(
             new_states.append(initial.values + acc)
         states = new_states
     picard_final = GridDensity(initial.lo, initial.hi, states[-1], initial.time + t_short)
-    euler = _euler(op, initial, t_short, _checked_step(op, cfg), cfg)[0]
+    euler = _euler(op, initial, t_short, euler_dt, cfg)[0]
     gap = float(
         np.trapezoid(np.abs(picard_final.values[0] - euler.values[0]), dx=initial.spacing)
     )

@@ -34,12 +34,11 @@ filtering, and remembers each passing (index, truncation).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import _bracketed_newton, _compose_values, _invert_values
+from .calculus import _bracketed_newton, _compose_values, _invert_values, _leibniz_row
 from .errors import (
     ContractError,
     DegenerateKernelError,
@@ -158,12 +157,9 @@ class _Kernel:
 
         outer = np.stack([self.phi.derivative(w_sol, j) for j in range(order + 1)])
         comp = _compose_values(outer, inv[: order + 1])
-
+        dW = sgn * inv[1:]  # |W'| and its derivatives
         for l in range(order + 1):
-            acc = np.zeros_like(target)
-            for j in range(l + 1):
-                acc = acc + math.comb(l, j) * comp[j] * (sgn * inv[l - j + 1])
-            out[l][inside] = acc
+            out[l][inside] = _leibniz_row(comp, dW, l)
         return out
 
     def integrals(self, order: int, scale: int = 1) -> tuple[np.ndarray, float]:
@@ -272,11 +268,13 @@ def kernel_sobolev_audit(
         raise ContractError("kernel audit needs at least two kernel indices")
     k = coeffs.k
 
-    table = np.zeros((len(n_values), y_grid.size))
+    norm = np.zeros((len(n_values), y_grid.size))
+    table = np.zeros_like(norm)
     for jn, n in enumerate(n_values):
         for jy, y in enumerate(y_grid):
             norms, mass = _Kernel(coeffs, float(y), n, cutoff_order).integrals(k)
-            table[jn, jy] = float(np.sum(norms)) / mass
+            norm[jn, jy] = float(np.sum(norms))
+            table[jn, jy] = norm[jn, jy] / mass
 
     weight = 1.0 + np.abs(y_grid) ** coeffs.p
     per_n = np.max(table / weight[None, :], axis=1)
@@ -289,8 +287,8 @@ def kernel_sobolev_audit(
 
     iw = np.unravel_index(np.argmax(table / weight[None, :]), table.shape)
     worst_y, worst_n = float(y_grid[iw[1]]), n_values[iw[0]]
-    worst_kernel = _Kernel(coeffs, worst_y, worst_n, cutoff_order)
-    norm_coarse, norm_fine = (float(np.sum(worst_kernel.integrals(k, s)[0])) for s in (1, 2))
+    norm_coarse = float(norm[iw])
+    norm_fine = float(np.sum(_Kernel(coeffs, worst_y, worst_n, cutoff_order).integrals(k, 2)[0]))
     refine_change = abs(norm_fine - norm_coarse) / max(norm_fine, 1e-300)
 
     return {

@@ -39,6 +39,9 @@ from .kernels import KernelDecomposition
 from .model import CoefficientSet
 
 N_CHUNKS = 32  # fixed RNG fan-out; results do not depend on thread count
+MIN_SUBSTEPS = 8  # RK4 steps of a chunk's drift segment, at least
+BLOW_UP = 1e8  # |state| beyond this is a blow-up
+FLOOR_MULT = 3.0  # a usable CF magnitude stands this many 1/sqrt(N) clear of 0
 
 
 @dataclass(frozen=True)
@@ -63,11 +66,19 @@ class RngSpec:
 
 @dataclass(frozen=True)
 class OdeOptions:
-    """Fixed-step RK4 controls for the drift flow between candidates."""
+    """Fixed-step RK4 control for the drift flow between candidates.
+
+    ``max_step`` bounds the RK4 step and must be positive and finite; a
+    chunk's segment takes at least MIN_SUBSTEPS steps.
+    """
 
     max_step: float = 1e-3
-    min_substeps: int = 8
-    blow_up: float = 1e8
+
+    def __post_init__(self):
+        if not (math.isfinite(self.max_step) and self.max_step > 0.0):
+            raise ContractError(
+                f"max_step must be positive and finite, got {self.max_step!r}"
+            )
 
 
 class MarkSampler:
@@ -156,7 +167,7 @@ def _drift_flow_batch(
     """RK4 flow of each run over its own segment length.
 
     `starts` are the offsets where each chunk's runs begin (all non-empty).
-    A chunk takes max(min_substeps, ceil(longest / max_step)) steps, shared by
+    A chunk takes max(MIN_SUBSTEPS, ceil(longest / max_step)) steps, shared by
     its runs so that each run's step hstep = seg / steps depends only on its
     chunk; the sweep runs to the largest count and moves only the runs whose
     chunk still has steps left.
@@ -167,7 +178,7 @@ def _drift_flow_batch(
     longest = np.maximum.reduceat(seg, starts)
     chunk_steps = np.where(
         longest > 0.0,
-        np.maximum(opts.min_substeps, np.ceil(longest / opts.max_step)),
+        np.maximum(MIN_SUBSTEPS, np.ceil(longest / opts.max_step)),
         0.0,
     ).astype(np.int64)
     steps = np.repeat(chunk_steps, np.diff(np.append(starts, x.size)))
@@ -189,7 +200,7 @@ def _drift_flow_batch(
                 xs = xs + hs * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
             x[moving] = xs
             done = int(level)
-    if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > opts.blow_up:
+    if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > BLOW_UP:
         raise BlowUpError("drift flow left the finite range in a batch segment")
     return x
 
@@ -249,9 +260,9 @@ def _thinning(
     """The thinning engine: candidate rounds for a group of chunks, in lockstep.
 
     `x` holds the initial states, chunk after chunk (`sizes[c]` runs drawing
-    from `gens[c]`), and is advanced in place to t_end.  `frame` comes from
-    `_candidate_frame`; `i` selects the drift-poissonized chain (None: the
-    exact flow); `filter_n` fills `kept` from the n-th filtered kernel.
+    from `gens[c]`), and is advanced in place to t_end >= 0.  `frame` comes
+    from `_candidate_frame`; `i` selects the drift-poissonized chain (None:
+    the exact flow); `filter_n` fills `kept` from the n-th filtered kernel.
 
     The alive runs stay in order, so each chunk's share of a round is one
     slice.  Per round, every chunk with alive runs draws from its own
@@ -262,6 +273,8 @@ def _thinning(
     round's `_Round` (a callback, so no round's arrays outlive the next
     round's); a true return stops the engine, and its draws, there.
     """
+    if not t_end >= 0.0:
+        raise ContractError(f"the horizon must be >= 0, got {t_end!r}")
     sampler, active, ubar, lam = frame
     m = x.size
     if lam == 0.0 and i is None:  # no jumps, no kicks: one drift segment
@@ -310,7 +323,7 @@ def _thinning(
                 kept[acc] = v[acc] <= kernels.acceptance(filter_n, pre[acc], z[acc])
         if np.any(kick):
             post[kick] = pre[kick] + np.asarray(coeffs.b.value(pre[kick]), dtype=float) / i
-        if not np.all(np.isfinite(post)) or np.max(np.abs(post)) > opts.blow_up:
+        if not np.all(np.isfinite(post)) or np.max(np.abs(post)) > BLOW_UP:
             raise BlowUpError("state blew up at a thinning candidate")
         x[idx] = post
         t[idx] = np.minimum(t_next, t_end)
@@ -320,7 +333,7 @@ def _thinning(
 
 
 def _single_path(
-    coeffs, x0: float, t_end: float, trunc: int, rng, couple_top, i, ode_opts, record: bool
+    coeffs, x0: float, t_end: float, trunc: int, rng, couple_top, i, ode_opts
 ) -> Trajectory:
     """A batch of one of the thinning engine on `rng`, its landed candidates
     recorded as events."""
@@ -329,7 +342,7 @@ def _single_path(
     events: list[JumpEvent] = []
 
     def on_round(r: _Round) -> None:
-        if not (record and r.landed[0]):
+        if not r.landed[0]:
             return
         if len(events) == 1_000_000:
             raise BlowUpError("event budget exhausted; rate is too large to record")
@@ -356,7 +369,6 @@ def simulate_exact(
     rng: np.random.Generator,
     ode_opts: OdeOptions | None = None,
     couple_top: int | None = None,
-    record: bool = True,
 ) -> Trajectory:
     """One path of the jumping diffusion with truncated marks.
 
@@ -368,7 +380,7 @@ def simulate_exact(
     wider window and those outside the `trunc` window are recorded as
     skips, so paths at different truncations share every draw.
     """
-    return _single_path(coeffs, x0, t_end, trunc, rng, couple_top, None, ode_opts, record)
+    return _single_path(coeffs, x0, t_end, trunc, rng, couple_top, None, ode_opts)
 
 
 def simulate_poissonized(
@@ -379,13 +391,12 @@ def simulate_poissonized(
     trunc: int,
     rng: np.random.Generator,
     ode_opts: OdeOptions | None = None,
-    record: bool = True,
 ) -> Trajectory:
     """One path of the drift-poissonized chain: drift kicks b(X)/i at rate i
     superposed with the thinned jump stream, no continuous motion.  A batch
     of one of the thinning engine, like `simulate_exact`."""
     _check_drift_index(coeffs, i)
-    return _single_path(coeffs, x0, t_end, trunc, rng, None, i, ode_opts, record)
+    return _single_path(coeffs, x0, t_end, trunc, rng, None, i, ode_opts)
 
 
 def sample_tau_n(
@@ -630,10 +641,10 @@ class CFEstimate:
     def magnitude(self) -> np.ndarray:
         return np.abs(self.values)
 
-    def usable(self, floor_mult: float = 3.0) -> np.ndarray:
-        """Mask of frequencies where the magnitude stands clear of the
-        1/sqrt(N) sampling floor."""
-        return self.magnitude() >= floor_mult * self.stderr
+    def usable(self) -> np.ndarray:
+        """Mask of frequencies where the magnitude stands FLOOR_MULT standard
+        errors clear of the 1/sqrt(N) sampling floor."""
+        return self.magnitude() >= FLOOR_MULT * self.stderr
 
 
 def empirical_cf(samples, xi) -> CFEstimate:

@@ -5,7 +5,11 @@ Frozen reference values come from symbolic expansion or classical series
 against an independent polynomial-arithmetic oracle.
 """
 
+import doctest
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -423,3 +427,66 @@ def test_tau_stack_grid_consistency():
         assert stacks[2, j] == pytest.approx(fd, rel=1e-6, abs=1e-8)
     stacks_i = js.tau_i_stack_grid(m, ys, 25, 3)
     assert np.allclose(stacks_i[0], ys, atol=0.05)
+
+
+def test_calculus_doctests_pass():
+    result = doctest.testmod(js.calculus)
+    assert result.attempted >= 8
+    assert result.failed == 0
+
+
+# ---------------------------------------------------------------------------
+# pinned inverse maps and transfer tables
+# ---------------------------------------------------------------------------
+
+# sha256 of the raw float64 bytes of every inverse-map and transfer-table
+# output, recorded from the separate jump and drift pipelines that preceded
+# the shared one; the arithmetic is unchanged, so every digest must repeat
+TRANSFER_PINS = Path(__file__).parent / "data" / "transfer_tables.json"
+PIN_MARKS = (0.05, 0.7, 2.5)
+PIN_DRIFT_INDEX = 8
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a, dtype=np.float64)
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _transfer_tables(models) -> dict:
+    out = {}
+    for name, m in models:
+        y = np.linspace(m.y_window[0] + 0.5, m.y_window[1] - 0.5, 41)
+        points = (float(y[3]), float(y[20]), float(y[37]))
+        k = m.k
+        for z in PIN_MARKS:
+            tag = f"{name}/z={z}"
+            out[f"{tag}/solve_tau_grid"] = _digest(js.solve_tau_grid(m, y, z))
+            out[f"{tag}/tau_stack_grid"] = _digest(js.tau_stack_grid(m, y, z, k + 1))
+            out[f"{tag}/transfer_alpha_grid"] = _digest(*js.transfer_alpha_grid(m, y, z, k))
+            tables = [js.transfer_alpha(m, p, z, k) for p in points]
+            out[f"{tag}/transfer_alpha"] = _digest(
+                *(a for t in tables for a in (t.table, t.tau_stack.values))
+            )
+        i = PIN_DRIFT_INDEX
+        tag = f"{name}/i={i}"
+        out[f"{tag}/solve_tau_i_grid"] = _digest(js.solve_tau_i_grid(m, y, i))
+        out[f"{tag}/tau_i_stack_grid"] = _digest(js.tau_i_stack_grid(m, y, i, k + 1))
+        out[f"{tag}/transfer_beta_grid"] = _digest(*js.transfer_beta_grid(m, y, i, k))
+        tables = [js.transfer_beta(m, p, i, k) for p in points]
+        out[f"{tag}/transfer_beta"] = _digest(
+            *(a for t in tables for a in (t.table, t.tau_stack.values))
+        )
+    return out
+
+
+def test_transfer_tables_pinned(wobble_model, ripple_model, power_model):
+    want = json.loads(TRANSFER_PINS.read_text())
+    models = (("wobble", wobble_model), ("ripple", ripple_model), ("power", power_model))
+    got = _transfer_tables(models)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key] == want[key], key

@@ -163,6 +163,27 @@ def test_nonpositive_max_step_or_threads_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command, stanza, key, bad, message",
+    [
+        ("evolve", "evolution", "dt", 0.0, "dt must be positive"),
+        ("evolve", "evolution", "dt", -0.01, "dt must be positive"),
+        ("evolve", "evolution", "t_end", -1.0, "t_end must be >= 0"),
+        ("simulate", "simulation", "t_end", -1.0, "t_end must be >= 0"),
+        ("simulate", "simulation", "runs", 0, "runs must be at least 1"),
+        ("certify", "diagnostics", "t_end", -1.0, "t_end must be >= 0"),
+        ("certify", "diagnostics", "runs", 0, "runs must be at least 1"),
+    ],
+)
+def test_out_of_range_stanza_values_exit_2(tmp_path, capsys, command, stanza, key, bad, message):
+    cfg = _base_config(tmp_path / "out")
+    cfg[stanza][key] = bad
+    assert main([command, "--config", _write(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{stanza}: {message}" in err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 def test_simulate_seed_override(tmp_path):
     cfg = _base_config(tmp_path / "out")
     path = _write(tmp_path, cfg)

@@ -284,6 +284,17 @@ def test_evolve_argument_validation(wobble_model):
         js.evolve(wobble_model, init, 0.5, js.EvolutionConfig(i=0, trunc=3))
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf])
+def test_evolution_rejects_nonpositive_or_nonfinite_dt(wobble_model, dt):
+    # dt = 0 used to loop forever and dt < 0 ran time backwards
+    init = js.gaussian_density((-8.0, 8.0), 128, order=2)
+    cfg = js.EvolutionConfig(i=8, trunc=3, dt=dt)
+    with pytest.raises(js.ContractError, match="dt must be positive and finite"):
+        js.evolve(wobble_model, init, 0.5, cfg)
+    with pytest.raises(js.ContractError, match="dt must be positive and finite"):
+        js.picard_validate(wobble_model, init, 0.05, cfg)
+
+
 def test_picard_short_horizon_agreement(wobble_model):
     init = js.gaussian_density((-8.0, 8.0), 512, order=2, sigma=0.8)
     out = js.picard_validate(wobble_model, init, 0.05, js.EvolutionConfig(i=8, trunc=3))

@@ -185,6 +185,23 @@ def test_kernel_sobolev_audit_exponential_model(exp_unit_model):
     assert not tight["passed"]
 
 
+def test_kernel_sobolev_audit_reuses_table_norm(wobble_model, monkeypatch):
+    # one quadrature per table entry plus one doubled-node refinement: the
+    # coarse side of the refinement check is the table's own norm
+    calls = []
+    integrals = js.kernels._Kernel.integrals
+
+    def counted(self, order, scale=1):
+        calls.append(scale)
+        return integrals(self, order, scale)
+
+    monkeypatch.setattr(js.kernels._Kernel, "integrals", counted)
+    ys = np.linspace(-6.0, 6.0, 10)
+    audit = js.kernel_sobolev_audit(wobble_model, ys, (2, 4), 12.0)
+    assert len(audit["ratio_table"]) * len(ys) == 20
+    assert sorted(calls) == [1] * 20 + [2]
+
+
 def test_kernel_sobolev_audit_needs_two_indices(exp_unit_model):
     with pytest.raises(js.ContractError):
         js.kernel_sobolev_audit(exp_unit_model, np.array([0.0]), (3,), theta=1.0)

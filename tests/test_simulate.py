@@ -296,6 +296,26 @@ def test_drift_blow_up_raises():
         js.simulate_batch(m, 2.0, 2.0, 1, js.RngSpec(2), 16)
 
 
+def test_thinning_rejects_negative_horizon(wobble_model, exp_unit_model):
+    # a negative horizon used to return x0 with no jumps and no error
+    with pytest.raises(js.ContractError, match="horizon"):
+        js.simulate_batch(wobble_model, 0.5, -1.0, 1, js.RngSpec(3), 64)
+    with pytest.raises(js.ContractError, match="horizon"):
+        js.simulate_exact(wobble_model, 0.5, -1.0, 1, js.RngSpec(3).generator())
+    with pytest.raises(js.ContractError, match="horizon"):
+        js.simulate_poissonized(wobble_model, 0.5, -1.0, 8, 1, js.RngSpec(3).generator())
+    kd = js.make_kernels(exp_unit_model, (2, 3), theta=4.2)
+    with pytest.raises(js.ContractError, match="horizon"):
+        js.sample_tau_n(exp_unit_model, kd, 0.0, 2, -1.0, 1, js.RngSpec(3).generator())
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-3, math.nan, math.inf])
+def test_ode_options_reject_bad_max_step(bad):
+    # 0 and NaN used to skip the drift flow; a negative step ran the minimum
+    with pytest.raises(js.ContractError, match="max_step must be positive and finite"):
+        js.OdeOptions(max_step=bad)
+
+
 # ---------------------------------------------------------------------------
 # filtered jumps
 # ---------------------------------------------------------------------------
