@@ -59,10 +59,21 @@ def _write_manifest(out_dir: Path, args, cfg: ExperimentConfig, seed: int, outpu
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
+SAVE_BLOCK_ROWS = 256  # rows formatted per write; bounds the Python objects alive
+
+
 def _save_columns(path: Path, columns: dict[str, np.ndarray]) -> None:
+    """One "# name ..." header line, then one row of %.17g values per line:
+    the bytes `np.savetxt` writes, formatted from Python floats a block of
+    rows at a time."""
     names = list(columns)
     data = np.column_stack([np.asarray(columns[n], dtype=float) for n in names])
-    np.savetxt(path, data, fmt="%.17g", header=" ".join(names))
+    fmt = " ".join(["%.17g"] * len(names)) + "\n"
+    with path.open("w", encoding="ascii") as fh:
+        fh.write("# " + " ".join(names) + "\n")
+        for start in range(0, len(data), SAVE_BLOCK_ROWS):
+            block = data[start : start + SAVE_BLOCK_ROWS].tolist()
+            fh.write("".join(fmt % tuple(row) for row in block))
 
 
 def _cmd_check(cfg: ExperimentConfig, out_dir: Path, args) -> tuple[int, list[str]]:

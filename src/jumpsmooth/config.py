@@ -168,6 +168,8 @@ def build_model(node, path: str = "model") -> CoefficientSet:
 def _check_t_end_and_runs(t_end: float | None, runs: int | None = None) -> None:
     if t_end is not None and not t_end >= 0.0:
         raise ValueError(f"t_end must be >= 0, got {t_end}")
+    if t_end is not None and not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
     if runs is not None and runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
 

@@ -571,17 +571,23 @@ def norm_growth_audit(
     exponential growth rate on the first quarter of each run, and checks
     (a) every later checkpoint sits below norm(0) * exp(1.1 * fitted * t) and
     (b) the fitted rate moves by at most 20% (absolute floor 0.1) when i
-    doubles.  Package errors and floating-point traps (degenerate models blow
-    up or cannot even build the pullback) are caught and reported as failed
-    audits; any other exception is a bug and propagates.
+    doubles.  Both runs take the stable step of their own index, so that
+    the two rates are measured alike; a set ``cfg.dt`` is refused with
+    ContractError.  Package errors and floating-point traps (degenerate
+    models blow up or cannot even build the pullback) are caught and
+    reported as failed audits; any other exception is a bug and propagates.
     """
+    if cfg.dt is not None:
+        raise ContractError(
+            f"norm_growth_audit runs at the stable step of each index; got dt={cfg.dt!r}"
+        )
     ts = np.linspace(0.0, t_end, checkpoints + 1)
     report: dict = {"t": [float(v) for v in ts], "passed": False}
 
     def run(i_val: int):
         if t_end < 0:
             raise ContractError("t_end must be >= 0")
-        local = replace(cfg, i=i_val, dt=None)
+        local = replace(cfg, i=i_val)
         op = AdjointOperator(coeffs, initial, local)
         # only the checkpoints are used, so no dt/2 companion run for time_error
         snaps = _euler(op, initial, t_end, _checked_step(op, local), local, ts.tolist())[1]

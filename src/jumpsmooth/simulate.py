@@ -15,9 +15,13 @@ Random streams fan out into 32 Philox substreams per (seed, stream) pair, one
 per chunk of a batch's runs.  The engine advances a group of chunks in
 lockstep, one candidate round at a time, each chunk drawing from its own
 substream in a fixed order, so batch output is byte-identical for any thread
-count.  `simulate_exact`, `simulate_poissonized` and `sample_tau_n` are
+count.  It keeps state for the alive runs only, so a round costs time and
+memory in proportion to the runs still going, and it inverts the marks
+through a guide table over the mark CDF that reproduces `np.interp` bit for
+bit.  `simulate_exact`, `simulate_poissonized` and `sample_tau_n` are
 batches of one on the caller's generator: the coupling between single paths
-and batches holds by construction.
+and batches holds by construction.  Batches and single paths need a finite
+horizon; `sample_tau_n` may wait without one for its first kept jump.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ N_CHUNKS = 32  # fixed RNG fan-out; results do not depend on thread count
 MIN_SUBSTEPS = 8  # RK4 steps of a chunk's drift segment, at least
 BLOW_UP = 1e8  # |state| beyond this is a blow-up
 FLOOR_MULT = 3.0  # a usable CF magnitude stands this many 1/sqrt(N) clear of 0
+GUIDE_BUCKETS = 4096  # level bins of the mark sampler's guide table; a power of two
 
 
 @dataclass(frozen=True)
@@ -82,7 +87,17 @@ class OdeOptions:
 
 
 class MarkSampler:
-    """Inverse-CDF sampler for the mark density restricted to an interval."""
+    """Inverse-CDF sampler for the mark density restricted to an interval.
+
+    The CDF is the trapezoid rule on `nodes` equispaced marks, inverted by
+    linear interpolation.  `invert` finds each level's CDF cell through a
+    guide table (Chen & Asau 1974; Devroye 1986, ch. III.2): bucket b of
+    GUIDE_BUCKETS equal level bins stores the last node with cdf <= b / G,
+    so a level's cell is at most a step or two past its bucket's entry,
+    instead of a binary search over all nodes.  It then applies
+    `np.interp`'s own arithmetic to the same cell, so the marks are the
+    ones `np.interp` gives, bit for bit.
+    """
 
     def __init__(self, spec, interval: tuple[float, float], nodes: int = 4097):
         lo, hi = float(interval[0]), float(interval[1])
@@ -99,11 +114,37 @@ class MarkSampler:
             raise InvalidModelError("mark density vanishes on the sampling interval")
         self.interval = (lo, hi)
         self._zs = zs
-        self._cdf = cdf / self.mass
+        self._cdf = cdf = cdf / self.mass
+        levels = np.arange(GUIDE_BUCKETS) / GUIDE_BUCKETS
+        self._guide = np.searchsorted(cdf, levels, "right") - 1
+        self._upper = cdf[1:]  # the right end of each cell
+        with np.errstate(divide="ignore"):  # flat CDF cells, never interpolated in
+            self._slope = np.diff(zs) / np.diff(cdf)
 
     def invert(self, uniforms: np.ndarray) -> np.ndarray:
-        """Marks at the given CDF levels in [0, 1]."""
-        return np.interp(uniforms, self._cdf, self._zs)
+        """Marks at the given CDF levels in [0, 1].
+
+        A 1-d array of levels in [0, 1) goes through the guide table; the cell
+        j is the last node with cdf[j] <= u, as in `np.interp`'s search, and
+        the mark is slope[j] * (u - cdf[j]) + z[j], or z[j] where u hits the
+        node, as in `np.interp`.  Other input (1.0, NaN, other shapes) is left
+        to `np.interp` itself.
+        """
+        u = np.asarray(uniforms, dtype=float)
+        if u.ndim != 1 or u.size == 0 or not (u.min() >= 0.0 and u.max() < 1.0):
+            return np.interp(u, self._cdf, self._zs)
+        upper = self._upper
+        # u * G is exact (G is a power of two), so guide[b] <= j for b = floor(u G)
+        j = self._guide[(u * GUIDE_BUCKETS).astype(np.intp)]
+        j += upper[j] <= u
+        j += upper[j] <= u
+        far = upper[j] <= u
+        if far.any():
+            j[far] = np.searchsorted(self._cdf, u[far], "right") - 1
+        at = self._cdf[j]
+        zj = self._zs[j]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.where(at == u, zj, self._slope[j] * (u - at) + zj)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self.invert(rng.uniform(0.0, 1.0, size))
@@ -221,6 +262,12 @@ def _candidate_frame(coeffs: CoefficientSet, trunc: int, couple_top: int | None)
     return sampler, active, ubar, ubar * sampler.mass
 
 
+def _check_finite_horizon(t_end: float) -> None:
+    # every candidate lands before an infinite horizon: the run never ends
+    if math.isinf(t_end):
+        raise ContractError(f"the horizon must be finite, got {t_end!r}")
+
+
 def _check_drift_index(coeffs: CoefficientSet, i: int) -> None:
     if i < (i0 := coeffs.min_drift_index()):
         raise ContractError(f"drift index {i} below the contraction threshold {i0}")
@@ -264,14 +311,20 @@ def _thinning(
     from `_candidate_frame`; `i` selects the drift-poissonized chain (None:
     the exact flow); `filter_n` fills `kept` from the n-th filtered kernel.
 
-    The alive runs stay in order, so each chunk's share of a round is one
-    slice.  Per round, every chunk with alive runs draws from its own
-    generator, each sized by its alive count: gaps, [kick w], mark uniforms,
-    u, v.  A chunk's draws are therefore the same however chunks are
-    grouped, and a batch of one on a caller's generator is the same run as
-    inside a batch.  After the states are updated, `on_round` gets the
-    round's `_Round` (a callback, so no round's arrays outlive the next
-    round's); a true return stops the engine, and its draws, there.
+    The engine holds ids, clocks and states for the alive runs only, in run
+    order, and filters all three by `landed` after each round; each chunk's
+    share of a round is the slice `searchsorted(ids, offsets)` gives.  A
+    run's terminal state is written into `x` once: when its candidate does
+    not land, or when `on_round` stops the engine.  Per round, every chunk
+    with alive runs draws from its own generator, each sized by its alive
+    count: gaps, [kick w], mark uniforms, u, v.  A chunk's draws are
+    therefore the same however chunks are grouped, and a batch of one on a
+    caller's generator is the same run as inside a batch.  After the states
+    are updated, `on_round` gets the round's `_Round` (a callback, so no
+    round's arrays outlive the next round's); a true return stops the
+    engine, and its draws, there.  Compaction only moves values, it never
+    recomputes them, so each run's arithmetic and bytes do not depend on
+    which other runs are still alive.
     """
     if not t_end >= 0.0:
         raise ContractError(f"the horizon must be >= 0, got {t_end!r}")
@@ -283,12 +336,15 @@ def _thinning(
         return
     offsets = np.cumsum([0] + list(sizes))
     total = lam if i is None else float(i) + lam
+    ids = np.arange(m)  # the alive runs, in run order, with their clocks and states
     t = np.zeros(m)
-    idx = np.arange(m)
-    while idx.size:
-        n = idx.size
-        bounds = np.searchsorted(idx, offsets)
-        gaps, wkick, uni, u, v = np.empty((5, n))
+    xs = x.copy()
+    while ids.size:
+        n = ids.size
+        bounds = np.searchsorted(ids, offsets)
+        draws = np.empty((4 if i is None else 5, n))
+        gaps, uni, u, v = draws[:4]
+        wkick = draws[4] if i is not None else None
         for gen, lo, hi in zip(gens, bounds[:-1], bounds[1:]):
             k = hi - lo
             if k == 0:
@@ -301,16 +357,16 @@ def _thinning(
             u[lo:hi] = gen.uniform(0.0, ubar, k)
             v[lo:hi] = gen.uniform(0.0, 1.0, k)
         z = sampler.invert(uni) if sampler is not None else np.full(n, np.nan)
-        t_next = t[idx] + gaps
+        t_next = t + gaps
         landed = t_next <= t_end
-        if i is None:
-            seg = np.minimum(t_next, t_end) - t[idx]
-            starts = bounds[:-1][np.diff(bounds) > 0]
-            pre = _drift_flow_batch(coeffs, x[idx], seg, opts, starts)
-            kick = np.zeros(n, dtype=bool)
-        else:
-            pre = x[idx].copy()
+        pre = xs
+        kick = np.zeros(n, dtype=bool)
+        if i is not None:
             kick = landed & (wkick <= i / total)
+        elif not coeffs.b.is_zero:
+            seg = np.minimum(t_next, t_end) - t
+            starts = bounds[:-1][np.diff(bounds) > 0]
+            pre = _drift_flow_batch(coeffs, xs, seg, opts, starts)
         gam = np.asarray(coeffs.gamma.value(pre), dtype=float)
         _check_rate_bound(gam[landed], ubar)
         in_window = (z >= active[0]) & (z <= active[1])
@@ -325,11 +381,18 @@ def _thinning(
             post[kick] = pre[kick] + np.asarray(coeffs.b.value(pre[kick]), dtype=float) / i
         if not np.all(np.isfinite(post)) or np.max(np.abs(post)) > BLOW_UP:
             raise BlowUpError("state blew up at a thinning candidate")
-        x[idx] = post
-        t[idx] = np.minimum(t_next, t_end)
-        if on_round(_Round(idx, t_next, landed, kick, in_window, acc, kept, pre, post, z, u, v)):
+        if on_round(_Round(ids, t_next, landed, kick, in_window, acc, kept, pre, post, z, u, v)):
+            x[ids] = post
             return
-        idx = idx[landed]
+        # a run whose candidate did not land has drifted to t_end: write it
+        # out, and move the others to the front of the alive-state buffers
+        done = ~landed
+        x[ids[done]] = post[done]
+        alive = n - int(np.count_nonzero(done))
+        ids[:alive] = ids[landed]
+        t[:alive] = t_next[landed]
+        xs[:alive] = post[landed]
+        ids, t, xs = ids[:alive], t[:alive], xs[:alive]
 
 
 def _single_path(
@@ -337,6 +400,7 @@ def _single_path(
 ) -> Trajectory:
     """A batch of one of the thinning engine on `rng`, its landed candidates
     recorded as events."""
+    _check_finite_horizon(t_end)
     frame = _candidate_frame(coeffs, trunc, couple_top)
     x = np.array([float(x0)])
     events: list[JumpEvent] = []
@@ -456,10 +520,11 @@ def simulate_batch(
     (for matching a spread-out initial density).  Set `i` for the
     drift-poissonized chain, None for the exact flow.  When `filter_n` is
     given, `tau` holds the first time each run's jumps passed the n-th
-    filtered kernel (inf if none did).  The 32 chunks are split into
-    `threads` contiguous groups, one worker each; results are byte-identical
-    for any `threads` value under a fixed RngSpec.
+    filtered kernel (inf if none did).  `t_end` must be finite.  The 32
+    chunks are split into `threads` contiguous groups, one worker each;
+    results are byte-identical for any `threads` value under a fixed RngSpec.
     """
+    _check_finite_horizon(t_end)
     if runs < 1:
         raise ContractError("batch needs at least one run")
     if threads < 1:
@@ -485,8 +550,9 @@ def simulate_batch(
 
         def on_round(r: _Round) -> None:
             jumps[r.idx[r.acc]] += 1
-            hit = r.idx[r.kept]
-            tau[hit] = np.minimum(tau[hit], r.t_next[r.kept])
+            if filter_n is not None:
+                hit = r.idx[r.kept]
+                tau[hit] = np.minimum(tau[hit], r.t_next[r.kept])
 
         gens = [rng_spec.chunk_generator(int(c)) for c in chunks]
         _thinning(coeffs, x, t_end, gens, [sizes[c] for c in chunks], frame, i, opts,

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
+from jumpsmooth import cli
 from jumpsmooth.cli import main
 
 
@@ -182,6 +183,32 @@ def test_out_of_range_stanza_values_exit_2(tmp_path, capsys, command, stanza, ke
     err = capsys.readouterr().err
     assert "config error" in err and f"{stanza}: {message}" in err
     assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("stanza", ["simulation", "evolution", "diagnostics"])
+def test_infinite_horizon_exits_2(tmp_path, capsys, stanza):
+    # an infinite t_end used to pass, and simulate or certify then never
+    # returned; `check` loads every stanza but runs none of them
+    cfg = _base_config(tmp_path / "out")
+    cfg[stanza]["t_end"] = math.inf
+    assert main(["check", "--config", _write(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{stanza}: t_end must be finite" in err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_save_columns_writes_the_bytes_of_savetxt(tmp_path):
+    # header line, %.17g rows, inf, nan and -0.0, and more rows than one block
+    rng = np.random.default_rng(5)
+    rows = cli.SAVE_BLOCK_ROWS * 2 + 3
+    d0 = rng.normal(size=rows)
+    d0[[0, 7, rows - 1]] = [np.inf, -np.inf, np.nan]
+    columns = {"y": np.linspace(-1.0, 1.0, rows), "d0": d0, "d1": np.full(rows, -0.0)}
+    for cols in (columns, {"terminal": d0}):
+        cli._save_columns(tmp_path / "fast.txt", cols)
+        data = np.column_stack(list(cols.values()))
+        np.savetxt(tmp_path / "ref.txt", data, fmt="%.17g", header=" ".join(cols))
+        assert (tmp_path / "fast.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
 
 
 def test_simulate_seed_override(tmp_path):

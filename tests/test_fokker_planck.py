@@ -238,7 +238,8 @@ def test_evolve_and_picard_build_the_operator_once(wobble_model, monkeypatch):
 
 def test_norm_growth_audit_runs_one_euler_pass_per_index(wobble_model, monkeypatch):
     # one pass at i and one at 2 i, at the stable step and without the dt/2
-    # companion; every other config field reaches the passes unchanged
+    # companion; every other config field reaches the passes unchanged (a set
+    # dt is refused, see test_norm_growth_audit_refuses_a_set_dt)
     calls = []
     euler = js.fokker_planck._euler
 
@@ -248,11 +249,11 @@ def test_norm_growth_audit_runs_one_euler_pass_per_index(wobble_model, monkeypat
 
     monkeypatch.setattr(js.fokker_planck, "_euler", counting)
     init = js.gaussian_density((-8.0, 8.0), 256, order=2, sigma=0.8)
-    cfg = js.EvolutionConfig(i=8, dt=1e-3, trunc=3, quad_nodes=128, mass_tol=1e-3)
+    cfg = js.EvolutionConfig(i=8, trunc=3, quad_nodes=128, mass_tol=1e-3)
     report = js.norm_growth_audit(wobble_model, init, 0.3, cfg, checkpoints=6)
     assert report["status"] == "ok"
     assert [c[0] for c in calls] == [
-        dataclasses.replace(cfg, i=8, dt=None), dataclasses.replace(cfg, i=16, dt=None)
+        dataclasses.replace(cfg, i=8), dataclasses.replace(cfg, i=16)
     ]
     assert all(dt == stable and snaps == 7 for _, dt, stable, snaps in calls)
 
@@ -308,6 +309,15 @@ def test_norm_growth_audit_smooth_model(wobble_model):
     assert rep["passed"]
     assert rep["envelope_ok_i"] and rep["envelope_ok_2i"]
     assert rep["rate_stable"]
+
+
+def test_norm_growth_audit_refuses_a_set_dt(wobble_model):
+    # both runs take the stable step; a set dt (even -5.0) used to be ignored
+    init = js.gaussian_density((-8.0, 8.0), 256, order=2, sigma=0.8)
+    for dt in (-5.0, 1e-3):
+        cfg = js.EvolutionConfig(i=8, trunc=3, dt=dt)
+        with pytest.raises(js.ContractError, match="stable step"):
+            js.norm_growth_audit(wobble_model, init, 0.6, cfg)
 
 
 def test_norm_growth_audit_reports_numerical_failure():

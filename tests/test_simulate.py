@@ -34,6 +34,14 @@ def _drift_model(b, gamma=0.0):
     )
 
 
+def _gapped_collapse(collapse_model):
+    """The collapse model with marks only on [1, 2) and [3, 5): its mark CDF
+    is flat on (0, 1), (2, 3) and (5, 6)."""
+    density = js.FunctionSum(js.Indicator(1.0, 2.0, 1.0), js.Indicator(3.0, 5.0, 0.5))
+    q = js.JumpMeasureSpec((0.0, np.inf), density, (6.0,))
+    return dataclasses.replace(collapse_model, q=q)
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
@@ -73,7 +81,9 @@ def test_batch_thread_count_does_not_change_results(wobble_model):
 
 
 # sha256 of the batch outputs, recorded before the chunks were advanced in
-# lockstep; every thread count must reproduce them byte for byte
+# lockstep (the exact_power and exact_collapse pins: before the engine kept
+# only the alive runs' state and inverted marks through a guide table); every
+# thread count must reproduce them byte for byte
 PINNED_BATCHES = {
     "exact_drift": {
         "terminal": "322b6dd5b1014e7920c09a9c468a2c323a7624ff251a33a368670f3aea247178",
@@ -87,6 +97,14 @@ PINNED_BATCHES = {
         "terminal": "14eb02546afc10f44f94db565621dfdfecc98c739cbd82a1678f997d0463a20b",
         "jumps": "3d399fb6531387a90cbc8fe1022f3f22ceb7dd0f6642e57a18f04dbfbc80e7c5",
     },
+    "exact_power": {
+        "terminal": "2bd38a89695c28d2c9f661be7590e4dac674e567b111ef667a1682a44f804c1a",
+        "jumps": "1220e0af552573da477d87bb6a9a3767fabfa13dfd9c98f9025cd6b36bf0c1e0",
+    },
+    "exact_collapse": {
+        "terminal": "e38d2bf72824462ea4bdeba7cb75b2bd2824ee1a9b4a409af84285512c9c455d",
+        "jumps": "476391da5f84883cc80b7876a93175e345a7ce75390a33cba4ba365a10935400",
+    },
     "filtered": {
         "terminal": "4526f29297149cdef45d13b7720115cc571e5e8784aedf65de6c09a3111b1adf",
         "jumps": "e0156def8a4ad6aa81b8c3a11ebf810860c59a84e47e08382e5030b6c3bea51c",
@@ -97,7 +115,9 @@ PINNED_BATCHES = {
 
 @pytest.mark.parametrize("threads", [1, 2, 3, 5])
 @pytest.mark.parametrize("case", sorted(PINNED_BATCHES))
-def test_batch_outputs_pinned(case, threads, wobble_model, exp_unit_model):
+def test_batch_outputs_pinned(
+    case, threads, wobble_model, exp_unit_model, power_model, collapse_model
+):
     if case == "exact_drift":  # chunks need different RK4 step counts
         out = js.simulate_batch(wobble_model, 0.2, 1.5, 1, js.RngSpec(2024), 645, threads=threads)
     elif case == "exact_sparse":  # fewer runs than chunks: most chunks are empty
@@ -106,6 +126,13 @@ def test_batch_outputs_pinned(case, threads, wobble_model, exp_unit_model):
         out = js.simulate_batch(
             wobble_model, np.linspace(-1.0, 1.0, 2000), 1.5, 2, js.RngSpec(2025), 2000,
             i=8, threads=threads,
+        )
+    elif case == "exact_power":  # zero drift, 40-wide mark window: about 60 rounds
+        out = js.simulate_batch(power_model, 0.0, 1.5, 2, js.RngSpec(2027), 1500, threads=threads)
+    elif case == "exact_collapse":  # flat stretches in the mark CDF, an atom at 0
+        out = js.simulate_batch(
+            _gapped_collapse(collapse_model), 0.5, 1.5, 1, js.RngSpec(2028), 1500,
+            threads=threads,
         )
     else:
         kd = js.make_kernels(exp_unit_model, (2,), theta=4.2)
@@ -220,6 +247,30 @@ def test_mark_sampler_restricted_exponential():
     assert pval > 0.01
 
 
+@pytest.mark.parametrize("law", ["wobble", "power", "collapse", "gapped", "steep"])
+def test_mark_sampler_invert_is_np_interp_bit_for_bit(
+    law, wobble_model, power_model, collapse_model
+):
+    # the guide table must find np.interp's cell and repeat its arithmetic:
+    # flat CDF stretches (gapped), cells crowded into few buckets (steep,
+    # where the binary-search fallback runs), exact node hits, u = 0; u = 1
+    # and 2-d input go to np.interp itself
+    steep = js.JumpMeasureSpec((0.0, np.inf), js.ExpDecay(1.0, 8.0), (6.0,))
+    spec, interval = {
+        "wobble": (wobble_model.q, wobble_model.q.trunc_interval(3)),
+        "power": (power_model.q, power_model.q.trunc_interval(2)),
+        "collapse": (collapse_model.q, collapse_model.q.trunc_interval(1)),
+        "gapped": (_gapped_collapse(collapse_model).q, (0.0, 6.0)),
+        "steep": (steep, (0.0, 6.0)),
+    }[law]
+    sampler = js.MarkSampler(spec, interval)
+    cdf, zs = sampler._cdf, sampler._zs
+    u = js.RngSpec(71).generator().uniform(0.0, 1.0, 1_000_000)
+    u[: cdf.size - 1] = cdf[:-1]  # every node below 1, u = 0 among them
+    for levels in (u, u[:1], np.array([0.0, 1.0, 0.5, 1.0]), u[:4096].reshape(64, 64)):
+        assert sampler.invert(levels).tobytes() == np.interp(levels, cdf, zs).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # degenerate rates and drift surrogates
 # ---------------------------------------------------------------------------
@@ -307,6 +358,24 @@ def test_thinning_rejects_negative_horizon(wobble_model, exp_unit_model):
     kd = js.make_kernels(exp_unit_model, (2, 3), theta=4.2)
     with pytest.raises(js.ContractError, match="horizon"):
         js.sample_tau_n(exp_unit_model, kd, 0.0, 2, -1.0, 1, js.RngSpec(3).generator())
+
+
+def test_infinite_horizon_is_refused_at_once(exp_unit_model):
+    # every candidate lands before an infinite horizon, so batches and single
+    # paths never returned.  These models end quickly even unchecked: no jumps
+    # and no drift, or kicks that blow up
+    still = _drift_model(js.constant(0.0))
+    with pytest.raises(js.ContractError, match="finite"):
+        js.simulate_batch(still, 0.0, math.inf, 1, js.RngSpec(3), 64)
+    with pytest.raises(js.ContractError, match="finite"):
+        js.simulate_exact(still, 0.0, math.inf, 1, js.RngSpec(3).generator())
+    growth = _drift_model(js.Affine(0.0, 1.0))
+    with pytest.raises(js.ContractError, match="finite"):
+        js.simulate_poissonized(growth, 1.0, math.inf, 2, 1, js.RngSpec(3).generator())
+    # sample_tau_n may still wait as long as it takes for its first kept jump
+    kd = js.make_kernels(exp_unit_model, (2,), theta=4.2)
+    rec = js.sample_tau_n(exp_unit_model, kd, 0.0, 2, math.inf, 1, js.RngSpec(3).generator())
+    assert rec is not None and math.isfinite(rec.tau)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1e-3, math.nan, math.inf])
@@ -642,6 +711,19 @@ def test_estimate_density_matches_direct_sum():
     size = np.trapezoid(np.abs(ref), dens.grid, axis=1)
     assert gap[0] <= 1e-4
     assert np.all(gap[1:] <= 1e-3 * size[1:])
+
+
+def test_batch_memory_holds_only_the_alive_runs(collapse_model):
+    # the engine keeps ids, clocks and states for the alive runs only and
+    # writes each terminal state once; the engine that gathered from and
+    # scattered into full-size arrays every round peaked at 38.7 MB here
+    tracemalloc.start()
+    try:
+        js.simulate_batch(collapse_model, 0.5, 1.5, 1, js.RngSpec(70), 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 39e6
 
 
 def test_estimate_density_memory_does_not_scale_with_nodes_times_samples():
