@@ -46,7 +46,7 @@ from .errors import (
     MassBracketError,
     ResolutionError,
 )
-from .model import CoefficientSet, gauss_panels
+from .model import CoefficientSet, _envelope, _frame, gauss_panels
 from .fokker_planck import GridDensity
 from .presets import SmoothstepBump
 
@@ -80,17 +80,6 @@ class CutoffFamily:
         ramp = make_cutoff(1, self.order)
         vals = ramp.derivative(1.0 + u, l)
         return float(np.max(np.abs(vals)))
-
-
-def _frame(coeffs: CoefficientSet, y):
-    """Scaled-coordinate frame at state(s) y: (gamma, a, sigma), broadcast
-    over y.  w(z) = gamma * sigma * (z - a); marks extend in the sigma
-    direction.  The rate must be positive: it scales the coordinate."""
-    gam = np.asarray(coeffs.gamma.value(y), dtype=float)
-    if not np.all(np.isfinite(gam) & (gam > 0.0)):
-        raise InvalidModelError(f"jump rate must be positive for kernels; gamma({y})={gam}")
-    a = np.asarray(coeffs.q.endpoint_fn().value(y), dtype=float)
-    return gam, a, coeffs.q.direction
 
 
 def _mass_panels(n: int) -> list[tuple[float, float, int]]:
@@ -259,7 +248,8 @@ def kernel_sobolev_audit(
     l = 0..k through the scaled-coordinate parametrization, forms the ratio
     norm/mass, and fits the exponential profile in n.  The declared budget
     theta passes when the tail half of the n-range stays within twice the
-    head half's envelope constant (same rule as the inversion-budget audit).
+    head half's envelope constant (`model._envelope`, the rule of the
+    inversion-budget audit too).
     A refinement check recomputes the worst entry at doubled quadrature.
     """
     y_grid = np.asarray(y_grid, dtype=float)
@@ -276,16 +266,9 @@ def kernel_sobolev_audit(
             norm[jn, jy] = float(np.sum(norms))
             table[jn, jy] = norm[jn, jy] / mass
 
-    weight = 1.0 + np.abs(y_grid) ** coeffs.p
-    per_n = np.max(table / weight[None, :], axis=1)
+    per_n, _, _, fitted_c, passed, iw = _envelope(table, y_grid, coeffs.p, n_values, theta)
     ns = np.asarray(n_values, dtype=float)
     slope_fit, intercept = np.polyfit(ns, np.log(np.maximum(per_n, 1e-300)), 1)
-    enveloped = per_n * np.exp(-theta * ns)
-    half = max(1, len(n_values) // 2)
-    head, tail = float(np.max(enveloped[:half])), float(np.max(enveloped[half:]))
-    passed = tail <= 2.0 * head
-
-    iw = np.unravel_index(np.argmax(table / weight[None, :]), table.shape)
     worst_y, worst_n = float(y_grid[iw[1]]), n_values[iw[0]]
     norm_coarse = float(norm[iw])
     norm_fine = float(np.sum(_Kernel(coeffs, worst_y, worst_n, cutoff_order).integrals(k, 2)[0]))
@@ -296,7 +279,7 @@ def kernel_sobolev_audit(
         "passed": bool(passed),
         "theta": float(theta),
         "fitted_theta": float(slope_fit),
-        "fitted_C": float(np.max(enveloped)),
+        "fitted_C": fitted_c,
         "per_n_ratio": [float(v) for v in per_n],
         "n_values": n_values,
         "ratio_table": table.tolist(),

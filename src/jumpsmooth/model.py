@@ -297,23 +297,15 @@ def _pair_grids(y_grid, z_grid):
     return y[:, None], z[None, :]
 
 
-def check_S(
-    coeffs: CoefficientSet,
-    y_grid=None,
-    z_grid=None,
-    tol: float | None = None,
-) -> AssumptionReport:
-    """Slope audit: min over the grid of 1 + dh/dy must exceed tol.
+def check_S(coeffs: CoefficientSet) -> AssumptionReport:
+    """Slope audit: min over the audit grid of 1 + dh/dy must exceed c0_tol.
 
     A positive verdict certifies (on the grid) that y -> y + h(y, z) is
     strictly increasing, which is what every inverse-map computation and the
     density transport rely on.
     """
-    if y_grid is None:
-        y_grid = coeffs.y_audit_grid()
-    if z_grid is None:
-        z_grid = coeffs.z_audit_grid()
-    tol = coeffs.c0_tol if tol is None else float(tol)
+    y_grid, z_grid = coeffs.y_audit_grid(), coeffs.z_audit_grid()
+    tol = coeffs.c0_tol
     yy, zz = _pair_grids(y_grid, z_grid)
     slope = 1.0 + np.asarray(coeffs.h.dy(yy, zz, 1), dtype=float)
     if not np.all(np.isfinite(slope)):
@@ -334,12 +326,7 @@ def check_S(
     return report
 
 
-def check_A(
-    coeffs: CoefficientSet,
-    y_grid=None,
-    z_grid=None,
-    quadrature: QuadratureSpec | None = None,
-) -> AssumptionReport:
+def check_A(coeffs: CoefficientSet, quadrature: QuadratureSpec | None = None) -> AssumptionReport:
     """Smoothness-budget audit for orders 0..k.
 
     Fails when some y-derivative of h escapes the declared bound eta on the
@@ -348,10 +335,7 @@ def check_A(
     below k (listed under ``details["smooth_order_below_k"]``).  Non-finite
     coefficient values raise immediately.
     """
-    if y_grid is None:
-        y_grid = coeffs.y_audit_grid()
-    if z_grid is None:
-        z_grid = coeffs.z_audit_grid()
+    y_grid, z_grid = coeffs.y_audit_grid(), coeffs.z_audit_grid()
     quadrature = quadrature or QuadratureSpec()
     yy, zz = _pair_grids(y_grid, z_grid)
 
@@ -414,11 +398,40 @@ def check_A(
     )
 
 
+def _frame(coeffs: CoefficientSet, y):
+    """Scaled-coordinate frame at state(s) y: (gamma, a, sigma), broadcast
+    over y.  w(z) = gamma * sigma * (z - a); marks extend in the sigma
+    direction.  The rate must be positive: it scales the coordinate."""
+    gam = np.asarray(coeffs.gamma.value(y), dtype=float)
+    if not np.all(np.isfinite(gam) & (gam > 0.0)):
+        raise InvalidModelError(f"jump rate must be positive for kernels; gamma({y})={gam}")
+    a = np.asarray(coeffs.q.endpoint_fn().value(y), dtype=float)
+    return gam, a, coeffs.q.direction
+
+
+def _envelope(table: np.ndarray, y: np.ndarray, p: float, ns, theta: float):
+    """The exponential-budget rule of the kernel audits, on a table of
+    constants with one row per kernel index in `ns` and one column per state
+    in `y`.  Each column is divided by 1 + |y|^p, each row's maximum is
+    enveloped by e^(-theta n), and the budget holds when the tail half of
+    the n-range stays within twice the head half's maximum.
+
+    Returns (per_n, head, tail, fitted_C, passed, worst), with `worst` the
+    (row, column) of the largest weighted entry.
+    """
+    scaled = table / (1.0 + np.abs(y) ** p)[None, :]
+    per_n = np.max(scaled, axis=1)
+    enveloped = per_n * np.exp(-theta * np.asarray(ns, dtype=float))
+    half = max(1, len(ns) // 2)
+    head, tail = float(np.max(enveloped[:half])), float(np.max(enveloped[half:]))
+    worst = np.unravel_index(np.argmax(scaled), scaled.shape)
+    return per_n, head, tail, float(np.max(enveloped)), tail <= 2.0 * head, worst
+
+
 def check_B(
     coeffs: CoefficientSet,
     n_max: int,
     theta: float,
-    y_grid=None,
     quadrature: QuadratureSpec | None = None,
 ) -> AssumptionReport:
     """Inversion-budget audit for the regularizing kernels.
@@ -436,22 +449,16 @@ def check_B(
         raise ContractError("check_B needs n_max >= 2")
     if theta < 0:
         raise ContractError("theta must be >= 0")
-    if y_grid is None:
-        y_grid = coeffs.y_audit_grid()
     quadrature = quadrature or QuadratureSpec()
-    y = np.asarray(y_grid, dtype=float)
-    endpoint = coeffs.q.endpoint_fn()
+    y = coeffs.y_audit_grid()
 
     values = np.zeros((n_max, y.size))
     density_floor = np.inf
     for j, yj in enumerate(y):
-        gam = float(coeffs.gamma.value(yj))
-        if not np.isfinite(gam) or gam <= 0:
-            raise InvalidModelError(f"jump rate not positive at y={yj}")
-        a = float(endpoint.value(yj))
+        gam, a, sigma = (float(v) for v in _frame(coeffs, yj))
         for n in range(1, n_max + 1):
             width = n / gam
-            lo, hi = sorted((a, a + coeffs.q.direction * width))
+            lo, hi = sorted((a, a + sigma * width))
             z, w = gauss_panels(lo, hi, quadrature.nodes, quadrature.panels)
             slope = np.abs(np.asarray(coeffs.h.dz(yj, z, 1), dtype=float))
             if np.any(slope < 1e-12):
@@ -463,18 +470,10 @@ def check_B(
             rho = np.asarray(coeffs.q.density.value(z), dtype=float)
             density_floor = min(density_floor, float(np.min(rho)))
 
-    weight = 1.0 + np.abs(y) ** coeffs.p
-    per_n = np.max(values / weight[None, :], axis=1)
-    ns = np.arange(1, n_max + 1)
-    enveloped = per_n * np.exp(-theta * ns)
-    half = max(1, n_max // 2)
-    head = float(np.max(enveloped[:half]))
-    tail = float(np.max(enveloped[half:]))
-    fitted_c = float(np.max(enveloped))
-    budget_ok = tail <= 2.0 * head
+    per_n, head, tail, fitted_c, budget_ok, iworst = _envelope(
+        values, y, coeffs.p, range(1, n_max + 1), theta
+    )
     lebesgue_ok = density_floor >= 1.0 - 1e-9
-
-    iworst = np.unravel_index(np.argmax(values / weight[None, :]), values.shape)
     return AssumptionReport(
         name="inversion_budget",
         passed=bool(budget_ok and lebesgue_ok),

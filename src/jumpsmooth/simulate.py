@@ -7,9 +7,11 @@ state-dependent rate and G the mark window.  Each carries a mark z ~ q|_G, a
 rate variable u uniform on (0, ubar) and a filter variable v uniform on
 (0, 1), and becomes a jump when u <= gamma(X-).  v is drawn whether or not a
 filtered kernel is checked, so filtered and plain runs can be coupled.
-Between candidates the state follows the drift flow (fixed-step RK4); the
-drift-poissonized chain, whose density evolution the adjoint solver mirrors,
-replaces the flow with kicks b(X)/i at rate i.
+Between candidates the state follows the drift flow: each run takes
+ceil(segment / max_step) equal RK4 steps on each of its segments, so its
+steps depend on that run alone.  The drift-poissonized chain, whose density
+evolution the adjoint solver mirrors, replaces the flow with kicks b(X)/i at
+rate i.
 
 Random streams fan out into 32 Philox substreams per (seed, stream) pair, one
 per chunk of a batch's runs.  The engine advances a group of chunks in
@@ -43,7 +45,6 @@ from .kernels import KernelDecomposition
 from .model import CoefficientSet
 
 N_CHUNKS = 32  # fixed RNG fan-out; results do not depend on thread count
-MIN_SUBSTEPS = 8  # RK4 steps of a chunk's drift segment, at least
 BLOW_UP = 1e8  # |state| beyond this is a blow-up
 FLOOR_MULT = 3.0  # a usable CF magnitude stands this many 1/sqrt(N) clear of 0
 GUIDE_BUCKETS = 4096  # level bins of the mark sampler's guide table; a power of two
@@ -73,8 +74,8 @@ class RngSpec:
 class OdeOptions:
     """Fixed-step RK4 control for the drift flow between candidates.
 
-    ``max_step`` bounds the RK4 step and must be positive and finite; a
-    chunk's segment takes at least MIN_SUBSTEPS steps.
+    ``max_step`` bounds the RK4 step and must be positive and finite: each
+    run takes ceil(segment / max_step) equal steps on each of its segments.
     """
 
     max_step: float = 1e-3
@@ -202,48 +203,36 @@ def _check_rate_bound(gam_pre, ubar: float) -> None:
         )
 
 
-def _drift_flow_batch(
-    coeffs, x: np.ndarray, seg: np.ndarray, opts: OdeOptions, starts
-) -> np.ndarray:
+def _drift_flow_batch(coeffs, x: np.ndarray, seg: np.ndarray, opts: OdeOptions) -> np.ndarray:
     """RK4 flow of each run over its own segment length.
 
-    `starts` are the offsets where each chunk's runs begin (all non-empty).
-    A chunk takes max(MIN_SUBSTEPS, ceil(longest / max_step)) steps, shared by
-    its runs so that each run's step hstep = seg / steps depends only on its
-    chunk; the sweep runs to the largest count and moves only the runs whose
-    chunk still has steps left.
+    Run r takes ceil(seg_r / max_step) equal steps, so its arithmetic depends
+    on its own segment alone.  The runs are sorted once, most steps first, so
+    the runs still moving in each sweep are a prefix of the sorted arrays.
     """
     if x.size == 0 or coeffs.b.is_zero:
         return x
-    starts = np.asarray(starts, dtype=np.intp)
-    longest = np.maximum.reduceat(seg, starts)
-    chunk_steps = np.where(
-        longest > 0.0,
-        np.maximum(MIN_SUBSTEPS, np.ceil(longest / opts.max_step)),
-        0.0,
-    ).astype(np.int64)
-    steps = np.repeat(chunk_steps, np.diff(np.append(starts, x.size)))
-    hstep = seg / np.maximum(steps, 1)
+    steps = np.ceil(seg / opts.max_step).astype(np.int64)
+    order = np.argsort(-steps)
+    steps = steps[order]
+    hs = seg[order] / np.maximum(steps, 1)
+    xs = x[order]
+    # sweep k moves the runs with more than k steps: the first moving[k]
+    moving = steps.size - np.searchsorted(steps[::-1], np.arange(steps[0]), "right")
     b = coeffs.b.value
-    x = x.copy()
-    done = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for level in np.unique(chunk_steps):
-            if level <= done:
-                continue
-            moving = steps > done
-            xs, hs = x[moving], hstep[moving]
-            for _ in range(level - done):
-                k1 = np.asarray(b(xs), dtype=float)
-                k2 = np.asarray(b(xs + 0.5 * hs * k1), dtype=float)
-                k3 = np.asarray(b(xs + 0.5 * hs * k2), dtype=float)
-                k4 = np.asarray(b(xs + hs * k3), dtype=float)
-                xs = xs + hs * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-            x[moving] = xs
-            done = int(level)
-    if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > BLOW_UP:
+        for m in moving:
+            xm, hm = xs[:m], hs[:m]
+            k1 = np.asarray(b(xm), dtype=float)
+            k2 = np.asarray(b(xm + 0.5 * hm * k1), dtype=float)
+            k3 = np.asarray(b(xm + 0.5 * hm * k2), dtype=float)
+            k4 = np.asarray(b(xm + hm * k3), dtype=float)
+            xs[:m] = xm + hm * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    if not np.all(np.isfinite(xs)) or np.max(np.abs(xs)) > BLOW_UP:
         raise BlowUpError("drift flow left the finite range in a batch segment")
-    return x
+    out = np.empty_like(xs)
+    out[order] = xs
+    return out
 
 
 def _candidate_frame(coeffs: CoefficientSet, trunc: int, couple_top: int | None):
@@ -331,8 +320,7 @@ def _thinning(
     sampler, active, ubar, lam = frame
     m = x.size
     if lam == 0.0 and i is None:  # no jumps, no kicks: one drift segment
-        # every chunk's longest segment is t_end, so one step count fits all
-        x[:] = _drift_flow_batch(coeffs, x, np.full(m, t_end), opts, [0])
+        x[:] = _drift_flow_batch(coeffs, x, np.full(m, t_end), opts)
         return
     offsets = np.cumsum([0] + list(sizes))
     total = lam if i is None else float(i) + lam
@@ -365,8 +353,7 @@ def _thinning(
             kick = landed & (wkick <= i / total)
         elif not coeffs.b.is_zero:
             seg = np.minimum(t_next, t_end) - t
-            starts = bounds[:-1][np.diff(bounds) > 0]
-            pre = _drift_flow_batch(coeffs, xs, seg, opts, starts)
+            pre = _drift_flow_batch(coeffs, xs, seg, opts)
         gam = np.asarray(coeffs.gamma.value(pre), dtype=float)
         _check_rate_bound(gam[landed], ubar)
         in_window = (z >= active[0]) & (z <= active[1])

@@ -273,6 +273,14 @@ def test_inversion_budget_argument_validation(exp_unit_model):
         js.check_B(exp_unit_model, n_max=4, theta=-0.5)
 
 
+def test_inversion_budget_refuses_nonpositive_rate():
+    # gamma(y) = y is negative on half the audit window: no kernel frame there
+    m = _model(((js.constant(1.0), js.Affine(0.0, 1.0)),), js.constant(1.0),
+               window=(-2.0, 2.0), gamma=js.Affine(0.0, 1.0))
+    with pytest.raises(js.InvalidModelError, match="jump rate must be positive"):
+        js.check_B(m, n_max=4, theta=1.0)
+
+
 def test_audits_mirror_for_left_support(exp_unit_model):
     # h = e^{z} on z < 0 is the mirror image of exp_unit's h = e^{-z} on z > 0
     h = js.JumpAmplitude(((js.constant(1.0), js.ExpDecay(1.0, -1.0)),))

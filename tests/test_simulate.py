@@ -13,6 +13,7 @@ from scipy import stats
 
 import jumpsmooth as js
 from jumpsmooth import kernels as kernels_module
+from jumpsmooth.simulate import _drift_flow_batch
 
 
 def _thin_model(rate_fn=None, amp=0.01, trunc=(2.0,), window=(-6.0, 6.0), b=None):
@@ -82,11 +83,12 @@ def test_batch_thread_count_does_not_change_results(wobble_model):
 
 # sha256 of the batch outputs, recorded before the chunks were advanced in
 # lockstep (the exact_power and exact_collapse pins: before the engine kept
-# only the alive runs' state and inverted marks through a guide table); every
+# only the alive runs' state and inverted marks through a guide table; the
+# exact_drift terminal: when each run got its own RK4 step count); every
 # thread count must reproduce them byte for byte
 PINNED_BATCHES = {
     "exact_drift": {
-        "terminal": "322b6dd5b1014e7920c09a9c468a2c323a7624ff251a33a368670f3aea247178",
+        "terminal": "08679d3898de96d3761faa8d32b1306b64e6659e5c48900255959198c64f1ce8",
         "jumps": "913c78ad930b1b2146da15b008026fbec913ade1c5df142960cb1fbe2381fca2",
     },
     "exact_sparse": {
@@ -118,7 +120,7 @@ PINNED_BATCHES = {
 def test_batch_outputs_pinned(
     case, threads, wobble_model, exp_unit_model, power_model, collapse_model
 ):
-    if case == "exact_drift":  # chunks need different RK4 step counts
+    if case == "exact_drift":  # runs need different RK4 step counts
         out = js.simulate_batch(wobble_model, 0.2, 1.5, 1, js.RngSpec(2024), 645, threads=threads)
     elif case == "exact_sparse":  # fewer runs than chunks: most chunks are empty
         out = js.simulate_batch(wobble_model, 0.2, 1.5, 1, js.RngSpec(2024), 20, threads=threads)
@@ -312,6 +314,23 @@ def test_batch_drift_steps_honour_max_step():
     )
     assert drift.evals == 4 * 10_000 * runs
     assert np.allclose(out["terminal"], 2.0 * math.exp(-1.0), rtol=1e-12)
+
+
+def test_drift_flow_steps_are_per_run(wobble_model):
+    # segments 100-fold apart in one call: run r takes ceil(seg_r / max_step)
+    # steps of its own, so it gets the bytes it gets when flowed alone
+    opts = js.OdeOptions(max_step=1e-3)
+    x = np.linspace(-2.0, 2.0, 7)
+    seg = np.array([0.005, 0.5, 0.0123, 0.0, 0.5, 0.00731, 0.2])
+    drift = _CountingDrift()
+    for m in (_drift_model(drift), wobble_model):
+        together = _drift_flow_batch(m, x, seg, opts)
+        for r in range(x.size):
+            alone = _drift_flow_batch(m, x[r : r + 1], seg[r : r + 1], opts)
+            assert together[r : r + 1].tobytes() == alone.tobytes()
+    drift.evals = 0
+    _drift_flow_batch(_drift_model(drift), x, seg, opts)
+    assert drift.evals == 4 * sum(math.ceil(s / 1e-3) for s in seg)
 
 
 def test_poissonized_kick_moments():
