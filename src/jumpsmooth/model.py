@@ -73,20 +73,34 @@ def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def gauss_panels(lo: float, hi: float, nodes: int = 256, panels: int = 8):
-    """Gauss-Legendre nodes and weights on [lo, hi] split into equal panels."""
-    if not (hi > lo):
-        raise ContractError(f"empty quadrature interval [{lo}, {hi}]")
+def gauss_panels(lo, hi, nodes: int = 256, panels: int = 8):
+    """Gauss-Legendre nodes and weights on [lo, hi] split into equal panels.
+
+    `lo` and `hi` broadcast against each other; each of their entries is one
+    interval, and the nodes and weights come back with one row per interval,
+    shape (..., panels * ceil(nodes / panels)), from one affine map of the
+    cached Legendre rule.  A scalar call returns row 0 of a broadcast call
+    bit for bit.
+
+    >>> z, w = gauss_panels(np.array([0.0, 1.0]), np.array([1.0, 3.0]), nodes=8, panels=2)
+    >>> z.shape, w.shape
+    ((2, 8), (2, 8))
+    >>> z0, w0 = gauss_panels(0.0, 1.0, nodes=8, panels=2)
+    >>> z0.shape, bool(np.array_equal(z0, z[0]) and np.array_equal(w0, w[0]))
+    ((8,), True)
+    """
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    empty = np.flatnonzero(~(hi > lo))
+    if empty.size:
+        raise ContractError(f"empty quadrature interval [{lo.flat[empty[0]]}, {hi.flat[empty[0]]}]")
     panels = max(1, int(panels))
     per = max(2, int(math.ceil(nodes / panels)))
     x, w = _legendre(per)
-    edges = np.linspace(lo, hi, panels + 1)
-    zs, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        zs.append(0.5 * (a + b) + half * x)
-        ws.append(half * w)
-    return np.concatenate(zs), np.concatenate(ws)
+    edges = np.linspace(lo, hi, panels + 1, axis=-1)[..., None]
+    a, b = edges[..., :-1, :], edges[..., 1:, :]
+    half = 0.5 * (b - a)
+    shape = lo.shape + (panels * per,)
+    return (0.5 * (a + b) + half * x).reshape(shape), (half * w).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -220,6 +234,8 @@ class CoefficientSet:
             raise ContractError("weight power p must be >= 1")
         if not (self.y_window[1] > self.y_window[0]):
             raise ContractError("empty audit window")
+        if self.audit_points < 1:
+            raise ContractError("audit_points must be >= 1")
 
     def y_audit_grid(self) -> np.ndarray:
         return np.linspace(self.y_window[0], self.y_window[1], self.audit_points)
@@ -428,6 +444,12 @@ def _envelope(table: np.ndarray, y: np.ndarray, p: float, ns, theta: float):
     return per_n, head, tail, float(np.max(enveloped)), tail <= 2.0 * head, worst
 
 
+# audit states per broadcast in check_B: blocks rather than the whole grid,
+# so a failure among the first states ends the audit early and the
+# (states, n, nodes) temporaries stay small
+AUDIT_BLOCK_STATES = 16
+
+
 def check_B(
     coeffs: CoefficientSet,
     n_max: int,
@@ -444,6 +466,17 @@ def check_B(
     exceed twice the head half's envelope constant.  Also audits that the
     mark density dominates Lebesgue measure on the windows, which the kernel
     construction needs.
+
+    The states are audited in blocks of `AUDIT_BLOCK_STATES`: one broadcast
+    `gauss_panels` call maps the rule onto every (state, n) window of a block,
+    and dh/dz, the integrand and the mark density are evaluated once on the
+    (states, n, nodes) array.  Failures are raised in state order, as a
+    state-by-state audit meets them.  Within a state, a non-positive rate
+    (`_frame`'s InvalidModelError) comes first, then an empty window
+    (ContractError), then the first n, then node, where |dh/dz| < 1e-12
+    (DegenerateKernelError).  A failure at a later state of a block never
+    pre-empts one at an earlier state, and no block after the failing one
+    is evaluated.
     """
     if n_max < 2:
         raise ContractError("check_B needs n_max >= 2")
@@ -451,27 +484,42 @@ def check_B(
         raise ContractError("theta must be >= 0")
     quadrature = quadrature or QuadratureSpec()
     y = coeffs.y_audit_grid()
+    ns = np.arange(1, n_max + 1)
+    sigma = coeffs.q.direction
 
     values = np.zeros((n_max, y.size))
     density_floor = np.inf
-    for j, yj in enumerate(y):
-        gam, a, sigma = (float(v) for v in _frame(coeffs, yj))
-        for n in range(1, n_max + 1):
-            width = n / gam
-            lo, hi = sorted((a, a + sigma * width))
-            z, w = gauss_panels(lo, hi, quadrature.nodes, quadrature.panels)
-            slope = np.abs(np.asarray(coeffs.h.dz(yj, z, 1), dtype=float))
-            if np.any(slope < 1e-12):
-                bad = z[slope < 1e-12][0]
+    for start in range(0, y.size, AUDIT_BLOCK_STATES):
+        ys = y[start:start + AUDIT_BLOCK_STATES]
+        gam = np.asarray(coeffs.gamma.value(ys), dtype=float)
+        a = np.asarray(coeffs.q.endpoint_fn().value(ys), dtype=float)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            end = a + sigma * (ns / gam[:, None])
+        lo, hi = np.broadcast_arrays(*((a, end) if sigma > 0 else (end, a)))
+        # the window grows with n, so a state's windows are all nonempty when its first one is
+        ok = np.isfinite(gam) & (gam > 0.0) & (hi[:, 0] > lo[:, 0])
+        stop = ys.size if ok.all() else int(np.argmin(ok))
+        if stop:
+            z, w = gauss_panels(lo[:stop], hi[:stop], quadrature.nodes, quadrature.panels)
+            slope = np.abs(np.asarray(coeffs.h.dz(ys[:stop, None, None], z, 1), dtype=float))
+            vanishing = slope < 1e-12
+            if np.any(vanishing):
+                j, n, m = np.unravel_index(np.argmax(vanishing), vanishing.shape)
                 raise DegenerateKernelError(
-                    f"dh/dz vanishes inside the inversion window at y={yj}, z={float(bad)}"
+                    f"dh/dz vanishes inside the inversion window at y={ys[j]}, z={float(z[j, n, m])}"
                 )
-            values[n - 1, j] = (gam / n) * float(np.sum(w * slope ** (-2 * coeffs.k)))
+            table = gam[:stop, None] / ns * np.sum(w * slope ** (-2 * coeffs.k), axis=-1)
+            values[:, start:start + stop] = table.T
             rho = np.asarray(coeffs.q.density.value(z), dtype=float)
             density_floor = min(density_floor, float(np.min(rho)))
+        if stop < ys.size:
+            # the first state whose frame or window fails raises what it
+            # raises on its own: `_frame` for the rate, else the empty window
+            _frame(coeffs, ys[stop])
+            gauss_panels(lo[stop, 0], hi[stop, 0])
 
     per_n, head, tail, fitted_c, budget_ok, iworst = _envelope(
-        values, y, coeffs.p, range(1, n_max + 1), theta
+        values, y, coeffs.p, ns, theta
     )
     lebesgue_ok = density_floor >= 1.0 - 1e-9
     return AssumptionReport(

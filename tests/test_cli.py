@@ -111,6 +111,15 @@ def test_malformed_or_missing_config_exits_2(tmp_path, capsys):
     assert main(["check", "--config", _write(tmp_path, cfg, "badfield.yaml")]) == 2
 
 
+def test_zero_audit_points_exits_2(tmp_path, capsys):
+    cfg = _base_config(tmp_path / "out")
+    cfg["model"]["audit_points"] = 0
+    assert main(["check", "--config", _write(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "audit_points must be >= 1" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unstable_evolution_exits_3(tmp_path, capsys):
     cfg = _base_config(tmp_path / "out")
     cfg["evolution"]["dt"] = 0.5  # stability cap for i=8 is ~0.019

@@ -1,12 +1,16 @@
 """Assumption audits: slope condition, smoothness budget, inversion budget."""
 
 import dataclasses
+import doctest
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import jumpsmooth as js
+from jumpsmooth.config import build_model
 
 
 def _model(h_terms, eta, k=2, p=2.0, window=(-10.0, 10.0), gamma=None, b=None,
@@ -334,3 +338,164 @@ def test_gauss_panels_matches_the_reference_rule():
     assert js.gauss_panels(-1.0, 3.0, nodes=24, panels=3)[0][0] != 99.0
     rule = js.model._legendre(8)
     assert not rule[0].flags.writeable and not rule[1].flags.writeable
+
+
+def test_model_doctests_pass():
+    result = doctest.testmod(js.model)
+    assert result.attempted > 0
+    assert result.failed == 0
+
+
+def test_audit_points_below_one_is_refused(exp_unit_model):
+    with pytest.raises(js.ContractError, match="audit_points"):
+        dataclasses.replace(exp_unit_model, audit_points=0)
+    one = dataclasses.replace(exp_unit_model, audit_points=1)
+    assert one.y_audit_grid().tolist() == [-4.0]
+    assert js.check_B(one, n_max=4, theta=4.2).worst["y"] == -4.0
+
+
+# ---------------------------------------------------------------------------
+# pinned inversion budget: values, messages and the order of failures
+# ---------------------------------------------------------------------------
+
+# recorded from the state-by-state audit that preceded the blocked broadcast
+# over (state, n, node); the arithmetic of each entry is unchanged, so every
+# value and every message must repeat exactly
+BUDGET_PINS = Path(__file__).parent / "data" / "inversion_budget.json"
+
+# the model stanzas of the wobble and power bench workloads
+BENCH_WOBBLE = {
+    "k": 2, "window": [-8.0, 8.0],
+    "drift": {"family": "sinusoidal", "amp": 0.2, "freq": 1.0},
+    "rate": {"family": "sum", "parts": [0.7, {"family": "sinusoidal", "amp": 0.3, "freq": 1.0}]},
+    "amplitude": [{"y": {"family": "constant", "c": 0.4},
+                   "z": {"family": "exp_decay", "amp": 1.0, "rate": 1.0}}],
+    "envelope": {"family": "exp_decay", "amp": 0.4, "rate": 1.0},
+    "marks": {"support": [0.0, float("inf")], "truncations": [2.0, 4.0, 6.0]},
+}
+BENCH_POWER = {
+    "k": 2, "window": [-6.0, 8.0], "drift": 0.0,
+    "rate": {"family": "sum", "parts": [0.4, {"family": "iso_power", "amp": 0.6, "power": 1.0}]},
+    "amplitude": [{"y": {"family": "constant", "c": 0.5},
+                   "z": {"family": "inverse_power", "amp": 1.0, "power": 2.0}}],
+    "envelope": {"family": "inverse_power", "amp": 0.5, "power": 2.0},
+    "marks": {"support": [0.0, float("inf")], "truncations": [10.0, 40.0]},
+}
+
+
+def _gauss_slope_model(gamma, window, endpoint=None):
+    # |h_z| = 32 z e^{-16 z^2} drops below the resolvable-slope floor past
+    # z = 1.40, so a state fails at the first n whose window n / gamma(y)
+    # reaches that far
+    h = js.JumpAmplitude(((js.constant(1.0), js.GaussBump(1.0, 0.0, 0.25)),))
+    q = js.JumpMeasureSpec((0.0, np.inf), js.constant(1.0), (8.0,), endpoint)
+    return js.CoefficientSet(
+        b=js.constant(0.0), gamma=gamma, h=h, eta=js.constant(2.0), q=q, k=2, y_window=window,
+    )
+
+
+def _budget_cases(exp_unit, collapse):
+    """(name, model, n_max, theta) of every pinned audit."""
+    rate_floor = js.CoefficientSet(
+        b=js.constant(0.0), gamma=js.constant(0.5),
+        h=js.JumpAmplitude(((js.constant(1.0), js.ExpDecay(1.0, 1.0)),)),
+        eta=js.ExpDecay(1.0, 1.0),
+        q=js.JumpMeasureSpec((0.0, np.inf), js.constant(1.0), (30.0,)),
+        k=2, y_window=(-2.0, 2.0),
+    )
+    stretched = _model(((js.constant(1.0), js.StretchedExp(1.0, 1.0, 1.5, 0.0)),),
+                       js.constant(2.0), window=(-2.0, 2.0), truncs=(12.0,))
+    sub_lebesgue = _model(((js.constant(1.0), js.Affine(0.0, 1.0)),), js.constant(10.0),
+                          window=(-2.0, 2.0), truncs=(8.0,), density=js.constant(0.5))
+    left = dataclasses.replace(
+        exp_unit,
+        h=js.JumpAmplitude(((js.constant(1.0), js.ExpDecay(1.0, -1.0)),)),
+        eta=js.ExpDecay(1.0, -1.0),
+        q=js.JumpMeasureSpec((-np.inf, 0.0), js.constant(1.0), exp_unit.q.truncations),
+    )
+    super_gauss = _model(((js.constant(1.0), js.StretchedExp(1.0, 1.0, 2.0, 0.0)),),
+                         js.constant(2.0), window=(-2.0, 2.0), truncs=(12.0,))
+    return [
+        ("exp-unit/4.2", exp_unit, 12, 4.2),
+        ("exp-unit/3.5", exp_unit, 12, 3.5),
+        ("rate-floor", rate_floor, 10, 8.4),
+        ("stretched-exp", stretched, 8, 6.0),
+        ("sub-lebesgue", sub_lebesgue, 4, 1.0),
+        ("left-mirror", left, 6, 4.2),
+        ("bench-wobble", build_model(BENCH_WOBBLE), 4, 12.0),
+        ("bench-power", build_model(BENCH_POWER), 16, 8.4),
+        ("collapse", collapse, 4, 1.0),
+        ("super-gaussian", super_gauss, 8, 20.0),
+    ]
+
+
+def _error_order_cases():
+    """Models whose first failure in state order is not the first one a
+    block-at-a-time or rate-first search would meet."""
+    step = 2.41 / 240  # y = 0 falls between states 20 and 21
+    return [
+        # the rate falls from 4 to 1 across states 16..31: state 20 fails
+        # at n = 4, later states of its block at n = 3 and n = 2
+        ("late-vanishing-slope",
+         _gauss_slope_model(js.FunctionSum(js.constant(2.5), js.TanhSigmoid(-1.5, 20.0)),
+                            (-20.5 * step, 220.5 * step))),
+        # the slope vanishes at state 2, the rate turns negative at state 11
+        ("slope-before-bad-rate", _gauss_slope_model(js.Affine(-36.5, -40.0), (-1.0, 1.0))),
+        ("bad-rate-first", _gauss_slope_model(js.Affine(0.0, 1.0), (-2.0, 2.0))),
+        # from state 1 on, a(y) = 1e20 y swallows the window: lo == hi
+        ("slope-before-empty-window",
+         _gauss_slope_model(js.constant(0.5), (0.0, 2.4), js.Affine(0.0, 1e20))),
+        ("empty-window",
+         _gauss_slope_model(js.constant(4.0), (0.0, 2.4), js.Affine(0.0, 1e20))),
+    ]
+
+
+def _outcome(model, n_max, theta):
+    try:
+        return json.loads(json.dumps(js.check_B(model, n_max=n_max, theta=theta).to_dict()))
+    except js.JumpsmoothError as exc:
+        return [type(exc).__name__, str(exc)]
+
+
+def _inversion_budget(exp_unit, collapse) -> dict:
+    return {
+        "audits": {name: _outcome(m, n_max, theta)
+                   for name, m, n_max, theta in _budget_cases(exp_unit, collapse)},
+        "error_order": {name: _outcome(m, 4, 1.0) for name, m in _error_order_cases()},
+    }
+
+
+def test_inversion_budget_pinned(exp_unit_model, collapse_model):
+    want = json.loads(BUDGET_PINS.read_text())["audits"]
+    got = _inversion_budget(exp_unit_model, collapse_model)["audits"]
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key] == want[key], key
+
+
+def test_inversion_budget_error_order():
+    want = json.loads(BUDGET_PINS.read_text())["error_order"]
+    got = {name: _outcome(m, 4, 1.0) for name, m in _error_order_cases()}
+    assert got == want
+
+
+class _CountingAmplitude(js.JumpAmplitude):
+    def __init__(self, terms):
+        super().__init__(terms)
+        self.dz_calls = 0
+
+    def dz(self, y, z, l):
+        self.dz_calls += 1
+        return super().dz(y, z, l)
+
+
+def test_inversion_budget_evaluates_slopes_once_per_block(exp_unit_model, collapse_model):
+    passing = dataclasses.replace(exp_unit_model, h=_CountingAmplitude(exp_unit_model.h.terms))
+    assert passing.audit_points == 241
+    assert js.check_B(passing, n_max=6, theta=4.2).passed
+    assert passing.h.dz_calls == math.ceil(241 / js.model.AUDIT_BLOCK_STATES)
+    # the first block of the collapse model already holds the failure
+    collapse = dataclasses.replace(collapse_model, h=_CountingAmplitude(collapse_model.h.terms))
+    with pytest.raises(js.DegenerateKernelError):
+        js.check_B(collapse, n_max=4, theta=1.0)
+    assert collapse.h.dz_calls == 1
