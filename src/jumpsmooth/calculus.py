@@ -333,10 +333,10 @@ def _expand_bracket(fun, target, center, radius):
     )
 
 
-def _jump_map(coeffs: "CoefficientSet", z: float):
+def _jump_map(coeffs: "CoefficientSet", z):
     """Increment h(., z) of the jump map and its initial bracket radius, the
-    jump size bound eta(z)."""
-    radius = abs(float(coeffs.eta.value(z))) * (1.0 + 1e-9) + 1e-9
+    jump size bound eta(z), for one mark or an array of marks."""
+    radius = np.abs(np.asarray(coeffs.eta.value(z), dtype=float)) * (1.0 + 1e-9) + 1e-9
     return (lambda x, l: coeffs.h.dy(x, z, l)), radius
 
 
@@ -459,13 +459,23 @@ def _alpha_from_tau(tau: np.ndarray) -> np.ndarray:
 
 
 def tau_stack_grid(
-    coeffs: "CoefficientSet", y: np.ndarray, z: float, order: int, tol: float = 1e-12
+    coeffs: "CoefficientSet", y: np.ndarray, z, order: int, tol: float = 1e-12
 ) -> np.ndarray:
     """Inverse-map stacks of the jump map over an array of base points.
 
     Returns shape (order+1, len(y)): row l holds tau^(l)(y) (row 0 is tau).
+    `z` is one mark, or a 1-d array of marks, which broadcasts the solve to
+    (order+1, len(y), len(z)).  Each column is the one-mark call's value,
+    except in the last bits where a coefficient's numpy function rounds an
+    array differently from a scalar (array `pow` in power laws).
     """
-    return _inverse_stack(*_jump_map(coeffs, z), np.asarray(y, dtype=float), order, tol)
+    y = np.asarray(y, dtype=float)
+    z = np.asarray(z, dtype=float)
+    if z.ndim > 1:
+        raise ContractError("marks must be a scalar or a 1-d array")
+    if z.ndim:
+        y = np.broadcast_to(y[:, None], y.shape + z.shape)
+    return _inverse_stack(*_jump_map(coeffs, z), y, order, tol)
 
 
 def tau_i_stack_grid(
@@ -511,9 +521,14 @@ def transfer_beta(
 
 
 def transfer_alpha_grid(
-    coeffs: "CoefficientSet", y: np.ndarray, z: float, order: int, tol: float = 1e-12
+    coeffs: "CoefficientSet", y: np.ndarray, z, order: int, tol: float = 1e-12
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized `transfer_alpha`: returns (alpha[l, r, j], tau[l, j])."""
+    """Vectorized `transfer_alpha`: returns (alpha[l, r, j], tau[l, j]).
+
+    `z` may also be a 1-d array of marks; the pre-image solve then runs once
+    over all (node, mark) pairs and returns (alpha[l, r, j, m], tau[l, j, m]).
+    The operator build calls it this way, one block of marks at a time.
+    """
     tau = tau_stack_grid(coeffs, y, z, order + 1, tol)
     return _alpha_from_tau(tau), tau
 

@@ -23,14 +23,20 @@ in lockstep with explicit Euler steps, each derivative obeying the
 differentiated equation.
 
 Everything state-independent (inverse maps, transfer tables, quadrature and
-interpolation weights) is folded once per grid into one sparse linear map on
-the flattened stack, so a time step is a single sparse product.  `evolve`
-repeats the run at half the step on the same map to estimate its own
-time-discretisation error.
+interpolation weights) is folded once per grid into a sparse linear map on
+the flattened stack, kept as two parts: the drift pullback, which depends on
+i, and the jump pullback with its local loss, which does not.  The jump part
+solves the pre-images for a block of marks per call.  Each part's triples
+are sorted by row at build, so a time step is one gather-multiply and one
+`np.add.reduceat` per part.  `norm_growth_audit` builds the jump part once
+and derives its 2 i operator with `AdjointOperator.with_drift_index`.
+`evolve` repeats the run at half the step on the same map to estimate its
+own time-discretisation error.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 from math import comb
@@ -46,7 +52,7 @@ from .errors import (
     StabilityError,
     WindowTooSmallError,
 )
-from .model import CoefficientSet, gauss_panels
+from .model import CoefficientSet, _require_finite, gauss_panels
 from .presets import Function1D, GaussBump
 
 
@@ -155,8 +161,9 @@ class EvolutionConfig:
 def _interp_weights(points: np.ndarray, lo: float, spacing: float, size: int):
     """Cubic Lagrange gather weights on a uniform grid, zero outside.
 
-    Returns (base_index, weights[..., 4]) so that a stack row f gives
-    f(points) = sum_o weights[..., o] * f[base_index + o].
+    Returns (base_index, weights[..., 4], inside) so that a stack row f
+    gives f(points) = sum_o weights[..., o] * f[base_index + o]; the weights
+    of a point outside the grid (where inside is False) are all zero.
     """
     t = (points - lo) / spacing
     inside = (t >= 0.0) & (t <= size - 1.0)
@@ -169,7 +176,41 @@ def _interp_weights(points: np.ndarray, lo: float, spacing: float, size: int):
     w[..., 2] = -(s + 1.0) * s * (s - 2.0) / 2.0
     w[..., 3] = (s + 1.0) * s * (s - 1.0) / 6.0
     w[~inside] = 0.0
-    return base, w
+    return base, w, inside
+
+
+# Marks per transfer solve in the operator build.  Blocks, not all marks at
+# once: a model whose pre-image cannot be bracketed (60 bracket growths)
+# fails after one block, and the (nodes, marks) temporaries stay small.
+JUMP_BLOCK_MARKS = 32
+
+
+def _block_pairs(k: int) -> list[tuple[int, int]]:
+    """The derivative blocks (l, r), r <= l, of the stack map, in build order."""
+    return [(l, r) for l in range(k + 1) for r in range(l + 1)]
+
+
+class _RowSums:
+    """Coefficient triples (rows, cols, data) of a sparse map, sorted by row
+    once (stably, so each row keeps its assembly order).  A product is one
+    gather-multiply and one `np.add.reduceat` over the row runs."""
+
+    def __init__(self, parts: list):
+        if parts:
+            rows, cols, data = (np.concatenate([p[c] for p in parts]) for c in range(3))
+        else:
+            rows = cols = np.zeros(0, dtype=np.intp)
+            data = np.zeros(0)
+        order = np.argsort(rows, kind="stable")
+        self.rows, self.cols, self.data = rows[order], cols[order], data[order]
+        self.starts = np.flatnonzero(np.diff(self.rows, prepend=-1))
+
+    def add_product(self, flat: np.ndarray, out: np.ndarray) -> None:
+        """out += (this map) @ flat."""
+        if self.data.size:
+            out[self.rows[self.starts]] += np.add.reduceat(
+                flat[self.cols] * self.data, self.starts
+            )
 
 
 class AdjointOperator:
@@ -179,10 +220,15 @@ class AdjointOperator:
     drift pullback through tau_i and the mark-integrated jump pullback through
     tau(., z) read the stack at the inverse-map points by cubic interpolation,
     and the transfer tables turn each read into a fixed combination of the
-    derivative rows.  The constructor folds all of it into coefficient
-    triples (rows, cols, data) over the flattened stack, where entry
-    ``l * size + j`` is the l-th derivative at node j; `apply` is one
-    gather-multiply-bincount product.
+    derivative rows.  The constructor folds each pullback into its own
+    coefficient triples over the flattened stack, where entry
+    ``l * size + j`` is the l-th derivative at node j: `drift` (index i) and
+    `jump` (with the local loss; it does not depend on i).  The jump part
+    solves the pre-images of `JUMP_BLOCK_MARKS` marks per
+    `transfer_alpha_grid` call.  Each part is sorted by row once, and
+    `apply` sums both parts' row runs with `np.add.reduceat`.
+    `with_drift_index` gives the operator at another index that shares this
+    one's jump part.
     """
 
     def __init__(self, coeffs: CoefficientSet, grid_density: GridDensity, cfg: EvolutionConfig):
@@ -191,135 +237,128 @@ class AdjointOperator:
                 f"density stack order {grid_density.order} != model budget k={coeffs.k}"
             )
         self.coeffs = coeffs
-        self.cfg = cfg
         self.k = coeffs.k
         self.lo = grid_density.lo
         self.hi = grid_density.hi
         self.size = grid_density.size
         self.spacing = grid_density.spacing
-        grid = grid_density.grid
-        self.grid = grid
-        k, n = self.k, self.size
-
-        self.i = int(cfg.i)
-        i0 = coeffs.min_drift_index()
-        if self.i < i0:
-            raise ContractError(f"drift surrogate index i={self.i} below i0={i0}")
-
-        # Both pullbacks read the stack on cubic stencils: one column of
-        # stencils per inverse map, base index and weights per node, and a
-        # coefficient per (node, column) for each derivative block (l, r).
-        bases, weights, coefs = [], [], []
-
-        # Drift pullback i [g(tau_i) tau_i' - g], skipped for a zero drift.
-        self.drift_active = not coeffs.b.is_zero
-        if self.drift_active:
-            beta, taui = transfer_beta_grid(coeffs, grid, self.i, k)
-            base, w = _interp_weights(taui[0], self.lo, self.spacing, n)
-            bases.append(base[:, None])
-            weights.append(w[:, None, :])
-            coefs.append(lambda l, r: (self.i * ((l == r) + beta[l, r]))[:, None])
+        self.grid = grid_density.grid
+        self._set_drift(cfg)
 
         # Jump pullback: integral q(dz) (gamma g)(tau(., z)) tau'(., z).
         trunc = coeffs.q.resolve_trunc(cfg.trunc)
         self.trunc = trunc
         zlo, zhi = coeffs.q.trunc_interval(trunc)
         z, w = gauss_panels(zlo, zhi, cfg.quad_nodes, QUAD_PANELS)
-        wq = w * np.asarray(coeffs.q.density.value(z), dtype=float)
+        rho = np.asarray(coeffs.q.density.value(z), dtype=float)
+        _require_finite(rho, z, "mark density", "z")
+        wq = w * rho
         self.qmass = float(np.sum(wq))
         self.gamma_sup = coeffs.gamma_sup()
         self.jump_active = self.qmass > 0.0 and self.gamma_sup > 0.0
-        if self.jump_active:
-            M = z.size
-            alpha = np.empty((k + 1, k + 1, n, M))
-            tau0 = np.empty((n, M))
-            for mi in range(M):
-                a, tau = transfer_alpha_grid(coeffs, grid, float(z[mi]), k)
-                alpha[:, :, :, mi] = a
-                tau0[:, mi] = tau[0]
-            base, w = _interp_weights(tau0, self.lo, self.spacing, n)
-            # Per-state fraction of transported mark mass that reads outside
-            # the window; large values in the interior mean the window is too
-            # small for this truncation.
-            outside = np.all(w == 0.0, axis=-1)
-            escape = (outside * wq[None, :]).sum(axis=1) / max(self.qmass, 1e-300)
-            inner = slice(n // 5, n - n // 5)
-            self.escape_fraction = float(np.max(escape[inner]))
-            if self.escape_fraction > cfg.escape_tol:
-                raise WindowTooSmallError(
-                    f"{self.escape_fraction:.2%} of transported mark mass leaves the "
-                    "window at interior states; widen the window"
-                )
-            gamma_tau = [np.asarray(coeffs.gamma.derivative(tau0, j), dtype=float)
-                         for j in range(k + 1)]
-            w *= wq[None, :, None]
-            bases.append(base)
-            weights.append(w)
+        self.escape_fraction = 0.0
+        self.jump = self._jump_part(z, wq, cfg.escape_tol) if self.jump_active else _RowSums([])
 
-            def jump_coef(l, r0):
-                # sum_r (delta_lr + alpha[l, r]) C(r, r0) gamma^(r - r0)(tau)
-                coef = comb(l, r0) * gamma_tau[l - r0]
-                for r in range(r0, l + 1):
-                    coef = coef + alpha[l, r] * (comb(r, r0) * gamma_tau[r - r0])
-                return coef
+    def with_drift_index(self, i: int) -> "AdjointOperator":
+        """The operator at drift surrogate index i on the same grid and marks.
+        Only the drift part is built; the jump part is this operator's."""
+        op = copy.copy(self)
+        op._set_drift(replace(self.cfg, i=i))
+        return op
 
-            coefs.append(jump_coef)
-        else:
-            self.escape_fraction = 0.0
-
-        parts = []
-        if bases:
-            parts += self._merge_stencils(np.concatenate(bases, axis=1),
-                                          np.concatenate(weights, axis=1), coefs)
+    def _set_drift(self, cfg: EvolutionConfig) -> None:
+        """Drift pullback i [g(tau_i) tau_i' - g], skipped for a zero drift."""
+        self.cfg = cfg
+        self.i = int(cfg.i)
+        i0 = self.coeffs.min_drift_index()
+        if self.i < i0:
+            raise ContractError(f"drift surrogate index i={self.i} below i0={i0}")
+        self.drift_active = not self.coeffs.b.is_zero
+        if not self.drift_active:
+            self.drift = _RowSums([])
+            return
+        k, n = self.k, self.size
+        for l in range(k + 2):
+            _require_finite(self.coeffs.b.derivative(self.grid, l), self.grid,
+                            f"drift derivative {l}", "y")
+        beta, taui = transfer_beta_grid(self.coeffs, self.grid, self.i, k)
+        base, w, _ = _interp_weights(taui[0], self.lo, self.spacing, n)
+        coef = np.stack([self.i * ((l == r) + beta[l, r]) for l, r in _block_pairs(k)])
+        parts = self._merge_stencils(base[:, None], w[:, None, :], coef[..., None])
         nodes = np.arange(n)
-        if self.drift_active:
-            for l in range(k + 1):
-                parts.append((l * n + nodes, l * n + nodes, np.full(n, -float(self.i))))
-        if self.jump_active:
-            # local loss -qmass (gamma g)^(l), Leibniz over the stacks
-            gamma_grid = [np.asarray(coeffs.gamma.derivative(grid, j), dtype=float)
-                          for j in range(k + 1)]
-            for l in range(k + 1):
-                for r in range(l + 1):
-                    data = -self.qmass * comb(l, r) * np.broadcast_to(gamma_grid[l - r], (n,))
-                    parts.append((l * n + nodes, r * n + nodes, data))
+        for l in range(k + 1):
+            parts.append((l * n + nodes, l * n + nodes, np.full(n, -float(self.i))))
+        self.drift = _RowSums(parts)
 
-        if parts:
-            self.rows, self.cols, self.data = (
-                np.concatenate([p[c] for p in parts]) for c in range(3)
+    def _jump_part(self, z: np.ndarray, wq: np.ndarray, escape_tol: float) -> _RowSums:
+        """Jump pullback and local loss, with the mark pre-images solved
+        `JUMP_BLOCK_MARKS` marks per `transfer_alpha_grid` call."""
+        coeffs, grid, k, n = self.coeffs, self.grid, self.k, self.size
+        pairs = _block_pairs(k)
+        # coef[b] for block (l, r0) = pairs[b]:
+        # sum_r (delta_lr + alpha[l, r]) C(r, r0) gamma^(r - r0)(tau)
+        coef = np.empty((len(pairs), n, z.size))
+        tau0 = np.empty((n, z.size))
+        for start in range(0, z.size, JUMP_BLOCK_MARKS):
+            cut = slice(start, start + JUMP_BLOCK_MARKS)
+            alpha, tau = transfer_alpha_grid(coeffs, grid, z[cut], k)
+            tau0[:, cut] = tau[0]
+            gamma_tau = [np.asarray(coeffs.gamma.derivative(tau[0], j), dtype=float)
+                         for j in range(k + 1)]
+            for b, (l, r0) in enumerate(pairs):
+                c = comb(l, r0) * gamma_tau[l - r0]
+                for r in range(r0, l + 1):
+                    c = c + alpha[l, r] * (comb(r, r0) * gamma_tau[r - r0])
+                coef[b, :, cut] = c
+        base, w, inside = _interp_weights(tau0, self.lo, self.spacing, n)
+        # Per-state fraction of transported mark mass that reads outside
+        # the window; large values in the interior mean the window is too
+        # small for this truncation.
+        escape = (~inside * wq[None, :]).sum(axis=1) / max(self.qmass, 1e-300)
+        inner = slice(n // 5, n - n // 5)
+        self.escape_fraction = float(np.max(escape[inner]))
+        if self.escape_fraction > escape_tol:
+            raise WindowTooSmallError(
+                f"{self.escape_fraction:.2%} of transported mark mass leaves the "
+                "window at interior states; widen the window"
             )
-        else:
-            self.rows = self.cols = np.zeros(0, dtype=np.intp)
-            self.data = np.zeros(0)
+        w *= wq[None, :, None]
+        parts = self._merge_stencils(base, w, coef)
+        # local loss -qmass (gamma g)^(l), Leibniz over the stacks
+        nodes = np.arange(n)
+        gamma_grid = [np.asarray(coeffs.gamma.derivative(grid, j), dtype=float)
+                      for j in range(k + 1)]
+        for l, r in pairs:
+            data = -self.qmass * comb(l, r) * np.broadcast_to(gamma_grid[l - r], (n,))
+            parts.append((l * n + nodes, r * n + nodes, data))
+        return _RowSums(parts)
 
-    def _merge_stencils(self, base, w, coefs):
+    def _merge_stencils(self, base, w, coef):
         """Sparse triples of every block (l, r) with duplicate keys summed.
 
         `base` (nodes, columns) and `w` (nodes, columns, 4) are the stencils,
-        `coefs` the per-pullback block coefficients over their columns.  The
-        (node, stencil node) keys get one slot map, then each block is one
-        bincount over it.  The slot map is a mask over all nodes**2 node pairs
-        plus its int32 running count, 5 bytes per pair during assembly, which
-        avoids sorting the keys.
+        `coef[b]` (nodes, columns) the coefficients of block
+        `_block_pairs(k)[b]`.  Row j's stencil nodes lie in a window of
+        `width` slots from its smallest base, so the (node, stencil node) key
+        is ``j * width + (base + o - min_base[j])``, and each block is one
+        bincount over nodes * width slots.  The slots run in (row, column)
+        order, and the zero sums (unread slots among them) are dropped.
         """
         n = self.size
-        keys = (np.arange(n)[:, None, None] * n + base[..., None] + np.arange(4)).ravel()
-        present = np.zeros(n * n, dtype=bool)
-        present[keys] = True
-        slots = np.flatnonzero(present)
-        inverse = (np.cumsum(present, dtype=np.int32)[keys] - 1).astype(np.intp)
-        del present, keys
-        srow, scol = slots // n, slots % n
-        coef = np.empty(base.shape)
+        low = base.min(axis=1)
+        width = int(np.max(base.max(axis=1) - low)) + 4
+        keys = ((np.arange(n) * width - low)[:, None, None] + base[..., None]
+                + np.arange(4)).ravel()
+        slots = np.arange(n * width)
+        srow = slots // width
+        scol = low[srow] + slots % width
         entry = np.empty(w.shape)
         parts = []
-        for l in range(self.k + 1):
-            for r in range(l + 1):
-                np.concatenate([c(l, r) for c in coefs], axis=1, out=coef)
-                np.multiply(coef[..., None], w, out=entry)
-                data = np.bincount(inverse, weights=entry.ravel(), minlength=slots.size)
-                keep = data != 0.0
-                parts.append((l * n + srow[keep], r * n + scol[keep], data[keep]))
+        for b, (l, r) in enumerate(_block_pairs(self.k)):
+            np.multiply(coef[b][..., None], w, out=entry)
+            data = np.bincount(keys, weights=entry.ravel(), minlength=n * width)
+            keep = data != 0.0
+            parts.append((l * n + srow[keep], r * n + scol[keep], data[keep]))
         return parts
 
     @property
@@ -334,10 +373,11 @@ class AdjointOperator:
         """Adjoint rate of change of the full derivative stack."""
         if vals.shape != (self.k + 1, self.size):
             raise ContractError("stack shape does not match the operator grid")
-        flat = np.bincount(
-            self.rows, weights=vals.ravel()[self.cols] * self.data, minlength=vals.size
-        )
-        return flat.reshape(vals.shape)
+        flat = vals.ravel()
+        out = np.zeros(flat.size)
+        self.drift.add_product(flat, out)
+        self.jump.add_product(flat, out)
+        return out.reshape(vals.shape)
 
 
 def apply_adjoint(
@@ -571,7 +611,9 @@ def norm_growth_audit(
     exponential growth rate on the first quarter of each run, and checks
     (a) every later checkpoint sits below norm(0) * exp(1.1 * fitted * t) and
     (b) the fitted rate moves by at most 20% (absolute floor 0.1) when i
-    doubles.  Both runs take the stable step of their own index, so that
+    doubles.  The 2 i operator is derived from the i operator with
+    `AdjointOperator.with_drift_index`, so the jump part is built once.
+    Both runs take the stable step of their own index, so that
     the two rates are measured alike; a set ``cfg.dt`` is refused with
     ContractError.  Package errors and floating-point traps (degenerate
     models blow up or cannot even build the pullback) are caught and
@@ -584,21 +626,21 @@ def norm_growth_audit(
     ts = np.linspace(0.0, t_end, checkpoints + 1)
     report: dict = {"t": [float(v) for v in ts], "passed": False}
 
-    def run(i_val: int):
-        if t_end < 0:
-            raise ContractError("t_end must be >= 0")
-        local = replace(cfg, i=i_val)
-        op = AdjointOperator(coeffs, initial, local)
+    def run(op: AdjointOperator):
         # only the checkpoints are used, so no dt/2 companion run for time_error
-        snaps = _euler(op, initial, t_end, _checked_step(op, local), local, ts.tolist())[1]
+        snaps = _euler(op, initial, t_end, _checked_step(op, op.cfg), op.cfg, ts.tolist())[1]
         norms = np.array([sobolev_norm(s) for s in snaps])
         if not np.all(np.isfinite(norms)):
             raise DivergenceError("norm became non-finite along the run")
         return norms
 
     try:
-        norms_1 = run(cfg.i)
-        norms_2 = run(2 * cfg.i)
+        if t_end < 0:
+            raise ContractError("t_end must be >= 0")
+        op = AdjointOperator(coeffs, initial, cfg)
+        norms_1 = run(op)
+        # the jump part does not depend on i: the 2 i operator reuses it
+        norms_2 = run(op.with_drift_index(2 * cfg.i))
     except (JumpsmoothError, FloatingPointError) as exc:
         report["status"] = "numerical_failure"
         report["error"] = f"{type(exc).__name__}: {exc}"

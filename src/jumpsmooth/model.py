@@ -414,6 +414,14 @@ def check_A(coeffs: CoefficientSet, quadrature: QuadratureSpec | None = None) ->
     )
 
 
+def _require_finite(vals, points: np.ndarray, tag: str, var: str) -> None:
+    """InvalidModelError naming the coefficient `tag` and the first of
+    `points` (C order) where its values `vals` are not finite."""
+    bad = ~np.isfinite(np.broadcast_to(np.asarray(vals, dtype=float), points.shape))
+    if np.any(bad):
+        raise InvalidModelError(f"{tag} non-finite at {var}={float(points[bad][0])!r}")
+
+
 def _frame(coeffs: CoefficientSet, y):
     """Scaled-coordinate frame at state(s) y: (gamma, a, sigma), broadcast
     over y.  w(z) = gamma * sigma * (z - a); marks extend in the sigma
@@ -476,7 +484,8 @@ def check_B(
     (ContractError), then the first n, then node, where |dh/dz| < 1e-12
     (DegenerateKernelError).  A failure at a later state of a block never
     pre-empts one at an earlier state, and no block after the failing one
-    is evaluated.
+    is evaluated.  A mark density that is not finite on a block's windows
+    raises InvalidModelError after that block's slope check.
     """
     if n_max < 2:
         raise ContractError("check_B needs n_max >= 2")
@@ -511,6 +520,7 @@ def check_B(
             table = gam[:stop, None] / ns * np.sum(w * slope ** (-2 * coeffs.k), axis=-1)
             values[:, start:start + stop] = table.T
             rho = np.asarray(coeffs.q.density.value(z), dtype=float)
+            _require_finite(rho, z, "mark density", "z")
             density_floor = min(density_floor, float(np.min(rho)))
         if stop < ys.size:
             # the first state whose frame or window fails raises what it

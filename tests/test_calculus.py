@@ -429,6 +429,26 @@ def test_tau_stack_grid_consistency():
     assert np.allclose(stacks_i[0], ys, atol=0.05)
 
 
+def test_transfer_alpha_grid_over_marks_matches_scalar_marks(wobble_model, power_model):
+    # one solve over (node, mark) pairs: exactly the scalar-mark columns on
+    # wobble, within 1e-15 of each table's largest entry through array pow
+    z = np.linspace(0.01, 3.0, 7)
+    for m, exact in ((wobble_model, True), (power_model, False)):
+        y = np.linspace(m.y_window[0], m.y_window[1], 33)
+        alpha, tau = js.transfer_alpha_grid(m, y, z, m.k)
+        assert alpha.shape == (m.k + 1, m.k + 1, y.size, z.size)
+        assert tau.shape == (m.k + 2, y.size, z.size)
+        for j, zj in enumerate(z):
+            a1, t1 = js.transfer_alpha_grid(m, y, float(zj), m.k)
+            for got, want in ((alpha[..., j], a1), (tau[..., j], t1)):
+                if exact:
+                    np.testing.assert_array_equal(got, want)
+                else:
+                    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    with pytest.raises(js.ContractError, match="1-d array"):
+        js.transfer_alpha_grid(wobble_model, y, z[None, :], 2)
+
+
 def test_calculus_doctests_pass():
     result = doctest.testmod(js.calculus)
     assert result.attempted >= 8

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,6 +128,160 @@ def test_adjoint_matches_recorded_rates(request, model_name):
     np.testing.assert_allclose(rate[:, nodes], want, rtol=1e-12, atol=0.0)
     with pytest.raises(js.ContractError):
         op.apply(g.values[:, :-1])
+
+
+# (model fixture, window, trunc) of the operator-build tests
+_BUILDS = {
+    "wobble_model": ((-8.0, 8.0), 3),
+    "ripple_model": ((-6.0, 6.0), 1),
+    "power_model": ((-6.0, 8.0), 1),
+}
+
+
+def _build(request, model_name, size=512, **cfg):
+    window, trunc = _BUILDS[model_name]
+    model = request.getfixturevalue(model_name)
+    g = js.gaussian_density(window, size, order=2, sigma=0.8)
+    return model, g, js.EvolutionConfig(i=8, trunc=trunc, **cfg)
+
+
+def _counting(monkeypatch, name, fn=None):
+    """Count the calls of fokker_planck's `name`, optionally replaced by fn."""
+    calls = []
+    inner = fn or getattr(js.fokker_planck, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(js.fokker_planck, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("model_name", sorted(_BUILDS))
+def test_blocked_jump_build_matches_per_mark_reference(request, monkeypatch, model_name):
+    # the reference solves the pre-images one scalar mark at a time; the
+    # blocked build must give the same triples: exactly where the
+    # coefficients' array arithmetic rounds as their scalar calls do
+    # (wobble), within 1e-15 of the largest entry through power laws
+    model, g, cfg = _build(request, model_name)
+    blocked = _counting(monkeypatch, "transfer_alpha_grid")
+    got = js.AdjointOperator(model, g, cfg).jump
+    assert len(blocked) == math.ceil(cfg.quad_nodes / js.fokker_planck.JUMP_BLOCK_MARKS)
+
+    def per_mark(coeffs, y, z, k):
+        tables = [js.calculus.transfer_alpha_grid(coeffs, y, float(zm), k) for zm in z]
+        return tuple(np.stack([t[c] for t in tables], axis=-1) for c in range(2))
+
+    _counting(monkeypatch, "transfer_alpha_grid", per_mark)
+    want = js.AdjointOperator(model, g, cfg).jump
+    np.testing.assert_array_equal(got.rows, want.rows)
+    np.testing.assert_array_equal(got.cols, want.cols)
+    if model_name == "wobble_model":
+        np.testing.assert_array_equal(got.data, want.data)
+    else:
+        assert np.max(np.abs(got.data - want.data)) <= 1e-15 * np.max(np.abs(want.data))
+
+
+@pytest.mark.parametrize("model_name", sorted(_BUILDS))
+def test_reduceat_apply_matches_bincount(request, model_name):
+    model, g, cfg = _build(request, model_name)
+    op = js.AdjointOperator(model, g, cfg)
+    rows, cols, data = (np.concatenate([getattr(p, a) for p in (op.drift, op.jump)])
+                        for a in ("rows", "cols", "data"))
+    rng = np.random.default_rng(5)
+    for vals in (g.values, rng.normal(size=g.values.shape)):
+        want = np.bincount(rows, weights=vals.ravel()[cols] * data, minlength=vals.size)
+        got = op.apply(vals).ravel()
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_collapse_build_raises_after_one_failing_block(collapse_model, monkeypatch):
+    # marks in (1, 2) send every state to 0, so no pre-image can be
+    # bracketed; the build stops in the second block of marks, the first
+    # that holds such a mark, with the message of the per-mark build
+    calls = _counting(monkeypatch, "transfer_alpha_grid")
+    g = js.gaussian_density((-3.0, 3.0), 512, order=1)
+    with pytest.raises(js.DomainEscapeError) as err:
+        js.AdjointOperator(collapse_model, g, js.EvolutionConfig(i=8))
+    assert str(err.value) == (
+        "could not bracket the pre-image: monotonicity or the jump size bound "
+        "is violated on this model"
+    )
+    assert len(calls) == 2 and all(len(c[2]) == js.fokker_planck.JUMP_BLOCK_MARKS for c in calls)
+
+
+def test_operator_build_memory_peak(wobble_model):
+    # the per-mark build of the parent commit peaked at 76.6 MB here
+    # (numpy 2.4): it held the whole 19 MB transfer table and a nodes**2 slot
+    # map; the blocked build keeps one coefficient array per block (l, r)
+    g = js.gaussian_density((-8.0, 8.0), 1024, order=2)
+    cfg = js.EvolutionConfig(i=8, trunc=2)
+    js.AdjointOperator(wobble_model, g, cfg)
+    tracemalloc.start()
+    try:
+        js.AdjointOperator(wobble_model, g, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 78.6e6
+
+
+def test_with_drift_index_shares_the_jump_part(wobble_model, monkeypatch):
+    init = js.gaussian_density((-8.0, 8.0), 256, order=2, sigma=0.8)
+    cfg = js.EvolutionConfig(i=8, trunc=3)
+    op = js.AdjointOperator(wobble_model, init, cfg)
+    jump_builds = _counting(monkeypatch, "transfer_alpha_grid")
+    derived = op.with_drift_index(16)
+    assert not jump_builds and derived.jump is op.jump
+    fresh = js.AdjointOperator(wobble_model, init, dataclasses.replace(cfg, i=16))
+    assert derived.cfg == fresh.cfg and derived.stable_dt() == fresh.stable_dt()
+    np.testing.assert_array_equal(derived.apply(init.values), fresh.apply(init.values))
+    assert op.i == 8 and op.cfg == cfg
+    with pytest.raises(js.ContractError, match="below i0"):
+        op.with_drift_index(0)
+
+
+def test_norm_growth_audit_builds_the_jump_part_once(wobble_model, monkeypatch):
+    jump_parts = _counting(monkeypatch, "transfer_alpha_grid")
+    init = js.gaussian_density((-8.0, 8.0), 256, order=2, sigma=0.8)
+    cfg = js.EvolutionConfig(i=8, trunc=3)
+    report = js.norm_growth_audit(wobble_model, init, 0.3, cfg, checkpoints=6)
+    assert report["status"] == "ok"
+    # one jump part: one pass over the marks in blocks, shared by i and 2 i
+    assert len(jump_parts) == math.ceil(cfg.quad_nodes / js.fokker_planck.JUMP_BLOCK_MARKS)
+    assert sum(len(c[2]) for c in jump_parts) == cfg.quad_nodes
+
+
+def test_gate5_fitted_rates_pinned(wobble_model, ripple_model):
+    # the gate-5 audits' fitted rates, recorded with one operator build per index
+    cases = (
+        (wobble_model, (-8.0, 8.0), 640, 3, -0.38681454770244295, -0.38809697704282964),
+        (ripple_model, (-6.0, 6.0), 512, 1, -0.07826913856202107, -0.07371635338527573),
+    )
+    for model, window, size, trunc, rate_i, rate_2i in cases:
+        init = js.gaussian_density(window, size, order=2, sigma=0.8)
+        rep = js.norm_growth_audit(model, init, 0.6, js.EvolutionConfig(i=8, trunc=trunc))
+        assert rep["passed"]
+        assert rep["fitted_rate_i"] == pytest.approx(rate_i, rel=1e-12, abs=0.0)
+        assert rep["fitted_rate_2i"] == pytest.approx(rate_2i, rel=1e-12, abs=0.0)
+
+
+def test_nan_mark_density_is_refused_in_the_build(wobble_model):
+    # it used to surface as "dt must be positive and finite, got nan"
+    q = dataclasses.replace(wobble_model.q, density=js.Affine(math.nan, 0.0))
+    m = dataclasses.replace(wobble_model, q=q)
+    g = js.gaussian_density((-8.0, 8.0), 128, order=2)
+    with pytest.raises(js.InvalidModelError, match="mark density non-finite at z="):
+        js.AdjointOperator(m, g, js.EvolutionConfig(i=8, trunc=3))
+
+
+def test_nan_drift_is_refused_in_the_build(wobble_model):
+    # it used to surface as "could not bracket the pre-image"
+    m = dataclasses.replace(wobble_model, b=js.Affine(math.nan, 0.0))
+    g = js.gaussian_density((-8.0, 8.0), 128, order=2)
+    with pytest.raises(js.InvalidModelError, match=r"drift derivative 0 non-finite at y=-8\.0"):
+        js.AdjointOperator(m, g, js.EvolutionConfig(i=8, trunc=3))
 
 
 def test_duality_accepts_plain_callable(wobble_model):

@@ -270,6 +270,14 @@ def test_inversion_budget_flags_sub_lebesgue_density():
     assert rep.constants["density_floor"] == pytest.approx(0.5, rel=1e-12)
 
 
+def test_inversion_budget_refuses_nan_density(exp_unit_model):
+    # Python's min skips NaN: the audit used to pass with density_floor inf
+    q = dataclasses.replace(exp_unit_model.q, density=js.Affine(math.nan, 0.0))
+    m = dataclasses.replace(exp_unit_model, q=q)
+    with pytest.raises(js.InvalidModelError, match="mark density non-finite at z="):
+        js.check_B(m, n_max=6, theta=4.2)
+
+
 def test_inversion_budget_argument_validation(exp_unit_model):
     with pytest.raises(js.ContractError):
         js.check_B(exp_unit_model, n_max=1, theta=1.0)
