@@ -48,6 +48,9 @@ MAX_ORDER = 7
 # treated as non-invertible at that point.
 SINGULAR_SLOPE = 1e-10
 
+# Tolerance of every inverse-map stack's pre-image solve; `solve_tau*` default.
+PREIMAGE_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class DerivativeStack:
@@ -366,10 +369,10 @@ def _preimage(step, radius, y: np.ndarray, tol: float) -> np.ndarray:
     return _bracketed_newton(fun, dfun, y, lo, hi, tol)
 
 
-def _inverse_stack(step, radius, y: np.ndarray, order: int, tol: float) -> np.ndarray:
+def _inverse_stack(step, radius, y: np.ndarray, order: int) -> np.ndarray:
     """Inverse-map stack of x -> x + step(x, 0) at y, shape (order+1, len(y)):
     the pre-image, the forward stack there, then its inversion."""
-    tau0 = _preimage(step, radius, y, tol)
+    tau0 = _preimage(step, radius, y, PREIMAGE_TOL)
     fwd = np.empty((order + 1,) + tau0.shape)
     for l in range(order + 1):
         fwd[l] = step(tau0, l)
@@ -380,7 +383,7 @@ def _inverse_stack(step, radius, y: np.ndarray, order: int, tol: float) -> np.nd
     return tau
 
 
-def solve_tau(coeffs: "CoefficientSet", y: float, z: float, tol: float = 1e-12) -> float:
+def solve_tau(coeffs: "CoefficientSet", y: float, z: float, tol: float = PREIMAGE_TOL) -> float:
     """Pre-jump state: the unique tau with tau + h(tau, z) = y.
 
     Existence and uniqueness come from the slope condition
@@ -391,13 +394,13 @@ def solve_tau(coeffs: "CoefficientSet", y: float, z: float, tol: float = 1e-12) 
 
 
 def solve_tau_grid(
-    coeffs: "CoefficientSet", y: np.ndarray, z: float, tol: float = 1e-12
+    coeffs: "CoefficientSet", y: np.ndarray, z: float, tol: float = PREIMAGE_TOL
 ) -> np.ndarray:
     """Vectorized `solve_tau` over an array of post-jump states."""
     return _preimage(*_jump_map(coeffs, z), np.asarray(y, dtype=float), tol)
 
 
-def solve_tau_i(coeffs: "CoefficientSet", y: float, i: int, tol: float = 1e-12) -> float:
+def solve_tau_i(coeffs: "CoefficientSet", y: float, i: int, tol: float = PREIMAGE_TOL) -> float:
     """Pre-step state of the drift surrogate: tau_i + b(tau_i)/i = y.
 
     Requires i >= i0 = 2 * sup|b'| (audited on the model's window), which
@@ -407,7 +410,7 @@ def solve_tau_i(coeffs: "CoefficientSet", y: float, i: int, tol: float = 1e-12) 
 
 
 def solve_tau_i_grid(
-    coeffs: "CoefficientSet", y: np.ndarray, i: int, tol: float = 1e-12
+    coeffs: "CoefficientSet", y: np.ndarray, i: int, tol: float = PREIMAGE_TOL
 ) -> np.ndarray:
     """Vectorized `solve_tau_i`."""
     y = np.asarray(y, dtype=float)
@@ -458,9 +461,7 @@ def _alpha_from_tau(tau: np.ndarray) -> np.ndarray:
     return alpha
 
 
-def tau_stack_grid(
-    coeffs: "CoefficientSet", y: np.ndarray, z, order: int, tol: float = 1e-12
-) -> np.ndarray:
+def tau_stack_grid(coeffs: "CoefficientSet", y: np.ndarray, z, order: int) -> np.ndarray:
     """Inverse-map stacks of the jump map over an array of base points.
 
     Returns shape (order+1, len(y)): row l holds tau^(l)(y) (row 0 is tau).
@@ -475,15 +476,13 @@ def tau_stack_grid(
         raise ContractError("marks must be a scalar or a 1-d array")
     if z.ndim:
         y = np.broadcast_to(y[:, None], y.shape + z.shape)
-    return _inverse_stack(*_jump_map(coeffs, z), y, order, tol)
+    return _inverse_stack(*_jump_map(coeffs, z), y, order)
 
 
-def tau_i_stack_grid(
-    coeffs: "CoefficientSet", y: np.ndarray, i: int, order: int, tol: float = 1e-12
-) -> np.ndarray:
+def tau_i_stack_grid(coeffs: "CoefficientSet", y: np.ndarray, i: int, order: int) -> np.ndarray:
     """Inverse-map stacks of the drift-step map over an array of base points."""
     y = np.asarray(y, dtype=float)
-    return _inverse_stack(*_drift_map(coeffs, y, i), y, order, tol)
+    return _inverse_stack(*_drift_map(coeffs, y, i), y, order)
 
 
 def _transfer_at(y: float, tau: np.ndarray) -> TransferCoefficients:
@@ -493,7 +492,7 @@ def _transfer_at(y: float, tau: np.ndarray) -> TransferCoefficients:
 
 
 def transfer_alpha(
-    coeffs: "CoefficientSet", y: float, z: float, order: int, tol: float = 1e-12
+    coeffs: "CoefficientSet", y: float, z: float, order: int
 ) -> TransferCoefficients:
     """Transfer coefficients of the pre-jump pullback at one point.
 
@@ -503,12 +502,12 @@ def transfer_alpha(
 
     for l = 0..order.  Needs y-derivatives of h up to order+1.
     """
-    tau = tau_stack_grid(coeffs, np.asarray([y], dtype=float), z, order + 1, tol)
+    tau = tau_stack_grid(coeffs, np.asarray([y], dtype=float), z, order + 1)
     return _transfer_at(y, tau)
 
 
 def transfer_beta(
-    coeffs: "CoefficientSet", y: float, i: int, order: int, tol: float = 1e-12
+    coeffs: "CoefficientSet", y: float, i: int, order: int
 ) -> TransferCoefficients:
     """Transfer coefficients of the drift-step pullback at one point.
 
@@ -516,12 +515,12 @@ def transfer_beta(
     coefficients scale like 1/i: sum_r i * |table[l, r]| stays bounded as i
     grows, which is what keeps the drift surrogate stable.
     """
-    tau = tau_i_stack_grid(coeffs, np.asarray([y], dtype=float), i, order + 1, tol)
+    tau = tau_i_stack_grid(coeffs, np.asarray([y], dtype=float), i, order + 1)
     return _transfer_at(y, tau)
 
 
 def transfer_alpha_grid(
-    coeffs: "CoefficientSet", y: np.ndarray, z, order: int, tol: float = 1e-12
+    coeffs: "CoefficientSet", y: np.ndarray, z, order: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized `transfer_alpha`: returns (alpha[l, r, j], tau[l, j]).
 
@@ -529,13 +528,13 @@ def transfer_alpha_grid(
     over all (node, mark) pairs and returns (alpha[l, r, j, m], tau[l, j, m]).
     The operator build calls it this way, one block of marks at a time.
     """
-    tau = tau_stack_grid(coeffs, y, z, order + 1, tol)
+    tau = tau_stack_grid(coeffs, y, z, order + 1)
     return _alpha_from_tau(tau), tau
 
 
 def transfer_beta_grid(
-    coeffs: "CoefficientSet", y: np.ndarray, i: int, order: int, tol: float = 1e-12
+    coeffs: "CoefficientSet", y: np.ndarray, i: int, order: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized `transfer_beta`: returns (beta[l, r, j], tau_i[l, j])."""
-    tau = tau_i_stack_grid(coeffs, y, i, order + 1, tol)
+    tau = tau_i_stack_grid(coeffs, y, i, order + 1)
     return _alpha_from_tau(tau), tau

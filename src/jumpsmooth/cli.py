@@ -36,7 +36,7 @@ from .errors import (
 from .fokker_planck import EvolutionConfig, evolve, gaussian_density, sobolev_norm
 from .kernels import kernel_mass, kernel_sobolev_audit, make_kernels
 from .model import AssumptionReport, check_A, check_B, check_S
-from .simulate import OdeOptions, RngSpec, simulate_batch
+from .simulate import RngSpec, simulate_batch
 
 
 def _sha256(path: str) -> str:
@@ -101,11 +101,11 @@ def _cmd_simulate(cfg: ExperimentConfig, out_dir: Path, args, seed: int) -> tupl
     trunc = coeffs.q.resolve_trunc(sim.trunc)
     kernels = None
     if sim.filter_n is not None:
-        kernels = make_kernels(coeffs, cfg.kernels.n_values, cfg.kernels.cutoff_order, cfg.kernels.theta)
+        kernels = make_kernels(coeffs, cfg.kernels.n_values, cfg.kernels.theta)
     batch = simulate_batch(
         coeffs, sim.x0, sim.t_end, trunc, RngSpec(seed), sim.runs,
         i=sim.i, kernels=kernels, filter_n=sim.filter_n,
-        ode_opts=OdeOptions(max_step=sim.max_step), threads=args.threads,
+        max_step=sim.max_step, threads=args.threads,
     )
     outputs = ["terminal.txt", "summary.json"]
     _save_columns(out_dir / "terminal.txt", {"terminal": batch["terminal"]})
@@ -160,11 +160,11 @@ def _cmd_evolve(cfg: ExperimentConfig, out_dir: Path, args) -> tuple[int, list[s
 
 def _cmd_kernels(cfg: ExperimentConfig, out_dir: Path, args) -> tuple[int, list[str]]:
     coeffs, ks = cfg.coeffs, cfg.kernels
-    kd = make_kernels(coeffs, ks.n_values, ks.cutoff_order, ks.theta)
+    kd = make_kernels(coeffs, ks.n_values, ks.theta)
     y_grid = coeffs.y_audit_grid()[:: max(1, coeffs.audit_points // 9)]
-    audit = kernel_sobolev_audit(coeffs, y_grid, kd.n_values, ks.theta, kd.cutoff_order)
+    audit = kernel_sobolev_audit(coeffs, y_grid, kd.n_values, ks.theta)
     masses = {
-        str(n): [float(kernel_mass(coeffs, float(y), n, kd.cutoff_order)) for y in y_grid[:3]]
+        str(n): [float(kernel_mass(coeffs, float(y), n)) for y in y_grid[:3]]
         for n in kd.n_values
     }
     payload = {"decomposition": kd.describe(), "sobolev_audit": audit, "masses": masses}
@@ -176,14 +176,14 @@ def _cmd_kernels(cfg: ExperimentConfig, out_dir: Path, args) -> tuple[int, list[
 
 def _cmd_certify(cfg: ExperimentConfig, out_dir: Path, args, seed: int) -> tuple[int, list[str]]:
     coeffs, diag, sim = cfg.coeffs, cfg.diagnostics, cfg.simulation
-    kd = make_kernels(coeffs, cfg.kernels.n_values, cfg.kernels.cutoff_order, cfg.kernels.theta)
+    kd = make_kernels(coeffs, cfg.kernels.n_values, cfg.kernels.theta)
     pipe = PipelineConfig(
         runs=diag.runs,
         xi_points=diag.xi_points,
         xi_min=diag.xi_min,
         xi_max=diag.xi_max,
         threads=args.threads,
-        ode_opts=OdeOptions(max_step=sim.max_step),
+        max_step=sim.max_step,
     )
     x0 = diag.x0 if diag.x0 is not None else sim.x0
     t_end = diag.t_end if diag.t_end is not None else sim.t_end

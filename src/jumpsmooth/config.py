@@ -15,8 +15,9 @@ parameters, and optional stanzas for each pipeline stage::
     simulation: {x0: 0.0, t_end: 1.0, runs: 20000}
 
 Functions compose with ``family: sum`` / ``family: product`` nodes; a bare
-number is a constant.  All validation failures raise ConfigError with the
-stanza path, so the command line can map them to its config exit code.
+number is a constant; an integer must be integral (2.5 is refused, never
+truncated).  All validation failures raise ConfigError with the stanza path,
+so the command line can map them to its config exit code.
 """
 
 from __future__ import annotations
@@ -27,8 +28,10 @@ from dataclasses import dataclass
 import yaml
 
 from . import presets
+from .diagnostics import MIN_FIT_POINTS
 from .errors import ConfigError, JumpsmoothError
 from .model import CoefficientSet, JumpMeasureSpec
+from .simulate import MAX_STEP
 
 _FAMILIES: dict[str, tuple] = {
     "affine": (presets.Affine, ("a0", "a1")),
@@ -53,6 +56,12 @@ def _as_float(node, path: str) -> float:
         return float(node)
     except (TypeError, ValueError):
         raise _fail(path, f"expected a number, got {node!r}") from None
+
+
+def _as_int(node, path: str) -> int:
+    if not _as_float(node, path).is_integer():
+        raise _fail(path, f"expected an integer, got {node!r}")
+    return int(node) if isinstance(node, int) else int(float(node))
 
 
 def build_function(node, path: str = "function") -> presets.Function1D:
@@ -82,7 +91,10 @@ def build_function(node, path: str = "function") -> presets.Function1D:
         xs, ys = node.get("xs"), node.get("ys")
         if not isinstance(xs, list) or not isinstance(ys, list):
             raise _fail(path, "'tabulated' needs 'xs' and 'ys' lists")
-        return presets.Tabulated(tuple(map(float, xs)), tuple(map(float, ys)))
+        return presets.Tabulated(
+            tuple(_as_float(x, path + ".xs") for x in xs),
+            tuple(_as_float(y, path + ".ys") for y in ys),
+        )
     if family not in _FAMILIES:
         raise _fail(path, f"unknown function family {family!r}")
     cls, names = _FAMILIES[family]
@@ -92,7 +104,7 @@ def build_function(node, path: str = "function") -> presets.Function1D:
         raise _fail(path, f"unknown parameters for {family!r}: {sorted(unknown)}")
     coerced = {}
     for k, v in kwargs.items():
-        coerced[k] = int(v) if k == "order" else _as_float(v, f"{path}.{k}")
+        coerced[k] = (_as_int if k == "order" else _as_float)(v, f"{path}.{k}")
     try:
         return cls(**coerced)
     except (TypeError, ValueError, JumpsmoothError) as exc:
@@ -131,7 +143,7 @@ def _build_marks(node, path: str) -> JumpMeasureSpec:
         endpoint = build_function(node["endpoint"], path + ".endpoint")
     try:
         return JumpMeasureSpec(
-            (lo, hi), density, tuple(float(t) for t in truncs), endpoint
+            (lo, hi), density, tuple(_as_float(t, path + ".truncations") for t in truncs), endpoint
         )
     except JumpsmoothError as exc:
         raise _fail(path, str(exc)) from None
@@ -154,11 +166,11 @@ def build_model(node, path: str = "model") -> CoefficientSet:
             h=_build_amplitude(node["amplitude"], path + ".amplitude"),
             eta=build_function(node["envelope"], path + ".envelope"),
             q=_build_marks(node["marks"], path + ".marks"),
-            k=int(node.get("k", 2)),
+            k=_as_int(node.get("k", 2), path + ".k"),
             p=_as_float(node.get("p", 2.0), path + ".p"),
             c0_tol=_as_float(node.get("c0_tol", 1e-8), path + ".c0_tol"),
-            y_window=(_as_float(window[0], path), _as_float(window[1], path)),
-            audit_points=int(node.get("audit_points", 241)),
+            y_window=tuple(_as_float(v, path + ".window") for v in window),
+            audit_points=_as_int(node.get("audit_points", 241), path + ".audit_points"),
             label=str(node.get("label", "")),
         )
     except JumpsmoothError as exc:
@@ -182,7 +194,7 @@ class SimulationStanza:
     trunc: int | None = None
     i: int | None = None
     filter_n: int | None = None
-    max_step: float = 1e-3  # RK4 step bound for the drift flow between candidates
+    max_step: float = MAX_STEP  # RK4 step bound for the drift flow between candidates
 
     def __post_init__(self):
         if not (math.isfinite(self.max_step) and self.max_step > 0.0):
@@ -212,7 +224,6 @@ class EvolutionStanza:
 class KernelStanza:
     n_values: tuple[int, ...] = (1, 2, 4, 8)
     theta: float = 1.0
-    cutoff_order: int | None = None
 
 
 @dataclass(frozen=True)
@@ -226,6 +237,10 @@ class DiagnosticsStanza:
 
     def __post_init__(self):
         _check_t_end_and_runs(self.t_end, self.runs)
+        if not (math.isfinite(self.xi_min) and self.xi_min > 0.0):
+            raise ValueError(f"xi_min must be positive and finite, got {self.xi_min}")
+        if self.xi_points < MIN_FIT_POINTS:
+            raise ValueError(f"xi_points must be at least {MIN_FIT_POINTS}, got {self.xi_points}")
 
 
 @dataclass(frozen=True)
@@ -240,22 +255,24 @@ class ExperimentConfig:
     seed: int = 0
 
 
-def _coerce_scalar(name: str, annotation: str, value, path: str):
-    if value is None:
+def _coerce_scalar(annotation: str, value, path: str):
+    """`value` as its field's annotated type: None only where the annotation
+    allows it, and a tuple element by element, at the annotated length."""
+    if value is None and annotation.endswith("| None"):
         return None
-    try:
-        if annotation.startswith("int"):
-            if int(value) != float(value):
-                raise ValueError
-            return int(value)
-        if annotation.startswith("float"):
-            return float(value)
-        if annotation.startswith("tuple"):
-            if not isinstance(value, (list, tuple)):
-                raise ValueError
-            return tuple(value)
-    except (TypeError, ValueError):
-        raise _fail(f"{path}.{name}", f"expected {annotation}, got {value!r}") from None
+    if annotation.startswith("tuple"):
+        kinds = [t.strip() for t in annotation[len("tuple[") : -1].split(",")]
+        if kinds[-1] == "..." and isinstance(value, (list, tuple)):
+            kinds = kinds[:1] * len(value)
+        if not isinstance(value, (list, tuple)) or len(value) != len(kinds):
+            raise _fail(path, f"expected {annotation}, got {value!r}")
+        return tuple(
+            _coerce_scalar(t, v, f"{path}[{j}]") for j, (t, v) in enumerate(zip(kinds, value))
+        )
+    if annotation.startswith("int"):
+        return _as_int(value, path)
+    if annotation.startswith("float"):
+        return _as_float(value, path)
     return value
 
 
@@ -269,7 +286,7 @@ def _build_stanza(cls, node, path: str):
     if unknown:
         raise _fail(path, f"unknown keys: {sorted(unknown)}")
     coerced = {
-        name: _coerce_scalar(name, fields[name].type, value, path)
+        name: _coerce_scalar(fields[name].type, value, f"{path}.{name}")
         for name, value in node.items()
     }
     try:
@@ -304,5 +321,5 @@ def load_config(path: str) -> ExperimentConfig:
         kernels=_build_stanza(KernelStanza, raw.get("kernels"), "kernels"),
         diagnostics=_build_stanza(DiagnosticsStanza, raw.get("diagnostics"), "diagnostics"),
         output_dir=str(raw.get("output", "out")),
-        seed=int(raw.get("seed", 0)),
+        seed=_as_int(raw.get("seed", 0), "seed"),
     )

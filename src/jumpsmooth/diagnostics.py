@@ -23,11 +23,13 @@ from .errors import ContractError, ResolutionError, WindowTooSmallError
 from .fokker_planck import GridDensity
 from .kernels import KernelDecomposition
 from .model import CoefficientSet
-from .simulate import FLOOR_MULT, CFEstimate, OdeOptions, RngSpec, empirical_cf, simulate_batch
+from .simulate import FLOOR_MULT, MAX_STEP, CFEstimate, RngSpec, empirical_cf, simulate_batch
 
 # A CF magnitude that stays above this (or 5 standard errors) over the upper
 # half of the usable band is read as an atom.
 ATOM_FLOOR = 0.05
+# The decay fit needs this many usable frequencies.
+MIN_FIT_POINTS = 10
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,7 @@ def decay_fit(cf: CFEstimate, band: tuple[float, float] | None = None) -> DecayR
 
     Frequencies where the magnitude sits within FLOOR_MULT standard errors of
     the 1/sqrt(N) sampling floor are excluded: below that the estimate is
-    noise and would fake decay.  Needs at least 10 usable points.
+    noise and would fake decay.  Needs MIN_FIT_POINTS usable points.
     """
     mag = cf.magnitude()
     mask = cf.xi > 0
@@ -65,7 +67,7 @@ def decay_fit(cf: CFEstimate, band: tuple[float, float] | None = None) -> DecayR
         mask &= (cf.xi >= band[0]) & (cf.xi <= band[1])
     mask &= cf.usable()
     n_pts = int(np.count_nonzero(mask))
-    if n_pts < 10:
+    if n_pts < MIN_FIT_POINTS:
         raise ResolutionError(
             f"only {n_pts} usable frequencies above the sampling floor; "
             "increase the sample count or lower the band"
@@ -93,12 +95,12 @@ def _cumulative(density: GridDensity, row: int = 0) -> tuple[np.ndarray, np.ndar
     return x, np.concatenate([[0.0], np.cumsum(inc)])
 
 
-def compare_densities(left: GridDensity, right: GridDensity, coverage: float = 0.99) -> dict:
+def compare_densities(left: GridDensity, right: GridDensity) -> dict:
     """Distance between two grid densities via conservative bin averages.
 
     Both densities are re-binned at the coarser of the two spacings on the
-    overlap of their windows (each window must hold `coverage` of its own
-    mass there, so the comparison sees essentially all of both laws); the L1
+    overlap of their windows (each window must hold 99% of its own mass
+    there, so the comparison sees essentially all of both laws); the L1
     distance is the sum of absolute bin-mass differences, which never
     rewards one grid for out-resolving the other.
     """
@@ -110,7 +112,7 @@ def compare_densities(left: GridDensity, right: GridDensity, coverage: float = 0
         x, cum = _cumulative(d)
         total = cum[-1]
         inside = np.interp(hi, x, cum) - np.interp(lo, x, cum)
-        if total <= 0 or inside < coverage * total:
+        if total <= 0 or inside < 0.99 * total:
             raise WindowTooSmallError(
                 f"{name} density keeps only {inside / max(total, 1e-300):.3f} "
                 "of its mass on the common window"
@@ -142,12 +144,12 @@ class PipelineConfig:
     """Controls for the sampling half of the smoothness pipeline.
 
     ``runs`` terminal samples on mark truncation ``trunc`` (default the last
-    declared), drawn by ``threads`` workers with ``ode_opts`` for the drift
-    flow.  The CF is read at ``xi_points`` log-spaced frequencies from
-    ``xi_min`` to ``xi_max`` (default from the run count, see
-    `frequency_grid`); the decay fit uses all of them that clear the
-    sampling floor (FLOOR_MULT), and ATOM_FLOOR separates an atom from slow
-    decay.
+    declared), drawn by ``threads`` workers, ``max_step`` bounding the RK4
+    step of the drift flow.  The CF is read at ``xi_points`` (at least
+    MIN_FIT_POINTS) log-spaced frequencies from ``xi_min`` (positive) to
+    ``xi_max`` (default from the run count, see `frequency_grid`); the decay
+    fit uses all of them that clear the sampling floor (FLOOR_MULT), and
+    ATOM_FLOOR separates an atom from slow decay.
     """
 
     runs: int = 200_000
@@ -156,15 +158,19 @@ class PipelineConfig:
     xi_min: float = 1.0
     xi_max: float | None = None
     threads: int = 1
-    ode_opts: OdeOptions | None = None
+    max_step: float = MAX_STEP
 
 
 def frequency_grid(runs: int, cfg: PipelineConfig) -> np.ndarray:
     """Log-spaced frequencies from xi_min up to where sampling noise bites
-    (0.1 sqrt(N) heuristic, capped at 1000)."""
+    (0.1 sqrt(N) heuristic, capped at 1000); checked before any sampling."""
+    if not (math.isfinite(cfg.xi_min) and cfg.xi_min > 0.0):
+        raise ContractError(f"xi_min must be positive and finite, got {cfg.xi_min!r}")
+    if cfg.xi_points < MIN_FIT_POINTS:
+        raise ContractError(f"xi_points must be at least {MIN_FIT_POINTS}, got {cfg.xi_points}")
     hi = cfg.xi_max if cfg.xi_max is not None else min(0.1 * math.sqrt(runs), 1e3)
-    if hi <= cfg.xi_min:
-        raise ContractError("frequency band is empty; raise xi_max or the run count")
+    if not (math.isfinite(hi) and hi > cfg.xi_min):
+        raise ContractError("frequency band is empty or unbounded; raise xi_max or the run count")
     return np.geomspace(cfg.xi_min, hi, cfg.xi_points)
 
 
@@ -192,11 +198,11 @@ def smoothness_pipeline(
     if kernels is not None and kernels.theta is None:
         raise ContractError("pipeline needs a kernel decomposition with a declared theta")
     trunc = coeffs.q.resolve_trunc(cfg.trunc)
+    xi = frequency_grid(cfg.runs, cfg)
     batch = simulate_batch(
         coeffs, x0, t_end, trunc, rng_spec, cfg.runs,
-        ode_opts=cfg.ode_opts, threads=cfg.threads,
+        max_step=cfg.max_step, threads=cfg.threads,
     )
-    xi = frequency_grid(cfg.runs, cfg)
     cf = empirical_cf(batch["terminal"], xi)
     fit = decay_fit(cf)
     mag = cf.magnitude()
@@ -206,7 +212,7 @@ def smoothness_pipeline(
     env_ok = None
     two_term = []
     if kernels is not None:
-        k = float(kernels.cutoff_order)
+        k = float(coeffs.k)
         theta = float(kernels.theta)
         predicted = k * t_end / (theta + t_end)
         # envelope constant calibrated on the lower third of the band,

@@ -538,22 +538,21 @@ def picard_validate(
     initial: GridDensity,
     t_short: float,
     cfg: EvolutionConfig,
-    sweeps: int = 4,
-    time_nodes: int = 17,
 ) -> dict:
     """Fixed-point iteration of the integral form on a short horizon.
 
-    Iterates f_{m+1}(t) = f_0 + integral_0^t L* f_m(s) ds with trapezoidal
-    time quadrature, then compares the final sweep against explicit Euler on
-    the same operator at t_short.  A validation tool, not a production
-    integrator.
+    Iterates f_{m+1}(t) = f_0 + integral_0^t L* f_m(s) ds, 4 sweeps with
+    trapezoidal time quadrature on 17 time nodes, then compares the final
+    sweep against explicit Euler on the same operator at t_short.  A
+    validation tool, not a production integrator.
     """
     if t_short < 0:
         raise ContractError("t_short must be >= 0")
     op = AdjointOperator(coeffs, initial, cfg)
     euler_dt = _checked_step(op, cfg)
+    sweeps, time_nodes = 4, 17
     if t_short > 4.0 * op.stable_dt() * (time_nodes - 1):
-        raise ContractError("picard horizon too long for the requested time grid")
+        raise ContractError("picard horizon too long for the 17-node time grid")
     ts = np.linspace(0.0, t_short, time_nodes)
     dt = ts[1] - ts[0]
     # iterate[m][j] = stack at time node j for sweep m (start: constant f0)

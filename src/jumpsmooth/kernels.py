@@ -46,7 +46,7 @@ from .errors import (
     MassBracketError,
     ResolutionError,
 )
-from .model import CoefficientSet, _envelope, _frame, gauss_panels
+from .model import CoefficientSet, _envelope, _frame, _require_finite, gauss_panels
 from .fokker_planck import GridDensity
 from .presets import SmoothstepBump
 
@@ -96,7 +96,7 @@ class _Kernel:
     displacements) and `integrals` (the panel quadrature in w).
     """
 
-    def __init__(self, coeffs: CoefficientSet, y: float, n: int, cutoff_order: int | None):
+    def __init__(self, coeffs: CoefficientSet, y: float, n: int):
         gam, a, sigma = _frame(coeffs, y)
         self.coeffs, self.y, self.n = coeffs, y, n
         self.gam, self.a, self.sigma = float(gam), float(a), sigma
@@ -107,7 +107,7 @@ class _Kernel:
                 f"displacement map is not strictly monotone in the mark at y={y}, n={n}"
             )
         self.sign = float(signs[0])
-        self.phi = make_cutoff(n, coeffs.k if cutoff_order is None else cutoff_order)
+        self.phi = make_cutoff(n, coeffs.k)
         self.window = sorted(float(self.H(np.asarray(w))) for w in (1.0, float(n + 3)))
 
     def z(self, w):
@@ -178,16 +178,16 @@ class _Kernel:
         return total
 
 
-def mu_density(coeffs: CoefficientSet, y: float, n: int, u_grid, cutoff_order: int | None = None) -> np.ndarray:
+def mu_density(coeffs: CoefficientSet, y: float, n: int, u_grid) -> np.ndarray:
     """Density of the n-th filtered jump kernel in the displacement variable.
 
     Vanishes outside the image of the cutoff window under the displacement
     map; inside it equals phi_n(W(u)) |W'(u)| with W the scaled inverse map.
     """
-    return _Kernel(coeffs, y, n, cutoff_order).stack(u_grid, 0)[0]
+    return _Kernel(coeffs, y, n).stack(u_grid, 0)[0]
 
 
-def kernel_mass(coeffs: CoefficientSet, y: float, n: int, cutoff_order: int | None = None) -> float:
+def kernel_mass(coeffs: CoefficientSet, y: float, n: int) -> float:
     """Quadrature mass of the n-th filtered kernel at state y.
 
     Integrates the displacement density through the same inverse-map path the
@@ -195,7 +195,7 @@ def kernel_mass(coeffs: CoefficientSet, y: float, n: int, cutoff_order: int | No
     image windows cost nothing), and checks the construction bracket
     [n, n+2]; the symmetric ramps make the exact value n+1.
     """
-    return _Kernel(coeffs, y, n, cutoff_order).mass()
+    return _Kernel(coeffs, y, n).mass()
 
 
 def cutoff_window_mass(
@@ -203,7 +203,6 @@ def cutoff_window_mass(
     y: float,
     n: int,
     z_interval: tuple[float, float] | None = None,
-    cutoff_order: int | None = None,
 ) -> float:
     """Mass of the cutoff in the scaled coordinate, optionally restricted to
     a mark interval (the filtered acceptance rate available to a truncated
@@ -221,7 +220,7 @@ def cutoff_window_mass(
         w_hi = min(w_hi, bounds[1])
     if w_hi <= w_lo:
         return 0.0
-    phi = make_cutoff(n, coeffs.k if cutoff_order is None else cutoff_order)
+    phi = make_cutoff(n, coeffs.k)
     # integrate ramp pieces separately so panel edges sit on the joins;
     # the plateau piece is exact
     total = 0.0
@@ -240,7 +239,6 @@ def kernel_sobolev_audit(
     y_grid,
     n_values,
     theta: float,
-    cutoff_order: int | None = None,
 ) -> dict:
     """Sobolev-norm audit of the filtered kernels.
 
@@ -262,7 +260,7 @@ def kernel_sobolev_audit(
     table = np.zeros_like(norm)
     for jn, n in enumerate(n_values):
         for jy, y in enumerate(y_grid):
-            norms, mass = _Kernel(coeffs, float(y), n, cutoff_order).integrals(k)
+            norms, mass = _Kernel(coeffs, float(y), n).integrals(k)
             norm[jn, jy] = float(np.sum(norms))
             table[jn, jy] = norm[jn, jy] / mass
 
@@ -271,7 +269,7 @@ def kernel_sobolev_audit(
     slope_fit, intercept = np.polyfit(ns, np.log(np.maximum(per_n, 1e-300)), 1)
     worst_y, worst_n = float(y_grid[iw[1]]), n_values[iw[0]]
     norm_coarse = float(norm[iw])
-    norm_fine = float(np.sum(_Kernel(coeffs, worst_y, worst_n, cutoff_order).integrals(k, 2)[0]))
+    norm_fine = float(np.sum(_Kernel(coeffs, worst_y, worst_n).integrals(k, 2)[0]))
     refine_change = abs(norm_fine - norm_coarse) / max(norm_fine, 1e-300)
 
     return {
@@ -293,7 +291,6 @@ def conditional_jump_density(
     y: float,
     n: int,
     grid,
-    cutoff_order: int | None = None,
 ) -> GridDensity:
     """Normalized density of the post-jump state after a filtered jump.
 
@@ -307,7 +304,7 @@ def conditional_jump_density(
     spac = np.diff(grid)
     if np.max(np.abs(spac - spac[0])) > 1e-9 * abs(spac[0]):
         raise ContractError("conditional density grid must be uniform")
-    kernel = _Kernel(coeffs, float(y), n, cutoff_order)
+    kernel = _Kernel(coeffs, float(y), n)
     stack = kernel.stack(grid - float(y), coeffs.k)
     grid_mass = float(np.trapezoid(stack[0], dx=float(spac[0])))
     true_mass = kernel.mass()
@@ -322,22 +319,21 @@ def conditional_jump_density(
 class KernelDecomposition:
     """A model paired with its family of filtered kernels.
 
-    Carries the cutoff smoothness order, the declared kernel indices, the
-    declared Sobolev budget theta, and the build-time audit outcome.  The
-    simulator consumes `acceptance`; the diagnostics consume theta and the
-    cutoff order.
+    Carries the declared kernel indices, the declared Sobolev budget theta,
+    and the build-time audit outcome.  The cutoffs are smooth of the model's
+    own order `coeffs.k`, the order the certificate's predicted decay uses.
+    The simulator consumes `acceptance`; the diagnostics consume theta and k.
     """
 
     coeffs: CoefficientSet
     n_values: tuple[int, ...]
-    cutoff_order: int
     theta: float | None = None
     audit: dict = field(default_factory=dict)
     # (n, trunc) pairs whose filtered rate passed `_audit_rate`
     _rate_audited: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     def cutoff(self, n: int) -> SmoothstepBump:
-        return make_cutoff(n, self.cutoff_order)
+        return make_cutoff(n, self.coeffs.k)
 
     def acceptance(self, n: int, y, z) -> np.ndarray:
         """Filter ratio d_n(y, z) in [0, 1]: the probability that a jump with
@@ -355,12 +351,12 @@ class KernelDecomposition:
         return np.clip(ratio, 0.0, 1.0)
 
     def mass(self, n: int, y: float) -> float:
-        return kernel_mass(self.coeffs, y, n, self.cutoff_order)
+        return kernel_mass(self.coeffs, y, n)
 
     def acceptance_rate(self, n: int, y: float, z_interval=None) -> float:
         """Rate at which filtered jumps arrive from state y when candidate
         marks are restricted to z_interval."""
-        return cutoff_window_mass(self.coeffs, y, n, z_interval, self.cutoff_order)
+        return cutoff_window_mass(self.coeffs, y, n, z_interval)
 
     def _audit_rate(self, coeffs: CoefficientSet, n: int, trunc: int) -> None:
         """Refuse to filter a simulation of `coeffs` on truncation `trunc`
@@ -388,7 +384,7 @@ class KernelDecomposition:
     def describe(self) -> dict:
         return {
             "n_values": list(self.n_values),
-            "cutoff_order": self.cutoff_order,
+            "cutoff_order": self.coeffs.k,
             "theta": self.theta,
             "audit": self.audit,
         }
@@ -397,26 +393,24 @@ class KernelDecomposition:
 def make_kernels(
     coeffs: CoefficientSet,
     n_values,
-    cutoff_order: int | None = None,
     theta: float | None = None,
 ) -> KernelDecomposition:
     """Build and audit the filtered kernel family for a model.
 
     Audits on the model's window: positive rate, strictly monotone
-    displacement map at every audit state, and mark density >= 1 on every
-    cutoff window (needed for the filter ratio to be a probability).
+    displacement map at every audit state, and a finite mark density >= 1 on
+    every cutoff window (needed for the filter ratio to be a probability).
     """
-    if cutoff_order is None:
-        cutoff_order = coeffs.k
     n_values = tuple(sorted(int(n) for n in n_values))
     if not n_values or n_values[0] < 1:
         raise ContractError("kernel indices must be positive integers")
     y_grid = coeffs.y_audit_grid()
     density_floor = np.inf
     for y in y_grid[:: max(1, y_grid.size // 24)]:
-        kernel = _Kernel(coeffs, float(y), n_values[-1], cutoff_order)
-        w = np.linspace(1.0, n_values[-1] + 3.0, 257)
-        rho = np.asarray(coeffs.q.density.value(kernel.z(w)), dtype=float)
+        kernel = _Kernel(coeffs, float(y), n_values[-1])
+        z = kernel.z(np.linspace(1.0, n_values[-1] + 3.0, 257))
+        rho = np.asarray(coeffs.q.density.value(z), dtype=float)
+        _require_finite(rho, z, "mark density", "z")
         density_floor = min(density_floor, float(np.min(rho)))
     if density_floor < 1.0 - 1e-9:
         raise InvalidModelError(
@@ -424,4 +418,4 @@ def make_kernels(
             "the filter ratio would exceed 1"
         )
     audit = {"density_floor": float(density_floor), "audited_states": int(len(y_grid))}
-    return KernelDecomposition(coeffs, n_values, cutoff_order, theta, audit)
+    return KernelDecomposition(coeffs, n_values, theta, audit)

@@ -180,8 +180,8 @@ class JumpMeasureSpec:
             return (self.anchor - ext, self.anchor)
         return (-ext, ext)
 
-    def interval_mass(self, lo: float, hi: float, nodes: int = 512, panels: int = 16) -> float:
-        z, w = gauss_panels(lo, hi, nodes, panels)
+    def interval_mass(self, lo: float, hi: float) -> float:
+        z, w = gauss_panels(lo, hi, 512, 16)
         rho = np.asarray(self.density.value(z), dtype=float)
         if np.any(rho < 0):
             raise InvalidModelError("mark density is negative inside the support")
@@ -240,10 +240,8 @@ class CoefficientSet:
     def y_audit_grid(self) -> np.ndarray:
         return np.linspace(self.y_window[0], self.y_window[1], self.audit_points)
 
-    def z_audit_grid(self, i: int | None = None) -> np.ndarray:
-        if i is None:
-            i = len(self.q.truncations)
-        lo, hi = self.q.trunc_interval(i)
+    def z_audit_grid(self) -> np.ndarray:
+        lo, hi = self.q.trunc_interval(len(self.q.truncations))
         pad = 1e-9 * max(1.0, abs(hi - lo))
         return np.linspace(lo + pad, hi, self.audit_points)
 
@@ -301,8 +299,8 @@ class AssumptionReport:
     def to_dict(self) -> dict:
         return _jsonable(dataclasses.asdict(self))
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def _pair_grids(y_grid, z_grid):

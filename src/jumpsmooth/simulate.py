@@ -9,9 +9,9 @@ rate variable u uniform on (0, ubar) and a filter variable v uniform on
 filtered kernel is checked, so filtered and plain runs can be coupled.
 Between candidates the state follows the drift flow: each run takes
 ceil(segment / max_step) equal RK4 steps on each of its segments, so its
-steps depend on that run alone.  The drift-poissonized chain, whose density
-evolution the adjoint solver mirrors, replaces the flow with kicks b(X)/i at
-rate i.
+steps depend on that run alone; `max_step` must be positive and finite.  The
+drift-poissonized chain, whose density evolution the adjoint solver mirrors,
+replaces the flow with kicks b(X)/i at rate i.
 
 Random streams fan out into 32 Philox substreams per (seed, stream) pair, one
 per chunk of a batch's runs.  The engine advances a group of chunks in
@@ -48,6 +48,8 @@ N_CHUNKS = 32  # fixed RNG fan-out; results do not depend on thread count
 BLOW_UP = 1e8  # |state| beyond this is a blow-up
 FLOOR_MULT = 3.0  # a usable CF magnitude stands this many 1/sqrt(N) clear of 0
 GUIDE_BUCKETS = 4096  # level bins of the mark sampler's guide table; a power of two
+MARK_CDF_NODES = 4097  # equispaced marks of the mark sampler's trapezoid CDF
+MAX_STEP = 1e-3  # default RK4 step bound of the drift flow between candidates
 
 
 @dataclass(frozen=True)
@@ -70,41 +72,24 @@ class RngSpec:
         return np.random.Generator(np.random.Philox(seq))
 
 
-@dataclass(frozen=True)
-class OdeOptions:
-    """Fixed-step RK4 control for the drift flow between candidates.
-
-    ``max_step`` bounds the RK4 step and must be positive and finite: each
-    run takes ceil(segment / max_step) equal steps on each of its segments.
-    """
-
-    max_step: float = 1e-3
-
-    def __post_init__(self):
-        if not (math.isfinite(self.max_step) and self.max_step > 0.0):
-            raise ContractError(
-                f"max_step must be positive and finite, got {self.max_step!r}"
-            )
-
-
 class MarkSampler:
     """Inverse-CDF sampler for the mark density restricted to an interval.
 
-    The CDF is the trapezoid rule on `nodes` equispaced marks, inverted by
-    linear interpolation.  `invert` finds each level's CDF cell through a
-    guide table (Chen & Asau 1974; Devroye 1986, ch. III.2): bucket b of
-    GUIDE_BUCKETS equal level bins stores the last node with cdf <= b / G,
-    so a level's cell is at most a step or two past its bucket's entry,
-    instead of a binary search over all nodes.  It then applies
-    `np.interp`'s own arithmetic to the same cell, so the marks are the
-    ones `np.interp` gives, bit for bit.
+    The CDF is the trapezoid rule on MARK_CDF_NODES equispaced marks,
+    inverted by linear interpolation.  `invert` finds each level's CDF cell
+    through a guide table (Chen & Asau 1974; Devroye 1986, ch. III.2):
+    bucket b of GUIDE_BUCKETS equal level bins stores the last node with
+    cdf <= b / G, so a level's cell is at most a step or two past its
+    bucket's entry, instead of a binary search over all nodes.  It then
+    applies `np.interp`'s own arithmetic to the same cell, so the marks are
+    the ones `np.interp` gives, bit for bit.
     """
 
-    def __init__(self, spec, interval: tuple[float, float], nodes: int = 4097):
+    def __init__(self, spec, interval: tuple[float, float]):
         lo, hi = float(interval[0]), float(interval[1])
         if not hi > lo:
             raise ContractError("mark interval must have positive length")
-        zs = np.linspace(lo, hi, nodes)
+        zs = np.linspace(lo, hi, MARK_CDF_NODES)
         dens = np.asarray(spec.density.value(zs), dtype=float)
         if np.any(dens < 0) or not np.all(np.isfinite(dens)):
             raise InvalidModelError("mark density must be finite and nonnegative")
@@ -203,7 +188,7 @@ def _check_rate_bound(gam_pre, ubar: float) -> None:
         )
 
 
-def _drift_flow_batch(coeffs, x: np.ndarray, seg: np.ndarray, opts: OdeOptions) -> np.ndarray:
+def _drift_flow_batch(coeffs, x: np.ndarray, seg: np.ndarray, max_step: float) -> np.ndarray:
     """RK4 flow of each run over its own segment length.
 
     Run r takes ceil(seg_r / max_step) equal steps, so its arithmetic depends
@@ -212,7 +197,7 @@ def _drift_flow_batch(coeffs, x: np.ndarray, seg: np.ndarray, opts: OdeOptions) 
     """
     if x.size == 0 or coeffs.b.is_zero:
         return x
-    steps = np.ceil(seg / opts.max_step).astype(np.int64)
+    steps = np.ceil(seg / max_step).astype(np.int64)
     order = np.argsort(-steps)
     steps = steps[order]
     hs = seg[order] / np.maximum(steps, 1)
@@ -290,7 +275,7 @@ class _Round:
 
 def _thinning(
     coeffs, x: np.ndarray, t_end: float, gens: list[np.random.Generator], sizes: list[int],
-    frame, i: int | None, opts: OdeOptions, on_round,
+    frame, i: int | None, max_step: float, on_round,
     kernels: KernelDecomposition | None = None, filter_n: int | None = None,
 ) -> None:
     """The thinning engine: candidate rounds for a group of chunks, in lockstep.
@@ -299,6 +284,8 @@ def _thinning(
     from `gens[c]`), and is advanced in place to t_end >= 0.  `frame` comes
     from `_candidate_frame`; `i` selects the drift-poissonized chain (None:
     the exact flow); `filter_n` fills `kept` from the n-th filtered kernel.
+    Every entry point passes through here, so this is where a `max_step`
+    that is not positive and finite is refused, before any draw.
 
     The engine holds ids, clocks and states for the alive runs only, in run
     order, and filters all three by `landed` after each round; each chunk's
@@ -315,12 +302,14 @@ def _thinning(
     recomputes them, so each run's arithmetic and bytes do not depend on
     which other runs are still alive.
     """
+    if not (math.isfinite(max_step) and max_step > 0.0):
+        raise ContractError(f"max_step must be positive and finite, got {max_step!r}")
     if not t_end >= 0.0:
         raise ContractError(f"the horizon must be >= 0, got {t_end!r}")
     sampler, active, ubar, lam = frame
     m = x.size
     if lam == 0.0 and i is None:  # no jumps, no kicks: one drift segment
-        x[:] = _drift_flow_batch(coeffs, x, np.full(m, t_end), opts)
+        x[:] = _drift_flow_batch(coeffs, x, np.full(m, t_end), max_step)
         return
     offsets = np.cumsum([0] + list(sizes))
     total = lam if i is None else float(i) + lam
@@ -353,7 +342,7 @@ def _thinning(
             kick = landed & (wkick <= i / total)
         elif not coeffs.b.is_zero:
             seg = np.minimum(t_next, t_end) - t
-            pre = _drift_flow_batch(coeffs, xs, seg, opts)
+            pre = _drift_flow_batch(coeffs, xs, seg, max_step)
         gam = np.asarray(coeffs.gamma.value(pre), dtype=float)
         _check_rate_bound(gam[landed], ubar)
         in_window = (z >= active[0]) & (z <= active[1])
@@ -383,7 +372,7 @@ def _thinning(
 
 
 def _single_path(
-    coeffs, x0: float, t_end: float, trunc: int, rng, couple_top, i, ode_opts
+    coeffs, x0: float, t_end: float, trunc: int, rng, couple_top, i, max_step
 ) -> Trajectory:
     """A batch of one of the thinning engine on `rng`, its landed candidates
     recorded as events."""
@@ -404,7 +393,7 @@ def _single_path(
             float(r.z[0]), float(r.u[0]), float(r.v[0]),
         ))
 
-    _thinning(coeffs, x, t_end, [rng], [1], frame, i, ode_opts or OdeOptions(), on_round)
+    _thinning(coeffs, x, t_end, [rng], [1], frame, i, max_step, on_round)
     times = [0.0] + [e.time for e in events] + [float(t_end)]
     states = [float(x0)] + [e.post for e in events] + [float(x[0])]
     return Trajectory(
@@ -418,7 +407,7 @@ def simulate_exact(
     t_end: float,
     trunc: int,
     rng: np.random.Generator,
-    ode_opts: OdeOptions | None = None,
+    max_step: float = MAX_STEP,
     couple_top: int | None = None,
 ) -> Trajectory:
     """One path of the jumping diffusion with truncated marks.
@@ -431,7 +420,7 @@ def simulate_exact(
     wider window and those outside the `trunc` window are recorded as
     skips, so paths at different truncations share every draw.
     """
-    return _single_path(coeffs, x0, t_end, trunc, rng, couple_top, None, ode_opts)
+    return _single_path(coeffs, x0, t_end, trunc, rng, couple_top, None, max_step)
 
 
 def simulate_poissonized(
@@ -441,13 +430,12 @@ def simulate_poissonized(
     i: int,
     trunc: int,
     rng: np.random.Generator,
-    ode_opts: OdeOptions | None = None,
 ) -> Trajectory:
     """One path of the drift-poissonized chain: drift kicks b(X)/i at rate i
-    superposed with the thinned jump stream, no continuous motion.  A batch
-    of one of the thinning engine, like `simulate_exact`."""
+    superposed with the thinned jump stream, no continuous motion, so no RK4
+    step bound.  A batch of one of the thinning engine, like `simulate_exact`."""
     _check_drift_index(coeffs, i)
-    return _single_path(coeffs, x0, t_end, trunc, rng, None, i, ode_opts)
+    return _single_path(coeffs, x0, t_end, trunc, rng, None, i, MAX_STEP)
 
 
 def sample_tau_n(
@@ -458,7 +446,7 @@ def sample_tau_n(
     t_max: float,
     trunc: int,
     rng: np.random.Generator,
-    ode_opts: OdeOptions | None = None,
+    max_step: float = MAX_STEP,
 ) -> RegularizingJumpRecord | None:
     """First jump kept by the n-th filtered kernel along one exact path.
 
@@ -479,7 +467,7 @@ def sample_tau_n(
         return bool(found)
 
     _thinning(coeffs, np.array([float(x0)]), t_max, [rng], [1], frame, None,
-              ode_opts or OdeOptions(), on_round, kernels, n)
+              max_step, on_round, kernels, n)
     return found[0] if found else None
 
 
@@ -498,7 +486,7 @@ def simulate_batch(
     i: int | None = None,
     kernels: KernelDecomposition | None = None,
     filter_n: int | None = None,
-    ode_opts: OdeOptions | None = None,
+    max_step: float = MAX_STEP,
     threads: int = 1,
 ) -> dict:
     """Monte Carlo batch of terminal states (and filtered first-jump times).
@@ -507,7 +495,8 @@ def simulate_batch(
     (for matching a spread-out initial density).  Set `i` for the
     drift-poissonized chain, None for the exact flow.  When `filter_n` is
     given, `tau` holds the first time each run's jumps passed the n-th
-    filtered kernel (inf if none did).  `t_end` must be finite.  The 32
+    filtered kernel (inf if none did).  `t_end` must be finite; `max_step`
+    bounds the exact flow's RK4 step.  The 32
     chunks are split into `threads` contiguous groups, one worker each;
     results are byte-identical for any `threads` value under a fixed RngSpec.
     """
@@ -523,7 +512,6 @@ def simulate_batch(
         kernels._audit_rate(coeffs, filter_n, trunc)
     if i is not None:
         _check_drift_index(coeffs, i)
-    opts = ode_opts or OdeOptions()
     frame = _candidate_frame(coeffs, trunc, None)
     sizes = _chunk_sizes(runs)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
@@ -542,7 +530,7 @@ def simulate_batch(
                 tau[hit] = np.minimum(tau[hit], r.t_next[r.kept])
 
         gens = [rng_spec.chunk_generator(int(c)) for c in chunks]
-        _thinning(coeffs, x, t_end, gens, [sizes[c] for c in chunks], frame, i, opts,
+        _thinning(coeffs, x, t_end, gens, [sizes[c] for c in chunks], frame, i, max_step,
                   on_round, kernels, filter_n)
         return x, tau, jumps
 

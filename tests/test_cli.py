@@ -14,6 +14,7 @@ import yaml
 
 from jumpsmooth import cli
 from jumpsmooth.cli import main
+from jumpsmooth.config import load_config
 
 
 def _base_config(out_dir):
@@ -183,6 +184,8 @@ def test_nonpositive_max_step_or_threads_exit_2(tmp_path, capsys):
         ("simulate", "simulation", "runs", 0, "runs must be at least 1"),
         ("certify", "diagnostics", "t_end", -1.0, "t_end must be >= 0"),
         ("certify", "diagnostics", "runs", 0, "runs must be at least 1"),
+        ("certify", "diagnostics", "xi_min", 0.0, "xi_min must be positive and finite"),
+        ("certify", "diagnostics", "xi_points", 0, "xi_points must be at least 10"),
     ],
 )
 def test_out_of_range_stanza_values_exit_2(tmp_path, capsys, command, stanza, key, bad, message):
@@ -192,6 +195,60 @@ def test_out_of_range_stanza_values_exit_2(tmp_path, capsys, command, stanza, ke
     err = capsys.readouterr().err
     assert "config error" in err and f"{stanza}: {message}" in err
     assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def _set(cfg, dotted, value):
+    *parents, key = dotted.split(".")
+    for name in parents:
+        cfg = cfg[name]
+    cfg[key] = value
+
+
+@pytest.mark.parametrize(
+    "key, bad",
+    [
+        ("seed", "abc"),
+        ("model.k", "two"),
+        ("model.k", 2.7),
+        ("model.audit_points", 100.5),
+        ("model.amplitude", [{"y": {"family": "constant", "c": 0.4},
+                              "z": {"family": "smoothstep_bump", "lo": 0.0, "hi": 4.0,
+                                    "ramp": 1.0, "order": "x", "amp": 1.0}}]),
+        ("model.marks.truncations", ["a", 4.0]),
+        ("model.drift", {"family": "tabulated", "xs": [0.0, "a"], "ys": [0.0, 1.0]}),
+        ("kernels.n_values", ["a"]),
+        ("kernels.n_values", [2.5, 4]),
+        ("evolution.window", [-8.0, "x"]),
+        ("evolution.window", [-8.0]),
+    ],
+)
+def test_malformed_numbers_exit_2(tmp_path, capsys, key, bad):
+    # these used to end in a traceback, or to truncate silently and exit 0
+    cfg = _base_config(tmp_path / "out")
+    _set(cfg, key, bad)
+    assert main(["check", "--config", _write(tmp_path, cfg)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_retired_cutoff_order_key_exits_2(tmp_path, capsys):
+    # the cutoffs are smooth of the model's own order k; there is no override
+    cfg = _base_config(tmp_path / "out")
+    cfg["kernels"]["cutoff_order"] = 2
+    assert main(["kernels", "--config", _write(tmp_path, cfg)]) == 2
+    assert "unknown keys: ['cutoff_order']" in capsys.readouterr().err
+
+
+def test_readme_and_bench_configs_load(tmp_path):
+    # the README's exp.yaml and every bench workload, only read here: a schema
+    # change that would break the bench or the README fails tier-1 first
+    root = Path(__file__).resolve().parents[1]
+    block = (root / "README.md").read_text().split("```yaml\n# exp.yaml\n", 1)[1]
+    readme = tmp_path / "exp.yaml"
+    readme.write_text(block.split("```", 1)[0])
+    paths = [readme, *sorted((root / "bench" / "workloads").glob("*.yaml"))]
+    labels = [load_config(str(p)).label for p in paths]
+    assert labels == ["wobble", "collapse", "power", "wobble"]
 
 
 @pytest.mark.parametrize("stanza", ["simulation", "evolution", "diagnostics"])
@@ -268,6 +325,7 @@ def test_kernels_audit_pass_and_fail(tmp_path, capsys):
     assert main(["kernels", "--config", path]) == 0
     payload = json.loads((tmp_path / "out" / "kernels.json").read_text())
     assert payload["decomposition"]["n_values"] == [2, 4]
+    assert payload["decomposition"]["cutoff_order"] == cfg["model"]["k"]
     assert payload["sobolev_audit"]["passed"]
     # n = 2 kernel carries mass in [2, 4] at every probed state
     for vals in payload["masses"]["2"]:

@@ -138,6 +138,27 @@ def test_frequency_grid_heuristic_cap():
         js.frequency_grid(1_000_000, js.PipelineConfig(xi_min=200.0))
 
 
+@pytest.mark.parametrize(
+    "field, bad, message",
+    [
+        ("xi_min", 0.0, "xi_min must be positive and finite"),
+        ("xi_min", math.nan, "xi_min must be positive and finite"),
+        ("xi_points", 9, "xi_points must be at least 10"),
+        ("xi_max", math.nan, "frequency band"),
+    ],
+)
+def test_bad_band_is_refused_before_the_batch(monkeypatch, exp_unit_model, field, bad, message):
+    # xi_min = 0 used to raise numpy's ValueError, and a short grid a
+    # ResolutionError, each only after every run had been simulated
+    def no_batch(*args, **kwargs):
+        raise AssertionError("the batch ran before the band was checked")
+
+    monkeypatch.setattr(js.diagnostics, "simulate_batch", no_batch)
+    cfg = js.PipelineConfig(runs=1000, **{field: bad})
+    with pytest.raises(js.ContractError, match=message):
+        js.smoothness_pipeline(exp_unit_model, None, 0.0, 0.5, js.RngSpec(1), cfg)
+
+
 def test_smoothness_pipeline_power_law_decay(exp_unit_model):
     # b = 0, gamma = 1, displacement e^{-z}, flat marks: each jump adds
     # U = e^{-Z} with density 1/(12 u) on (e^{-12}, 1), so log|cf(xi)| =

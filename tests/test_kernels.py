@@ -1,6 +1,8 @@
 """Filtered jump-kernel family: cutoffs, densities, masses, norm audits."""
 
+import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -238,6 +240,15 @@ def test_make_kernels_rejects_sub_lebesgue_density():
     )
     with pytest.raises(js.InvalidModelError):
         js.make_kernels(m, (1, 2))
+
+
+def test_make_kernels_rejects_nan_mark_density(exp_unit_model):
+    # Python's min skips NaN: the audit used to read density_floor inf, and
+    # every filter ratio then came out 0, so a filtered batch kept nothing
+    q = dataclasses.replace(exp_unit_model.q, density=js.Affine(math.nan, 0.0))
+    m = dataclasses.replace(exp_unit_model, q=q)
+    with pytest.raises(js.InvalidModelError, match="mark density non-finite at z="):
+        js.make_kernels(m, (2, 3))
 
 
 def test_make_kernels_rejects_zero_rate():

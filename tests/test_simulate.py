@@ -310,7 +310,7 @@ def test_batch_drift_steps_honour_max_step():
     runs = 5
     drift.evals = 0
     out = js.simulate_batch(
-        m, 2.0, 10.0, 1, js.RngSpec(8), runs, ode_opts=js.OdeOptions(max_step=1e-3)
+        m, 2.0, 10.0, 1, js.RngSpec(8), runs, max_step=1e-3
     )
     assert drift.evals == 4 * 10_000 * runs
     assert np.allclose(out["terminal"], 2.0 * math.exp(-1.0), rtol=1e-12)
@@ -319,17 +319,17 @@ def test_batch_drift_steps_honour_max_step():
 def test_drift_flow_steps_are_per_run(wobble_model):
     # segments 100-fold apart in one call: run r takes ceil(seg_r / max_step)
     # steps of its own, so it gets the bytes it gets when flowed alone
-    opts = js.OdeOptions(max_step=1e-3)
+    max_step = 1e-3
     x = np.linspace(-2.0, 2.0, 7)
     seg = np.array([0.005, 0.5, 0.0123, 0.0, 0.5, 0.00731, 0.2])
     drift = _CountingDrift()
     for m in (_drift_model(drift), wobble_model):
-        together = _drift_flow_batch(m, x, seg, opts)
+        together = _drift_flow_batch(m, x, seg, max_step)
         for r in range(x.size):
-            alone = _drift_flow_batch(m, x[r : r + 1], seg[r : r + 1], opts)
+            alone = _drift_flow_batch(m, x[r : r + 1], seg[r : r + 1], max_step)
             assert together[r : r + 1].tobytes() == alone.tobytes()
     drift.evals = 0
-    _drift_flow_batch(_drift_model(drift), x, seg, opts)
+    _drift_flow_batch(_drift_model(drift), x, seg, max_step)
     assert drift.evals == 4 * sum(math.ceil(s / 1e-3) for s in seg)
 
 
@@ -398,10 +398,12 @@ def test_infinite_horizon_is_refused_at_once(exp_unit_model):
 
 
 @pytest.mark.parametrize("bad", [0.0, -1e-3, math.nan, math.inf])
-def test_ode_options_reject_bad_max_step(bad):
+def test_ode_options_reject_bad_max_step(wobble_model, bad):
     # 0 and NaN used to skip the drift flow; a negative step ran the minimum
     with pytest.raises(js.ContractError, match="max_step must be positive and finite"):
-        js.OdeOptions(max_step=bad)
+        js.simulate_batch(wobble_model, 0.0, 1.0, 1, js.RngSpec(3), 8, max_step=bad)
+    with pytest.raises(js.ContractError, match="max_step must be positive and finite"):
+        js.simulate_exact(wobble_model, 0.0, 1.0, 1, js.RngSpec(3).generator(), max_step=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -557,12 +559,12 @@ def test_scalar_paths_pinned(wobble_model, ripple_model, power_model, exp_unit_m
 def test_scalar_paths_are_batches_of_one(wobble_model, ripple_model, power_model, exp_unit_model):
     # one thinning engine: a single path on chunk 0's generator is run 0 of a
     # one-run batch under the same RngSpec, bit for bit
-    opts = js.OdeOptions(max_step=1e-2)
+    max_step = 1e-2
     for m in (wobble_model, ripple_model, power_model):
         for s in range(40):
             spec = js.RngSpec(s)
-            tr = js.simulate_exact(m, 0.2, 1.0, 1, spec.chunk_generator(0), ode_opts=opts)
-            out = js.simulate_batch(m, 0.2, 1.0, 1, spec, 1, ode_opts=opts)
+            tr = js.simulate_exact(m, 0.2, 1.0, 1, spec.chunk_generator(0), max_step=max_step)
+            out = js.simulate_batch(m, 0.2, 1.0, 1, spec, 1, max_step=max_step)
             assert tr.states[-1:].tobytes() == out["terminal"].tobytes(), (m.label, s)
             assert tr.count("jump") == out["jumps"][0]
             tr = js.simulate_poissonized(m, 0.2, 1.0, 8, 1, spec.chunk_generator(0))
