@@ -52,6 +52,8 @@ def _fail(path: str, msg: str) -> ConfigError:
 
 
 def _as_float(node, path: str) -> float:
+    if isinstance(node, bool):  # YAML true/false are ints to Python
+        raise _fail(path, f"expected a number, got {node!r}")
     try:
         return float(node)
     except (TypeError, ValueError):
@@ -66,7 +68,7 @@ def _as_int(node, path: str) -> int:
 
 def build_function(node, path: str = "function") -> presets.Function1D:
     """Recursively build a coefficient function from a config node."""
-    if isinstance(node, (int, float)):
+    if isinstance(node, (int, float)) and not isinstance(node, bool):
         return presets.constant(float(node))
     if not isinstance(node, dict):
         raise _fail(path, f"expected a number or a mapping with 'family', got {node!r}")

@@ -24,10 +24,17 @@ The acceptance ratio d_n(y, z) = phi_n(w) / rho(z) (rho = mark density,
 audited >= 1 on the cutoff windows) lets the simulator mark exactly the jumps
 that the filtered kernel keeps.
 
-Every routine reads mu_n at a state through one private kernel object built
-once per (y, n): it checks the rate and the monotonicity of H, fixes phi_n and
-the image window, and provides the density's derivative stack and the one
-panel quadrature in w (L1 norm of each stack row, plus the mass).
+Every routine reads mu_n through one private kernel object built once per
+block of states and index n (a scalar state is a block of one): it checks the
+rate and the monotonicity of H state by state, fixes phi_n and each state's
+image window, and provides the density's derivative stack and the one panel
+quadrature in w (L1 norm of each stack row, plus the mass).  The quadrature
+evaluates the stack at its own Gauss nodes, shared by every state of the
+block, so the audits (`kernel_sobolev_audit` one block per index,
+`make_kernels` one block, `kernel_mass`) make no root solve; only reads at
+given displacements (`mu_density`, `conditional_jump_density`) solve H = u
+for the mark.  Failures come in state order, as a state-by-state audit
+meets them.
 `KernelDecomposition` owns the filtered-rate audit the simulator runs before
 filtering, and remembers each passing (index, truncation).
 """
@@ -82,98 +89,143 @@ class CutoffFamily:
         return float(np.max(np.abs(vals)))
 
 
-def _mass_panels(n: int) -> list[tuple[float, float, int]]:
-    return [(1.0, 2.0, 64), (2.0, float(n + 2), 32), (float(n + 2), float(n + 3), 64)]
+def _mass_nodes(n: int, scale: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss nodes and weights of the mass panels in w: the two ramps and the
+    plateau of phi_n, each with its own rule; `scale` multiplies the node
+    counts."""
+    rules = [
+        gauss_panels(lo, hi, nodes * scale, max(1, (nodes * scale) // 16))
+        for lo, hi, nodes in ((1.0, 2.0, 64), (2.0, float(n + 2), 32), (float(n + 2), float(n + 3), 64))
+    ]
+    return np.concatenate([w for w, _ in rules]), np.concatenate([v for _, v in rules])
+
+
+def _first(flags: np.ndarray, stop: int) -> int:
+    """Index of the first set flag before `stop`, else `stop`."""
+    hits = np.flatnonzero(flags[:stop])
+    return int(hits[0]) if hits.size else stop
 
 
 class _Kernel:
-    """The n-th filtered kernel at one state y, built once per (y, n).
+    """The n-th filtered kernel over a block of states, built once per
+    (block, n); a scalar state is a block of one.
 
-    Construction checks that the rate is positive and that the displacement
-    map H(w) = h(y, z(w)) is strictly monotone on the cutoff window, and fixes
-    the cutoff phi_n and the image window H([1, n+3]).  Every kernel routine
-    reads the kernel through `stack` (derivatives of the density mu_n at given
-    displacements) and `integrals` (the panel quadrature in w).
+    Construction checks, state by state, that the rate is positive and that
+    the displacement map H(w) = h(y, z(w)) is strictly monotone on the cutoff
+    window, and keeps the states before the first one that fails, each with
+    its frame (one row per state) and image window H([1, n+3]).  `checked`
+    then raises what that first failing state raises on its own, so a caller
+    that checks something per state first meets the failures in state order.
+    Every state shares the cutoff phi_n.  Every kernel routine reads the
+    kernel through `stack` (derivatives of the density mu_n at given
+    displacements, whose marks a bracketed Newton solve finds) and
+    `integrals` (the panel quadrature in w, evaluated at its own nodes); both
+    evaluate the density through `_stack_at`, at known marks.
     """
 
-    def __init__(self, coeffs: CoefficientSet, y: float, n: int):
-        gam, a, sigma = _frame(coeffs, y)
-        self.coeffs, self.y, self.n = coeffs, y, n
-        self.gam, self.a, self.sigma = float(gam), float(a), sigma
+    def __init__(self, coeffs: CoefficientSet, ys, n: int):
+        ys = np.atleast_1d(np.asarray(ys, dtype=float))
+        self.coeffs, self.n, self.sigma = coeffs, n, coeffs.q.direction
+        self.phi = make_cutoff(n, coeffs.k)
+        gam = np.asarray(coeffs.gamma.value(ys), dtype=float)
+        stop = _first(~(np.isfinite(gam) & (gam > 0.0)), ys.size)
+        self.ys, self.gam = ys[:stop, None], gam[:stop, None]
+        self.a = np.asarray(coeffs.q.endpoint_fn().value(self.ys), dtype=float)
         slope = self.dH(np.linspace(0.75, n + 3.25, 257))
         signs = np.sign(slope)
-        if np.any(np.abs(slope) < 1e-280) or float(np.max(signs)) != float(np.min(signs)):
+        flat = np.any(np.abs(slope) < 1e-280, axis=1)
+        stop = _first(flat | (np.max(signs, axis=1) != np.min(signs, axis=1)), stop)
+        self.failed = float(ys[stop]) if stop < ys.size else None
+        self.ys, self.gam, self.a = self.ys[:stop], self.gam[:stop], self.a[:stop]
+        self.sign = signs[:stop, :1]
+        ends = self.H(np.array([1.0, float(n + 3)]))
+        self.lo, self.hi = np.min(ends, axis=1, keepdims=True), np.max(ends, axis=1, keepdims=True)
+
+    def checked(self) -> "_Kernel":
+        """This kernel when every state passed construction; otherwise raise
+        what the first failing state raises on its own."""
+        if self.failed is not None:
+            _frame(self.coeffs, self.failed)  # a rate that is not positive
             raise DegenerateKernelError(
-                f"displacement map is not strictly monotone in the mark at y={y}, n={n}"
+                f"displacement map is not strictly monotone in the mark at y={self.failed}, n={self.n}"
             )
-        self.sign = float(signs[0])
-        self.phi = make_cutoff(n, coeffs.k)
-        self.window = sorted(float(self.H(np.asarray(w))) for w in (1.0, float(n + 3)))
+        return self
 
     def z(self, w):
         return self.a + self.sigma * np.asarray(w, dtype=float) / self.gam
 
     def H(self, w):
-        return np.asarray(self.coeffs.h.value(self.y, self.z(w)), dtype=float)
+        return np.asarray(self.coeffs.h.value(self.ys, self.z(w)), dtype=float)
 
     def dH(self, w):
-        return np.asarray(self.coeffs.h.dz(self.y, self.z(w), 1), dtype=float) * self.sigma / self.gam
+        return np.asarray(self.coeffs.h.dz(self.ys, self.z(w), 1), dtype=float) * self.sigma / self.gam
 
-    def stack(self, u_pts, order: int) -> np.ndarray:
-        """Derivative stack (orders 0..order) of the density mu_n(y, .) at
-        displacement values u_pts; zero outside the image window."""
-        u_pts = np.asarray(u_pts, dtype=float)
-        out = np.zeros((order + 1, u_pts.size))
-        inside = (u_pts > self.window[0]) & (u_pts < self.window[1])
-        if not np.any(inside):
-            return out
-        target = u_pts[inside]
-        sgn = self.sign
-        w_sol = _bracketed_newton(
-            lambda w: sgn * self.H(w), lambda w: sgn * self.dH(w), sgn * target,
-            np.full(target.shape, 0.75), np.full(target.shape, self.n + 3.25), 1e-12,
-            slope_floor=0.0,
-        )
-
-        # stack of H in w at the solutions, orders 0..order+1
-        fwd = self.coeffs.h.z_stack(self.y, self.z(w_sol), order + 1)
+    def _stack_at(self, w, order: int) -> tuple[np.ndarray, np.ndarray]:
+        """Derivative stack (orders 0..order) of the density mu_n at the marks
+        w, which broadcast against one row per state, with the stack of H in w
+        (orders 0..order+1) it is built from.  A slope that vanishes raises
+        for the first state that has one."""
+        fwd = self.coeffs.h.z_stack(self.ys, self.z(w), order + 1)
         scale = 1.0
         for m in range(order + 2):
             fwd[m] = fwd[m] * scale
             scale *= self.sigma / self.gam
+        singular = np.any(np.abs(fwd[1]) < 1e-280, axis=-1)
+        if np.any(singular):
+            _invert_values(fwd[:, int(np.argmax(singular))], slope_floor=0.0)
         inv = _invert_values(fwd, slope_floor=0.0)
-        inv[0] = w_sol  # inverse map W(u): rows 1..order+1 are its derivatives
+        inv[0] = w  # inverse map W(u): rows 1..order+1 are its derivatives
 
-        outer = np.stack([self.phi.derivative(w_sol, j) for j in range(order + 1)])
+        outer = np.stack([self.phi.derivative(w, j) for j in range(order + 1)])
         comp = _compose_values(outer, inv[: order + 1])
-        dW = sgn * inv[1:]  # |W'| and its derivatives
-        for l in range(order + 1):
-            out[l][inside] = _leibniz_row(comp, dW, l)
-        return out
+        dW = self.sign * inv[1:]  # |W'| and its derivatives
+        return np.stack([_leibniz_row(comp, dW, l) for l in range(order + 1)]), fwd
 
-    def integrals(self, order: int, scale: int = 1) -> tuple[np.ndarray, float]:
-        """L1 norms of the stack rows 0..order and the mass of mu_n, by Gauss
-        panels in the scaled coordinate (du = |H'(w)| dw, so thin exponential
-        image windows cost nothing); `scale` multiplies the node counts."""
-        norms = np.zeros(order + 1)
-        mass = 0.0
-        for w_lo, w_hi, nodes in _mass_panels(self.n):
-            w, v = gauss_panels(w_lo, w_hi, nodes * scale, max(1, (nodes * scale) // 16))
-            stack = self.stack(self.H(w), order)
-            slope = np.abs(self.dH(w))
-            for l in range(order + 1):
-                norms[l] += float(np.sum(v * slope * np.abs(stack[l])))
-            mass += float(np.sum(v * slope * stack[0]))
-        return norms, mass
+    def stack(self, u_pts, order: int) -> np.ndarray:
+        """Derivative stack (orders 0..order) of the density mu_n(y, .) at
+        displacement values u_pts, one row per state; zero outside each
+        state's image window."""
+        u, _ = np.broadcast_arrays(np.asarray(u_pts, dtype=float), self.ys)
+        inside = (u > self.lo) & (u < self.hi)
+        if not np.any(inside):
+            return np.zeros((order + 1,) + u.shape)
+        # a mark outside the window sits at the bracket's midpoint, solved from
+        # the start, so each solve inside runs as it would alone
+        mid = 0.5 * (0.75 + (self.n + 3.25))
+        sgn = self.sign
+        w_sol = _bracketed_newton(
+            lambda w: sgn * self.H(w), lambda w: sgn * self.dH(w),
+            np.where(inside, sgn * u, sgn * self.H(mid)),
+            np.where(inside, 0.75, mid), np.where(inside, self.n + 3.25, mid), 1e-12,
+            slope_floor=0.0,
+        )
+        return np.where(inside, self._stack_at(w_sol, order)[0], 0.0)
 
-    def mass(self) -> float:
-        """Quadrature mass, checked against the construction bracket [n, n+2]."""
+    def integrals(self, order: int, scale: int = 1) -> tuple[np.ndarray, np.ndarray]:
+        """L1 norms of the stack rows 0..order (shape (order+1, states)) and
+        the mass of mu_n per state, by Gauss panels in the scaled coordinate
+        (du = |H'(w)| dw, so thin exponential image windows cost nothing).
+        The nodes are shared by every state; a node whose image falls on or
+        outside a state's image window adds nothing.  `scale` multiplies the
+        node counts."""
+        w, v = _mass_nodes(self.n, scale)
+        stack, fwd = self._stack_at(w, order)
+        inside = (fwd[0] > self.lo) & (fwd[0] < self.hi)
+        dens = np.where(inside, stack, 0.0) * (v * np.abs(fwd[1]))
+        return np.sum(np.abs(dens), axis=-1), np.sum(dens[0], axis=-1)
+
+    def mass(self) -> np.ndarray:
+        """Quadrature mass per state, checked in state order against the
+        construction bracket [n, n+2]."""
         n = self.n
         total = self.integrals(0)[1]
         slack = 1e-8 * (n + 3.0)
-        if not (n - slack <= total <= n + 2.0 + slack):
+        outside = ~((n - slack <= total) & (total <= n + 2.0 + slack))
+        if np.any(outside):
+            j = int(np.argmax(outside))
             raise MassBracketError(
-                f"kernel mass {total!r} outside [{n}, {n + 2}] at y={self.y}, n={n}"
+                f"kernel mass {float(total[j])!r} outside [{n}, {n + 2}] "
+                f"at y={float(self.ys[j, 0])}, n={n}"
             )
         return total
 
@@ -184,7 +236,7 @@ def mu_density(coeffs: CoefficientSet, y: float, n: int, u_grid) -> np.ndarray:
     Vanishes outside the image of the cutoff window under the displacement
     map; inside it equals phi_n(W(u)) |W'(u)| with W the scaled inverse map.
     """
-    return _Kernel(coeffs, y, n).stack(u_grid, 0)[0]
+    return _Kernel(coeffs, y, n).checked().stack(u_grid, 0)[0, 0]
 
 
 def kernel_mass(coeffs: CoefficientSet, y: float, n: int) -> float:
@@ -195,7 +247,7 @@ def kernel_mass(coeffs: CoefficientSet, y: float, n: int) -> float:
     image windows cost nothing), and checks the construction bracket
     [n, n+2]; the symmetric ramps make the exact value n+1.
     """
-    return _Kernel(coeffs, y, n).mass()
+    return float(_Kernel(coeffs, y, n).checked().mass()[0])
 
 
 def cutoff_window_mass(
@@ -248,7 +300,10 @@ def kernel_sobolev_audit(
     theta passes when the tail half of the n-range stays within twice the
     head half's envelope constant (`model._envelope`, the rule of the
     inversion-budget audit too).
-    A refinement check recomputes the worst entry at doubled quadrature.
+    Each index is one block over every audit state, so a failing state
+    raises after the integrals of the states before it, as a state-by-state
+    audit meets it.  A refinement check recomputes the worst entry at doubled
+    quadrature.
     """
     y_grid = np.asarray(y_grid, dtype=float)
     n_values = [int(n) for n in n_values]
@@ -259,17 +314,18 @@ def kernel_sobolev_audit(
     norm = np.zeros((len(n_values), y_grid.size))
     table = np.zeros_like(norm)
     for jn, n in enumerate(n_values):
-        for jy, y in enumerate(y_grid):
-            norms, mass = _Kernel(coeffs, float(y), n).integrals(k)
-            norm[jn, jy] = float(np.sum(norms))
-            table[jn, jy] = norm[jn, jy] / mass
+        kernel = _Kernel(coeffs, y_grid, n)
+        norms, mass = kernel.integrals(k)
+        kernel.checked()
+        norm[jn] = np.sum(norms, axis=0)
+        table[jn] = norm[jn] / mass
 
     per_n, _, _, fitted_c, passed, iw = _envelope(table, y_grid, coeffs.p, n_values, theta)
     ns = np.asarray(n_values, dtype=float)
     slope_fit, intercept = np.polyfit(ns, np.log(np.maximum(per_n, 1e-300)), 1)
     worst_y, worst_n = float(y_grid[iw[1]]), n_values[iw[0]]
     norm_coarse = float(norm[iw])
-    norm_fine = float(np.sum(_Kernel(coeffs, worst_y, worst_n).integrals(k, 2)[0]))
+    norm_fine = float(np.sum(_Kernel(coeffs, worst_y, worst_n).checked().integrals(k, 2)[0]))
     refine_change = abs(norm_fine - norm_coarse) / max(norm_fine, 1e-300)
 
     return {
@@ -304,10 +360,10 @@ def conditional_jump_density(
     spac = np.diff(grid)
     if np.max(np.abs(spac - spac[0])) > 1e-9 * abs(spac[0]):
         raise ContractError("conditional density grid must be uniform")
-    kernel = _Kernel(coeffs, float(y), n)
-    stack = kernel.stack(grid - float(y), coeffs.k)
+    kernel = _Kernel(coeffs, float(y), n).checked()
+    stack = kernel.stack(grid - float(y), coeffs.k)[:, 0]
     grid_mass = float(np.trapezoid(stack[0], dx=float(spac[0])))
-    true_mass = kernel.mass()
+    true_mass = float(kernel.mass()[0])
     if grid_mass < 0.99 * true_mass:
         raise ResolutionError(
             f"state grid captures only {grid_mass / true_mass:.1%} of the kernel mass"
@@ -405,13 +461,14 @@ def make_kernels(
     if not n_values or n_values[0] < 1:
         raise ContractError("kernel indices must be positive integers")
     y_grid = coeffs.y_audit_grid()
-    density_floor = np.inf
-    for y in y_grid[:: max(1, y_grid.size // 24)]:
-        kernel = _Kernel(coeffs, float(y), n_values[-1])
-        z = kernel.z(np.linspace(1.0, n_values[-1] + 3.0, 257))
-        rho = np.asarray(coeffs.q.density.value(z), dtype=float)
-        _require_finite(rho, z, "mark density", "z")
-        density_floor = min(density_floor, float(np.min(rho)))
+    # the states that pass construction have their density checked first, so
+    # failures come in state order
+    kernel = _Kernel(coeffs, y_grid[:: max(1, y_grid.size // 24)], n_values[-1])
+    z = kernel.z(np.linspace(1.0, n_values[-1] + 3.0, 257))
+    rho = np.asarray(coeffs.q.density.value(z), dtype=float)
+    _require_finite(rho, z, "mark density", "z")
+    kernel.checked()
+    density_floor = float(np.min(rho))
     if density_floor < 1.0 - 1e-9:
         raise InvalidModelError(
             f"mark density falls to {density_floor} on a cutoff window; "

@@ -231,6 +231,18 @@ def test_malformed_numbers_exit_2(tmp_path, capsys, key, bad):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "key, bad", [("model.k", True), ("model.drift", True), ("kernels.n_values", [True, 4])]
+)
+def test_yaml_booleans_exit_2(tmp_path, capsys, key, bad):
+    # YAML true is a Python int: it used to load as k = 1, as a constant
+    # drift of 1 and as kernel index 1
+    cfg = _base_config(tmp_path / "out")
+    _set(cfg, key, bad)
+    assert main(["check", "--config", _write(tmp_path, cfg)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_retired_cutoff_order_key_exits_2(tmp_path, capsys):
     # the cutoffs are smooth of the model's own order k; there is no override
     cfg = _base_config(tmp_path / "out")
@@ -249,6 +261,26 @@ def test_readme_and_bench_configs_load(tmp_path):
     paths = [readme, *sorted((root / "bench" / "workloads").glob("*.yaml"))]
     labels = [load_config(str(p)).label for p in paths]
     assert labels == ["wobble", "collapse", "power", "wobble"]
+
+
+def test_kernels_cli_on_bench_workloads(tmp_path, capsys):
+    # the bench `kernels` stage on each workload, read but not edited: the
+    # exit codes, verdicts and worst entries recorded before the kernel audits
+    # were evaluated at their own nodes over blocks of states
+    workloads = Path(__file__).resolve().parents[1] / "bench" / "workloads"
+    want = {
+        "wobble": (0, {"y": -1.0666666666666664, "n": 4}),
+        "power": (0, {"y": 0.06666666666666643, "n": 16}),
+        "collapse": (3, None),
+    }
+    for name, (code, worst) in want.items():
+        out = tmp_path / name
+        assert main(["kernels", "--config", str(workloads / f"{name}.yaml"), "--out", str(out)]) == code
+        if worst is None:
+            assert "not strictly monotone in the mark at y=-3.0, n=4" in capsys.readouterr().err
+            continue
+        audit = json.loads((out / "kernels.json").read_text())["sobolev_audit"]
+        assert audit["passed"] and audit["worst"] == worst
 
 
 @pytest.mark.parametrize("stanza", ["simulation", "evolution", "diagnostics"])

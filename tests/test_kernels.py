@@ -188,20 +188,63 @@ def test_kernel_sobolev_audit_exponential_model(exp_unit_model):
 
 
 def test_kernel_sobolev_audit_reuses_table_norm(wobble_model, monkeypatch):
-    # one quadrature per table entry plus one doubled-node refinement: the
-    # coarse side of the refinement check is the table's own norm
+    # one block quadrature over every state per kernel index, plus one
+    # doubled-node refinement at the worst state: the coarse side of the
+    # refinement check is the table's own norm
     calls = []
     integrals = js.kernels._Kernel.integrals
 
     def counted(self, order, scale=1):
-        calls.append(scale)
+        calls.append((scale, len(self.ys)))
         return integrals(self, order, scale)
 
     monkeypatch.setattr(js.kernels._Kernel, "integrals", counted)
     ys = np.linspace(-6.0, 6.0, 10)
     audit = js.kernel_sobolev_audit(wobble_model, ys, (2, 4), 12.0)
     assert len(audit["ratio_table"]) * len(ys) == 20
-    assert sorted(calls) == [1] * 20 + [2]
+    assert calls == [(1, 10), (1, 10), (2, 1)]
+
+
+def test_kernel_audits_make_no_newton_solves(wobble_model, monkeypatch):
+    # the audits evaluate the density at their own Gauss nodes; only a read at
+    # arbitrary displacements solves for the marks
+    calls = []
+    newton = js.kernels._bracketed_newton
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return newton(*args, **kwargs)
+
+    monkeypatch.setattr(js.kernels, "_bracketed_newton", counted)
+    js.kernel_sobolev_audit(wobble_model, np.linspace(-6.0, 6.0, 5), (2, 4), 12.0)
+    js.kernel_mass(wobble_model, 0.5, 3)
+    assert calls == []
+    js.mu_density(wobble_model, 0.5, 3, np.geomspace(1e-3, 0.3, 32))
+    assert calls == [1]
+
+
+def test_block_rows_equal_blocks_of_one(wobble_model):
+    # each state's row of a block quadrature is its quadrature alone
+    ys = np.linspace(-8.0, 8.0, 7)
+    norms, mass = js.kernels._Kernel(wobble_model, ys, 5).integrals(2)
+    for j, y in enumerate(ys):
+        one = js.kernels._Kernel(wobble_model, y, 5).integrals(2)
+        assert np.array_equal(norms[:, j], one[0][:, 0]) and mass[j] == one[1][0]
+        assert js.kernel_mass(wobble_model, y, 5) == float(mass[j])
+
+
+@pytest.mark.parametrize("name", ["wobble", "exp-unit", "left"])
+def test_stack_at_nodes_matches_solved_stack(name, wobble_model, exp_unit_model):
+    # the Newton path of mu_density and conditional_jump_density, which
+    # solves u = H(w) for the mark, against the node path of the audits
+    m = {"wobble": wobble_model, "exp-unit": exp_unit_model, "left": _left_model()}[name]
+    for n in (2, 5):
+        kernel = js.kernels._Kernel(m, np.linspace(*m.y_window, 4), n).checked()
+        w = np.linspace(1.0, n + 3.0, 41)[1:-1]
+        at_nodes = kernel._stack_at(w, m.k)[0]
+        solved = kernel.stack(kernel.H(w), m.k)
+        scale = np.max(np.abs(at_nodes), axis=-1, keepdims=True)
+        assert np.max(np.abs(solved - at_nodes) / scale) < 1e-10
 
 
 def test_kernel_sobolev_audit_needs_two_indices(exp_unit_model):
@@ -277,13 +320,63 @@ def test_kernel_mass_error_out_of_bracket_is_diagnosed():
         assert mass == pytest.approx(n + 1.0, rel=1e-9)
 
 
+def _late_fold_model():
+    # h = e^{-z} + g(y) z with a small bump g centred at y = 0.5: h_z changes
+    # sign at z = -log g(y), inside the window of n = 4 only, near y = 0.5
+    h = js.JumpAmplitude((
+        (js.constant(1.0), js.ExpDecay(1.0, 1.0)),
+        (js.GaussBump(1e-3, 0.5, 0.5), js.Affine(0.0, 1.0)),
+    ))
+    q = js.JumpMeasureSpec((0.0, np.inf), js.constant(1.0), (12.0,))
+    return js.CoefficientSet(
+        b=js.constant(0.0), gamma=js.constant(1.0), h=h,
+        eta=js.ExpDecay(1.0, 1.0), q=q, k=2, y_window=(-3.0, 3.0),
+    )
+
+
+def _vanishing_rate_model():
+    # gamma(y) = y^2 vanishes at the interior audit state y = 0
+    h = js.JumpAmplitude(((js.constant(1.0), js.ExpDecay(1.0, 1.0)),))
+    q = js.JumpMeasureSpec((0.0, np.inf), js.constant(1.0), (12.0,))
+    y = js.Affine(0.0, 1.0)
+    return js.CoefficientSet(
+        b=js.constant(0.0), gamma=js.FunctionProduct(y, y), h=h,
+        eta=js.ExpDecay(1.0, 1.0), q=q, k=2, y_window=(-3.0, 3.0),
+    )
+
+
+# recorded from the state-by-state kernel construction: the blocked one must
+# raise the same error, in the same state order, for each model
+KERNEL_ERRORS = Path(__file__).parent / "data" / "kernel_errors.json"
+
+
+def test_kernel_errors_pinned(collapse_model):
+    want = json.loads(KERNEL_ERRORS.read_text())
+    ys = np.linspace(-3.0, 3.0, 13)
+    got = {}
+    models = (
+        ("collapse", collapse_model),
+        ("late-fold", _late_fold_model()),
+        ("vanishing-rate", _vanishing_rate_model()),
+    )
+    for name, m in models:
+        for key, build in (
+            (f"make_kernels/{name}", lambda: js.make_kernels(m, (2, 4))),
+            (f"sobolev/{name}", lambda: js.kernel_sobolev_audit(m, ys, (2, 4), 4.2)),
+        ):
+            with pytest.raises(js.JumpsmoothError) as err:
+                build()
+            got[key] = [type(err.value).__name__, str(err.value)]
+    assert got == want
+
+
 # ---------------------------------------------------------------------------
 # pinned values of the whole kernel layer
 # ---------------------------------------------------------------------------
 
-# recorded from the per-routine frame and quadrature code that preceded the
-# shared per-state kernel object; the arithmetic is unchanged, so every value
-# must repeat exactly
+# the densities and the conditional law repeat the per-state Newton path
+# exactly; the masses and the Sobolev tables were re-recorded when the audits
+# moved to their own Gauss nodes (moves below 5e-13 relative)
 KERNEL_PINS = Path(__file__).parent / "data" / "kernel_layer.json"
 
 
