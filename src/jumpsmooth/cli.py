@@ -34,7 +34,7 @@ from .errors import (
     NumericalError,
 )
 from .fokker_planck import EvolutionConfig, evolve, gaussian_density, sobolev_norm
-from .kernels import kernel_mass, kernel_sobolev_audit, make_kernels
+from .kernels import _audit_with_masses, make_kernels
 from .model import AssumptionReport, check_A, check_B, check_S
 from .simulate import RngSpec, simulate_batch
 
@@ -65,15 +65,15 @@ SAVE_BLOCK_ROWS = 256  # rows formatted per write; bounds the Python objects ali
 def _save_columns(path: Path, columns: dict[str, np.ndarray]) -> None:
     """One "# name ..." header line, then one row of %.17g values per line:
     the bytes `np.savetxt` writes, formatted from Python floats a block of
-    rows at a time."""
+    rows at a time, with one `%` on the row format repeated per row."""
     names = list(columns)
     data = np.column_stack([np.asarray(columns[n], dtype=float) for n in names])
     fmt = " ".join(["%.17g"] * len(names)) + "\n"
     with path.open("w", encoding="ascii") as fh:
         fh.write("# " + " ".join(names) + "\n")
         for start in range(0, len(data), SAVE_BLOCK_ROWS):
-            block = data[start : start + SAVE_BLOCK_ROWS].tolist()
-            fh.write("".join(fmt % tuple(row) for row in block))
+            block = data[start : start + SAVE_BLOCK_ROWS]
+            fh.write((fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _cmd_check(cfg: ExperimentConfig, out_dir: Path, args) -> tuple[int, list[str]]:
@@ -162,12 +162,13 @@ def _cmd_kernels(cfg: ExperimentConfig, out_dir: Path, args) -> tuple[int, list[
     coeffs, ks = cfg.coeffs, cfg.kernels
     kd = make_kernels(coeffs, ks.n_values, ks.theta)
     y_grid = coeffs.y_audit_grid()[:: max(1, coeffs.audit_points // 9)]
-    audit = kernel_sobolev_audit(coeffs, y_grid, kd.n_values, ks.theta)
-    masses = {
-        str(n): [float(kernel_mass(coeffs, float(y), n)) for y in y_grid[:3]]
-        for n in kd.n_values
+    # the audit hands back the masses it integrated at the first three states
+    audit, masses = _audit_with_masses(coeffs, y_grid, kd.n_values, ks.theta, 3)
+    payload = {
+        "decomposition": kd.describe(),
+        "sobolev_audit": audit,
+        "masses": {str(n): row.tolist() for n, row in zip(kd.n_values, masses)},
     }
-    payload = {"decomposition": kd.describe(), "sobolev_audit": audit, "masses": masses}
     (out_dir / "kernels.json").write_text(json.dumps(payload, indent=2) + "\n")
     print(f"kernel audit: {'PASS' if audit['passed'] else 'FAIL'} "
           f"(fitted theta {audit['fitted_theta']:.3f}, declared {ks.theta})")

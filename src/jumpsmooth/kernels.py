@@ -217,17 +217,21 @@ class _Kernel:
     def mass(self) -> np.ndarray:
         """Quadrature mass per state, checked in state order against the
         construction bracket [n, n+2]."""
-        n = self.n
-        total = self.integrals(0)[1]
-        slack = 1e-8 * (n + 3.0)
-        outside = ~((n - slack <= total) & (total <= n + 2.0 + slack))
-        if np.any(outside):
-            j = int(np.argmax(outside))
-            raise MassBracketError(
-                f"kernel mass {float(total[j])!r} outside [{n}, {n + 2}] "
-                f"at y={float(self.ys[j, 0])}, n={n}"
-            )
-        return total
+        return _bracket_checked(self.integrals(0)[1], self.ys[:, 0], self.n)
+
+
+def _bracket_checked(total: np.ndarray, ys: np.ndarray, n: int) -> np.ndarray:
+    """The masses `total` of the n-th kernel at the states `ys`, checked in
+    state order against the construction bracket [n, n+2]."""
+    slack = 1e-8 * (n + 3.0)
+    outside = ~((n - slack <= total) & (total <= n + 2.0 + slack))
+    if np.any(outside):
+        j = int(np.argmax(outside))
+        raise MassBracketError(
+            f"kernel mass {float(total[j])!r} outside [{n}, {n + 2}] "
+            f"at y={float(ys[j])}, n={n}"
+        )
+    return total
 
 
 def mu_density(coeffs: CoefficientSet, y: float, n: int, u_grid) -> np.ndarray:
@@ -305,6 +309,19 @@ def kernel_sobolev_audit(
     audit meets it.  A refinement check recomputes the worst entry at doubled
     quadrature.
     """
+    return _audit_with_masses(coeffs, y_grid, n_values, theta, 0)[0]
+
+
+def _audit_with_masses(
+    coeffs: CoefficientSet, y_grid, n_values, theta: float, states: int
+) -> tuple[dict, np.ndarray]:
+    """`kernel_sobolev_audit`, with the masses it integrated at the first
+    `states` audit states, one row per index.  After the audit, each row is
+    checked against the bracket as `kernel_mass` checks it, index by index:
+    the mass row of the quadrature does not depend on the stack order, and
+    a block's rows are its states' blocks of one, so each entry is that
+    state's `kernel_mass`, bit for bit, and a failure is the one a loop of
+    `kernel_mass` calls meets first."""
     y_grid = np.asarray(y_grid, dtype=float)
     n_values = [int(n) for n in n_values]
     if len(n_values) < 2:
@@ -313,12 +330,14 @@ def kernel_sobolev_audit(
 
     norm = np.zeros((len(n_values), y_grid.size))
     table = np.zeros_like(norm)
+    masses = np.zeros((len(n_values), min(states, y_grid.size)))
     for jn, n in enumerate(n_values):
         kernel = _Kernel(coeffs, y_grid, n)
         norms, mass = kernel.integrals(k)
         kernel.checked()
         norm[jn] = np.sum(norms, axis=0)
         table[jn] = norm[jn] / mass
+        masses[jn] = mass[: masses.shape[1]]
 
     per_n, _, _, fitted_c, passed, iw = _envelope(table, y_grid, coeffs.p, n_values, theta)
     ns = np.asarray(n_values, dtype=float)
@@ -327,8 +346,10 @@ def kernel_sobolev_audit(
     norm_coarse = float(norm[iw])
     norm_fine = float(np.sum(_Kernel(coeffs, worst_y, worst_n).checked().integrals(k, 2)[0]))
     refine_change = abs(norm_fine - norm_coarse) / max(norm_fine, 1e-300)
+    for n, row in zip(n_values, masses):
+        _bracket_checked(row, y_grid, n)
 
-    return {
+    audit = {
         "name": "kernel_sobolev",
         "passed": bool(passed),
         "theta": float(theta),
@@ -340,6 +361,7 @@ def kernel_sobolev_audit(
         "refinement_change": float(refine_change),
         "worst": {"y": worst_y, "n": worst_n},
     }
+    return audit, masses
 
 
 def conditional_jump_density(

@@ -20,7 +20,10 @@ substream in a fixed order, so batch output is byte-identical for any thread
 count.  It keeps state for the alive runs only, so a round costs time and
 memory in proportion to the runs still going, and it inverts the marks
 through a guide table over the mark CDF that reproduces `np.interp` bit for
-bit.  `simulate_exact`, `simulate_poissonized` and `sample_tau_n` are
+bit.  A round's draws go straight into one buffer made once per batch; the
+jump map, the filter ratio and the blow-up check run at the accepted
+candidates only, the compaction only in rounds where some candidate fell
+past the horizon, and each run's jump count rides in its alive state.  `simulate_exact`, `simulate_poissonized` and `sample_tau_n` are
 batches of one on the caller's generator: the coupling between single paths
 and batches holds by construction.  Batches and single paths need a finite
 horizon; `sample_tau_n` may wait without one for its first kept jump.
@@ -112,9 +115,10 @@ class MarkSampler:
 
         A 1-d array of levels in [0, 1) goes through the guide table; the cell
         j is the last node with cdf[j] <= u, as in `np.interp`'s search, and
-        the mark is slope[j] * (u - cdf[j]) + z[j], or z[j] where u hits the
-        node, as in `np.interp`.  Other input (1.0, NaN, other shapes) is left
-        to `np.interp` itself.
+        the mark is (u - cdf[j]) * slope[j] + z[j], or z[j] where u hits the
+        node, as in `np.interp`.  When every level lies in its bucket's cell,
+        the usual case, the step-up passes are skipped.  Other input (1.0,
+        NaN, other shapes) is left to `np.interp` itself.
         """
         u = np.asarray(uniforms, dtype=float)
         if u.ndim != 1 or u.size == 0 or not (u.min() >= 0.0 and u.max() < 1.0):
@@ -122,15 +126,21 @@ class MarkSampler:
         upper = self._upper
         # u * G is exact (G is a power of two), so guide[b] <= j for b = floor(u G)
         j = self._guide[(u * GUIDE_BUCKETS).astype(np.intp)]
-        j += upper[j] <= u
-        j += upper[j] <= u
-        far = upper[j] <= u
-        if far.any():
-            j[far] = np.searchsorted(self._cdf, u[far], "right") - 1
-        at = self._cdf[j]
+        step = upper[j] <= u
+        if step.any():
+            j += step
+            j += upper[j] <= u
+            far = upper[j] <= u
+            if far.any():
+                j[far] = np.searchsorted(self._cdf, u[far], "right") - 1
         zj = self._zs[j]
+        mark = u - self._cdf[j]
+        hit = mark == 0.0  # u == cdf[j]
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.where(at == u, zj, self._slope[j] * (u - at) + zj)
+            mark *= self._slope[j]
+            mark += zj
+        np.copyto(mark, zj, where=hit)
+        return mark
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self.invert(rng.uniform(0.0, 1.0, size))
@@ -255,8 +265,8 @@ class _Round:
     not land has drifted to t_end and is done).  Of the landed ones, `kick`
     marks drift kicks, `in_window` marks inside the active window (the
     others are skips), `acc` the accepted jumps and `kept` the jumps the
-    filtered kernel also kept.  `pre` and `post` are the states just before
-    and after each candidate.
+    filtered kernel also kept (None when not filtering).  `pre` and `post`
+    are the states just before and after each candidate.
     """
 
     idx: np.ndarray
@@ -265,7 +275,7 @@ class _Round:
     kick: np.ndarray
     in_window: np.ndarray
     acc: np.ndarray
-    kept: np.ndarray
+    kept: np.ndarray | None
     pre: np.ndarray
     post: np.ndarray
     z: np.ndarray
@@ -273,34 +283,54 @@ class _Round:
     v: np.ndarray
 
 
+def _check_state(values: np.ndarray) -> None:
+    # NaN fails the comparison, so this also refuses non-finite states
+    if not np.all(np.abs(values) <= BLOW_UP):
+        raise BlowUpError("state blew up at a thinning candidate")
+
+
 def _thinning(
     coeffs, x: np.ndarray, t_end: float, gens: list[np.random.Generator], sizes: list[int],
     frame, i: int | None, max_step: float, on_round,
     kernels: KernelDecomposition | None = None, filter_n: int | None = None,
-) -> None:
+) -> np.ndarray:
     """The thinning engine: candidate rounds for a group of chunks, in lockstep.
 
     `x` holds the initial states, chunk after chunk (`sizes[c]` runs drawing
-    from `gens[c]`), and is advanced in place to t_end >= 0.  `frame` comes
-    from `_candidate_frame`; `i` selects the drift-poissonized chain (None:
-    the exact flow); `filter_n` fills `kept` from the n-th filtered kernel.
+    from `gens[c]`), and is advanced in place to t_end >= 0; the return
+    value is each run's number of accepted jumps.  `frame` comes from
+    `_candidate_frame`; `i` selects the drift-poissonized chain (None: the
+    exact flow); `filter_n` fills `kept` from the n-th filtered kernel.
     Every entry point passes through here, so this is where a `max_step`
     that is not positive and finite is refused, before any draw.
 
-    The engine holds ids, clocks and states for the alive runs only, in run
-    order, and filters all three by `landed` after each round; each chunk's
-    share of a round is the slice `searchsorted(ids, offsets)` gives.  A
-    run's terminal state is written into `x` once: when its candidate does
-    not land, or when `on_round` stops the engine.  Per round, every chunk
-    with alive runs draws from its own generator, each sized by its alive
-    count: gaps, [kick w], mark uniforms, u, v.  A chunk's draws are
-    therefore the same however chunks are grouped, and a batch of one on a
-    caller's generator is the same run as inside a batch.  After the states
-    are updated, `on_round` gets the round's `_Round` (a callback, so no
-    round's arrays outlive the next round's); a true return stops the
-    engine, and its draws, there.  Compaction only moves values, it never
-    recomputes them, so each run's arithmetic and bytes do not depend on
-    which other runs are still alive.
+    The engine holds ids, clocks, states and jump counts for the alive runs
+    only, in run order, in the front of buffers made once; after a round in
+    which some candidate did not land it moves the others forward, by
+    boolean mask.  Each chunk's share of a round is the slice
+    `searchsorted(ids, offsets)` gives.  A run's terminal state and jump
+    count are written out once: when its candidate does not land, or when
+    `on_round` stops the engine.  Per round, every chunk with alive runs
+    draws from its own generator, each sized by its alive count: gaps,
+    [kick w], mark levels, u, v.  The draws go straight into one round
+    buffer as standard exponentials and uniforms on [0, 1), and are scaled
+    once per round (gaps by 1 / rate, u by ubar): numpy's `exponential(s)`
+    and `uniform(0, ubar)` are those same products, so the bytes are theirs.
+    A chunk's draws are therefore the same however chunks are grouped, and
+    a batch of one on a caller's generator is the same run as inside a
+    batch.
+
+    Only the states that move are computed and checked: h and the filter
+    ratio at the accepted jumps, b at the kicks, and the blow-up check on
+    their new states (a state that did not move was checked when it was
+    made; the first round checks every initial state).  The rate bound is
+    read as the round's largest rate first, and by landing only when that
+    is above ubar.  A round in which every candidate landed skips the
+    compaction.  After the states are updated, `on_round` (if not None) gets the round's
+    `_Round` (a callback, so no round's arrays outlive the next round's); a
+    true return stops the engine, and its draws, there.  Compaction only
+    moves values, it never recomputes them, so each run's arithmetic and
+    bytes do not depend on which other runs are still alive.
     """
     if not (math.isfinite(max_step) and max_step > 0.0):
         raise ContractError(f"max_step must be positive and finite, got {max_step!r}")
@@ -308,67 +338,100 @@ def _thinning(
         raise ContractError(f"the horizon must be >= 0, got {t_end!r}")
     sampler, active, ubar, lam = frame
     m = x.size
+    jumps = np.zeros(m, dtype=np.int64)
     if lam == 0.0 and i is None:  # no jumps, no kicks: one drift segment
         x[:] = _drift_flow_batch(coeffs, x, np.full(m, t_end), max_step)
-        return
+        return jumps
     offsets = np.cumsum([0] + list(sizes))
     total = lam if i is None else float(i) + lam
-    ids = np.arange(m)  # the alive runs, in run order, with their clocks and states
+    drift = i is None and not coeffs.b.is_zero
+    # the alive runs, in run order, with their clocks, states and jump counts
+    ids = np.arange(m)
     t = np.zeros(m)
     xs = x.copy()
+    nj = np.zeros(m, dtype=np.int64)
+    buffers = np.empty((4 if i is None else 5, m))
+    first = True
     while ids.size:
         n = ids.size
         bounds = np.searchsorted(ids, offsets)
-        draws = np.empty((4 if i is None else 5, n))
-        gaps, uni, u, v = draws[:4]
-        wkick = draws[4] if i is not None else None
+        gaps, uni, u, v = buffers[:4, :n]
+        wkick = buffers[4, :n] if i is not None else None
         for gen, lo, hi in zip(gens, bounds[:-1], bounds[1:]):
-            k = hi - lo
-            if k == 0:
+            if hi == lo:
                 continue
-            gaps[lo:hi] = gen.exponential(1.0 / total, k)
+            gen.standard_exponential(out=gaps[lo:hi])
             if i is not None:
-                wkick[lo:hi] = gen.uniform(0.0, 1.0, k)
+                gen.random(out=wkick[lo:hi])
             if sampler is not None:
-                uni[lo:hi] = gen.uniform(0.0, 1.0, k)
-            u[lo:hi] = gen.uniform(0.0, ubar, k)
-            v[lo:hi] = gen.uniform(0.0, 1.0, k)
+                gen.random(out=uni[lo:hi])
+            gen.random(out=u[lo:hi])
+            gen.random(out=v[lo:hi])
+        gaps *= 1.0 / total
+        u *= ubar
         z = sampler.invert(uni) if sampler is not None else np.full(n, np.nan)
-        t_next = t + gaps
+        t_next = gaps
+        t_next += t
         landed = t_next <= t_end
         pre = xs
-        kick = np.zeros(n, dtype=bool)
-        if i is not None:
-            kick = landed & (wkick <= i / total)
-        elif not coeffs.b.is_zero:
-            seg = np.minimum(t_next, t_end) - t
-            pre = _drift_flow_batch(coeffs, xs, seg, max_step)
+        if drift:
+            pre = _drift_flow_batch(coeffs, xs, np.minimum(t_next, t_end) - t, max_step)
         gam = np.asarray(coeffs.gamma.value(pre), dtype=float)
-        _check_rate_bound(gam[landed], ubar)
-        in_window = (z >= active[0]) & (z <= active[1])
-        acc = landed & ~kick & in_window & (u <= gam)
-        kept = np.zeros(n, dtype=bool)
-        post = pre.copy()
-        if np.any(acc):
-            post[acc] = pre[acc] + np.asarray(coeffs.h.value(pre[acc], z[acc]), dtype=float)
+        if not gam.max() <= ubar:  # rare: find out whether a landed one broke it
+            _check_rate_bound(gam[landed], ubar)
+        in_window = z >= active[0]
+        in_window &= z <= active[1]
+        acc = u <= gam
+        acc &= in_window
+        acc &= landed
+        if i is None:
+            kick = np.zeros(n, dtype=bool)
+        else:
+            kick = wkick <= i / total
+            kick &= landed
+            acc &= ~kick
+        nj += acc
+        post = pre if on_round is None else pre.copy()
+        kept = None if filter_n is None else np.zeros(n, dtype=bool)
+        moved = []
+        if acc.any():
+            pa, za = pre[acc], z[acc]
+            moved.append(pa + np.asarray(coeffs.h.value(pa, za), dtype=float))
+            post[acc] = moved[-1]
             if filter_n is not None:
-                kept[acc] = v[acc] <= kernels.acceptance(filter_n, pre[acc], z[acc])
-        if np.any(kick):
-            post[kick] = pre[kick] + np.asarray(coeffs.b.value(pre[kick]), dtype=float) / i
-        if not np.all(np.isfinite(post)) or np.max(np.abs(post)) > BLOW_UP:
-            raise BlowUpError("state blew up at a thinning candidate")
-        if on_round(_Round(ids, t_next, landed, kick, in_window, acc, kept, pre, post, z, u, v)):
+                kept[acc] = v[acc] <= kernels.acceptance(filter_n, pa, za)
+        if i is not None and kick.any():
+            pk = pre[kick]
+            moved.append(pk + np.asarray(coeffs.b.value(pk), dtype=float) / i)
+            post[kick] = moved[-1]
+        if first:  # the initial states have not been checked yet
+            moved, first = [post], False
+        for values in moved:
+            _check_state(values)
+        if on_round is not None and on_round(
+            _Round(ids, t_next, landed, kick, in_window, acc, kept, pre, post, z, u, v)
+        ):
             x[ids] = post
-            return
+            jumps[ids] = nj
+            return jumps
+        done = np.flatnonzero(~landed)
+        if done.size == 0:  # every candidate landed: nothing to compact
+            t[:] = t_next
+            if post is not xs:
+                xs[:] = post
+            continue
         # a run whose candidate did not land has drifted to t_end: write it
         # out, and move the others to the front of the alive-state buffers
-        done = ~landed
-        x[ids[done]] = post[done]
-        alive = n - int(np.count_nonzero(done))
+        out = ids[done]
+        x[out] = post[done]
+        jumps[out] = nj[done]
+        alive = n - done.size
         ids[:alive] = ids[landed]
         t[:alive] = t_next[landed]
         xs[:alive] = post[landed]
-        ids, t, xs = ids[:alive], t[:alive], xs[:alive]
+        nj[:alive] = nj[landed]
+        ids, t, xs, nj = ids[:alive], t[:alive], xs[:alive], nj[:alive]
+    return jumps
 
 
 def _single_path(
@@ -521,17 +584,14 @@ def simulate_batch(
         first, last = int(chunks[0]), int(chunks[-1])
         x = np.array(x0_all[offsets[first] : offsets[last + 1]], dtype=float)
         tau = np.full(x.size, np.inf)
-        jumps = np.zeros(x.size, dtype=np.int64)
 
         def on_round(r: _Round) -> None:
-            jumps[r.idx[r.acc]] += 1
-            if filter_n is not None:
-                hit = r.idx[r.kept]
-                tau[hit] = np.minimum(tau[hit], r.t_next[r.kept])
+            hit = r.idx[r.kept]
+            tau[hit] = np.minimum(tau[hit], r.t_next[r.kept])
 
         gens = [rng_spec.chunk_generator(int(c)) for c in chunks]
-        _thinning(coeffs, x, t_end, gens, [sizes[c] for c in chunks], frame, i, max_step,
-                  on_round, kernels, filter_n)
+        jumps = _thinning(coeffs, x, t_end, gens, [sizes[c] for c in chunks], frame, i,
+                          max_step, None if filter_n is None else on_round, kernels, filter_n)
         return x, tau, jumps
 
     if len(groups) > 1:

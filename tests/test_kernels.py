@@ -370,6 +370,38 @@ def test_kernel_errors_pinned(collapse_model):
     assert got == want
 
 
+def _outcome(call):
+    try:
+        return call()
+    except js.JumpsmoothError as exc:
+        return [type(exc).__name__, str(exc)]
+
+
+def test_audit_masses_are_kernel_mass_calls(wobble_model, collapse_model, monkeypatch):
+    # the masses the audit hands back are each state's `kernel_mass`, bit for
+    # bit, or the audit raises what the audit and then the calls raise first
+    ys = np.linspace(-3.0, 3.0, 13)
+    ns = (2, 4)
+
+    def one_by_one(m):
+        audit = js.kernel_sobolev_audit(m, ys, ns, 12.0)
+        return [audit, [[js.kernel_mass(m, float(y), n) for y in ys[:3]] for n in ns]]
+
+    def handed_back(m):
+        audit, masses = js.kernels._audit_with_masses(m, ys, ns, 12.0, 3)
+        return [audit, masses.tolist()]
+
+    models = (wobble_model, collapse_model, _late_fold_model(), _vanishing_rate_model())
+    outcomes = [(_outcome(lambda: one_by_one(m)), _outcome(lambda: handed_back(m))) for m in models]
+    assert all(want == got for want, got in outcomes)
+    assert [isinstance(want[0], str) for want, _ in outcomes] == [False, True, True, True]
+    # doubled mass weights break the bracket at the first index and state
+    nodes = js.kernels._mass_nodes
+    monkeypatch.setattr(js.kernels, "_mass_nodes", lambda n, scale: (nodes(n, scale)[0], 2.0 * nodes(n, scale)[1]))
+    want, got = _outcome(lambda: one_by_one(wobble_model)), _outcome(lambda: handed_back(wobble_model))
+    assert want == got and want[0] == "MassBracketError" and "y=-3.0, n=2" in want[1]
+
+
 # ---------------------------------------------------------------------------
 # pinned values of the whole kernel layer
 # ---------------------------------------------------------------------------

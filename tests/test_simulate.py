@@ -13,6 +13,7 @@ from scipy import stats
 
 import jumpsmooth as js
 from jumpsmooth import kernels as kernels_module
+from jumpsmooth import simulate as simulate_module
 from jumpsmooth.simulate import _drift_flow_batch
 
 
@@ -215,6 +216,98 @@ def test_rate_bound_breach_is_detected():
     m = _thin_model(rate, amp=0.0, trunc=(4.0,), window=(-1.0, 1.0))
     with pytest.raises(js.ContractError, match="bound"):
         js.simulate_exact(m, 3.0, 5.0, 1, js.RngSpec(3).generator())
+
+
+def _thrown_model():
+    # rate 1 + y^2, audited on (-0.5, 0.5) only, so ubar = 1.05 * 1.25; every
+    # jump moves the state by 2 e^{-z} >= 0.7, out of the window, where the
+    # rate is at least 1.49 > ubar
+    y = js.Affine(0.0, 1.0)
+    rate = js.FunctionSum(js.constant(1.0), js.FunctionProduct(y, y))
+    return _thin_model(rate, amp=2.0, trunc=(1.0,), window=(-0.5, 0.5))
+
+
+def test_jumps_out_of_the_window_break_the_rate_bound(monkeypatch):
+    m = _thrown_model()
+    real, checked = simulate_module._check_rate_bound, []
+
+    def spy(gam, ubar):
+        checked.append(np.size(gam))
+        real(gam, ubar)
+
+    monkeypatch.setattr(simulate_module, "_check_rate_bound", spy)
+    # no run reaches t = 1000 before its first jump: every round is one in
+    # which all candidates landed, and all 64 runs are still alive
+    with pytest.raises(js.ContractError, match="left the audited window"):
+        js.simulate_batch(m, 0.0, 1000.0, 1, js.RngSpec(4), 64)
+    assert checked == [64]
+    # at t_end = 1 the runs thrown out meet the bound while others finish
+    with pytest.raises(js.ContractError, match="left the audited window"):
+        js.simulate_batch(m, 0.0, 1.0, 1, js.RngSpec(4), 64)
+    with pytest.raises(js.ContractError, match="left the audited window"):
+        js.simulate_exact(m, 0.0, 1000.0, 1, js.RngSpec(4).generator())
+    # from outside the window at t_end = 0.5 about half the first candidates
+    # land: the round has finished runs, and only the landed ones are checked
+    checked.clear()
+    with pytest.raises(js.ContractError, match="left the audited window"):
+        js.simulate_batch(m, 3.0, 0.5, 1, js.RngSpec(4), 64)
+    assert 0 < checked[0] < 64
+    # a run whose candidate did not land has not met the rate: no refusal
+    out = js.simulate_batch(m, 3.0, 1e-9, 1, js.RngSpec(4), 64)
+    assert np.all(out["terminal"] == 3.0) and not out["jumps"].any()
+    tr = js.simulate_exact(m, 3.0, 1e-9, 1, js.RngSpec(4).generator())
+    assert tr.terminal == 3.0 and not tr.events
+
+
+def test_thinning_candidates_blow_up():
+    blown = "state blew up at a thinning candidate"
+    # h = (1 + 1e4 y) e^{-z}: the first jump from 0 moves the state by at
+    # most 1, the third leaves [-1e8, 1e8], so the check of moved states
+    # after round one catches it
+    m = _thin_model()
+    m = dataclasses.replace(
+        m, h=js.JumpAmplitude(((js.Affine(1.0, 1e4), js.ExpDecay(1.0, 1.0)),))
+    )
+    with pytest.raises(js.BlowUpError, match=blown):
+        js.simulate_batch(m, 0.0, 50.0, 1, js.RngSpec(8), 64)
+    with pytest.raises(js.BlowUpError, match=blown):
+        js.simulate_exact(m, 0.0, 50.0, 1, js.RngSpec(8).generator())
+    # kicks x + x^2 / i of the poissonized chain grow without bound
+    quad = _drift_model(js.FunctionProduct(js.Affine(0.0, 1.0), js.Affine(0.0, 1.0)))
+    i = quad.min_drift_index()
+    with pytest.raises(js.BlowUpError, match=blown):
+        js.simulate_batch(quad, 2.0, 50.0, 1, js.RngSpec(8), 64, i=i)
+    with pytest.raises(js.BlowUpError, match=blown):
+        js.simulate_poissonized(quad, 2.0, 50.0, i, 1, js.RngSpec(8).generator())
+    # a non-finite initial state is refused in round one (the rate 1 + 0 y
+    # reads NaN there)
+    for bad in (math.nan, math.inf):
+        with np.errstate(invalid="ignore"), pytest.raises(js.BlowUpError, match=blown):
+            js.simulate_batch(_thin_model(), np.r_[np.zeros(63), bad], 1.0, 1, js.RngSpec(8), 64)
+        with np.errstate(invalid="ignore"), pytest.raises(js.BlowUpError, match=blown):
+            js.simulate_exact(_thin_model(), bad, 1.0, 1, js.RngSpec(8).generator())
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 1000])
+def test_engine_draw_identities(k):
+    # the engine draws standard exponentials and uniforms on [0, 1) straight
+    # into its round buffer and scales them once per round; that these are
+    # numpy's exponential(s) and uniform(0, ubar), byte for byte, is what keeps
+    # its bytes those of the per-call draws
+    s, ubar = 1.0 / 42.7, 1.05 * 1.3
+    for c in (0, 31):
+        want = js.RngSpec(2029, stream=1).chunk_generator(c)
+        got = js.RngSpec(2029, stream=1).chunk_generator(c)
+        expected = [want.exponential(s, k), want.uniform(0.0, 1.0, k), want.uniform(0.0, ubar, k)]
+        gaps, level, u = np.empty(k), np.empty(k), np.empty(k)
+        got.standard_exponential(out=gaps)
+        got.random(out=level)
+        got.random(out=u)
+        gaps *= s
+        u *= ubar
+        assert gaps.tobytes() == expected[0].tobytes()
+        assert level.tobytes() == expected[1].tobytes()
+        assert u.tobytes() == expected[2].tobytes()
 
 
 def test_truncation_coupling_shares_jump_times():
