@@ -14,37 +14,44 @@ parameters, and optional stanzas for each pipeline stage::
       marks:    {support: [0.0, .inf], truncations: [2, 4, 8]}
     simulation: {x0: 0.0, t_end: 1.0, runs: 20000}
 
-Functions compose with ``family: sum`` / ``family: product`` nodes; a bare
-number is a constant; an integer must be integral (2.5 is refused, never
-truncated).  All validation failures raise ConfigError with the stanza path,
-so the command line can map them to its config exit code.
+The library dataclasses are the schema, and every mapping is built by one
+rule:
+
+* a function node names its preset by the class's ``family`` (``sum``,
+  ``product`` and ``tabulated`` included) and sets that preset's fields,
+  each taking the preset's own default when left out; ``constant`` is the
+  one alias, ``{family: constant, c}`` for ``affine`` with ``a0 = c``, and a
+  bare number is a constant;
+* the model stanza sets the fields of `CoefficientSet` under their config
+  keys (`CoefficientSet.config_keys`: drift, rate, amplitude, envelope,
+  marks, window), and ``marks`` the fields of `JumpMeasureSpec`; every
+  default lives in those classes, except ``drift: 0.0``;
+* each value is read as its field's annotated type, and an integer must be
+  integral (2.5 is refused, never truncated);
+* an unknown key is refused at every level, as is a missing required one.
+
+``describe()`` on a model, an amplitude or a function returns the node
+`build_model` or `build_function` rebuilds it from.  All validation failures
+raise ConfigError with the path of the node, so the command line can map
+them to its config exit code.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import yaml
 
 from . import presets
-from .diagnostics import MIN_FIT_POINTS
+from .diagnostics import _check_band
 from .errors import ConfigError, JumpsmoothError
-from .model import CoefficientSet, JumpMeasureSpec
+from .model import CoefficientSet, JumpMeasureSpec, _require_positive
 from .simulate import MAX_STEP
 
-_FAMILIES: dict[str, tuple] = {
-    "affine": (presets.Affine, ("a0", "a1")),
-    "sinusoidal": (presets.Sinusoidal, ("amp", "freq", "phase")),
-    "exp_decay": (presets.ExpDecay, ("amp", "rate")),
-    "inverse_power": (presets.InversePower, ("amp", "power", "offset")),
-    "iso_power": (presets.IsoPower, ("amp", "power")),
-    "gauss_bump": (presets.GaussBump, ("amp", "center", "width")),
-    "tanh": (presets.TanhSigmoid, ("amp", "rate")),
-    "stretched_exp": (presets.StretchedExp, ("amp", "rate", "power", "offset")),
-    "indicator": (presets.Indicator, ("lo", "hi", "amp")),
-    "smoothstep_bump": (presets.SmoothstepBump, ("lo", "hi", "ramp", "order", "amp")),
-}
+# family name -> preset class, read off the classes themselves
+_FAMILIES = {cls.family: cls for cls in presets.Function1D.__subclasses__()}
 
 
 def _fail(path: str, msg: str) -> ConfigError:
@@ -66,51 +73,90 @@ def _as_int(node, path: str) -> int:
     return int(node) if isinstance(node, int) else int(float(node))
 
 
+def _check_keys(node, known, required, path: str) -> None:
+    if not isinstance(node, dict):
+        raise _fail(path, f"expected a mapping, got {node!r}")
+    unknown = set(node) - set(known)
+    if unknown:
+        raise _fail(path, f"unknown keys: {sorted(unknown)}")
+    for key in required:
+        if key not in node:
+            raise _fail(path, f"missing required key {key!r}")
+
+
+def _coerce_scalar(annotation: str, value, path: str):
+    """`value` as its field's annotated type: None only where the annotation
+    allows it, a tuple element by element at the annotated length, and a
+    function, amplitude or mark measure built from its node."""
+    if value is None and annotation.endswith("| None"):
+        return None
+    kind = annotation.removesuffix(" | None")
+    if kind == "Function1D":
+        return build_function(value, path)
+    if kind == "JumpAmplitude":
+        return _build_amplitude(value, path)
+    if kind == "JumpMeasureSpec":
+        return _build(JumpMeasureSpec, value, path)
+    if kind.startswith("tuple"):
+        kinds = [t.strip() for t in kind[len("tuple[") : -1].split(",")]
+        if kinds[-1] == "..." and isinstance(value, (list, tuple)):
+            kinds = kinds[:1] * len(value)
+        if not isinstance(value, (list, tuple)) or len(value) != len(kinds):
+            raise _fail(path, f"expected {kind}, got {value!r}")
+        return tuple(
+            _coerce_scalar(t, v, f"{path}[{j}]") for j, (t, v) in enumerate(zip(kinds, value))
+        )
+    if kind == "int":
+        return _as_int(value, path)
+    if kind == "float":
+        return _as_float(value, path)
+    if kind == "str":
+        return str(value)
+    return value
+
+
+def _build(cls, node, path: str):
+    """The dataclass `cls` from its mapping `node`, by the one schema rule.
+
+    Each key is a field of `cls`, under its config key where
+    ``cls.config_keys`` renames it; a field without a default is required;
+    each value is read by `_coerce_scalar` as the field's annotated type, and only
+    the keys the node sets are passed, so every default is the class's own.
+    A value the class refuses is a ConfigError at `path`.
+    """
+    key_of = {name: key for key, name in getattr(cls, "config_keys", {}).items()}
+    schema = {key_of.get(f.name, f.name): f for f in dataclasses.fields(cls)}
+    required = [
+        key
+        for key, f in schema.items()
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+    ]
+    _check_keys(node, schema, required, path)
+    kwargs = {
+        schema[key].name: _coerce_scalar(schema[key].type, value, f"{path}.{key}")
+        for key, value in node.items()
+    }
+    args = kwargs.pop("parts") if cls is presets.FunctionSum else ()  # FunctionSum(*parts)
+    try:
+        return cls(*args, **kwargs)
+    except (ValueError, JumpsmoothError) as exc:
+        raise _fail(path, str(exc)) from None
+
+
 def build_function(node, path: str = "function") -> presets.Function1D:
-    """Recursively build a coefficient function from a config node."""
+    """A coefficient function from its config node (see the module docstring)."""
     if isinstance(node, (int, float)) and not isinstance(node, bool):
         return presets.constant(float(node))
     if not isinstance(node, dict):
         raise _fail(path, f"expected a number or a mapping with 'family', got {node!r}")
+    params = {k: v for k, v in node.items() if k != "family"}
     family = node.get("family")
     if family == "constant":
-        return presets.constant(_as_float(node.get("c", 0.0), path + ".c"))
-    if family == "sum":
-        parts = node.get("parts")
-        if not isinstance(parts, list) or not parts:
-            raise _fail(path, "'sum' needs a non-empty 'parts' list")
-        return presets.FunctionSum(
-            *(build_function(p, f"{path}.parts[{j}]") for j, p in enumerate(parts))
-        )
-    if family == "product":
-        if "left" not in node or "right" not in node:
-            raise _fail(path, "'product' needs 'left' and 'right'")
-        return presets.FunctionProduct(
-            build_function(node["left"], path + ".left"),
-            build_function(node["right"], path + ".right"),
-        )
-    if family == "tabulated":
-        xs, ys = node.get("xs"), node.get("ys")
-        if not isinstance(xs, list) or not isinstance(ys, list):
-            raise _fail(path, "'tabulated' needs 'xs' and 'ys' lists")
-        return presets.Tabulated(
-            tuple(_as_float(x, path + ".xs") for x in xs),
-            tuple(_as_float(y, path + ".ys") for y in ys),
-        )
+        _check_keys(params, ("c",), ("c",), path)
+        return presets.constant(_as_float(params["c"], path + ".c"))
     if family not in _FAMILIES:
         raise _fail(path, f"unknown function family {family!r}")
-    cls, names = _FAMILIES[family]
-    kwargs = {k: v for k, v in node.items() if k != "family"}
-    unknown = set(kwargs) - set(names)
-    if unknown:
-        raise _fail(path, f"unknown parameters for {family!r}: {sorted(unknown)}")
-    coerced = {}
-    for k, v in kwargs.items():
-        coerced[k] = (_as_int if k == "order" else _as_float)(v, f"{path}.{k}")
-    try:
-        return cls(**coerced)
-    except (TypeError, ValueError, JumpsmoothError) as exc:
-        raise _fail(path, f"bad {family!r} parameters: {exc}") from None
+    return _build(_FAMILIES[family], params, path)
 
 
 def _build_amplitude(node, path: str) -> presets.JumpAmplitude:
@@ -118,65 +164,19 @@ def _build_amplitude(node, path: str) -> presets.JumpAmplitude:
         raise _fail(path, "amplitude must be a non-empty list of {y:..., z:...} terms")
     terms = []
     for j, term in enumerate(node):
-        if not isinstance(term, dict) or "y" not in term or "z" not in term:
-            raise _fail(f"{path}[{j}]", "each amplitude term needs 'y' and 'z' factors")
-        terms.append(
-            (
-                build_function(term["y"], f"{path}[{j}].y"),
-                build_function(term["z"], f"{path}[{j}].z"),
-            )
-        )
-    return presets.JumpAmplitude(tuple(terms))
-
-
-def _build_marks(node, path: str) -> JumpMeasureSpec:
-    if not isinstance(node, dict):
-        raise _fail(path, "marks stanza must be a mapping")
-    support = node.get("support")
-    if not isinstance(support, list) or len(support) != 2:
-        raise _fail(path + ".support", "support must be a two-element list")
-    lo, hi = (_as_float(v, path + ".support") for v in support)
-    density = build_function(node.get("density", 1.0), path + ".density")
-    truncs = node.get("truncations", [1, 2, 4, 8, 16])
-    if not isinstance(truncs, list) or not truncs:
-        raise _fail(path + ".truncations", "truncations must be a non-empty list")
-    endpoint = None
-    if "endpoint" in node:
-        endpoint = build_function(node["endpoint"], path + ".endpoint")
-    try:
-        return JumpMeasureSpec(
-            (lo, hi), density, tuple(_as_float(t, path + ".truncations") for t in truncs), endpoint
-        )
-    except JumpsmoothError as exc:
-        raise _fail(path, str(exc)) from None
+        here = f"{path}[{j}]"
+        _check_keys(term, ("y", "z"), ("y", "z"), here)
+        terms.append(tuple(build_function(term[v], f"{here}.{v}") for v in ("y", "z")))
+    return presets.JumpAmplitude(terms)
 
 
 def build_model(node, path: str = "model") -> CoefficientSet:
-    if not isinstance(node, dict):
-        raise _fail(path, "model stanza must be a mapping")
-    required = ("rate", "amplitude", "envelope", "marks")
-    for key in required:
-        if key not in node:
-            raise _fail(path, f"missing required key {key!r}")
-    window = node.get("window", [-10.0, 10.0])
-    if not isinstance(window, list) or len(window) != 2:
-        raise _fail(path + ".window", "window must be a two-element list")
-    try:
-        return CoefficientSet(
-            b=build_function(node.get("drift", 0.0), path + ".drift"),
-            gamma=build_function(node["rate"], path + ".rate"),
-            h=_build_amplitude(node["amplitude"], path + ".amplitude"),
-            eta=build_function(node["envelope"], path + ".envelope"),
-            q=_build_marks(node["marks"], path + ".marks"),
-            k=_as_int(node.get("k", 2), path + ".k"),
-            p=_as_float(node.get("p", 2.0), path + ".p"),
-            c0_tol=_as_float(node.get("c0_tol", 1e-8), path + ".c0_tol"),
-            y_window=tuple(_as_float(v, path + ".window") for v in window),
-            audit_points=_as_int(node.get("audit_points", 241), path + ".audit_points"),
-            label=str(node.get("label", "")),
-        )
-    except JumpsmoothError as exc:
-        raise _fail(path, str(exc)) from None
+    """The model from its config node: `CoefficientSet`'s fields under their
+    config keys, with ``drift: 0.0`` where the node sets none (b has no
+    default of its own)."""
+    if isinstance(node, dict):
+        node = {"drift": 0.0, **node}
+    return _build(CoefficientSet, node, path)
 
 
 def _check_t_end_and_runs(t_end: float | None, runs: int | None = None) -> None:
@@ -199,8 +199,7 @@ class SimulationStanza:
     max_step: float = MAX_STEP  # RK4 step bound for the drift flow between candidates
 
     def __post_init__(self):
-        if not (math.isfinite(self.max_step) and self.max_step > 0.0):
-            raise ValueError(f"max_step must be positive and finite, got {self.max_step}")
+        _require_positive(self.max_step, "max_step")
         _check_t_end_and_runs(self.t_end, self.runs)
 
 
@@ -217,8 +216,8 @@ class EvolutionStanza:
     quad_nodes: int = 256
 
     def __post_init__(self):
-        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if self.dt is not None:
+            _require_positive(self.dt, "dt")
         _check_t_end_and_runs(self.t_end)
 
 
@@ -239,10 +238,7 @@ class DiagnosticsStanza:
 
     def __post_init__(self):
         _check_t_end_and_runs(self.t_end, self.runs)
-        if not (math.isfinite(self.xi_min) and self.xi_min > 0.0):
-            raise ValueError(f"xi_min must be positive and finite, got {self.xi_min}")
-        if self.xi_points < MIN_FIT_POINTS:
-            raise ValueError(f"xi_points must be at least {MIN_FIT_POINTS}, got {self.xi_points}")
+        _check_band(self.xi_min, self.xi_points)
 
 
 @dataclass(frozen=True)
@@ -257,44 +253,9 @@ class ExperimentConfig:
     seed: int = 0
 
 
-def _coerce_scalar(annotation: str, value, path: str):
-    """`value` as its field's annotated type: None only where the annotation
-    allows it, and a tuple element by element, at the annotated length."""
-    if value is None and annotation.endswith("| None"):
-        return None
-    if annotation.startswith("tuple"):
-        kinds = [t.strip() for t in annotation[len("tuple[") : -1].split(",")]
-        if kinds[-1] == "..." and isinstance(value, (list, tuple)):
-            kinds = kinds[:1] * len(value)
-        if not isinstance(value, (list, tuple)) or len(value) != len(kinds):
-            raise _fail(path, f"expected {annotation}, got {value!r}")
-        return tuple(
-            _coerce_scalar(t, v, f"{path}[{j}]") for j, (t, v) in enumerate(zip(kinds, value))
-        )
-    if annotation.startswith("int"):
-        return _as_int(value, path)
-    if annotation.startswith("float"):
-        return _as_float(value, path)
-    return value
-
-
 def _build_stanza(cls, node, path: str):
-    if node is None:
-        return cls()
-    if not isinstance(node, dict):
-        raise _fail(path, "stanza must be a mapping")
-    fields = cls.__dataclass_fields__
-    unknown = set(node) - set(fields)
-    if unknown:
-        raise _fail(path, f"unknown keys: {sorted(unknown)}")
-    coerced = {
-        name: _coerce_scalar(fields[name].type, value, f"{path}.{name}")
-        for name, value in node.items()
-    }
-    try:
-        return cls(**coerced)
-    except (TypeError, ValueError) as exc:
-        raise _fail(path, str(exc)) from None
+    """A pipeline stanza, at its defaults where the file leaves it out."""
+    return cls() if node is None else _build(cls, node, path)
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ContractError, ResolutionError, WindowTooSmallError
 from .fokker_planck import GridDensity
 from .kernels import KernelDecomposition
-from .model import CoefficientSet
+from .model import CoefficientSet, _require_positive
 from .simulate import FLOOR_MULT, MAX_STEP, CFEstimate, RngSpec, empirical_cf, simulate_batch
 
 # A CF magnitude that stays above this (or 5 standard errors) over the upper
@@ -161,13 +161,18 @@ class PipelineConfig:
     max_step: float = MAX_STEP
 
 
+def _check_band(xi_min: float, xi_points: int) -> None:
+    """ContractError unless the band starts at a positive, finite xi_min and
+    has at least MIN_FIT_POINTS frequencies."""
+    _require_positive(xi_min, "xi_min")
+    if xi_points < MIN_FIT_POINTS:
+        raise ContractError(f"xi_points must be at least {MIN_FIT_POINTS}, got {xi_points}")
+
+
 def frequency_grid(runs: int, cfg: PipelineConfig) -> np.ndarray:
     """Log-spaced frequencies from xi_min up to where sampling noise bites
     (0.1 sqrt(N) heuristic, capped at 1000); checked before any sampling."""
-    if not (math.isfinite(cfg.xi_min) and cfg.xi_min > 0.0):
-        raise ContractError(f"xi_min must be positive and finite, got {cfg.xi_min!r}")
-    if cfg.xi_points < MIN_FIT_POINTS:
-        raise ContractError(f"xi_points must be at least {MIN_FIT_POINTS}, got {cfg.xi_points}")
+    _check_band(cfg.xi_min, cfg.xi_points)
     hi = cfg.xi_max if cfg.xi_max is not None else min(0.1 * math.sqrt(runs), 1e3)
     if not (math.isfinite(hi) and hi > cfg.xi_min):
         raise ContractError("frequency band is empty or unbounded; raise xi_max or the run count")

@@ -52,7 +52,7 @@ from .errors import (
     StabilityError,
     WindowTooSmallError,
 )
-from .model import CoefficientSet, _require_finite, gauss_panels
+from .model import CoefficientSet, _require_finite, _require_positive, gauss_panels
 from .presets import Function1D, GaussBump
 
 
@@ -437,8 +437,7 @@ def _checked_step(op: AdjointOperator, cfg: EvolutionConfig) -> float:
     and finite is refused; one beyond the stability budget raises."""
     dt_cap = 0.5 / op.lipschitz_bound
     dt = op.stable_dt() if cfg.dt is None else float(cfg.dt)
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ContractError(f"dt must be positive and finite, got {dt!r}")
+    _require_positive(dt, "dt")
     if dt > dt_cap * (1.0 + 1e-12):
         raise StabilityError(
             f"dt={dt:.3e} exceeds the stability budget {dt_cap:.3e} "

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DegenerateKernelError, InvalidModelError
-from .presets import Affine, Function1D, JumpAmplitude, constant
+from .presets import Described, Function1D, JumpAmplitude, constant
 
 
 def _jsonable(obj):
@@ -104,7 +104,7 @@ def gauss_panels(lo, hi, nodes: int = 256, panels: int = 8):
 
 
 @dataclass(frozen=True)
-class JumpMeasureSpec:
+class JumpMeasureSpec(Described):
     """Mark measure q(dz): support interval, Lebesgue density, truncations.
 
     ``support`` may be half-infinite or the whole line.  ``truncations`` are
@@ -196,17 +196,9 @@ class JumpMeasureSpec:
             return float(spec.horizon)
         return max(40.0, 4.0 * self.truncations[-1])
 
-    def describe(self) -> dict:
-        return {
-            "support": [self.support[0], self.support[1]],
-            "density": self.density.describe(),
-            "truncations": list(self.truncations),
-            "endpoint": self.endpoint_fn().describe(),
-        }
-
 
 @dataclass(frozen=True)
-class CoefficientSet:
+class CoefficientSet(Described):
     """All coefficients of one model plus its audit window.
 
     ``k`` is the smoothness budget (derivative stacks run to k+1), ``p`` the
@@ -214,6 +206,15 @@ class CoefficientSet:
     admissible slope of the post-jump map.  The audit window is the y-range
     on which grid audits (sup bounds for rates, drift, slopes) are taken.
     """
+
+    config_keys = {
+        "drift": "b",
+        "rate": "gamma",
+        "amplitude": "h",
+        "envelope": "eta",
+        "marks": "q",
+        "window": "y_window",
+    }
 
     b: Function1D
     gamma: Function1D
@@ -248,9 +249,7 @@ class CoefficientSet:
     def _grid_sup(self, fn: Function1D, order: int, tag: str) -> float:
         grid = self.y_audit_grid()
         vals = np.asarray(fn.derivative(grid, order), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            bad = grid[~np.isfinite(vals)][0]
-            raise InvalidModelError(f"{tag} derivative {order} non-finite at y={bad!r}")
+        _require_finite(vals, grid, f"{tag} derivative {order}", "y")
         return float(np.max(np.abs(vals)))
 
     def b_prime_sup(self) -> float:
@@ -262,28 +261,12 @@ class CoefficientSet:
     def gamma_inf(self) -> float:
         grid = self.y_audit_grid()
         vals = np.asarray(self.gamma.value(grid), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            bad = grid[~np.isfinite(vals)][0]
-            raise InvalidModelError(f"jump rate non-finite at y={bad!r}")
+        _require_finite(vals, grid, "jump rate", "y")
         return float(np.min(vals))
 
     def min_drift_index(self) -> int:
         """Smallest admissible drift surrogate index i0 = 2 sup|b'| (>= 1)."""
         return max(1, int(math.ceil(2.0 * self.b_prime_sup() - 1e-12)))
-
-    def describe(self) -> dict:
-        return {
-            "label": self.label,
-            "k": self.k,
-            "p": self.p,
-            "c0_tol": self.c0_tol,
-            "y_window": list(self.y_window),
-            "b": self.b.describe(),
-            "gamma": self.gamma.describe(),
-            "h": self.h.describe(),
-            "eta": self.eta.describe(),
-            "q": self.q.describe(),
-        }
 
 
 @dataclass
@@ -410,6 +393,12 @@ def check_A(coeffs: CoefficientSet, quadrature: QuadratureSpec | None = None) ->
         worst=worst,
         details=details,
     )
+
+
+def _require_positive(value: float, name: str) -> None:
+    """ContractError unless `value`, the setting `name`, is positive and finite."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ContractError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _require_finite(vals, points: np.ndarray, tag: str, var: str) -> None:

@@ -13,7 +13,7 @@ degenerate rate-one counterexample with an indicator z-factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from math import comb
 
@@ -29,12 +29,45 @@ def _as_array(x):
     return np.asarray(x, dtype=float)
 
 
-class Function1D:
+class Described:
+    """A dataclass that describes itself as the config node it is built
+    from: each field under its config key, valued as the config spells it.
+
+    ``config_keys`` maps a config key to its field where the two differ.
+    """
+
+    config_keys = {}
+
+    def describe(self) -> dict:
+        key = {name: k for k, name in self.config_keys.items()}
+        return {key.get(f.name, f.name): _node(getattr(self, f.name)) for f in fields(self)}
+
+
+def _node(value):
+    """`value` as a config node: described objects by their `describe`,
+    tuples as lists."""
+    if isinstance(value, Described):
+        return value.describe()
+    if isinstance(value, tuple):
+        return [_node(v) for v in value]
+    return value
+
+
+def _min_smooth_order(fns) -> int | None:
+    """The smallest finite `smooth_order` of `fns` (None: all infinitely smooth)."""
+    finite = [o for o in (fn.smooth_order for fn in fns) if o is not None]
+    return min(finite) if finite else None
+
+
+class Function1D(Described):
     """One scalar function with analytic derivatives of every order.
 
     ``smooth_order`` is the largest derivative order that is globally
     continuous (None means infinitely smooth); `check_A` refuses smoothness
     budgets beyond it for the drift, the rate and the y-factors of h.
+
+    Each family is a dataclass whose fields are its parameters, and names
+    itself in the config by its plain class attribute ``family``.
     """
 
     smooth_order: int | None = None
@@ -57,12 +90,14 @@ class Function1D:
         return False
 
     def describe(self) -> dict:
-        return {"family": type(self).__name__}
+        return {"family": self.family, **super().describe()}
 
 
 @dataclass(frozen=True)
 class Affine(Function1D):
     """a0 + a1 * x."""
+
+    family = "affine"
 
     a0: float
     a1: float = 0.0
@@ -79,9 +114,6 @@ class Affine(Function1D):
     def is_zero(self) -> bool:
         return self.a0 == 0.0 and self.a1 == 0.0
 
-    def describe(self) -> dict:
-        return {"family": "affine", "a0": self.a0, "a1": self.a1}
-
 
 def constant(c: float) -> Affine:
     return Affine(float(c), 0.0)
@@ -91,6 +123,8 @@ def constant(c: float) -> Affine:
 class Sinusoidal(Function1D):
     """amp * sin(freq * x + phase)."""
 
+    family = "sinusoidal"
+
     amp: float
     freq: float = 1.0
     phase: float = 0.0
@@ -99,13 +133,12 @@ class Sinusoidal(Function1D):
         x = _as_array(x)
         return self.amp * self.freq**l * np.sin(self.freq * x + self.phase + l * np.pi / 2.0)
 
-    def describe(self) -> dict:
-        return {"family": "sinusoidal", "amp": self.amp, "freq": self.freq, "phase": self.phase}
-
 
 @dataclass(frozen=True)
 class ExpDecay(Function1D):
     """amp * exp(-rate * x)."""
+
+    family = "exp_decay"
 
     amp: float
     rate: float = 1.0
@@ -114,13 +147,12 @@ class ExpDecay(Function1D):
         x = _as_array(x)
         return self.amp * (-self.rate) ** l * np.exp(-self.rate * x)
 
-    def describe(self) -> dict:
-        return {"family": "exp_decay", "amp": self.amp, "rate": self.rate}
-
 
 @dataclass(frozen=True)
 class InversePower(Function1D):
     """amp * (offset + x) ** (-power), the half-line power-law tail."""
+
+    family = "inverse_power"
 
     amp: float
     power: float
@@ -133,18 +165,12 @@ class InversePower(Function1D):
             coef *= -self.power - j
         return coef * (self.offset + x) ** (-self.power - l)
 
-    def describe(self) -> dict:
-        return {
-            "family": "inverse_power",
-            "amp": self.amp,
-            "power": self.power,
-            "offset": self.offset,
-        }
-
 
 @dataclass(frozen=True)
 class IsoPower(Function1D):
     """amp * (1 + x**2) ** (-power / 2): a smooth whole-line power law."""
+
+    family = "iso_power"
 
     amp: float
     power: float
@@ -166,9 +192,6 @@ class IsoPower(Function1D):
             coef *= expo - r
         return _compose_values(outer, inner)[l]
 
-    def describe(self) -> dict:
-        return {"family": "iso_power", "amp": self.amp, "power": self.power}
-
 
 @lru_cache(maxsize=None)
 def _hermite_coeffs(l: int) -> tuple[float, ...]:
@@ -189,6 +212,8 @@ def _hermite_coeffs(l: int) -> tuple[float, ...]:
 class GaussBump(Function1D):
     """amp * exp(-((x - center) / width) ** 2)."""
 
+    family = "gauss_bump"
+
     amp: float
     center: float = 0.0
     width: float = 1.0
@@ -198,14 +223,6 @@ class GaussBump(Function1D):
         u = (x - self.center) / self.width
         herm = np.polynomial.polynomial.polyval(u, _hermite_coeffs(l))
         return self.amp * (-1.0 / self.width) ** l * herm * np.exp(-u * u)
-
-    def describe(self) -> dict:
-        return {
-            "family": "gauss_bump",
-            "amp": self.amp,
-            "center": self.center,
-            "width": self.width,
-        }
 
 
 @lru_cache(maxsize=None)
@@ -224,6 +241,8 @@ def _tanh_poly(l: int) -> tuple[float, ...]:
 class TanhSigmoid(Function1D):
     """amp * tanh(rate * x)."""
 
+    family = "tanh"
+
     amp: float
     rate: float = 1.0
 
@@ -233,13 +252,12 @@ class TanhSigmoid(Function1D):
         val = np.polynomial.polynomial.polyval(t, _tanh_poly(l))
         return self.amp * self.rate**l * val
 
-    def describe(self) -> dict:
-        return {"family": "tanh", "amp": self.amp, "rate": self.rate}
-
 
 @dataclass(frozen=True)
 class StretchedExp(Function1D):
     """amp * exp(-rate * (offset + x) ** power)."""
+
+    family = "stretched_exp"
 
     amp: float
     rate: float
@@ -258,15 +276,6 @@ class StretchedExp(Function1D):
         outer = np.stack([ev for _ in range(l + 1)])
         return _compose_values(outer, inner)[l]
 
-    def describe(self) -> dict:
-        return {
-            "family": "stretched_exp",
-            "amp": self.amp,
-            "rate": self.rate,
-            "power": self.power,
-            "offset": self.offset,
-        }
-
 
 @dataclass(frozen=True)
 class Indicator(Function1D):
@@ -275,6 +284,8 @@ class Indicator(Function1D):
     Only legitimate where z-regularity is irrelevant (simulation, slope and
     boundedness audits); smoothness certificates refuse it.
     """
+
+    family = "indicator"
 
     lo: float
     hi: float
@@ -287,9 +298,6 @@ class Indicator(Function1D):
         if l == 0:
             return self.amp * ((x >= self.lo) & (x < self.hi)).astype(float)
         return np.zeros_like(x)
-
-    def describe(self) -> dict:
-        return {"family": "indicator", "lo": self.lo, "hi": self.hi, "amp": self.amp}
 
 
 @lru_cache(maxsize=None)
@@ -318,6 +326,8 @@ def _smoothstep_derivative(u, order: int, l: int):
 class SmoothstepBump(Function1D):
     """Plateau bump: 0 outside [lo, hi], amp on [lo+ramp, hi-ramp], joined by
     smoothstep ramps of width ramp; globally C^order."""
+
+    family = "smoothstep_bump"
 
     lo: float
     hi: float
@@ -352,17 +362,8 @@ class SmoothstepBump(Function1D):
     def smooth_order(self) -> int:  # type: ignore[override]
         return self.order
 
-    def describe(self) -> dict:
-        return {
-            "family": "smoothstep_bump",
-            "lo": self.lo,
-            "hi": self.hi,
-            "ramp": self.ramp,
-            "order": self.order,
-            "amp": self.amp,
-        }
 
-
+@dataclass(frozen=True)
 class Tabulated(Function1D):
     """Natural cubic spline through tabulated nodes.
 
@@ -370,18 +371,22 @@ class Tabulated(Function1D):
     for measured coefficients at low smoothness budgets.
     """
 
+    family = "tabulated"
     smooth_order = 2
 
-    def __init__(self, xs, ys):
+    xs: tuple[float, ...]
+    ys: tuple[float, ...]
+
+    def __post_init__(self):
         from scipy.interpolate import CubicSpline
 
-        xs = _as_array(xs)
-        ys = _as_array(ys)
+        xs = _as_array(self.xs)
+        ys = _as_array(self.ys)
         if xs.ndim != 1 or xs.size < 4 or xs.shape != ys.shape:
             raise ContractError("tabulated preset needs >= 4 matching nodes")
-        self._xs = xs
-        self._ys = ys
-        self._spline = CubicSpline(xs, ys, bc_type="natural")
+        object.__setattr__(self, "xs", tuple(xs.tolist()))
+        object.__setattr__(self, "ys", tuple(ys.tolist()))
+        object.__setattr__(self, "_spline", CubicSpline(xs, ys, bc_type="natural"))
 
     def derivative(self, x, l: int):
         x = _as_array(x)
@@ -391,21 +396,19 @@ class Tabulated(Function1D):
             return _as_array(self._spline(x))
         return _as_array(self._spline.derivative(l)(x))
 
-    def describe(self) -> dict:
-        return {
-            "family": "tabulated",
-            "xs": [float(v) for v in self._xs],
-            "ys": [float(v) for v in self._ys],
-        }
 
-
+@dataclass(frozen=True, init=False)
 class FunctionSum(Function1D):
-    """Pointwise sum of functions."""
+    """Pointwise sum of functions, ``FunctionSum(f, g, ...)``."""
+
+    family = "sum"
+
+    parts: tuple[Function1D, ...]
 
     def __init__(self, *parts: Function1D):
         if not parts:
             raise ContractError("empty function sum")
-        self.parts = tuple(parts)
+        object.__setattr__(self, "parts", parts)
 
     def derivative(self, x, l: int):
         x = _as_array(x)
@@ -416,24 +419,21 @@ class FunctionSum(Function1D):
 
     @property
     def smooth_order(self) -> int | None:  # type: ignore[override]
-        orders = [p.smooth_order for p in self.parts]
-        finite = [o for o in orders if o is not None]
-        return min(finite) if finite else None
+        return _min_smooth_order(self.parts)
 
     @property
     def is_zero(self) -> bool:
         return all(p.is_zero for p in self.parts)
 
-    def describe(self) -> dict:
-        return {"family": "sum", "parts": [p.describe() for p in self.parts]}
 
-
+@dataclass(frozen=True)
 class FunctionProduct(Function1D):
     """Pointwise product of two functions (Leibniz stacks)."""
 
-    def __init__(self, left: Function1D, right: Function1D):
-        self.left = left
-        self.right = right
+    family = "product"
+
+    left: Function1D
+    right: Function1D
 
     def derivative(self, x, l: int):
         x = _as_array(x)
@@ -442,23 +442,19 @@ class FunctionProduct(Function1D):
 
     @property
     def smooth_order(self) -> int | None:  # type: ignore[override]
-        orders = [self.left.smooth_order, self.right.smooth_order]
-        finite = [o for o in orders if o is not None]
-        return min(finite) if finite else None
+        return _min_smooth_order((self.left, self.right))
 
     @property
     def is_zero(self) -> bool:
         return self.left.is_zero or self.right.is_zero
 
-    def describe(self) -> dict:
-        return {"family": "product", "parts": [self.left.describe(), self.right.describe()]}
 
-
-class JumpAmplitude:
+class JumpAmplitude(Described):
     """Jump amplitude h(y, z) as a sum of separable terms f_j(y) * g_j(z).
 
     Provides the mixed derivative stacks the calculus and kernel layers need:
-    pure y-derivatives 0..k+1 and pure z-derivatives 0..k+1.
+    pure y-derivatives 0..k+1 and pure z-derivatives 0..k+1.  Its config
+    node is the list of terms, each ``{y: f_j, z: g_j}``.
     """
 
     def __init__(self, terms):
@@ -472,51 +468,40 @@ class JumpAmplitude:
 
     def dy(self, y, z, l: int):
         """l-th derivative in the state variable."""
-        y = _as_array(y)
-        z = _as_array(z)
-        out = None
-        for fy, gz in self.terms:
-            piece = fy.derivative(y, l) * gz.value(z)
-            out = piece if out is None else out + piece
-        return out
+        return self._partial(y, z, l, 0)
 
     def dz(self, y, z, l: int):
         """l-th derivative in the mark variable."""
+        return self._partial(y, z, 0, l)
+
+    def _partial(self, y, z, ly: int, lz: int):
+        """The sum over terms of f_j^(ly)(y) * g_j^(lz)(z), in term order."""
         y = _as_array(y)
         z = _as_array(z)
         out = None
         for fy, gz in self.terms:
-            piece = fy.value(y) * gz.derivative(z, l)
+            piece = fy.derivative(y, ly) * gz.derivative(z, lz)
             out = piece if out is None else out + piece
         return out
 
     def y_stack(self, y, z, order: int) -> np.ndarray:
-        y = _as_array(y)
-        z = _as_array(z)
-        shape = np.broadcast_shapes(y.shape, z.shape)
-        out = np.zeros((order + 1,) + shape)
-        for l in range(order + 1):
-            out[l] = self.dy(y, z, l)
-        return out
+        return self._stack(y, z, order, 1, 0)
 
     def z_stack(self, y, z, order: int) -> np.ndarray:
+        return self._stack(y, z, order, 0, 1)
+
+    def _stack(self, y, z, order: int, in_y: int, in_z: int) -> np.ndarray:
+        """Rows l = 0..order of `_partial` at orders (l * in_y, l * in_z)."""
         y = _as_array(y)
         z = _as_array(z)
-        shape = np.broadcast_shapes(y.shape, z.shape)
-        out = np.zeros((order + 1,) + shape)
+        out = np.zeros((order + 1,) + np.broadcast_shapes(y.shape, z.shape))
         for l in range(order + 1):
-            out[l] = self.dz(y, z, l)
+            out[l] = self._partial(y, z, l * in_y, l * in_z)
         return out
 
     @property
     def smooth_order_y(self) -> int | None:
-        orders = [fy.smooth_order for fy, _ in self.terms]
-        finite = [o for o in orders if o is not None]
-        return min(finite) if finite else None
+        return _min_smooth_order(fy for fy, _ in self.terms)
 
-    def describe(self) -> dict:
-        return {
-            "terms": [
-                {"y": fy.describe(), "z": gz.describe()} for fy, gz in self.terms
-            ]
-        }
+    def describe(self) -> list:
+        return [{"y": fy.describe(), "z": gz.describe()} for fy, gz in self.terms]

@@ -45,7 +45,7 @@ from .errors import (
 )
 from .fokker_planck import GridDensity
 from .kernels import KernelDecomposition
-from .model import CoefficientSet
+from .model import CoefficientSet, _require_positive
 
 N_CHUNKS = 32  # fixed RNG fan-out; results do not depend on thread count
 BLOW_UP = 1e8  # |state| beyond this is a blow-up
@@ -332,8 +332,7 @@ def _thinning(
     moves values, it never recomputes them, so each run's arithmetic and
     bytes do not depend on which other runs are still alive.
     """
-    if not (math.isfinite(max_step) and max_step > 0.0):
-        raise ContractError(f"max_step must be positive and finite, got {max_step!r}")
+    _require_positive(max_step, "max_step")
     if not t_end >= 0.0:
         raise ContractError(f"the horizon must be >= 0, got {t_end!r}")
     sampler, active, ubar, lam = frame

@@ -243,6 +243,40 @@ def test_yaml_booleans_exit_2(tmp_path, capsys, key, bad):
     assert "config error" in capsys.readouterr().err
 
 
+_TERM = {"y": {"family": "constant", "c": 0.4}, "z": {"family": "exp_decay", "amp": 1.0, "rate": 1.0}}
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("model.smoothness", 4, "model: unknown keys: ['smoothness']"),
+        ("model.marks.truncation", [2.0, 4.0], "model.marks: unknown keys: ['truncation']"),
+        ("model.amplitude", [dict(_TERM, w={"family": "exp_decay", "amp": 1.0})],
+         "model.amplitude[0]: unknown keys: ['w']"),
+        ("model.amplitude", [dict(_TERM, y={"family": "constant", "value": 0.5})],
+         "model.amplitude[0].y: unknown keys: ['value']"),
+        ("model.rate", {"family": "sum", "parts": [1.0], "scale": 3},
+         "model.rate: unknown keys: ['scale']"),
+        ("model.rate", {"family": "product", "left": 1.0, "right": 0.7, "parts": [1.0, 0.7]},
+         "model.rate: unknown keys: ['parts']"),
+        ("model.drift", {"family": "tabulated", "xs": [0.0, 1.0, 2.0, 3.0], "ys": [0.0] * 4,
+                         "bc": "natural"}, "model.drift: unknown keys: ['bc']"),
+        ("model.envelope", {"family": "exp_decay", "amp": 0.4, "rate": 1.0, "shift": 1.0},
+         "model.envelope: unknown keys: ['shift']"),
+    ],
+    ids=["model", "marks", "amplitude-term", "constant", "sum", "product", "tabulated", "family"],
+)
+def test_unknown_model_keys_exit_2(tmp_path, capsys, key, value, message):
+    # each of these used to load with exit 0 and be ignored; the constant
+    # with `value` loaded as the constant 0
+    cfg = _base_config(tmp_path / "out")
+    _set(cfg, key, value)
+    assert main(["check", "--config", _write(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_retired_cutoff_order_key_exits_2(tmp_path, capsys):
     # the cutoffs are smooth of the model's own order k; there is no override
     cfg = _base_config(tmp_path / "out")

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import jumpsmooth as js
 from jumpsmooth.config import build_model
@@ -96,6 +97,21 @@ def test_min_drift_index_scales_with_slope():
         b=js.Sinusoidal(3.0, 1.0),
     )
     assert m.min_drift_index() == 6  # 2 sup|b'| = 6
+
+
+def test_non_finite_drift_and_rate_name_the_state_as_a_float():
+    # y^-2 has a pole at the grid point y = 0; the messages used to read
+    # y=np.float64(0.0)
+    pole = js.InversePower(1.0, 2.0, offset=0.0)
+    m = _model(((js.constant(0.1), js.ExpDecay(1.0, 1.0)),), js.ExpDecay(0.2, 1.0),
+               window=(-2.0, 2.0), b=pole, gamma=pole)
+    with np.errstate(divide="ignore"):
+        with pytest.raises(js.InvalidModelError) as drift:
+            m.b_prime_sup()
+        with pytest.raises(js.InvalidModelError) as rate:
+            m.gamma_inf()
+    assert str(drift.value) == "drift derivative 1 non-finite at y=0.0"
+    assert str(rate.value) == "jump rate non-finite at y=0.0"
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +405,40 @@ BENCH_POWER = {
     "envelope": {"family": "inverse_power", "amp": 0.5, "power": 2.0},
     "marks": {"support": [0.0, float("inf")], "truncations": [10.0, 40.0]},
 }
+
+
+def _config_model_nodes():
+    """The model stanzas of the README's exp.yaml and the bench workloads."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text().split("```yaml\n# exp.yaml\n", 1)[1]
+    nodes = {"readme": yaml.safe_load(readme.split("```", 1)[0])["model"]}
+    for path in sorted((root / "bench" / "workloads").glob("*.yaml")):
+        nodes[path.stem] = yaml.safe_load(path.read_text())["model"]
+    return nodes
+
+
+FIXTURE_MODELS = ["exp_unit_model", "wobble_model", "ripple_model", "power_model",
+                  "collapse_model", "uniform_jump_model"]
+
+
+@pytest.mark.parametrize("name", sorted(_config_model_nodes()) + FIXTURE_MODELS)
+def test_model_describe_round_trip(request, name):
+    # describe() is a model stanza: written as YAML and built again, it gives
+    # the same model, bit for bit on the audit grids
+    nodes = _config_model_nodes()
+    model = build_model(nodes[name]) if name in nodes else request.getfixturevalue(name)
+    node = model.describe()
+    rebuilt = build_model(yaml.safe_load(yaml.safe_dump(node)))
+    assert rebuilt.describe() == node
+    assert rebuilt.q == model.q
+    y, z = model.y_audit_grid(), model.z_audit_grid()
+    yy, zz = y[:, None], z[None, :]
+    for l in range(model.k + 2):
+        for fn, x in (("b", y), ("gamma", y), ("eta", z)):
+            got, want = getattr(rebuilt, fn).derivative(x, l), getattr(model, fn).derivative(x, l)
+            assert np.array_equal(got, want, equal_nan=True), (fn, l)
+        assert np.array_equal(rebuilt.h.dy(yy, zz, l), model.h.dy(yy, zz, l), equal_nan=True)
+        assert np.array_equal(rebuilt.h.dz(yy, zz, l), model.h.dz(yy, zz, l), equal_nan=True)
 
 
 def _gauss_slope_model(gamma, window, endpoint=None):

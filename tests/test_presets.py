@@ -9,8 +9,10 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 
 import jumpsmooth as js
+from jumpsmooth.config import _FAMILIES, build_function
 
 from conftest import fd_derivative
 
@@ -173,6 +175,25 @@ def test_jump_amplitude_stacks_and_bounds():
 
 
 def test_describe_round_trip_labels():
-    for fn, _, _ in SMOOTH_FAMILIES:
+    # every exported Function1D subclass is a config family, and each one's
+    # describe() is a node build_function rebuilds it from, bit for bit
+    cases = [fn for fn, _, _ in SMOOTH_FAMILIES] + [
+        js.Indicator(1.0, 2.0, 0.7),
+        js.SmoothstepBump(0.0, 4.0, 1.0, 3, 0.2),
+        js.Tabulated(np.linspace(0.0, 3.0, 7), np.sin(np.linspace(0.0, 3.0, 7))),
+        js.FunctionSum(js.constant(0.6), js.Sinusoidal(0.3, 1.0), js.IsoPower(0.8, 1.0)),
+        js.FunctionProduct(js.Affine(0.0, 1.0), js.ExpDecay(1.0, 0.7)),
+    ]
+    exported = {
+        obj for obj in vars(js).values()
+        if isinstance(obj, type) and issubclass(obj, js.Function1D) and obj is not js.Function1D
+    }
+    assert exported == set(_FAMILIES.values()) == {type(fn) for fn in cases}
+    xs = np.linspace(-0.9, 3.7, 23)
+    for fn in cases:
         d = fn.describe()
-        assert isinstance(d, dict) and "family" in d
+        assert isinstance(d, dict) and _FAMILIES[d["family"]] is type(fn)
+        rebuilt = build_function(yaml.safe_load(yaml.safe_dump(d)))
+        assert rebuilt == fn and rebuilt.describe() == d
+        for l in range(4):
+            assert np.array_equal(rebuilt.derivative(xs, l), fn.derivative(xs, l))
