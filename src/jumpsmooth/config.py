@@ -39,7 +39,6 @@ them to its config exit code.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import yaml
@@ -47,8 +46,7 @@ import yaml
 from . import presets
 from .diagnostics import _check_band
 from .errors import ConfigError, JumpsmoothError
-from .model import CoefficientSet, JumpMeasureSpec, _require_positive
-from .simulate import MAX_STEP
+from .model import CoefficientSet, JumpMeasureSpec, _check_horizon, _require_positive
 
 # family name -> preset class, read off the classes themselves
 _FAMILIES = {cls.family: cls for cls in presets.Function1D.__subclasses__()}
@@ -180,10 +178,8 @@ def build_model(node, path: str = "model") -> CoefficientSet:
 
 
 def _check_t_end_and_runs(t_end: float | None, runs: int | None = None) -> None:
-    if t_end is not None and not t_end >= 0.0:
-        raise ValueError(f"t_end must be >= 0, got {t_end}")
-    if t_end is not None and not math.isfinite(t_end):
-        raise ValueError(f"t_end must be finite, got {t_end}")
+    if t_end is not None:
+        _check_horizon(t_end)
     if runs is not None and runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
 
@@ -196,10 +192,11 @@ class SimulationStanza:
     trunc: int | None = None
     i: int | None = None
     filter_n: int | None = None
-    max_step: float = MAX_STEP  # RK4 step bound for the drift flow between candidates
+    max_step: float | None = None  # drift-flow RK4 step; None derives it (`flow_step`)
 
     def __post_init__(self):
-        _require_positive(self.max_step, "max_step")
+        if self.max_step is not None:
+            _require_positive(self.max_step, "max_step")
         _check_t_end_and_runs(self.t_end, self.runs)
 
 
@@ -259,10 +256,12 @@ def _build_stanza(cls, node, path: str):
 
 
 def load_config(path: str) -> ExperimentConfig:
-    """Parse and validate a YAML experiment file."""
+    """Parse and validate a YAML experiment file, with libyaml's safe
+    loader where PyYAML was built with it, else the pure-Python one."""
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
         with open(path, "r") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=loader)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except yaml.YAMLError as exc:

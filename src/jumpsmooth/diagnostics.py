@@ -23,7 +23,7 @@ from .errors import ContractError, ResolutionError, WindowTooSmallError
 from .fokker_planck import GridDensity
 from .kernels import KernelDecomposition
 from .model import CoefficientSet, _require_positive
-from .simulate import FLOOR_MULT, MAX_STEP, CFEstimate, RngSpec, empirical_cf, simulate_batch
+from .simulate import FLOOR_MULT, CFEstimate, RngSpec, empirical_cf, simulate_batch
 
 # A CF magnitude that stays above this (or 5 standard errors) over the upper
 # half of the usable band is read as an atom.
@@ -144,8 +144,9 @@ class PipelineConfig:
     """Controls for the sampling half of the smoothness pipeline.
 
     ``runs`` terminal samples on mark truncation ``trunc`` (default the last
-    declared), drawn by ``threads`` workers, ``max_step`` bounding the RK4
-    step of the drift flow.  The CF is read at ``xi_points`` (at least
+    declared), drawn by ``threads`` workers, ``max_step`` the RK4 step of
+    the drift flow (None: derived from FLOW_TOL and the drift's bounds, see
+    `simulate.flow_step`).  The CF is read at ``xi_points`` (at least
     MIN_FIT_POINTS) log-spaced frequencies from ``xi_min`` (positive) to
     ``xi_max`` (default from the run count, see `frequency_grid`); the decay
     fit uses all of them that clear the sampling floor (FLOOR_MULT), and
@@ -158,7 +159,7 @@ class PipelineConfig:
     xi_min: float = 1.0
     xi_max: float | None = None
     threads: int = 1
-    max_step: float = MAX_STEP
+    max_step: float | None = None
 
 
 def _check_band(xi_min: float, xi_points: int) -> None:

@@ -52,7 +52,9 @@ from .errors import (
     StabilityError,
     WindowTooSmallError,
 )
-from .model import CoefficientSet, _require_finite, _require_positive, gauss_panels
+from .model import (
+    CoefficientSet, _check_horizon, _require_finite, _require_positive, gauss_panels,
+)
 from .presets import Function1D, GaussBump
 
 
@@ -507,8 +509,7 @@ def evolve(
     window or step budget is inadequate), as does any non-finite value.  A
     companion run at dt / 2 on the same operator gives ``time_error``.
     """
-    if t_end < 0:
-        raise ContractError("t_end must be >= 0")
+    _check_horizon(t_end)
     op = AdjointOperator(coeffs, initial, cfg)
     dt = _checked_step(op, cfg)
 
@@ -633,8 +634,7 @@ def norm_growth_audit(
         return norms
 
     try:
-        if t_end < 0:
-            raise ContractError("t_end must be >= 0")
+        _check_horizon(t_end)
         op = AdjointOperator(coeffs, initial, cfg)
         norms_1 = run(op)
         # the jump part does not depend on i: the 2 i operator reuses it

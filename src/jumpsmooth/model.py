@@ -401,6 +401,20 @@ def _require_positive(value: float, name: str) -> None:
         raise ContractError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _check_horizon(t_end: float, name: str = "t_end", finite: bool = True) -> None:
+    """ContractError unless the horizon `name` is >= 0 and, where `finite`,
+    finite: a run to an infinite horizon never ends (every thinning
+    candidate lands before it).  The simulator, the density evolution and
+    the config stanzas all check their horizons here; only `sample_tau_n`,
+    which stops at its first kept jump, may wait without one."""
+    if not t_end >= 0.0:
+        raise ContractError(f"{name} must be >= 0, got {t_end!r}: a horizon cannot be negative")
+    if finite and math.isinf(t_end):
+        raise ContractError(
+            f"{name} must be finite, got {t_end!r}: a run to an infinite horizon never ends"
+        )
+
+
 def _require_finite(vals, points: np.ndarray, tag: str, var: str) -> None:
     """InvalidModelError naming the coefficient `tag` and the first of
     `points` (C order) where its values `vals` are not finite."""

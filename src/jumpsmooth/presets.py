@@ -45,11 +45,14 @@ class Described:
 
 def _node(value):
     """`value` as a config node: described objects by their `describe`,
-    tuples as lists."""
+    tuples as lists, numpy scalars as Python ones (so a YAML safe dumper
+    takes the node)."""
     if isinstance(value, Described):
         return value.describe()
     if isinstance(value, tuple):
         return [_node(v) for v in value]
+    if isinstance(value, np.generic):
+        return value.item()
     return value
 
 

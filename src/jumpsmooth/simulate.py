@@ -8,10 +8,20 @@ rate variable u uniform on (0, ubar) and a filter variable v uniform on
 (0, 1), and becomes a jump when u <= gamma(X-).  v is drawn whether or not a
 filtered kernel is checked, so filtered and plain runs can be coupled.
 Between candidates the state follows the drift flow: each run takes
-ceil(segment / max_step) equal RK4 steps on each of its segments, so its
-steps depend on that run alone; `max_step` must be positive and finite.  The
-drift-poissonized chain, whose density evolution the adjoint solver mirrors,
-replaces the flow with kicks b(X)/i at rate i.
+ceil(segment / step) equal classical RK4 steps on each of its segments, so
+its steps depend on that run alone.  The step is resolved once per entry
+point.  An explicit `max_step` (positive and finite) is the step, the fixed
+rule of earlier releases.  By default (`max_step=None`) it is `flow_step`:
+the largest step whose RK4 error bound per unit time is at most FLOW_TOL,
+from the drift's sup bounds on the audit window.  The error model: the
+leading local error of one RK4 step on x' = b(x) is h^5 times a polynomial
+in b, ..., b'''' (`_RK4_ERROR_TERMS`), so the error per unit time is about
+C(b) h^4; for x' = -L x on |x| <= X it is X L (hL)^4 / 120 (Hairer, Norsett
+& Wanner, Solving ODEs I, II.1-3).  The budget is per unit time, so the step
+does not depend on the horizon.  A zero drift and the poissonized chain have
+no flow and never evaluate the rule.  The drift-poissonized chain, whose
+density evolution the adjoint solver mirrors, replaces the flow with kicks
+b(X)/i at rate i.
 
 Random streams fan out into 32 Philox substreams per (seed, stream) pair, one
 per chunk of a batch's runs.  The engine advances a group of chunks in
@@ -23,10 +33,12 @@ through a guide table over the mark CDF that reproduces `np.interp` bit for
 bit.  A round's draws go straight into one buffer made once per batch; the
 jump map, the filter ratio and the blow-up check run at the accepted
 candidates only, the compaction only in rounds where some candidate fell
-past the horizon, and each run's jump count rides in its alive state.  `simulate_exact`, `simulate_poissonized` and `sample_tau_n` are
-batches of one on the caller's generator: the coupling between single paths
-and batches holds by construction.  Batches and single paths need a finite
-horizon; `sample_tau_n` may wait without one for its first kept jump.
+past the horizon, and each run's jump count rides in its alive state.
+`simulate_exact`, `simulate_poissonized` and `sample_tau_n` are batches of
+one on the caller's generator: the coupling between single paths and
+batches holds by construction.  Batches and single paths need a finite
+horizon (`model._check_horizon`, the one horizon rule);
+`sample_tau_n` may wait without one for its first kept jump.
 """
 
 from __future__ import annotations
@@ -45,14 +57,26 @@ from .errors import (
 )
 from .fokker_planck import GridDensity
 from .kernels import KernelDecomposition
-from .model import CoefficientSet, _require_positive
+from .model import CoefficientSet, _check_horizon, _require_positive
 
 N_CHUNKS = 32  # fixed RNG fan-out; results do not depend on thread count
 BLOW_UP = 1e8  # |state| beyond this is a blow-up
 FLOOR_MULT = 3.0  # a usable CF magnitude stands this many 1/sqrt(N) clear of 0
 GUIDE_BUCKETS = 4096  # level bins of the mark sampler's guide table; a power of two
 MARK_CDF_NODES = 4097  # equispaced marks of the mark sampler's trapezoid CDF
-MAX_STEP = 1e-3  # default RK4 step bound of the drift flow between candidates
+FLOW_TOL = 1e-10  # drift-flow error budget per unit time of the derived RK4 step
+
+# The h^5 term of RK4's local error on a scalar autonomous x' = b(x):
+#   b b'^4 / 120 - b^2 b'^2 b'' / 80 + b^3 b''^2 / 480
+#   - b^3 b' b''' / 1440 - b^4 b'''' / 2880,
+# as (|coefficient|, powers of b, b', b'', b''', b'''').
+_RK4_ERROR_TERMS = (
+    (1.0 / 120.0, (1, 4, 0, 0, 0)),
+    (1.0 / 80.0, (2, 2, 1, 0, 0)),
+    (1.0 / 480.0, (3, 0, 2, 0, 0)),
+    (1.0 / 1440.0, (3, 1, 0, 1, 0)),
+    (1.0 / 2880.0, (4, 0, 0, 0, 1)),
+)
 
 
 @dataclass(frozen=True)
@@ -198,16 +222,62 @@ def _check_rate_bound(gam_pre, ubar: float) -> None:
         )
 
 
-def _drift_flow_batch(coeffs, x: np.ndarray, seg: np.ndarray, max_step: float) -> np.ndarray:
+def flow_step(coeffs: CoefficientSet) -> float:
+    """The default RK4 step of the drift flow: the largest h with
+    C(b) h^4 <= FLOW_TOL, for C(b) the bound on the h^5 term of RK4's local
+    error (`_RK4_ERROR_TERMS`) with each derivative of b replaced by its sup
+    M_d on the audit grid.
+
+    Orders d up to D = min(4, b.smooth_order) are read off the drift's exact
+    derivatives.  Orders above D (a `tabulated` or `smoothstep_bump` drift)
+    are bounded through the drift's rate L = max_{1<=d<=D} (M_d M_0^(d-1))^(1/d),
+    as M_d = L^d / M_0^(d-1): the scaling that every order up to D obeys,
+    under which each of the five terms is at most M_0 L^4.  For x' = -L x
+    on |x| <= X this is M_0 = X L, M_1 = L and C = X L^5 / 120.  The bound
+    holds on the audit window; the step is inf when it is 0 (a drift
+    constant on the window, which RK4 follows exactly in one step).  A drift
+    that is not Lipschitz (smooth order below 1) has no such bound and is
+    refused: its step must be set as `max_step`.
+    """
+    order = coeffs.b.smooth_order
+    top = 4 if order is None else min(4, order)
+    if top < 1:
+        raise ContractError(
+            f"drift smooth order {order} gives no RK4 error bound; set max_step"
+        )
+    sups = [coeffs._grid_sup(coeffs.b, d, "drift") for d in range(top + 1)]
+    m0 = sups[0]
+    rate = max((sups[d] * m0 ** (d - 1)) ** (1.0 / d) for d in range(1, top + 1))
+    sups += [rate**d / m0 ** (d - 1) if m0 > 0.0 else 0.0 for d in range(top + 1, 5)]
+    bound = sum(
+        c * math.prod(m**p for m, p in zip(sups, powers)) for c, powers in _RK4_ERROR_TERMS
+    )
+    return (FLOW_TOL / bound) ** 0.25 if bound > 0.0 else math.inf
+
+
+def _resolve_step(coeffs: CoefficientSet, max_step: float | None, i: int | None) -> float | None:
+    """One entry point's RK4 step: an explicit `max_step`, which must be
+    positive and finite, else `flow_step`; None where nothing flows (a zero
+    drift, or the poissonized chain `i`), which never evaluates the rule."""
+    if max_step is not None:
+        _require_positive(max_step, "max_step")
+        return max_step
+    if i is not None or coeffs.b.is_zero:
+        return None
+    return flow_step(coeffs)
+
+
+def _drift_flow_batch(coeffs, x: np.ndarray, seg: np.ndarray, step: float) -> np.ndarray:
     """RK4 flow of each run over its own segment length.
 
-    Run r takes ceil(seg_r / max_step) equal steps, so its arithmetic depends
-    on its own segment alone.  The runs are sorted once, most steps first, so
+    Run r takes ceil(seg_r / step) equal steps, at least one when seg_r > 0
+    (an infinite step: one step per segment), so its arithmetic depends on
+    its own segment alone.  The runs are sorted once, most steps first, so
     the runs still moving in each sweep are a prefix of the sorted arrays.
     """
     if x.size == 0 or coeffs.b.is_zero:
         return x
-    steps = np.ceil(seg / max_step).astype(np.int64)
+    steps = np.maximum(np.ceil(seg / step), seg > 0.0).astype(np.int64)
     order = np.argsort(-steps)
     steps = steps[order]
     hs = seg[order] / np.maximum(steps, 1)
@@ -244,12 +314,6 @@ def _candidate_frame(coeffs: CoefficientSet, trunc: int, couple_top: int | None)
         return None, active, 0.0, 0.0
     sampler = MarkSampler(coeffs.q, sample_from)
     return sampler, active, ubar, ubar * sampler.mass
-
-
-def _check_finite_horizon(t_end: float) -> None:
-    # every candidate lands before an infinite horizon: the run never ends
-    if math.isinf(t_end):
-        raise ContractError(f"the horizon must be finite, got {t_end!r}")
 
 
 def _check_drift_index(coeffs: CoefficientSet, i: int) -> None:
@@ -291,7 +355,7 @@ def _check_state(values: np.ndarray) -> None:
 
 def _thinning(
     coeffs, x: np.ndarray, t_end: float, gens: list[np.random.Generator], sizes: list[int],
-    frame, i: int | None, max_step: float, on_round,
+    frame, i: int | None, step: float | None, on_round,
     kernels: KernelDecomposition | None = None, filter_n: int | None = None,
 ) -> np.ndarray:
     """The thinning engine: candidate rounds for a group of chunks, in lockstep.
@@ -300,9 +364,10 @@ def _thinning(
     from `gens[c]`), and is advanced in place to t_end >= 0; the return
     value is each run's number of accepted jumps.  `frame` comes from
     `_candidate_frame`; `i` selects the drift-poissonized chain (None: the
-    exact flow); `filter_n` fills `kept` from the n-th filtered kernel.
-    Every entry point passes through here, so this is where a `max_step`
-    that is not positive and finite is refused, before any draw.
+    exact flow); `step` is the flow's RK4 step from `_resolve_step` (None
+    when nothing flows); `filter_n` fills `kept` from the n-th filtered
+    kernel.  The entry points check the horizon and resolve the step before
+    they call here, so before any draw.
 
     The engine holds ids, clocks, states and jump counts for the alive runs
     only, in run order, in the front of buffers made once; after a round in
@@ -332,14 +397,11 @@ def _thinning(
     moves values, it never recomputes them, so each run's arithmetic and
     bytes do not depend on which other runs are still alive.
     """
-    _require_positive(max_step, "max_step")
-    if not t_end >= 0.0:
-        raise ContractError(f"the horizon must be >= 0, got {t_end!r}")
     sampler, active, ubar, lam = frame
     m = x.size
     jumps = np.zeros(m, dtype=np.int64)
     if lam == 0.0 and i is None:  # no jumps, no kicks: one drift segment
-        x[:] = _drift_flow_batch(coeffs, x, np.full(m, t_end), max_step)
+        x[:] = _drift_flow_batch(coeffs, x, np.full(m, t_end), step)
         return jumps
     offsets = np.cumsum([0] + list(sizes))
     total = lam if i is None else float(i) + lam
@@ -374,7 +436,7 @@ def _thinning(
         landed = t_next <= t_end
         pre = xs
         if drift:
-            pre = _drift_flow_batch(coeffs, xs, np.minimum(t_next, t_end) - t, max_step)
+            pre = _drift_flow_batch(coeffs, xs, np.minimum(t_next, t_end) - t, step)
         gam = np.asarray(coeffs.gamma.value(pre), dtype=float)
         if not gam.max() <= ubar:  # rare: find out whether a landed one broke it
             _check_rate_bound(gam[landed], ubar)
@@ -438,7 +500,8 @@ def _single_path(
 ) -> Trajectory:
     """A batch of one of the thinning engine on `rng`, its landed candidates
     recorded as events."""
-    _check_finite_horizon(t_end)
+    _check_horizon(t_end)
+    step = _resolve_step(coeffs, max_step, i)
     frame = _candidate_frame(coeffs, trunc, couple_top)
     x = np.array([float(x0)])
     events: list[JumpEvent] = []
@@ -455,7 +518,7 @@ def _single_path(
             float(r.z[0]), float(r.u[0]), float(r.v[0]),
         ))
 
-    _thinning(coeffs, x, t_end, [rng], [1], frame, i, max_step, on_round)
+    _thinning(coeffs, x, t_end, [rng], [1], frame, i, step, on_round)
     times = [0.0] + [e.time for e in events] + [float(t_end)]
     states = [float(x0)] + [e.post for e in events] + [float(x[0])]
     return Trajectory(
@@ -469,7 +532,7 @@ def simulate_exact(
     t_end: float,
     trunc: int,
     rng: np.random.Generator,
-    max_step: float = MAX_STEP,
+    max_step: float | None = None,
     couple_top: int | None = None,
 ) -> Trajectory:
     """One path of the jumping diffusion with truncated marks.
@@ -480,7 +543,8 @@ def simulate_exact(
     `RngSpec(s)`, bit for bit.  v is unused here but keeps the stream
     aligned with filtered runs.  With `couple_top`, marks come from that
     wider window and those outside the `trunc` window are recorded as
-    skips, so paths at different truncations share every draw.
+    skips, so paths at different truncations share every draw.  `max_step`
+    is the drift flow's RK4 step; None derives it (`flow_step`).
     """
     return _single_path(coeffs, x0, t_end, trunc, rng, couple_top, None, max_step)
 
@@ -497,7 +561,7 @@ def simulate_poissonized(
     superposed with the thinned jump stream, no continuous motion, so no RK4
     step bound.  A batch of one of the thinning engine, like `simulate_exact`."""
     _check_drift_index(coeffs, i)
-    return _single_path(coeffs, x0, t_end, trunc, rng, None, i, MAX_STEP)
+    return _single_path(coeffs, x0, t_end, trunc, rng, None, i, None)
 
 
 def sample_tau_n(
@@ -508,15 +572,18 @@ def sample_tau_n(
     t_max: float,
     trunc: int,
     rng: np.random.Generator,
-    max_step: float = MAX_STEP,
+    max_step: float | None = None,
 ) -> RegularizingJumpRecord | None:
     """First jump kept by the n-th filtered kernel along one exact path.
 
     A batch of one of the thinning engine on `rng` that stops at its first
     kept jump, so it draws exactly what `simulate_exact` draws up to that
     candidate: under a common seed the record is one of the exact path's
-    jumps.  Returns None when no filtered jump occurs before t_max.
+    jumps.  Returns None when no filtered jump occurs before t_max, which
+    may be infinite.  `max_step` is as in `simulate_exact`.
     """
+    _check_horizon(t_max, "t_max", finite=False)
+    step = _resolve_step(coeffs, max_step, None)
     kernels._audit_rate(coeffs, n, trunc)
     frame = _candidate_frame(coeffs, trunc, None)
     found: list[RegularizingJumpRecord] = []
@@ -529,7 +596,7 @@ def sample_tau_n(
         return bool(found)
 
     _thinning(coeffs, np.array([float(x0)]), t_max, [rng], [1], frame, None,
-              max_step, on_round, kernels, n)
+              step, on_round, kernels, n)
     return found[0] if found else None
 
 
@@ -548,7 +615,7 @@ def simulate_batch(
     i: int | None = None,
     kernels: KernelDecomposition | None = None,
     filter_n: int | None = None,
-    max_step: float = MAX_STEP,
+    max_step: float | None = None,
     threads: int = 1,
 ) -> dict:
     """Monte Carlo batch of terminal states (and filtered first-jump times).
@@ -557,12 +624,14 @@ def simulate_batch(
     (for matching a spread-out initial density).  Set `i` for the
     drift-poissonized chain, None for the exact flow.  When `filter_n` is
     given, `tau` holds the first time each run's jumps passed the n-th
-    filtered kernel (inf if none did).  `t_end` must be finite; `max_step`
-    bounds the exact flow's RK4 step.  The 32
+    filtered kernel (inf if none did).  `t_end` must be finite.  `max_step`
+    is the exact flow's RK4 step: each run takes ceil(segment / max_step)
+    equal steps per segment; None (the default) derives the step from
+    FLOW_TOL and the drift's bounds (`flow_step`), once per batch.  The 32
     chunks are split into `threads` contiguous groups, one worker each;
     results are byte-identical for any `threads` value under a fixed RngSpec.
     """
-    _check_finite_horizon(t_end)
+    _check_horizon(t_end)
     if runs < 1:
         raise ContractError("batch needs at least one run")
     if threads < 1:
@@ -574,6 +643,7 @@ def simulate_batch(
         kernels._audit_rate(coeffs, filter_n, trunc)
     if i is not None:
         _check_drift_index(coeffs, i)
+    step = _resolve_step(coeffs, max_step, i)
     frame = _candidate_frame(coeffs, trunc, None)
     sizes = _chunk_sizes(runs)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
@@ -590,7 +660,7 @@ def simulate_batch(
 
         gens = [rng_spec.chunk_generator(int(c)) for c in chunks]
         jumps = _thinning(coeffs, x, t_end, gens, [sizes[c] for c in chunks], frame, i,
-                          max_step, None if filter_n is None else on_round, kernels, filter_n)
+                          step, None if filter_n is None else on_round, kernels, filter_n)
         return x, tau, jumps
 
     if len(groups) > 1:

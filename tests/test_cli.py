@@ -1,5 +1,6 @@
 """Command line: exit codes, output files, manifests, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,7 +15,8 @@ import yaml
 
 from jumpsmooth import cli
 from jumpsmooth.cli import main
-from jumpsmooth.config import load_config
+from jumpsmooth.config import build_model, load_config
+from jumpsmooth.simulate import flow_step
 
 
 def _base_config(out_dir):
@@ -153,7 +155,8 @@ def test_simulate_honours_max_step(tmp_path):
     cfg = _base_config(tmp_path / "out")
     cfg["simulation"]["runs"] = 200
     assert main(["simulate", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "a")]) == 0
-    cfg["simulation"]["max_step"] = 1e-3  # the default, spelled out
+    # the derived default, spelled out
+    cfg["simulation"]["max_step"] = flow_step(build_model(cfg["model"]))
     assert main(["simulate", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "b")]) == 0
     cfg["simulation"]["max_step"] = 0.25
     assert main(["simulate", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "c")]) == 0
@@ -285,16 +288,32 @@ def test_retired_cutoff_order_key_exits_2(tmp_path, capsys):
     assert "unknown keys: ['cutoff_order']" in capsys.readouterr().err
 
 
-def test_readme_and_bench_configs_load(tmp_path):
-    # the README's exp.yaml and every bench workload, only read here: a schema
-    # change that would break the bench or the README fails tier-1 first
+def _shipped_configs(tmp_path) -> list[Path]:
+    """The README's exp.yaml, written out, and every bench workload."""
     root = Path(__file__).resolve().parents[1]
     block = (root / "README.md").read_text().split("```yaml\n# exp.yaml\n", 1)[1]
     readme = tmp_path / "exp.yaml"
     readme.write_text(block.split("```", 1)[0])
-    paths = [readme, *sorted((root / "bench" / "workloads").glob("*.yaml"))]
-    labels = [load_config(str(p)).label for p in paths]
+    return [readme, *sorted((root / "bench" / "workloads").glob("*.yaml"))]
+
+
+def test_readme_and_bench_configs_load(tmp_path):
+    # the README's exp.yaml and every bench workload, only read here: a schema
+    # change that would break the bench or the README fails tier-1 first
+    labels = [load_config(str(p)).label for p in _shipped_configs(tmp_path)]
     assert labels == ["wobble", "collapse", "power", "wobble"]
+
+
+def test_config_loads_the_same_without_libyaml(tmp_path, monkeypatch):
+    # load_config parses with libyaml's safe loader where PyYAML has it; the
+    # pure-Python SafeLoader it falls back to gives the same configs
+    def summary(cfg):
+        return cfg.coeffs.describe(), dataclasses.replace(cfg, coeffs=None)
+
+    paths = _shipped_configs(tmp_path)
+    fast = [summary(load_config(str(p))) for p in paths]
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    assert [summary(load_config(str(p))) for p in paths] == fast
 
 
 def test_kernels_cli_on_bench_workloads(tmp_path, capsys):

@@ -492,3 +492,13 @@ def test_norm_growth_audit_propagates_programming_errors(wobble_model, monkeypat
     init = js.gaussian_density((-8.0, 8.0), 256, order=2, sigma=0.8)
     with pytest.raises(TypeError, match="not a numerical failure"):
         js.norm_growth_audit(wobble_model, init, 0.6, js.EvolutionConfig(i=8, trunc=3))
+
+
+@pytest.mark.parametrize("t_end", [-1.0, math.nan, math.inf])
+def test_evolve_refuses_a_bad_horizon_at_once(wobble_model, t_end):
+    # the one horizon rule of the simulator and the config: a NaN horizon
+    # used to return an evolution at once, an infinite one ran until the
+    # stack diverged
+    g = js.gaussian_density((-8.0, 8.0), 64, order=2)
+    with pytest.raises(js.ContractError, match="t_end must be"):
+        js.evolve(wobble_model, g, t_end, js.EvolutionConfig(i=8, trunc=1))

@@ -197,3 +197,16 @@ def test_describe_round_trip_labels():
         assert rebuilt == fn and rebuilt.describe() == d
         for l in range(4):
             assert np.array_equal(rebuilt.derivative(xs, l), fn.derivative(xs, l))
+
+
+def test_describe_takes_numpy_scalars():
+    # parameters given as numpy scalars are described as Python ones, so a
+    # YAML safe dumper takes the node and build_function rebuilds the preset
+    cases = [
+        js.GaussBump(np.float64(1.0)),
+        js.SmoothstepBump(0.0, 4.0, np.float64(1.0), np.int64(3), 0.2),
+        js.FunctionSum(js.Affine(np.float64(0.6), np.float64(-0.1)), js.Sinusoidal(np.float64(0.3))),
+    ]
+    for fn in cases:
+        rebuilt = build_function(yaml.safe_load(yaml.safe_dump(fn.describe())))
+        assert rebuilt == fn and rebuilt.describe() == fn.describe()

@@ -14,7 +14,7 @@ from scipy import stats
 import jumpsmooth as js
 from jumpsmooth import kernels as kernels_module
 from jumpsmooth import simulate as simulate_module
-from jumpsmooth.simulate import _drift_flow_batch
+from jumpsmooth.simulate import FLOW_TOL, _drift_flow_batch, flow_step
 
 
 def _thin_model(rate_fn=None, amp=0.01, trunc=(2.0,), window=(-6.0, 6.0), b=None):
@@ -86,7 +86,8 @@ def test_batch_thread_count_does_not_change_results(wobble_model):
 # lockstep (the exact_power and exact_collapse pins: before the engine kept
 # only the alive runs' state and inverted marks through a guide table; the
 # exact_drift terminal: when each run got its own RK4 step count); every
-# thread count must reproduce them byte for byte
+# thread count must reproduce them byte for byte.  The drift batches were
+# recorded at the fixed step 1e-3 and spell it out
 PINNED_BATCHES = {
     "exact_drift": {
         "terminal": "08679d3898de96d3761faa8d32b1306b64e6659e5c48900255959198c64f1ce8",
@@ -122,9 +123,13 @@ def test_batch_outputs_pinned(
     case, threads, wobble_model, exp_unit_model, power_model, collapse_model
 ):
     if case == "exact_drift":  # runs need different RK4 step counts
-        out = js.simulate_batch(wobble_model, 0.2, 1.5, 1, js.RngSpec(2024), 645, threads=threads)
+        out = js.simulate_batch(
+            wobble_model, 0.2, 1.5, 1, js.RngSpec(2024), 645, max_step=1e-3, threads=threads
+        )
     elif case == "exact_sparse":  # fewer runs than chunks: most chunks are empty
-        out = js.simulate_batch(wobble_model, 0.2, 1.5, 1, js.RngSpec(2024), 20, threads=threads)
+        out = js.simulate_batch(
+            wobble_model, 0.2, 1.5, 1, js.RngSpec(2024), 20, max_step=1e-3, threads=threads
+        )
     elif case == "poissonized":
         out = js.simulate_batch(
             wobble_model, np.linspace(-1.0, 1.0, 2000), 1.5, 2, js.RngSpec(2025), 2000,
@@ -409,6 +414,69 @@ def test_batch_drift_steps_honour_max_step():
     assert np.allclose(out["terminal"], 2.0 * math.exp(-1.0), rtol=1e-12)
 
 
+def test_derived_step_meets_the_flow_tolerance_on_wobble(wobble_model):
+    # the default step against a fixed-step 1e-5 reference: the terminal
+    # states agree within FLOW_TOL per unit time, and every jump count is equal
+    t_end = 0.05
+    got = js.simulate_batch(wobble_model, 0.2, t_end, 1, js.RngSpec(41), 300)
+    ref = js.simulate_batch(wobble_model, 0.2, t_end, 1, js.RngSpec(41), 300, max_step=1e-5)
+    assert np.array_equal(got["jumps"], ref["jumps"]) and got["jumps"].any()
+    assert np.max(np.abs(got["terminal"] - ref["terminal"])) <= FLOW_TOL * t_end
+
+
+@pytest.mark.parametrize("slope", [20.0, 40.0])
+def test_derived_step_meets_the_flow_tolerance_on_a_steep_drift(slope):
+    # x' = slope * x has the closed-form flow x0 e^(slope t), here from
+    # e^-5 [-3, 3] to [-3, 3] inside the audit window, where a flow error
+    # grows with the state.  The old fixed step 1e-3 misses FLOW_TOL per
+    # unit time; the derived step meets it
+    m = _drift_model(js.Affine(0.0, slope))
+    t_end = 5.0 / slope
+    x0 = np.linspace(-3.0, 3.0, 7) * math.exp(-5.0)
+    exact = x0 * math.exp(slope * t_end)
+    gap = {
+        step: np.max(np.abs(
+            js.simulate_batch(m, x0, t_end, 1, js.RngSpec(5), x0.size, max_step=step)["terminal"]
+            - exact
+        ))
+        for step in (None, 1e-3)
+    }
+    assert gap[None] <= FLOW_TOL * t_end < gap[1e-3]
+
+
+def test_flow_step_reads_the_drift_up_to_its_smooth_order():
+    # tabulated (C^2) and smoothstep (C^3) drifts get a finite step from
+    # their derivatives up to that order; a drift constant on the window gets
+    # one exact step per segment; a drift that is not Lipschitz is refused
+    xs = np.linspace(-6.0, 6.0, 9)
+    for b in (js.Tabulated(xs, 0.3 * np.sin(xs)), js.SmoothstepBump(-2.0, 2.0, 1.0, 3, 0.5)):
+        assert 0.0 < flow_step(_drift_model(b)) < math.inf
+    still = _drift_model(js.constant(0.8))
+    assert flow_step(still) == math.inf
+    tr = js.simulate_exact(still, 0.1, 1.5, 1, js.RngSpec(2).generator())
+    assert tr.terminal == pytest.approx(0.1 + 0.8 * 1.5, rel=1e-15)
+    with pytest.raises(js.ContractError, match="set max_step"):
+        js.simulate_batch(_drift_model(js.Indicator(0.0, 1.0)), 0.5, 1.0, 1, js.RngSpec(2), 4)
+    out = js.simulate_batch(
+        _drift_model(js.Indicator(0.0, 1.0)), 0.5, 1.0, 1, js.RngSpec(2), 4, max_step=1e-2
+    )
+    assert np.all(out["terminal"] == out["terminal"][0])
+
+
+def test_flow_step_is_not_evaluated_without_a_flow(wobble_model, power_model, monkeypatch):
+    # a zero drift and the poissonized chain never evaluate the step rule
+    def refuse(coeffs):
+        raise AssertionError("the step rule was evaluated")
+
+    monkeypatch.setattr(simulate_module, "flow_step", refuse)
+    js.simulate_batch(power_model, 0.0, 0.5, 1, js.RngSpec(3), 64)
+    js.simulate_exact(power_model, 0.0, 0.5, 1, js.RngSpec(3).generator())
+    js.simulate_batch(wobble_model, 0.0, 0.5, 1, js.RngSpec(3), 64, i=8)
+    js.simulate_poissonized(wobble_model, 0.0, 0.5, 8, 1, js.RngSpec(3).generator())
+    with pytest.raises(AssertionError, match="step rule"):
+        js.simulate_batch(wobble_model, 0.0, 0.5, 1, js.RngSpec(3), 64)
+
+
 def test_drift_flow_steps_are_per_run(wobble_model):
     # segments 100-fold apart in one call: run r takes ceil(seg_r / max_step)
     # steps of its own, so it gets the bytes it gets when flowed alone
@@ -606,13 +674,18 @@ def _path_record(tr) -> dict:
 
 def _scalar_paths(wobble, ripple, power, exp_unit) -> dict:
     out = {}
+    step = 1e-3  # the drift paths were recorded at this fixed step
     for s in (3, 7, 11):
-        tr = js.simulate_exact(wobble, 0.2, 1.5, 1, js.RngSpec(s).generator())
+        tr = js.simulate_exact(wobble, 0.2, 1.5, 1, js.RngSpec(s).generator(), max_step=step)
         out[f"exact/wobble/{s}"] = _path_record(tr)
     for s in (5, 9):  # marks from the trunc-2 window, skipped outside trunc 1
-        tr = js.simulate_exact(ripple, 0.0, 1.0, 1, js.RngSpec(s).generator(), couple_top=2)
+        tr = js.simulate_exact(
+            ripple, 0.0, 1.0, 1, js.RngSpec(s).generator(), max_step=step, couple_top=2
+        )
         out[f"exact/ripple-coupled/{s}"] = _path_record(tr)
-    tr = js.simulate_exact(_drift_model(js.Affine(0.0, -1.0)), 2.0, 1.0, 1, js.RngSpec(4).generator())
+    tr = js.simulate_exact(
+        _drift_model(js.Affine(0.0, -1.0)), 2.0, 1.0, 1, js.RngSpec(4).generator(), max_step=step
+    )
     out["exact/zero-rate/4"] = _path_record(tr)
     for s in (6, 12):
         tr = js.simulate_poissonized(wobble, 0.2, 1.0, 8, 1, js.RngSpec(s).generator())
