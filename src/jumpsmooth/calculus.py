@@ -346,11 +346,9 @@ def _jump_map(coeffs: "CoefficientSet", z):
 def _drift_map(coeffs: "CoefficientSet", y: np.ndarray, i: int):
     """Increment b/i of the drift-step map and its initial bracket radius
     (|b(y)| + 1) / i around the post-step states y."""
-    i0 = coeffs.min_drift_index()
-    if i < i0:
-        raise ContractError(
-            f"drift surrogate index i={i} below i0={i0} (= 2 sup|b'| audited)"
-        )
+    from .model import _check_drift_index  # model imports calculus (via presets)
+
+    _check_drift_index(coeffs, i)
     radius = (np.abs(coeffs.b.value(y)) + 1.0) / i + 1e-9
     return (lambda x, l: coeffs.b.derivative(x, l) / i), radius
 

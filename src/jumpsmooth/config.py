@@ -216,6 +216,10 @@ class EvolutionStanza:
         if self.dt is not None:
             _require_positive(self.dt, "dt")
         _check_t_end_and_runs(self.t_end)
+        if self.nodes < 8:  # the least grid a `GridDensity` holds
+            raise ValueError(f"nodes must be at least 8, got {self.nodes}")
+        if self.quad_nodes < 1:
+            raise ValueError(f"quad_nodes must be at least 1, got {self.quad_nodes}")
 
 
 @dataclass(frozen=True)

@@ -24,11 +24,11 @@ differentiated equation.
 
 Everything state-independent (inverse maps, transfer tables, quadrature and
 interpolation weights) is folded once per grid into a sparse linear map on
-the flattened stack, kept as two parts: the drift pullback, which depends on
-i, and the jump pullback with its local loss, which does not.  The jump part
-solves the pre-images for a block of marks per call.  Each part's triples
-are sorted by row at build, so a time step is one gather-multiply and one
-`np.add.reduceat` per part.  `norm_growth_audit` builds the jump part once
+the flattened stack, kept as two CSR matrices (`scipy.sparse`, imported
+lazily at the first build): the drift pullback, which depends on i, and the
+jump pullback with its local loss, which does not.  The jump part solves the
+pre-images for a block of marks per call.  A time step is one CSR product
+per part.  `norm_growth_audit` builds the jump part once
 and derives its 2 i operator with `AdjointOperator.with_drift_index`.
 `evolve` repeats the run at half the step on the same map to estimate its
 own time-discretisation error.
@@ -53,7 +53,8 @@ from .errors import (
     WindowTooSmallError,
 )
 from .model import (
-    CoefficientSet, _check_horizon, _require_finite, _require_positive, gauss_panels,
+    CoefficientSet, _check_drift_index, _check_horizon, _require_finite, _require_positive,
+    gauss_panels,
 )
 from .presets import Function1D, GaussBump
 
@@ -192,29 +193,6 @@ def _block_pairs(k: int) -> list[tuple[int, int]]:
     return [(l, r) for l in range(k + 1) for r in range(l + 1)]
 
 
-class _RowSums:
-    """Coefficient triples (rows, cols, data) of a sparse map, sorted by row
-    once (stably, so each row keeps its assembly order).  A product is one
-    gather-multiply and one `np.add.reduceat` over the row runs."""
-
-    def __init__(self, parts: list):
-        if parts:
-            rows, cols, data = (np.concatenate([p[c] for p in parts]) for c in range(3))
-        else:
-            rows = cols = np.zeros(0, dtype=np.intp)
-            data = np.zeros(0)
-        order = np.argsort(rows, kind="stable")
-        self.rows, self.cols, self.data = rows[order], cols[order], data[order]
-        self.starts = np.flatnonzero(np.diff(self.rows, prepend=-1))
-
-    def add_product(self, flat: np.ndarray, out: np.ndarray) -> None:
-        """out += (this map) @ flat."""
-        if self.data.size:
-            out[self.rows[self.starts]] += np.add.reduceat(
-                flat[self.cols] * self.data, self.starts
-            )
-
-
 class AdjointOperator:
     """The adjoint generator on one grid, assembled once as a sparse map.
 
@@ -223,12 +201,11 @@ class AdjointOperator:
     tau(., z) read the stack at the inverse-map points by cubic interpolation,
     and the transfer tables turn each read into a fixed combination of the
     derivative rows.  The constructor folds each pullback into its own
-    coefficient triples over the flattened stack, where entry
-    ``l * size + j`` is the l-th derivative at node j: `drift` (index i) and
-    `jump` (with the local loss; it does not depend on i).  The jump part
-    solves the pre-images of `JUMP_BLOCK_MARKS` marks per
-    `transfer_alpha_grid` call.  Each part is sorted by row once, and
-    `apply` sums both parts' row runs with `np.add.reduceat`.
+    CSR matrix (`scipy.sparse`, imported lazily) over the flattened stack,
+    where entry ``l * size + j`` is the l-th derivative at node j: `drift`
+    (index i) and `jump` (with the local loss; it does not depend on i).  The
+    jump part solves the pre-images of `JUMP_BLOCK_MARKS` marks per
+    `transfer_alpha_grid` call.  `apply` is one CSR product per part.
     `with_drift_index` gives the operator at another index that shares this
     one's jump part.
     """
@@ -259,7 +236,7 @@ class AdjointOperator:
         self.gamma_sup = coeffs.gamma_sup()
         self.jump_active = self.qmass > 0.0 and self.gamma_sup > 0.0
         self.escape_fraction = 0.0
-        self.jump = self._jump_part(z, wq, cfg.escape_tol) if self.jump_active else _RowSums([])
+        self.jump = self._jump_part(z, wq, cfg.escape_tol) if self.jump_active else self._csr([])
 
     def with_drift_index(self, i: int) -> "AdjointOperator":
         """The operator at drift surrogate index i on the same grid and marks.
@@ -272,12 +249,10 @@ class AdjointOperator:
         """Drift pullback i [g(tau_i) tau_i' - g], skipped for a zero drift."""
         self.cfg = cfg
         self.i = int(cfg.i)
-        i0 = self.coeffs.min_drift_index()
-        if self.i < i0:
-            raise ContractError(f"drift surrogate index i={self.i} below i0={i0}")
+        _check_drift_index(self.coeffs, self.i)
         self.drift_active = not self.coeffs.b.is_zero
         if not self.drift_active:
-            self.drift = _RowSums([])
+            self.drift = self._csr([])
             return
         k, n = self.k, self.size
         for l in range(k + 2):
@@ -290,9 +265,9 @@ class AdjointOperator:
         nodes = np.arange(n)
         for l in range(k + 1):
             parts.append((l * n + nodes, l * n + nodes, np.full(n, -float(self.i))))
-        self.drift = _RowSums(parts)
+        self.drift = self._csr(parts)
 
-    def _jump_part(self, z: np.ndarray, wq: np.ndarray, escape_tol: float) -> _RowSums:
+    def _jump_part(self, z: np.ndarray, wq: np.ndarray, escape_tol: float):
         """Jump pullback and local loss, with the mark pre-images solved
         `JUMP_BLOCK_MARKS` marks per `transfer_alpha_grid` call."""
         coeffs, grid, k, n = self.coeffs, self.grid, self.k, self.size
@@ -333,7 +308,23 @@ class AdjointOperator:
         for l, r in pairs:
             data = -self.qmass * comb(l, r) * np.broadcast_to(gamma_grid[l - r], (n,))
             parts.append((l * n + nodes, r * n + nodes, data))
-        return _RowSums(parts)
+        return self._csr(parts)
+
+    def _csr(self, parts: list):
+        """The `scipy.sparse.csr_array` over the flattened stack of the
+        coefficient triples (rows, cols, data) in `parts`, sorted by row
+        stably so that each row keeps its assembly order.  Duplicate keys stay
+        as they are (the product sums them): canonicalising would reorder the
+        rows and cost build time for nothing."""
+        from scipy.sparse import csr_array
+
+        size = (self.k + 1) * self.size
+        if not parts:
+            return csr_array((size, size))
+        rows, cols, data = (np.concatenate([p[c] for p in parts]) for c in range(3))
+        order = np.argsort(rows, kind="stable")
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=size))])
+        return csr_array((data[order], cols[order], indptr), shape=(size, size))
 
     def _merge_stencils(self, base, w, coef):
         """Sparse triples of every block (l, r) with duplicate keys summed.
@@ -376,10 +367,7 @@ class AdjointOperator:
         if vals.shape != (self.k + 1, self.size):
             raise ContractError("stack shape does not match the operator grid")
         flat = vals.ravel()
-        out = np.zeros(flat.size)
-        self.drift.add_product(flat, out)
-        self.jump.add_product(flat, out)
-        return out.reshape(vals.shape)
+        return (self.drift @ flat + self.jump @ flat).reshape(vals.shape)
 
 
 def apply_adjoint(
@@ -612,9 +600,10 @@ def norm_growth_audit(
     (b) the fitted rate moves by at most 20% (absolute floor 0.1) when i
     doubles.  The 2 i operator is derived from the i operator with
     `AdjointOperator.with_drift_index`, so the jump part is built once.
-    Both runs take the stable step of their own index, so that
-    the two rates are measured alike; a set ``cfg.dt`` is refused with
-    ContractError.  Package errors and floating-point traps (degenerate
+    Both runs take the stable step of their own index, so that the two
+    rates are measured alike.  A set ``cfg.dt`` and a horizon that is
+    negative, nan or infinite are caller errors, refused with ContractError
+    before any run.  Package errors and floating-point traps (degenerate
     models blow up or cannot even build the pullback) are caught and
     reported as failed audits; any other exception is a bug and propagates.
     """
@@ -622,6 +611,7 @@ def norm_growth_audit(
         raise ContractError(
             f"norm_growth_audit runs at the stable step of each index; got dt={cfg.dt!r}"
         )
+    _check_horizon(t_end)
     ts = np.linspace(0.0, t_end, checkpoints + 1)
     report: dict = {"t": [float(v) for v in ts], "passed": False}
 
@@ -634,7 +624,6 @@ def norm_growth_audit(
         return norms
 
     try:
-        _check_horizon(t_end)
         op = AdjointOperator(coeffs, initial, cfg)
         norms_1 = run(op)
         # the jump part does not depend on i: the 2 i operator reuses it

@@ -80,7 +80,7 @@ def gauss_panels(lo, hi, nodes: int = 256, panels: int = 8):
     interval, and the nodes and weights come back with one row per interval,
     shape (..., panels * ceil(nodes / panels)), from one affine map of the
     cached Legendre rule.  A scalar call returns row 0 of a broadcast call
-    bit for bit.
+    bit for bit.  A node or panel count below 1 is refused, not rounded up.
 
     >>> z, w = gauss_panels(np.array([0.0, 1.0]), np.array([1.0, 3.0]), nodes=8, panels=2)
     >>> z.shape, w.shape
@@ -93,7 +93,8 @@ def gauss_panels(lo, hi, nodes: int = 256, panels: int = 8):
     empty = np.flatnonzero(~(hi > lo))
     if empty.size:
         raise ContractError(f"empty quadrature interval [{lo.flat[empty[0]]}, {hi.flat[empty[0]]}]")
-    panels = max(1, int(panels))
+    if not (nodes >= 1 and panels >= 1):
+        raise ContractError(f"quadrature needs nodes and panels >= 1, got {nodes!r} and {panels!r}")
     per = max(2, int(math.ceil(nodes / panels)))
     x, w = _legendre(per)
     edges = np.linspace(lo, hi, panels + 1, axis=-1)[..., None]
@@ -413,6 +414,15 @@ def _check_horizon(t_end: float, name: str = "t_end", finite: bool = True) -> No
         raise ContractError(
             f"{name} must be finite, got {t_end!r}: a run to an infinite horizon never ends"
         )
+
+
+def _check_drift_index(coeffs: CoefficientSet, i: int) -> None:
+    """ContractError unless the drift surrogate index i is at least
+    i0 = `coeffs.min_drift_index()`: from there on the drift-step map
+    y -> y + b(y)/i is increasing with slope >= 1/2.  The simulator, the
+    inverse maps and the adjoint operator all check i here."""
+    if i < (i0 := coeffs.min_drift_index()):
+        raise ContractError(f"drift surrogate index i={i} below i0={i0} (2 sup|b'|, at least 1)")
 
 
 def _require_finite(vals, points: np.ndarray, tag: str, var: str) -> None:

@@ -57,7 +57,7 @@ from .errors import (
 )
 from .fokker_planck import GridDensity
 from .kernels import KernelDecomposition
-from .model import CoefficientSet, _check_horizon, _require_positive
+from .model import CoefficientSet, _check_drift_index, _check_horizon, _require_positive
 
 N_CHUNKS = 32  # fixed RNG fan-out; results do not depend on thread count
 BLOW_UP = 1e8  # |state| beyond this is a blow-up
@@ -314,11 +314,6 @@ def _candidate_frame(coeffs: CoefficientSet, trunc: int, couple_top: int | None)
         return None, active, 0.0, 0.0
     sampler = MarkSampler(coeffs.q, sample_from)
     return sampler, active, ubar, ubar * sampler.mass
-
-
-def _check_drift_index(coeffs: CoefficientSet, i: int) -> None:
-    if i < (i0 := coeffs.min_drift_index()):
-        raise ContractError(f"drift index {i} below the contraction threshold {i0}")
 
 
 @dataclass(frozen=True)

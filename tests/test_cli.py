@@ -336,6 +336,25 @@ def test_kernels_cli_on_bench_workloads(tmp_path, capsys):
         assert audit["passed"] and audit["worst"] == worst
 
 
+@pytest.mark.parametrize(
+    "key, bad, message",
+    [
+        ("quad_nodes", 0, "quad_nodes must be at least 1"),
+        ("quad_nodes", -3, "quad_nodes must be at least 1"),
+        ("nodes", 4, "nodes must be at least 8"),
+    ],
+)
+def test_evolution_node_counts_below_their_floor_exit_2(tmp_path, capsys, key, bad, message):
+    # quad_nodes 0 or -3 used to run with 16 mark nodes and exit 0, and
+    # nodes 4 exited 1 as a rejected model
+    cfg = _base_config(tmp_path / "out")
+    cfg["evolution"][key] = bad
+    assert main(["evolve", "--config", _write(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"evolution: {message}" in err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("stanza", ["simulation", "evolution", "diagnostics"])
 def test_infinite_horizon_exits_2(tmp_path, capsys, stanza):
     # an infinite t_end used to pass, and simulate or certify then never

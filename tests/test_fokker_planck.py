@@ -3,11 +3,14 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import jumpsmooth as js
+from jumpsmooth.config import load_config
 
 
 def _translate_model(beta=0.25):
@@ -175,8 +178,8 @@ def test_blocked_jump_build_matches_per_mark_reference(request, monkeypatch, mod
 
     _counting(monkeypatch, "transfer_alpha_grid", per_mark)
     want = js.AdjointOperator(model, g, cfg).jump
-    np.testing.assert_array_equal(got.rows, want.rows)
-    np.testing.assert_array_equal(got.cols, want.cols)
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
     if model_name == "wobble_model":
         np.testing.assert_array_equal(got.data, want.data)
     else:
@@ -187,8 +190,9 @@ def test_blocked_jump_build_matches_per_mark_reference(request, monkeypatch, mod
 def test_reduceat_apply_matches_bincount(request, model_name):
     model, g, cfg = _build(request, model_name)
     op = js.AdjointOperator(model, g, cfg)
-    rows, cols, data = (np.concatenate([getattr(p, a) for p in (op.drift, op.jump)])
-                        for a in ("rows", "cols", "data"))
+    parts = (op.drift, op.jump)
+    rows = np.concatenate([np.repeat(np.arange(p.shape[0]), np.diff(p.indptr)) for p in parts])
+    cols, data = (np.concatenate([getattr(p, a) for p in parts]) for a in ("indices", "data"))
     rng = np.random.default_rng(5)
     for vals in (g.values, rng.normal(size=g.values.shape)):
         want = np.bincount(rows, weights=vals.ravel()[cols] * data, minlength=vals.size)
@@ -502,3 +506,82 @@ def test_evolve_refuses_a_bad_horizon_at_once(wobble_model, t_end):
     g = js.gaussian_density((-8.0, 8.0), 64, order=2)
     with pytest.raises(js.ContractError, match="t_end must be"):
         js.evolve(wobble_model, g, t_end, js.EvolutionConfig(i=8, trunc=1))
+
+
+# The `evolve` final on the evolution stanza of each bench workload, recorded
+# before the operator parts became scipy CSR matrices: rows 0-2 at 9 nodes
+# 24 apart from the first node named, then time_error and mass_drift.  A
+# change of the integrator moves these figures and re-records them.
+_EVOLVE_PINS = {
+    "wobble": (
+        416,
+        [
+            [
+                0.010452185392644045, 0.06755057440043767, 0.25029913334239884,
+                0.5499081936476218, 0.7349385002694531, 0.6084826486836891,
+                0.3154072668521224, 0.10254850142159548, 0.020761090838011018,
+            ],
+            [
+                0.0600722078167093, 0.28463124803413553, 0.6958322405455843,
+                0.7836605680406851, 0.09433866306179096, -0.6873785108915669,
+                -0.747707508022092, -0.37112556852951906, -0.10168667265861145,
+            ],
+            [
+                0.30098556026793194, 0.9329386822864498, 1.0071030806072074,
+                -0.8207944118527372, -2.482350302512158, -1.2426465235255888,
+                0.7302005983829164, 0.9987844013375502, 0.42617343228630017,
+            ],
+        ],
+        0.0008934684467538604,
+        6.635943794464083e-09,
+    ),
+    "power": (
+        320,
+        [
+            [
+                0.0033694603133978982, 0.023158403591356985, 0.10391969333867529,
+                0.30599778951608103, 0.5965243662048092, 0.7762338558300744,
+                0.6711656472397071, 0.3808195818431125, 0.14164297249470773,
+            ],
+            [
+                0.02197146833880775, 0.12084340233431262, 0.40798274239402754,
+                0.8123918465774888, 0.8440875567422755, 0.14437211621162857,
+                -0.7244412967906073, -0.9032003528849639, -0.5162105352929449,
+            ],
+            [
+                0.12987594423875276, 0.5390047101019023, 1.1955113145937593,
+                0.9866420315648012, -1.033553301141294, -2.9076001067436104,
+                -1.847233190930247, 0.6474461226629217, 1.341287801316108,
+            ],
+        ],
+        0.0006529582051174795,
+        9.876561790633787e-10,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EVOLVE_PINS))
+def test_evolve_pinned_on_bench_settings(name):
+    cfg = load_config(str(Path(__file__).resolve().parents[1] / "bench" / "workloads"
+                          / f"{name}.yaml"))
+    ev = cfg.evolution
+    init = js.gaussian_density(ev.window, ev.nodes, cfg.coeffs.k, ev.initial_mean,
+                               ev.initial_sigma)
+    econf = js.EvolutionConfig(i=ev.i, dt=ev.dt, trunc=ev.trunc, quad_nodes=ev.quad_nodes)
+    result = js.evolve(cfg.coeffs, init, ev.t_end, econf)
+    start, rows, time_error, mass_drift = _EVOLVE_PINS[name]
+    nodes = np.arange(start, start + 9 * 24, 24)
+    np.testing.assert_allclose(result.final.values[:, nodes], rows, rtol=1e-12, atol=0.0)
+    assert result.time_error == pytest.approx(time_error, rel=1e-12, abs=0.0)
+    assert result.mass_drift == pytest.approx(mass_drift, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("t_end", [-1.0, math.nan, math.inf])
+def test_norm_growth_audit_refuses_a_bad_horizon(wobble_model, t_end):
+    # an infinite horizon used to warn from np.linspace and come back as a
+    # numerical_failure report; a bad horizon is the caller's error
+    g = js.gaussian_density((-8.0, 8.0), 64, order=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(js.ContractError, match="t_end must be"):
+            js.norm_growth_audit(wobble_model, g, t_end, js.EvolutionConfig(i=8, trunc=1))

@@ -364,6 +364,52 @@ def test_gauss_panels_matches_the_reference_rule():
     assert not rule[0].flags.writeable and not rule[1].flags.writeable
 
 
+@pytest.mark.parametrize("nodes, panels", [(0, 8), (-3, 8), (24, 0), (24, -1)])
+def test_gauss_panels_refuses_counts_below_one(nodes, panels):
+    # these used to be rounded up to 2 nodes per panel and to 1 panel
+    with pytest.raises(js.ContractError, match="nodes and panels >= 1"):
+        js.gauss_panels(-1.0, 3.0, nodes=nodes, panels=panels)
+
+
+@pytest.mark.parametrize("quad_nodes", [0, -3])
+def test_evolution_refuses_quad_nodes_below_one(exp_unit_model, quad_nodes):
+    # the operator used to run on 16 mark nodes
+    g = js.gaussian_density((-4.0, 9.0), 64, order=2)
+    with pytest.raises(js.ContractError, match="nodes and panels >= 1"):
+        js.AdjointOperator(exp_unit_model, g, js.EvolutionConfig(i=8, quad_nodes=quad_nodes))
+
+
+def _steep_drift_model():
+    # sup|b'| = 1.5: i0 = 3
+    h = js.JumpAmplitude(((js.constant(0.4), js.ExpDecay(1.0, 1.0)),))
+    q = js.JumpMeasureSpec((0.0, np.inf), js.constant(1.0), (2.0,))
+    return js.CoefficientSet(
+        b=js.Sinusoidal(1.5, 1.0), gamma=js.constant(0.5), h=h,
+        eta=js.ExpDecay(0.4, 1.0), q=q, k=2, y_window=(-8.0, 8.0),
+    )
+
+
+_BELOW_I0 = {
+    "simulate_batch": lambda m, i: js.simulate_batch(m, 0.0, 1.0, 1, js.RngSpec(1), 8, i=i),
+    "simulate_poissonized": lambda m, i: js.simulate_poissonized(
+        m, 0.0, 1.0, i, 1, js.RngSpec(1).generator()),
+    "solve_tau_i": lambda m, i: js.solve_tau_i(m, 0.0, i),
+    "transfer_beta": lambda m, i: js.transfer_beta(m, 0.0, i, 2),
+    "AdjointOperator": lambda m, i: js.AdjointOperator(
+        m, js.gaussian_density((-8.0, 8.0), 64, order=2), js.EvolutionConfig(i=i)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_BELOW_I0))
+def test_drift_index_below_i0_is_refused_alike(entry):
+    # one rule, one message: these used to word it three ways
+    m = _steep_drift_model()
+    assert m.min_drift_index() == 3
+    with pytest.raises(js.ContractError) as err:
+        _BELOW_I0[entry](m, 2)
+    assert str(err.value) == "drift surrogate index i=2 below i0=3 (2 sup|b'|, at least 1)"
+
+
 def test_model_doctests_pass():
     result = doctest.testmod(js.model)
     assert result.attempted > 0
