@@ -27,9 +27,12 @@ interpolation weights) is folded once per grid into a sparse linear map on
 the flattened stack, kept as two CSR matrices (`scipy.sparse`, imported
 lazily at the first build): the drift pullback, which depends on i, and the
 jump pullback with its local loss, which does not.  The jump part solves the
-pre-images for a block of marks per call.  A time step is one CSR product
-per part.  `norm_growth_audit` builds the jump part once
-and derives its 2 i operator with `AdjointOperator.with_drift_index`.
+pre-images for a block of marks per call.  The stencils of every derivative
+block are merged by one sparse product: a stencil matrix with one column of
+4 cubic weights per (node, mark) pair, times the (pair, block) coefficient
+matrix.  A time step is one CSR product per part.  `norm_growth_audit`
+builds the jump part once and derives its 2 i operator with
+`AdjointOperator.with_drift_index`.
 `evolve` repeats the run at half the step on the same map to estimate its
 own time-discretisation error.
 """
@@ -47,8 +50,9 @@ from .calculus import transfer_alpha_grid, transfer_beta_grid
 from .errors import (
     ContractError,
     DivergenceError,
-    JumpsmoothError,
+    InvalidModelError,
     MassConservationError,
+    NumericalError,
     StabilityError,
     WindowTooSmallError,
 )
@@ -205,7 +209,9 @@ class AdjointOperator:
     where entry ``l * size + j`` is the l-th derivative at node j: `drift`
     (index i) and `jump` (with the local loss; it does not depend on i).  The
     jump part solves the pre-images of `JUMP_BLOCK_MARKS` marks per
-    `transfer_alpha_grid` call.  `apply` is one CSR product per part.
+    `transfer_alpha_grid` call.  Each part merges the stencils of all its
+    derivative blocks (l, r) in one sparse product (`_merge_stencils`).
+    `apply` is one CSR product per part.
     `with_drift_index` gives the operator at another index that shares this
     one's jump part.
     """
@@ -249,9 +255,10 @@ class AdjointOperator:
         """Drift pullback i [g(tau_i) tau_i' - g], skipped for a zero drift."""
         self.cfg = cfg
         self.i = int(cfg.i)
-        _check_drift_index(self.coeffs, self.i)
         self.drift_active = not self.coeffs.b.is_zero
         if not self.drift_active:
+            # transfer_beta_grid checks the index of a nonzero drift
+            _check_drift_index(self.coeffs, self.i)
             self.drift = self._csr([])
             return
         k, n = self.k, self.size
@@ -260,8 +267,9 @@ class AdjointOperator:
                             f"drift derivative {l}", "y")
         beta, taui = transfer_beta_grid(self.coeffs, self.grid, self.i, k)
         base, w, _ = _interp_weights(taui[0], self.lo, self.spacing, n)
-        coef = np.stack([self.i * ((l == r) + beta[l, r]) for l, r in _block_pairs(k)])
-        parts = self._merge_stencils(base[:, None], w[:, None, :], coef[..., None])
+        coef = np.stack([self.i * ((l == r) + beta[l, r]) for l, r in _block_pairs(k)],
+                        axis=-1)
+        parts = self._merge_stencils(base[:, None], w[:, None, :], coef[:, None])
         nodes = np.arange(n)
         for l in range(k + 1):
             parts.append((l * n + nodes, l * n + nodes, np.full(n, -float(self.i))))
@@ -272,9 +280,9 @@ class AdjointOperator:
         `JUMP_BLOCK_MARKS` marks per `transfer_alpha_grid` call."""
         coeffs, grid, k, n = self.coeffs, self.grid, self.k, self.size
         pairs = _block_pairs(k)
-        # coef[b] for block (l, r0) = pairs[b]:
+        # coef[..., b] for block (l, r0) = pairs[b]:
         # sum_r (delta_lr + alpha[l, r]) C(r, r0) gamma^(r - r0)(tau)
-        coef = np.empty((len(pairs), n, z.size))
+        coef = np.empty((n, z.size, len(pairs)))
         tau0 = np.empty((n, z.size))
         for start in range(0, z.size, JUMP_BLOCK_MARKS):
             cut = slice(start, start + JUMP_BLOCK_MARKS)
@@ -286,7 +294,7 @@ class AdjointOperator:
                 c = comb(l, r0) * gamma_tau[l - r0]
                 for r in range(r0, l + 1):
                     c = c + alpha[l, r] * (comb(r, r0) * gamma_tau[r - r0])
-                coef[b, :, cut] = c
+                coef[:, cut, b] = c
         base, w, inside = _interp_weights(tau0, self.lo, self.spacing, n)
         # Per-state fraction of transported mark mass that reads outside
         # the window; large values in the interior mean the window is too
@@ -330,26 +338,36 @@ class AdjointOperator:
         """Sparse triples of every block (l, r) with duplicate keys summed.
 
         `base` (nodes, columns) and `w` (nodes, columns, 4) are the stencils,
-        `coef[b]` (nodes, columns) the coefficients of block
-        `_block_pairs(k)[b]`.  Row j's stencil nodes lie in a window of
+        `coef[..., b]` (nodes, columns) the coefficients of block
+        `_block_pairs(k)[b]`: read as a (pairs, blocks) matrix, `coef` has one
+        row per (node, column) pair.  Row j's stencil nodes lie in a window of
         `width` slots from its smallest base, so the (node, stencil node) key
-        is ``j * width + (base + o - min_base[j])``, and each block is one
-        bincount over nodes * width slots.  The slots run in (row, column)
-        order, and the zero sums (unread slots among them) are dropped.
+        is ``j * width + (base + o - min_base[j])``.  The stencil matrix (CSC,
+        slots by pairs) holds each pair's 4 weights at its 4 keys in offset
+        order, so it needs no sort, and one multivector product with `coef`
+        gives every block's slot sums.  That product (`csc_matvecs`) adds each
+        slot's terms w * coef from zero in (column, offset) order: the order
+        in which a per-block ``np.bincount`` of the raveled keys adds the same
+        products, so the sums are bit-equal to that bincount's.  The slots run
+        in (row, column) order, and the zero sums (unread slots among them)
+        are dropped.
         """
+        from scipy.sparse import csc_array
+
         n = self.size
         low = base.min(axis=1)
         width = int(np.max(base.max(axis=1) - low)) + 4
         keys = ((np.arange(n) * width - low)[:, None, None] + base[..., None]
                 + np.arange(4)).ravel()
+        stencil = csc_array((w.ravel(), keys, np.arange(0, keys.size + 1, 4)),
+                            shape=(n * width, keys.size // 4))
+        sums = stencil @ coef.reshape(keys.size // 4, -1)
         slots = np.arange(n * width)
         srow = slots // width
         scol = low[srow] + slots % width
-        entry = np.empty(w.shape)
         parts = []
         for b, (l, r) in enumerate(_block_pairs(self.k)):
-            np.multiply(coef[b][..., None], w, out=entry)
-            data = np.bincount(keys, weights=entry.ravel(), minlength=n * width)
+            data = sums[:, b]
             keep = data != 0.0
             parts.append((l * n + srow[keep], r * n + scol[keep], data[keep]))
         return parts
@@ -532,10 +550,10 @@ def picard_validate(
     Iterates f_{m+1}(t) = f_0 + integral_0^t L* f_m(s) ds, 4 sweeps with
     trapezoidal time quadrature on 17 time nodes, then compares the final
     sweep against explicit Euler on the same operator at t_short.  A
-    validation tool, not a production integrator.
+    validation tool, not a production integrator.  A horizon that is
+    negative, nan or infinite is refused with ContractError before the build.
     """
-    if t_short < 0:
-        raise ContractError("t_short must be >= 0")
+    _check_horizon(t_short, "t_short")
     op = AdjointOperator(coeffs, initial, cfg)
     euler_dt = _checked_step(op, cfg)
     sweeps, time_nodes = 4, 17
@@ -603,9 +621,12 @@ def norm_growth_audit(
     Both runs take the stable step of their own index, so that the two
     rates are measured alike.  A set ``cfg.dt`` and a horizon that is
     negative, nan or infinite are caller errors, refused with ContractError
-    before any run.  Package errors and floating-point traps (degenerate
-    models blow up or cannot even build the pullback) are caught and
-    reported as failed audits; any other exception is a bug and propagates.
+    before any run.  Numerical failures (`NumericalError`), coefficients
+    that are not finite on a grid (`InvalidModelError`) and floating-point
+    traps (degenerate models blow up or cannot even build the pullback) are
+    caught and reported as failed audits.  Any other exception propagates:
+    a `ContractError`, such as a stack order that does not match the model,
+    is the caller's error, and anything else is a bug.
     """
     if cfg.dt is not None:
         raise ContractError(
@@ -628,7 +649,7 @@ def norm_growth_audit(
         norms_1 = run(op)
         # the jump part does not depend on i: the 2 i operator reuses it
         norms_2 = run(op.with_drift_index(2 * cfg.i))
-    except (JumpsmoothError, FloatingPointError) as exc:
+    except (NumericalError, InvalidModelError, FloatingPointError) as exc:
         report["status"] = "numerical_failure"
         report["error"] = f"{type(exc).__name__}: {exc}"
         return report

@@ -200,6 +200,56 @@ def test_reduceat_apply_matches_bincount(request, model_name):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def _bincount_merge(op, base, w, coef):
+    # the per-block merge that the stencil product replaced: each block
+    # (l, r) multiplies its coefficients into the weights and bincounts the
+    # (node, stencil node) keys
+    n = op.size
+    low = base.min(axis=1)
+    width = int(np.max(base.max(axis=1) - low)) + 4
+    keys = ((np.arange(n) * width - low)[:, None, None] + base[..., None]
+            + np.arange(4)).ravel()
+    slots = np.arange(n * width)
+    srow = slots // width
+    scol = low[srow] + slots % width
+    parts = []
+    for b, (l, r) in enumerate(js.fokker_planck._block_pairs(op.k)):
+        entry = coef[..., b][..., None] * w
+        data = np.bincount(keys, weights=entry.ravel(), minlength=n * width)
+        keep = data != 0.0
+        parts.append((l * n + srow[keep], r * n + scol[keep], data[keep]))
+    return parts
+
+
+def _bench_evolution(name):
+    """(model, initial stack, EvolutionConfig) of a bench workload."""
+    cfg = load_config(str(Path(__file__).resolve().parents[1] / "bench" / "workloads"
+                          / f"{name}.yaml"))
+    ev = cfg.evolution
+    init = js.gaussian_density(ev.window, ev.nodes, cfg.coeffs.k, ev.initial_mean,
+                               ev.initial_sigma)
+    econf = js.EvolutionConfig(i=ev.i, dt=ev.dt, trunc=ev.trunc, quad_nodes=ev.quad_nodes)
+    return cfg.coeffs, init, econf
+
+
+@pytest.mark.parametrize("setting", sorted(_BUILDS) + ["bench:power", "bench:wobble"])
+def test_stencil_merge_matches_per_block_bincount(request, monkeypatch, setting):
+    # one sparse product sums each slot in the bincount's (mark, offset)
+    # order with the same products, so both parts repeat to the byte
+    if setting.startswith("bench:"):
+        model, g, cfg = _bench_evolution(setting[len("bench:"):])
+    else:
+        model, g, cfg = _build(request, setting)
+    got = js.AdjointOperator(model, g, cfg)
+    monkeypatch.setattr(js.fokker_planck.AdjointOperator, "_merge_stencils", _bincount_merge)
+    want = js.AdjointOperator(model, g, cfg)
+    for part in ("drift", "jump"):
+        a, b = getattr(got, part), getattr(want, part)
+        np.testing.assert_array_equal(a.indptr, b.indptr)
+        np.testing.assert_array_equal(a.indices, b.indices)
+        assert a.data.tobytes() == b.data.tobytes()
+
+
 def test_collapse_build_raises_after_one_failing_block(collapse_model, monkeypatch):
     # marks in (1, 2) send every state to 0, so no pre-image can be
     # bracketed; the build stops in the second block of marks, the first
@@ -244,6 +294,20 @@ def test_with_drift_index_shares_the_jump_part(wobble_model, monkeypatch):
     assert op.i == 8 and op.cfg == cfg
     with pytest.raises(js.ContractError, match="below i0"):
         op.with_drift_index(0)
+
+
+def test_operator_build_checks_the_drift_index_once(request, monkeypatch):
+    model, g, cfg = _build(request, "wobble_model")
+    calls = []
+    inner = js.CoefficientSet.min_drift_index
+
+    def counted(self):
+        calls.append(self)
+        return inner(self)
+
+    monkeypatch.setattr(js.CoefficientSet, "min_drift_index", counted)
+    js.AdjointOperator(model, g, cfg)
+    assert len(calls) == 1
 
 
 def test_norm_growth_audit_builds_the_jump_part_once(wobble_model, monkeypatch):
@@ -461,6 +525,17 @@ def test_picard_short_horizon_agreement(wobble_model):
     assert out["l1_gap"] <= 5e-4
 
 
+@pytest.mark.parametrize("t_short", [-1.0, math.nan, math.inf])
+def test_picard_refuses_a_bad_horizon(wobble_model, t_short):
+    # a NaN horizon used to return l1_gap = nan, an infinite one was refused
+    # only after the build, as "too long"
+    g = js.gaussian_density((-8.0, 8.0), 64, order=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(js.ContractError, match="t_short must be"):
+            js.picard_validate(wobble_model, g, t_short, js.EvolutionConfig(i=8, trunc=1))
+
+
 def test_norm_growth_audit_smooth_model(wobble_model):
     init = js.gaussian_density((-8.0, 8.0), 640, order=2, sigma=0.8)
     rep = js.norm_growth_audit(wobble_model, init, 0.6, js.EvolutionConfig(i=8, trunc=3))
@@ -485,6 +560,13 @@ def test_norm_growth_audit_reports_numerical_failure():
     rep = js.norm_growth_audit(m, init, 2.0, js.EvolutionConfig(i=50, trunc=1, escape_tol=1e-3))
     assert rep["status"] == "numerical_failure"
     assert not rep["passed"]
+
+
+def test_norm_growth_audit_raises_a_stack_order_mismatch(wobble_model):
+    # a caller's error, raised as evolve raises it, not an audit verdict
+    init = js.gaussian_density((-8.0, 8.0), 256, order=1, sigma=0.8)
+    with pytest.raises(js.ContractError, match="density stack order 1 != model budget k=2"):
+        js.norm_growth_audit(wobble_model, init, 0.6, js.EvolutionConfig(i=8, trunc=3))
 
 
 def test_norm_growth_audit_propagates_programming_errors(wobble_model, monkeypatch):
