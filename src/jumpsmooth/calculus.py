@@ -150,7 +150,7 @@ def _compose_values(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     out = np.empty_like(inner)
     out[0] = outer[0]
     for n in range(1, order + 1):
-        acc = np.zeros_like(inner[0])
+        acc = 0.0
         for r, parts, coef in composition_terms(n):
             term = coef * outer[r]
             for p in parts:
@@ -204,12 +204,13 @@ def _invert_values(forward: np.ndarray, slope_floor: float = SINGULAR_SLOPE) -> 
         raise NearSingularError(
             f"forward derivative magnitude {worst:.3e} below {floor:.0e}"
         )
-    tau = np.zeros_like(forward)
+    tau = np.empty_like(forward)
+    tau[0] = 0.0
     tau[1] = 1.0 / slope
     # Solve (f o tau)^(n) = 0 for n >= 2: the only term containing tau^(n) is
     # f'(tau0) * tau^(n); every other term uses lower-order tau derivatives.
     for n in range(2, order + 1):
-        acc = np.zeros_like(forward[0])
+        acc = 0.0
         for r, parts, coef in composition_terms(n):
             if r == 1:  # the single-part term coef * f'(tau) * tau^(n)
                 continue
@@ -286,31 +287,36 @@ def _bracketed_newton(fun, dfun, target, lo, hi, tol, slope_floor: float = SINGU
     With `slope_floor` > 0 a flat stretch raises; with 0 the solver falls
     back to bisection there instead, for maps that flatten legitimately.
     """
-    lo = np.array(lo, dtype=float, copy=True)
-    hi = np.array(hi, dtype=float, copy=True)
+    # C-order copies, updated in place: the iterate and so the root take
+    # their layout
+    lo = np.array(lo, dtype=float, order="C")
+    hi = np.array(hi, dtype=float, order="C")
     x = 0.5 * (lo + hi)
-    scale = np.maximum(np.abs(target), 1e-300)
+    ftol = tol * np.maximum(np.abs(target), 1e-300)
     for _ in range(_MAX_NEWTON_ITER):
         f = fun(x) - target
-        done = (np.abs(f) <= tol * scale) | (hi - lo <= tol * np.maximum(1.0, np.abs(x)))
+        done = (np.abs(f) <= ftol) | (hi - lo <= tol * np.maximum(1.0, np.abs(x)))
         if np.all(done):
             break
+        move = ~done
         above = f > 0.0
-        hi = np.where(above & ~done, x, hi)
-        lo = np.where(~above & ~done, x, lo)
+        np.copyto(hi, x, where=above & move)
+        np.copyto(lo, x, where=move & ~above)
         d = dfun(x)
         if slope_floor > 0.0:
-            bad_slope = np.abs(d) < slope_floor
-            if np.any(bad_slope & ~done):
-                idx = np.argwhere(bad_slope & ~done).ravel()[0]
+            bad_slope = (np.abs(d) < slope_floor) & move
+            if np.any(bad_slope):
+                idx = np.argwhere(bad_slope).ravel()[0]
                 raise NearSingularError(
                     f"map slope below {slope_floor:.0e} at component {int(idx)}"
                 )
+        # the candidates of finished components are never read
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(done, 0.0, f / d)
-        cand = x - step
+            cand = x - f / d
         outside = (cand <= lo) | (cand >= hi) | ~np.isfinite(cand)
-        x = np.where(done, x, np.where(outside, 0.5 * (lo + hi), cand))
+        np.copyto(cand, 0.5 * (lo + hi), where=outside)
+        np.copyto(cand, x, where=done)
+        x = cand
     else:
         resid = np.max(np.abs(fun(x) - target))
         raise DomainEscapeError(
@@ -337,20 +343,24 @@ def _expand_bracket(fun, target, center, radius):
 
 
 def _jump_map(coeffs: "CoefficientSet", z):
-    """Increment h(., z) of the jump map and its initial bracket radius, the
-    jump size bound eta(z), for one mark or an array of marks."""
+    """Increment h(., z) of the jump map (one derivative, and the stack) and
+    its initial bracket radius, the jump size bound eta(z), for one mark or
+    an array of marks."""
     radius = np.abs(np.asarray(coeffs.eta.value(z), dtype=float)) * (1.0 + 1e-9) + 1e-9
-    return (lambda x, l: coeffs.h.dy(x, z, l)), radius
+    return ((lambda x, l: coeffs.h.dy(x, z, l)), (lambda x, n: coeffs.h.y_stack(x, z, n)),
+            radius)
 
 
 def _drift_map(coeffs: "CoefficientSet", y: np.ndarray, i: int):
-    """Increment b/i of the drift-step map and its initial bracket radius
-    (|b(y)| + 1) / i around the post-step states y."""
+    """Increment b/i of the drift-step map (one derivative, and the stack)
+    and its initial bracket radius (|b(y)| + 1) / i around the post-step
+    states y."""
     from .model import _check_drift_index  # model imports calculus (via presets)
 
     _check_drift_index(coeffs, i)
     radius = (np.abs(coeffs.b.value(y)) + 1.0) / i + 1e-9
-    return (lambda x, l: coeffs.b.derivative(x, l) / i), radius
+    return ((lambda x, l: coeffs.b.derivative(x, l) / i), (lambda x, n: coeffs.b.stack(x, n) / i),
+            radius)
 
 
 def _preimage(step, radius, y: np.ndarray, tol: float) -> np.ndarray:
@@ -367,13 +377,12 @@ def _preimage(step, radius, y: np.ndarray, tol: float) -> np.ndarray:
     return _bracketed_newton(fun, dfun, y, lo, hi, tol)
 
 
-def _inverse_stack(step, radius, y: np.ndarray, order: int) -> np.ndarray:
+def _inverse_stack(step, stack, radius, y: np.ndarray, order: int) -> np.ndarray:
     """Inverse-map stack of x -> x + step(x, 0) at y, shape (order+1, len(y)):
-    the pre-image, the forward stack there, then its inversion."""
+    the pre-image, the forward stack there (rows 0..order of `stack`), then
+    its inversion."""
     tau0 = _preimage(step, radius, y, PREIMAGE_TOL)
-    fwd = np.empty((order + 1,) + tau0.shape)
-    for l in range(order + 1):
-        fwd[l] = step(tau0, l)
+    fwd = stack(tau0, order)
     fwd[0] += tau0
     fwd[1] += 1.0
     tau = _invert_values(fwd)
@@ -395,7 +404,8 @@ def solve_tau_grid(
     coeffs: "CoefficientSet", y: np.ndarray, z: float, tol: float = PREIMAGE_TOL
 ) -> np.ndarray:
     """Vectorized `solve_tau` over an array of post-jump states."""
-    return _preimage(*_jump_map(coeffs, z), np.asarray(y, dtype=float), tol)
+    step, _, radius = _jump_map(coeffs, z)
+    return _preimage(step, radius, np.asarray(y, dtype=float), tol)
 
 
 def solve_tau_i(coeffs: "CoefficientSet", y: float, i: int, tol: float = PREIMAGE_TOL) -> float:
@@ -412,7 +422,8 @@ def solve_tau_i_grid(
 ) -> np.ndarray:
     """Vectorized `solve_tau_i`."""
     y = np.asarray(y, dtype=float)
-    return _preimage(*_drift_map(coeffs, y, i), y, tol)
+    step, _, radius = _drift_map(coeffs, y, i)
+    return _preimage(step, radius, y, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -437,14 +448,17 @@ def _alpha_from_tau(tau: np.ndarray) -> np.ndarray:
         raise ContractError("transfer table needs tau stack of order >= 1")
     batch = tau.shape[1:]
     tau1 = tau[1]
-    # delta[n, r]: coefficient of phi^(r)(tau) in (phi o tau)^(n), n >= 1.
-    delta = np.zeros((order + 1, order + 1) + batch, dtype=float)
-    for n in range(1, order + 1):
+    # delta[n, r]: coefficient of phi^(r)(tau) in (phi o tau)^(n), summed
+    # from zero; only r < n is read (phi^(n) enters alpha through tau1 ** n)
+    delta = {}
+    for n in range(2, order + 1):
         for r, parts, coef in composition_terms(n):
-            term = np.full(batch, float(coef)) if batch else float(coef)
+            if r == n:
+                continue
+            term = float(coef)
             for p in parts:
                 term = term * tau[p]
-            delta[n, r] = delta[n, r] + term
+            delta[n, r] = delta.get((n, r), 0.0) + term
     alpha = np.zeros((order + 1, order + 1) + batch, dtype=float)
     for l in range(order + 1):
         alpha[l, l] = tau1 ** (l + 1) - 1.0

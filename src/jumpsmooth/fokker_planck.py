@@ -174,16 +174,17 @@ def _interp_weights(points: np.ndarray, lo: float, spacing: float, size: int):
     """
     t = (points - lo) / spacing
     inside = (t >= 0.0) & (t <= size - 1.0)
-    cell = np.clip(np.floor(t).astype(int), 0, size - 2)
-    base = np.clip(cell - 1, 0, size - 4)
-    s = t - (base + 1)
+    # the stencil's first node: one before the point's cell, kept on the grid
+    base = np.clip(np.floor(t) - 1.0, 0.0, size - 4.0)
+    s = t - (base + 1.0)
+    sp1, sm1, sm2 = s + 1.0, s - 1.0, s - 2.0
     w = np.empty(points.shape + (4,))
-    w[..., 0] = -s * (s - 1.0) * (s - 2.0) / 6.0
-    w[..., 1] = (s + 1.0) * (s - 1.0) * (s - 2.0) / 2.0
-    w[..., 2] = -(s + 1.0) * s * (s - 2.0) / 2.0
-    w[..., 3] = (s + 1.0) * s * (s - 1.0) / 6.0
+    np.divide(-s * sm1 * sm2, 6.0, out=w[..., 0])
+    np.divide(sp1 * sm1 * sm2, 2.0, out=w[..., 1])
+    np.divide(-sp1 * s * sm2, 2.0, out=w[..., 2])
+    np.divide(sp1 * s * sm1, 6.0, out=w[..., 3])
     w[~inside] = 0.0
-    return base, w, inside
+    return base.astype(int), w, inside
 
 
 # Marks per transfer solve in the operator build.  Blocks, not all marks at
@@ -262,9 +263,8 @@ class AdjointOperator:
             self.drift = self._csr([])
             return
         k, n = self.k, self.size
-        for l in range(k + 2):
-            _require_finite(self.coeffs.b.derivative(self.grid, l), self.grid,
-                            f"drift derivative {l}", "y")
+        for l, row in enumerate(self.coeffs.b.stack(self.grid, k + 1)):
+            _require_finite(row, self.grid, f"drift derivative {l}", "y")
         beta, taui = transfer_beta_grid(self.coeffs, self.grid, self.i, k)
         base, w, _ = _interp_weights(taui[0], self.lo, self.spacing, n)
         coef = np.stack([self.i * ((l == r) + beta[l, r]) for l, r in _block_pairs(k)],
@@ -284,18 +284,30 @@ class AdjointOperator:
         # sum_r (delta_lr + alpha[l, r]) C(r, r0) gamma^(r - r0)(tau)
         coef = np.empty((n, z.size, len(pairs)))
         tau0 = np.empty((n, z.size))
-        for start in range(0, z.size, JUMP_BLOCK_MARKS):
-            cut = slice(start, start + JUMP_BLOCK_MARKS)
+        blocks = [slice(start, start + JUMP_BLOCK_MARKS)
+                  for start in range(0, z.size, JUMP_BLOCK_MARKS)]
+        for cut in blocks:
             alpha, tau = transfer_alpha_grid(coeffs, grid, z[cut], k)
             tau0[:, cut] = tau[0]
-            gamma_tau = [np.asarray(coeffs.gamma.derivative(tau[0], j), dtype=float)
-                         for j in range(k + 1)]
+            gamma_tau = coeffs.gamma.stack(tau[0], k)
+            # block-major here, so that coef takes one pair-major copy
+            chunk = np.empty((len(pairs),) + tau[0].shape)
             for b, (l, r0) in enumerate(pairs):
                 c = comb(l, r0) * gamma_tau[l - r0]
                 for r in range(r0, l + 1):
                     c = c + alpha[l, r] * (comb(r, r0) * gamma_tau[r - r0])
-                coef[:, cut, b] = c
-        base, w, inside = _interp_weights(tau0, self.lo, self.spacing, n)
+                chunk[b] = c
+            coef[:, cut] = chunk.transpose(1, 2, 0)
+        # the stencils of the pre-images, their weights times the mark
+        # weights: once every block is solved (a build that fails in a solve
+        # pays nothing here), a block at a time so that temporaries stay small
+        base = np.empty((n, z.size), dtype=int)
+        w = np.empty((n, z.size, 4))
+        inside = np.empty((n, z.size), dtype=bool)
+        for cut in blocks:
+            base[:, cut], wb, inside[:, cut] = _interp_weights(tau0[:, cut], self.lo,
+                                                                self.spacing, n)
+            np.multiply(wb, wq[cut, None], out=w[:, cut])
         # Per-state fraction of transported mark mass that reads outside
         # the window; large values in the interior mean the window is too
         # small for this truncation.
@@ -307,14 +319,12 @@ class AdjointOperator:
                 f"{self.escape_fraction:.2%} of transported mark mass leaves the "
                 "window at interior states; widen the window"
             )
-        w *= wq[None, :, None]
         parts = self._merge_stencils(base, w, coef)
         # local loss -qmass (gamma g)^(l), Leibniz over the stacks
         nodes = np.arange(n)
-        gamma_grid = [np.asarray(coeffs.gamma.derivative(grid, j), dtype=float)
-                      for j in range(k + 1)]
+        gamma_grid = coeffs.gamma.stack(grid, k)
         for l, r in pairs:
-            data = -self.qmass * comb(l, r) * np.broadcast_to(gamma_grid[l - r], (n,))
+            data = -self.qmass * comb(l, r) * gamma_grid[l - r]
             parts.append((l * n + nodes, r * n + nodes, data))
         return self._csr(parts)
 

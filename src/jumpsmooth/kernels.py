@@ -176,7 +176,7 @@ class _Kernel:
         inv = _invert_values(fwd, slope_floor=0.0)
         inv[0] = w  # inverse map W(u): rows 1..order+1 are its derivatives
 
-        outer = np.stack([self.phi.derivative(w, j) for j in range(order + 1)])
+        outer = self.phi.stack(w, order)
         comp = _compose_values(outer, inv[: order + 1])
         dW = self.sign * inv[1:]  # |W'| and its derivatives
         return np.stack([_leibniz_row(comp, dW, l) for l in range(order + 1)]), fwd

@@ -19,7 +19,7 @@ from math import comb
 
 import numpy as np
 
-from .calculus import _compose_values, _leibniz_row
+from .calculus import _compose_values, leibniz_product
 from .errors import ContractError
 
 _STACK_MAX = 16  # hard cap on requested derivative order
@@ -27,6 +27,12 @@ _STACK_MAX = 16  # hard cap on requested derivative order
 
 def _as_array(x):
     return np.asarray(x, dtype=float)
+
+
+def _check_order(l) -> None:
+    """Refuse a derivative order that is not an integer in [0, _STACK_MAX]."""
+    if isinstance(l, bool) or not isinstance(l, (int, np.integer)) or not 0 <= l <= _STACK_MAX:
+        raise ContractError(f"derivative order {l!r} outside [0, {_STACK_MAX}]")
 
 
 class Described:
@@ -70,7 +76,21 @@ class Function1D(Described):
     budgets beyond it for the drift, the rate and the y-factors of h.
 
     Each family is a dataclass whose fields are its parameters, and names
-    itself in the config by its plain class attribute ``family``.
+    itself in the config by its plain class attribute ``family``.  It
+    implements one primitive and the base class derives the other: a family
+    whose orders are independent implements ``_derivative(x, l)``, one whose
+    orders share work (a composition, one exp or tanh, one set of masks)
+    implements ``_stack(x, order)``.  Row l of `stack` is `derivative` at l
+    to the byte.  `derivative` and `stack` refuse an order that is not an
+    integer in [0, 16] with ContractError.
+
+    >>> f = ExpDecay(2.0, 1.0)
+    >>> f.stack([0.0, 1.0], 2)[2].tobytes() == f.derivative([0.0, 1.0], 2).tobytes()
+    True
+    >>> f.derivative(0.0, -1)
+    Traceback (most recent call last):
+    ...
+    jumpsmooth.errors.ContractError: derivative order -1 outside [0, 16]
     """
 
     smooth_order: int | None = None
@@ -78,15 +98,26 @@ class Function1D(Described):
     def value(self, x):
         return self.derivative(x, 0)
 
-    def derivative(self, x, l: int):  # pragma: no cover - abstract
-        raise NotImplementedError
+    def derivative(self, x, l: int):
+        """The l-th derivative at x."""
+        _check_order(l)
+        return self._derivative(_as_array(x), l)
 
     def stack(self, x, order: int) -> np.ndarray:
         """Derivatives 0..order, order axis first."""
-        if order < 0 or order > _STACK_MAX:
-            raise ContractError(f"stack order {order} outside [0, {_STACK_MAX}]")
-        x = _as_array(x)
-        return np.stack([_as_array(self.derivative(x, l)) for l in range(order + 1)])
+        _check_order(order)
+        return self._stack(_as_array(x), order)
+
+    def _derivative(self, x: np.ndarray, l: int):
+        return self._stack(x, l)[l]
+
+    def _stack(self, x: np.ndarray, order: int) -> np.ndarray:
+        out = np.empty((order + 1,) + x.shape)
+        for l in range(order + 1):
+            # through the public method, so that a subclass overriding
+            # `derivative` stacks too
+            out[l] = self.derivative(x, l)
+        return out
 
     @property
     def is_zero(self) -> bool:
@@ -105,8 +136,7 @@ class Affine(Function1D):
     a0: float
     a1: float = 0.0
 
-    def derivative(self, x, l: int):
-        x = _as_array(x)
+    def _derivative(self, x, l: int):
         if l == 0:
             return self.a0 + self.a1 * x
         if l == 1:
@@ -132,8 +162,7 @@ class Sinusoidal(Function1D):
     freq: float = 1.0
     phase: float = 0.0
 
-    def derivative(self, x, l: int):
-        x = _as_array(x)
+    def _derivative(self, x, l: int):
         return self.amp * self.freq**l * np.sin(self.freq * x + self.phase + l * np.pi / 2.0)
 
 
@@ -146,9 +175,9 @@ class ExpDecay(Function1D):
     amp: float
     rate: float = 1.0
 
-    def derivative(self, x, l: int):
-        x = _as_array(x)
-        return self.amp * (-self.rate) ** l * np.exp(-self.rate * x)
+    def _stack(self, x, order: int):
+        coefs = [self.amp * (-self.rate) ** l for l in range(order + 1)]
+        return np.multiply.outer(coefs, np.exp(-self.rate * x))
 
 
 @dataclass(frozen=True)
@@ -161,8 +190,7 @@ class InversePower(Function1D):
     power: float
     offset: float = 1.0
 
-    def derivative(self, x, l: int):
-        x = _as_array(x)
+    def _derivative(self, x, l: int):
         coef = self.amp
         for j in range(l):
             coef *= -self.power - j
@@ -178,22 +206,23 @@ class IsoPower(Function1D):
     amp: float
     power: float
 
-    def derivative(self, x, l: int):
-        x = _as_array(x)
-        inner = np.zeros((l + 1,) + x.shape)
-        inner[0] = 1.0 + x * x
-        if l >= 1:
-            inner[1] = 2.0 * x
-        if l >= 2:
-            inner[2] = 2.0
-        u = inner[0]
+    def _stack(self, x, order: int):
+        # row 0 is amp * (1 + x * x) ** (-power / 2) itself
+        u = 1.0 + x * x
         expo = -self.power / 2.0
-        outer = np.empty_like(inner)
+        outer = np.empty((order + 1,) + x.shape)
         coef = self.amp
-        for r in range(l + 1):
+        for r in range(order + 1):
             outer[r] = coef * u ** (expo - r)
             coef *= expo - r
-        return _compose_values(outer, inner)[l]
+        if order == 0:
+            return outer
+        inner = np.zeros_like(outer)
+        inner[0] = u
+        inner[1] = 2.0 * x
+        if order >= 2:
+            inner[2] = 2.0
+        return _compose_values(outer, inner)
 
 
 @lru_cache(maxsize=None)
@@ -221,11 +250,14 @@ class GaussBump(Function1D):
     center: float = 0.0
     width: float = 1.0
 
-    def derivative(self, x, l: int):
-        x = _as_array(x)
+    def _stack(self, x, order: int):
         u = (x - self.center) / self.width
-        herm = np.polynomial.polynomial.polyval(u, _hermite_coeffs(l))
-        return self.amp * (-1.0 / self.width) ** l * herm * np.exp(-u * u)
+        e = np.exp(-u * u)
+        return np.stack([
+            self.amp * (-1.0 / self.width) ** l
+            * np.polynomial.polynomial.polyval(u, _hermite_coeffs(l)) * e
+            for l in range(order + 1)
+        ])
 
 
 @lru_cache(maxsize=None)
@@ -249,11 +281,12 @@ class TanhSigmoid(Function1D):
     amp: float
     rate: float = 1.0
 
-    def derivative(self, x, l: int):
-        x = _as_array(x)
+    def _stack(self, x, order: int):
         t = np.tanh(self.rate * x)
-        val = np.polynomial.polynomial.polyval(t, _tanh_poly(l))
-        return self.amp * self.rate**l * val
+        return np.stack([
+            self.amp * self.rate**l * np.polynomial.polynomial.polyval(t, _tanh_poly(l))
+            for l in range(order + 1)
+        ])
 
 
 @dataclass(frozen=True)
@@ -267,17 +300,16 @@ class StretchedExp(Function1D):
     power: float
     offset: float = 1.0
 
-    def derivative(self, x, l: int):
-        x = _as_array(x)
+    def _stack(self, x, order: int):
         base = self.offset + x
-        inner = np.empty((l + 1,) + x.shape)
+        inner = np.empty((order + 1,) + x.shape)
         coef = -self.rate
-        for r in range(l + 1):
+        for r in range(order + 1):
             inner[r] = coef * base ** (self.power - r)
             coef *= self.power - r
-        ev = self.amp * np.exp(inner[0])
-        outer = np.stack([ev for _ in range(l + 1)])
-        return _compose_values(outer, inner)[l]
+        # every derivative of exp is the value: one row read at every order
+        outer = np.broadcast_to(self.amp * np.exp(inner[0]), inner.shape)
+        return _compose_values(outer, inner)
 
 
 @dataclass(frozen=True)
@@ -296,8 +328,7 @@ class Indicator(Function1D):
 
     smooth_order = -1
 
-    def derivative(self, x, l: int):
-        x = _as_array(x)
+    def _derivative(self, x, l: int):
         if l == 0:
             return self.amp * ((x >= self.lo) & (x < self.hi)).astype(float)
         return np.zeros_like(x)
@@ -342,24 +373,21 @@ class SmoothstepBump(Function1D):
         if self.hi - self.lo < 2.0 * self.ramp:
             raise ContractError("bump interval shorter than its two ramps")
 
-    def derivative(self, x, l: int):
-        x0 = _as_array(x)
+    def _stack(self, x0, order: int):
         x = np.atleast_1d(x0)
-        out = np.zeros_like(x)
+        out = np.zeros((order + 1,) + x.shape)
         up = (x >= self.lo) & (x < self.lo + self.ramp)
         down = (x > self.hi - self.ramp) & (x <= self.hi)
-        if np.any(up):
-            u = (x[up] - self.lo) / self.ramp
-            out[up] = self.amp * _smoothstep_derivative(u, self.order, l) / self.ramp**l
-        if np.any(down):
-            u = (self.hi - x[down]) / self.ramp
-            out[down] = (
-                self.amp * (-1.0) ** l * _smoothstep_derivative(u, self.order, l) / self.ramp**l
-            )
-        if l == 0:
-            plateau = (x >= self.lo + self.ramp) & (x <= self.hi - self.ramp)
-            out[plateau] = self.amp
-        return out.reshape(x0.shape)
+        u_up = (x[up] - self.lo) / self.ramp
+        u_down = (self.hi - x[down]) / self.ramp
+        for l in range(order + 1):
+            if u_up.size:
+                out[l][up] = self.amp * _smoothstep_derivative(u_up, self.order, l) / self.ramp**l
+            if u_down.size:
+                out[l][down] = (self.amp * (-1.0) ** l
+                                * _smoothstep_derivative(u_down, self.order, l) / self.ramp**l)
+        out[0][(x >= self.lo + self.ramp) & (x <= self.hi - self.ramp)] = self.amp
+        return out.reshape((order + 1,) + x0.shape)
 
     @property
     def smooth_order(self) -> int:  # type: ignore[override]
@@ -391,8 +419,7 @@ class Tabulated(Function1D):
         object.__setattr__(self, "ys", tuple(ys.tolist()))
         object.__setattr__(self, "_spline", CubicSpline(xs, ys, bc_type="natural"))
 
-    def derivative(self, x, l: int):
-        x = _as_array(x)
+    def _derivative(self, x, l: int):
         if l > 3:
             return np.zeros_like(x)
         if l == 0:
@@ -413,11 +440,10 @@ class FunctionSum(Function1D):
             raise ContractError("empty function sum")
         object.__setattr__(self, "parts", parts)
 
-    def derivative(self, x, l: int):
-        x = _as_array(x)
-        out = np.zeros_like(x)
+    def _stack(self, x, order: int):
+        out = np.zeros((order + 1,) + x.shape)
         for p in self.parts:
-            out = out + p.derivative(x, l)
+            out += p.stack(x, order)
         return out
 
     @property
@@ -438,10 +464,8 @@ class FunctionProduct(Function1D):
     left: Function1D
     right: Function1D
 
-    def derivative(self, x, l: int):
-        x = _as_array(x)
-        left = [self.left.derivative(x, j) for j in range(l + 1)]
-        return _leibniz_row(left, [self.right.derivative(x, j) for j in range(l + 1)], l)
+    def _stack(self, x, order: int):
+        return leibniz_product(self.left.stack(x, order), self.right.stack(x, order))
 
     @property
     def smooth_order(self) -> int | None:  # type: ignore[override]
@@ -488,18 +512,30 @@ class JumpAmplitude(Described):
         return out
 
     def y_stack(self, y, z, order: int) -> np.ndarray:
-        return self._stack(y, z, order, 1, 0)
+        """Rows l = 0..order of `dy`, from one stack of each y-factor."""
+        return self._stack(y, z, order, True)
 
     def z_stack(self, y, z, order: int) -> np.ndarray:
-        return self._stack(y, z, order, 0, 1)
+        """Rows l = 0..order of `dz`, from one stack of each z-factor."""
+        return self._stack(y, z, order, False)
 
-    def _stack(self, y, z, order: int, in_y: int, in_z: int) -> np.ndarray:
-        """Rows l = 0..order of `_partial` at orders (l * in_y, l * in_z)."""
+    def _stack(self, y, z, order: int, in_y: bool) -> np.ndarray:
+        """Stack in y (or in z) of the term sum, each term's factor stacked
+        once; row l is `_partial` at that order, to the byte."""
         y = _as_array(y)
         z = _as_array(z)
-        out = np.zeros((order + 1,) + np.broadcast_shapes(y.shape, z.shape))
-        for l in range(order + 1):
-            out[l] = self._partial(y, z, l * in_y, l * in_z)
+        ndim = np.broadcast(y, z).ndim
+
+        def lift(st):  # the order axis in front of the broadcast batch axes
+            return st.reshape(st.shape[:1] + (1,) * (ndim + 1 - st.ndim) + st.shape[1:])
+
+        out = None
+        for fy, gz in self.terms:
+            if in_y:
+                piece = lift(fy.stack(y, order)) * gz.value(z)
+            else:
+                piece = fy.value(y) * lift(gz.stack(z, order))
+            out = piece if out is None else out + piece
         return out
 
     @property

@@ -1,6 +1,7 @@
 """Density evolution: adjoint action, duality, mass, norm propagation."""
 
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -248,6 +249,37 @@ def test_stencil_merge_matches_per_block_bincount(request, monkeypatch, setting)
         np.testing.assert_array_equal(a.indptr, b.indptr)
         np.testing.assert_array_equal(a.indices, b.indices)
         assert a.data.tobytes() == b.data.tobytes()
+
+
+@pytest.mark.parametrize("name", ["wobble", "power"])
+def test_build_takes_one_rate_stack_per_mark_block(monkeypatch, name):
+    # the rate's derivatives at the pre-images come from one stack per block
+    # of marks, and one more on the grid gives the local loss
+    model, g, cfg = _bench_evolution(name)
+    gamma = model.gamma
+    stacks, derivatives = [], []
+    family = type(gamma)
+    stack, derivative = family.stack, family.derivative
+
+    def counted_stack(self, x, order):
+        if self is gamma:
+            stacks.append(np.shape(x))
+        return stack(self, x, order)
+
+    def counted_derivative(self, x, l):
+        if self is gamma:
+            derivatives.append(np.shape(x))
+        return derivative(self, x, l)
+
+    monkeypatch.setattr(family, "stack", counted_stack)
+    monkeypatch.setattr(family, "derivative", counted_derivative)
+    js.AdjointOperator(model, g, cfg)
+    blocks = math.ceil(cfg.quad_nodes / js.fokker_planck.JUMP_BLOCK_MARKS)
+    assert len(stacks) == blocks + 1
+    assert stacks[:-1] == [(g.size, js.fokker_planck.JUMP_BLOCK_MARKS)] * blocks
+    assert stacks[-1] == (g.size,)
+    # the (node, mark) pre-images are two-dimensional
+    assert all(len(shape) < 2 for shape in derivatives)
 
 
 def test_collapse_build_raises_after_one_failing_block(collapse_model, monkeypatch):
@@ -667,3 +699,29 @@ def test_norm_growth_audit_refuses_a_bad_horizon(wobble_model, t_end):
         warnings.simplefilter("error")
         with pytest.raises(js.ContractError, match="t_end must be"):
             js.norm_growth_audit(wobble_model, g, t_end, js.EvolutionConfig(i=8, trunc=1))
+
+
+# sha256 of indptr, indices and data, in that order, of the `drift` and
+# `jump` CSR parts built on each bench workload's evolution settings.  A
+# build change that keeps every byte keeps these.
+_OPERATOR_PINS = {
+    "power": {
+        "drift": "13f4aafd8f5311dd836cb1b1ced9fb5bd53bf2177ed0062f766e53aa0d780ec5",
+        "jump": "c38a3d5e0138ebe9b065d56389ea9475f477407285efd8af824bf3e3c9ca4592",
+    },
+    "wobble": {
+        "drift": "b3014c9238ad9588bd85cf286476e374b42c575dc5727ca23ca03aa1a3c7fd6f",
+        "jump": "5c97f826c511c0c285e07c4a68b8c919fe395700499701c43fb9ba8339ea836d",
+    },
+}
+
+
+@pytest.mark.parametrize("name", ["wobble", "power"])
+def test_bench_operators_pinned(name):
+    op = js.AdjointOperator(*_bench_evolution(name))
+    for part, want in _OPERATOR_PINS[name].items():
+        mat = getattr(op, part)
+        digest = hashlib.sha256()
+        for arr in (mat.indptr, mat.indices, mat.data):
+            digest.update(arr.tobytes())
+        assert digest.hexdigest() == want, part

@@ -5,6 +5,7 @@ its own value; closed forms (smoothstep polynomials, Gaussian Hermite
 recursion) get exact oracles on top.
 """
 
+import doctest
 import math
 
 import numpy as np
@@ -26,6 +27,25 @@ SMOOTH_FAMILIES = [
     (js.TanhSigmoid(0.9, 1.3), 5, 0.03),
     (js.StretchedExp(1.0, 0.7, 0.5, 2.0), 4, 0.02),
 ]
+
+
+# one preset of every family
+EVERY_FAMILY = [fn for fn, _, _ in SMOOTH_FAMILIES] + [
+    js.Indicator(1.0, 2.0, 0.7),
+    js.SmoothstepBump(0.0, 4.0, 1.0, 3, 0.2),
+    js.Tabulated(np.linspace(0.0, 3.0, 7), np.sin(np.linspace(0.0, 3.0, 7))),
+    js.FunctionSum(js.constant(0.6), js.Sinusoidal(0.3, 1.0), js.IsoPower(0.8, 1.0)),
+    js.FunctionProduct(js.Affine(0.0, 1.0), js.ExpDecay(1.0, 0.7)),
+]
+
+# signed zeros, the Indicator and SmoothstepBump edges, the Tabulated knots
+# and points between them
+STACK_POINTS = np.concatenate([[0.0, -0.0, 1.0, 2.0, 3.0, 4.0], np.linspace(0.0, 3.0, 7),
+                               np.linspace(-0.9, 4.7, 29)])
+
+
+def _family_id(fn):
+    return type(fn).__name__
 
 
 @pytest.mark.parametrize("fn,order,h", SMOOTH_FAMILIES, ids=lambda f: type(f).__name__ if isinstance(f, js.Function1D) else None)
@@ -177,13 +197,7 @@ def test_jump_amplitude_stacks_and_bounds():
 def test_describe_round_trip_labels():
     # every exported Function1D subclass is a config family, and each one's
     # describe() is a node build_function rebuilds it from, bit for bit
-    cases = [fn for fn, _, _ in SMOOTH_FAMILIES] + [
-        js.Indicator(1.0, 2.0, 0.7),
-        js.SmoothstepBump(0.0, 4.0, 1.0, 3, 0.2),
-        js.Tabulated(np.linspace(0.0, 3.0, 7), np.sin(np.linspace(0.0, 3.0, 7))),
-        js.FunctionSum(js.constant(0.6), js.Sinusoidal(0.3, 1.0), js.IsoPower(0.8, 1.0)),
-        js.FunctionProduct(js.Affine(0.0, 1.0), js.ExpDecay(1.0, 0.7)),
-    ]
+    cases = EVERY_FAMILY
     exported = {
         obj for obj in vars(js).values()
         if isinstance(obj, type) and issubclass(obj, js.Function1D) and obj is not js.Function1D
@@ -210,3 +224,59 @@ def test_describe_takes_numpy_scalars():
     for fn in cases:
         rebuilt = build_function(yaml.safe_load(yaml.safe_dump(fn.describe())))
         assert rebuilt == fn and rebuilt.describe() == fn.describe()
+
+
+@pytest.mark.parametrize("fn", EVERY_FAMILY, ids=_family_id)
+def test_stack_rows_are_the_derivatives_to_the_byte(fn):
+    # a family implements one primitive and the base class derives the
+    # other: both paths give the same bytes, signed zeros included
+    for shape in [STACK_POINTS.shape, (6, 7)]:
+        x = STACK_POINTS[: math.prod(shape)].reshape(shape)
+        for k in range(5):
+            st = fn.stack(x, k)
+            assert st.shape == (k + 1,) + shape
+            for l in range(k + 1):
+                assert st[l].tobytes() == np.asarray(fn.derivative(x, l)).tobytes(), (k, l)
+        assert np.asarray(fn.value(x)).tobytes() == fn.stack(x, 0)[0].tobytes()
+
+
+def test_jump_amplitude_stacks_are_the_partials_to_the_byte():
+    h = js.JumpAmplitude((
+        (js.Sinusoidal(0.3, 1.0), js.ExpDecay(1.0, 1.0)),
+        (js.constant(0.1), js.InversePower(1.0, 2.0)),
+        (js.IsoPower(0.5, 1.0), js.SmoothstepBump(0.0, 4.0, 1.0, 3, 0.2)),
+    ))
+    y = STACK_POINTS
+    z = np.abs(STACK_POINTS[:7])
+    # one mark, marks against states, and states against marks
+    for yy, zz in [(y, 1.5), (y[:, None], z), (y[:7], z[:, None, None])]:
+        for k in range(5):
+            ys, zs = h.y_stack(yy, zz, k), h.z_stack(yy, zz, k)
+            shape = np.broadcast_shapes(np.shape(yy), np.shape(zz))
+            assert ys.shape == zs.shape == (k + 1,) + shape
+            for l in range(k + 1):
+                assert ys[l].tobytes() == h.dy(yy, zz, l).tobytes(), (k, l)
+                assert zs[l].tobytes() == h.dz(yy, zz, l).tobytes(), (k, l)
+
+
+@pytest.mark.parametrize("fn", EVERY_FAMILY, ids=_family_id)
+def test_derivative_orders_outside_the_range_are_refused(fn):
+    # a negative order used to extrapolate, a fractional one came back
+    # complex and a large one failed deep in a composition table
+    x = np.array([0.5, 1.0])
+    for bad in (-1, 2.5, 17):
+        with pytest.raises(js.ContractError, match=r"outside \[0, 16\]"):
+            fn.derivative(x, bad)
+        with pytest.raises(js.ContractError, match=r"outside \[0, 16\]"):
+            fn.stack(x, bad)
+    h = js.JumpAmplitude(((js.constant(0.4), fn),))
+    for bad in (-1, 2.5, 17):
+        for method in (h.dy, h.dz, h.y_stack, h.z_stack):
+            with pytest.raises(js.ContractError, match=r"outside \[0, 16\]"):
+                method(x, x, bad)
+
+
+def test_presets_doctests_pass():
+    result = doctest.testmod(js.presets)
+    assert result.attempted >= 3
+    assert result.failed == 0
