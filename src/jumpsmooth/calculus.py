@@ -16,10 +16,15 @@ This module provides the three layers of that calculus:
   density ``[phi(tau(y)) tau'(y)]^(l)`` over the stack ``phi^(r)(tau(y))``
   (`transfer_alpha` for the jump map, `transfer_beta` for the drift map).
 
-Both maps have the form x -> x + step(x), so one private pipeline inverts
-them: a bracketed pre-image solve, the forward stack at the pre-image, its
-inversion, and the transfer table.  Only the increment and the initial
-bracket radius differ between the jump and the drift map.
+Both maps have the form x -> x + step(x).  A jump amplitude affine in the
+state, h(y, z) = A(z) + B(z) y (every y-factor `Affine`, which covers every
+shipped model), has the closed-form pre-jump map tau = (y - A) / (1 + B):
+tau' = 1 / (1 + B), every higher row is 0 and the transfer table is
+diagonal, alpha[l, l] = tau'^(l+1) - 1.  Every other jump map, and every
+drift map, goes through one private pipeline: a bracketed pre-image solve,
+the forward stack at the pre-image, its inversion, and the transfer table.
+Only the increment and the initial bracket radius differ between the jump
+and the drift map there.
 
 Scalar entry points operate on `DerivativeStack` records; the ``*_grid``
 variants broadcast over numpy arrays of base points and back the density
@@ -274,6 +279,10 @@ def leibniz_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 _MAX_BRACKET_GROWTH = 60
 _MAX_NEWTON_ITER = 120
+_UNBRACKETED = (
+    "could not bracket the pre-image: monotonicity or the jump size bound "
+    "is violated on this model"
+)
 
 
 def _bracketed_newton(fun, dfun, target, lo, hi, tol, slope_floor: float = SINGULAR_SLOPE):
@@ -325,30 +334,60 @@ def _bracketed_newton(fun, dfun, target, lo, hi, tol, slope_floor: float = SINGU
     return x
 
 
-def _expand_bracket(fun, target, center, radius):
-    """Grow [center - r, center + r] geometrically until fun brackets target."""
-    r = np.array(np.broadcast_to(radius, np.shape(center)), dtype=float, copy=True)
-    r = np.maximum(r, 1e-12)
-    for _ in range(_MAX_BRACKET_GROWTH):
-        lo = center - r
-        hi = center + r
-        ok = (fun(lo) <= target) & (fun(hi) >= target)
-        if np.all(ok):
-            return lo, hi
-        r = np.where(ok, r, 2.0 * r)
-    raise DomainEscapeError(
-        "could not bracket the pre-image: monotonicity or the jump size bound "
-        "is violated on this model"
-    )
+def _expand_bracket(fun, y, radius):
+    """Grow [y - r, y + r] geometrically until fun brackets y.
+
+    ``fun(x, where)`` evaluates the map at x, the values of the components
+    that the boolean mask `where` selects (all of them when None): after the
+    first check, each growth evaluates only the components still open.
+    """
+    r = np.maximum(np.array(np.broadcast_to(radius, np.shape(y)), dtype=float), 1e-12)
+    lo = y - r
+    hi = y + r
+    open_ = ~((fun(lo) <= y) & (fun(hi) >= y))
+    for _ in range(_MAX_BRACKET_GROWTH - 1):
+        if not open_.any():
+            break
+        r[open_] *= 2.0
+        yo, ro = y[open_], r[open_]
+        lo[open_] = lo_open = yo - ro
+        hi[open_] = hi_open = yo + ro
+        open_[open_] = ~((fun(lo_open, open_) <= yo) & (fun(hi_open, open_) >= yo))
+    if open_.any():
+        raise DomainEscapeError(_UNBRACKETED)
+    return lo, hi
 
 
 def _jump_map(coeffs: "CoefficientSet", z):
     """Increment h(., z) of the jump map (one derivative, and the stack) and
     its initial bracket radius, the jump size bound eta(z), for one mark or
-    an array of marks."""
+    an array of marks that broadcasts against the base points."""
+    z = np.asarray(z, dtype=float)
     radius = np.abs(np.asarray(coeffs.eta.value(z), dtype=float)) * (1.0 + 1e-9) + 1e-9
-    return ((lambda x, l: coeffs.h.dy(x, z, l)), (lambda x, n: coeffs.h.y_stack(x, z, n)),
-            radius)
+
+    def step(x, l, where=None):
+        # the marks of the components that `where` selects
+        marks = z if where is None or z.ndim == 0 else np.broadcast_to(z, where.shape)[where]
+        return coeffs.h.dy(x, marks, l)
+
+    return step, (lambda x, n: coeffs.h.y_stack(x, z, n)), radius
+
+
+def _affine_jump(coeffs: "CoefficientSet", z):
+    """(A(z), 1 + B(z)) when the jump amplitude is A(z) + B(z) y, else None.
+
+    A slope 1 + B at or below `SINGULAR_SLOPE` (or any value that is not
+    finite) raises the bracket failure of the solve, before the map is
+    evaluated.
+    """
+    affine = coeffs.h.affine(z)
+    if affine is None:
+        return None
+    shift, scale = affine
+    slope = 1.0 + scale
+    if not (np.all((slope > SINGULAR_SLOPE) & (slope < np.inf)) and np.all(np.isfinite(shift))):
+        raise DomainEscapeError(_UNBRACKETED)
+    return shift, slope
 
 
 def _drift_map(coeffs: "CoefficientSet", y: np.ndarray, i: int):
@@ -359,21 +398,21 @@ def _drift_map(coeffs: "CoefficientSet", y: np.ndarray, i: int):
 
     _check_drift_index(coeffs, i)
     radius = (np.abs(coeffs.b.value(y)) + 1.0) / i + 1e-9
-    return ((lambda x, l: coeffs.b.derivative(x, l) / i), (lambda x, n: coeffs.b.stack(x, n) / i),
-            radius)
+    return ((lambda x, l, where=None: coeffs.b.derivative(x, l) / i),
+            (lambda x, n: coeffs.b.stack(x, n) / i), radius)
 
 
 def _preimage(step, radius, y: np.ndarray, tol: float) -> np.ndarray:
     """The x with x + step(x, 0) = y, for an increasing map, by safeguarded
     Newton inside a bracket grown from [y - radius, y + radius]."""
 
-    def fun(x):
-        return x + step(x, 0)
+    def fun(x, where=None):
+        return x + step(x, 0, where)
 
     def dfun(x):
         return 1.0 + step(x, 1)
 
-    lo, hi = _expand_bracket(fun, y, y, radius)
+    lo, hi = _expand_bracket(fun, y, radius)
     return _bracketed_newton(fun, dfun, y, lo, hi, tol)
 
 
@@ -394,8 +433,10 @@ def solve_tau(coeffs: "CoefficientSet", y: float, z: float, tol: float = PREIMAG
     """Pre-jump state: the unique tau with tau + h(tau, z) = y.
 
     Existence and uniqueness come from the slope condition
-    1 + dh/dy >= c0 > 0; the initial bracket radius is the jump size bound
-    eta(z), grown geometrically if the audit bound was optimistic.
+    1 + dh/dy >= c0 > 0.  An amplitude affine in the state gives
+    (y - A(z)) / (1 + B(z)) in closed form (`tol` is then unused); any other
+    is solved by Newton in a bracket whose initial radius is the jump size
+    bound eta(z), grown geometrically if the audit bound was optimistic.
     """
     return float(solve_tau_grid(coeffs, np.asarray([y], dtype=float), z, tol)[0])
 
@@ -404,8 +445,13 @@ def solve_tau_grid(
     coeffs: "CoefficientSet", y: np.ndarray, z: float, tol: float = PREIMAGE_TOL
 ) -> np.ndarray:
     """Vectorized `solve_tau` over an array of post-jump states."""
+    y = np.asarray(y, dtype=float)
+    affine = _affine_jump(coeffs, z)
+    if affine is not None:
+        shift, slope = affine
+        return (y - shift) / slope
     step, _, radius = _jump_map(coeffs, z)
-    return _preimage(step, radius, np.asarray(y, dtype=float), tol)
+    return _preimage(step, radius, y, tol)
 
 
 def solve_tau_i(coeffs: "CoefficientSet", y: float, i: int, tol: float = PREIMAGE_TOL) -> float:
@@ -473,6 +519,37 @@ def _alpha_from_tau(tau: np.ndarray) -> np.ndarray:
     return alpha
 
 
+def _jump_stack(coeffs: "CoefficientSet", y: np.ndarray, z, order: int):
+    """`tau_stack_grid`, and the slope 1 + B(z) of an amplitude affine in
+    the state, whose stack takes the closed form (rows 0 and 1 from A and B,
+    higher rows exactly 0); None for a stack solved by Newton."""
+    y = np.asarray(y, dtype=float)
+    z = np.asarray(z, dtype=float)
+    if z.ndim > 1:
+        raise ContractError("marks must be a scalar or a 1-d array")
+    if z.ndim:
+        y = np.broadcast_to(y[:, None], y.shape + z.shape)
+    affine = _affine_jump(coeffs, z)
+    if affine is None:
+        return _inverse_stack(*_jump_map(coeffs, z), y, order), None
+    shift, slope = affine
+    tau = np.zeros((order + 1,) + y.shape)
+    tau[0] = (y - shift) / slope
+    tau[1] = 1.0 / slope
+    return tau, slope
+
+
+def _diagonal_alpha(slope, order: int, shape: tuple) -> np.ndarray:
+    """Transfer table of the affine map of slope `slope` over the batch
+    `shape`: the diagonal of `_alpha_from_tau`, alpha[l, l] = tau'^(l+1) - 1
+    with tau' = 1 / slope, and zeros.  The powers are taken per mark."""
+    tau1 = 1.0 / slope
+    alpha = np.zeros((order + 1, order + 1) + shape)
+    for l in range(order + 1):
+        alpha[l, l] = tau1 ** (l + 1) - 1.0
+    return alpha
+
+
 def tau_stack_grid(coeffs: "CoefficientSet", y: np.ndarray, z, order: int) -> np.ndarray:
     """Inverse-map stacks of the jump map over an array of base points.
 
@@ -480,15 +557,11 @@ def tau_stack_grid(coeffs: "CoefficientSet", y: np.ndarray, z, order: int) -> np
     `z` is one mark, or a 1-d array of marks, which broadcasts the solve to
     (order+1, len(y), len(z)).  Each column is the one-mark call's value,
     except in the last bits where a coefficient's numpy function rounds an
-    array differently from a scalar (array `pow` in power laws).
+    array differently from a scalar (array `pow` in power laws).  An
+    amplitude affine in the state takes the closed form: tau = (y - A) /
+    (1 + B), tau' = 1 / (1 + B), higher rows exactly 0.
     """
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if z.ndim > 1:
-        raise ContractError("marks must be a scalar or a 1-d array")
-    if z.ndim:
-        y = np.broadcast_to(y[:, None], y.shape + z.shape)
-    return _inverse_stack(*_jump_map(coeffs, z), y, order)
+    return _jump_stack(coeffs, y, z, order)[0]
 
 
 def tau_i_stack_grid(coeffs: "CoefficientSet", y: np.ndarray, i: int, order: int) -> np.ndarray:
@@ -497,10 +570,11 @@ def tau_i_stack_grid(coeffs: "CoefficientSet", y: np.ndarray, i: int, order: int
     return _inverse_stack(*_drift_map(coeffs, y, i), y, order)
 
 
-def _transfer_at(y: float, tau: np.ndarray) -> TransferCoefficients:
-    """Transfer coefficients at one point from its one-column inverse stack."""
+def _transfer_at(y: float, alpha: np.ndarray, tau: np.ndarray) -> TransferCoefficients:
+    """Transfer coefficients at one point from its one-column table and
+    inverse stack."""
     stack = DerivativeStack(float(y), tau[:, 0])
-    return TransferCoefficients(float(y), stack, _alpha_from_tau(tau)[:, :, 0])
+    return TransferCoefficients(float(y), stack, alpha[:, :, 0])
 
 
 def transfer_alpha(
@@ -512,10 +586,10 @@ def transfer_alpha(
 
         [phi(tau(y)) tau'(y)]^(l) = phi^(l)(tau(y)) + sum_r table[l, r] phi^(r)(tau(y))
 
-    for l = 0..order.  Needs y-derivatives of h up to order+1.
+    for l = 0..order.  Needs y-derivatives of h up to order+1; the table of
+    an amplitude affine in the state is diagonal.
     """
-    tau = tau_stack_grid(coeffs, np.asarray([y], dtype=float), z, order + 1)
-    return _transfer_at(y, tau)
+    return _transfer_at(y, *transfer_alpha_grid(coeffs, np.asarray([y], dtype=float), z, order))
 
 
 def transfer_beta(
@@ -528,7 +602,7 @@ def transfer_beta(
     grows, which is what keeps the drift surrogate stable.
     """
     tau = tau_i_stack_grid(coeffs, np.asarray([y], dtype=float), i, order + 1)
-    return _transfer_at(y, tau)
+    return _transfer_at(y, _alpha_from_tau(tau), tau)
 
 
 def transfer_alpha_grid(
@@ -538,10 +612,14 @@ def transfer_alpha_grid(
 
     `z` may also be a 1-d array of marks; the pre-image solve then runs once
     over all (node, mark) pairs and returns (alpha[l, r, j, m], tau[l, j, m]).
-    The operator build calls it this way, one block of marks at a time.
+    The operator build calls it this way, one block of marks at a time.  An
+    amplitude affine in the state gives the diagonal table
+    alpha[l, l] = tau'^(l+1) - 1 of its closed-form stack.
     """
-    tau = tau_stack_grid(coeffs, y, z, order + 1)
-    return _alpha_from_tau(tau), tau
+    tau, slope = _jump_stack(coeffs, y, z, order + 1)
+    if slope is None:
+        return _alpha_from_tau(tau), tau
+    return _diagonal_alpha(slope, order, tau.shape[1:]), tau
 
 
 def transfer_beta_grid(

@@ -80,9 +80,11 @@ class Function1D(Described):
     implements one primitive and the base class derives the other: a family
     whose orders are independent implements ``_derivative(x, l)``, one whose
     orders share work (a composition, one exp or tanh, one set of masks)
-    implements ``_stack(x, order)``.  Row l of `stack` is `derivative` at l
-    to the byte.  `derivative` and `stack` refuse an order that is not an
-    integer in [0, 16] with ContractError.
+    implements ``_stack(x, order)``.  A family whose one order is as cheap
+    as its value (ExpDecay) implements both, so that a single order costs
+    one exp.  Row l of `stack` is `derivative` at l to the byte.
+    `derivative` and `stack` refuse an order that is not an integer in
+    [0, 16] with ContractError.
 
     >>> f = ExpDecay(2.0, 1.0)
     >>> f.stack([0.0, 1.0], 2)[2].tobytes() == f.derivative([0.0, 1.0], 2).tobytes()
@@ -174,6 +176,9 @@ class ExpDecay(Function1D):
 
     amp: float
     rate: float = 1.0
+
+    def _derivative(self, x, l: int):
+        return (self.amp * (-self.rate) ** l) * np.exp(-self.rate * x)
 
     def _stack(self, x, order: int):
         coefs = [self.amp * (-self.rate) ** l for l in range(order + 1)]
@@ -510,6 +515,25 @@ class JumpAmplitude(Described):
             piece = fy.derivative(y, ly) * gz.derivative(z, lz)
             out = piece if out is None else out + piece
         return out
+
+    @property
+    def is_affine(self) -> bool:
+        """Whether h(y, z) = A(z) + B(z) y: every y-factor is `Affine`."""
+        return all(isinstance(fy, Affine) for fy, _ in self.terms)
+
+    def affine(self, z):
+        """(A(z), B(z)) of an amplitude that `is_affine`, else None.  B sums
+        the terms as row 1 of `y_stack` does, to the byte."""
+        if not self.is_affine:
+            return None
+        z = _as_array(z)
+        shift = scale = None
+        for fy, gz in self.terms:
+            g = gz.value(z)
+            a, b = fy.a0 * g, fy.a1 * g
+            shift = a if shift is None else shift + a
+            scale = b if scale is None else scale + b
+        return shift, scale
 
     def y_stack(self, y, z, order: int) -> np.ndarray:
         """Rows l = 0..order of `dy`, from one stack of each y-factor."""

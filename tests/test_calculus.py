@@ -5,6 +5,7 @@ Frozen reference values come from symbolic expansion or classical series
 against an independent polynomial-arithmetic oracle.
 """
 
+import dataclasses
 import doctest
 import hashlib
 import json
@@ -449,6 +450,160 @@ def test_transfer_alpha_grid_over_marks_matches_scalar_marks(wobble_model, power
         js.transfer_alpha_grid(wobble_model, y, z[None, :], 2)
 
 
+# ---------------------------------------------------------------------------
+# closed-form pre-images of amplitudes affine in the state
+# ---------------------------------------------------------------------------
+
+
+def _affine_model(newton=False):
+    """h(y, z) = (0.1 + 0.3 y) e^{-z} + 0.2 (1 + z)^-2: affine in y with a
+    state-dependent term.  With `newton` the affine factor is wrapped in a
+    one-part sum, which is not `Affine`, so the same map is solved by the
+    bracketed Newton."""
+    fy = js.Affine(0.1, 0.3)
+    h = js.JumpAmplitude((
+        (js.FunctionSum(fy) if newton else fy, js.ExpDecay(1.0, 1.0)),
+        (js.constant(0.2), js.InversePower(1.0, 2.0)),
+    ))
+    q = js.JumpMeasureSpec((0.0, np.inf), js.constant(1.0), (4.0,))
+    return js.CoefficientSet(
+        b=js.constant(0.0), gamma=js.constant(1.0), h=h,
+        eta=js.FunctionSum(js.ExpDecay(1.9, 1.0), js.InversePower(0.2, 2.0)), q=q,
+        k=2, y_window=(-6.0, 6.0),
+    )
+
+
+def test_closed_form_tau_stack_matches_the_bracketed_newton():
+    closed, newton = _affine_model(), _affine_model(newton=True)
+    assert closed.h.is_affine and not newton.h.is_affine
+    y = np.linspace(-6.0, 6.0, 49)
+    atol = js.calculus.PREIMAGE_TOL * np.max(np.abs(y))
+    for z in (0.05, 0.7, np.linspace(0.01, 4.0, 9)):
+        got = js.tau_stack_grid(closed, y, z, 3)
+        want = js.tau_stack_grid(newton, y, z, 3)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got[0], want[0], rtol=0.0, atol=atol)
+        np.testing.assert_allclose(got[1], want[1], rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(got[2:], want[2:], rtol=0.0, atol=1e-15)
+        # the closed form: tau = (y - A) / (1 + B), higher rows exactly 0
+        assert not np.any(got[2:])
+        shift, scale = closed.h.affine(z)
+        states = y[:, None] if np.ndim(z) else y
+        np.testing.assert_array_equal(got[0], (states - shift) / (1.0 + scale))
+        np.testing.assert_array_equal(got[1], np.broadcast_to(1.0 / (1.0 + scale), got[1].shape))
+        if np.ndim(z) == 0:
+            np.testing.assert_array_equal(js.solve_tau_grid(closed, y, z), got[0])
+            np.testing.assert_allclose(js.solve_tau_grid(newton, y, z), got[0], rtol=0.0, atol=atol)
+
+
+def test_closed_form_transfer_table_is_diagonal():
+    closed, newton = _affine_model(), _affine_model(newton=True)
+    y = np.linspace(-6.0, 6.0, 33)
+    z = np.linspace(0.01, 4.0, 7)
+    alpha, tau = js.transfer_alpha_grid(closed, y, z, 3)
+    assert alpha.shape == (4, 4, y.size, z.size)
+    for l in range(4):
+        for r in range(4):
+            if r != l:
+                assert not np.any(alpha[l, r]), (l, r)
+        np.testing.assert_array_equal(alpha[l, l], tau[1] ** (l + 1) - 1.0)
+    want = js.transfer_alpha_grid(newton, y, z, 3)[0]
+    np.testing.assert_allclose(alpha, want, rtol=0.0, atol=1e-14)
+    one = js.transfer_alpha(closed, 1.3, 0.7, 3)
+    assert one.table.shape == (4, 4)
+    assert not np.any(one.table - np.diag(np.diag(one.table)))
+    assert not np.any(one.tau_stack.values[2:])
+
+
+@pytest.mark.parametrize("slope", [0.5 * SINGULAR_SLOPE, 0.0, -0.5, math.nan])
+def test_closed_form_refuses_a_flat_slope_before_evaluating_the_map(monkeypatch, slope):
+    # h = (slope - 1) y on the marks [1, 2): 1 + B = slope there, 1 elsewhere
+    h = js.JumpAmplitude(((js.Affine(0.0, slope - 1.0), js.Indicator(1.0, 2.0)),))
+    assert not 1.0 + (slope - 1.0) > SINGULAR_SLOPE
+    m = dataclasses.replace(_affine_model(), h=h)
+    calls = []
+    for name in ("dy", "y_stack"):
+        inner = getattr(js.JumpAmplitude, name)
+        monkeypatch.setattr(js.JumpAmplitude, name,
+                            lambda self, *a, _n=name, _f=inner: calls.append(_n) or _f(self, *a))
+    y = np.linspace(-2.0, 2.0, 9)
+    message = ("could not bracket the pre-image: monotonicity or the jump size bound "
+               "is violated on this model")
+    for call in (lambda: js.tau_stack_grid(m, y, np.array([0.5, 1.5]), 2),
+                 lambda: js.transfer_alpha_grid(m, y, 1.5, 2),
+                 lambda: js.transfer_alpha(m, 0.3, 1.5, 2),
+                 lambda: js.solve_tau(m, 0.3, 1.5)):
+        with pytest.raises(js.DomainEscapeError) as err:
+            call()
+        assert str(err.value) == message
+    assert calls == []
+    if not math.isnan(slope):  # (a nan B is nan at every mark)
+        # the marks where 1 + B = 1 pass
+        assert not np.any(js.transfer_alpha_grid(m, y, np.array([0.5, 2.5]), 2)[0])
+
+
+def test_grown_brackets_read_each_components_own_mark():
+    # a Newton amplitude whose jump size bound is far too small: every
+    # bracket grows, on the not yet bracketed (node, mark) pairs alone, and
+    # each pair must still see its own mark, as the one-mark solves do
+    m = dataclasses.replace(_exp_model(js.Sinusoidal(0.5, 1.0)), eta=js.ExpDecay(1e-6, 1.0))
+    y = np.linspace(-3.0, 3.0, 17)
+    z = np.linspace(0.0, 3.0, 5)
+    both = js.tau_stack_grid(m, y, z, 2)
+    for j, zj in enumerate(z):
+        np.testing.assert_array_equal(both[..., j], js.tau_stack_grid(m, y, float(zj), 2))
+
+
+def _reference_bracket(fun, y, radius):
+    """The bracket growth that evaluated every component at every growth."""
+    r = np.maximum(np.array(np.broadcast_to(radius, y.shape), dtype=float), 1e-12)
+    for _ in range(js.calculus._MAX_BRACKET_GROWTH):
+        lo, hi = y - r, y + r
+        ok = (fun(lo) <= y) & (fun(hi) >= y)
+        if np.all(ok):
+            return lo, hi
+        r = np.where(ok, r, 2.0 * r)
+    raise AssertionError("reference bracket failed")
+
+
+def test_expand_bracket_grows_only_the_open_components():
+    y = np.array([[0.0, 0.5, 5.0, -40.0], [2.0, -0.3, 300.0, 1e-3], [-7.5, 0.9, 12.0, -1.0]])
+    radius = np.full(y.shape, 0.1)
+    calls = []
+
+    def fun(x, where=None):
+        calls.append((x.copy(), None if where is None else where.copy()))
+        return x**3 + x
+
+    lo, hi = js.calculus._expand_bracket(fun, y, radius)
+    want_lo, want_hi = _reference_bracket(lambda x: x**3 + x, y, radius)
+    assert lo.tobytes() == want_lo.tobytes() and hi.tobytes() == want_hi.tobytes()
+    # growths per component, read off the final radii
+    growths = np.rint(np.log2((y - lo) / 0.1)).astype(int)
+    assert growths.max() >= 3 and np.any(growths == 0)
+    assert [c[1] for c in calls[:2]] == [None, None]
+    assert all(c[0].shape == y.shape for c in calls[:2])
+    later = calls[2:]
+    assert len(later) == 2 * growths.max()
+    for t in range(1, growths.max() + 1):
+        for x, where in later[2 * (t - 1): 2 * t]:
+            np.testing.assert_array_equal(where, growths >= t)
+            assert x.shape == (int(np.sum(growths >= t)),)
+
+
+def test_expand_bracket_gives_up_after_the_growth_budget():
+    calls = []
+
+    def fun(x, where=None):
+        calls.append(x.size)
+        return np.minimum(x, 0.8)  # brackets 0.5, never 1.0
+
+    with pytest.raises(js.DomainEscapeError, match="could not bracket the pre-image"):
+        js.calculus._expand_bracket(fun, np.array([0.5, 1.0]), 0.1)
+    assert len(calls) == 2 * js.calculus._MAX_BRACKET_GROWTH
+    assert calls[:2] == [2, 2] and set(calls[2:]) == {1}
+
+
 def test_calculus_doctests_pass():
     result = doctest.testmod(js.calculus)
     assert result.attempted >= 8
@@ -461,7 +616,10 @@ def test_calculus_doctests_pass():
 
 # sha256 of the raw float64 bytes of every inverse-map and transfer-table
 # output, recorded from the separate jump and drift pipelines that preceded
-# the shared one; the arithmetic is unchanged, so every digest must repeat
+# the shared one; the arithmetic is unchanged, so every digest must repeat.
+# The jump-map keys of wobble and power (amplitudes affine in the state)
+# were re-recorded from the closed form: their values moved by at most
+# 6.1e-17 of each array's largest entry, and signed zeros became +0.
 TRANSFER_PINS = Path(__file__).parent / "data" / "transfer_tables.json"
 PIN_MARKS = (0.05, 0.7, 2.5)
 PIN_DRIFT_INDEX = 8

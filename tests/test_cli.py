@@ -151,6 +151,33 @@ def test_simulate_outputs_thread_invariant(tmp_path):
     assert terminal.shape == (2000,)
 
 
+def test_simulate_with_a_filter_writes_the_filtered_jump_times(tmp_path):
+    # the unit-rate exponential-displacement model: its long mark window
+    # leaves the second filtered kernel its full rate
+    cfg = _base_config(tmp_path / "out")
+    cfg["model"].update(
+        window=[-4.0, 9.0], drift=0.0, rate=1.0,
+        amplitude=[{"y": {"family": "constant", "c": 1.0},
+                    "z": {"family": "exp_decay", "amp": 1.0, "rate": 1.0}}],
+        envelope={"family": "exp_decay", "amp": 1.0, "rate": 1.0},
+        marks={"support": [0.0, float("inf")], "truncations": [12.0, 24.0, 56.0]},
+    )
+    cfg["kernels"] = {"n_values": [2], "theta": 4.2}
+    cfg["simulation"].update(runs=300, filter_n=2)
+    assert main(["simulate", "--config", _write(tmp_path, cfg)]) == 0
+    out = tmp_path / "out"
+    tau = np.loadtxt(out / "tau.txt")
+    assert tau.shape == (300,)
+    summary = json.loads((out / "summary.json").read_text())
+    assert 0.0 <= summary["tau_finite_fraction"] <= 1.0
+    assert summary["tau_finite_fraction"] == float(np.mean(np.isfinite(tau)))
+    # the second filtered kernel fires at rate 3: a filtered jump by t_end
+    # with probability 1 - e^{-3 t_end}, within 4 binomial sigma
+    want = 1.0 - math.exp(-3.0 * cfg["simulation"]["t_end"])
+    assert abs(summary["tau_finite_fraction"] - want) <= 4.0 * math.sqrt(want * (1.0 - want) / 300)
+    assert "tau.txt" in json.loads((out / "manifest.json").read_text())["outputs"]
+
+
 def test_simulate_honours_max_step(tmp_path):
     cfg = _base_config(tmp_path / "out")
     cfg["simulation"]["runs"] = 200

@@ -259,6 +259,35 @@ def test_jump_amplitude_stacks_are_the_partials_to_the_byte():
                 assert zs[l].tobytes() == h.dz(yy, zz, l).tobytes(), (k, l)
 
 
+def test_jump_amplitude_affine_parts():
+    h = js.JumpAmplitude((
+        (js.Affine(0.1, 0.3), js.ExpDecay(1.0, 1.0)),
+        (js.constant(0.2), js.InversePower(1.0, 2.0)),
+        (js.Affine(0.0, -0.05), js.SmoothstepBump(0.0, 4.0, 1.0, 3, 0.2)),
+    ))
+    assert h.is_affine
+    y = STACK_POINTS[:, None]
+    z = np.abs(STACK_POINTS[:7])
+    shift, scale = h.affine(z)
+    assert shift.shape == scale.shape == z.shape
+    np.testing.assert_allclose(h.value(y, z), shift + scale * y, rtol=1e-14, atol=1e-15)
+    # B is row 1 of the y-stack, to the byte
+    assert np.broadcast_to(scale, (y.size, z.size)).tobytes() == h.y_stack(y, z, 1)[1].tobytes()
+    for fy in (js.Sinusoidal(0.3, 1.0), js.FunctionSum(js.Affine(0.1, 0.3))):
+        other = js.JumpAmplitude(h.terms + ((fy, js.ExpDecay(1.0, 1.0)),))
+        assert not other.is_affine and other.affine(z) is None
+
+
+def test_exp_decay_computes_only_the_order_asked_for(monkeypatch):
+    # one exp for one order: `check_B` and the kernels ask for dz at order 1
+    f = js.ExpDecay(2.0, 0.7)
+    x = STACK_POINTS
+    want = [f.stack(x, 4)[l].tobytes() for l in range(5)]
+    monkeypatch.setattr(js.ExpDecay, "_stack", lambda self, x, order: pytest.fail("stacked"))
+    for l in range(5):
+        assert f.derivative(x, l).tobytes() == want[l]
+
+
 @pytest.mark.parametrize("fn", EVERY_FAMILY, ids=_family_id)
 def test_derivative_orders_outside_the_range_are_refused(fn):
     # a negative order used to extrapolate, a fractional one came back
