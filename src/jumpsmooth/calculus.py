@@ -17,8 +17,8 @@ This module provides the three layers of that calculus:
   (`transfer_alpha` for the jump map, `transfer_beta` for the drift map).
 
 Both maps have the form x -> x + step(x).  A jump amplitude affine in the
-state, h(y, z) = A(z) + B(z) y (every y-factor `Affine`, which covers every
-shipped model), has the closed-form pre-jump map tau = (y - A) / (1 + B):
+state, h(y, z) = A(z) + B(z) y (every y-factor `Affine`, as in every bench
+and README model), has the closed-form pre-jump map tau = (y - A) / (1 + B):
 tau' = 1 / (1 + B), every higher row is 0 and the transfer table is
 diagonal, alpha[l, l] = tau'^(l+1) - 1.  Every other jump map, and every
 drift map, goes through one private pipeline: a bracketed pre-image solve,
@@ -334,59 +334,48 @@ def _bracketed_newton(fun, dfun, target, lo, hi, tol, slope_floor: float = SINGU
     return x
 
 
-def _expand_bracket(fun, y, radius):
-    """Grow [y - r, y + r] geometrically until fun brackets y.
-
-    ``fun(x, where)`` evaluates the map at x, the values of the components
-    that the boolean mask `where` selects (all of them when None): after the
-    first check, each growth evaluates only the components still open.
-    """
-    r = np.maximum(np.array(np.broadcast_to(radius, np.shape(y)), dtype=float), 1e-12)
-    lo = y - r
-    hi = y + r
-    open_ = ~((fun(lo) <= y) & (fun(hi) >= y))
-    for _ in range(_MAX_BRACKET_GROWTH - 1):
-        if not open_.any():
-            break
-        r[open_] *= 2.0
-        yo, ro = y[open_], r[open_]
-        lo[open_] = lo_open = yo - ro
-        hi[open_] = hi_open = yo + ro
-        open_[open_] = ~((fun(lo_open, open_) <= yo) & (fun(hi_open, open_) >= yo))
-    if open_.any():
-        raise DomainEscapeError(_UNBRACKETED)
-    return lo, hi
+def _expand_bracket(fun, target, center, radius):
+    """Grow [center - r, center + r] geometrically until fun brackets target."""
+    r = np.array(np.broadcast_to(radius, np.shape(center)), dtype=float, copy=True)
+    r = np.maximum(r, 1e-12)
+    for _ in range(_MAX_BRACKET_GROWTH):
+        lo = center - r
+        hi = center + r
+        ok = (fun(lo) <= target) & (fun(hi) >= target)
+        if np.all(ok):
+            return lo, hi
+        r = np.where(ok, r, 2.0 * r)
+    raise DomainEscapeError(_UNBRACKETED)
 
 
 def _jump_map(coeffs: "CoefficientSet", z):
     """Increment h(., z) of the jump map (one derivative, and the stack) and
     its initial bracket radius, the jump size bound eta(z), for one mark or
-    an array of marks that broadcasts against the base points."""
-    z = np.asarray(z, dtype=float)
+    an array of marks."""
     radius = np.abs(np.asarray(coeffs.eta.value(z), dtype=float)) * (1.0 + 1e-9) + 1e-9
-
-    def step(x, l, where=None):
-        # the marks of the components that `where` selects
-        marks = z if where is None or z.ndim == 0 else np.broadcast_to(z, where.shape)[where]
-        return coeffs.h.dy(x, marks, l)
-
-    return step, (lambda x, n: coeffs.h.y_stack(x, z, n)), radius
+    return ((lambda x, l: coeffs.h.dy(x, z, l)), (lambda x, n: coeffs.h.y_stack(x, z, n)),
+            radius)
 
 
 def _affine_jump(coeffs: "CoefficientSet", z):
     """(A(z), 1 + B(z)) when the jump amplitude is A(z) + B(z) y, else None.
 
-    A slope 1 + B at or below `SINGULAR_SLOPE` (or any value that is not
-    finite) raises the bracket failure of the solve, before the map is
-    evaluated.
+    A slope 1 + B that is not positive, or any value that is not finite,
+    raises the bracket failure of the solve, and a positive slope at or
+    below `SINGULAR_SLOPE` the flat-slope failure of its Newton, both before
+    the map is evaluated.
     """
     affine = coeffs.h.affine(z)
     if affine is None:
         return None
     shift, scale = affine
     slope = 1.0 + scale
-    if not (np.all((slope > SINGULAR_SLOPE) & (slope < np.inf)) and np.all(np.isfinite(shift))):
+    if not (np.all((slope > 0.0) & (slope < np.inf)) and np.all(np.isfinite(shift))):
         raise DomainEscapeError(_UNBRACKETED)
+    if np.any(slope <= SINGULAR_SLOPE):
+        # every node sees every mark, so the Newton's first flat component
+        # (its row, for a (node, mark) batch) is the first node
+        raise NearSingularError(f"map slope below {SINGULAR_SLOPE:.0e} at component 0")
     return shift, slope
 
 
@@ -398,21 +387,21 @@ def _drift_map(coeffs: "CoefficientSet", y: np.ndarray, i: int):
 
     _check_drift_index(coeffs, i)
     radius = (np.abs(coeffs.b.value(y)) + 1.0) / i + 1e-9
-    return ((lambda x, l, where=None: coeffs.b.derivative(x, l) / i),
-            (lambda x, n: coeffs.b.stack(x, n) / i), radius)
+    return ((lambda x, l: coeffs.b.derivative(x, l) / i), (lambda x, n: coeffs.b.stack(x, n) / i),
+            radius)
 
 
 def _preimage(step, radius, y: np.ndarray, tol: float) -> np.ndarray:
     """The x with x + step(x, 0) = y, for an increasing map, by safeguarded
     Newton inside a bracket grown from [y - radius, y + radius]."""
 
-    def fun(x, where=None):
-        return x + step(x, 0, where)
+    def fun(x):
+        return x + step(x, 0)
 
     def dfun(x):
         return 1.0 + step(x, 1)
 
-    lo, hi = _expand_bracket(fun, y, radius)
+    lo, hi = _expand_bracket(fun, y, y, radius)
     return _bracketed_newton(fun, dfun, y, lo, hi, tol)
 
 

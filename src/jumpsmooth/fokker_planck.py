@@ -28,12 +28,11 @@ the flattened stack, kept as two CSR matrices (`scipy.sparse`, imported
 lazily at the first build): the drift pullback, which depends on i, and the
 jump pullback with its local loss, which does not.  The jump part solves the
 pre-images for a block of marks per call, in closed form for an amplitude
-affine in the state (whose transfer tables are diagonal).  The stencils of
-every derivative block are merged by one sparse product: a stencil matrix
-with one column of 4 cubic weights per (node, mark) pair, times the (pair,
-block) coefficient matrix.  A time step is one CSR product per part.  `norm_growth_audit`
-builds the jump part once and derives its 2 i operator with
-`AdjointOperator.with_drift_index`.
+affine in the state.  The stencils of every derivative block are merged by
+one sparse product: a stencil matrix with one column of 4 cubic weights per
+(node, mark) pair, times the (pair, block) coefficient matrix.  A time step
+is one CSR product per part.  `norm_growth_audit` builds the jump part once
+and derives its 2 i operator with `AdjointOperator.with_drift_index`.
 `evolve` repeats the run at half the step on the same map to estimate its
 own time-discretisation error.
 """
@@ -211,11 +210,9 @@ class AdjointOperator:
     where entry ``l * size + j`` is the l-th derivative at node j: `drift`
     (index i) and `jump` (with the local loss; it does not depend on i).  The
     jump part solves the pre-images of `JUMP_BLOCK_MARKS` marks per
-    `transfer_alpha_grid` call.  For an amplitude affine in the state,
-    h = A(z) + B(z) y, those are the closed form tau = (y - A) / (1 + B)
-    and the table is diagonal, so each block (l, r0) has the coefficient
-    C(l, r0) tau'^(l+1) gamma^(l - r0)(tau); any other amplitude sums its
-    full table's row.  Each part merges the stencils of all its
+    `transfer_alpha_grid` call (for an amplitude affine in the state,
+    h = A(z) + B(z) y, the closed form tau = (y - A) / (1 + B) with a
+    diagonal table).  Each part merges the stencils of all its
     derivative blocks (l, r) in one sparse product (`_merge_stencils`).
     `apply` is one CSR product per part.
     `with_drift_index` gives the operator at another index that shares this
@@ -286,10 +283,7 @@ class AdjointOperator:
         coeffs, grid, k, n = self.coeffs, self.grid, self.k, self.size
         pairs = _block_pairs(k)
         # coef[..., b] for block (l, r0) = pairs[b]:
-        # sum_r (delta_lr + alpha[l, r]) C(r, r0) gamma^(r - r0)(tau), which
-        # for the diagonal table of an affine amplitude, 1 + alpha[l, l] =
-        # tau'^(l+1), is C(l, r0) tau'^(l+1) gamma^(l - r0)(tau)
-        diagonal = coeffs.h.is_affine
+        # sum_r (delta_lr + alpha[l, r]) C(r, r0) gamma^(r - r0)(tau)
         coef = np.empty((n, z.size, len(pairs)))
         tau0 = np.empty((n, z.size))
         blocks = [slice(start, start + JUMP_BLOCK_MARKS)
@@ -300,18 +294,11 @@ class AdjointOperator:
             gamma_tau = coeffs.gamma.stack(tau[0], k)
             # block-major here, so that coef takes one pair-major copy
             chunk = np.empty((len(pairs),) + tau[0].shape)
-            if diagonal:
-                # tau' = 1 / (1 + B(z)) is the same at every node: the
-                # powers are taken on one row of it
-                lifts = [tau[1, :1] ** (l + 1) for l in range(k + 1)]
             for b, (l, r0) in enumerate(pairs):
-                if diagonal:
-                    chunk[b] = comb(l, r0) * lifts[l] * gamma_tau[l - r0]
-                else:
-                    c = comb(l, r0) * gamma_tau[l - r0]
-                    for r in range(r0, l + 1):
-                        c = c + alpha[l, r] * (comb(r, r0) * gamma_tau[r - r0])
-                    chunk[b] = c
+                c = comb(l, r0) * gamma_tau[l - r0]
+                for r in range(r0, l + 1):
+                    c = c + alpha[l, r] * (comb(r, r0) * gamma_tau[r - r0])
+                chunk[b] = c
             coef[:, cut] = chunk.transpose(1, 2, 0)
         # the stencils of the pre-images, their weights times the mark
         # weights: once every block is solved (a build that fails in a solve

@@ -516,15 +516,11 @@ class JumpAmplitude(Described):
             out = piece if out is None else out + piece
         return out
 
-    @property
-    def is_affine(self) -> bool:
-        """Whether h(y, z) = A(z) + B(z) y: every y-factor is `Affine`."""
-        return all(isinstance(fy, Affine) for fy, _ in self.terms)
-
     def affine(self, z):
-        """(A(z), B(z)) of an amplitude that `is_affine`, else None.  B sums
-        the terms as row 1 of `y_stack` does, to the byte."""
-        if not self.is_affine:
+        """(A(z), B(z)) when h(y, z) = A(z) + B(z) y, that is when every
+        y-factor is `Affine`, else None.  B sums the terms as row 1 of
+        `y_stack` does, to the byte."""
+        if not all(isinstance(fy, Affine) for fy, _ in self.terms):
             return None
         z = _as_array(z)
         shift = scale = None

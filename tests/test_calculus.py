@@ -475,7 +475,7 @@ def _affine_model(newton=False):
 
 def test_closed_form_tau_stack_matches_the_bracketed_newton():
     closed, newton = _affine_model(), _affine_model(newton=True)
-    assert closed.h.is_affine and not newton.h.is_affine
+    assert closed.h.affine(0.7) is not None and newton.h.affine(0.7) is None
     y = np.linspace(-6.0, 6.0, 49)
     atol = js.calculus.PREIMAGE_TOL * np.max(np.abs(y))
     for z in (0.05, 0.7, np.linspace(0.01, 4.0, 9)):
@@ -518,90 +518,56 @@ def test_closed_form_transfer_table_is_diagonal():
 @pytest.mark.parametrize("slope", [0.5 * SINGULAR_SLOPE, 0.0, -0.5, math.nan])
 def test_closed_form_refuses_a_flat_slope_before_evaluating_the_map(monkeypatch, slope):
     # h = (slope - 1) y on the marks [1, 2): 1 + B = slope there, 1 elsewhere
-    h = js.JumpAmplitude(((js.Affine(0.0, slope - 1.0), js.Indicator(1.0, 2.0)),))
+    def model(fy):
+        return dataclasses.replace(_affine_model(), h=js.JumpAmplitude(((fy, js.Indicator(1.0, 2.0)),)))
+
+    fy = js.Affine(0.0, slope - 1.0)
+    m, newton = model(fy), model(js.FunctionSum(fy))
     assert not 1.0 + (slope - 1.0) > SINGULAR_SLOPE
-    m = dataclasses.replace(_affine_model(), h=h)
-    calls = []
+    y = np.linspace(-2.0, 2.0, 9)
+    calls = [
+        lambda m: js.tau_stack_grid(m, y, np.array([0.5, 1.5]), 2),
+        lambda m: js.transfer_alpha_grid(m, y, 1.5, 2),
+        lambda m: js.transfer_alpha(m, 0.3, 1.5, 2),
+        lambda m: js.solve_tau(m, 0.3, 1.5),
+    ]
+    # the bracketed Newton's failure on the same map, class and message
+    want = []
+    for call in calls:
+        with pytest.raises(js.NumericalError) as err:
+            call(newton)
+        want.append((type(err.value), str(err.value)))
+    if slope > 0.0:
+        assert set(want) == {(js.NearSingularError, "map slope below 1e-10 at component 0")}
+    else:
+        assert set(want) == {(js.DomainEscapeError, (
+            "could not bracket the pre-image: monotonicity or the jump size bound "
+            "is violated on this model"))}
+    evaluated = []
     for name in ("dy", "y_stack"):
         inner = getattr(js.JumpAmplitude, name)
         monkeypatch.setattr(js.JumpAmplitude, name,
-                            lambda self, *a, _n=name, _f=inner: calls.append(_n) or _f(self, *a))
-    y = np.linspace(-2.0, 2.0, 9)
-    message = ("could not bracket the pre-image: monotonicity or the jump size bound "
-               "is violated on this model")
-    for call in (lambda: js.tau_stack_grid(m, y, np.array([0.5, 1.5]), 2),
-                 lambda: js.transfer_alpha_grid(m, y, 1.5, 2),
-                 lambda: js.transfer_alpha(m, 0.3, 1.5, 2),
-                 lambda: js.solve_tau(m, 0.3, 1.5)):
-        with pytest.raises(js.DomainEscapeError) as err:
-            call()
+                            lambda self, *a, _n=name, _f=inner: evaluated.append(_n) or _f(self, *a))
+    for call, (kind, message) in zip(calls, want):
+        with pytest.raises(kind) as err:
+            call(m)
         assert str(err.value) == message
-    assert calls == []
+    assert evaluated == []
     if not math.isnan(slope):  # (a nan B is nan at every mark)
         # the marks where 1 + B = 1 pass
         assert not np.any(js.transfer_alpha_grid(m, y, np.array([0.5, 2.5]), 2)[0])
 
 
-def test_grown_brackets_read_each_components_own_mark():
+def test_grown_brackets_over_marks_match_the_one_mark_solves():
     # a Newton amplitude whose jump size bound is far too small: every
-    # bracket grows, on the not yet bracketed (node, mark) pairs alone, and
-    # each pair must still see its own mark, as the one-mark solves do
+    # (node, mark) pair's bracket grows, and each pair must still land on
+    # the one-mark solve of its own mark
     m = dataclasses.replace(_exp_model(js.Sinusoidal(0.5, 1.0)), eta=js.ExpDecay(1e-6, 1.0))
     y = np.linspace(-3.0, 3.0, 17)
     z = np.linspace(0.0, 3.0, 5)
     both = js.tau_stack_grid(m, y, z, 2)
     for j, zj in enumerate(z):
         np.testing.assert_array_equal(both[..., j], js.tau_stack_grid(m, y, float(zj), 2))
-
-
-def _reference_bracket(fun, y, radius):
-    """The bracket growth that evaluated every component at every growth."""
-    r = np.maximum(np.array(np.broadcast_to(radius, y.shape), dtype=float), 1e-12)
-    for _ in range(js.calculus._MAX_BRACKET_GROWTH):
-        lo, hi = y - r, y + r
-        ok = (fun(lo) <= y) & (fun(hi) >= y)
-        if np.all(ok):
-            return lo, hi
-        r = np.where(ok, r, 2.0 * r)
-    raise AssertionError("reference bracket failed")
-
-
-def test_expand_bracket_grows_only_the_open_components():
-    y = np.array([[0.0, 0.5, 5.0, -40.0], [2.0, -0.3, 300.0, 1e-3], [-7.5, 0.9, 12.0, -1.0]])
-    radius = np.full(y.shape, 0.1)
-    calls = []
-
-    def fun(x, where=None):
-        calls.append((x.copy(), None if where is None else where.copy()))
-        return x**3 + x
-
-    lo, hi = js.calculus._expand_bracket(fun, y, radius)
-    want_lo, want_hi = _reference_bracket(lambda x: x**3 + x, y, radius)
-    assert lo.tobytes() == want_lo.tobytes() and hi.tobytes() == want_hi.tobytes()
-    # growths per component, read off the final radii
-    growths = np.rint(np.log2((y - lo) / 0.1)).astype(int)
-    assert growths.max() >= 3 and np.any(growths == 0)
-    assert [c[1] for c in calls[:2]] == [None, None]
-    assert all(c[0].shape == y.shape for c in calls[:2])
-    later = calls[2:]
-    assert len(later) == 2 * growths.max()
-    for t in range(1, growths.max() + 1):
-        for x, where in later[2 * (t - 1): 2 * t]:
-            np.testing.assert_array_equal(where, growths >= t)
-            assert x.shape == (int(np.sum(growths >= t)),)
-
-
-def test_expand_bracket_gives_up_after_the_growth_budget():
-    calls = []
-
-    def fun(x, where=None):
-        calls.append(x.size)
-        return np.minimum(x, 0.8)  # brackets 0.5, never 1.0
-
-    with pytest.raises(js.DomainEscapeError, match="could not bracket the pre-image"):
-        js.calculus._expand_bracket(fun, np.array([0.5, 1.0]), 0.1)
-    assert len(calls) == 2 * js.calculus._MAX_BRACKET_GROWTH
-    assert calls[:2] == [2, 2] and set(calls[2:]) == {1}
 
 
 def test_calculus_doctests_pass():

@@ -265,7 +265,6 @@ def test_jump_amplitude_affine_parts():
         (js.constant(0.2), js.InversePower(1.0, 2.0)),
         (js.Affine(0.0, -0.05), js.SmoothstepBump(0.0, 4.0, 1.0, 3, 0.2)),
     ))
-    assert h.is_affine
     y = STACK_POINTS[:, None]
     z = np.abs(STACK_POINTS[:7])
     shift, scale = h.affine(z)
@@ -275,7 +274,7 @@ def test_jump_amplitude_affine_parts():
     assert np.broadcast_to(scale, (y.size, z.size)).tobytes() == h.y_stack(y, z, 1)[1].tobytes()
     for fy in (js.Sinusoidal(0.3, 1.0), js.FunctionSum(js.Affine(0.1, 0.3))):
         other = js.JumpAmplitude(h.terms + ((fy, js.ExpDecay(1.0, 1.0)),))
-        assert not other.is_affine and other.affine(z) is None
+        assert other.affine(z) is None
 
 
 def test_exp_decay_computes_only_the_order_asked_for(monkeypatch):
