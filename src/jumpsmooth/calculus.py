@@ -19,12 +19,12 @@ This module provides the three layers of that calculus:
 Both maps have the form x -> x + step(x).  A jump amplitude affine in the
 state, h(y, z) = A(z) + B(z) y (every y-factor `Affine`, as in every bench
 and README model), has the closed-form pre-jump map tau = (y - A) / (1 + B):
-tau' = 1 / (1 + B), every higher row is 0 and the transfer table is
-diagonal, alpha[l, l] = tau'^(l+1) - 1.  Every other jump map, and every
-drift map, goes through one private pipeline: a bracketed pre-image solve,
-the forward stack at the pre-image, its inversion, and the transfer table.
-Only the increment and the initial bracket radius differ between the jump
-and the drift map there.
+tau' = 1 / (1 + B) and every higher row is 0.  Every other stack, jump or
+drift, comes from one private pipeline: a bracketed pre-image solve, the
+forward stack at the pre-image, and its inversion; only the increment and
+the initial bracket radius differ.  Every transfer table comes from its
+stack by one path (`_alpha_from_tau`; diagonal on an affine stack), and
+every Leibniz coefficient C(l, r) s^(l-r) from one helper (`_leibniz_terms`).
 
 Scalar entry points operate on `DerivativeStack` records; the ``*_grid``
 variants broadcast over numpy arrays of base points and back the density
@@ -254,13 +254,16 @@ def inverse_derivatives(forward: DerivativeStack, order: int | None = None) -> D
     return DerivativeStack(float(forward.values[0]), tau)
 
 
-def _leibniz_row(a, b, n: int):
-    """n-th derivative of a product from the derivatives 0..n of its factors
-    (stacks, or sequences of arrays)."""
-    acc = 0.0
-    for j in range(n + 1):
-        acc = acc + comb(n, j) * a[j] * b[n - j]
-    return acc
+def _leibniz_terms(s, order: int | None = None) -> list:
+    """Leibniz coefficients of a product with the stack `s` (order axis
+    first, broadcasting): row l, entry r is comb(l, r) * s[l - r], the
+    coefficient of b^(r) in (s b)^(l), for l = 0..order (default: the
+    stack's order).  Where the binomial is 1 (r = 0 or l) the entry is the
+    row s[l - r] itself, not a copy: read the entries, never write them."""
+    if order is None:
+        order = len(s) - 1
+    return [[s[l - r] if r in (0, l) else comb(l, r) * s[l - r] for r in range(l + 1)]
+            for l in range(order + 1)]
 
 
 def leibniz_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -268,8 +271,8 @@ def leibniz_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (order axis first, broadcasting)."""
     order = min(a.shape[0], b.shape[0]) - 1
     out = np.empty((order + 1,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]), dtype=float)
-    for n in range(order + 1):
-        out[n] = _leibniz_row(a, b, n)
+    for n, row in enumerate(_leibniz_terms(a, order)):
+        out[n] = sum((row[m] * b[m] for m in range(n, -1, -1)), 0.0)
     return out
 
 
@@ -315,7 +318,7 @@ def _bracketed_newton(fun, dfun, target, lo, hi, tol, slope_floor: float = SINGU
         if slope_floor > 0.0:
             bad_slope = (np.abs(d) < slope_floor) & move
             if np.any(bad_slope):
-                idx = np.argwhere(bad_slope).ravel()[0]
+                idx = np.flatnonzero(bad_slope)[0]
                 raise NearSingularError(
                     f"map slope below {slope_floor:.0e} at component {int(idx)}"
                 )
@@ -372,10 +375,9 @@ def _affine_jump(coeffs: "CoefficientSet", z):
     slope = 1.0 + scale
     if not (np.all((slope > 0.0) & (slope < np.inf)) and np.all(np.isfinite(shift))):
         raise DomainEscapeError(_UNBRACKETED)
-    if np.any(slope <= SINGULAR_SLOPE):
-        # every node sees every mark, so the Newton's first flat component
-        # (its row, for a (node, mark) batch) is the first node
-        raise NearSingularError(f"map slope below {SINGULAR_SLOPE:.0e} at component 0")
+    flat = np.flatnonzero(slope <= SINGULAR_SLOPE)
+    if flat.size:  # the Newton's first flat (node, mark): node 0's first flat mark
+        raise NearSingularError(f"map slope below {SINGULAR_SLOPE:.0e} at component {flat[0]}")
     return shift, slope
 
 
@@ -494,48 +496,19 @@ def _alpha_from_tau(tau: np.ndarray) -> np.ndarray:
             for p in parts:
                 term = term * tau[p]
             delta[n, r] = delta.get((n, r), 0.0) + term
+    # lift[l][j] = C(l, j) tau^(l+1-j): the Leibniz factor of (phi o tau)^(j)
+    lift = _leibniz_terms(tau[1:], order)
     alpha = np.zeros((order + 1, order + 1) + batch, dtype=float)
     for l in range(order + 1):
         alpha[l, l] = tau1 ** (l + 1) - 1.0
         if l == 0:
             continue
-        alpha[l, 0] = tau[l + 1]
+        alpha[l, 0] = lift[l][0]
         for r in range(1, l):
-            acc = comb(l, r) * tau[l + 1 - r] * tau1**r
+            acc = lift[l][r] * tau1**r
             for j in range(r + 1, l + 1):
-                acc = acc + comb(l, j) * tau[l + 1 - j] * delta[j, r]
+                acc = acc + lift[l][j] * delta[j, r]
             alpha[l, r] = acc
-    return alpha
-
-
-def _jump_stack(coeffs: "CoefficientSet", y: np.ndarray, z, order: int):
-    """`tau_stack_grid`, and the slope 1 + B(z) of an amplitude affine in
-    the state, whose stack takes the closed form (rows 0 and 1 from A and B,
-    higher rows exactly 0); None for a stack solved by Newton."""
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if z.ndim > 1:
-        raise ContractError("marks must be a scalar or a 1-d array")
-    if z.ndim:
-        y = np.broadcast_to(y[:, None], y.shape + z.shape)
-    affine = _affine_jump(coeffs, z)
-    if affine is None:
-        return _inverse_stack(*_jump_map(coeffs, z), y, order), None
-    shift, slope = affine
-    tau = np.zeros((order + 1,) + y.shape)
-    tau[0] = (y - shift) / slope
-    tau[1] = 1.0 / slope
-    return tau, slope
-
-
-def _diagonal_alpha(slope, order: int, shape: tuple) -> np.ndarray:
-    """Transfer table of the affine map of slope `slope` over the batch
-    `shape`: the diagonal of `_alpha_from_tau`, alpha[l, l] = tau'^(l+1) - 1
-    with tau' = 1 / slope, and zeros.  The powers are taken per mark."""
-    tau1 = 1.0 / slope
-    alpha = np.zeros((order + 1, order + 1) + shape)
-    for l in range(order + 1):
-        alpha[l, l] = tau1 ** (l + 1) - 1.0
     return alpha
 
 
@@ -550,7 +523,20 @@ def tau_stack_grid(coeffs: "CoefficientSet", y: np.ndarray, z, order: int) -> np
     amplitude affine in the state takes the closed form: tau = (y - A) /
     (1 + B), tau' = 1 / (1 + B), higher rows exactly 0.
     """
-    return _jump_stack(coeffs, y, z, order)[0]
+    y = np.asarray(y, dtype=float)
+    z = np.asarray(z, dtype=float)
+    if z.ndim > 1:
+        raise ContractError("marks must be a scalar or a 1-d array")
+    if z.ndim:
+        y = np.broadcast_to(y[:, None], y.shape + z.shape)
+    affine = _affine_jump(coeffs, z)
+    if affine is None:
+        return _inverse_stack(*_jump_map(coeffs, z), y, order)
+    shift, slope = affine
+    tau = np.zeros((order + 1,) + y.shape)
+    tau[0] = (y - shift) / slope
+    tau[1] = 1.0 / slope
+    return tau
 
 
 def tau_i_stack_grid(coeffs: "CoefficientSet", y: np.ndarray, i: int, order: int) -> np.ndarray:
@@ -601,14 +587,13 @@ def transfer_alpha_grid(
 
     `z` may also be a 1-d array of marks; the pre-image solve then runs once
     over all (node, mark) pairs and returns (alpha[l, r, j, m], tau[l, j, m]).
-    The operator build calls it this way, one block of marks at a time.  An
-    amplitude affine in the state gives the diagonal table
-    alpha[l, l] = tau'^(l+1) - 1 of its closed-form stack.
+    The operator build calls it this way, one block of marks at a time.  The
+    table comes from `_alpha_from_tau` for every amplitude; on the
+    closed-form stack of an amplitude affine in the state it is diagonal,
+    alpha[l, l] = tau'^(l+1) - 1, with +0.0 everywhere else.
     """
-    tau, slope = _jump_stack(coeffs, y, z, order + 1)
-    if slope is None:
-        return _alpha_from_tau(tau), tau
-    return _diagonal_alpha(slope, order, tau.shape[1:]), tau
+    tau = tau_stack_grid(coeffs, y, z, order + 1)
+    return _alpha_from_tau(tau), tau
 
 
 def transfer_beta_grid(

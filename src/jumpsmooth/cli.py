@@ -6,7 +6,8 @@ density under the adjoint generator, `kernels` builds and audits the
 filtered-kernel family, `certify` runs the sampling smoothness pipeline.
 
 Exit codes: 0 success, 1 an audit or certificate failed (the run itself was
-fine), 2 configuration problems, 3 numerical failure.  Every successful run
+fine) or the model was rejected, 2 configuration problems (found before any
+run), 3 numerical failure.  Every successful run
 writes a manifest.json with the config digest, seed, and output list so
 results can be traced back to their inputs.
 """
@@ -243,7 +244,7 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise ConfigError(f"--threads must be at least 1, got {args.threads}")
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, args.command)
         seed = args.seed if args.seed is not None else cfg.seed
         out_dir = Path(args.out if args.out is not None else cfg.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

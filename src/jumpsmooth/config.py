@@ -45,8 +45,11 @@ import yaml
 
 from . import presets
 from .diagnostics import _check_band
-from .errors import ConfigError, JumpsmoothError
-from .model import CoefficientSet, JumpMeasureSpec, _check_horizon, _require_positive
+from .errors import ConfigError, ContractError, JumpsmoothError
+from .kernels import _check_kernel_index, _kernel_indices
+from .model import (
+    CoefficientSet, JumpMeasureSpec, _check_drift_index, _check_horizon, _require_positive,
+)
 
 # family name -> preset class, read off the classes themselves
 _FAMILIES = {cls.family: cls for cls in presets.Function1D.__subclasses__()}
@@ -259,9 +262,43 @@ def _build_stanza(cls, node, path: str):
     return cls() if node is None else _build(cls, node, path)
 
 
-def load_config(path: str) -> ExperimentConfig:
+def _check_against_model(cfg: ExperimentConfig, command: str | None) -> None:
+    """Refuse, as a ConfigError at its stanza key, each stanza value that the
+    command hands to the model and the model refuses, by the rule the library
+    applies at run time: the kernel indices (`kernels`, `certify`, a filtered
+    `simulate`), and the drift surrogate and truncation indices of the
+    `simulation` or `evolution` stanza (`simulate`, `evolve`).  A command of
+    None checks every value."""
+
+    def refuse(key: str, rule, *args) -> None:
+        try:
+            rule(*args)
+        except ContractError as exc:
+            raise _fail(key, str(exc)) from None
+
+    coeffs, sim, ks = cfg.coeffs, cfg.simulation, cfg.kernels
+    every = command is None
+    filtered = sim.filter_n is not None and (every or command == "simulate")
+    if every or command in ("kernels", "certify") or filtered:
+        refuse("kernels.n_values", _kernel_indices, ks.n_values)
+    if filtered:
+        refuse("simulation.filter_n", _check_kernel_index, sim.filter_n, ks.n_values)
+    for stanza, node, runner in (("simulation", sim, "simulate"),
+                                 ("evolution", cfg.evolution, "evolve")):
+        if not (every or command == runner):
+            continue
+        if node.i is not None:
+            refuse(f"{stanza}.i", _check_drift_index, coeffs, node.i)
+        if node.trunc is not None:
+            refuse(f"{stanza}.trunc", coeffs.q.trunc_interval, node.trunc)
+
+
+def load_config(path: str, command: str | None = None) -> ExperimentConfig:
     """Parse and validate a YAML experiment file, with libyaml's safe
-    loader where PyYAML was built with it, else the pure-Python one."""
+    loader where PyYAML was built with it, else the pure-Python one.  The
+    stanza values that `command` (a CLI subcommand; None for all of them)
+    hands to the model and the model refuses are ConfigErrors here, before
+    any run."""
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
         with open(path, "r") as fh:
@@ -279,7 +316,7 @@ def load_config(path: str) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"{path}: unknown stanzas: {sorted(unknown)}")
     coeffs = build_model(raw["model"])
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         label=str(raw.get("label", coeffs.label or "experiment")),
         coeffs=coeffs,
         simulation=_build_stanza(SimulationStanza, raw.get("simulation"), "simulation"),
@@ -289,3 +326,5 @@ def load_config(path: str) -> ExperimentConfig:
         output_dir=str(raw.get("output", "out")),
         seed=_as_int(raw.get("seed", 0), "seed"),
     )
+    _check_against_model(cfg, command)
+    return cfg

@@ -27,12 +27,13 @@ interpolation weights) is folded once per grid into a sparse linear map on
 the flattened stack, kept as two CSR matrices (`scipy.sparse`, imported
 lazily at the first build): the drift pullback, which depends on i, and the
 jump pullback with its local loss, which does not.  The jump part solves the
-pre-images for a block of marks per call, in closed form for an amplitude
-affine in the state.  The stencils of every derivative block are merged by
-one sparse product: a stencil matrix with one column of 4 cubic weights per
-(node, mark) pair, times the (pair, block) coefficient matrix.  A time step
-is one CSR product per part.  `norm_growth_audit` builds the jump part once
-and derives its 2 i operator with `AdjointOperator.with_drift_index`.
+pre-images for a block of marks per call, in closed form (which decides only
+the stack) for an amplitude affine in the state.  The stencils of every
+derivative block are merged by one sparse product: a stencil matrix with one
+column of 4 cubic weights per (node, mark) pair, times the (pair, block)
+coefficient matrix.  A time step is one CSR product per part.
+`norm_growth_audit` builds the jump part once and derives its 2 i operator
+with `AdjointOperator.with_drift_index`.
 `evolve` repeats the run at half the step on the same map to estimate its
 own time-discretisation error.
 """
@@ -42,11 +43,10 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, replace
-from math import comb
 
 import numpy as np
 
-from .calculus import transfer_alpha_grid, transfer_beta_grid
+from .calculus import _leibniz_terms, transfer_alpha_grid, transfer_beta_grid
 from .errors import (
     ContractError,
     DivergenceError,
@@ -210,10 +210,10 @@ class AdjointOperator:
     where entry ``l * size + j`` is the l-th derivative at node j: `drift`
     (index i) and `jump` (with the local loss; it does not depend on i).  The
     jump part solves the pre-images of `JUMP_BLOCK_MARKS` marks per
-    `transfer_alpha_grid` call (for an amplitude affine in the state,
-    h = A(z) + B(z) y, the closed form tau = (y - A) / (1 + B) with a
-    diagonal table).  Each part merges the stencils of all its
-    derivative blocks (l, r) in one sparse product (`_merge_stencils`).
+    `transfer_alpha_grid` call, whose table takes one path for every
+    amplitude (an affine one, h = A(z) + B(z) y, only has the closed-form
+    stack).  Each part merges the stencils of all its derivative blocks
+    (l, r) in one sparse product (`_merge_stencils`).
     `apply` is one CSR product per part.
     `with_drift_index` gives the operator at another index that shares this
     one's jump part.
@@ -282,8 +282,8 @@ class AdjointOperator:
         `JUMP_BLOCK_MARKS` marks per `transfer_alpha_grid` call."""
         coeffs, grid, k, n = self.coeffs, self.grid, self.k, self.size
         pairs = _block_pairs(k)
-        # coef[..., b] for block (l, r0) = pairs[b]:
-        # sum_r (delta_lr + alpha[l, r]) C(r, r0) gamma^(r - r0)(tau)
+        # coef[..., b] for block (l, r0) = pairs[b], with gam[r][r0] =
+        # C(r, r0) gamma^(r - r0)(tau):  gam[l][r0] + sum_r alpha[l, r] gam[r][r0]
         coef = np.empty((n, z.size, len(pairs)))
         tau0 = np.empty((n, z.size))
         blocks = [slice(start, start + JUMP_BLOCK_MARKS)
@@ -291,13 +291,13 @@ class AdjointOperator:
         for cut in blocks:
             alpha, tau = transfer_alpha_grid(coeffs, grid, z[cut], k)
             tau0[:, cut] = tau[0]
-            gamma_tau = coeffs.gamma.stack(tau[0], k)
+            gam = _leibniz_terms(coeffs.gamma.stack(tau[0], k))
             # block-major here, so that coef takes one pair-major copy
             chunk = np.empty((len(pairs),) + tau[0].shape)
             for b, (l, r0) in enumerate(pairs):
-                c = comb(l, r0) * gamma_tau[l - r0]
+                c = gam[l][r0]
                 for r in range(r0, l + 1):
-                    c = c + alpha[l, r] * (comb(r, r0) * gamma_tau[r - r0])
+                    c = c + alpha[l, r] * gam[r][r0]
                 chunk[b] = c
             coef[:, cut] = chunk.transpose(1, 2, 0)
         # the stencils of the pre-images, their weights times the mark
@@ -322,12 +322,12 @@ class AdjointOperator:
                 "window at interior states; widen the window"
             )
         parts = self._merge_stencils(base, w, coef)
-        # local loss -qmass (gamma g)^(l), Leibniz over the stacks
+        # local loss -qmass (gamma g)^(l): (C(l, r) (-qmass)) gamma^(l - r)
         nodes = np.arange(n)
+        loss = _leibniz_terms(np.full(k + 1, -self.qmass))
         gamma_grid = coeffs.gamma.stack(grid, k)
         for l, r in pairs:
-            data = -self.qmass * comb(l, r) * gamma_grid[l - r]
-            parts.append((l * n + nodes, r * n + nodes, data))
+            parts.append((l * n + nodes, r * n + nodes, loss[l][r] * gamma_grid[l - r]))
         return self._csr(parts)
 
     def _csr(self, parts: list):

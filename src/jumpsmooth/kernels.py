@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import _bracketed_newton, _compose_values, _invert_values, _leibniz_row
+from .calculus import _bracketed_newton, _compose_values, _invert_values, leibniz_product
 from .errors import (
     ContractError,
     DegenerateKernelError,
@@ -179,7 +179,7 @@ class _Kernel:
         outer = self.phi.stack(w, order)
         comp = _compose_values(outer, inv[: order + 1])
         dW = self.sign * inv[1:]  # |W'| and its derivatives
-        return np.stack([_leibniz_row(comp, dW, l) for l in range(order + 1)]), fwd
+        return leibniz_product(comp, dW), fwd
 
     def stack(self, u_pts, order: int) -> np.ndarray:
         """Derivative stack (orders 0..order) of the density mu_n(y, .) at
@@ -443,8 +443,7 @@ class KernelDecomposition:
         states.  The rate quadratures run once per passing (n, trunc)."""
         if self.coeffs is not coeffs:
             raise ContractError("kernel decomposition was built for a different model")
-        if n not in self.n_values:
-            raise ContractError(f"kernel index {n} was not declared in the decomposition")
+        _check_kernel_index(n, self.n_values)
         if (n, trunc) in self._rate_audited:
             return
         interval = coeffs.q.trunc_interval(trunc)
@@ -468,6 +467,21 @@ class KernelDecomposition:
         }
 
 
+def _kernel_indices(n_values) -> tuple[int, ...]:
+    """The declared kernel indices, sorted; ContractError unless they are
+    positive integers."""
+    n_values = tuple(sorted(int(n) for n in n_values))
+    if not n_values or n_values[0] < 1:
+        raise ContractError("kernel indices must be positive integers")
+    return n_values
+
+
+def _check_kernel_index(n: int, n_values) -> None:
+    """ContractError unless n is one of the declared kernel indices."""
+    if n not in n_values:
+        raise ContractError(f"kernel index {n} was not declared in the decomposition")
+
+
 def make_kernels(
     coeffs: CoefficientSet,
     n_values,
@@ -479,9 +493,7 @@ def make_kernels(
     displacement map at every audit state, and a finite mark density >= 1 on
     every cutoff window (needed for the filter ratio to be a probability).
     """
-    n_values = tuple(sorted(int(n) for n in n_values))
-    if not n_values or n_values[0] < 1:
-        raise ContractError("kernel indices must be positive integers")
+    n_values = _kernel_indices(n_values)
     y_grid = coeffs.y_audit_grid()
     # the states that pass construction have their density checked first, so
     # failures come in state order

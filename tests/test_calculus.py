@@ -117,6 +117,37 @@ def test_leibniz_product_polynomial_oracle():
         assert np.allclose(got, oracle, rtol=1e-12, atol=1e-12)
 
 
+def test_leibniz_terms_are_binomials_times_the_stack():
+    rng = np.random.default_rng(11)
+    s = rng.normal(size=(6, 3, 2))
+    terms = js.calculus._leibniz_terms(s)
+    assert [len(row) for row in terms] == [1, 2, 3, 4, 5, 6]
+    for l, row in enumerate(terms):
+        for r, entry in enumerate(row):
+            assert entry.tobytes() == (math.comb(l, r) * s[l - r]).tobytes()
+    assert len(js.calculus._leibniz_terms(s, 3)) == 4
+
+
+def _leibniz_row(a, b, n):
+    # the per-row product formula that `_leibniz_terms` replaced
+    acc = 0.0
+    for j in range(n + 1):
+        acc = acc + math.comb(n, j) * a[j] * b[n - j]
+    return acc
+
+
+@pytest.mark.parametrize("rows", [(6, 6), (4, 7), (7, 3)])
+def test_leibniz_product_matches_the_row_formula_on_broadcast_stacks(rows):
+    rng = np.random.default_rng(sum(rows))
+    a = rng.normal(size=(rows[0], 5, 1))
+    b = rng.normal(size=(rows[1], 1, 4))
+    got = js.leibniz_product(a, b)
+    order = min(rows) - 1
+    assert got.shape == (order + 1, 5, 4)
+    want = np.stack([_leibniz_row(a, b, n) for n in range(order + 1)])
+    assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # inverse_derivatives
 # ---------------------------------------------------------------------------
@@ -515,6 +546,24 @@ def test_closed_form_transfer_table_is_diagonal():
     assert not np.any(one.tau_stack.values[2:])
 
 
+@pytest.mark.parametrize("order", [3, 6])
+def test_closed_form_table_is_plus_zero_off_the_diagonal(order):
+    # the one table path on an affine stack: every off-diagonal entry is a
+    # sum of products that hold a +0.0 row, for slopes 1 + B above and below 1
+    y = np.linspace(-6.0, 6.0, 17)
+    z = np.linspace(0.01, 4.0, 5)
+    for scale in (0.3, -0.3):
+        h = js.JumpAmplitude(((js.Affine(0.1, scale), js.ExpDecay(1.0, 1.0)),))
+        alpha, tau = js.transfer_alpha_grid(dataclasses.replace(_affine_model(), h=h), y, z, order)
+        assert not np.any(tau[2:])
+        for l in range(order + 1):
+            for r in range(order + 1):
+                if r != l:
+                    assert not np.any(alpha[l, r]), (l, r)
+                    assert not np.any(np.signbit(alpha[l, r])), (l, r)
+            np.testing.assert_array_equal(alpha[l, l], tau[1] ** (l + 1) - 1.0)
+
+
 @pytest.mark.parametrize("slope", [0.5 * SINGULAR_SLOPE, 0.0, -0.5, math.nan])
 def test_closed_form_refuses_a_flat_slope_before_evaluating_the_map(monkeypatch, slope):
     # h = (slope - 1) y on the marks [1, 2): 1 + B = slope there, 1 elsewhere
@@ -538,7 +587,10 @@ def test_closed_form_refuses_a_flat_slope_before_evaluating_the_map(monkeypatch,
             call(newton)
         want.append((type(err.value), str(err.value)))
     if slope > 0.0:
-        assert set(want) == {(js.NearSingularError, "map slope below 1e-10 at component 0")}
+        # the C-order flat index of the first flat (node, mark) component:
+        # the second mark of node 0 in the two-mark call
+        assert want == [(js.NearSingularError, f"map slope below 1e-10 at component {c}")
+                        for c in (1, 0, 0, 0)]
     else:
         assert set(want) == {(js.DomainEscapeError, (
             "could not bracket the pre-image: monotonicity or the jump size bound "

@@ -16,6 +16,7 @@ import yaml
 from jumpsmooth import cli
 from jumpsmooth.cli import main
 from jumpsmooth.config import build_model, load_config
+from jumpsmooth.errors import ConfigError
 from jumpsmooth.simulate import flow_step
 
 
@@ -224,6 +225,53 @@ def test_out_of_range_stanza_values_exit_2(tmp_path, capsys, command, stanza, ke
     assert main([command, "--config", _write(tmp_path, cfg)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and f"{stanza}: {message}" in err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, key, bad, message",
+    [
+        ("simulate", "simulation.filter_n", 3, "kernel index 3 was not declared"),
+        ("simulate", "simulation.trunc", 9, "truncation index 9 outside 1..3"),
+        ("evolve", "evolution.trunc", 9, "truncation index 9 outside 1..3"),
+        ("simulate", "simulation.i", 0, "drift surrogate index i=0 below i0=1"),
+        ("evolve", "evolution.i", 0, "drift surrogate index i=0 below i0=1"),
+        ("kernels", "kernels.n_values", [0, 2], "kernel indices must be positive integers"),
+    ],
+)
+def test_values_the_model_refuses_exit_2_before_any_output(tmp_path, capsys, command, key,
+                                                          bad, message):
+    # each is checked at load by the rule the run would apply, and named by
+    # its stanza key
+    out = tmp_path / "out"
+    cfg = _base_config(out)
+    _set(cfg, key, bad)
+    path = _write(tmp_path, cfg)
+    assert main([command, "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {key}: {message}" in err
+    assert not out.exists() or not any(out.iterdir())
+    # without a command, every value is checked
+    with pytest.raises(ConfigError, match=f"^{key}: {message}"):
+        load_config(path)
+
+
+def test_a_coefficient_not_finite_on_the_audit_window_exits_1(tmp_path, capsys):
+    cfg = _base_config(tmp_path / "out")
+    cfg["model"]["rate"] = {"family": "constant", "c": float("inf")}
+    assert main(["check", "--config", _write(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "model rejected: InvalidModelError: jump rate derivative 0 non-finite" in err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_any_other_package_error_exits_1(tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise cli.JumpsmoothError("unclassified")
+
+    monkeypatch.setattr(cli, "_cmd_check", fail)
+    assert main(["check", "--config", _write(tmp_path, _base_config(tmp_path / "out"))]) == 1
+    assert capsys.readouterr().err == "error: JumpsmoothError: unclassified\n"
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 

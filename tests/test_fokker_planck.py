@@ -251,6 +251,48 @@ def test_stencil_merge_matches_per_block_bincount(request, monkeypatch, setting)
         assert a.data.tobytes() == b.data.tobytes()
 
 
+def _inline_binomial_coef(alpha, gamma_tau, k):
+    # the block-coefficient loop that the Leibniz helper replaced, binomials
+    # inline: block (l, r0) is sum_r (delta_lr + alpha[l, r]) C(r, r0)
+    # gamma^(r - r0)(tau), stacked over `_block_pairs(k)`
+    chunk = []
+    for l, r0 in js.fokker_planck._block_pairs(k):
+        c = math.comb(l, r0) * gamma_tau[l - r0]
+        for r in range(r0, l + 1):
+            c = c + alpha[l, r] * (math.comb(r, r0) * gamma_tau[r - r0])
+        chunk.append(c)
+    return np.stack(chunk)
+
+
+@pytest.mark.parametrize("name", ["wobble", "power"])
+def test_k3_jump_build_matches_the_inline_binomial_loops(monkeypatch, name):
+    # at k = 3 the binomials are not all powers of 2, so each product's
+    # rounding shows: the block coefficients and the local loss must repeat
+    # the inline loops to the byte
+    model, init, cfg = _bench_evolution(name)
+    model = dataclasses.replace(model, k=3)
+    g = js.gaussian_density((init.lo, init.hi), 256, 3, sigma=0.5)
+    tables, merged, assembled = [], [], []
+    solve = js.fokker_planck.transfer_alpha_grid
+    monkeypatch.setattr(js.fokker_planck, "transfer_alpha_grid",
+                        lambda *a: tables.append(solve(*a)) or tables[-1])
+    merge, csr = js.AdjointOperator._merge_stencils, js.AdjointOperator._csr
+    monkeypatch.setattr(js.AdjointOperator, "_merge_stencils",
+                        lambda self, base, w, coef: merged.append(coef) or merge(self, base, w, coef))
+    monkeypatch.setattr(js.AdjointOperator, "_csr",
+                        lambda self, parts: assembled.append(parts) or csr(self, parts))
+    op = js.AdjointOperator(model, g, dataclasses.replace(cfg, quad_nodes=64))
+    want = np.concatenate([_inline_binomial_coef(alpha, model.gamma.stack(tau[0], 3), 3)
+                           for alpha, tau in tables], axis=-1)
+    # the last merge and the last assembly are the jump part's
+    assert merged[-1].transpose(2, 0, 1).tobytes() == want.tobytes()
+    pairs = js.fokker_planck._block_pairs(3)
+    gamma_grid = model.gamma.stack(op.grid, 3)
+    loss = [triple[2] for triple in assembled[-1][-len(pairs):]]
+    for (l, r), got in zip(pairs, loss):
+        assert got.tobytes() == (-op.qmass * math.comb(l, r) * gamma_grid[l - r]).tobytes()
+
+
 @pytest.mark.parametrize("name", ["wobble", "power"])
 def test_build_takes_one_rate_stack_per_mark_block(monkeypatch, name):
     # the rate's derivatives at the pre-images come from one stack per block
