@@ -227,12 +227,12 @@ def _invert_values(forward: np.ndarray, slope_floor: float = SINGULAR_SLOPE) -> 
     return tau
 
 
-def inverse_derivatives(forward: DerivativeStack, order: int | None = None) -> DerivativeStack:
+def inverse_derivatives(forward: DerivativeStack) -> DerivativeStack:
     """Derivative stack of the inverse map at the image point.
 
-    ``forward`` holds f and its derivatives at tau0; the result holds the
-    inverse map tau and its derivatives at y0 = f(tau0), so
-    ``result.values[0] == forward.point``.
+    ``forward`` holds f and its derivatives at tau0, to an order of at least
+    1; the result holds the inverse map tau and its derivatives at
+    y0 = f(tau0) to the same order, so ``result.values[0] == forward.point``.
 
     >>> st = inverse_derivatives(DerivativeStack(0.0, np.array([0.0, 1.0, 2.0, 0.0])))
     >>> st.values
@@ -241,15 +241,9 @@ def inverse_derivatives(forward: DerivativeStack, order: int | None = None) -> D
     >>> ex.values  # inverse of exp at 1 is log
     array([ 0.,  1., -1.,  2.])
     """
-    if order is None:
-        order = forward.order
-    if order > forward.order:
-        raise ContractError(
-            f"requested inverse order {order} exceeds forward stack order {forward.order}"
-        )
-    if order < 1:
+    if forward.order < 1:
         raise ContractError("inverse stack order must be >= 1")
-    tau = _invert_values(forward.values[: order + 1])
+    tau = _invert_values(forward.values)
     tau[0] = forward.point
     return DerivativeStack(float(forward.values[0]), tau)
 

@@ -141,6 +141,13 @@ def sobolev_norm(density: GridDensity, order: int | None = None) -> float:
 QUAD_PANELS = 8
 # Share of the stability budget that the default step uses.
 STABILITY_MARGIN = 0.9
+# Budgets of the discretisation, not parameters of the model: the mass drift
+# allowed per unit horizon, and the largest share of transported mark mass
+# that may read outside the window at an interior state.
+MASS_TOL = 1e-4
+ESCAPE_TOL = 0.5
+# Evenly spaced checkpoints of `norm_growth_audit` after t = 0.
+NORM_CHECKPOINTS = 10
 
 
 @dataclass(frozen=True)
@@ -152,17 +159,16 @@ class EvolutionConfig:
     ``None`` picks the largest step inside the stability budget
     dt * (2 i + 2 sup(gamma) q(G)) <= 0.5, scaled by STABILITY_MARGIN.
     ``quad_nodes`` is the node count of the mark quadrature, in QUAD_PANELS
-    panels.  Mass drift beyond ``mass_tol`` per unit horizon raises; an
-    interior escape fraction above ``escape_tol`` means the window is too
-    small.  The inverse maps are solved to the calculus default tolerance.
+    panels.  The budgets that guard the discretisation are module constants:
+    mass drift beyond MASS_TOL per unit horizon raises, and an interior
+    escape fraction above ESCAPE_TOL means the window is too small.  The
+    inverse maps are solved to the calculus default tolerance.
     """
 
     i: int
     dt: float | None = None
     trunc: int | None = None
     quad_nodes: int = 256
-    mass_tol: float = 1e-4
-    escape_tol: float = 0.5
 
 
 def _interp_weights(points: np.ndarray, lo: float, spacing: float, size: int):
@@ -243,9 +249,9 @@ class AdjointOperator:
         wq = w * rho
         self.qmass = float(np.sum(wq))
         self.gamma_sup = coeffs.gamma_sup()
-        self.jump_active = self.qmass > 0.0 and self.gamma_sup > 0.0
         self.escape_fraction = 0.0
-        self.jump = self._jump_part(z, wq, cfg.escape_tol) if self.jump_active else self._csr([])
+        jumps = self.qmass > 0.0 and self.gamma_sup > 0.0
+        self.jump = self._jump_part(z, wq) if jumps else self._csr([])
 
     def with_drift_index(self, i: int) -> "AdjointOperator":
         """The operator at drift surrogate index i on the same grid and marks.
@@ -258,8 +264,7 @@ class AdjointOperator:
         """Drift pullback i [g(tau_i) tau_i' - g], skipped for a zero drift."""
         self.cfg = cfg
         self.i = int(cfg.i)
-        self.drift_active = not self.coeffs.b.is_zero
-        if not self.drift_active:
+        if self.coeffs.b.is_zero:
             # transfer_beta_grid checks the index of a nonzero drift
             _check_drift_index(self.coeffs, self.i)
             self.drift = self._csr([])
@@ -277,7 +282,7 @@ class AdjointOperator:
             parts.append((l * n + nodes, l * n + nodes, np.full(n, -float(self.i))))
         self.drift = self._csr(parts)
 
-    def _jump_part(self, z: np.ndarray, wq: np.ndarray, escape_tol: float):
+    def _jump_part(self, z: np.ndarray, wq: np.ndarray):
         """Jump pullback and local loss, with the mark pre-images solved
         `JUMP_BLOCK_MARKS` marks per `transfer_alpha_grid` call."""
         coeffs, grid, k, n = self.coeffs, self.grid, self.k, self.size
@@ -316,7 +321,7 @@ class AdjointOperator:
         escape = (~inside * wq[None, :]).sum(axis=1) / max(self.qmass, 1e-300)
         inner = slice(n // 5, n - n // 5)
         self.escape_fraction = float(np.max(escape[inner]))
-        if self.escape_fraction > escape_tol:
+        if self.escape_fraction > ESCAPE_TOL:
             raise WindowTooSmallError(
                 f"{self.escape_fraction:.2%} of transported mark mass leaves the "
                 "window at interior states; widen the window"
@@ -452,11 +457,11 @@ class EvolutionResult:
         return float(np.max(np.abs(self.masses - self.masses[0])))
 
 
-def _checked_step(op: AdjointOperator, cfg: EvolutionConfig) -> float:
-    """The configured (or largest stable) step.  A step that is not positive
-    and finite is refused; one beyond the stability budget raises."""
+def _checked_step(op: AdjointOperator) -> float:
+    """The step of `op.cfg` (or the largest stable one).  A step that is not
+    positive and finite is refused; one beyond the stability budget raises."""
     dt_cap = 0.5 / op.lipschitz_bound
-    dt = op.stable_dt() if cfg.dt is None else float(cfg.dt)
+    dt = op.stable_dt() if op.cfg.dt is None else float(op.cfg.dt)
     _require_positive(dt, "dt")
     if dt > dt_cap * (1.0 + 1e-12):
         raise StabilityError(
@@ -471,14 +476,13 @@ def _euler(
     initial: GridDensity,
     t_end: float,
     dt: float,
-    cfg: EvolutionConfig,
     snapshot_times: list[float] | tuple[float, ...] = (),
 ):
     """Explicit Euler steps of `op` from `initial` to t_end.
 
     Returns (final, snapshots, times, masses).  Sorted snapshot times are hit
-    exactly with shortened steps; mass drift beyond the budget and
-    non-finite values raise.
+    exactly with shortened steps; mass drift beyond MASS_TOL * max(1, t_end)
+    and non-finite values raise.
     """
     vals = initial.values.copy()
     t = 0.0
@@ -500,10 +504,10 @@ def _euler(
         mass = float(np.trapezoid(vals[0], dx=initial.spacing))
         times.append(t)
         masses.append(mass)
-        if abs(mass - masses[0]) > cfg.mass_tol * max(1.0, t_end):
+        if abs(mass - masses[0]) > MASS_TOL * max(1.0, t_end):
             raise MassConservationError(
                 f"mass drifted by {abs(mass - masses[0]):.3e} at t={t:.4f} "
-                f"(budget {cfg.mass_tol:.1e} per unit horizon)"
+                f"(budget {MASS_TOL:.1e} per unit horizon)"
             )
         if pending and t >= pending[0] - 1e-12:
             snaps.append(GridDensity(initial.lo, initial.hi, vals.copy(), initial.time + t))
@@ -523,21 +527,23 @@ def evolve(
     """Explicit Euler evolution of the density stack to time t_end.
 
     Snapshot times are hit exactly with shortened steps.  Mass is tracked at
-    every step; drift beyond ``cfg.mass_tol * max(1, t_end)`` raises (the
-    window or step budget is inadequate), as does any non-finite value.  A
-    companion run at dt / 2 on the same operator gives ``time_error``.
+    every step; drift beyond ``MASS_TOL * max(1, t_end)`` raises (the
+    window or step budget is inadequate), as does any non-finite value, and
+    an interior escape fraction above ESCAPE_TOL raises WindowTooSmallError
+    in the build.  A companion run at dt / 2 on the same operator gives
+    ``time_error``.
     """
     _check_horizon(t_end)
     op = AdjointOperator(coeffs, initial, cfg)
-    dt = _checked_step(op, cfg)
+    dt = _checked_step(op)
 
     wanted = sorted(set(float(s) for s in snapshot_times))
     for s in wanted:
         if s < 0 or s > t_end + 1e-12:
             raise ContractError(f"snapshot time {s} outside [0, {t_end}]")
 
-    final, snaps, times, masses = _euler(op, initial, t_end, dt, cfg, wanted)
-    half = _euler(op, initial, t_end, 0.5 * dt, cfg)[0]
+    final, snaps, times, masses = _euler(op, initial, t_end, dt, wanted)
+    half = _euler(op, initial, t_end, 0.5 * dt)[0]
     gap = np.trapezoid(np.abs(final.values[0] - half.values[0]), dx=initial.spacing)
     return EvolutionResult(
         final=final,
@@ -567,7 +573,7 @@ def picard_validate(
     """
     _check_horizon(t_short, "t_short")
     op = AdjointOperator(coeffs, initial, cfg)
-    euler_dt = _checked_step(op, cfg)
+    euler_dt = _checked_step(op)
     sweeps, time_nodes = 4, 17
     if t_short > 4.0 * op.stable_dt() * (time_nodes - 1):
         raise ContractError("picard horizon too long for the 17-node time grid")
@@ -584,7 +590,7 @@ def picard_validate(
             new_states.append(initial.values + acc)
         states = new_states
     picard_final = GridDensity(initial.lo, initial.hi, states[-1], initial.time + t_short)
-    euler = _euler(op, initial, t_short, euler_dt, cfg)[0]
+    euler = _euler(op, initial, t_short, euler_dt)[0]
     gap = float(
         np.trapezoid(np.abs(picard_final.values[0] - euler.values[0]), dx=initial.spacing)
     )
@@ -620,12 +626,12 @@ def norm_growth_audit(
     initial: GridDensity,
     t_end: float,
     cfg: EvolutionConfig,
-    checkpoints: int = 10,
 ) -> dict:
     """Envelope audit of the Sobolev norm along the evolution.
 
-    Evolves at the configured surrogate index i and at 2 i, fits the
-    exponential growth rate on the first quarter of each run, and checks
+    Evolves at the configured surrogate index i and at 2 i, reads the norm
+    at t = 0 and at NORM_CHECKPOINTS evenly spaced times up to t_end, fits
+    the exponential growth rate on the first quarter of each run, and checks
     (a) every later checkpoint sits below norm(0) * exp(1.1 * fitted * t) and
     (b) the fitted rate moves by at most 20% (absolute floor 0.1) when i
     doubles.  The 2 i operator is derived from the i operator with
@@ -645,12 +651,12 @@ def norm_growth_audit(
             f"norm_growth_audit runs at the stable step of each index; got dt={cfg.dt!r}"
         )
     _check_horizon(t_end)
-    ts = np.linspace(0.0, t_end, checkpoints + 1)
+    ts = np.linspace(0.0, t_end, NORM_CHECKPOINTS + 1)
     report: dict = {"t": [float(v) for v in ts], "passed": False}
 
     def run(op: AdjointOperator):
         # only the checkpoints are used, so no dt/2 companion run for time_error
-        snaps = _euler(op, initial, t_end, _checked_step(op, op.cfg), op.cfg, ts.tolist())[1]
+        snaps = _euler(op, initial, t_end, _checked_step(op), ts.tolist())[1]
         norms = np.array([sobolev_norm(s) for s in snaps])
         if not np.all(np.isfinite(norms)):
             raise DivergenceError("norm became non-finite along the run")

@@ -469,12 +469,7 @@ def _envelope(table: np.ndarray, y: np.ndarray, p: float, ns, theta: float):
 AUDIT_BLOCK_STATES = 16
 
 
-def check_B(
-    coeffs: CoefficientSet,
-    n_max: int,
-    theta: float,
-    quadrature: QuadratureSpec | None = None,
-) -> AssumptionReport:
+def check_B(coeffs: CoefficientSet, n_max: int, theta: float) -> AssumptionReport:
     """Inversion-budget audit for the regularizing kernels.
 
     For each kernel index n and audit state y, integrates |dh/dz|^(-2k) over
@@ -486,10 +481,11 @@ def check_B(
     mark density dominates Lebesgue measure on the windows, which the kernel
     construction needs.
 
-    The states are audited in blocks of `AUDIT_BLOCK_STATES`: one broadcast
-    `gauss_panels` call maps the rule onto every (state, n) window of a block,
-    and dh/dz, the integrand and the mark density are evaluated once on the
-    (states, n, nodes) array.  Failures are raised in state order, as a
+    Each window takes the default `QuadratureSpec` rule (256 nodes in 8
+    panels).  The states are audited in blocks of `AUDIT_BLOCK_STATES`: one
+    broadcast `gauss_panels` call maps the rule onto every (state, n) window
+    of a block, and dh/dz, the integrand and the mark density are evaluated
+    once on the (states, n, nodes) array.  Failures are raised in state order, as a
     state-by-state audit meets them.  Within a state, a non-positive rate
     (`_frame`'s InvalidModelError) comes first, then an empty window
     (ContractError), then the first n, then node, where |dh/dz| < 1e-12
@@ -502,7 +498,7 @@ def check_B(
         raise ContractError("check_B needs n_max >= 2")
     if theta < 0:
         raise ContractError("theta must be >= 0")
-    quadrature = quadrature or QuadratureSpec()
+    quadrature = QuadratureSpec()
     y = coeffs.y_audit_grid()
     ns = np.arange(1, n_max + 1)
     sigma = coeffs.q.direction

@@ -712,9 +712,9 @@ def estimate_density(
     size: int = 512,
     order: int = 0,
     bandwidth: float | None = None,
-    time: float = 0.0,
 ) -> GridDensity:
-    """Gaussian kernel density (with derivative rows) from terminal samples.
+    """Gaussian kernel density (with derivative rows) from terminal samples,
+    as a `GridDensity` at time 0.
 
     Bandwidth defaults to the Silverman rule; a near-zero sample spread means
     the law has (numerically) an atom and no density estimate is meaningful.
@@ -774,16 +774,16 @@ def estimate_density(
         raise WindowTooSmallError(
             f"estimation window holds only {mass:.3f} of the sample mass"
         )
-    return GridDensity(lo, hi, stack / mass, time)
+    return GridDensity(lo, hi, stack / mass)
 
 
-def histogram_density(samples, window: tuple[float, float], bins: int = 64, time: float = 0.0) -> GridDensity:
-    """Bin-averaged density on bin centers; no derivative rows."""
+def histogram_density(samples, window: tuple[float, float], bins: int = 64) -> GridDensity:
+    """Bin-averaged density on bin centers at time 0; no derivative rows."""
     s = _finite_samples(samples)
     counts, edges = np.histogram(s, bins=bins, range=(float(window[0]), float(window[1])))
     centers = 0.5 * (edges[1:] + edges[:-1])
     vals = counts / (s.size * np.diff(edges))
-    return GridDensity(float(centers[0]), float(centers[-1]), vals[None, :], time)
+    return GridDensity(float(centers[0]), float(centers[-1]), vals[None, :])
 
 
 @dataclass(frozen=True)

@@ -388,7 +388,7 @@ def test_norm_growth_audit_builds_the_jump_part_once(wobble_model, monkeypatch):
     jump_parts = _counting(monkeypatch, "transfer_alpha_grid")
     init = js.gaussian_density((-8.0, 8.0), 256, order=2, sigma=0.8)
     cfg = js.EvolutionConfig(i=8, trunc=3)
-    report = js.norm_growth_audit(wobble_model, init, 0.3, cfg, checkpoints=6)
+    report = js.norm_growth_audit(wobble_model, init, 0.3, cfg)
     assert report["status"] == "ok"
     # one jump part: one pass over the marks in blocks, shared by i and 2 i
     assert len(jump_parts) == math.ceil(cfg.quad_nodes / js.fokker_planck.JUMP_BLOCK_MARKS)
@@ -540,19 +540,19 @@ def test_norm_growth_audit_runs_one_euler_pass_per_index(wobble_model, monkeypat
     calls = []
     euler = js.fokker_planck._euler
 
-    def counting(op, initial, t_end, dt, cfg, snapshot_times=()):
-        calls.append((cfg, dt, op.stable_dt(), len(snapshot_times)))
-        return euler(op, initial, t_end, dt, cfg, snapshot_times)
+    def counting(op, initial, t_end, dt, snapshot_times=()):
+        calls.append((op.cfg, dt, op.stable_dt(), len(snapshot_times)))
+        return euler(op, initial, t_end, dt, snapshot_times)
 
     monkeypatch.setattr(js.fokker_planck, "_euler", counting)
     init = js.gaussian_density((-8.0, 8.0), 256, order=2, sigma=0.8)
-    cfg = js.EvolutionConfig(i=8, trunc=3, quad_nodes=128, mass_tol=1e-3)
-    report = js.norm_growth_audit(wobble_model, init, 0.3, cfg, checkpoints=6)
+    cfg = js.EvolutionConfig(i=8, trunc=3, quad_nodes=128)
+    report = js.norm_growth_audit(wobble_model, init, 0.3, cfg)
     assert report["status"] == "ok"
     assert [c[0] for c in calls] == [
         dataclasses.replace(cfg, i=8), dataclasses.replace(cfg, i=16)
     ]
-    assert all(dt == stable and snaps == 7 for _, dt, stable, snaps in calls)
+    assert all(dt == stable and snaps == 11 for _, dt, stable, snaps in calls)
 
 
 def test_evolve_rejects_unstable_step(wobble_model):
@@ -564,7 +564,7 @@ def test_evolve_rejects_unstable_step(wobble_model):
 def test_evolve_window_escape_raises():
     m = _translate_model(2.0)
     init = js.gaussian_density((-2.0, 2.0), 256, order=2, sigma=0.5)
-    cfg = js.EvolutionConfig(i=50, trunc=1, escape_tol=1e-3)
+    cfg = js.EvolutionConfig(i=50, trunc=1)
     with pytest.raises((js.WindowTooSmallError, js.MassConservationError)):
         js.evolve(m, init, 2.0, cfg)
 
@@ -631,7 +631,7 @@ def test_norm_growth_audit_refuses_a_set_dt(wobble_model):
 def test_norm_growth_audit_reports_numerical_failure():
     m = _translate_model(2.0)
     init = js.gaussian_density((-2.0, 2.0), 256, order=2, sigma=0.5)
-    rep = js.norm_growth_audit(m, init, 2.0, js.EvolutionConfig(i=50, trunc=1, escape_tol=1e-3))
+    rep = js.norm_growth_audit(m, init, 2.0, js.EvolutionConfig(i=50, trunc=1))
     assert rep["status"] == "numerical_failure"
     assert not rep["passed"]
 
