@@ -57,10 +57,10 @@ from .errors import (
     WindowTooSmallError,
 )
 from .model import (
-    CoefficientSet, _check_drift_index, _check_horizon, _require_finite, _require_positive,
-    gauss_panels,
+    CoefficientSet, _check_drift_index, _check_horizon, _require_finite, _require_int,
+    _require_positive, gauss_panels,
 )
-from .presets import Function1D, GaussBump
+from .presets import Function1D, GaussBump, _check_order
 
 
 @dataclass
@@ -117,16 +117,20 @@ class GridDensity:
 def gaussian_density(
     window: tuple[float, float], size: int, order: int, mean: float = 0.0, sigma: float = 1.0
 ) -> GridDensity:
-    """Unit-mass Gaussian bump with analytic derivative stack."""
+    """Unit-mass Gaussian bump with analytic derivative stack; `sigma` must
+    be positive and finite."""
+    _require_positive(sigma, "sigma")
     amp = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
     bump = GaussBump(amp=amp, center=mean, width=sigma * math.sqrt(2.0))
     return GridDensity.from_function(bump, window, size, order)
 
 
 def sobolev_norm(density: GridDensity, order: int | None = None) -> float:
-    """Sum over derivative orders 0..order of the trapezoidal L1 norm."""
+    """Sum over derivative orders 0..order of the trapezoidal L1 norm.  The
+    order, the stack's by default, is an integer from 0 to the stack's."""
     if order is None:
         order = density.order
+    _check_order(order)
     if order > density.order:
         raise ContractError(
             f"requested norm order {order} exceeds stack order {density.order}"
@@ -263,7 +267,7 @@ class AdjointOperator:
     def _set_drift(self, cfg: EvolutionConfig) -> None:
         """Drift pullback i [g(tau_i) tau_i' - g], skipped for a zero drift."""
         self.cfg = cfg
-        self.i = int(cfg.i)
+        self.i = cfg.i
         if self.coeffs.b.is_zero:
             # transfer_beta_grid checks the index of a nonzero drift
             _check_drift_index(self.coeffs, self.i)
@@ -421,7 +425,8 @@ def apply_generator(coeffs: CoefficientSet, phi, y: np.ndarray, cfg: EvolutionCo
     """
     phi = getattr(phi, "value", phi)
     y = np.asarray(y, dtype=float)
-    i = int(cfg.i)
+    i = cfg.i
+    _require_int(i, "drift surrogate index i")
     out = i * (phi(y + np.asarray(coeffs.b.value(y)) / i) - phi(y))
     trunc = coeffs.q.resolve_trunc(cfg.trunc)
     zlo, zhi = coeffs.q.trunc_interval(trunc)

@@ -53,7 +53,7 @@ from .errors import (
     MassBracketError,
     ResolutionError,
 )
-from .model import CoefficientSet, _envelope, _frame, _require_finite, gauss_panels
+from .model import CoefficientSet, _envelope, _frame, _require_finite, _require_int, gauss_panels
 from .fokker_planck import GridDensity
 from .presets import SmoothstepBump
 
@@ -470,6 +470,8 @@ class KernelDecomposition:
 def _kernel_indices(n_values) -> tuple[int, ...]:
     """The declared kernel indices, sorted; ContractError unless they are
     positive integers."""
+    for n in n_values:
+        _require_int(n, "kernel index")
     n_values = tuple(sorted(int(n) for n in n_values))
     if not n_values or n_values[0] < 1:
         raise ContractError("kernel indices must be positive integers")

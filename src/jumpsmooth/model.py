@@ -396,6 +396,13 @@ def check_A(coeffs: CoefficientSet, quadrature: QuadratureSpec | None = None) ->
     )
 
 
+def _require_int(value, name: str) -> None:
+    """ContractError unless `value`, the setting `name`, is an integer (a
+    bool is not): an integer setting is refused, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ContractError(f"{name} must be an integer, got {value!r}")
+
+
 def _require_positive(value: float, name: str) -> None:
     """ContractError unless `value`, the setting `name`, is positive and finite."""
     if not (math.isfinite(value) and value > 0.0):
@@ -421,6 +428,7 @@ def _check_drift_index(coeffs: CoefficientSet, i: int) -> None:
     i0 = `coeffs.min_drift_index()`: from there on the drift-step map
     y -> y + b(y)/i is increasing with slope >= 1/2.  The simulator, the
     inverse maps and the adjoint operator all check i here."""
+    _require_int(i, "drift surrogate index i")
     if i < (i0 := coeffs.min_drift_index()):
         raise ContractError(f"drift surrogate index i={i} below i0={i0} (2 sup|b'|, at least 1)")
 

@@ -57,7 +57,10 @@ from .errors import (
 )
 from .fokker_planck import GridDensity
 from .kernels import KernelDecomposition
-from .model import CoefficientSet, _check_drift_index, _check_horizon, _require_positive
+from .model import (
+    CoefficientSet, _check_drift_index, _check_horizon, _require_int, _require_positive,
+)
+from .presets import _check_order
 
 N_CHUNKS = 32  # fixed RNG fan-out; results do not depend on thread count
 BLOW_UP = 1e8  # |state| beyond this is a blow-up
@@ -627,6 +630,8 @@ def simulate_batch(
     results are byte-identical for any `threads` value under a fixed RngSpec.
     """
     _check_horizon(t_end)
+    _require_int(runs, "runs")
+    _require_int(threads, "threads")
     if runs < 1:
         raise ContractError("batch needs at least one run")
     if threads < 1:
@@ -727,11 +732,12 @@ def estimate_density(
     fine grid reaches KDE_REACH bandwidths past the window; samples farther
     out are dropped, so its length depends on the window, not the samples.
     """
+    _check_order(order)
+    if order > 4:
+        raise ContractError("derivative rows above order 4 are too noisy to estimate")
     s = _finite_samples(samples)
     if s.size < 100:
         raise ContractError("density estimation needs at least 100 samples")
-    if order > 4:
-        raise ContractError("derivative rows above order 4 are too noisy to estimate")
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo or size < 8:
         raise ContractError("density grid needs a window with hi > lo and at least 8 nodes")

@@ -569,6 +569,45 @@ def test_evolve_window_escape_raises():
         js.evolve(m, init, 2.0, cfg)
 
 
+def test_evolve_refuses_a_window_the_marks_leave():
+    # h = 3 e^{-z} on marks in [0, 1] moves every state by 1.1 to 3, so at
+    # the first interior state of (-2, 2) every pre-image lies outside
+    h = js.JumpAmplitude(((js.constant(3.0), js.ExpDecay(1.0, 1.0)),))
+    q = js.JumpMeasureSpec((0.0, np.inf), js.constant(1.0), (1.0,))
+    m = js.CoefficientSet(
+        b=js.constant(0.0), gamma=js.constant(1.0), h=h,
+        eta=js.ExpDecay(3.0, 1.0), q=q, k=2, y_window=(-4.0, 4.0),
+    )
+    init = js.gaussian_density((-2.0, 2.0), 256, order=2, sigma=0.5)
+    with pytest.raises(js.WindowTooSmallError, match=(
+        r"^100\.00% of transported mark mass leaves the window at interior "
+        r"states; widen the window$"
+    )):
+        js.evolve(m, init, 0.5, js.EvolutionConfig(i=8, trunc=1))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda g, s: js.estimate_density(s, (-3.0, 3.0), order=-1), "derivative order -1 outside"),
+    (lambda g, s: js.estimate_density(s, (-3.0, 3.0), order=2.5),
+     "derivative order 2.5 outside"),
+    (lambda g, s: js.estimate_density([], (-3.0, 3.0), order=-1), "derivative order -1 outside"),
+    (lambda g, s: js.sobolev_norm(g, -1), "derivative order -1 outside"),
+    (lambda g, s: js.sobolev_norm(g, 1.5), "derivative order 1.5 outside"),
+    (lambda g, s: js.gaussian_density((-3.0, 3.0), 64, 1, sigma=0.0), "sigma must be positive"),
+    (lambda g, s: js.gaussian_density((-3.0, 3.0), 64, 1, sigma=-0.5), "sigma must be positive"),
+    (lambda g, s: js.gaussian_density((-3.0, 3.0), 64, 1, sigma=math.nan),
+     "sigma must be positive"),
+], ids=["kde-negative", "kde-fraction", "kde-order-first", "norm-negative", "norm-fraction",
+        "sigma-zero", "sigma-negative", "sigma-nan"])
+def test_orders_and_widths_out_of_range_are_refused(call, match):
+    # these raised IndexError, TypeError or ZeroDivisionError, or returned a
+    # norm of 0.0 or a density of mass -1; an order is checked before the samples
+    g = js.gaussian_density((-3.0, 3.0), 64, order=2)
+    samples = js.RngSpec(5).generator().normal(size=1000)
+    with pytest.raises(js.ContractError, match=match):
+        call(g, samples)
+
+
 def test_evolve_argument_validation(wobble_model):
     init = js.gaussian_density((-8.0, 8.0), 256, order=2)
     with pytest.raises(js.ContractError):

@@ -603,3 +603,34 @@ def test_inversion_budget_evaluates_slopes_once_per_block(exp_unit_model, collap
     with pytest.raises(js.DegenerateKernelError):
         js.check_B(collapse, n_max=4, theta=1.0)
     assert collapse.h.dz_calls == 1
+
+
+def _batch(m, **kw):
+    return js.simulate_batch(m, 0.0, 0.1, 1, js.RngSpec(3), kw.pop("runs", 10), **kw)
+
+
+@pytest.mark.parametrize("model, setting, call", [
+    ("wobble_model", "drift surrogate index i",
+     lambda m, g: js.AdjointOperator(m, g, js.EvolutionConfig(i=8.5, trunc=1))),
+    ("exp_unit_model", "drift surrogate index i",
+     lambda m, g: js.AdjointOperator(m, g, js.EvolutionConfig(i=8.5, trunc=1))),
+    ("wobble_model", "drift surrogate index i",
+     lambda m, g: js.AdjointOperator(m, g, js.EvolutionConfig(i=8, trunc=1))
+     .with_drift_index(16.5)),
+    ("wobble_model", "drift surrogate index i",
+     lambda m, g: js.apply_generator(m, np.cos, g.grid, js.EvolutionConfig(i=8.5, trunc=1))),
+    ("wobble_model", "drift surrogate index i", lambda m, g: _batch(m, i=8.5)),
+    ("wobble_model", "kernel index", lambda m, g: js.make_kernels(m, (2.5, 4))),
+    ("wobble_model", "threads", lambda m, g: _batch(m, threads=1.5)),
+    ("wobble_model", "runs", lambda m, g: _batch(m, runs=2.5)),
+    ("wobble_model", "threads", lambda m, g: _batch(m, threads=True)),
+], ids=["operator", "operator-zero-drift", "with_drift_index", "apply_generator",
+        "batch-i", "make_kernels", "batch-threads", "batch-runs", "batch-threads-bool"])
+def test_integer_settings_are_refused_not_truncated(request, model, setting, call):
+    # i = 8.5 built the operator at 8 while simulate_batch kicked at rate 8.5,
+    # kernel index 2.5 audited n = 2, threads = 1.5 ran and runs = 2.5 died
+    # with a TypeError; config refuses each such value before it gets here
+    m = request.getfixturevalue(model)
+    g = js.gaussian_density((-8.0, 8.0), 64, order=m.k)
+    with pytest.raises(js.ContractError, match=f"^{setting} must be an integer, got"):
+        call(m, g)
