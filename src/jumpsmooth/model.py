@@ -493,11 +493,11 @@ def check_B(coeffs: CoefficientSet, n_max: int, theta: float) -> AssumptionRepor
     panels).  The states are audited in blocks of `AUDIT_BLOCK_STATES`: one
     broadcast `gauss_panels` call maps the rule onto every (state, n) window
     of a block, and dh/dz, the integrand and the mark density are evaluated
-    once on the (states, n, nodes) array.  Failures are raised in state order, as a
-    state-by-state audit meets them.  Within a state, a non-positive rate
-    (`_frame`'s InvalidModelError) comes first, then an empty window
-    (ContractError), then the first n, then node, where |dh/dz| < 1e-12
-    (DegenerateKernelError).  A failure at a later state of a block never
+    once on the (states, n, nodes) array.  Failures are raised in state
+    order, as a state-by-state audit meets them.  Within a state, a
+    non-positive rate (`_frame`'s InvalidModelError) comes first, then an
+    empty window (ContractError), then the first n, then node, where
+    |dh/dz| < 1e-12 (DegenerateKernelError).  A failure at a later state of a block never
     pre-empts one at an earlier state, and no block after the failing one
     is evaluated.  A mark density that is not finite on a block's windows
     raises InvalidModelError after that block's slope check.
