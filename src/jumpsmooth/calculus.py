@@ -23,8 +23,9 @@ tau' = 1 / (1 + B) and every higher row is 0.  Every other stack, jump or
 drift, comes from one private pipeline: a bracketed pre-image solve, the
 forward stack at the pre-image, and its inversion; only the increment and
 the initial bracket radius differ.  Every transfer table comes from its
-stack by one path (`_alpha_from_tau`; diagonal on an affine stack), and
-every Leibniz coefficient C(l, r) s^(l-r) from one helper (`_leibniz_terms`).
+stack by one path (`_alpha_from_tau`; diagonal on an affine stack, whose
+jump table is formed once per mark and broadcast over the nodes), and every
+Leibniz coefficient C(l, r) s^(l-r) from one helper (`_leibniz_terms`).
 
 Scalar entry points operate on `DerivativeStack` records; the ``*_grid``
 variants broadcast over numpy arrays of base points and back the density
@@ -517,13 +518,26 @@ def tau_stack_grid(coeffs: "CoefficientSet", y: np.ndarray, z, order: int) -> np
     amplitude affine in the state takes the closed form: tau = (y - A) /
     (1 + B), tau' = 1 / (1 + B), higher rows exactly 0.
     """
+    y, z = _node_mark_batch(y, z)
+    return _jump_stack(coeffs, y, z, _affine_jump(coeffs, z), order)
+
+
+def _node_mark_batch(y, z):
+    """States and marks as float arrays, the states broadcast to (nodes,
+    marks) when `z` is a 1-d array of marks."""
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     if z.ndim > 1:
         raise ContractError("marks must be a scalar or a 1-d array")
     if z.ndim:
         y = np.broadcast_to(y[:, None], y.shape + z.shape)
-    affine = _affine_jump(coeffs, z)
+    return y, z
+
+
+def _jump_stack(coeffs: "CoefficientSet", y: np.ndarray, z: np.ndarray, affine,
+                order: int) -> np.ndarray:
+    """`tau_stack_grid` on a batch from `_node_mark_batch`, given its
+    `_affine_jump` decision."""
     if affine is None:
         return _inverse_stack(*_jump_map(coeffs, z), y, order)
     shift, slope = affine
@@ -582,12 +596,20 @@ def transfer_alpha_grid(
     `z` may also be a 1-d array of marks; the pre-image solve then runs once
     over all (node, mark) pairs and returns (alpha[l, r, j, m], tau[l, j, m]).
     The operator build calls it this way, one block of marks at a time.  The
-    table comes from `_alpha_from_tau` for every amplitude; on the
+    table comes from `_alpha_from_tau` for every amplitude.  On the
     closed-form stack of an amplitude affine in the state it is diagonal,
-    alpha[l, l] = tau'^(l+1) - 1, with +0.0 everywhere else.
+    alpha[l, l] = tau'^(l+1) - 1, with +0.0 everywhere else, and depends on
+    the mark only: it is formed once per mark, from the stack at the first
+    node, and returned as a read-only view broadcast over the nodes.
     """
-    tau = tau_stack_grid(coeffs, y, z, order + 1)
-    return _alpha_from_tau(tau), tau
+    y, z = _node_mark_batch(y, z)
+    affine = _affine_jump(coeffs, z)
+    tau = _jump_stack(coeffs, y, z, affine, order + 1)
+    if affine is None:
+        return _alpha_from_tau(tau), tau
+    first_node = (slice(None),) + (slice(0, 1),) * (tau.ndim - 1 - z.ndim)
+    alpha = _alpha_from_tau(tau[first_node])
+    return np.broadcast_to(alpha, alpha.shape[:2] + tau.shape[1:]), tau
 
 
 def transfer_beta_grid(

@@ -27,11 +27,12 @@ interpolation weights) is folded once per grid into a sparse linear map on
 the flattened stack, kept as two CSR matrices (`scipy.sparse`, imported
 lazily at the first build): the drift pullback, which depends on i, and the
 jump pullback with its local loss, which does not.  The jump part solves the
-pre-images for a block of marks per call, in closed form (which decides only
-the stack) for an amplitude affine in the state.  The stencils of every
-derivative block are merged by one sparse product: a stencil matrix with one
-column of 4 cubic weights per (node, mark) pair, times the (pair, block)
-coefficient matrix.  A time step is one CSR product per part.
+pre-images for a block of marks per call, in closed form for an amplitude
+affine in the state, whose transfer table is then one per mark.  The
+stencils of every derivative block are merged by one sparse product: a
+stencil matrix with one column of 4 cubic weights per (node, mark) pair,
+times the (pair, block) coefficient matrix, each mark block's columns one
+contiguous slab.  A time step is one CSR product per part.
 `norm_growth_audit` builds the jump part once and derives its 2 i operator
 with `AdjointOperator.with_drift_index`.
 `evolve` repeats the run at half the step on the same map to estimate its
@@ -110,6 +111,7 @@ class GridDensity:
     def from_function(
         cls, fn: Function1D, window: tuple[float, float], size: int, order: int
     ) -> "GridDensity":
+        _require_int(size, "size")
         grid = np.linspace(window[0], window[1], size)
         return cls(window[0], window[1], fn.stack(grid, order), 0.0)
 
@@ -117,8 +119,8 @@ class GridDensity:
 def gaussian_density(
     window: tuple[float, float], size: int, order: int, mean: float = 0.0, sigma: float = 1.0
 ) -> GridDensity:
-    """Unit-mass Gaussian bump with analytic derivative stack; `sigma` must
-    be positive and finite."""
+    """Unit-mass Gaussian bump with analytic derivative stack on `size`
+    nodes; `size` must be an integer and `sigma` positive and finite."""
     _require_positive(sigma, "sigma")
     amp = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
     bump = GaussBump(amp=amp, center=mean, width=sigma * math.sqrt(2.0))
@@ -221,9 +223,11 @@ class AdjointOperator:
     (index i) and `jump` (with the local loss; it does not depend on i).  The
     jump part solves the pre-images of `JUMP_BLOCK_MARKS` marks per
     `transfer_alpha_grid` call, whose table takes one path for every
-    amplitude (an affine one, h = A(z) + B(z) y, only has the closed-form
-    stack).  Each part merges the stencils of all its derivative blocks
-    (l, r) in one sparse product (`_merge_stencils`).
+    amplitude (an affine one, h = A(z) + B(z) y, has the closed-form stack,
+    and its table is formed once per mark).  Each part merges the stencils
+    of all its derivative blocks (l, r) in one sparse product
+    (`_merge_stencils`), reading one contiguous slab of columns per mark
+    block.
     `apply` is one CSR product per part.
     `with_drift_index` gives the operator at another index that shares this
     one's jump part.
@@ -280,7 +284,7 @@ class AdjointOperator:
         base, w, _ = _interp_weights(taui[0], self.lo, self.spacing, n)
         coef = np.stack([self.i * ((l == r) + beta[l, r]) for l, r in _block_pairs(k)],
                         axis=-1)
-        parts = self._merge_stencils(base[:, None], w[:, None, :], coef[:, None])
+        parts = self._merge_stencils(base, w, coef, [1])
         nodes = np.arange(n)
         for l in range(k + 1):
             parts.append((l * n + nodes, l * n + nodes, np.full(n, -float(self.i))))
@@ -291,38 +295,45 @@ class AdjointOperator:
         `JUMP_BLOCK_MARKS` marks per `transfer_alpha_grid` call."""
         coeffs, grid, k, n = self.coeffs, self.grid, self.k, self.size
         pairs = _block_pairs(k)
-        # coef[..., b] for block (l, r0) = pairs[b], with gam[r][r0] =
+        # one column per (node, mark) pair, in (mark block, node, mark)
+        # order: each mark block (the last may be shorter) fills one
+        # contiguous slab of every column array, so a build that fails in a
+        # block has touched only the slabs before it
+        cuts = [slice(start, min(start + JUMP_BLOCK_MARKS, z.size))
+                for start in range(0, z.size, JUMP_BLOCK_MARKS)]
+        slabs = [slice(n * cut.start, n * cut.stop) for cut in cuts]
+        # coef[:, b] for block (l, r0) = pairs[b], with gam[r][r0] =
         # C(r, r0) gamma^(r - r0)(tau):  gam[l][r0] + sum_r alpha[l, r] gam[r][r0]
-        coef = np.empty((n, z.size, len(pairs)))
-        tau0 = np.empty((n, z.size))
-        blocks = [slice(start, start + JUMP_BLOCK_MARKS)
-                  for start in range(0, z.size, JUMP_BLOCK_MARKS)]
-        for cut in blocks:
+        coef = np.empty((n * z.size, len(pairs)))
+        tau0 = np.empty(n * z.size)
+        for cut, slab in zip(cuts, slabs):
             alpha, tau = transfer_alpha_grid(coeffs, grid, z[cut], k)
-            tau0[:, cut] = tau[0]
+            tau0[slab] = tau[0].ravel()
             gam = _leibniz_terms(coeffs.gamma.stack(tau[0], k))
-            # block-major here, so that coef takes one pair-major copy
+            # block-major here, so that the slab takes one pair-major copy
             chunk = np.empty((len(pairs),) + tau[0].shape)
             for b, (l, r0) in enumerate(pairs):
                 c = gam[l][r0]
                 for r in range(r0, l + 1):
                     c = c + alpha[l, r] * gam[r][r0]
                 chunk[b] = c
-            coef[:, cut] = chunk.transpose(1, 2, 0)
+            coef[slab] = chunk.reshape(len(pairs), -1).T
         # the stencils of the pre-images, their weights times the mark
         # weights: once every block is solved (a build that fails in a solve
-        # pays nothing here), a block at a time so that temporaries stay small
-        base = np.empty((n, z.size), dtype=int)
-        w = np.empty((n, z.size, 4))
-        inside = np.empty((n, z.size), dtype=bool)
-        for cut in blocks:
-            base[:, cut], wb, inside[:, cut] = _interp_weights(tau0[:, cut], self.lo,
-                                                                self.spacing, n)
-            np.multiply(wb, wq[cut, None], out=w[:, cut])
+        # pays nothing here), a block at a time so that temporaries stay small;
+        # lost[j, m] is the mark weight of a pre-image outside the window
+        base = np.empty(n * z.size, dtype=int)
+        w = np.empty((n * z.size, 4))
+        lost = np.empty((n, z.size))
+        for cut, slab in zip(cuts, slabs):
+            base[slab], wb, inside = _interp_weights(tau0[slab], self.lo, self.spacing, n)
+            # each node's row of 4 weights per mark, times its marks' weights
+            np.multiply(wb.reshape(n, -1), np.repeat(wq[cut], 4), out=w[slab].reshape(n, -1))
+            np.multiply(~inside.reshape(n, -1), wq[cut], out=lost[:, cut])
         # Per-state fraction of transported mark mass that reads outside
-        # the window; large values in the interior mean the window is too
-        # small for this truncation.
-        escape = (~inside * wq[None, :]).sum(axis=1) / max(self.qmass, 1e-300)
+        # the window, summed over the marks in ascending order; large values
+        # in the interior mean the window is too small for this truncation.
+        escape = lost.sum(axis=1) / max(self.qmass, 1e-300)
         inner = slice(n // 5, n - n // 5)
         self.escape_fraction = float(np.max(escape[inner]))
         if self.escape_fraction > ESCAPE_TOL:
@@ -330,7 +341,7 @@ class AdjointOperator:
                 f"{self.escape_fraction:.2%} of transported mark mass leaves the "
                 "window at interior states; widen the window"
             )
-        parts = self._merge_stencils(base, w, coef)
+        parts = self._merge_stencils(base, w, coef, [cut.stop - cut.start for cut in cuts])
         # local loss -qmass (gamma g)^(l): (C(l, r) (-qmass)) gamma^(l - r)
         nodes = np.arange(n)
         loss = _leibniz_terms(np.full(k + 1, -self.qmass))
@@ -355,34 +366,45 @@ class AdjointOperator:
         indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=size))])
         return csr_array((data[order], cols[order], indptr), shape=(size, size))
 
-    def _merge_stencils(self, base, w, coef):
+    def _merge_stencils(self, base, w, coef, marks):
         """Sparse triples of every block (l, r) with duplicate keys summed.
 
-        `base` (nodes, columns) and `w` (nodes, columns, 4) are the stencils,
-        `coef[..., b]` (nodes, columns) the coefficients of block
-        `_block_pairs(k)[b]`: read as a (pairs, blocks) matrix, `coef` has one
-        row per (node, column) pair.  Row j's stencil nodes lie in a window of
-        `width` slots from its smallest base, so the (node, stencil node) key
-        is ``j * width + (base + o - min_base[j])``.  The stencil matrix (CSC,
-        slots by pairs) holds each pair's 4 weights at its 4 keys in offset
-        order, so it needs no sort, and one multivector product with `coef`
-        gives every block's slot sums.  That product (`csc_matvecs`) adds each
-        slot's terms w * coef from zero in (column, offset) order: the order
-        in which a per-block ``np.bincount`` of the raveled keys adds the same
-        products, so the sums are bit-equal to that bincount's.  The slots run
-        in (row, column) order, and the zero sums (unread slots among them)
-        are dropped.
+        The stencils and coefficients come in columns, one per (node, mark)
+        pair, in (mark block, node, mark) order: mark block c is one
+        contiguous slab of `size * marks[c]` columns.  `base` (columns,) and
+        `w` (columns, 4) are the stencils, `coef[:, b]` the coefficients of
+        the derivative block `_block_pairs(k)[b]`.  Node j's stencil nodes lie
+        in a window of `width` slots from its smallest base, so the (node,
+        stencil node) key is ``j * width + (base + o - min_base[j])``.  The stencil matrix (CSC,
+        slots by columns) holds each column's 4 weights at its 4 keys in
+        offset order, so it needs no sort, and one multivector product with
+        `coef` gives every block's slot sums.  That product (`csc_matvecs`)
+        adds each slot's terms w * coef from zero in (column, offset) order,
+        which is ascending mark order: the order in which a per-block
+        ``np.bincount`` of the raveled keys adds the same products, so the
+        sums are bit-equal to that bincount's.  The slots run in (node, slot)
+        order, and the zero sums (unread slots among them) are dropped.
         """
         from scipy.sparse import csc_array
 
         n = self.size
-        low = base.min(axis=1)
-        width = int(np.max(base.max(axis=1) - low)) + 4
-        keys = ((np.arange(n) * width - low)[:, None, None] + base[..., None]
-                + np.arange(4)).ravel()
-        stencil = csc_array((w.ravel(), keys, np.arange(0, keys.size + 1, 4)),
-                            shape=(n * width, keys.size // 4))
-        sums = stencil @ coef.reshape(keys.size // 4, -1)
+        edges = np.cumsum([0] + [n * m for m in marks])
+        slabs = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+        bases = [base[slab].reshape(n, -1) for slab in slabs]
+        low = np.min([nb.min(axis=1) for nb in bases], axis=0)
+        width = int(np.max(np.max([nb.max(axis=1) for nb in bases], axis=0) - low)) + 4
+        start = (np.arange(n) * width - low)[:, None]
+        # a slab and an offset at a time: long loops, where one broadcast
+        # over the innermost axis of 4 is several times slower
+        keys = np.empty((base.size, 4), dtype=base.dtype)
+        for slab, nb in zip(slabs, bases):
+            kb = keys[slab].reshape(n, -1, 4)
+            np.add(start, nb, out=kb[..., 0])
+            for o in range(1, 4):
+                np.add(kb[..., 0], o, out=kb[..., o])
+        stencil = csc_array((w.ravel(), keys.ravel(), np.arange(0, keys.size + 1, 4)),
+                            shape=(n * width, base.size))
+        sums = stencil @ coef
         slots = np.arange(n * width)
         srow = slots // width
         scol = low[srow] + slots % width

@@ -80,7 +80,8 @@ def gauss_panels(lo, hi, nodes: int = 256, panels: int = 8):
     interval, and the nodes and weights come back with one row per interval,
     shape (..., panels * ceil(nodes / panels)), from one affine map of the
     cached Legendre rule.  A scalar call returns row 0 of a broadcast call
-    bit for bit.  A node or panel count below 1 is refused, not rounded up.
+    bit for bit.  A node or panel count that is not an integer, or is below
+    1, is refused, not rounded up.
 
     >>> z, w = gauss_panels(np.array([0.0, 1.0]), np.array([1.0, 3.0]), nodes=8, panels=2)
     >>> z.shape, w.shape
@@ -89,6 +90,8 @@ def gauss_panels(lo, hi, nodes: int = 256, panels: int = 8):
     >>> z0.shape, bool(np.array_equal(z0, z[0]) and np.array_equal(w0, w[0]))
     ((8,), True)
     """
+    _require_int(nodes, "quadrature nodes")
+    _require_int(panels, "quadrature panels")
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     empty = np.flatnonzero(~(hi > lo))
     if empty.size:
@@ -162,7 +165,8 @@ class JumpMeasureSpec(Described):
         return self.endpoint if self.endpoint is not None else constant(self.anchor)
 
     def trunc_interval(self, i: int) -> tuple[float, float]:
-        """Finite interval of the i-th truncation (1-based index)."""
+        """Finite interval of the i-th truncation (1-based integer index)."""
+        _require_int(i, "truncation index")
         if not (1 <= i <= len(self.truncations)):
             raise ContractError(
                 f"truncation index {i} outside 1..{len(self.truncations)}"

@@ -445,6 +445,13 @@ class FunctionSum(Function1D):
             raise ContractError("empty function sum")
         object.__setattr__(self, "parts", parts)
 
+    def _derivative(self, x, l: int):
+        # each part's one order, summed from zeros as row l of the stack
+        out = np.zeros(x.shape)
+        for p in self.parts:
+            out += p.derivative(x, l)
+        return out[()]
+
     def _stack(self, x, order: int):
         out = np.zeros((order + 1,) + x.shape)
         for p in self.parts:

@@ -369,9 +369,9 @@ def _thinning(
 
     The engine holds ids, clocks, states and jump counts for the alive runs
     only, in run order, in the front of buffers made once; after a round in
-    which some candidate did not land it moves the others forward, by
-    boolean mask.  Each chunk's share of a round is the slice
-    `searchsorted(ids, offsets)` gives.  A run's terminal state and jump
+    which some candidate did not land it moves the others forward, through
+    one index array of the landed ones.  Each chunk's share of a round is
+    the slice `searchsorted(ids, offsets)` gives.  A run's terminal state and jump
     count are written out once: when its candidate does not land, or when
     `on_round` stops the engine.  Per round, every chunk with alive runs
     draws from its own generator, each sized by its alive count: gaps,
@@ -384,12 +384,16 @@ def _thinning(
     batch.
 
     Only the states that move are computed and checked: h and the filter
-    ratio at the accepted jumps, b at the kicks, and the blow-up check on
-    their new states (a state that did not move was checked when it was
-    made; the first round checks every initial state).  The rate bound is
-    read as the round's largest rate first, and by landing only when that
-    is above ubar.  A round in which every candidate landed skips the
-    compaction.  After the states are updated, `on_round` (if not None) gets the round's
+    ratio at the accepted jumps, b at the kicks of a nonzero drift (a zero
+    drift's kicks move nothing), and the blow-up check on their new states
+    (a state that did not move was checked when it was made; the first
+    round checks every initial state).  Marks are inverted at the accepted
+    candidates only, and only theirs are tested against the active window,
+    unless `on_round` needs every mark or the sampling window is wider than
+    the active one; a candidate's mark is the same either way.  The rate
+    bound is read as the round's largest rate first, and by landing only
+    when that is above ubar.  A round in which every candidate landed skips
+    the compaction.  After the states are updated, `on_round` (if not None) gets the round's
     `_Round` (a callback, so no round's arrays outlive the next round's); a
     true return stops the engine, and its draws, there.  Compaction only
     moves values, it never recomputes them, so each run's arithmetic and
@@ -404,6 +408,12 @@ def _thinning(
     offsets = np.cumsum([0] + list(sizes))
     total = lam if i is None else float(i) + lam
     drift = i is None and not coeffs.b.is_zero
+    # a zero drift's kicks move nothing
+    kicks_move = i is not None and not coeffs.b.is_zero
+    # the marks of the accepted candidates are the only ones read, unless a
+    # round record needs them all or they come from a wider window
+    lean = (on_round is None and sampler is not None
+            and sampler.interval == (float(active[0]), float(active[1])))
     # the alive runs, in run order, with their clocks, states and jump counts
     ids = np.arange(m)
     t = np.zeros(m)
@@ -428,7 +438,6 @@ def _thinning(
             gen.random(out=v[lo:hi])
         gaps *= 1.0 / total
         u *= ubar
-        z = sampler.invert(uni) if sampler is not None else np.full(n, np.nan)
         t_next = gaps
         t_next += t
         landed = t_next <= t_end
@@ -438,10 +447,12 @@ def _thinning(
         gam = np.asarray(coeffs.gamma.value(pre), dtype=float)
         if not gam.max() <= ubar:  # rare: find out whether a landed one broke it
             _check_rate_bound(gam[landed], ubar)
-        in_window = z >= active[0]
-        in_window &= z <= active[1]
         acc = u <= gam
-        acc &= in_window
+        if not lean:
+            z = sampler.invert(uni) if sampler is not None else np.full(n, np.nan)
+            in_window = z >= active[0]
+            in_window &= z <= active[1]
+            acc &= in_window
         acc &= landed
         if i is None:
             kick = np.zeros(n, dtype=bool)
@@ -449,17 +460,26 @@ def _thinning(
             kick = wkick <= i / total
             kick &= landed
             acc &= ~kick
-        nj += acc
         post = pre if on_round is None else pre.copy()
         kept = None if filter_n is None else np.zeros(n, dtype=bool)
         moved = []
         if acc.any():
-            pa, za = pre[acc], z[acc]
+            if lean:
+                hit = np.flatnonzero(acc)
+                za = sampler.invert(uni[hit])
+                inside = (za >= active[0]) & (za <= active[1])
+                if not inside.all():  # a mark rounded past the window's edge
+                    acc[hit[~inside]] = False
+                    za = za[inside]
+            else:
+                za = z[acc]
+            pa = pre[acc]
             moved.append(pa + np.asarray(coeffs.h.value(pa, za), dtype=float))
             post[acc] = moved[-1]
             if filter_n is not None:
                 kept[acc] = v[acc] <= kernels.acceptance(filter_n, pa, za)
-        if i is not None and kick.any():
+        nj += acc
+        if kicks_move and kick.any():
             pk = pre[kick]
             moved.append(pk + np.asarray(coeffs.b.value(pk), dtype=float) / i)
             post[kick] = moved[-1]
@@ -484,11 +504,12 @@ def _thinning(
         out = ids[done]
         x[out] = post[done]
         jumps[out] = nj[done]
-        alive = n - done.size
-        ids[:alive] = ids[landed]
-        t[:alive] = t_next[landed]
-        xs[:alive] = post[landed]
-        nj[:alive] = nj[landed]
+        keep = np.flatnonzero(landed)
+        alive = keep.size
+        ids[:alive] = ids[keep]
+        t[:alive] = t_next[keep]
+        xs[:alive] = post[keep]
+        nj[:alive] = nj[keep]
         ids, t, xs, nj = ids[:alive], t[:alive], xs[:alive], nj[:alive]
     return jumps
 
@@ -719,7 +740,7 @@ def estimate_density(
     bandwidth: float | None = None,
 ) -> GridDensity:
     """Gaussian kernel density (with derivative rows) from terminal samples,
-    as a `GridDensity` at time 0.
+    as a `GridDensity` at time 0 on `size` nodes (an integer, at least 8).
 
     Bandwidth defaults to the Silverman rule; a near-zero sample spread means
     the law has (numerically) an atom and no density estimate is meaningful.
@@ -735,6 +756,8 @@ def estimate_density(
     _check_order(order)
     if order > 4:
         raise ContractError("derivative rows above order 4 are too noisy to estimate")
+    _require_int(size, "size")
+    size = int(size)  # a numpy integer too: the FFT length takes `bit_length`
     s = _finite_samples(samples)
     if s.size < 100:
         raise ContractError("density estimation needs at least 100 samples")
@@ -784,7 +807,9 @@ def estimate_density(
 
 
 def histogram_density(samples, window: tuple[float, float], bins: int = 64) -> GridDensity:
-    """Bin-averaged density on bin centers at time 0; no derivative rows."""
+    """Bin-averaged density on `bins` bin centers (an integer) at time 0; no
+    derivative rows."""
+    _require_int(bins, "bins")
     s = _finite_samples(samples)
     counts, edges = np.histogram(s, bins=bins, range=(float(window[0]), float(window[1])))
     centers = 0.5 * (edges[1:] + edges[:-1])

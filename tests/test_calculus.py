@@ -527,12 +527,20 @@ def test_closed_form_tau_stack_matches_the_bracketed_newton():
             np.testing.assert_allclose(js.solve_tau_grid(newton, y, z), got[0], rtol=0.0, atol=atol)
 
 
-def test_closed_form_transfer_table_is_diagonal():
+def test_closed_form_transfer_table_is_diagonal(monkeypatch):
     closed, newton = _affine_model(), _affine_model(newton=True)
     y = np.linspace(-6.0, 6.0, 33)
     z = np.linspace(0.01, 4.0, 7)
+    decisions = []
+    affine = js.JumpAmplitude.affine
+    monkeypatch.setattr(js.JumpAmplitude, "affine",
+                        lambda self, zz: decisions.append(zz) or affine(self, zz))
     alpha, tau = js.transfer_alpha_grid(closed, y, z, 3)
     assert alpha.shape == (4, 4, y.size, z.size)
+    # one affine decision per call; one table per mark, a read-only view
+    # broadcast over the nodes
+    assert len(decisions) == 1
+    assert not alpha.flags.writeable and alpha.strides[2] == 0
     for l in range(4):
         for r in range(4):
             if r != l:

@@ -201,21 +201,24 @@ def test_reduceat_apply_matches_bincount(request, model_name):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-def _bincount_merge(op, base, w, coef):
+def _bincount_merge(op, base, w, coef, marks):
     # the per-block merge that the stencil product replaced: each block
     # (l, r) multiplies its coefficients into the weights and bincounts the
-    # (node, stencil node) keys
+    # (node, stencil node) keys; a column's node comes from the slab layout,
+    # (mark block, node, mark), the mark blocks `marks` wide
     n = op.size
-    low = base.min(axis=1)
-    width = int(np.max(base.max(axis=1) - low)) + 4
-    keys = ((np.arange(n) * width - low)[:, None, None] + base[..., None]
-            + np.arange(4)).ravel()
+    node = np.concatenate([np.repeat(np.arange(n), m) for m in marks])
+    low, high = np.full(n, np.iinfo(base.dtype).max), np.full(n, np.iinfo(base.dtype).min)
+    np.minimum.at(low, node, base)
+    np.maximum.at(high, node, base)
+    width = int(np.max(high - low)) + 4
+    keys = (((node * width - low[node]) + base)[:, None] + np.arange(4)).ravel()
     slots = np.arange(n * width)
     srow = slots // width
     scol = low[srow] + slots % width
     parts = []
     for b, (l, r) in enumerate(js.fokker_planck._block_pairs(op.k)):
-        entry = coef[..., b][..., None] * w
+        entry = coef[:, b, None] * w
         data = np.bincount(keys, weights=entry.ravel(), minlength=n * width)
         keep = data != 0.0
         parts.append((l * n + srow[keep], r * n + scol[keep], data[keep]))
@@ -233,17 +236,24 @@ def _bench_evolution(name):
     return cfg.coeffs, init, econf
 
 
-@pytest.mark.parametrize("setting", sorted(_BUILDS) + ["bench:power", "bench:wobble"])
+@pytest.mark.parametrize("setting", sorted(_BUILDS) + [
+    "bench:power", "bench:wobble", "ragged:ripple_model", "ragged:wobble_model"])
 def test_stencil_merge_matches_per_block_bincount(request, monkeypatch, setting):
     # one sparse product sums each slot in the bincount's (mark, offset)
-    # order with the same products, so both parts repeat to the byte
-    if setting.startswith("bench:"):
-        model, g, cfg = _bench_evolution(setting[len("bench:"):])
+    # order with the same products, so both parts repeat to the byte; the
+    # ragged builds take 104 marks, in blocks of 32, 32, 32 and 8
+    kind, _, name = setting.rpartition(":")
+    if kind == "bench":
+        model, g, cfg = _bench_evolution(name)
     else:
-        model, g, cfg = _build(request, setting)
+        model, g, cfg = _build(request, name, **({"quad_nodes": 100} if kind else {}))
     got = js.AdjointOperator(model, g, cfg)
-    monkeypatch.setattr(js.fokker_planck.AdjointOperator, "_merge_stencils", _bincount_merge)
+    widths = []
+    monkeypatch.setattr(js.fokker_planck.AdjointOperator, "_merge_stencils",
+                        lambda *a: widths.append(a[-1]) or _bincount_merge(*a))
     want = js.AdjointOperator(model, g, cfg)
+    if kind == "ragged":
+        assert widths[-1] == [32, 32, 32, 8]
     for part in ("drift", "jump"):
         a, b = getattr(got, part), getattr(want, part)
         np.testing.assert_array_equal(a.indptr, b.indptr)
@@ -278,15 +288,17 @@ def test_k3_jump_build_matches_the_inline_binomial_loops(monkeypatch, name):
                         lambda *a: tables.append(solve(*a)) or tables[-1])
     merge, csr = js.AdjointOperator._merge_stencils, js.AdjointOperator._csr
     monkeypatch.setattr(js.AdjointOperator, "_merge_stencils",
-                        lambda self, base, w, coef: merged.append(coef) or merge(self, base, w, coef))
+                        lambda self, base, w, coef, marks:
+                        merged.append(coef) or merge(self, base, w, coef, marks))
     monkeypatch.setattr(js.AdjointOperator, "_csr",
                         lambda self, parts: assembled.append(parts) or csr(self, parts))
     op = js.AdjointOperator(model, g, dataclasses.replace(cfg, quad_nodes=64))
-    want = np.concatenate([_inline_binomial_coef(alpha, model.gamma.stack(tau[0], 3), 3)
-                           for alpha, tau in tables], axis=-1)
-    # the last merge and the last assembly are the jump part's
-    assert merged[-1].transpose(2, 0, 1).tobytes() == want.tobytes()
     pairs = js.fokker_planck._block_pairs(3)
+    # (pairs, columns), the columns in (mark block, node, mark) order
+    want = np.concatenate([_inline_binomial_coef(alpha, model.gamma.stack(tau[0], 3), 3)
+                           .reshape(len(pairs), -1) for alpha, tau in tables], axis=-1)
+    # the last merge and the last assembly are the jump part's
+    assert merged[-1].T.tobytes() == want.tobytes()
     gamma_grid = model.gamma.stack(op.grid, 3)
     loss = [triple[2] for triple in assembled[-1][-len(pairs):]]
     for (l, r), got in zip(pairs, loss):
@@ -606,6 +618,16 @@ def test_orders_and_widths_out_of_range_are_refused(call, match):
     samples = js.RngSpec(5).generator().normal(size=1000)
     with pytest.raises(js.ContractError, match=match):
         call(g, samples)
+
+
+@pytest.mark.parametrize("size", [64.5, 64.0, True])
+def test_gaussian_density_refuses_a_size_that_is_not_an_integer(size):
+    # 64.5 raised numpy's TypeError from linspace
+    with pytest.raises(js.ContractError, match=f"^size must be an integer, got {size!r}$"):
+        js.gaussian_density((-3.0, 3.0), size, 1)
+    with pytest.raises(js.ContractError, match="^size must be an integer"):
+        js.GridDensity.from_function(js.GaussBump(1.0), (-3.0, 3.0), size, 1)
+    assert js.gaussian_density((-3.0, 3.0), np.int64(64), 1).size == 64
 
 
 def test_evolve_argument_validation(wobble_model):

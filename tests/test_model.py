@@ -371,6 +371,40 @@ def test_gauss_panels_refuses_counts_below_one(nodes, panels):
         js.gauss_panels(-1.0, 3.0, nodes=nodes, panels=panels)
 
 
+@pytest.mark.parametrize("nodes, panels, setting", [
+    (100.5, 8, "quadrature nodes"), (24.0, 8, "quadrature nodes"),
+    (True, 8, "quadrature nodes"), (24, 2.5, "quadrature panels"),
+], ids=["nodes-fraction", "nodes-float", "nodes-bool", "panels-fraction"])
+def test_gauss_panels_refuses_counts_that_are_not_integers(wobble_model, nodes, panels, setting):
+    # 100.5 nodes were rounded up to 104 in 8 panels, also through the
+    # operator's quad_nodes; numpy integers pass
+    with pytest.raises(js.ContractError, match=f"^{setting} must be an integer, got"):
+        js.gauss_panels(-1.0, 3.0, nodes=nodes, panels=panels)
+    if setting == "quadrature nodes":
+        g = js.gaussian_density((-8.0, 8.0), 64, order=2)
+        with pytest.raises(js.ContractError, match=f"^{setting} must be an integer, got"):
+            js.AdjointOperator(wobble_model, g, js.EvolutionConfig(i=8, trunc=2, quad_nodes=nodes))
+    z, _ = js.gauss_panels(-1.0, 3.0, nodes=np.int64(24), panels=np.int32(3))
+    assert z.shape == (24,)
+
+
+@pytest.mark.parametrize("index", [2.5, 2.0, True, "2"])
+def test_trunc_interval_refuses_an_index_that_is_not_an_integer(wobble_model, index):
+    # a float index raised a bare TypeError from the tuple lookup, through
+    # the operator build and the simulator alike
+    match = f"^truncation index must be an integer, got {index!r}$"
+    g = js.gaussian_density((-8.0, 8.0), 64, order=2)
+    for call in (
+        lambda: wobble_model.q.trunc_interval(index),
+        lambda: wobble_model.q.trunc_mass(index),
+        lambda: js.AdjointOperator(wobble_model, g, js.EvolutionConfig(i=8, trunc=index)),
+        lambda: js.simulate_batch(wobble_model, 0.0, 0.1, index, js.RngSpec(1), 10),
+    ):
+        with pytest.raises(js.ContractError, match=match):
+            call()
+    assert wobble_model.q.trunc_interval(np.int64(2)) == wobble_model.q.trunc_interval(2)
+
+
 @pytest.mark.parametrize("quad_nodes", [0, -3])
 def test_evolution_refuses_quad_nodes_below_one(exp_unit_model, quad_nodes):
     # the operator used to run on 16 mark nodes

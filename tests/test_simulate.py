@@ -792,6 +792,24 @@ def test_estimate_density_guards():
         js.estimate_density(rng.normal(size=1000), (-3.0, 3.0), order=5)
 
 
+@pytest.mark.parametrize("size", [100.5, 100.0, True])
+def test_estimate_density_refuses_a_size_that_is_not_an_integer(size):
+    # 100.5 raised numpy's TypeError ("Cannot cast array data ...")
+    s = js.RngSpec(62).generator().normal(size=1000)
+    with pytest.raises(js.ContractError, match=f"^size must be an integer, got {size!r}$"):
+        js.estimate_density(s, (-4.0, 4.0), size=size)
+    assert js.estimate_density(s, (-4.0, 4.0), size=np.int64(100)).size == 100
+
+
+@pytest.mark.parametrize("bins", [10.5, 10.0, True])
+def test_histogram_density_refuses_bins_that_are_not_an_integer(bins):
+    # 10.5 raised numpy's TypeError ("`bins` must be an integer ...")
+    s = js.RngSpec(62).generator().normal(size=1000)
+    with pytest.raises(js.ContractError, match=f"^bins must be an integer, got {bins!r}$"):
+        js.histogram_density(s, (-4.0, 4.0), bins=bins)
+    assert js.histogram_density(s, (-4.0, 4.0), bins=np.int64(10)).size == 10
+
+
 def test_histogram_density_mass():
     rng = js.RngSpec(63).generator()
     s = rng.normal(0.0, 1.0, 50_000)
