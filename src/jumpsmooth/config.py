@@ -48,7 +48,8 @@ from .diagnostics import _check_band
 from .errors import ConfigError, ContractError, JumpsmoothError
 from .kernels import _check_kernel_index, _kernel_indices
 from .model import (
-    CoefficientSet, JumpMeasureSpec, _check_drift_index, _check_horizon, _require_positive,
+    CoefficientSet, JumpMeasureSpec, _check_drift_index, _check_horizon, _require_finite_number,
+    _require_positive,
 )
 
 # family name -> preset class, read off the classes themselves
@@ -198,6 +199,7 @@ class SimulationStanza:
     max_step: float | None = None  # drift-flow RK4 step; None derives it (`flow_step`)
 
     def __post_init__(self):
+        _require_finite_number(self.x0, "x0")
         if self.max_step is not None:
             _require_positive(self.max_step, "max_step")
         _check_t_end_and_runs(self.t_end, self.runs)
@@ -216,6 +218,8 @@ class EvolutionStanza:
     quad_nodes: int = 256
 
     def __post_init__(self):
+        _require_finite_number(self.initial_mean, "initial_mean")
+        _require_positive(self.initial_sigma, "initial_sigma")
         if self.dt is not None:
             _require_positive(self.dt, "dt")
         _check_t_end_and_runs(self.t_end)
@@ -241,6 +245,8 @@ class DiagnosticsStanza:
     xi_max: float | None = None
 
     def __post_init__(self):
+        if self.x0 is not None:
+            _require_finite_number(self.x0, "x0")
         _check_t_end_and_runs(self.t_end, self.runs)
         _check_band(self.xi_min, self.xi_points)
 

@@ -58,8 +58,8 @@ from .errors import (
     WindowTooSmallError,
 )
 from .model import (
-    CoefficientSet, _check_drift_index, _check_horizon, _require_finite, _require_int,
-    _require_positive, gauss_panels,
+    CoefficientSet, _check_drift_index, _check_horizon, _require_finite, _require_finite_number,
+    _require_int, _require_positive, gauss_panels,
 )
 from .presets import Function1D, GaussBump, _check_order
 
@@ -120,7 +120,9 @@ def gaussian_density(
     window: tuple[float, float], size: int, order: int, mean: float = 0.0, sigma: float = 1.0
 ) -> GridDensity:
     """Unit-mass Gaussian bump with analytic derivative stack on `size`
-    nodes; `size` must be an integer and `sigma` positive and finite."""
+    nodes; `size` must be an integer, `mean` finite and `sigma` positive
+    and finite."""
+    _require_finite_number(mean, "mean")
     _require_positive(sigma, "sigma")
     amp = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
     bump = GaussBump(amp=amp, center=mean, width=sigma * math.sqrt(2.0))

@@ -413,6 +413,12 @@ def _require_positive(value: float, name: str) -> None:
         raise ContractError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _require_finite_number(value: float, name: str) -> None:
+    """ContractError unless `value`, the setting `name`, is a finite number."""
+    if not math.isfinite(value):
+        raise ContractError(f"{name} must be finite, got {value!r}")
+
+
 def _check_horizon(t_end: float, name: str = "t_end", finite: bool = True) -> None:
     """ContractError unless the horizon `name` is >= 0 and, where `finite`,
     finite: a run to an infinite horizon never ends (every thinning

@@ -26,14 +26,17 @@ b(X)/i at rate i.
 Random streams fan out into 32 Philox substreams per (seed, stream) pair, one
 per chunk of a batch's runs.  The engine advances a group of chunks in
 lockstep, one candidate round at a time, each chunk drawing from its own
-substream in a fixed order, so batch output is byte-identical for any thread
-count.  It keeps state for the alive runs only, so a round costs time and
-memory in proportion to the runs still going, and it inverts the marks
-through a guide table over the mark CDF that reproduces `np.interp` bit for
-bit.  A round's draws go straight into one buffer made once per batch; the
-jump map, the filter ratio and the blow-up check run at the accepted
-candidates only, the compaction only in rounds where some candidate fell
-past the horizon, and each run's jump count rides in its alive state.
+substream in a fixed order, so batch output is byte-identical for any
+grouping of the chunks and any thread count.  A batch hands the engine its
+chunks in groups of at most GROUP_RUNS runs, so the engine's memory is
+bounded by the group, not the batch.  The engine keeps state for the alive
+runs only, so a round costs time and memory in proportion to the runs still
+going, and it inverts the marks through a guide table over the mark CDF
+that reproduces `np.interp` bit for bit.  A round's draws go straight into
+one buffer made once per group; the jump map, the filter ratio and the
+blow-up check run at the accepted candidates only, the compaction only in
+rounds where some candidate fell past the horizon, and each run's jump count
+rides in its alive state.
 `simulate_exact`, `simulate_poissonized` and `sample_tau_n` are batches of
 one on the caller's generator: the coupling between single paths and
 batches holds by construction.  Batches and single paths need a finite
@@ -44,7 +47,6 @@ horizon (`model._check_horizon`, the one horizon rule);
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,11 +60,13 @@ from .errors import (
 from .fokker_planck import GridDensity
 from .kernels import KernelDecomposition
 from .model import (
-    CoefficientSet, _check_drift_index, _check_horizon, _require_int, _require_positive,
+    CoefficientSet, _check_drift_index, _check_horizon, _require_finite_number, _require_int,
+    _require_positive,
 )
 from .presets import _check_order
 
 N_CHUNKS = 32  # fixed RNG fan-out; results do not depend on thread count
+GROUP_RUNS = 2**15  # runs the engine advances at once, unless one chunk holds more
 BLOW_UP = 1e8  # |state| beyond this is a blow-up
 FLOOR_MULT = 3.0  # a usable CF magnitude stands this many 1/sqrt(N) clear of 0
 GUIDE_BUCKETS = 4096  # level bins of the mark sampler's guide table; a power of two
@@ -359,18 +363,21 @@ def _thinning(
     """The thinning engine: candidate rounds for a group of chunks, in lockstep.
 
     `x` holds the initial states, chunk after chunk (`sizes[c]` runs drawing
-    from `gens[c]`), and is advanced in place to t_end >= 0; the return
-    value is each run's number of accepted jumps.  `frame` comes from
-    `_candidate_frame`; `i` selects the drift-poissonized chain (None: the
-    exact flow); `step` is the flow's RK4 step from `_resolve_step` (None
-    when nothing flows); `filter_n` fills `kept` from the n-th filtered
-    kernel.  The entry points check the horizon and resolve the step before
-    they call here, so before any draw.
+    from `gens[c]`), and is advanced in place to t_end >= 0 (a batch passes
+    its group's slice of the terminal states); the return value is each
+    run's number of accepted jumps.  Every buffer is sized by the group, so
+    `simulate_batch` bounds this call's memory through GROUP_RUNS.  `frame`
+    comes from `_candidate_frame`; `i` selects the drift-poissonized chain
+    (None: the exact flow); `step` is the flow's RK4 step from
+    `_resolve_step` (None when nothing flows); `filter_n` fills `kept` from
+    the n-th filtered kernel.  The entry points check the horizon and the
+    initial states and resolve the step before they call here, so before
+    any draw.
 
     The engine holds ids, clocks, states and jump counts for the alive runs
-    only, in run order, in the front of buffers made once; after a round in
-    which some candidate did not land it moves the others forward, through
-    one index array of the landed ones.  Each chunk's share of a round is
+    only, in run order, in the front of buffers made once per call; after a
+    round in which some candidate did not land it moves the others forward,
+    through one index array of the landed ones.  Each chunk's share of a round is
     the slice `searchsorted(ids, offsets)` gives.  A run's terminal state and jump
     count are written out once: when its candidate does not land, or when
     `on_round` stops the engine.  Per round, every chunk with alive runs
@@ -520,6 +527,7 @@ def _single_path(
     """A batch of one of the thinning engine on `rng`, its landed candidates
     recorded as events."""
     _check_horizon(t_end)
+    _require_finite_number(x0, "x0")
     step = _resolve_step(coeffs, max_step, i)
     frame = _candidate_frame(coeffs, trunc, couple_top)
     x = np.array([float(x0)])
@@ -602,6 +610,7 @@ def sample_tau_n(
     may be infinite.  `max_step` is as in `simulate_exact`.
     """
     _check_horizon(t_max, "t_max", finite=False)
+    _require_finite_number(x0, "x0")
     step = _resolve_step(coeffs, max_step, None)
     kernels._audit_rate(coeffs, n, trunc)
     frame = _candidate_frame(coeffs, trunc, None)
@@ -624,6 +633,38 @@ def _chunk_sizes(runs: int) -> list[int]:
     return [base + 1 if c < rem else base for c in range(N_CHUNKS)]
 
 
+def _chunk_groups(sizes: list[int], threads: int) -> list[np.ndarray]:
+    """The chunks in contiguous groups of at most GROUP_RUNS runs, and at
+    least `threads` groups where there are that many chunks.  A chunk is
+    never split (that would change its draws), so a chunk of more runs is a
+    group of its own.  With k = GROUP_RUNS // (largest chunk), at least 1,
+    splitting the chunks into ceil(N_CHUNKS / k) or more parts makes no
+    part of more than k chunks."""
+    per_group = max(1, GROUP_RUNS // max(sizes))
+    count = max(threads, -(-N_CHUNKS // per_group))
+    return [g for g in np.array_split(np.arange(N_CHUNKS), count) if g.size]
+
+
+def _initial_states(x0, runs: int) -> np.ndarray:
+    """`x0`, one initial state or one per run, broadcast to `runs` states.
+    ContractError naming x0 unless it has such a shape and every state is
+    finite: a NaN or infinite start blows up at the first candidate."""
+    x = np.asarray(x0, dtype=float)
+    if x.ndim == 0:
+        _require_finite_number(float(x), "x0")
+        return np.broadcast_to(x, (runs,))
+    try:
+        x = np.broadcast_to(x, (runs,))
+    except ValueError:
+        raise ContractError(
+            f"x0 must be one state or {runs} states, got shape {x.shape}"
+        ) from None
+    bad = runs - int(np.count_nonzero(np.isfinite(x)))
+    if bad:
+        raise ContractError(f"x0 must be finite: {bad} of {runs} initial states are not")
+    return x
+
+
 def simulate_batch(
     coeffs: CoefficientSet,
     x0,
@@ -640,15 +681,22 @@ def simulate_batch(
     """Monte Carlo batch of terminal states (and filtered first-jump times).
 
     `x0` is a common initial state or an array of per-run initial states
-    (for matching a spread-out initial density).  Set `i` for the
-    drift-poissonized chain, None for the exact flow.  When `filter_n` is
-    given, `tau` holds the first time each run's jumps passed the n-th
+    (for matching a spread-out initial density), each finite.  Set `i` for
+    the drift-poissonized chain, None for the exact flow.  When `filter_n`
+    is given, `tau` holds the first time each run's jumps passed the n-th
     filtered kernel (inf if none did).  `t_end` must be finite.  `max_step`
     is the exact flow's RK4 step: each run takes ceil(segment / max_step)
     equal steps per segment; None (the default) derives the step from
-    FLOW_TOL and the drift's bounds (`flow_step`), once per batch.  The 32
-    chunks are split into `threads` contiguous groups, one worker each;
-    results are byte-identical for any `threads` value under a fixed RngSpec.
+    FLOW_TOL and the drift's bounds (`flow_step`), once per batch.
+
+    The 32 chunks go to the engine in contiguous groups of at most
+    GROUP_RUNS runs (or one chunk, where a chunk holds more), and at least
+    `threads` groups; they run one after another at `threads=1`, else on a
+    pool of `threads` workers.  Each group writes its terminal states, jump
+    counts and `tau` into its slice of arrays made once per batch, so the
+    engine's buffers scale with the group, not the batch.  Every chunk
+    draws from its own substream, so results are byte-identical for any
+    grouping and any `threads` value under a fixed RngSpec.
     """
     _check_horizon(t_end)
     _require_int(runs, "runs")
@@ -657,7 +705,7 @@ def simulate_batch(
         raise ContractError("batch needs at least one run")
     if threads < 1:
         raise ContractError(f"threads must be at least 1, got {threads}")
-    x0_all = np.broadcast_to(np.asarray(x0, dtype=float), (runs,))
+    x0_all = _initial_states(x0, runs)
     if filter_n is not None:
         if kernels is None:
             raise ContractError("filtering needs a kernel decomposition")
@@ -668,37 +716,45 @@ def simulate_batch(
     frame = _candidate_frame(coeffs, trunc, None)
     sizes = _chunk_sizes(runs)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
-    groups = [g for g in np.array_split(np.arange(N_CHUNKS), threads) if g.size]
+    terminal = np.empty(runs)
+    jumps = np.empty(runs, dtype=np.int64)
+    tau = None if filter_n is None else np.full(runs, np.inf)
 
-    def run_group(chunks: np.ndarray):
-        first, last = int(chunks[0]), int(chunks[-1])
-        x = np.array(x0_all[offsets[first] : offsets[last + 1]], dtype=float)
-        tau = np.full(x.size, np.inf)
+    def run_group(chunks: np.ndarray) -> None:
+        lo, hi = offsets[chunks[0]], offsets[chunks[-1] + 1]
+        x = terminal[lo:hi]
+        x[:] = x0_all[lo:hi]
+        on_round = None
+        if tau is not None:
+            group_tau = tau[lo:hi]
 
-        def on_round(r: _Round) -> None:
-            hit = r.idx[r.kept]
-            tau[hit] = np.minimum(tau[hit], r.t_next[r.kept])
+            def on_round(r: _Round) -> None:
+                hit = r.idx[r.kept]
+                group_tau[hit] = np.minimum(group_tau[hit], r.t_next[r.kept])
 
         gens = [rng_spec.chunk_generator(int(c)) for c in chunks]
-        jumps = _thinning(coeffs, x, t_end, gens, [sizes[c] for c in chunks], frame, i,
-                          step, None if filter_n is None else on_round, kernels, filter_n)
-        return x, tau, jumps
+        jumps[lo:hi] = _thinning(coeffs, x, t_end, gens, [sizes[c] for c in chunks], frame,
+                                 i, step, on_round, kernels, filter_n)
 
-    if len(groups) > 1:
-        with ThreadPoolExecutor(max_workers=len(groups)) as pool:
-            parts = list(pool.map(run_group, groups))
+    groups = _chunk_groups(sizes, threads)
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only where a pool is made
+
+        with ThreadPoolExecutor(max_workers=min(threads, len(groups))) as pool:
+            list(pool.map(run_group, groups))  # reads every result, so re-raises
     else:
-        parts = [run_group(groups[0])]
+        for group in groups:
+            run_group(group)
     out = {
-        "terminal": np.concatenate([p[0] for p in parts]),
-        "jumps": np.concatenate([p[2] for p in parts]),
+        "terminal": terminal,
+        "jumps": jumps,
         "runs": runs,
         "t_end": float(t_end),
         "rate_bound": frame[2],
         "candidate_rate": frame[3],
     }
-    if filter_n is not None:
-        out["tau"] = np.concatenate([p[1] for p in parts])
+    if tau is not None:
+        out["tau"] = tau
     return out
 
 
@@ -732,6 +788,19 @@ def _finite_samples(samples) -> np.ndarray:
     return s
 
 
+def _density_grid(window: tuple[float, float], nodes: int, name: str) -> tuple[float, float]:
+    """The window's ends, checked with the node count `name` of a sample
+    density: an integer of at least 8 (the least grid a `GridDensity`
+    holds) on a finite window with hi > lo."""
+    _require_int(nodes, name)
+    if nodes < 8:
+        raise ContractError(f"{name} must be at least 8, got {nodes!r}")
+    lo, hi = float(window[0]), float(window[1])
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        raise ContractError(f"density window must be finite with hi > lo, got {window!r}")
+    return lo, hi
+
+
 def estimate_density(
     samples,
     window: tuple[float, float],
@@ -740,7 +809,8 @@ def estimate_density(
     bandwidth: float | None = None,
 ) -> GridDensity:
     """Gaussian kernel density (with derivative rows) from terminal samples,
-    as a `GridDensity` at time 0 on `size` nodes (an integer, at least 8).
+    as a `GridDensity` at time 0 on `size` nodes (an integer, at least 8)
+    over a finite window with hi > lo.
 
     Bandwidth defaults to the Silverman rule; a near-zero sample spread means
     the law has (numerically) an atom and no density estimate is meaningful.
@@ -756,14 +826,11 @@ def estimate_density(
     _check_order(order)
     if order > 4:
         raise ContractError("derivative rows above order 4 are too noisy to estimate")
-    _require_int(size, "size")
+    lo, hi = _density_grid(window, size, "size")
     size = int(size)  # a numpy integer too: the FFT length takes `bit_length`
     s = _finite_samples(samples)
     if s.size < 100:
         raise ContractError("density estimation needs at least 100 samples")
-    lo, hi = float(window[0]), float(window[1])
-    if not hi > lo or size < 8:
-        raise ContractError("density grid needs a window with hi > lo and at least 8 nodes")
     span = hi - lo
     if bandwidth is None:
         sd = float(np.std(s))
@@ -807,11 +874,11 @@ def estimate_density(
 
 
 def histogram_density(samples, window: tuple[float, float], bins: int = 64) -> GridDensity:
-    """Bin-averaged density on `bins` bin centers (an integer) at time 0; no
-    derivative rows."""
-    _require_int(bins, "bins")
+    """Bin-averaged density on `bins` bin centers (an integer, at least 8)
+    at time 0, over a finite window with hi > lo; no derivative rows."""
+    lo, hi = _density_grid(window, bins, "bins")
     s = _finite_samples(samples)
-    counts, edges = np.histogram(s, bins=bins, range=(float(window[0]), float(window[1])))
+    counts, edges = np.histogram(s, bins=bins, range=(lo, hi))
     centers = 0.5 * (edges[1:] + edges[:-1])
     vals = counts / (s.size * np.diff(edges))
     return GridDensity(float(centers[0]), float(centers[-1]), vals[None, :])

@@ -442,6 +442,50 @@ def test_infinite_horizon_exits_2(tmp_path, capsys, stanza):
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command, stanza, key, bad, message",
+    [
+        # simulate and certify exited 3 (BlowUpError), evolve 3
+        # (DivergenceError at step 1) or 1 (ContractError naming sigma)
+        ("simulate", "simulation", "x0", math.nan, "x0 must be finite, got nan"),
+        ("certify", "diagnostics", "x0", math.inf, "x0 must be finite, got inf"),
+        ("evolve", "evolution", "initial_mean", math.nan, "initial_mean must be finite, got nan"),
+        ("evolve", "evolution", "initial_mean", math.inf, "initial_mean must be finite, got inf"),
+        ("evolve", "evolution", "initial_sigma", 0.0,
+         "initial_sigma must be positive and finite, got 0.0"),
+        ("evolve", "evolution", "initial_sigma", math.nan,
+         "initial_sigma must be positive and finite, got nan"),
+    ],
+    ids=["simulate-x0-nan", "certify-x0-inf", "evolve-mean-nan", "evolve-mean-inf",
+         "evolve-sigma-0", "evolve-sigma-nan"],
+)
+def test_initial_laws_that_are_not_finite_exit_2(
+    tmp_path, capsys, command, stanza, key, bad, message
+):
+    # on a copy of the power bench config, read but not edited
+    workloads = Path(__file__).resolve().parents[1] / "bench" / "workloads"
+    cfg = yaml.safe_load((workloads / "power.yaml").read_text())
+    cfg["output"] = str(tmp_path / "out")
+    cfg.setdefault(stanza, {})[key] = bad
+    assert main([command, "--config", _write(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{stanza}: {message}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_package_import_leaves_the_thread_pool_unloaded():
+    # the pool is imported where a batch makes one; concurrent.futures
+    # pulls in logging, a fixed start-up delay for every CLI run
+    import jumpsmooth
+
+    env = dict(os.environ, PYTHONPATH=str(Path(jumpsmooth.__file__).resolve().parents[1]))
+    code = ("import sys, jumpsmooth, jumpsmooth.cli; "
+            "print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_save_columns_writes_the_bytes_of_savetxt(tmp_path):
     # header line, %.17g rows, inf, nan and -0.0, and more rows than one block
     rng = np.random.default_rng(5)

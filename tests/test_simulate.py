@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -117,11 +118,26 @@ PINNED_BATCHES = {
 }
 
 
-@pytest.mark.parametrize("threads", [1, 2, 3, 5])
+@pytest.mark.parametrize(
+    "threads, group_runs",
+    [pytest.param(t, None, id=str(t)) for t in (1, 2, 3, 5)]
+    # many groups in sequence, and several groups per worker
+    + [pytest.param(t, 64, id=f"{t}-groups64") for t in (1, 2)],
+)
 @pytest.mark.parametrize("case", sorted(PINNED_BATCHES))
 def test_batch_outputs_pinned(
-    case, threads, wobble_model, exp_unit_model, power_model, collapse_model
+    case, threads, group_runs, monkeypatch,
+    wobble_model, exp_unit_model, power_model, collapse_model,
 ):
+    if group_runs is not None:
+        monkeypatch.setattr(simulate_module, "GROUP_RUNS", group_runs)
+    engine, groups = simulate_module._thinning, []
+
+    def spy(coeffs, x, *args, **kwargs):
+        groups.append(x.size)
+        return engine(coeffs, x, *args, **kwargs)
+
+    monkeypatch.setattr(simulate_module, "_thinning", spy)
     if case == "exact_drift":  # runs need different RK4 step counts
         out = js.simulate_batch(
             wobble_model, 0.2, 1.5, 1, js.RngSpec(2024), 645, max_step=1e-3, threads=threads
@@ -153,6 +169,10 @@ def test_batch_outputs_pinned(
         for key in PINNED_BATCHES[case]
     }
     assert digests == PINNED_BATCHES[case]
+    # a group holds at most GROUP_RUNS runs, or one chunk where a chunk holds more
+    runs = out["runs"]
+    assert sum(groups) == runs and len(groups) >= min(threads, simulate_module.N_CHUNKS)
+    assert max(groups) <= max(simulate_module.GROUP_RUNS, -(-runs // simulate_module.N_CHUNKS))
 
 
 def test_batch_rejects_nonpositive_threads(wobble_model):
@@ -284,13 +304,53 @@ def test_thinning_candidates_blow_up():
         js.simulate_batch(quad, 2.0, 50.0, 1, js.RngSpec(8), 64, i=i)
     with pytest.raises(js.BlowUpError, match=blown):
         js.simulate_poissonized(quad, 2.0, 50.0, i, 1, js.RngSpec(8).generator())
-    # a non-finite initial state is refused in round one (the rate 1 + 0 y
-    # reads NaN there)
-    for bad in (math.nan, math.inf):
-        with np.errstate(invalid="ignore"), pytest.raises(js.BlowUpError, match=blown):
-            js.simulate_batch(_thin_model(), np.r_[np.zeros(63), bad], 1.0, 1, js.RngSpec(8), 64)
-        with np.errstate(invalid="ignore"), pytest.raises(js.BlowUpError, match=blown):
-            js.simulate_exact(_thin_model(), bad, 1.0, 1, js.RngSpec(8).generator())
+
+
+@pytest.mark.parametrize(
+    "probe, message",
+    [
+        # numpy's broadcast ValueError before
+        ("batch_shape", "x0 must be one state or 10 states, got shape (5,)"),
+        # these three raised BlowUpError in the engine's first round
+        ("batch_nan", "x0 must be finite, got nan"),
+        ("batch_one_inf", "x0 must be finite: 1 of 64 initial states are not"),
+        ("exact_nan", "x0 must be finite, got nan"),
+        ("poissonized_inf", "x0 must be finite, got inf"),
+        ("tau_nan", "x0 must be finite, got nan"),
+        ("gaussian_nan", "mean must be finite, got nan"),
+        ("gaussian_inf", "mean must be finite, got inf"),
+    ],
+    ids=["batch_shape", "batch_nan", "batch_one_inf", "exact_nan", "poissonized_inf",
+         "tau_nan", "gaussian_nan", "gaussian_inf"],
+)
+def test_initial_states_that_are_not_finite_are_refused(
+    probe, message, monkeypatch, wobble_model, exp_unit_model
+):
+    # refused before any draw: the engine is never reached
+    def engine(*args, **kwargs):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr(simulate_module, "_thinning", engine)
+    m, rng = _thin_model(), js.RngSpec(8).generator()
+    calls = {
+        "batch_shape": lambda: js.simulate_batch(m, np.zeros(5), 0.5, 1, js.RngSpec(1), 10),
+        "batch_nan": lambda: js.simulate_batch(m, math.nan, 1.0, 1, js.RngSpec(8), 64),
+        "batch_one_inf": lambda: js.simulate_batch(
+            m, np.r_[np.zeros(63), math.inf], 1.0, 1, js.RngSpec(8), 64
+        ),
+        "exact_nan": lambda: js.simulate_exact(m, math.nan, 1.0, 1, rng),
+        "poissonized_inf": lambda: js.simulate_poissonized(
+            wobble_model, math.inf, 1.0, wobble_model.min_drift_index(), 1, rng
+        ),
+        "tau_nan": lambda: js.sample_tau_n(
+            exp_unit_model, js.make_kernels(exp_unit_model, (2,), theta=4.2),
+            math.nan, 2, 1.0, 1, rng,
+        ),
+        "gaussian_nan": lambda: js.gaussian_density((-4.0, 4.0), 64, 1, mean=math.nan),
+        "gaussian_inf": lambda: js.gaussian_density((-4.0, 4.0), 64, 1, mean=math.inf),
+    }
+    with pytest.raises(js.ContractError, match=re.escape(message)):
+        calls[probe]()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 1000])
@@ -810,6 +870,31 @@ def test_histogram_density_refuses_bins_that_are_not_an_integer(bins):
     assert js.histogram_density(s, (-4.0, 4.0), bins=np.int64(10)).size == 10
 
 
+@pytest.mark.parametrize(
+    "bins, window, message",
+    [
+        (0, (-4.0, 4.0), "bins must be at least 8, got 0"),
+        (-3, (-4.0, 4.0), "bins must be at least 8, got -3"),
+        (1, (-4.0, 4.0), "bins must be at least 8, got 1"),
+        (7, (-4.0, 4.0), "bins must be at least 8, got 7"),
+        (64, (4.0, -4.0), "density window must be finite with hi > lo"),
+        (64, (0.0, math.inf), "density window must be finite with hi > lo"),
+        # a density on [0.53, 1.47], a window the caller never asked for
+        (64, (1.0, 1.0), "density window must be finite with hi > lo"),
+    ],
+    ids=["bins0", "bins-3", "bins1", "bins7", "reversed", "infinite", "empty"],
+)
+def test_histogram_density_refuses_bad_grids(bins, window, message):
+    # numpy raised ValueErrors for bins 0 and -3 and the first two windows,
+    # and bins 1-7 a GridDensity error that did not name bins
+    s = js.RngSpec(62).generator().normal(size=1000)
+    with pytest.raises(js.ContractError, match=re.escape(message)):
+        js.histogram_density(s, window, bins=bins)
+    if bins == 64:  # the rule is estimate_density's
+        with pytest.raises(js.ContractError, match=re.escape(message)):
+            js.estimate_density(s, window, size=bins)
+
+
 def test_histogram_density_mass():
     rng = js.RngSpec(63).generator()
     s = rng.normal(0.0, 1.0, 50_000)
@@ -929,6 +1014,20 @@ def test_batch_memory_holds_only_the_alive_runs(collapse_model):
     finally:
         tracemalloc.stop()
     assert peak < 39e6
+
+
+def test_batch_memory_is_bounded_by_the_group(collapse_model):
+    # the engine's buffers are sized by a group of at most GROUP_RUNS runs,
+    # and only the outputs by the batch: the engine that advanced a worker's
+    # whole share of the batch at once peaked at 165 B per run here
+    runs = 400_000
+    tracemalloc.start()
+    try:
+        js.simulate_batch(collapse_model, 0.5, 0.5, 1, js.RngSpec(71), runs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / runs < 60.0
 
 
 def test_estimate_density_memory_does_not_scale_with_nodes_times_samples():
