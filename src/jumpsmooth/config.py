@@ -46,11 +46,13 @@ import yaml
 from . import presets
 from .diagnostics import _check_band
 from .errors import ConfigError, ContractError, JumpsmoothError
-from .kernels import _check_kernel_index, _kernel_indices
+from .fokker_planck import _density_grid
+from .kernels import _check_audit_indices, _check_kernel_index, _kernel_indices
 from .model import (
-    CoefficientSet, JumpMeasureSpec, _check_drift_index, _check_horizon, _require_finite_number,
-    _require_positive,
+    CoefficientSet, JumpMeasureSpec, _check_drift_index, _check_horizon, _check_n_max,
+    _check_theta, _require_finite_number, _require_positive,
 )
+from .simulate import _initial_states
 
 # family name -> preset class, read off the classes themselves
 _FAMILIES = {cls.family: cls for cls in presets.Function1D.__subclasses__()}
@@ -199,7 +201,7 @@ class SimulationStanza:
     max_step: float | None = None  # drift-flow RK4 step; None derives it (`flow_step`)
 
     def __post_init__(self):
-        _require_finite_number(self.x0, "x0")
+        _initial_states(self.x0, 1)
         if self.max_step is not None:
             _require_positive(self.max_step, "max_step")
         _check_t_end_and_runs(self.t_end, self.runs)
@@ -223,8 +225,7 @@ class EvolutionStanza:
         if self.dt is not None:
             _require_positive(self.dt, "dt")
         _check_t_end_and_runs(self.t_end)
-        if self.nodes < 8:  # the least grid a `GridDensity` holds
-            raise ValueError(f"nodes must be at least 8, got {self.nodes}")
+        _density_grid(self.window, self.nodes, "nodes")
         if self.quad_nodes < 1:
             raise ValueError(f"quad_nodes must be at least 1, got {self.quad_nodes}")
 
@@ -233,6 +234,9 @@ class EvolutionStanza:
 class KernelStanza:
     n_values: tuple[int, ...] = (1, 2, 4, 8)
     theta: float = 1.0
+
+    def __post_init__(self):
+        _check_theta(self.theta)
 
 
 @dataclass(frozen=True)
@@ -246,9 +250,9 @@ class DiagnosticsStanza:
 
     def __post_init__(self):
         if self.x0 is not None:
-            _require_finite_number(self.x0, "x0")
+            _initial_states(self.x0, 1)
         _check_t_end_and_runs(self.t_end, self.runs)
-        _check_band(self.xi_min, self.xi_points)
+        _check_band(self.xi_min, self.xi_points, self.xi_max, self.runs)
 
 
 @dataclass(frozen=True)
@@ -272,7 +276,8 @@ def _check_against_model(cfg: ExperimentConfig, command: str | None) -> None:
     """Refuse, as a ConfigError at its stanza key, each stanza value that the
     command hands to the model and the model refuses, by the rule the library
     applies at run time: the kernel indices (`kernels`, `certify`, a filtered
-    `simulate`), and the drift surrogate and truncation indices of the
+    `simulate`; the largest at least 2 for `check_B`, and at least two for
+    the `kernels` audit), and the drift surrogate and truncation indices of the
     `simulation` or `evolution` stanza (`simulate`, `evolve`).  A command of
     None checks every value."""
 
@@ -287,6 +292,10 @@ def _check_against_model(cfg: ExperimentConfig, command: str | None) -> None:
     filtered = sim.filter_n is not None and (every or command == "simulate")
     if every or command in ("kernels", "certify") or filtered:
         refuse("kernels.n_values", _kernel_indices, ks.n_values)
+    if every or command == "check":
+        refuse("kernels.n_values", _check_n_max, max(ks.n_values, default=0))
+    if every or command == "kernels":
+        refuse("kernels.n_values", _check_audit_indices, ks.n_values)
     if filtered:
         refuse("simulation.filter_n", _check_kernel_index, sim.filter_n, ks.n_values)
     for stanza, node, runner in (("simulation", sim, "simulate"),

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ContractError, ResolutionError, WindowTooSmallError
 from .fokker_planck import GridDensity
 from .kernels import KernelDecomposition
-from .model import CoefficientSet, _require_positive
+from .model import CoefficientSet, _check_theta, _require_positive
 from .simulate import FLOOR_MULT, CFEstimate, RngSpec, empirical_cf, simulate_batch
 
 # A CF magnitude that stays above this (or 5 standard errors) over the upper
@@ -162,21 +162,31 @@ class PipelineConfig:
     max_step: float | None = None
 
 
-def _check_band(xi_min: float, xi_points: int) -> None:
-    """ContractError unless the band starts at a positive, finite xi_min and
-    has at least MIN_FIT_POINTS frequencies."""
+def _check_band(xi_min: float, xi_points: int, xi_max: float | None, runs: int) -> float:
+    """The top of the certify band, the one rule of `frequency_grid` and the
+    `diagnostics` stanza: `xi_max`, or by default where sampling noise bites
+    at `runs` samples (0.1 sqrt(N) heuristic, capped at 1000).  ContractError
+    unless xi_min is positive and finite, there are at least MIN_FIT_POINTS
+    frequencies, runs is at least 1 where it sets the top, and the top is
+    finite and above xi_min."""
     _require_positive(xi_min, "xi_min")
     if xi_points < MIN_FIT_POINTS:
         raise ContractError(f"xi_points must be at least {MIN_FIT_POINTS}, got {xi_points}")
+    if xi_max is None and not runs >= 1:  # the default top takes sqrt(runs)
+        raise ContractError(f"runs must be at least 1, got {runs!r}")
+    hi = xi_max if xi_max is not None else min(0.1 * math.sqrt(runs), 1e3)
+    if not (math.isfinite(hi) and hi > xi_min):
+        raise ContractError(
+            f"frequency band [{xi_min!r}, {hi!r}] is empty or unbounded; "
+            "raise xi_max or the run count"
+        )
+    return hi
 
 
 def frequency_grid(runs: int, cfg: PipelineConfig) -> np.ndarray:
-    """Log-spaced frequencies from xi_min up to where sampling noise bites
-    (0.1 sqrt(N) heuristic, capped at 1000); checked before any sampling."""
-    _check_band(cfg.xi_min, cfg.xi_points)
-    hi = cfg.xi_max if cfg.xi_max is not None else min(0.1 * math.sqrt(runs), 1e3)
-    if not (math.isfinite(hi) and hi > cfg.xi_min):
-        raise ContractError("frequency band is empty or unbounded; raise xi_max or the run count")
+    """Log-spaced frequencies over the band `_check_band` gives; checked
+    before any sampling."""
+    hi = _check_band(cfg.xi_min, cfg.xi_points, cfg.xi_max, runs)
     return np.geomspace(cfg.xi_min, hi, cfg.xi_points)
 
 
@@ -199,10 +209,12 @@ def smoothness_pipeline(
     None to classify a model that admits no decomposition.
     """
     cfg = cfg or PipelineConfig()
-    if kernels is not None and kernels.coeffs is not coeffs:
-        raise ContractError("kernel decomposition was built for a different model")
-    if kernels is not None and kernels.theta is None:
-        raise ContractError("pipeline needs a kernel decomposition with a declared theta")
+    if kernels is not None:
+        if kernels.coeffs is not coeffs:
+            raise ContractError("kernel decomposition was built for a different model")
+        if kernels.theta is None:
+            raise ContractError("pipeline needs a kernel decomposition with a declared theta")
+        _check_theta(kernels.theta)
     trunc = coeffs.q.resolve_trunc(cfg.trunc)
     xi = frequency_grid(cfg.runs, cfg)
     batch = simulate_batch(

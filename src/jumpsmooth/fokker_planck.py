@@ -64,12 +64,27 @@ from .model import (
 from .presets import Function1D, GaussBump, _check_order
 
 
+def _density_grid(window: tuple[float, float], nodes: int, name: str) -> tuple[float, float]:
+    """The window's ends, checked with the node count `name`: the one rule of
+    every grid density (`GridDensity`, the sample densities and the
+    `evolution` stanza), an integer of at least 8 on a finite window with
+    hi > lo."""
+    _require_int(nodes, name)
+    if nodes < 8:
+        raise ContractError(f"{name} must be at least 8, got {nodes!r}")
+    lo, hi = float(window[0]), float(window[1])
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        raise ContractError(f"density window must be finite with hi > lo, got {window!r}")
+    return lo, hi
+
+
 @dataclass
 class GridDensity:
     """A derivative stack sampled on a uniform window.
 
     ``values[l, j]`` is the l-th derivative at node j of a density that is
-    treated as identically zero outside [lo, hi].
+    treated as identically zero outside [lo, hi], a window and node count
+    that `_density_grid` accepts.
     """
 
     lo: float
@@ -79,10 +94,9 @@ class GridDensity:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 2 or vals.shape[1] < 8:
-            raise ContractError("grid density needs a (orders, nodes>=8) array")
-        if not (self.hi > self.lo):
-            raise ContractError("empty density window")
+        if vals.ndim != 2:
+            raise ContractError("grid density needs an (orders, nodes) array")
+        _density_grid((self.lo, self.hi), vals.shape[1], "nodes")
         self.values = vals
 
     @property
@@ -111,17 +125,16 @@ class GridDensity:
     def from_function(
         cls, fn: Function1D, window: tuple[float, float], size: int, order: int
     ) -> "GridDensity":
-        _require_int(size, "size")
-        grid = np.linspace(window[0], window[1], size)
-        return cls(window[0], window[1], fn.stack(grid, order), 0.0)
+        lo, hi = _density_grid(window, size, "size")
+        return cls(lo, hi, fn.stack(np.linspace(lo, hi, size), order), 0.0)
 
 
 def gaussian_density(
     window: tuple[float, float], size: int, order: int, mean: float = 0.0, sigma: float = 1.0
 ) -> GridDensity:
     """Unit-mass Gaussian bump with analytic derivative stack on `size`
-    nodes; `size` must be an integer, `mean` finite and `sigma` positive
-    and finite."""
+    nodes of a window, both as `_density_grid` requires; `mean` must be
+    finite and `sigma` positive and finite."""
     _require_finite_number(mean, "mean")
     _require_positive(sigma, "sigma")
     amp = 1.0 / (sigma * math.sqrt(2.0 * math.pi))

@@ -53,7 +53,9 @@ from .errors import (
     MassBracketError,
     ResolutionError,
 )
-from .model import CoefficientSet, _envelope, _frame, _require_finite, _require_int, gauss_panels
+from .model import (
+    CoefficientSet, _check_theta, _envelope, _frame, _require_finite, _require_int, gauss_panels,
+)
 from .fokker_planck import GridDensity
 from .presets import SmoothstepBump
 
@@ -324,8 +326,8 @@ def _audit_with_masses(
     `kernel_mass` calls meets first."""
     y_grid = np.asarray(y_grid, dtype=float)
     n_values = [int(n) for n in n_values]
-    if len(n_values) < 2:
-        raise ContractError("kernel audit needs at least two kernel indices")
+    _check_audit_indices(n_values)
+    _check_theta(theta)
     k = coeffs.k
 
     norm = np.zeros((len(n_values), y_grid.size))
@@ -478,6 +480,13 @@ def _kernel_indices(n_values) -> tuple[int, ...]:
     return n_values
 
 
+def _check_audit_indices(n_values) -> None:
+    """ContractError unless the kernel audit has at least two indices to fit
+    its profile in n through."""
+    if len(n_values) < 2:
+        raise ContractError("kernel audit needs at least two kernel indices")
+
+
 def _check_kernel_index(n: int, n_values) -> None:
     """ContractError unless n is one of the declared kernel indices."""
     if n not in n_values:
@@ -496,6 +505,8 @@ def make_kernels(
     every cutoff window (needed for the filter ratio to be a probability).
     """
     n_values = _kernel_indices(n_values)
+    if theta is not None:
+        _check_theta(theta)
     y_grid = coeffs.y_audit_grid()
     # the states that pass construction have their density checked first, so
     # failures come in state order

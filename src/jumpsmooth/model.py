@@ -419,6 +419,21 @@ def _require_finite_number(value: float, name: str) -> None:
         raise ContractError(f"{name} must be finite, got {value!r}")
 
 
+def _check_theta(theta: float) -> None:
+    """ContractError unless the Sobolev budget theta is finite and >= 0: the
+    one rule of `check_B`, `make_kernels`, the kernel audits and the
+    `kernels` stanza."""
+    if not (math.isfinite(theta) and theta >= 0.0):
+        raise ContractError(f"theta must be finite and >= 0, got {theta!r}")
+
+
+def _check_n_max(n_max: int) -> None:
+    """ContractError unless `check_B`'s largest kernel index is at least 2,
+    so that its budget has a head and a tail half."""
+    if n_max < 2:
+        raise ContractError("check_B needs n_max >= 2")
+
+
 def _check_horizon(t_end: float, name: str = "t_end", finite: bool = True) -> None:
     """ContractError unless the horizon `name` is >= 0 and, where `finite`,
     finite: a run to an infinite horizon never ends (every thinning
@@ -512,10 +527,8 @@ def check_B(coeffs: CoefficientSet, n_max: int, theta: float) -> AssumptionRepor
     is evaluated.  A mark density that is not finite on a block's windows
     raises InvalidModelError after that block's slope check.
     """
-    if n_max < 2:
-        raise ContractError("check_B needs n_max >= 2")
-    if theta < 0:
-        raise ContractError("theta must be >= 0")
+    _check_n_max(n_max)
+    _check_theta(theta)
     quadrature = QuadratureSpec()
     y = coeffs.y_audit_grid()
     ns = np.arange(1, n_max + 1)

@@ -33,15 +33,16 @@ bounded by the group, not the batch.  The engine keeps state for the alive
 runs only, so a round costs time and memory in proportion to the runs still
 going, and it inverts the marks through a guide table over the mark CDF
 that reproduces `np.interp` bit for bit.  A round's draws go straight into
-one buffer made once per group; the jump map, the filter ratio and the
-blow-up check run at the accepted candidates only, the compaction only in
-rounds where some candidate fell past the horizon, and each run's jump count
-rides in its alive state.
+one buffer made once per group; the mark inversion, the jump map, the filter
+ratio and the blow-up check run at the accepted candidates only, the
+compaction only in rounds where some candidate fell past the horizon, and
+each run's jump count rides in its alive state.
 `simulate_exact`, `simulate_poissonized` and `sample_tau_n` are batches of
 one on the caller's generator: the coupling between single paths and
 batches holds by construction.  Batches and single paths need a finite
 horizon (`model._check_horizon`, the one horizon rule);
-`sample_tau_n` may wait without one for its first kept jump.
+`sample_tau_n` may wait without one for its first kept jump.  Every entry
+point checks its starts by one rule, `_initial_states`, before any draw.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .errors import (
     InvalidModelError,
     WindowTooSmallError,
 )
-from .fokker_planck import GridDensity
+from .fokker_planck import GridDensity, _density_grid
 from .kernels import KernelDecomposition
 from .model import (
     CoefficientSet, _check_drift_index, _check_horizon, _require_finite_number, _require_int,
@@ -329,22 +330,23 @@ class _Round:
 
     `landed` marks candidates at or before t_end (a run whose candidate did
     not land has drifted to t_end and is done).  Of the landed ones, `kick`
-    marks drift kicks, `in_window` marks inside the active window (the
-    others are skips), `acc` the accepted jumps and `kept` the jumps the
+    marks drift kicks, `acc` the accepted jumps and `kept` the jumps the
     filtered kernel also kept (None when not filtering).  `pre` and `post`
-    are the states just before and after each candidate.
+    are the states just before and after each candidate, `levels` the CDF
+    levels of the marks (unset without a mark sampler); a recorder inverts
+    the ones it reads with `MarkSampler.invert`, element by element, so
+    each mark has the engine's bits.
     """
 
     idx: np.ndarray
     t_next: np.ndarray
     landed: np.ndarray
     kick: np.ndarray
-    in_window: np.ndarray
     acc: np.ndarray
     kept: np.ndarray | None
     pre: np.ndarray
     post: np.ndarray
-    z: np.ndarray
+    levels: np.ndarray
     u: np.ndarray
     v: np.ndarray
 
@@ -371,8 +373,8 @@ def _thinning(
     (None: the exact flow); `step` is the flow's RK4 step from
     `_resolve_step` (None when nothing flows); `filter_n` fills `kept` from
     the n-th filtered kernel.  The entry points check the horizon and the
-    initial states and resolve the step before they call here, so before
-    any draw.
+    initial states (`_initial_states`) and resolve the step before they
+    call here, so before any draw.
 
     The engine holds ids, clocks, states and jump counts for the alive runs
     only, in run order, in the front of buffers made once per call; after a
@@ -393,18 +395,18 @@ def _thinning(
     Only the states that move are computed and checked: h and the filter
     ratio at the accepted jumps, b at the kicks of a nonzero drift (a zero
     drift's kicks move nothing), and the blow-up check on their new states
-    (a state that did not move was checked when it was made; the first
-    round checks every initial state).  Marks are inverted at the accepted
-    candidates only, and only theirs are tested against the active window,
-    unless `on_round` needs every mark or the sampling window is wider than
-    the active one; a candidate's mark is the same either way.  The rate
-    bound is read as the round's largest rate first, and by landing only
-    when that is above ubar.  A round in which every candidate landed skips
-    the compaction.  After the states are updated, `on_round` (if not None) gets the round's
-    `_Round` (a callback, so no round's arrays outlive the next round's); a
-    true return stops the engine, and its draws, there.  Compaction only
-    moves values, it never recomputes them, so each run's arithmetic and
-    bytes do not depend on which other runs are still alive.
+    (a state that did not move was checked when it was made, the initial
+    ones by `_initial_states`).  Marks are inverted at the accepted
+    candidates only; an accepted mark outside the active window (a wider
+    coupling window's) is a skip.  A zero rate has no sampler and accepts
+    nothing.  The rate bound is read as the round's largest rate first, and
+    by landing only when that is above ubar.  A round in which every
+    candidate landed skips the compaction.  After the states are updated,
+    `on_round` (if not None) gets the round's `_Round` (a callback, so no
+    round's arrays outlive the next round's); a true return stops the
+    engine, and its draws, there.  Compaction only moves values, it never
+    recomputes them, so each run's arithmetic and bytes do not depend on
+    which other runs are still alive.
     """
     sampler, active, ubar, lam = frame
     m = x.size
@@ -417,17 +419,12 @@ def _thinning(
     drift = i is None and not coeffs.b.is_zero
     # a zero drift's kicks move nothing
     kicks_move = i is not None and not coeffs.b.is_zero
-    # the marks of the accepted candidates are the only ones read, unless a
-    # round record needs them all or they come from a wider window
-    lean = (on_round is None and sampler is not None
-            and sampler.interval == (float(active[0]), float(active[1])))
     # the alive runs, in run order, with their clocks, states and jump counts
     ids = np.arange(m)
     t = np.zeros(m)
     xs = x.copy()
     nj = np.zeros(m, dtype=np.int64)
     buffers = np.empty((4 if i is None else 5, m))
-    first = True
     while ids.size:
         n = ids.size
         bounds = np.searchsorted(ids, offsets)
@@ -454,12 +451,7 @@ def _thinning(
         gam = np.asarray(coeffs.gamma.value(pre), dtype=float)
         if not gam.max() <= ubar:  # rare: find out whether a landed one broke it
             _check_rate_bound(gam[landed], ubar)
-        acc = u <= gam
-        if not lean:
-            z = sampler.invert(uni) if sampler is not None else np.full(n, np.nan)
-            in_window = z >= active[0]
-            in_window &= z <= active[1]
-            acc &= in_window
+        acc = u <= gam if sampler is not None else np.zeros(n, dtype=bool)  # no marks, no jumps
         acc &= landed
         if i is None:
             kick = np.zeros(n, dtype=bool)
@@ -471,15 +463,12 @@ def _thinning(
         kept = None if filter_n is None else np.zeros(n, dtype=bool)
         moved = []
         if acc.any():
-            if lean:
-                hit = np.flatnonzero(acc)
-                za = sampler.invert(uni[hit])
-                inside = (za >= active[0]) & (za <= active[1])
-                if not inside.all():  # a mark rounded past the window's edge
-                    acc[hit[~inside]] = False
-                    za = za[inside]
-            else:
-                za = z[acc]
+            hit = np.flatnonzero(acc)
+            za = sampler.invert(uni[hit])
+            inside = (za >= active[0]) & (za <= active[1])
+            if not inside.all():  # skips: marks outside the active window
+                acc[hit[~inside]] = False
+                za = za[inside]
             pa = pre[acc]
             moved.append(pa + np.asarray(coeffs.h.value(pa, za), dtype=float))
             post[acc] = moved[-1]
@@ -490,12 +479,10 @@ def _thinning(
             pk = pre[kick]
             moved.append(pk + np.asarray(coeffs.b.value(pk), dtype=float) / i)
             post[kick] = moved[-1]
-        if first:  # the initial states have not been checked yet
-            moved, first = [post], False
         for values in moved:
             _check_state(values)
         if on_round is not None and on_round(
-            _Round(ids, t_next, landed, kick, in_window, acc, kept, pre, post, z, u, v)
+            _Round(ids, t_next, landed, kick, acc, kept, pre, post, uni, u, v)
         ):
             x[ids] = post
             jumps[ids] = nj
@@ -527,10 +514,10 @@ def _single_path(
     """A batch of one of the thinning engine on `rng`, its landed candidates
     recorded as events."""
     _check_horizon(t_end)
-    _require_finite_number(x0, "x0")
+    x = _initial_states(x0, 1).copy()
     step = _resolve_step(coeffs, max_step, i)
     frame = _candidate_frame(coeffs, trunc, couple_top)
-    x = np.array([float(x0)])
+    sampler, (lo, hi) = frame[0], frame[1]
     events: list[JumpEvent] = []
 
     def on_round(r: _Round) -> None:
@@ -538,11 +525,12 @@ def _single_path(
             return
         if len(events) == 1_000_000:
             raise BlowUpError("event budget exhausted; rate is too large to record")
-        kind = ("drift" if r.kick[0] else "skip" if not r.in_window[0]
+        z = math.nan if sampler is None else float(sampler.invert(r.levels[:1])[0])
+        kind = ("drift" if r.kick[0] else "skip" if not lo <= z <= hi
                 else "jump" if r.acc[0] else "reject")
         events.append(JumpEvent(
             float(r.t_next[0]), kind, float(r.pre[0]), float(r.post[0]),
-            float(r.z[0]), float(r.u[0]), float(r.v[0]),
+            z, float(r.u[0]), float(r.v[0]),
         ))
 
     _thinning(coeffs, x, t_end, [rng], [1], frame, i, step, on_round)
@@ -610,7 +598,7 @@ def sample_tau_n(
     may be infinite.  `max_step` is as in `simulate_exact`.
     """
     _check_horizon(t_max, "t_max", finite=False)
-    _require_finite_number(x0, "x0")
+    x = _initial_states(x0, 1).copy()
     step = _resolve_step(coeffs, max_step, None)
     kernels._audit_rate(coeffs, n, trunc)
     frame = _candidate_frame(coeffs, trunc, None)
@@ -619,12 +607,12 @@ def sample_tau_n(
     def on_round(r: _Round) -> bool:
         if r.kept[0]:
             found.append(RegularizingJumpRecord(
-                float(r.t_next[0]), float(r.pre[0]), float(r.post[0]), float(r.z[0])
+                float(r.t_next[0]), float(r.pre[0]), float(r.post[0]),
+                float(frame[0].invert(r.levels[:1])[0]),
             ))
         return bool(found)
 
-    _thinning(coeffs, np.array([float(x0)]), t_max, [rng], [1], frame, None,
-              step, on_round, kernels, n)
+    _thinning(coeffs, x, t_max, [rng], [1], frame, None, step, on_round, kernels, n)
     return found[0] if found else None
 
 
@@ -647,12 +635,12 @@ def _chunk_groups(sizes: list[int], threads: int) -> list[np.ndarray]:
 
 def _initial_states(x0, runs: int) -> np.ndarray:
     """`x0`, one initial state or one per run, broadcast to `runs` states.
-    ContractError naming x0 unless it has such a shape and every state is
-    finite: a NaN or infinite start blows up at the first candidate."""
+    The one start rule, of every entry point and config stanza: ContractError
+    naming x0 unless it has such a shape and every state is finite and
+    within +-BLOW_UP, beyond which a state has blown up."""
     x = np.asarray(x0, dtype=float)
     if x.ndim == 0:
         _require_finite_number(float(x), "x0")
-        return np.broadcast_to(x, (runs,))
     try:
         x = np.broadcast_to(x, (runs,))
     except ValueError:
@@ -662,6 +650,12 @@ def _initial_states(x0, runs: int) -> np.ndarray:
     bad = runs - int(np.count_nonzero(np.isfinite(x)))
     if bad:
         raise ContractError(f"x0 must be finite: {bad} of {runs} initial states are not")
+    beyond = np.flatnonzero(np.abs(x) > BLOW_UP)
+    if beyond.size:
+        raise ContractError(
+            f"x0 must lie within +-{BLOW_UP:g}: {beyond.size} of {runs} initial states "
+            f"do not, the first {float(x[beyond[0]])!r}"
+        )
     return x
 
 
@@ -786,19 +780,6 @@ def _finite_samples(samples) -> np.ndarray:
     if bad:
         raise ContractError(f"{bad} of {s.size} samples are not finite")
     return s
-
-
-def _density_grid(window: tuple[float, float], nodes: int, name: str) -> tuple[float, float]:
-    """The window's ends, checked with the node count `name` of a sample
-    density: an integer of at least 8 (the least grid a `GridDensity`
-    holds) on a finite window with hi > lo."""
-    _require_int(nodes, name)
-    if nodes < 8:
-        raise ContractError(f"{name} must be at least 8, got {nodes!r}")
-    lo, hi = float(window[0]), float(window[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
-        raise ContractError(f"density window must be finite with hi > lo, got {window!r}")
-    return lo, hi
 
 
 def estimate_density(

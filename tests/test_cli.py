@@ -217,6 +217,24 @@ def test_nonpositive_max_step_or_threads_exit_2(tmp_path, capsys):
         ("certify", "diagnostics", "runs", 0, "runs must be at least 1"),
         ("certify", "diagnostics", "xi_min", 0.0, "xi_min must be positive and finite"),
         ("certify", "diagnostics", "xi_points", 0, "xi_points must be at least 10"),
+        # the certify band: each exited 1 as a rejected model after make_kernels
+        ("certify", "diagnostics", "xi_max", 1.0, "frequency band [1.0, 1.0] is empty"),
+        ("certify", "diagnostics", "xi_max", 0.5, "frequency band [1.0, 0.5] is empty"),
+        ("certify", "diagnostics", "xi_max", math.inf, "frequency band [1.0, inf] is empty"),
+        ("certify", "diagnostics", "runs", 50, "frequency band [1.0, 0.7071067811865476]"),
+        # theta: certify exited 0 with a negative or NaN predicted exponent, or
+        # raised ZeroDivisionError at theta = -t_end; check and kernels ran
+        ("certify", "kernels", "theta", -1.0, "theta must be finite and >= 0, got -1.0"),
+        ("certify", "kernels", "theta", -0.5, "theta must be finite and >= 0, got -0.5"),
+        ("certify", "kernels", "theta", math.nan, "theta must be finite and >= 0, got nan"),
+        ("kernels", "kernels", "theta", math.nan, "theta must be finite and >= 0, got nan"),
+        ("check", "kernels", "theta", math.inf, "theta must be finite and >= 0, got inf"),
+        # the density-window rule: a reversed window exited 1 ("empty density
+        # window"), an infinite one 1 with an InvalidModelError naming the drift
+        ("evolve", "evolution", "window", [8.0, -8.0], "density window must be finite"),
+        ("evolve", "evolution", "window", [8.0, 8.0], "density window must be finite"),
+        ("evolve", "evolution", "window", [-8.0, math.inf], "density window must be finite"),
+        ("evolve", "evolution", "window", [math.nan, 8.0], "density window must be finite"),
     ],
 )
 def test_out_of_range_stanza_values_exit_2(tmp_path, capsys, command, stanza, key, bad, message):
@@ -237,6 +255,9 @@ def test_out_of_range_stanza_values_exit_2(tmp_path, capsys, command, stanza, ke
         ("simulate", "simulation.i", 0, "drift surrogate index i=0 below i0=1"),
         ("evolve", "evolution.i", 0, "drift surrogate index i=0 below i0=1"),
         ("kernels", "kernels.n_values", [0, 2], "kernel indices must be positive integers"),
+        # these two exited 1, after make_kernels, or check_S and check_A, had run
+        ("kernels", "kernels.n_values", [4], "kernel audit needs at least two kernel indices"),
+        ("check", "kernels.n_values", [1], "check_B needs n_max >= 2"),
     ],
 )
 def test_values_the_model_refuses_exit_2_before_any_output(tmp_path, capsys, command, key,
@@ -455,9 +476,14 @@ def test_infinite_horizon_exits_2(tmp_path, capsys, stanza):
          "initial_sigma must be positive and finite, got 0.0"),
         ("evolve", "evolution", "initial_sigma", math.nan,
          "initial_sigma must be positive and finite, got nan"),
+        # a finite start beyond BLOW_UP: refused by the engine's start rule
+        ("simulate", "simulation", "x0", 2e8,
+         "x0 must lie within +-1e+08: 1 of 1 initial states do not, the first 200000000.0"),
+        ("certify", "diagnostics", "x0", -2e8,
+         "x0 must lie within +-1e+08: 1 of 1 initial states do not, the first -200000000.0"),
     ],
     ids=["simulate-x0-nan", "certify-x0-inf", "evolve-mean-nan", "evolve-mean-inf",
-         "evolve-sigma-0", "evolve-sigma-nan"],
+         "evolve-sigma-0", "evolve-sigma-nan", "simulate-x0-beyond", "certify-x0-beyond"],
 )
 def test_initial_laws_that_are_not_finite_exit_2(
     tmp_path, capsys, command, stanza, key, bad, message

@@ -145,6 +145,11 @@ def test_frequency_grid_heuristic_cap():
         ("xi_min", math.nan, "xi_min must be positive and finite"),
         ("xi_points", 9, "xi_points must be at least 10"),
         ("xi_max", math.nan, "frequency band"),
+        ("xi_max", 1.0, r"frequency band \[1.0, 1.0\] is empty"),
+        ("xi_max", 0.5, r"frequency band \[1.0, 0.5\] is empty"),
+        ("xi_max", math.inf, r"frequency band \[1.0, inf\] is empty or unbounded"),
+        ("runs", 50, r"frequency band \[1.0, 0.707"),  # the default top, 0.1 sqrt(runs)
+        ("runs", -5, "runs must be at least 1, got -5"),  # math.sqrt's ValueError before
     ],
 )
 def test_bad_band_is_refused_before_the_batch(monkeypatch, exp_unit_model, field, bad, message):
@@ -154,7 +159,7 @@ def test_bad_band_is_refused_before_the_batch(monkeypatch, exp_unit_model, field
         raise AssertionError("the batch ran before the band was checked")
 
     monkeypatch.setattr(js.diagnostics, "simulate_batch", no_batch)
-    cfg = js.PipelineConfig(runs=1000, **{field: bad})
+    cfg = js.PipelineConfig(**{"runs": 1000, field: bad})
     with pytest.raises(js.ContractError, match=message):
         js.smoothness_pipeline(exp_unit_model, None, 0.0, 0.5, js.RngSpec(1), cfg)
 
@@ -186,6 +191,48 @@ def test_smoothness_pipeline_power_law_decay(exp_unit_model):
     assert [row["n"] for row in rep["two_term"]] == [2, 5]
     assert all(row["constant"] >= 0.0 for row in rep["two_term"])
     assert rep["runs"] == 20_000 and rep["trunc"] == 1
+
+
+def test_smoothness_pipeline_point_mass_has_no_decay():
+    # no jumps and no drift: every run ends at x0, so |cf| = 1 on the whole
+    # band and the certificate is the point-mass "no decay"
+    h = js.JumpAmplitude(((js.constant(0.1), js.ExpDecay(1.0, 1.0)),))
+    q = js.JumpMeasureSpec((0.0, np.inf), js.constant(1.0), (2.0,))
+    still = js.CoefficientSet(
+        b=js.constant(0.0), gamma=js.constant(0.0), h=h, eta=js.ExpDecay(0.1, 1.0), q=q,
+        k=2, y_window=(-6.0, 6.0),
+    )
+    rep = js.smoothness_pipeline(
+        still, None, 0.7, 1.0, js.RngSpec(3), js.PipelineConfig(runs=4000)
+    )
+    assert rep["certificate"] == "no decay"
+    assert rep["fit"].verdict == "no decay"
+    assert rep["magnitude_floor"] == pytest.approx(1.0, abs=1e-12)
+    assert rep["predicted_exponent"] is None and rep["two_term"] == []
+
+
+def test_smoothness_pipeline_short_tail_is_not_flat(monkeypatch, exp_unit_model):
+    # a decaying CF that stays above the atom floor: the tail fit over the
+    # upper half of 10 frequencies has too few points, and the ResolutionError
+    # reads as "not flat", so the certificate stays a decay verdict
+    fits, decay_fit = [], js.diagnostics.decay_fit
+
+    def spy(cf, band=None):
+        try:
+            fits.append(decay_fit(cf, band))
+        except js.ResolutionError as exc:
+            fits.append(exc)
+            raise
+        return fits[-1]
+
+    monkeypatch.setattr(js.diagnostics, "decay_fit", spy)
+    rep = js.smoothness_pipeline(
+        exp_unit_model, None, 0.0, 0.75, js.RngSpec(2024),
+        js.PipelineConfig(runs=20_000, trunc=1, xi_points=10),
+    )
+    assert len(fits) == 2 and isinstance(fits[1], js.ResolutionError)
+    assert rep["magnitude_floor"] >= js.diagnostics.ATOM_FLOOR
+    assert rep["certificate"] == "decay below order 0"
 
 
 def test_smoothness_pipeline_flags_atom(collapse_model):

@@ -46,6 +46,20 @@ def test_sobolev_norm_normal_oracle():
         js.sobolev_norm(g, order=3)
 
 
+@pytest.mark.parametrize(
+    "window", [(8.0, -8.0), (1.0, 1.0), (-8.0, math.inf), (math.nan, 8.0)],
+    ids=["reversed", "empty", "infinite", "nan"],
+)
+def test_grid_densities_share_the_density_window_rule(window):
+    # a reversed window raised "empty density window", and an infinite one
+    # was accepted by GridDensity and sampled as NaN by gaussian_density
+    message = "density window must be finite with hi > lo"
+    with pytest.raises(js.ContractError, match=message):
+        js.gaussian_density(window, 64, 1)
+    with pytest.raises(js.ContractError, match=message):
+        js.GridDensity(window[0], window[1], np.ones((1, 64)))
+
+
 def test_grid_density_validation():
     with pytest.raises(js.ContractError):
         js.GridDensity(0.0, 1.0, np.ones((1, 4)), 0.0)  # too few nodes

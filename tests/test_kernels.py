@@ -252,6 +252,24 @@ def test_kernel_sobolev_audit_needs_two_indices(exp_unit_model):
         js.kernel_sobolev_audit(exp_unit_model, np.array([0.0]), (3,), theta=1.0)
 
 
+@pytest.mark.parametrize("theta", [-1.0, -0.1, math.nan, math.inf])
+def test_theta_is_refused_by_one_rule(exp_unit_model, theta):
+    # check_B alone refused theta < 0; make_kernels and the audit took any
+    # theta, and NaN passed everywhere as a failed audit
+    message = f"^theta must be finite and >= 0, got {theta!r}$"
+    with pytest.raises(js.ContractError, match=message):
+        js.make_kernels(exp_unit_model, (2, 4), theta=theta)
+    with pytest.raises(js.ContractError, match=message):
+        js.kernel_sobolev_audit(exp_unit_model, np.array([0.0, 1.0]), (2, 4), theta)
+    with pytest.raises(js.ContractError, match=message):
+        js.check_B(exp_unit_model, n_max=4, theta=theta)
+    # a decomposition built by hand meets the rule in the pipeline, before
+    # any sampling: theta = -t_end raised ZeroDivisionError after the batch
+    bare = js.KernelDecomposition(exp_unit_model, (2,), theta=theta)
+    with pytest.raises(js.ContractError, match=message):
+        js.smoothness_pipeline(exp_unit_model, bare, 0.0, 0.1, js.RngSpec(1))
+
+
 # ---------------------------------------------------------------------------
 # decomposition facade
 # ---------------------------------------------------------------------------

@@ -319,9 +319,22 @@ def test_thinning_candidates_blow_up():
         ("tau_nan", "x0 must be finite, got nan"),
         ("gaussian_nan", "mean must be finite, got nan"),
         ("gaussian_inf", "mean must be finite, got inf"),
+        # finite starts beyond BLOW_UP: a batch raised BlowUpError in its first
+        # round, and where the drift flow carried the start back into range,
+        # whether it was refused depended on the seed (5 ran to the end)
+        ("batch_beyond", "x0 must lie within +-1e+08: 64 of 64 initial states do not, "
+                         "the first 200000000.0"),
+        ("poissonized_batch_beyond", "x0 must lie within +-1e+08: 64 of 64 initial states"),
+        ("filtered_batch_beyond", "x0 must lie within +-1e+08: 1 of 64 initial states do not, "
+                                  "the first -150000000.0"),
+        ("exact_drift_beyond", "x0 must lie within +-1e+08: 1 of 1 initial states do not, "
+                               "the first 200000000.0"),
+        ("poissonized_beyond", "x0 must lie within +-1e+08: 1 of 1 initial states"),
+        ("tau_beyond", "x0 must lie within +-1e+08: 1 of 1 initial states"),
     ],
     ids=["batch_shape", "batch_nan", "batch_one_inf", "exact_nan", "poissonized_inf",
-         "tau_nan", "gaussian_nan", "gaussian_inf"],
+         "tau_nan", "gaussian_nan", "gaussian_inf", "batch_beyond", "poissonized_batch_beyond",
+         "filtered_batch_beyond", "exact_drift_beyond", "poissonized_beyond", "tau_beyond"],
 )
 def test_initial_states_that_are_not_finite_are_refused(
     probe, message, monkeypatch, wobble_model, exp_unit_model
@@ -332,6 +345,9 @@ def test_initial_states_that_are_not_finite_are_refused(
 
     monkeypatch.setattr(simulate_module, "_thinning", engine)
     m, rng = _thin_model(), js.RngSpec(8).generator()
+    inward = dataclasses.replace(wobble_model, b=js.Affine(0.0, -1.0))  # flows 2e8 to 1e7 by t = 3
+    i = wobble_model.min_drift_index()
+    kd = js.make_kernels(exp_unit_model, (2,), theta=4.2)
     calls = {
         "batch_shape": lambda: js.simulate_batch(m, np.zeros(5), 0.5, 1, js.RngSpec(1), 10),
         "batch_nan": lambda: js.simulate_batch(m, math.nan, 1.0, 1, js.RngSpec(8), 64),
@@ -348,6 +364,19 @@ def test_initial_states_that_are_not_finite_are_refused(
         ),
         "gaussian_nan": lambda: js.gaussian_density((-4.0, 4.0), 64, 1, mean=math.nan),
         "gaussian_inf": lambda: js.gaussian_density((-4.0, 4.0), 64, 1, mean=math.inf),
+        "batch_beyond": lambda: js.simulate_batch(inward, 2e8, 3.0, 1, js.RngSpec(5), 64),
+        "poissonized_batch_beyond": lambda: js.simulate_batch(
+            wobble_model, 2e8, 1.0, 1, js.RngSpec(5), 64, i=i
+        ),
+        "filtered_batch_beyond": lambda: js.simulate_batch(
+            exp_unit_model, np.r_[np.zeros(63), -1.5e8], 1.0, 1, js.RngSpec(5), 64,
+            kernels=kd, filter_n=2,
+        ),
+        "exact_drift_beyond": lambda: js.simulate_exact(
+            inward, 2e8, 3.0, 1, js.RngSpec(5).generator()
+        ),
+        "poissonized_beyond": lambda: js.simulate_poissonized(wobble_model, 2e8, 1.0, i, 1, rng),
+        "tau_beyond": lambda: js.sample_tau_n(exp_unit_model, kd, 2e8, 2, 1.0, 1, rng),
     }
     with pytest.raises(js.ContractError, match=re.escape(message)):
         calls[probe]()
