@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ContractError, ResolutionError, WindowTooSmallError
 from .fokker_planck import GridDensity
 from .kernels import KernelDecomposition
-from .model import CoefficientSet, _check_theta, _require_positive
+from .model import CoefficientSet, _check_theta, _require_int, _require_positive
 from .simulate import FLOOR_MULT, CFEstimate, RngSpec, empirical_cf, simulate_batch
 
 # A CF magnitude that stays above this (or 5 standard errors) over the upper
@@ -166,10 +166,11 @@ def _check_band(xi_min: float, xi_points: int, xi_max: float | None, runs: int) 
     """The top of the certify band, the one rule of `frequency_grid` and the
     `diagnostics` stanza: `xi_max`, or by default where sampling noise bites
     at `runs` samples (0.1 sqrt(N) heuristic, capped at 1000).  ContractError
-    unless xi_min is positive and finite, there are at least MIN_FIT_POINTS
-    frequencies, runs is at least 1 where it sets the top, and the top is
-    finite and above xi_min."""
+    unless xi_min is positive and finite, there are an integer number of at
+    least MIN_FIT_POINTS frequencies, runs is at least 1 where it sets the
+    top, and the top is finite and above xi_min."""
     _require_positive(xi_min, "xi_min")
+    _require_int(xi_points, "xi_points")
     if xi_points < MIN_FIT_POINTS:
         raise ContractError(f"xi_points must be at least {MIN_FIT_POINTS}, got {xi_points}")
     if xi_max is None and not runs >= 1:  # the default top takes sqrt(runs)
@@ -232,7 +233,9 @@ def smoothness_pipeline(
     if kernels is not None:
         k = float(coeffs.k)
         theta = float(kernels.theta)
-        predicted = k * t_end / (theta + t_end)
+        # at t = 0 no jump has had time to smooth the law: 0, the t -> 0
+        # limit for any theta > 0 (the ratio has no value at theta = t = 0)
+        predicted = k * t_end / (theta + t_end) if t_end > 0.0 else 0.0
         # envelope constant calibrated on the lower third of the band,
         # checked on the rest with the sampling floor as slack
         usable = cf.usable()

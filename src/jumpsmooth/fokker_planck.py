@@ -26,13 +26,13 @@ Everything state-independent (inverse maps, transfer tables, quadrature and
 interpolation weights) is folded once per grid into a sparse linear map on
 the flattened stack, kept as two CSR matrices (`scipy.sparse`, imported
 lazily at the first build): the drift pullback, which depends on i, and the
-jump pullback with its local loss, which does not.  The jump part solves the
-pre-images for a block of marks per call, in closed form for an amplitude
-affine in the state, whose transfer table is then one per mark.  The
-stencils of every derivative block are merged by one sparse product: a
-stencil matrix with one column of 4 cubic weights per (node, mark) pair,
-times the (pair, block) coefficient matrix, each mark block's columns one
-contiguous slab.  A time step is one CSR product per part.
+jump pullback with its local loss, which does not.  The jump part is built
+a block of nodes at a time: one call solves the block's pre-images at every
+mark, in closed form for an amplitude affine in the state, whose transfer
+table is then one per mark.  The stencils of every derivative block are
+merged by one sparse product per block of nodes: a stencil matrix with one
+column of 4 cubic weights per (node, mark) pair, times the (pair, block)
+coefficient matrix.  A time step is one CSR product per part.
 `norm_growth_audit` builds the jump part once and derives its 2 i operator
 with `AdjointOperator.with_drift_index`.
 `evolve` repeats the run at half the step on the same map to estimate its
@@ -214,10 +214,10 @@ def _interp_weights(points: np.ndarray, lo: float, spacing: float, size: int):
     return base.astype(int), w, inside
 
 
-# Marks per transfer solve in the operator build.  Blocks, not all marks at
-# once: a model whose pre-image cannot be bracketed (60 bracket growths)
-# fails after one block, and the (nodes, marks) temporaries stay small.
-JUMP_BLOCK_MARKS = 32
+# Nodes per block of the jump-part build.  Each block solves its pre-images
+# at every mark in one transfer call and merges its own stencils, so the
+# (node, mark) temporaries exist for one block at a time.
+JUMP_BLOCK_NODES = 64
 
 
 def _block_pairs(k: int) -> list[tuple[int, int]]:
@@ -236,13 +236,13 @@ class AdjointOperator:
     CSR matrix (`scipy.sparse`, imported lazily) over the flattened stack,
     where entry ``l * size + j`` is the l-th derivative at node j: `drift`
     (index i) and `jump` (with the local loss; it does not depend on i).  The
-    jump part solves the pre-images of `JUMP_BLOCK_MARKS` marks per
-    `transfer_alpha_grid` call, whose table takes one path for every
-    amplitude (an affine one, h = A(z) + B(z) y, has the closed-form stack,
-    and its table is formed once per mark).  Each part merges the stencils
-    of all its derivative blocks (l, r) in one sparse product
-    (`_merge_stencils`), reading one contiguous slab of columns per mark
-    block.
+    jump part is built `JUMP_BLOCK_NODES` nodes at a time: one
+    `transfer_alpha_grid` call solves a block's pre-images at every mark,
+    with the table from the one path every amplitude takes (an affine one,
+    h = A(z) + B(z) y, has the closed-form stack, and its table is formed
+    once per mark), and the block's stencils of all derivative blocks (l, r)
+    are merged in one sparse product (`_merge_stencils`).  The drift part
+    is one such block, one pre-image per node.
     `apply` is one CSR product per part.
     `with_drift_index` gives the operator at another index that shares this
     one's jump part.
@@ -299,56 +299,42 @@ class AdjointOperator:
         base, w, _ = _interp_weights(taui[0], self.lo, self.spacing, n)
         coef = np.stack([self.i * ((l == r) + beta[l, r]) for l, r in _block_pairs(k)],
                         axis=-1)
-        parts = self._merge_stencils(base, w, coef, [1])
+        parts = self._merge_stencils(base[:, None], w[:, None], coef, 0)
         nodes = np.arange(n)
         for l in range(k + 1):
             parts.append((l * n + nodes, l * n + nodes, np.full(n, -float(self.i))))
         self.drift = self._csr(parts)
 
     def _jump_part(self, z: np.ndarray, wq: np.ndarray):
-        """Jump pullback and local loss, with the mark pre-images solved
-        `JUMP_BLOCK_MARKS` marks per `transfer_alpha_grid` call."""
+        """Jump pullback and local loss, built `JUMP_BLOCK_NODES` nodes at a
+        time, each block's pre-images at every mark from one
+        `transfer_alpha_grid` call."""
         coeffs, grid, k, n = self.coeffs, self.grid, self.k, self.size
         pairs = _block_pairs(k)
-        # one column per (node, mark) pair, in (mark block, node, mark)
-        # order: each mark block (the last may be shorter) fills one
-        # contiguous slab of every column array, so a build that fails in a
-        # block has touched only the slabs before it
-        cuts = [slice(start, min(start + JUMP_BLOCK_MARKS, z.size))
-                for start in range(0, z.size, JUMP_BLOCK_MARKS)]
-        slabs = [slice(n * cut.start, n * cut.stop) for cut in cuts]
-        # coef[:, b] for block (l, r0) = pairs[b], with gam[r][r0] =
-        # C(r, r0) gamma^(r - r0)(tau):  gam[l][r0] + sum_r alpha[l, r] gam[r][r0]
-        coef = np.empty((n * z.size, len(pairs)))
-        tau0 = np.empty(n * z.size)
-        for cut, slab in zip(cuts, slabs):
-            alpha, tau = transfer_alpha_grid(coeffs, grid, z[cut], k)
-            tau0[slab] = tau[0].ravel()
+        parts = []
+        escape = np.empty(n)
+        for first in range(0, n, JUMP_BLOCK_NODES):
+            rows = slice(first, min(first + JUMP_BLOCK_NODES, n))
+            alpha, tau = transfer_alpha_grid(coeffs, grid[rows], z, k)
+            # coef[b] for block (l, r0) = pairs[b], with gam[r][r0] =
+            # C(r, r0) gamma^(r - r0)(tau):  gam[l][r0] + sum_r alpha[l, r] gam[r][r0]
             gam = _leibniz_terms(coeffs.gamma.stack(tau[0], k))
-            # block-major here, so that the slab takes one pair-major copy
-            chunk = np.empty((len(pairs),) + tau[0].shape)
+            coef = np.empty((len(pairs),) + tau[0].shape)
             for b, (l, r0) in enumerate(pairs):
                 c = gam[l][r0]
                 for r in range(r0, l + 1):
                     c = c + alpha[l, r] * gam[r][r0]
-                chunk[b] = c
-            coef[slab] = chunk.reshape(len(pairs), -1).T
-        # the stencils of the pre-images, their weights times the mark
-        # weights: once every block is solved (a build that fails in a solve
-        # pays nothing here), a block at a time so that temporaries stay small;
-        # lost[j, m] is the mark weight of a pre-image outside the window
-        base = np.empty(n * z.size, dtype=int)
-        w = np.empty((n * z.size, 4))
-        lost = np.empty((n, z.size))
-        for cut, slab in zip(cuts, slabs):
-            base[slab], wb, inside = _interp_weights(tau0[slab], self.lo, self.spacing, n)
-            # each node's row of 4 weights per mark, times its marks' weights
-            np.multiply(wb.reshape(n, -1), np.repeat(wq[cut], 4), out=w[slab].reshape(n, -1))
-            np.multiply(~inside.reshape(n, -1), wq[cut], out=lost[:, cut])
+                coef[b] = c
+            # the stencils' weights times the mark weights; a pre-image
+            # outside the window loses its mark weight
+            base, w, inside = _interp_weights(tau[0], self.lo, self.spacing, n)
+            w *= wq[:, None]
+            escape[rows] = (~inside * wq).sum(axis=1)
+            parts += self._merge_stencils(base, w, coef.reshape(len(pairs), -1).T, first)
         # Per-state fraction of transported mark mass that reads outside
         # the window, summed over the marks in ascending order; large values
         # in the interior mean the window is too small for this truncation.
-        escape = lost.sum(axis=1) / max(self.qmass, 1e-300)
+        escape /= max(self.qmass, 1e-300)
         inner = slice(n // 5, n - n // 5)
         self.escape_fraction = float(np.max(escape[inner]))
         if self.escape_fraction > ESCAPE_TOL:
@@ -356,7 +342,6 @@ class AdjointOperator:
                 f"{self.escape_fraction:.2%} of transported mark mass leaves the "
                 "window at interior states; widen the window"
             )
-        parts = self._merge_stencils(base, w, coef, [cut.stop - cut.start for cut in cuts])
         # local loss -qmass (gamma g)^(l): (C(l, r) (-qmass)) gamma^(l - r)
         nodes = np.arange(n)
         loss = _leibniz_terms(np.full(k + 1, -self.qmass))
@@ -381,48 +366,44 @@ class AdjointOperator:
         indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=size))])
         return csr_array((data[order], cols[order], indptr), shape=(size, size))
 
-    def _merge_stencils(self, base, w, coef, marks):
-        """Sparse triples of every block (l, r) with duplicate keys summed.
+    def _merge_stencils(self, base, w, coef, first):
+        """Sparse triples of every block (l, r) over one block of nodes,
+        first, first + 1, ..., with duplicate keys summed.
 
         The stencils and coefficients come in columns, one per (node, mark)
-        pair, in (mark block, node, mark) order: mark block c is one
-        contiguous slab of `size * marks[c]` columns.  `base` (columns,) and
-        `w` (columns, 4) are the stencils, `coef[:, b]` the coefficients of
-        the derivative block `_block_pairs(k)[b]`.  Node j's stencil nodes lie
-        in a window of `width` slots from its smallest base, so the (node,
-        stencil node) key is ``j * width + (base + o - min_base[j])``.  The stencil matrix (CSC,
+        pair, in (node, mark) order: `base` (nodes, marks) and `w` (nodes,
+        marks, 4) are the stencils, `coef[:, b]` the coefficients of the
+        derivative block `_block_pairs(k)[b]`.  The stencil nodes of node
+        first + j lie in a window of `width` slots from its smallest base, so
+        the (node, stencil node) key is
+        ``j * width + (base + o - min_base[j])``.  The stencil matrix (CSC,
         slots by columns) holds each column's 4 weights at its 4 keys in
         offset order, so it needs no sort, and one multivector product with
-        `coef` gives every block's slot sums.  That product (`csc_matvecs`)
-        adds each slot's terms w * coef from zero in (column, offset) order,
-        which is ascending mark order: the order in which a per-block
-        ``np.bincount`` of the raveled keys adds the same products, so the
-        sums are bit-equal to that bincount's.  The slots run in (node, slot)
-        order, and the zero sums (unread slots among them) are dropped.
+        `coef` gives every block's slot sums.  That
+        product (`csc_matvecs`) adds each slot's terms w * coef from zero in
+        (column, offset) order, which is ascending mark order: the order in
+        which a per-block ``np.bincount`` of the raveled keys adds the same
+        products, so the sums are bit-equal to that bincount's.  The slots
+        run in (node, slot) order, and the zero sums (unread slots among
+        them) are dropped.
         """
         from scipy.sparse import csc_array
 
-        n = self.size
-        edges = np.cumsum([0] + [n * m for m in marks])
-        slabs = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
-        bases = [base[slab].reshape(n, -1) for slab in slabs]
-        low = np.min([nb.min(axis=1) for nb in bases], axis=0)
-        width = int(np.max(np.max([nb.max(axis=1) for nb in bases], axis=0) - low)) + 4
-        start = (np.arange(n) * width - low)[:, None]
-        # a slab and an offset at a time: long loops, where one broadcast
-        # over the innermost axis of 4 is several times slower
-        keys = np.empty((base.size, 4), dtype=base.dtype)
-        for slab, nb in zip(slabs, bases):
-            kb = keys[slab].reshape(n, -1, 4)
-            np.add(start, nb, out=kb[..., 0])
-            for o in range(1, 4):
-                np.add(kb[..., 0], o, out=kb[..., o])
+        n, nodes = self.size, len(base)
+        low = base.min(axis=1)
+        width = int(np.max(base.max(axis=1) - low)) + 4
+        # an offset at a time: long loops, where one broadcast over the
+        # innermost axis of 4 is several times slower
+        keys = np.empty(base.shape + (4,), dtype=base.dtype)
+        np.add((np.arange(nodes) * width - low)[:, None], base, out=keys[..., 0])
+        for o in range(1, 4):
+            np.add(keys[..., 0], o, out=keys[..., o])
         stencil = csc_array((w.ravel(), keys.ravel(), np.arange(0, keys.size + 1, 4)),
-                            shape=(n * width, base.size))
+                            shape=(nodes * width, base.size))
         sums = stencil @ coef
-        slots = np.arange(n * width)
-        srow = slots // width
-        scol = low[srow] + slots % width
+        slots = np.arange(nodes * width)
+        srow = first + slots // width
+        scol = low[slots // width] + slots % width
         parts = []
         for b, (l, r) in enumerate(_block_pairs(self.k)):
             data = sums[:, b]
@@ -581,7 +562,7 @@ def evolve(
 
     wanted = sorted(set(float(s) for s in snapshot_times))
     for s in wanted:
-        if s < 0 or s > t_end + 1e-12:
+        if not 0.0 <= s <= t_end + 1e-12:
             raise ContractError(f"snapshot time {s} outside [0, {t_end}]")
 
     final, snaps, times, masses = _euler(op, initial, t_end, dt, wanted)

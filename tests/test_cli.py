@@ -586,6 +586,19 @@ def test_kernels_audit_pass_and_fail(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_certify_at_t_0_with_theta_0_exits_1(tmp_path, capsys):
+    # the predicted exponent divided by theta + t_end = 0 and certify ended
+    # in a traceback after sampling the batch
+    cfg = _base_config(tmp_path / "out")
+    cfg["kernels"]["theta"] = 0.0
+    cfg["diagnostics"].update(t_end=0.0, runs=500)
+    assert main(["certify", "--config", _write(tmp_path, cfg)]) == 1
+    payload = json.loads((tmp_path / "out" / "certificate.json").read_text())
+    assert payload["certificate"] == "no decay"
+    assert payload["predicted_exponent"] == 0.0
+    assert "certificate: no decay" in capsys.readouterr().out
+
+
 def test_certify_smooth_model_exits_0(tmp_path, capsys):
     cfg = _base_config(tmp_path / "out")
     path = _write(tmp_path, cfg)

@@ -144,6 +144,7 @@ def test_frequency_grid_heuristic_cap():
         ("xi_min", 0.0, "xi_min must be positive and finite"),
         ("xi_min", math.nan, "xi_min must be positive and finite"),
         ("xi_points", 9, "xi_points must be at least 10"),
+        ("xi_points", 20.5, r"^xi_points must be an integer, got 20.5$"),  # numpy's TypeError
         ("xi_max", math.nan, "frequency band"),
         ("xi_max", 1.0, r"frequency band \[1.0, 1.0\] is empty"),
         ("xi_max", 0.5, r"frequency band \[1.0, 0.5\] is empty"),
@@ -247,6 +248,16 @@ def test_smoothness_pipeline_flags_atom(collapse_model):
     assert rep["magnitude_floor"] >= 1.0 - 2.0 * math.exp(-1.5) - 0.02
     assert rep["predicted_exponent"] is None
     assert rep["two_term"] == []
+
+
+def test_smoothness_pipeline_predicts_no_smoothing_at_t_0(exp_unit_model):
+    # theta = 0 and t_end = 0 are both allowed; k t / (theta + t) divided
+    # by zero after the whole batch had been sampled
+    kern = js.make_kernels(exp_unit_model, (2, 5), theta=0.0)
+    rep = js.smoothness_pipeline(exp_unit_model, kern, 0.0, 0.0, js.RngSpec(3),
+                                 js.PipelineConfig(runs=500))
+    assert rep["certificate"] == "no decay"
+    assert rep["predicted_exponent"] == 0.0
 
 
 def test_smoothness_pipeline_rejects_mismatched_kernels(exp_unit_model, power_model):

@@ -179,13 +179,14 @@ def _counting(monkeypatch, name, fn=None):
 @pytest.mark.parametrize("model_name", sorted(_BUILDS))
 def test_blocked_jump_build_matches_per_mark_reference(request, monkeypatch, model_name):
     # the reference solves the pre-images one scalar mark at a time; the
-    # blocked build must give the same triples: exactly where the
-    # coefficients' array arithmetic rounds as their scalar calls do
-    # (wobble), within 1e-15 of the largest entry through power laws
+    # blocked build, one solve per block of nodes, must give the same
+    # triples: exactly where the coefficients' array arithmetic rounds as
+    # their scalar calls do (wobble), within 1e-15 of the largest entry
+    # through power laws
     model, g, cfg = _build(request, model_name)
     blocked = _counting(monkeypatch, "transfer_alpha_grid")
     got = js.AdjointOperator(model, g, cfg).jump
-    assert len(blocked) == math.ceil(cfg.quad_nodes / js.fokker_planck.JUMP_BLOCK_MARKS)
+    assert len(blocked) == math.ceil(g.size / js.fokker_planck.JUMP_BLOCK_NODES)
 
     def per_mark(coeffs, y, z, k):
         tables = [js.calculus.transfer_alpha_grid(coeffs, y, float(zm), k) for zm in z]
@@ -215,25 +216,26 @@ def test_reduceat_apply_matches_bincount(request, model_name):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-def _bincount_merge(op, base, w, coef, marks):
+def _bincount_merge(op, base, w, coef, first):
     # the per-block merge that the stencil product replaced: each block
     # (l, r) multiplies its coefficients into the weights and bincounts the
-    # (node, stencil node) keys; a column's node comes from the slab layout,
-    # (mark block, node, mark), the mark blocks `marks` wide
-    n = op.size
-    node = np.concatenate([np.repeat(np.arange(n), m) for m in marks])
-    low, high = np.full(n, np.iinfo(base.dtype).max), np.full(n, np.iinfo(base.dtype).min)
+    # (node, stencil node) keys; a column's node comes from the layout,
+    # (node, mark), over the nodes first, first + 1, ...
+    n, nodes = op.size, base.shape[0]
+    node = np.repeat(np.arange(nodes), base.shape[1])
+    base, w = base.ravel(), w.reshape(-1, 4)
+    low, high = np.full(nodes, np.iinfo(base.dtype).max), np.full(nodes, np.iinfo(base.dtype).min)
     np.minimum.at(low, node, base)
     np.maximum.at(high, node, base)
     width = int(np.max(high - low)) + 4
     keys = (((node * width - low[node]) + base)[:, None] + np.arange(4)).ravel()
-    slots = np.arange(n * width)
-    srow = slots // width
-    scol = low[srow] + slots % width
+    slots = np.arange(nodes * width)
+    srow = first + slots // width
+    scol = low[slots // width] + slots % width
     parts = []
     for b, (l, r) in enumerate(js.fokker_planck._block_pairs(op.k)):
         entry = coef[:, b, None] * w
-        data = np.bincount(keys, weights=entry.ravel(), minlength=n * width)
+        data = np.bincount(keys, weights=entry.ravel(), minlength=nodes * width)
         keep = data != 0.0
         parts.append((l * n + srow[keep], r * n + scol[keep], data[keep]))
     return parts
@@ -255,19 +257,21 @@ def _bench_evolution(name):
 def test_stencil_merge_matches_per_block_bincount(request, monkeypatch, setting):
     # one sparse product sums each slot in the bincount's (mark, offset)
     # order with the same products, so both parts repeat to the byte; the
-    # ragged builds take 104 marks, in blocks of 32, 32, 32 and 8
+    # ragged builds take 300 nodes, whose last block is short
     kind, _, name = setting.rpartition(":")
     if kind == "bench":
         model, g, cfg = _bench_evolution(name)
     else:
-        model, g, cfg = _build(request, name, **({"quad_nodes": 100} if kind else {}))
+        model, g, cfg = _build(request, name, **({"size": 300} if kind else {}))
     got = js.AdjointOperator(model, g, cfg)
-    widths = []
+    nodes = []
     monkeypatch.setattr(js.fokker_planck.AdjointOperator, "_merge_stencils",
-                        lambda *a: widths.append(a[-1]) or _bincount_merge(*a))
+                        lambda *a: nodes.append(len(a[1])) or _bincount_merge(*a))
     want = js.AdjointOperator(model, g, cfg)
     if kind == "ragged":
-        assert widths[-1] == [32, 32, 32, 8]
+        block = js.fokker_planck.JUMP_BLOCK_NODES
+        assert 300 % block
+        assert nodes[-math.ceil(300 / block):] == [block] * (300 // block) + [300 % block]
     for part in ("drift", "jump"):
         a, b = getattr(got, part), getattr(want, part)
         np.testing.assert_array_equal(a.indptr, b.indptr)
@@ -302,17 +306,20 @@ def test_k3_jump_build_matches_the_inline_binomial_loops(monkeypatch, name):
                         lambda *a: tables.append(solve(*a)) or tables[-1])
     merge, csr = js.AdjointOperator._merge_stencils, js.AdjointOperator._csr
     monkeypatch.setattr(js.AdjointOperator, "_merge_stencils",
-                        lambda self, base, w, coef, marks:
-                        merged.append(coef) or merge(self, base, w, coef, marks))
+                        lambda self, base, w, coef, first:
+                        merged.append(coef) or merge(self, base, w, coef, first))
     monkeypatch.setattr(js.AdjointOperator, "_csr",
                         lambda self, parts: assembled.append(parts) or csr(self, parts))
     op = js.AdjointOperator(model, g, dataclasses.replace(cfg, quad_nodes=64))
     pairs = js.fokker_planck._block_pairs(3)
-    # (pairs, columns), the columns in (mark block, node, mark) order
+    # (pairs, columns), the columns in (node, mark) order
     want = np.concatenate([_inline_binomial_coef(alpha, model.gamma.stack(tau[0], 3), 3)
                            .reshape(len(pairs), -1) for alpha, tau in tables], axis=-1)
-    # the last merge and the last assembly are the jump part's
-    assert merged[-1].T.tobytes() == want.tobytes()
+    # the last merges, one per block of nodes, and the last assembly are
+    # the jump part's
+    assert len(tables) > 1
+    got = np.concatenate([coef.T for coef in merged[-len(tables):]], axis=-1)
+    assert got.tobytes() == want.tobytes()
     gamma_grid = model.gamma.stack(op.grid, 3)
     loss = [triple[2] for triple in assembled[-1][-len(pairs):]]
     for (l, r), got in zip(pairs, loss):
@@ -320,9 +327,9 @@ def test_k3_jump_build_matches_the_inline_binomial_loops(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", ["wobble", "power"])
-def test_build_takes_one_rate_stack_per_mark_block(monkeypatch, name):
+def test_build_takes_one_rate_stack_per_node_block(monkeypatch, name):
     # the rate's derivatives at the pre-images come from one stack per block
-    # of marks, and one more on the grid gives the local loss
+    # of nodes, over every mark, and one more on the grid gives the local loss
     model, g, cfg = _bench_evolution(name)
     gamma = model.gamma
     stacks, derivatives = [], []
@@ -342,9 +349,9 @@ def test_build_takes_one_rate_stack_per_mark_block(monkeypatch, name):
     monkeypatch.setattr(family, "stack", counted_stack)
     monkeypatch.setattr(family, "derivative", counted_derivative)
     js.AdjointOperator(model, g, cfg)
-    blocks = math.ceil(cfg.quad_nodes / js.fokker_planck.JUMP_BLOCK_MARKS)
-    assert len(stacks) == blocks + 1
-    assert stacks[:-1] == [(g.size, js.fokker_planck.JUMP_BLOCK_MARKS)] * blocks
+    block = js.fokker_planck.JUMP_BLOCK_NODES
+    assert stacks[:-1] == [(min(block, g.size - first), cfg.quad_nodes)
+                           for first in range(0, g.size, block)]
     assert stacks[-1] == (g.size,)
     # the (node, mark) pre-images are two-dimensional
     assert all(len(shape) < 2 for shape in derivatives)
@@ -352,33 +359,55 @@ def test_build_takes_one_rate_stack_per_mark_block(monkeypatch, name):
 
 def test_collapse_build_raises_after_one_failing_block(collapse_model, monkeypatch):
     # marks in (1, 2) send every state to 0, so no pre-image can be
-    # bracketed; the build stops in the second block of marks, the first
-    # that holds such a mark, with the message of the per-mark build
+    # bracketed; the build stops in its first solve, over every mark of the
+    # first block of nodes, with the message of the per-mark build
     calls = _counting(monkeypatch, "transfer_alpha_grid")
     g = js.gaussian_density((-3.0, 3.0), 512, order=1)
+    cfg = js.EvolutionConfig(i=8)
     with pytest.raises(js.DomainEscapeError) as err:
-        js.AdjointOperator(collapse_model, g, js.EvolutionConfig(i=8))
+        js.AdjointOperator(collapse_model, g, cfg)
     assert str(err.value) == (
         "could not bracket the pre-image: monotonicity or the jump size bound "
         "is violated on this model"
     )
-    assert len(calls) == 2 and all(len(c[2]) == js.fokker_planck.JUMP_BLOCK_MARKS for c in calls)
+    assert len(calls) == 1 and len(calls[0][2]) == cfg.quad_nodes
+    assert len(calls[0][1]) == js.fokker_planck.JUMP_BLOCK_NODES
 
 
-def test_operator_build_memory_peak(wobble_model):
-    # the per-mark build of the parent commit peaked at 76.6 MB here
-    # (numpy 2.4): it held the whole 19 MB transfer table and a nodes**2 slot
-    # map; the blocked build keeps one coefficient array per block (l, r)
-    g = js.gaussian_density((-8.0, 8.0), 1024, order=2)
-    cfg = js.EvolutionConfig(i=8, trunc=2)
-    js.AdjointOperator(wobble_model, g, cfg)
-    tracemalloc.start()
-    try:
-        js.AdjointOperator(wobble_model, g, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 78.6e6
+@pytest.mark.parametrize("block", [1, 7, 64, 1 << 10])
+def test_jump_block_size_moves_no_byte(request, monkeypatch, block):
+    # each node's row takes its own columns in ascending mark order at any
+    # block size, so both parts and the escape fraction repeat to the byte
+    builds = [_build(request, name, size=256) for name in sorted(_BUILDS)]
+    # a window that the marks leave: 8.6% of the mark mass escapes
+    model, g, cfg = builds[-1]
+    builds.append((model, js.gaussian_density((-0.6, 0.6), 256, 2, sigma=0.2), cfg))
+    want = [js.AdjointOperator(*b) for b in builds]
+    assert want[-1].escape_fraction > 0.08
+    monkeypatch.setattr(js.fokker_planck, "JUMP_BLOCK_NODES", block)
+    for args, ref in zip(builds, want):
+        op = js.AdjointOperator(*args)
+        assert op.escape_fraction == ref.escape_fraction
+        for part in ("drift", "jump"):
+            a, b = getattr(op, part), getattr(ref, part)
+            for arr in ("indptr", "indices", "data"):
+                assert getattr(a, arr).tobytes() == getattr(b, arr).tobytes()
+
+
+def test_operator_build_memory_peak():
+    # a bench build over every (node, mark) pair at once peaked at 49.7 MB
+    # (wobble) and 51.6 MB (power) under numpy 2.4; a block of nodes at a
+    # time holds its (node, mark) temporaries for that block only
+    for name in ("wobble", "power"):
+        args = _bench_evolution(name)
+        js.AdjointOperator(*args)
+        tracemalloc.start()
+        try:
+            js.AdjointOperator(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24e6, name
 
 
 def test_with_drift_index_shares_the_jump_part(wobble_model, monkeypatch):
@@ -416,9 +445,10 @@ def test_norm_growth_audit_builds_the_jump_part_once(wobble_model, monkeypatch):
     cfg = js.EvolutionConfig(i=8, trunc=3)
     report = js.norm_growth_audit(wobble_model, init, 0.3, cfg)
     assert report["status"] == "ok"
-    # one jump part: one pass over the marks in blocks, shared by i and 2 i
-    assert len(jump_parts) == math.ceil(cfg.quad_nodes / js.fokker_planck.JUMP_BLOCK_MARKS)
-    assert sum(len(c[2]) for c in jump_parts) == cfg.quad_nodes
+    # one jump part: one pass over the nodes in blocks, shared by i and 2 i
+    assert len(jump_parts) == math.ceil(init.size / js.fokker_planck.JUMP_BLOCK_NODES)
+    assert sum(len(c[1]) for c in jump_parts) == init.size
+    assert all(len(c[2]) == cfg.quad_nodes for c in jump_parts)
 
 
 def test_gate5_fitted_rates_pinned(wobble_model, ripple_model):
@@ -653,6 +683,10 @@ def test_evolve_argument_validation(wobble_model):
             wobble_model, init, 0.5, js.EvolutionConfig(i=8, trunc=3),
             snapshot_times=(0.9,),
         )
+    # a NaN time passed the range check and was dropped without a snapshot
+    with pytest.raises(js.ContractError, match=r"^snapshot time nan outside \[0, 0.5\]$"):
+        js.evolve(wobble_model, init, 0.5, js.EvolutionConfig(i=8, trunc=3),
+                  snapshot_times=(0.25, math.nan))
     with pytest.raises(js.ContractError):
         js.evolve(wobble_model, init, 0.5, js.EvolutionConfig(i=0, trunc=3))
 
