@@ -3,6 +3,8 @@ state-dependent jump rates: pathwise simulation by thinning, density
 evolution under the adjoint generator, regularizing decompositions of the
 jump kernel, and Fourier-decay smoothness certificates."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BlowUpError,
     ConfigError,
@@ -72,7 +74,6 @@ from .fokker_planck import (
     EvolutionConfig,
     EvolutionResult,
     GridDensity,
-    apply_adjoint,
     apply_generator,
     duality_residual,
     evolve,
@@ -82,7 +83,6 @@ from .fokker_planck import (
     sobolev_norm,
 )
 from .kernels import (
-    CutoffFamily,
     KernelDecomposition,
     conditional_jump_density,
     cutoff_window_mass,
@@ -119,105 +119,9 @@ from .config import ExperimentConfig, build_function, build_model, load_config
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdjointOperator",
-    "Affine",
-    "AssumptionReport",
-    "BlowUpError",
-    "CFEstimate",
-    "CoefficientSet",
-    "ConfigError",
-    "ContractError",
-    "CutoffFamily",
-    "DecayReport",
-    "DegenerateKernelError",
-    "DerivativeStack",
-    "DivergenceError",
-    "DomainEscapeError",
-    "EvolutionConfig",
-    "EvolutionResult",
-    "ExpDecay",
-    "ExperimentConfig",
-    "Function1D",
-    "FunctionProduct",
-    "FunctionSum",
-    "GaussBump",
-    "GridDensity",
-    "Indicator",
-    "InvalidModelError",
-    "InversePower",
-    "IsoPower",
-    "JumpAmplitude",
-    "JumpEvent",
-    "JumpsmoothError",
-    "KernelDecomposition",
-    "MarkSampler",
-    "MassBracketError",
-    "MassConservationError",
-    "NearSingularError",
-    "NumericalError",
-    "PipelineConfig",
-    "QuadratureSpec",
-    "RegularizingJumpRecord",
-    "ResolutionError",
-    "RngSpec",
-    "Sinusoidal",
-    "SmoothstepBump",
-    "StabilityError",
-    "StretchedExp",
-    "Tabulated",
-    "TanhSigmoid",
-    "TransferCoefficients",
-    "Trajectory",
-    "WindowTooSmallError",
-    "apply_adjoint",
-    "apply_generator",
-    "build_function",
-    "build_model",
-    "check_A",
-    "check_B",
-    "check_S",
-    "compare_densities",
-    "composition_terms",
-    "conditional_jump_density",
-    "constant",
-    "cutoff_window_mass",
-    "decay_fit",
-    "duality_residual",
-    "empirical_cf",
-    "estimate_density",
-    "evolve",
-    "faa_di_bruno",
-    "frequency_grid",
-    "gauss_panels",
-    "gaussian_density",
-    "histogram_density",
-    "inverse_derivatives",
-    "kernel_mass",
-    "kernel_sobolev_audit",
-    "leibniz_product",
-    "load_config",
-    "make_cutoff",
-    "make_kernels",
-    "mu_density",
-    "norm_growth_audit",
-    "picard_validate",
-    "sample_tau_n",
-    "simulate_batch",
-    "simulate_exact",
-    "simulate_poissonized",
-    "smoothness_pipeline",
-    "smoothstep_coefficients",
-    "sobolev_norm",
-    "solve_tau",
-    "solve_tau_grid",
-    "solve_tau_i",
-    "solve_tau_i_grid",
-    "tau_i_stack_grid",
-    "tau_stack_grid",
-    "transfer_alpha",
-    "transfer_alpha_grid",
-    "transfer_beta",
-    "transfer_beta_grid",
-    "__version__",
-]
+# every public name imported above, so a star import binds each name the
+# package offers and the list cannot drift from the imports
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+) + ["__version__"]

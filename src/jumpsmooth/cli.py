@@ -35,7 +35,7 @@ from .errors import (
     NumericalError,
 )
 from .fokker_planck import EvolutionConfig, evolve, gaussian_density, sobolev_norm
-from .kernels import _audit_with_masses, make_kernels
+from .kernels import kernel_sobolev_audit, make_kernels
 from .model import AssumptionReport, check_A, check_B, check_S
 from .simulate import RngSpec, simulate_batch
 
@@ -163,12 +163,12 @@ def _cmd_kernels(cfg: ExperimentConfig, out_dir: Path, args) -> tuple[int, list[
     coeffs, ks = cfg.coeffs, cfg.kernels
     kd = make_kernels(coeffs, ks.n_values, ks.theta)
     y_grid = coeffs.y_audit_grid()[:: max(1, coeffs.audit_points // 9)]
-    # the audit hands back the masses it integrated at the first three states
-    audit, masses = _audit_with_masses(coeffs, y_grid, kd.n_values, ks.theta, 3)
+    audit = kernel_sobolev_audit(coeffs, y_grid, kd.n_values, ks.theta)
+    masses = audit.pop("masses")  # written at the first three states
     payload = {
         "decomposition": kd.describe(),
         "sobolev_audit": audit,
-        "masses": {str(n): row.tolist() for n, row in zip(kd.n_values, masses)},
+        "masses": {str(n): row[:3] for n, row in zip(kd.n_values, masses)},
     }
     (out_dir / "kernels.json").write_text(json.dumps(payload, indent=2) + "\n")
     print(f"kernel audit: {'PASS' if audit['passed'] else 'FAIL'} "

@@ -126,7 +126,8 @@ def _build(cls, node, path: str):
     ``cls.config_keys`` renames it; a field without a default is required;
     each value is read by `_coerce_scalar` as the field's annotated type, and only
     the keys the node sets are passed, so every default is the class's own.
-    A value the class refuses is a ConfigError at `path`.
+    A value the class refuses (a `JumpsmoothError`) is a ConfigError at
+    `path`; any other exception is a fault of the program and propagates.
     """
     key_of = {name: key for key, name in getattr(cls, "config_keys", {}).items()}
     schema = {key_of.get(f.name, f.name): f for f in dataclasses.fields(cls)}
@@ -143,7 +144,7 @@ def _build(cls, node, path: str):
     args = kwargs.pop("parts") if cls is presets.FunctionSum else ()  # FunctionSum(*parts)
     try:
         return cls(*args, **kwargs)
-    except (ValueError, JumpsmoothError) as exc:
+    except JumpsmoothError as exc:
         raise _fail(path, str(exc)) from None
 
 
@@ -187,7 +188,7 @@ def _check_t_end_and_runs(t_end: float | None, runs: int | None = None) -> None:
     if t_end is not None:
         _check_horizon(t_end)
     if runs is not None and runs < 1:
-        raise ValueError(f"runs must be at least 1, got {runs}")
+        raise ContractError(f"runs must be at least 1, got {runs}")
 
 
 @dataclass(frozen=True)
@@ -227,7 +228,7 @@ class EvolutionStanza:
         _check_t_end_and_runs(self.t_end)
         _density_grid(self.window, self.nodes, "nodes")
         if self.quad_nodes < 1:
-            raise ValueError(f"quad_nodes must be at least 1, got {self.quad_nodes}")
+            raise ContractError(f"quad_nodes must be at least 1, got {self.quad_nodes}")
 
 
 @dataclass(frozen=True)

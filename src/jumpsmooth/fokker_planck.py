@@ -427,19 +427,11 @@ class AdjointOperator:
         return (self.drift @ flat + self.jump @ flat).reshape(vals.shape)
 
 
-def apply_adjoint(
-    coeffs: CoefficientSet, density: GridDensity, cfg: EvolutionConfig
-) -> GridDensity:
-    """One application of the adjoint generator to a density stack."""
-    op = AdjointOperator(coeffs, density, cfg)
-    return GridDensity(density.lo, density.hi, op.apply(density.values), density.time)
-
-
 def apply_generator(coeffs: CoefficientSet, phi, y: np.ndarray, cfg: EvolutionConfig):
     """Direct action L phi at states y for a test function.
 
     Independent of the inverse-map machinery on purpose: duality tests pit
-    this against `apply_adjoint`.
+    this against `AdjointOperator.apply`.
     """
     phi = getattr(phi, "value", phi)
     y = np.asarray(y, dtype=float)

@@ -34,9 +34,11 @@ block, so the audits (`kernel_sobolev_audit` one block per index,
 `make_kernels` one block, `kernel_mass`) make no root solve; only reads at
 given displacements (`mu_density`, `conditional_jump_density`) solve H = u
 for the mark.  Failures come in state order, as a state-by-state audit
-meets them.
-`KernelDecomposition` owns the filtered-rate audit the simulator runs before
-filtering, and remembers each passing (index, truncation).
+meets them.  The Sobolev audit hands back the mass it integrated at each
+audit state: that state's `kernel_mass`.
+`KernelDecomposition` carries the filter ratio `acceptance` and owns the
+filtered-rate audit the simulator runs before filtering (through
+`cutoff_window_mass`), and remembers each passing (index, truncation).
 """
 
 from __future__ import annotations
@@ -72,23 +74,6 @@ def make_cutoff(n: int, order: int) -> SmoothstepBump:
     if order < 1:
         raise ContractError("cutoff smoothness order must be >= 1")
     return SmoothstepBump(lo=1.0, hi=float(n + 3), ramp=1.0, order=order, amp=1.0)
-
-
-@dataclass(frozen=True)
-class CutoffFamily:
-    """The whole cutoff family at one smoothness order, with bound tables."""
-
-    order: int
-
-    def cutoff(self, n: int) -> SmoothstepBump:
-        return make_cutoff(n, self.order)
-
-    def derivative_bound(self, l: int) -> float:
-        """sup over the family of |phi_n^(l)|; n-independent by construction."""
-        u = np.linspace(0.0, 1.0, 4097)
-        ramp = make_cutoff(1, self.order)
-        vals = ramp.derivative(1.0 + u, l)
-        return float(np.max(np.abs(vals)))
 
 
 def _mass_nodes(n: int, scale: int) -> tuple[np.ndarray, np.ndarray]:
@@ -305,45 +290,37 @@ def kernel_sobolev_audit(
     norm/mass, and fits the exponential profile in n.  The declared budget
     theta passes when the tail half of the n-range stays within twice the
     head half's envelope constant (`model._envelope`, the rule of the
-    inversion-budget audit too).
+    inversion-budget audit too).  The indices are read by the rule of
+    `make_kernels`: positive, distinct integers, audited in ascending order.
     Each index is one block over every audit state, so a failing state
     raises after the integrals of the states before it, as a state-by-state
     audit meets it.  A refinement check recomputes the worst entry at doubled
     quadrature.
+    `"masses"` holds the mass integrated at every audit state, one row per
+    index: each entry is that state's `kernel_mass`, bit for bit (a block's
+    rows are its states' blocks of one), and after the audit the rows are
+    checked against the bracket [n, n+2] as a loop of those calls meets them.
     """
-    return _audit_with_masses(coeffs, y_grid, n_values, theta, 0)[0]
-
-
-def _audit_with_masses(
-    coeffs: CoefficientSet, y_grid, n_values, theta: float, states: int
-) -> tuple[dict, np.ndarray]:
-    """`kernel_sobolev_audit`, with the masses it integrated at the first
-    `states` audit states, one row per index.  After the audit, each row is
-    checked against the bracket as `kernel_mass` checks it, index by index:
-    the mass row of the quadrature does not depend on the stack order, and
-    a block's rows are its states' blocks of one, so each entry is that
-    state's `kernel_mass`, bit for bit, and a failure is the one a loop of
-    `kernel_mass` calls meets first."""
     y_grid = np.asarray(y_grid, dtype=float)
-    n_values = [int(n) for n in n_values]
+    n_values = list(_kernel_indices(n_values))
     _check_audit_indices(n_values)
     _check_theta(theta)
+    if y_grid.size == 0:
+        raise ContractError("kernel audit needs at least one audit state")
     k = coeffs.k
 
     norm = np.zeros((len(n_values), y_grid.size))
-    table = np.zeros_like(norm)
-    masses = np.zeros((len(n_values), min(states, y_grid.size)))
+    masses = np.zeros_like(norm)
     for jn, n in enumerate(n_values):
         kernel = _Kernel(coeffs, y_grid, n)
         norms, mass = kernel.integrals(k)
         kernel.checked()
-        norm[jn] = np.sum(norms, axis=0)
-        table[jn] = norm[jn] / mass
-        masses[jn] = mass[: masses.shape[1]]
+        norm[jn], masses[jn] = np.sum(norms, axis=0), mass
+    table = norm / masses
 
     per_n, _, _, fitted_c, passed, iw = _envelope(table, y_grid, coeffs.p, n_values, theta)
     ns = np.asarray(n_values, dtype=float)
-    slope_fit, intercept = np.polyfit(ns, np.log(np.maximum(per_n, 1e-300)), 1)
+    slope_fit = np.polyfit(ns, np.log(np.maximum(per_n, 1e-300)), 1)[0]
     worst_y, worst_n = float(y_grid[iw[1]]), n_values[iw[0]]
     norm_coarse = float(norm[iw])
     norm_fine = float(np.sum(_Kernel(coeffs, worst_y, worst_n).checked().integrals(k, 2)[0]))
@@ -351,7 +328,7 @@ def _audit_with_masses(
     for n, row in zip(n_values, masses):
         _bracket_checked(row, y_grid, n)
 
-    audit = {
+    return {
         "name": "kernel_sobolev",
         "passed": bool(passed),
         "theta": float(theta),
@@ -362,8 +339,8 @@ def _audit_with_masses(
         "ratio_table": table.tolist(),
         "refinement_change": float(refine_change),
         "worst": {"y": worst_y, "n": worst_n},
+        "masses": masses.tolist(),
     }
-    return audit, masses
 
 
 def conditional_jump_density(
@@ -412,16 +389,13 @@ class KernelDecomposition:
     # (n, trunc) pairs whose filtered rate passed `_audit_rate`
     _rate_audited: set = field(default_factory=set, init=False, repr=False, compare=False)
 
-    def cutoff(self, n: int) -> SmoothstepBump:
-        return make_cutoff(n, self.coeffs.k)
-
     def acceptance(self, n: int, y, z) -> np.ndarray:
         """Filter ratio d_n(y, z) in [0, 1]: the probability that a jump with
         mark z from state y is kept by the n-th filtered kernel."""
         z = np.asarray(z, dtype=float)
         gam, a, sigma = _frame(self.coeffs, np.asarray(y, dtype=float))
         w = gam * sigma * (z - a)
-        phi = self.cutoff(n)
+        phi = make_cutoff(n, self.coeffs.k)
         rho = np.asarray(self.coeffs.q.density.value(z), dtype=float)
         ratio = np.where(rho > 0, phi.value(w) / np.maximum(rho, 1e-300), 0.0)
         if np.any(ratio > 1.0 + 1e-6):
@@ -429,14 +403,6 @@ class KernelDecomposition:
                 "filter ratio exceeded 1: mark density below Lebesgue on a cutoff window"
             )
         return np.clip(ratio, 0.0, 1.0)
-
-    def mass(self, n: int, y: float) -> float:
-        return kernel_mass(self.coeffs, y, n)
-
-    def acceptance_rate(self, n: int, y: float, z_interval=None) -> float:
-        """Rate at which filtered jumps arrive from state y when candidate
-        marks are restricted to z_interval."""
-        return cutoff_window_mass(self.coeffs, y, n, z_interval)
 
     def _audit_rate(self, coeffs: CoefficientSet, n: int, trunc: int) -> None:
         """Refuse to filter a simulation of `coeffs` on truncation `trunc`
@@ -451,7 +417,7 @@ class KernelDecomposition:
         interval = coeffs.q.trunc_interval(trunc)
         grid = coeffs.y_audit_grid()
         worst = min(
-            self.acceptance_rate(n, float(y), interval)
+            cutoff_window_mass(coeffs, float(y), n, interval)
             for y in grid[:: max(1, grid.size // 24)]
         )
         if worst < n - 1e-6:
@@ -471,12 +437,14 @@ class KernelDecomposition:
 
 def _kernel_indices(n_values) -> tuple[int, ...]:
     """The declared kernel indices, sorted; ContractError unless they are
-    positive integers."""
+    positive, distinct integers."""
     for n in n_values:
         _require_int(n, "kernel index")
     n_values = tuple(sorted(int(n) for n in n_values))
     if not n_values or n_values[0] < 1:
         raise ContractError("kernel indices must be positive integers")
+    if len(set(n_values)) < len(n_values):
+        raise ContractError(f"kernel indices must be distinct, got {list(n_values)}")
     return n_values
 
 

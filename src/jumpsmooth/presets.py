@@ -420,6 +420,10 @@ class Tabulated(Function1D):
         ys = _as_array(self.ys)
         if xs.ndim != 1 or xs.size < 4 or xs.shape != ys.shape:
             raise ContractError("tabulated preset needs >= 4 matching nodes")
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+            raise ContractError("tabulated preset needs finite nodes and values")
+        if np.any(np.diff(xs) <= 0.0):
+            raise ContractError("tabulated preset needs strictly increasing nodes")
         object.__setattr__(self, "xs", tuple(xs.tolist()))
         object.__setattr__(self, "ys", tuple(ys.tolist()))
         object.__setattr__(self, "_spline", CubicSpline(xs, ys, bc_type="natural"))

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 import yaml
 
-from jumpsmooth import cli
+from jumpsmooth import cli, presets
 from jumpsmooth.cli import main
 from jumpsmooth.config import build_model, load_config
 from jumpsmooth.errors import ConfigError
@@ -258,6 +259,8 @@ def test_out_of_range_stanza_values_exit_2(tmp_path, capsys, command, stanza, ke
         # these two exited 1, after make_kernels, or check_S and check_A, had run
         ("kernels", "kernels.n_values", [4], "kernel audit needs at least two kernel indices"),
         ("check", "kernels.n_values", [1], "check_B needs n_max >= 2"),
+        # exited 0, fitted through one index counted twice
+        ("kernels", "kernels.n_values", [4, 4], "kernel indices must be distinct"),
     ],
 )
 def test_values_the_model_refuses_exit_2_before_any_output(tmp_path, capsys, command, key,
@@ -376,6 +379,33 @@ def test_unknown_model_keys_exit_2(tmp_path, capsys, key, value, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "xs, message",
+    [([0.0, 1.0, 1.0, 3.0], "strictly increasing nodes"), ([0.0, 1.0, math.nan, 3.0], "finite nodes")],
+)
+def test_tabulated_nodes_the_preset_refuses_exit_2(tmp_path, capsys, xs, message):
+    # scipy's ValueError was turned into a config error by catching every
+    # ValueError a constructor raised
+    cfg = _base_config(tmp_path / "out")
+    cfg["model"]["drift"] = {"family": "tabulated", "xs": xs, "ys": [0.0, 0.1, 0.0, -0.1]}
+    assert main(["check", "--config", _write(tmp_path, cfg)]) == 2
+    assert f"config error: model.drift: tabulated preset needs {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_value_error_inside_a_constructor_propagates(tmp_path, monkeypatch):
+    # only a JumpsmoothError is a value the file sets wrong; any other error
+    # is a fault of the program, not a config error
+    def broken(self):
+        raise ValueError("a fault in the preset")
+
+    monkeypatch.setattr(presets.Tabulated, "__post_init__", broken)
+    cfg = _base_config(tmp_path / "out")
+    cfg["model"]["drift"] = {"family": "tabulated", "xs": [0.0, 1.0, 2.0, 3.0], "ys": [0.0] * 4}
+    with pytest.raises(ValueError, match="^a fault in the preset$"):
+        load_config(_write(tmp_path, cfg))
+
+
 def test_retired_cutoff_order_key_exits_2(tmp_path, capsys):
     # the cutoffs are smooth of the model's own order k; there is no override
     cfg = _base_config(tmp_path / "out")
@@ -430,6 +460,29 @@ def test_kernels_cli_on_bench_workloads(tmp_path, capsys):
             continue
         audit = json.loads((out / "kernels.json").read_text())["sobolev_audit"]
         assert audit["passed"] and audit["worst"] == worst
+
+
+# sha256 of kernels.json, recorded before the `kernels` command read its
+# masses from the one Sobolev audit; collapse exits 3 and writes none
+KERNELS_JSON_SHA256 = {
+    "exp.yaml": "60c89d3c9480431dc4d49821a0b28b32cfd1c0457b032f1ea9b5c76e97bb8214",
+    "collapse.yaml": None,
+    "power.yaml": "5e6d4cc16c8bde59b301e807202a17c06680cf564e07b742a4a6e9a7221142e9",
+    "wobble.yaml": "60c89d3c9480431dc4d49821a0b28b32cfd1c0457b032f1ea9b5c76e97bb8214",
+}
+
+
+def test_kernels_json_pinned(tmp_path, capsys):
+    # the whole file: the decomposition, the audit with its ratio table, and
+    # the masses of the first three audit states
+    got = {}
+    for path in _shipped_configs(tmp_path):
+        out = tmp_path / f"out-{path.stem}"
+        code = main(["kernels", "--config", str(path), "--out", str(out)])
+        written = out / "kernels.json"
+        got[path.name] = hashlib.sha256(written.read_bytes()).hexdigest() if written.exists() else None
+        assert code == (0 if got[path.name] else 3)
+    assert got == KERNELS_JSON_SHA256
 
 
 @pytest.mark.parametrize(
@@ -497,6 +550,23 @@ def test_initial_laws_that_are_not_finite_exit_2(
     err = capsys.readouterr().err
     assert "config error" in err and f"{stanza}: {message}" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_star_import_binds_every_public_name():
+    # __all__ is read off the imports: every entry resolves, once, and a star
+    # import binds each `js.` name of the README quick start (the hand-kept
+    # list had left out JumpMeasureSpec)
+    import jumpsmooth as js
+
+    assert len(set(js.__all__)) == len(js.__all__)
+    assert all(hasattr(js, name) for name in js.__all__)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    quick = readme.split("## Quick start (API)", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    used = set(re.findall(r"\bjs\.(\w+)", quick))
+    assert "JumpMeasureSpec" in used
+    namespace = {}
+    exec("from jumpsmooth import *", namespace)
+    assert used <= namespace.keys()
 
 
 def test_package_import_leaves_the_thread_pool_unloaded():

@@ -79,14 +79,14 @@ def test_adjoint_vanishes_without_dynamics():
         k=2, y_window=(-4.0, 4.0),
     )
     g = js.gaussian_density((-6.0, 6.0), 512, order=2)
-    out = js.apply_adjoint(m, g, js.EvolutionConfig(i=8))
-    assert np.max(np.abs(out.values)) <= 1e-10
+    out = js.AdjointOperator(m, g, js.EvolutionConfig(i=8)).apply(g.values)
+    assert np.max(np.abs(out)) <= 1e-10
 
 
 def test_adjoint_mass_neutral(wobble_model):
     g = js.gaussian_density((-8.0, 8.0), 1024, order=2)
-    out = js.apply_adjoint(wobble_model, g, js.EvolutionConfig(i=8, trunc=3))
-    assert abs(np.trapezoid(out.values[0], dx=g.spacing)) <= 1e-8
+    out = js.AdjointOperator(wobble_model, g, js.EvolutionConfig(i=8, trunc=3)).apply(g.values)
+    assert abs(np.trapezoid(out[0], dx=g.spacing)) <= 1e-8
 
 
 @pytest.mark.parametrize("phi", [

@@ -48,10 +48,10 @@ def test_cutoff_plateau_support_and_ramp():
 
 
 def test_cutoff_derivative_bounds_uniform_in_n():
-    fam = js.CutoffFamily(order=3)
-    b2 = fam.derivative_bound(2)
+    # sup |phi_n''| over the first cutoff's rising ramp bounds every cutoff
+    b2 = float(np.max(np.abs(js.make_cutoff(1, 3).derivative(1.0 + np.linspace(0.0, 1.0, 4097), 2))))
     for n in (1, 5, 20):
-        phi = fam.cutoff(n)
+        phi = js.make_cutoff(n, 3)
         xs = np.linspace(1.0, 2.0, 501)
         assert np.max(np.abs(phi.derivative(xs, 2))) <= b2 + 1e-9
 
@@ -252,6 +252,41 @@ def test_kernel_sobolev_audit_needs_two_indices(exp_unit_model):
         js.kernel_sobolev_audit(exp_unit_model, np.array([0.0]), (3,), theta=1.0)
 
 
+def _power_audit_states(m):
+    # the states the `kernels` command audits
+    return m.y_audit_grid()[:: max(1, m.audit_points // 9)]
+
+
+def test_kernel_indices_must_be_distinct(power_model):
+    # (4, 4) passed, and the audit fitted its profile through one index
+    # counted twice
+    with pytest.raises(js.ContractError, match=r"^kernel indices must be distinct, got \[4, 4\]$"):
+        js.make_kernels(power_model, (4, 4))
+    with pytest.raises(js.ContractError, match="^kernel indices must be distinct"):
+        js.kernel_sobolev_audit(power_model, _power_audit_states(power_model), (2, 4, 4), 1.0)
+
+
+def test_kernel_sobolev_audit_refuses_fractional_indices(power_model):
+    # (2.5, 4.9) was audited as (2, 4), where make_kernels refuses 2.5
+    with pytest.raises(js.ContractError, match="^kernel index must be an integer, got 2.5$"):
+        js.kernel_sobolev_audit(power_model, _power_audit_states(power_model), (2.5, 4.9), 1.0)
+
+
+def test_kernel_sobolev_audit_reads_indices_in_ascending_order(power_model):
+    # (16, 8, 4, 2) failed where (2, 4, 8, 16) passed: the head and tail
+    # halves of the budget rule were taken in the order given
+    ys = _power_audit_states(power_model)
+    ascending = js.kernel_sobolev_audit(power_model, ys, (2, 4, 8, 16), 1.0)
+    assert ascending["passed"]
+    assert js.kernel_sobolev_audit(power_model, ys, (16, 8, 4, 2), 1.0) == ascending
+
+
+def test_kernel_sobolev_audit_refuses_an_empty_state_grid(power_model):
+    # numpy's zero-size ValueError used to escape the audit
+    with pytest.raises(js.ContractError, match="^kernel audit needs at least one audit state$"):
+        js.kernel_sobolev_audit(power_model, np.array([]), (2, 4), 1.0)
+
+
 @pytest.mark.parametrize("theta", [-1.0, -0.1, math.nan, math.inf])
 def test_theta_is_refused_by_one_rule(exp_unit_model, theta):
     # check_B alone refused theta < 0; make_kernels and the audit took any
@@ -276,18 +311,21 @@ def test_theta_is_refused_by_one_rule(exp_unit_model, theta):
 
 
 def test_make_kernels_facade(exp_unit_model):
-    kd = js.make_kernels(exp_unit_model, (2, 1, 4), theta=4.2)
+    # the facade carries the filter ratio; the cutoff, the mass and the
+    # acceptance rate are the module's functions of the model
+    m = exp_unit_model
+    kd = js.make_kernels(m, (2, 1, 4), theta=4.2)
     assert kd.n_values == (1, 2, 4)
-    assert kd.mass(2, 0.0) == pytest.approx(3.0, rel=1e-9)
-    phi = kd.cutoff(4)
-    assert phi.value(np.array([3.0]))[0] == 1.0
+    assert js.kernel_mass(m, 0.0, 2) == pytest.approx(3.0, rel=1e-9)
+    assert js.make_cutoff(4, m.k).value(np.array([3.0]))[0] == 1.0
     z = np.linspace(0.05, 10.0, 400)
     acc = kd.acceptance(2, 0.0, z)
     assert np.all((0.0 <= acc) & (acc <= 1.0))
     # acceptance equals the cutoff in the scaled coordinate when rho = 1
-    assert np.allclose(acc, phi_at := kd.cutoff(2).value(z), atol=1e-12), phi_at
-    rate = kd.acceptance_rate(2, 0.0, (0.0, 12.0))
-    assert rate == pytest.approx(3.0, rel=1e-9)
+    assert np.allclose(acc, phi_at := js.make_cutoff(2, m.k).value(z), atol=1e-12), phi_at
+    assert js.cutoff_window_mass(m, 0.0, 2, (0.0, 12.0)) == pytest.approx(3.0, rel=1e-9)
+    for name in ("cutoff", "mass", "acceptance_rate"):
+        assert not hasattr(kd, name)
     d = kd.describe()
     assert d["n_values"] == [1, 2, 4]
 
@@ -396,28 +434,32 @@ def _outcome(call):
 
 
 def test_audit_masses_are_kernel_mass_calls(wobble_model, collapse_model, monkeypatch):
-    # the masses the audit hands back are each state's `kernel_mass`, bit for
-    # bit, or the audit raises what the audit and then the calls raise first
+    # the masses the audit hands back are every audited state's `kernel_mass`,
+    # bit for bit, or the audit raises what the audit's integrals and then the
+    # calls raise first
     ys = np.linspace(-3.0, 3.0, 13)
     ns = (2, 4)
 
     def one_by_one(m):
         audit = js.kernel_sobolev_audit(m, ys, ns, 12.0)
-        return [audit, [[js.kernel_mass(m, float(y), n) for y in ys[:3]] for n in ns]]
+        del audit["masses"]
+        return [audit, [[js.kernel_mass(m, float(y), n) for y in ys] for n in ns]]
 
     def handed_back(m):
-        audit, masses = js.kernels._audit_with_masses(m, ys, ns, 12.0, 3)
-        return [audit, masses.tolist()]
+        audit = js.kernel_sobolev_audit(m, ys, ns, 12.0)
+        return [audit, audit.pop("masses")]
 
     models = (wobble_model, collapse_model, _late_fold_model(), _vanishing_rate_model())
     outcomes = [(_outcome(lambda: one_by_one(m)), _outcome(lambda: handed_back(m))) for m in models]
     assert all(want == got for want, got in outcomes)
     assert [isinstance(want[0], str) for want, _ in outcomes] == [False, True, True, True]
-    # doubled mass weights break the bracket at the first index and state
+    # doubled mass weights break the bracket at the first index and state,
+    # where the calls alone break it too
     nodes = js.kernels._mass_nodes
     monkeypatch.setattr(js.kernels, "_mass_nodes", lambda n, scale: (nodes(n, scale)[0], 2.0 * nodes(n, scale)[1]))
     want, got = _outcome(lambda: one_by_one(wobble_model)), _outcome(lambda: handed_back(wobble_model))
-    assert want == got and want[0] == "MassBracketError" and "y=-3.0, n=2" in want[1]
+    calls = _outcome(lambda: [js.kernel_mass(wobble_model, float(y), n) for n in ns for y in ys])
+    assert want == got == calls and want[0] == "MassBracketError" and "y=-3.0, n=2" in want[1]
 
 
 # ---------------------------------------------------------------------------

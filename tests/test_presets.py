@@ -153,6 +153,22 @@ def test_tabulated_interpolates_nodes():
     assert tab.value(np.array([1.55]))[0] == pytest.approx(math.sin(1.55), abs=2e-3)
 
 
+@pytest.mark.parametrize(
+    "xs, ys, message",
+    [
+        ([0.0, 1.0, math.nan, 3.0], [0.0, 1.0, 2.0, 3.0], "finite nodes and values"),
+        ([0.0, 1.0, 2.0, math.inf], [0.0, 1.0, 2.0, 3.0], "finite nodes and values"),
+        ([0.0, 1.0, 2.0, 3.0], [0.0, math.nan, 2.0, 3.0], "finite nodes and values"),
+        ([0.0, 1.0, 1.0, 3.0], [0.0, 1.0, 2.0, 3.0], "strictly increasing nodes"),
+        ([3.0, 2.0, 1.0, 0.0], [0.0, 1.0, 2.0, 3.0], "strictly increasing nodes"),
+    ],
+)
+def test_tabulated_refuses_bad_nodes(xs, ys, message):
+    # scipy's ValueError used to escape the library
+    with pytest.raises(js.ContractError, match=f"^tabulated preset needs {message}$"):
+        js.Tabulated(xs, ys)
+
+
 def test_sum_and_product_stacks():
     f = js.FunctionSum(js.Sinusoidal(0.5, 1.0), js.constant(2.0))
     xs = np.array([0.3, 1.1])
