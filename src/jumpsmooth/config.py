@@ -126,7 +126,8 @@ def _build(cls, node, path: str):
     ``cls.config_keys`` renames it; a field without a default is required;
     each value is read by `_coerce_scalar` as the field's annotated type, and only
     the keys the node sets are passed, so every default is the class's own.
-    A value the class refuses (a `JumpsmoothError`) is a ConfigError at
+    A value that its field's own rule (``metadata["rule"]``) refuses is a
+    ConfigError at its key, one the class refuses (a `JumpsmoothError`) at
     `path`; any other exception is a fault of the program and propagates.
     """
     key_of = {name: key for key, name in getattr(cls, "config_keys", {}).items()}
@@ -141,6 +142,12 @@ def _build(cls, node, path: str):
         schema[key].name: _coerce_scalar(schema[key].type, value, f"{path}.{key}")
         for key, value in node.items()
     }
+    for key in node:
+        if rule := schema[key].metadata.get("rule"):
+            try:
+                rule(kwargs[schema[key].name])
+            except JumpsmoothError as exc:
+                raise _fail(f"{path}.{key}", str(exc)) from None
     args = kwargs.pop("parts") if cls is presets.FunctionSum else ()  # FunctionSum(*parts)
     try:
         return cls(*args, **kwargs)

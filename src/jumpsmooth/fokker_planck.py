@@ -23,16 +23,16 @@ in lockstep with explicit Euler steps, each derivative obeying the
 differentiated equation.
 
 Everything state-independent (inverse maps, transfer tables, quadrature and
-interpolation weights) is folded once per grid into a sparse linear map on
-the flattened stack, kept as two CSR matrices (`scipy.sparse`, imported
-lazily at the first build): the drift pullback, which depends on i, and the
-jump pullback with its local loss, which does not.  The jump part is built
-a block of nodes at a time: one call solves the block's pre-images at every
-mark, in closed form for an amplitude affine in the state, whose transfer
-table is then one per mark.  The stencils of every derivative block are
-merged by one sparse product per block of nodes: a stencil matrix with one
-column of 4 cubic weights per (node, mark) pair, times the (pair, block)
-coefficient matrix.  A time step is one CSR product per part.
+interpolation weights) is folded once per grid into `scipy.sparse` CSR
+matrices (imported lazily at the first build): the drift pullback, which
+depends on i, and the jump part J = (T - qmass I) Gamma, which does not and
+pulls back the product gamma g as written above.  Gamma is the Leibniz
+multiply by gamma at the nodes; T interpolates at the pre-images, with the
+coefficients (delta_lr + alpha[l, r]) times the mark weights.  T is built a
+block of nodes at a time, each block's pre-images at every mark from one
+call, and its stencils merged by one sparse product: a stencil matrix with
+one column of 4 cubic weights per (node, mark) pair, times the (pair, block)
+coefficient matrix.  A time step is one CSR product per factor.
 `norm_growth_audit` builds the jump part once and derives its 2 i operator
 with `AdjointOperator.with_drift_index`.
 `evolve` repeats the run at half the step on the same map to estimate its
@@ -225,6 +225,16 @@ def _block_pairs(k: int) -> list[tuple[int, int]]:
     return [(l, r) for l in range(k + 1) for r in range(l + 1)]
 
 
+def _pullback_blocks(h, z: np.ndarray, k: int) -> list[tuple[int, int]]:
+    """The blocks (l, r) of the jump pullback T that the transfer table
+    fills: an amplitude affine in the state, A(z) + B(z) y, has a diagonal
+    table, which vanishes with B = 0 (tau' = 1), so that every T_ll is T_00."""
+    affine = h.affine(z)
+    if affine is None:
+        return _block_pairs(k)
+    return [(l, l) for l in range(k + 1)] if np.any(affine[1]) else [(0, 0)]
+
+
 class AdjointOperator:
     """The adjoint generator on one grid, assembled once as a sparse map.
 
@@ -232,18 +242,19 @@ class AdjointOperator:
     drift pullback through tau_i and the mark-integrated jump pullback through
     tau(., z) read the stack at the inverse-map points by cubic interpolation,
     and the transfer tables turn each read into a fixed combination of the
-    derivative rows.  The constructor folds each pullback into its own
-    CSR matrix (`scipy.sparse`, imported lazily) over the flattened stack,
-    where entry ``l * size + j`` is the l-th derivative at node j: `drift`
-    (index i) and `jump` (with the local loss; it does not depend on i).  The
-    jump part is built `JUMP_BLOCK_NODES` nodes at a time: one
-    `transfer_alpha_grid` call solves a block's pre-images at every mark,
-    with the table from the one path every amplitude takes (an affine one,
-    h = A(z) + B(z) y, has the closed-form stack, and its table is formed
-    once per mark), and the block's stencils of all derivative blocks (l, r)
-    are merged in one sparse product (`_merge_stencils`).  The drift part
-    is one such block, one pre-image per node.
-    `apply` is one CSR product per part.
+    derivative rows.  The constructor folds them into CSR matrices
+    (`scipy.sparse`, imported lazily) over the flattened stack, where entry
+    ``l * size + j`` is the l-th derivative at node j: `drift` (index i), and
+    the jump part, which does not depend on i, as `jump` T - qmass I after
+    `rate` Gamma, the Leibniz multiply by gamma at the nodes (blocks
+    C(l, r) gamma^(l - r)(y_j)).  T is built `JUMP_BLOCK_NODES` nodes at a
+    time: one `transfer_alpha_grid` call solves a block's pre-images at every
+    mark, and the block's stencils of T's blocks (l, r) are merged in one
+    sparse product (`_merge_stencils`).  The table of an amplitude affine in
+    the state, h = A(z) + B(z) y, is diagonal, so T has only the diagonal
+    blocks; with B = 0 all are T_00, and `jump` is that one (size, size)
+    matrix, which `apply` takes to each row.  The drift part is one block of
+    the merge, one pre-image per node.
     `with_drift_index` gives the operator at another index that shares this
     one's jump part.
     """
@@ -274,7 +285,7 @@ class AdjointOperator:
         self.gamma_sup = coeffs.gamma_sup()
         self.escape_fraction = 0.0
         jumps = self.qmass > 0.0 and self.gamma_sup > 0.0
-        self.jump = self._jump_part(z, wq) if jumps else self._csr([])
+        self.jump, self.rate = self._jump_part(z, wq) if jumps else (self._csr([]),) * 2
 
     def with_drift_index(self, i: int) -> "AdjointOperator":
         """The operator at drift surrogate index i on the same grid and marks.
@@ -299,38 +310,28 @@ class AdjointOperator:
         base, w, _ = _interp_weights(taui[0], self.lo, self.spacing, n)
         coef = np.stack([self.i * ((l == r) + beta[l, r]) for l, r in _block_pairs(k)],
                         axis=-1)
-        parts = self._merge_stencils(base[:, None], w[:, None], coef, 0)
-        nodes = np.arange(n)
-        for l in range(k + 1):
-            parts.append((l * n + nodes, l * n + nodes, np.full(n, -float(self.i))))
+        parts = self._merge_stencils(base[:, None], w[:, None], coef, 0, _block_pairs(k))
+        diag = np.arange((k + 1) * n)
+        parts.append((diag, diag, np.full(diag.size, -float(self.i))))
         self.drift = self._csr(parts)
 
     def _jump_part(self, z: np.ndarray, wq: np.ndarray):
-        """Jump pullback and local loss, built `JUMP_BLOCK_NODES` nodes at a
-        time, each block's pre-images at every mark from one
-        `transfer_alpha_grid` call."""
+        """The factors T - qmass I and Gamma of the jump part: T built
+        `JUMP_BLOCK_NODES` nodes at a time, each block's pre-images at every
+        mark from one `transfer_alpha_grid` call, then Gamma on the grid."""
         coeffs, grid, k, n = self.coeffs, self.grid, self.k, self.size
-        pairs = _block_pairs(k)
-        parts = []
-        escape = np.empty(n)
+        parts, escape = [], np.empty(n)
         for first in range(0, n, JUMP_BLOCK_NODES):
             rows = slice(first, min(first + JUMP_BLOCK_NODES, n))
             alpha, tau = transfer_alpha_grid(coeffs, grid[rows], z, k)
-            # coef[b] for block (l, r0) = pairs[b], with gam[r][r0] =
-            # C(r, r0) gamma^(r - r0)(tau):  gam[l][r0] + sum_r alpha[l, r] gam[r][r0]
-            gam = _leibniz_terms(coeffs.gamma.stack(tau[0], k))
-            coef = np.empty((len(pairs),) + tau[0].shape)
-            for b, (l, r0) in enumerate(pairs):
-                c = gam[l][r0]
-                for r in range(r0, l + 1):
-                    c = c + alpha[l, r] * gam[r][r0]
-                coef[b] = c
-            # the stencils' weights times the mark weights; a pre-image
-            # outside the window loses its mark weight
+            if not first:  # once the first solve has accepted the model
+                blocks = _pullback_blocks(coeffs.h, z, k)
+            # T_lr's coefficient at each (node, mark): (delta_lr + alpha[l, r]) wq
+            coef = np.stack([((l == r) + alpha[l, r]) * wq for l, r in blocks], axis=-1)
+            # a pre-image outside the window loses its mark weight
             base, w, inside = _interp_weights(tau[0], self.lo, self.spacing, n)
-            w *= wq[:, None]
             escape[rows] = (~inside * wq).sum(axis=1)
-            parts += self._merge_stencils(base, w, coef.reshape(len(pairs), -1).T, first)
+            parts += self._merge_stencils(base, w, coef.reshape(-1, len(blocks)), first, blocks)
         # Per-state fraction of transported mark mass that reads outside
         # the window, summed over the marks in ascending order; large values
         # in the interior mean the window is too small for this truncation.
@@ -342,23 +343,27 @@ class AdjointOperator:
                 f"{self.escape_fraction:.2%} of transported mark mass leaves the "
                 "window at interior states; widen the window"
             )
-        # local loss -qmass (gamma g)^(l): (C(l, r) (-qmass)) gamma^(l - r)
+        # the local loss -qmass on T's diagonal
+        size = n if blocks == [(0, 0)] else (k + 1) * n
+        diag = np.arange(size)
+        parts.append((diag, diag, np.full(size, -self.qmass)))
+        # Gamma: (gamma g)^(l) = sum_r C(l, r) gamma^(l - r) g^(r) at the nodes
         nodes = np.arange(n)
-        loss = _leibniz_terms(np.full(k + 1, -self.qmass))
-        gamma_grid = coeffs.gamma.stack(grid, k)
-        for l, r in pairs:
-            parts.append((l * n + nodes, r * n + nodes, loss[l][r] * gamma_grid[l - r]))
-        return self._csr(parts)
+        terms = _leibniz_terms(coeffs.gamma.stack(grid, k))
+        return self._csr(parts, size), self._csr(
+            [(l * n + nodes, r * n + nodes, terms[l][r]) for l, r in _block_pairs(k)])
 
-    def _csr(self, parts: list):
-        """The `scipy.sparse.csr_array` over the flattened stack of the
-        coefficient triples (rows, cols, data) in `parts`, sorted by row
-        stably so that each row keeps its assembly order.  Duplicate keys stay
-        as they are (the product sums them): canonicalising would reorder the
-        rows and cost build time for nothing."""
+    def _csr(self, parts: list, size: int | None = None):
+        """The `scipy.sparse.csr_array` of the coefficient triples (rows,
+        cols, data) in `parts`, square of side `size` (default: the flattened
+        stack's), sorted by row stably so that each row keeps its assembly
+        order.  Duplicate keys stay as they are (the product sums them):
+        canonicalising would reorder the rows and cost build time for
+        nothing."""
         from scipy.sparse import csr_array
 
-        size = (self.k + 1) * self.size
+        if size is None:
+            size = (self.k + 1) * self.size
         if not parts:
             return csr_array((size, size))
         rows, cols, data = (np.concatenate([p[c] for p in parts]) for c in range(3))
@@ -366,14 +371,14 @@ class AdjointOperator:
         indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=size))])
         return csr_array((data[order], cols[order], indptr), shape=(size, size))
 
-    def _merge_stencils(self, base, w, coef, first):
-        """Sparse triples of every block (l, r) over one block of nodes,
-        first, first + 1, ..., with duplicate keys summed.
+    def _merge_stencils(self, base, w, coef, first, blocks):
+        """Sparse triples of the derivative blocks (l, r) in `blocks` over one
+        block of nodes, first, first + 1, ..., with duplicate keys summed.
 
         The stencils and coefficients come in columns, one per (node, mark)
         pair, in (node, mark) order: `base` (nodes, marks) and `w` (nodes,
         marks, 4) are the stencils, `coef[:, b]` the coefficients of the
-        derivative block `_block_pairs(k)[b]`.  The stencil nodes of node
+        derivative block `blocks[b]`.  The stencil nodes of node
         first + j lie in a window of `width` slots from its smallest base, so
         the (node, stencil node) key is
         ``j * width + (base + o - min_base[j])``.  The stencil matrix (CSC,
@@ -405,7 +410,7 @@ class AdjointOperator:
         srow = first + slots // width
         scol = low[slots // width] + slots % width
         parts = []
-        for b, (l, r) in enumerate(_block_pairs(self.k)):
+        for b, (l, r) in enumerate(blocks):
             data = sums[:, b]
             keep = data != 0.0
             parts.append((l * n + srow[keep], r * n + scol[keep], data[keep]))
@@ -424,7 +429,10 @@ class AdjointOperator:
         if vals.shape != (self.k + 1, self.size):
             raise ContractError("stack shape does not match the operator grid")
         flat = vals.ravel()
-        return (self.drift @ flat + self.jump @ flat).reshape(vals.shape)
+        # Gamma, then T, on each row of the stack when T is one (size, size) block
+        rated = (self.rate @ flat).reshape(-1, self.jump.shape[1])
+        pulled = np.concatenate([self.jump @ row for row in rated])
+        return (self.drift @ flat + pulled).reshape(vals.shape)
 
 
 def apply_generator(coeffs: CoefficientSet, phi, y: np.ndarray, cfg: EvolutionConfig):

@@ -202,6 +202,19 @@ class JumpMeasureSpec(Described):
         return max(40.0, 4.0 * self.truncations[-1])
 
 
+# Largest audit grid: the (y, z) pair grids of `check_S` and `check_A` hold
+# audit_points**2 entries each.
+MAX_AUDIT_POINTS = 4096
+
+
+def _check_audit_points(n: int) -> None:
+    """ContractError unless the audit point count n is in 1..MAX_AUDIT_POINTS."""
+    if n < 1:
+        raise ContractError("audit_points must be >= 1")
+    if n > MAX_AUDIT_POINTS:
+        raise ContractError(f"audit_points must be at most {MAX_AUDIT_POINTS}")
+
+
 @dataclass(frozen=True)
 class CoefficientSet(Described):
     """All coefficients of one model plus its audit window.
@@ -230,7 +243,7 @@ class CoefficientSet(Described):
     p: float = 2.0
     c0_tol: float = 1e-8
     y_window: tuple[float, float] = (-10.0, 10.0)
-    audit_points: int = 241
+    audit_points: int = field(default=241, metadata={"rule": _check_audit_points})
     label: str = ""
 
     def __post_init__(self):
@@ -240,8 +253,7 @@ class CoefficientSet(Described):
             raise ContractError("weight power p must be >= 1")
         if not (self.y_window[1] > self.y_window[0]):
             raise ContractError("empty audit window")
-        if self.audit_points < 1:
-            raise ContractError("audit_points must be >= 1")
+        _check_audit_points(self.audit_points)
 
     def y_audit_grid(self) -> np.ndarray:
         return np.linspace(self.y_window[0], self.y_window[1], self.audit_points)
@@ -270,7 +282,12 @@ class CoefficientSet(Described):
         return float(np.min(vals))
 
     def min_drift_index(self) -> int:
-        """Smallest admissible drift surrogate index i0 = 2 sup|b'| (>= 1)."""
+        """Smallest admissible drift surrogate index i0 = 2 sup|b'| (>= 1),
+        taken once per model: every later call reuses the first."""
+        return self._min_drift_index
+
+    @functools.cached_property
+    def _min_drift_index(self) -> int:
         return max(1, int(math.ceil(2.0 * self.b_prime_sup() - 1e-12)))
 
 

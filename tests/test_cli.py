@@ -261,6 +261,8 @@ def test_out_of_range_stanza_values_exit_2(tmp_path, capsys, command, stanza, ke
         ("check", "kernels.n_values", [1], "check_B needs n_max >= 2"),
         # exited 0, fitted through one index counted twice
         ("kernels", "kernels.n_values", [4, 4], "kernel indices must be distinct"),
+        # an integral count numpy cannot allocate ended load_config in a traceback
+        ("evolve", "model.audit_points", 1e308, "audit_points must be at most 4096"),
     ],
 )
 def test_values_the_model_refuses_exit_2_before_any_output(tmp_path, capsys, command, key,
@@ -278,6 +280,25 @@ def test_values_the_model_refuses_exit_2_before_any_output(tmp_path, capsys, com
     # without a command, every value is checked
     with pytest.raises(ConfigError, match=f"^{key}: {message}"):
         load_config(path)
+
+
+def test_evolve_takes_the_drift_slope_on_the_audit_grid_once(tmp_path, capsys, monkeypatch):
+    # the drift-index rule runs at load and again in the build; the model
+    # takes sup |b'| over its audit grid once for both
+    cfg = _base_config(tmp_path / "out")
+    audit = np.linspace(*cfg["model"]["window"], 241)
+    slopes = []
+    derivative = presets.Sinusoidal.derivative
+
+    def counted(self, x, l):
+        if l == 1 and np.shape(x) == audit.shape and np.array_equal(x, audit):
+            slopes.append(self)
+        return derivative(self, x, l)
+
+    monkeypatch.setattr(presets.Sinusoidal, "derivative", counted)
+    assert main(["evolve", "--config", _write(tmp_path, cfg)]) == 0
+    capsys.readouterr()
+    assert len(slopes) == 1 and slopes[0].amp == 0.2
 
 
 def test_a_coefficient_not_finite_on_the_audit_window_exits_1(tmp_path, capsys):
@@ -460,6 +481,23 @@ def test_kernels_cli_on_bench_workloads(tmp_path, capsys):
             continue
         audit = json.loads((out / "kernels.json").read_text())["sobolev_audit"]
         assert audit["passed"] and audit["worst"] == worst
+
+
+def test_evolve_cli_on_bench_workloads(tmp_path, capsys):
+    # the bench `evolve` stage on each workload, read but not edited: its
+    # exit codes, collapse's failure and the mass-drift budget it checks
+    workloads = Path(__file__).resolve().parents[1] / "bench" / "workloads"
+    for name, code in {"wobble": 0, "power": 0, "collapse": 3}.items():
+        out = tmp_path / name
+        assert main(["evolve", "--config", str(workloads / f"{name}.yaml"), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.strip() == (
+                "numerical failure: DomainEscapeError: could not bracket the pre-image: "
+                "monotonicity or the jump size bound is violated on this model")
+            continue
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["mass_drift"] <= 1e-4 * max(1.0, summary["t_end"]), name
 
 
 # sha256 of kernels.json, recorded before the `kernels` command read its

@@ -105,33 +105,35 @@ def test_duality_residual_small(wobble_model, phi):
 # apply() at nine nodes per order, recorded with the per-step
 # gather-and-contract operator that the assembled one replaced.  Wobble jumps
 # translate the state (the jump transfer table vanishes); ripple jumps depend
-# on the state, so its rates also pin the jump transfer terms.
+# on the state, so its rates also pin the jump transfer terms.  Re-recorded
+# when the jump part came to pull back the product gamma g: entries moved by
+# at most 6.0e-8 (wobble) and 3.8e-6 (ripple) of the largest.
 _RECORDED_RATES = {
     "wobble_model": (
         dict(window=(-8.0, 8.0), size=1024, sigma=1.0, trunc=3),
         np.linspace(320, 703, 9).round().astype(int),
-        [[-0.0006991156268270383, 0.008694135708380318, 0.015229059569147801,
-          -0.07269327901433731, -0.13273344828528222, 0.018096688341363798,
-          0.1078718057362249, 0.04776721879975085, 0.00688424764510762],
-         [0.002290473513445926, 0.023925266883381494, -0.03647160625407092,
-          -0.17097354620908878, 0.07864113609839274, 0.24251944583062013,
-          -0.0197594379734769, -0.08944729407938601, -0.022630799003535366],
-         [0.01650872564244571, 0.01923258774610831, -0.2063948110942364,
-          0.012130872839301587, 0.5070427103385526, -0.17242668525523785,
-          -0.31204675433770945, 0.07545928397049728, 0.06118190941335089]],
+        [[-0.0006991152703098632, 0.008694135250028406, 0.015229058221144343,
+          -0.07269327464836273, -0.13273344744356264, 0.01809668333031711,
+          0.10787180646649608, 0.04776721963249378, 0.006884247282697823],
+         [0.002290473728708782, 0.023925264230126947, -0.036471603009863796,
+          -0.1709735396236779, 0.07864112210285035, 0.24251944883717258,
+          -0.019759432295732626, -0.08944729691441355, -0.02263079910462141],
+         [0.01650872391258905, 0.019232584822698462, -0.20639479283341422,
+          0.012130850954416017, 0.5070427037618248, -0.17242665475926056,
+          -0.312046771940894, 0.07545928396857027, 0.06118191222432168]],
     ),
     "ripple_model": (
         dict(window=(-6.0, 6.0), size=512, sigma=0.8, trunc=1),
         np.linspace(160, 351, 9).round().astype(int),
-        [[0.0018035183166142353, -0.016793528843685623, -0.10392628123592962,
-          -0.19282736049460003, -0.04592341327876581, 0.17602560029086867,
-          0.14562016083030915, 0.03724975510924161, 0.002261085575899279],
-         [-0.003552408750014696, -0.08161472685142335, -0.21428603396851642,
-          -0.008357598591160587, 0.4860390092490207, 0.19691382483225728,
-          -0.2133812700344404, -0.12706195369374945, -0.017478044629180026],
-         [-0.04690387238989158, -0.24289709602216236, -0.08600472216911381,
-          0.8613612809303982, 0.3699409546679009, -1.0815374506308628,
-          -0.18738988104423715, 0.2890295550649039, 0.08748365998100988]],
+        [[0.0018035145146891203, -0.016793539425984105, -0.10392627120494224,
+          -0.19282727487926832, -0.04592356105271356, 0.17602567084528542,
+          0.1456201788508963, 0.037249745301128984, 0.002261081273162501],
+         [-0.003552419168440943, -0.08161473383785206, -0.21428592431843563,
+          -0.00835764424451213, 0.48603891930787957, 0.19691399992674175,
+          -0.21338139225859298, -0.12706195361903455, -0.01747803385254086],
+         [-0.04690389136705814, -0.24289703305237864, -0.08600437700977848,
+          0.8613594891953451, 0.36994507654576303, -1.0815394458819814,
+          -0.18738958879889167, 0.289029641852777, 0.08748364464206226]],
     ),
 }
 
@@ -202,25 +204,36 @@ def test_blocked_jump_build_matches_per_mark_reference(request, monkeypatch, mod
         assert np.max(np.abs(got.data - want.data)) <= 1e-15 * np.max(np.abs(want.data))
 
 
+def _bincount_product(mat, x):
+    # a CSR product as a bincount over its stored entries, duplicates included
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    return np.bincount(rows, weights=x[mat.indices] * mat.data, minlength=mat.shape[0])
+
+
 @pytest.mark.parametrize("model_name", sorted(_BUILDS))
 def test_reduceat_apply_matches_bincount(request, model_name):
+    # apply is the drift part plus T after Gamma; a T of one (size, size)
+    # block reads each row of Gamma g
     model, g, cfg = _build(request, model_name)
     op = js.AdjointOperator(model, g, cfg)
-    parts = (op.drift, op.jump)
-    rows = np.concatenate([np.repeat(np.arange(p.shape[0]), np.diff(p.indptr)) for p in parts])
-    cols, data = (np.concatenate([getattr(p, a) for p in parts]) for a in ("indices", "data"))
     rng = np.random.default_rng(5)
     for vals in (g.values, rng.normal(size=g.values.shape)):
-        want = np.bincount(rows, weights=vals.ravel()[cols] * data, minlength=vals.size)
+        rated = _bincount_product(op.rate, vals.ravel())
+        if op.jump.shape[0] == g.size:
+            pulled = np.concatenate([_bincount_product(op.jump, row)
+                                     for row in rated.reshape(vals.shape)])
+        else:
+            pulled = _bincount_product(op.jump, rated)
+        want = _bincount_product(op.drift, vals.ravel()) + pulled
         got = op.apply(vals).ravel()
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-def _bincount_merge(op, base, w, coef, first):
+def _bincount_merge(op, base, w, coef, first, blocks):
     # the per-block merge that the stencil product replaced: each block
-    # (l, r) multiplies its coefficients into the weights and bincounts the
-    # (node, stencil node) keys; a column's node comes from the layout,
-    # (node, mark), over the nodes first, first + 1, ...
+    # (l, r) of `blocks` multiplies its coefficients into the weights and
+    # bincounts the (node, stencil node) keys; a column's node comes from the
+    # layout, (node, mark), over the nodes first, first + 1, ...
     n, nodes = op.size, base.shape[0]
     node = np.repeat(np.arange(nodes), base.shape[1])
     base, w = base.ravel(), w.reshape(-1, 4)
@@ -233,7 +246,7 @@ def _bincount_merge(op, base, w, coef, first):
     srow = first + slots // width
     scol = low[slots // width] + slots % width
     parts = []
-    for b, (l, r) in enumerate(js.fokker_planck._block_pairs(op.k)):
+    for b, (l, r) in enumerate(blocks):
         entry = coef[:, b, None] * w
         data = np.bincount(keys, weights=entry.ravel(), minlength=nodes * width)
         keep = data != 0.0
@@ -279,57 +292,84 @@ def test_stencil_merge_matches_per_block_bincount(request, monkeypatch, setting)
         assert a.data.tobytes() == b.data.tobytes()
 
 
-def _inline_binomial_coef(alpha, gamma_tau, k):
-    # the block-coefficient loop that the Leibniz helper replaced, binomials
-    # inline: block (l, r0) is sum_r (delta_lr + alpha[l, r]) C(r, r0)
-    # gamma^(r - r0)(tau), stacked over `_block_pairs(k)`
-    chunk = []
-    for l, r0 in js.fokker_planck._block_pairs(k):
-        c = math.comb(l, r0) * gamma_tau[l - r0]
-        for r in range(r0, l + 1):
-            c = c + alpha[l, r] * (math.comb(r, r0) * gamma_tau[r - r0])
-        chunk.append(c)
-    return np.stack(chunk)
+def _affine_slope_model():
+    """The bench wobble model with jumps h = 0.4 e^(-z) + 0.1 y: affine in
+    the state with B = 0.1, so its transfer table is diagonal but not zero."""
+    model = _bench_evolution("wobble")[0]
+    h = js.JumpAmplitude(((js.constant(0.4), js.ExpDecay(1.0, 1.0)),
+                          (js.Affine(0.0, 0.1), js.constant(1.0))))
+    return dataclasses.replace(model, h=h)
 
 
-@pytest.mark.parametrize("name", ["wobble", "power"])
-def test_k3_jump_build_matches_the_inline_binomial_loops(monkeypatch, name):
+# the blocks (l, r) of T that each model's table fills at k = 3: B = 0
+# (wobble, power) leaves the one block (0, 0), B = 0.1 the diagonal, and the
+# ripple amplitude, not affine in the state, every block
+_K3_BUILDS = {
+    "wobble": ("bench", [(0, 0)]),
+    "power": ("bench", [(0, 0)]),
+    "affine": ("affine", [(l, l) for l in range(4)]),
+    "ripple": ("ripple_model", [(l, r) for l in range(4) for r in range(l + 1)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_K3_BUILDS))
+def test_k3_jump_build_matches_the_inline_binomial_loops(request, monkeypatch, name):
     # at k = 3 the binomials are not all powers of 2, so each product's
-    # rounding shows: the block coefficients and the local loss must repeat
-    # the inline loops to the byte
-    model, init, cfg = _bench_evolution(name)
+    # rounding shows: T's coefficients (delta_lr + alpha[l, r]) wq, Gamma's
+    # blocks C(l, r) gamma^(l - r) at the nodes and the local loss must
+    # repeat the inline loops to the byte
+    kind, blocks = _K3_BUILDS[name]
+    if kind == "bench":
+        model, init, cfg = _bench_evolution(name)
+        window = (init.lo, init.hi)
+    elif kind == "affine":
+        model, window, cfg = _affine_slope_model(), (-8.0, 8.0), js.EvolutionConfig(i=8, trunc=2)
+    else:
+        model, g, cfg = _build(request, kind)
+        window = (g.lo, g.hi)
     model = dataclasses.replace(model, k=3)
-    g = js.gaussian_density((init.lo, init.hi), 256, 3, sigma=0.5)
-    tables, merged, assembled = [], [], []
+    g = js.gaussian_density(window, 256, 3, sigma=0.5)
+    tables, merged, marks = [], [], []
     solve = js.fokker_planck.transfer_alpha_grid
     monkeypatch.setattr(js.fokker_planck, "transfer_alpha_grid",
                         lambda *a: tables.append(solve(*a)) or tables[-1])
-    merge, csr = js.AdjointOperator._merge_stencils, js.AdjointOperator._csr
+    merge, part = js.AdjointOperator._merge_stencils, js.AdjointOperator._jump_part
     monkeypatch.setattr(js.AdjointOperator, "_merge_stencils",
-                        lambda self, base, w, coef, first:
-                        merged.append(coef) or merge(self, base, w, coef, first))
-    monkeypatch.setattr(js.AdjointOperator, "_csr",
-                        lambda self, parts: assembled.append(parts) or csr(self, parts))
+                        lambda self, base, w, coef, first, bl:
+                        merged.append((coef, bl)) or merge(self, base, w, coef, first, bl))
+    monkeypatch.setattr(js.AdjointOperator, "_jump_part",
+                        lambda self, z, wq: marks.append(wq) or part(self, z, wq))
     op = js.AdjointOperator(model, g, dataclasses.replace(cfg, quad_nodes=64))
-    pairs = js.fokker_planck._block_pairs(3)
-    # (pairs, columns), the columns in (node, mark) order
-    want = np.concatenate([_inline_binomial_coef(alpha, model.gamma.stack(tau[0], 3), 3)
-                           .reshape(len(pairs), -1) for alpha, tau in tables], axis=-1)
-    # the last merges, one per block of nodes, and the last assembly are
-    # the jump part's
+    (wq,) = marks
+    # the last merges, one per block of nodes, are the jump part's
     assert len(tables) > 1
-    got = np.concatenate([coef.T for coef in merged[-len(tables):]], axis=-1)
-    assert got.tobytes() == want.tobytes()
-    gamma_grid = model.gamma.stack(op.grid, 3)
-    loss = [triple[2] for triple in assembled[-1][-len(pairs):]]
-    for (l, r), got in zip(pairs, loss):
-        assert got.tobytes() == (-op.qmass * math.comb(l, r) * gamma_grid[l - r]).tobytes()
+    jump_merges = merged[-len(tables):]
+    assert all(bl == blocks for _, bl in jump_merges)
+    for (alpha, _), (coef, _) in zip(tables, jump_merges):
+        for b, (l, r) in enumerate(blocks):
+            delta = 1.0 if l == r else 0.0
+            want = np.stack([(delta + alpha[l, r, j]) * wq for j in range(alpha.shape[2])])
+            assert coef[:, b].tobytes() == want.ravel().tobytes()
+    n = g.size
+    gamma = model.gamma.stack(op.grid, 3)
+    rate = op.rate.toarray()
+    for l in range(4):
+        for r in range(4):
+            block = rate[l * n:(l + 1) * n, r * n:(r + 1) * n]
+            want = math.comb(l, r) * gamma[l - r] if r <= l else np.zeros(n)
+            assert np.diag(block).tobytes() == want.tobytes()
+            assert not np.any(block - np.diag(np.diag(block)))
+    # each row of T ends with its local loss, on the diagonal
+    last = op.jump.indptr[1:] - 1
+    np.testing.assert_array_equal(op.jump.indices[last], np.arange(op.jump.shape[0]))
+    assert np.all(op.jump.data[last] == -op.qmass)
+    assert op.jump.shape[0] == (n if blocks == [(0, 0)] else 4 * n)
 
 
 @pytest.mark.parametrize("name", ["wobble", "power"])
-def test_build_takes_one_rate_stack_per_node_block(monkeypatch, name):
-    # the rate's derivatives at the pre-images come from one stack per block
-    # of nodes, over every mark, and one more on the grid gives the local loss
+def test_build_stacks_the_rate_once_on_the_grid(monkeypatch, name):
+    # Gamma takes the rate's derivatives at the nodes, in one stack; the
+    # (node, mark) pre-images never see the rate
     model, g, cfg = _bench_evolution(name)
     gamma = model.gamma
     stacks, derivatives = [], []
@@ -349,12 +389,63 @@ def test_build_takes_one_rate_stack_per_node_block(monkeypatch, name):
     monkeypatch.setattr(family, "stack", counted_stack)
     monkeypatch.setattr(family, "derivative", counted_derivative)
     js.AdjointOperator(model, g, cfg)
-    block = js.fokker_planck.JUMP_BLOCK_NODES
-    assert stacks[:-1] == [(min(block, g.size - first), cfg.quad_nodes)
-                           for first in range(0, g.size, block)]
-    assert stacks[-1] == (g.size,)
-    # the (node, mark) pre-images are two-dimensional
+    assert stacks == [(g.size,)]
     assert all(len(shape) < 2 for shape in derivatives)
+
+
+def _rk4(op, vals, t_end, dt):
+    """Classical RK4 of `op.apply` from `vals` to t_end, in equal steps of at
+    most dt."""
+    steps = math.ceil(t_end / dt)
+    h = t_end / steps
+    for _ in range(steps):
+        k1 = op.apply(vals)
+        k2 = op.apply(vals + 0.5 * h * k1)
+        k3 = op.apply(vals + 0.5 * h * k2)
+        k4 = op.apply(vals + h * k3)
+        vals = vals + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return vals
+
+
+# The grid error of the evolution, L1 per row 0 / 1 / 2 of the final stack:
+# the gap between a run on `nodes` nodes and one on the 4x finer nested grid
+# (4 (nodes - 1) + 1 nodes), both RK4 at a quarter of the stable step, so
+# that the gap is the grid's alone.  (A fine run at a sixteenth of the step
+# moves no gap in its first 3 digits, at 4x the time.)  `parent` is each
+# gap as measured with this harness when the jump part still multiplied by
+# the rate at the (node, mark) pre-images; pulling back the product gamma g
+# must stay within 1.6x of it on every row.
+# name: (model, window, nodes, t_end, trunc, sigma, parent), the model a
+# bench workload's, a fixture's or the affine one's
+_NESTED_GRIDS = {
+    "wobble": ("wobble", (-8.0, 8.0), 1024, 0.2, 2, 0.5, [6.52e-08, 3.24e-07, 1.03e-06]),
+    "power": ("power", (-6.0, 8.0), 1024, 0.15, 1, 0.5, [3.28e-08, 1.36e-07, 6.27e-07]),
+    # the README model (the wobble workload's) on its `evolution` stanza
+    "readme": ("wobble", (-8.0, 8.0), 512, 0.3, 2, 0.8, [2.60e-07, 7.00e-07, 1.63e-06]),
+    # not affine in the state: the Newton pre-images and a full table
+    "ripple": ("ripple_model", (-6.0, 6.0), 1024, 0.2, 1, 0.8, [4.77e-09, 1.19e-08, 3.67e-08]),
+    "affine": ("affine", (-8.0, 8.0), 1024, 0.3, 2, 0.8, [1.61e-08, 3.32e-08, 8.38e-08]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NESTED_GRIDS))
+def test_nested_grid_error_within_the_parent_scheme(request, name):
+    source, window, nodes, t_end, trunc, sigma, parent = _NESTED_GRIDS[name]
+    if source == "affine":
+        model = _affine_slope_model()
+    elif source.endswith("_model"):
+        model = request.getfixturevalue(source)
+    else:
+        model = _bench_evolution(source)[0]
+    cfg = js.EvolutionConfig(i=8, trunc=trunc)
+    runs = []
+    for size in (nodes, 4 * (nodes - 1) + 1):
+        g = js.gaussian_density(window, size, model.k, 0.0, sigma)
+        op = js.AdjointOperator(model, g, cfg)
+        runs.append(_rk4(op, g.values, t_end, op.stable_dt() / 4.0))
+    coarse, fine = runs[0], runs[1][:, ::4]
+    gap = np.trapezoid(np.abs(coarse - fine), dx=(window[1] - window[0]) / (nodes - 1), axis=1)
+    assert np.all(gap <= 1.6 * np.asarray(parent)), gap
 
 
 def test_collapse_build_raises_after_one_failing_block(collapse_model, monkeypatch):
@@ -452,10 +543,12 @@ def test_norm_growth_audit_builds_the_jump_part_once(wobble_model, monkeypatch):
 
 
 def test_gate5_fitted_rates_pinned(wobble_model, ripple_model):
-    # the gate-5 audits' fitted rates, recorded with one operator build per index
+    # the gate-5 audits' fitted rates, recorded with one operator build per
+    # index, and re-recorded when the jump part came to pull back the product
+    # gamma g: moved by 5.3e-8 (wobble) and 1.3e-6 (ripple) relative
     cases = (
-        (wobble_model, (-8.0, 8.0), 640, 3, -0.38681454770244295, -0.38809697704282964),
-        (ripple_model, (-6.0, 6.0), 512, 1, -0.07826913856202107, -0.07371635338527573),
+        (wobble_model, (-8.0, 8.0), 640, 3, -0.3868145276980927, -0.38809695658006926),
+        (ripple_model, (-6.0, 6.0), 512, 1, -0.07826904612489233, -0.07371626099780632),
     )
     for model, window, size, trunc, rate_i, rate_2i in cases:
         init = js.gaussian_density(window, size, order=2, sigma=0.8)
@@ -776,51 +869,55 @@ def test_evolve_refuses_a_bad_horizon_at_once(wobble_model, t_end):
 # The `evolve` final on the evolution stanza of each bench workload, recorded
 # before the operator parts became scipy CSR matrices: rows 0-2 at 9 nodes
 # 24 apart from the first node named, then time_error and mass_drift.  A
-# change of the integrator moves these figures and re-records them.
+# change of the integrator moves these figures and re-records them.  They were
+# re-recorded when the jump part came to pull back the product gamma g: rows
+# moved by at most 4.2e-8 (wobble) and 1.6e-7 (power) of the largest entry,
+# time_error by 1.5e-7 and 1.6e-8 relative, the wobble mass_drift from 6.64e-9
+# to 6.63e-9 and the power one from 9.9e-10 to 2.2e-16.
 _EVOLVE_PINS = {
     "wobble": (
         416,
         [
             [
-                0.010452185392644045, 0.06755057440043767, 0.25029913334239884,
-                0.5499081936476218, 0.7349385002694531, 0.6084826486836891,
-                0.3154072668521224, 0.10254850142159548, 0.020761090838011018,
+                0.010452185085034935, 0.06755057286787614, 0.2502991331822027,
+                0.5499081996000441, 0.7349385036120863, 0.6084826430014988,
+                0.31540726304678623, 0.10254850245540029, 0.020761091863444395,
             ],
             [
-                0.0600722078167093, 0.28463124803413553, 0.6958322405455843,
-                0.7836605680406851, 0.09433866306179096, -0.6873785108915669,
-                -0.747707508022092, -0.37112556852951906, -0.10168667265861145,
+                0.0600722056771109, 0.2846312451941118, 0.6958322531602753,
+                0.7836605797050729, 0.09433863826187583, -0.6873785231515934,
+                -0.7477074917538935, -0.371125562789067, -0.10168667568159857,
             ],
             [
-                0.30098556026793194, 0.9329386822864498, 1.0071030806072074,
-                -0.8207944118527372, -2.482350302512158, -1.2426465235255888,
-                0.7302005983829164, 0.9987844013375502, 0.42617343228630017,
+                0.30098555116769654, 0.9329386983801, 1.007103130867824,
+                -0.8207944868691112, -2.482350364027741, -1.2426464197983995,
+                0.7302006148061995, 0.9987843577273924, 0.42617342984457557,
             ],
         ],
-        0.0008934684467538604,
-        6.635943794464083e-09,
+        0.0008934683096961341,
+        6.63111099363789e-09,
     ),
     "power": (
         320,
         [
             [
-                0.0033694603133978982, 0.023158403591356985, 0.10391969333867529,
-                0.30599778951608103, 0.5965243662048092, 0.7762338558300744,
-                0.6711656472397071, 0.3808195818431125, 0.14164297249470773,
+                0.003369459946734145, 0.02315840215066724, 0.10391969164640953,
+                0.3059977944542869, 0.5965243728417243, 0.7762338444554269,
+                0.6711656486198097, 0.3808195896240919, 0.14164297234212628,
             ],
             [
-                0.02197146833880775, 0.12084340233431262, 0.40798274239402754,
-                0.8123918465774888, 0.8440875567422755, 0.14437211621162857,
-                -0.7244412967906073, -0.9032003528849639, -0.5162105352929449,
+                0.02197146641371507, 0.12084339815392135, 0.4079827492136387,
+                0.8123918760071814, 0.8440875182499145, 0.14437209296534861,
+                -0.7244412349251511, -0.9032003727477187, -0.5162105515380465,
             ],
             [
-                0.12987594423875276, 0.5390047101019023, 1.1955113145937593,
-                0.9866420315648012, -1.033553301141294, -2.9076001067436104,
-                -1.847233190930247, 0.6474461226629217, 1.341287801316108,
+                0.1298759362750526, 0.5390047114080609, 1.1955113893050004,
+                0.9866420207236782, -1.0335536162212229, -2.9075996450287787,
+                -1.8472333451123, 0.6474459847041742, 1.3412878846730096,
             ],
         ],
-        0.0006529582051174795,
-        9.876561790633787e-10,
+        0.0006529582155181843,
+        2.220446049250313e-16,
     ),
 }
 
@@ -852,20 +949,25 @@ def test_norm_growth_audit_refuses_a_bad_horizon(wobble_model, t_end):
             js.norm_growth_audit(wobble_model, g, t_end, js.EvolutionConfig(i=8, trunc=1))
 
 
-# sha256 of indptr, indices and data, in that order, of the `drift` and
-# `jump` CSR parts built on each bench workload's evolution settings.  A
+# sha256 of indptr, indices and data, in that order, of the `drift`, `jump`
+# and `rate` CSR parts built on each bench workload's evolution settings.  A
 # build change that keeps every byte keeps these.  The `jump` digests were
 # re-recorded when the affine amplitudes of both workloads took the
-# closed-form pre-images: same sparsity pattern, entries moved by at most
-# 5.0e-15 (wobble) and 2.7e-15 (power) of the largest entry.
+# closed-form pre-images (same sparsity pattern, entries moved by at most
+# 5.0e-15 (wobble) and 2.7e-15 (power) of the largest entry), and again when
+# the jump part came to pull back the product gamma g: `jump` became the one
+# (size, size) block of T - qmass I (nnz 30,340 on wobble and 41,241 on power,
+# against 182,040 and 247,446 for the six blocks before), and `rate` is new.
 _OPERATOR_PINS = {
     "power": {
         "drift": "13f4aafd8f5311dd836cb1b1ced9fb5bd53bf2177ed0062f766e53aa0d780ec5",
-        "jump": "159f31277225b8af59197d0b1e213d9067355e522bdfb4e6031f2abef06411db",
+        "jump": "e96c8ae7344420b13f88dab80e3d22a857b1c6cd0f7c48dbf81a19874613b6f0",
+        "rate": "1b5f2d90edc3a63eb0f7da0d88259dcca68f83b8a8b1fba38cd8875212e3a2a7",
     },
     "wobble": {
         "drift": "b3014c9238ad9588bd85cf286476e374b42c575dc5727ca23ca03aa1a3c7fd6f",
-        "jump": "302445508df091466b8cd9ab2e679cdc936a57ec41fc60ba625a3066e63c8069",
+        "jump": "5be18de0476f072a225411646a3ad74faf9b8425810629bd91f52669b4297a1f",
+        "rate": "b729f8ce8280bd1206eb3bc891a653396087fa56d66fd5e6fcc2781172bf04b4",
     },
 }
 

@@ -458,6 +458,28 @@ def test_audit_points_below_one_is_refused(exp_unit_model):
     assert js.check_B(one, n_max=4, theta=4.2).worst["y"] == -4.0
 
 
+def test_audit_points_above_the_cap_are_refused(exp_unit_model):
+    # the audits' (y, z) pair grids hold audit_points**2 entries
+    cap = js.model.MAX_AUDIT_POINTS
+    assert dataclasses.replace(exp_unit_model, audit_points=cap).audit_points == cap
+    for bad in (cap + 1, int(1e308)):
+        with pytest.raises(js.ContractError, match=f"audit_points must be at most {cap}"):
+            dataclasses.replace(exp_unit_model, audit_points=bad)
+
+
+def test_min_drift_index_takes_the_drift_slope_once(exp_unit_model, monkeypatch):
+    model = dataclasses.replace(exp_unit_model, b=js.Sinusoidal(1.5, 1.0))
+    calls = []
+    sup = js.CoefficientSet.b_prime_sup
+    monkeypatch.setattr(js.CoefficientSet, "b_prime_sup",
+                        lambda self: calls.append(self) or sup(self))
+    assert [model.min_drift_index() for _ in range(3)] == [3, 3, 3]
+    assert len(calls) == 1
+    # a copy with another drift takes its own
+    assert dataclasses.replace(model, b=js.Sinusoidal(2.5, 1.0)).min_drift_index() == 5
+    assert len(calls) == 2
+
+
 # ---------------------------------------------------------------------------
 # pinned inversion budget: values, messages and the order of failures
 # ---------------------------------------------------------------------------
