@@ -49,8 +49,8 @@ from .errors import ConfigError, ContractError, JumpsmoothError
 from .fokker_planck import _density_grid
 from .kernels import _check_audit_indices, _check_kernel_index, _kernel_indices
 from .model import (
-    CoefficientSet, JumpMeasureSpec, _check_drift_index, _check_horizon, _check_n_max,
-    _check_theta, _require_finite_number, _require_positive,
+    CoefficientSet, JumpMeasureSpec, _check_audit_points, _check_drift_index, _check_horizon,
+    _check_n_max, _check_theta, _require_finite_number, _require_positive,
 )
 from .simulate import _initial_states
 
@@ -126,8 +126,7 @@ def _build(cls, node, path: str):
     ``cls.config_keys`` renames it; a field without a default is required;
     each value is read by `_coerce_scalar` as the field's annotated type, and only
     the keys the node sets are passed, so every default is the class's own.
-    A value that its field's own rule (``metadata["rule"]``) refuses is a
-    ConfigError at its key, one the class refuses (a `JumpsmoothError`) at
+    A value the class refuses (a `JumpsmoothError`) is a ConfigError at
     `path`; any other exception is a fault of the program and propagates.
     """
     key_of = {name: key for key, name in getattr(cls, "config_keys", {}).items()}
@@ -142,12 +141,6 @@ def _build(cls, node, path: str):
         schema[key].name: _coerce_scalar(schema[key].type, value, f"{path}.{key}")
         for key, value in node.items()
     }
-    for key in node:
-        if rule := schema[key].metadata.get("rule"):
-            try:
-                rule(kwargs[schema[key].name])
-            except JumpsmoothError as exc:
-                raise _fail(f"{path}.{key}", str(exc)) from None
     args = kwargs.pop("parts") if cls is presets.FunctionSum else ()  # FunctionSum(*parts)
     try:
         return cls(*args, **kwargs)
@@ -185,9 +178,16 @@ def _build_amplitude(node, path: str) -> presets.JumpAmplitude:
 def build_model(node, path: str = "model") -> CoefficientSet:
     """The model from its config node: `CoefficientSet`'s fields under their
     config keys, with ``drift: 0.0`` where the node sets none (b has no
-    default of its own)."""
+    default of its own).  An audit point count out of range is refused at
+    its key."""
     if isinstance(node, dict):
         node = {"drift": 0.0, **node}
+        if "audit_points" in node:
+            key = f"{path}.audit_points"
+            try:
+                _check_audit_points(_as_int(node["audit_points"], key))
+            except ContractError as exc:
+                raise _fail(key, str(exc)) from None
     return _build(CoefficientSet, node, path)
 
 

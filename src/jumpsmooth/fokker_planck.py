@@ -225,16 +225,6 @@ def _block_pairs(k: int) -> list[tuple[int, int]]:
     return [(l, r) for l in range(k + 1) for r in range(l + 1)]
 
 
-def _pullback_blocks(h, z: np.ndarray, k: int) -> list[tuple[int, int]]:
-    """The blocks (l, r) of the jump pullback T that the transfer table
-    fills: an amplitude affine in the state, A(z) + B(z) y, has a diagonal
-    table, which vanishes with B = 0 (tau' = 1), so that every T_ll is T_00."""
-    affine = h.affine(z)
-    if affine is None:
-        return _block_pairs(k)
-    return [(l, l) for l in range(k + 1)] if np.any(affine[1]) else [(0, 0)]
-
-
 class AdjointOperator:
     """The adjoint generator on one grid, assembled once as a sparse map.
 
@@ -250,11 +240,10 @@ class AdjointOperator:
     C(l, r) gamma^(l - r)(y_j)).  T is built `JUMP_BLOCK_NODES` nodes at a
     time: one `transfer_alpha_grid` call solves a block's pre-images at every
     mark, and the block's stencils of T's blocks (l, r) are merged in one
-    sparse product (`_merge_stencils`).  The table of an amplitude affine in
-    the state, h = A(z) + B(z) y, is diagonal, so T has only the diagonal
-    blocks; with B = 0 all are T_00, and `jump` is that one (size, size)
-    matrix, which `apply` takes to each row.  The drift part is one block of
-    the merge, one pre-image per node.
+    sparse product (`_merge_stencils`).  An amplitude h = A(z) (affine, B = 0)
+    has a zero table, so every T_ll is T_00 and `jump` is that one (size,
+    size) matrix, which `apply` takes to each row.  The drift part is one
+    block of the merge, one pre-image per node.
     `with_drift_index` gives the operator at another index that shares this
     one's jump part.
     """
@@ -325,7 +314,8 @@ class AdjointOperator:
             rows = slice(first, min(first + JUMP_BLOCK_NODES, n))
             alpha, tau = transfer_alpha_grid(coeffs, grid[rows], z, k)
             if not first:  # once the first solve has accepted the model
-                blocks = _pullback_blocks(coeffs.h, z, k)
+                affine = coeffs.h.affine(z)  # h = A(z): a zero table, so T_ll = T_00
+                blocks = _block_pairs(k) if affine is None or np.any(affine[1]) else [(0, 0)]
             # T_lr's coefficient at each (node, mark): (delta_lr + alpha[l, r]) wq
             coef = np.stack([((l == r) + alpha[l, r]) * wq for l, r in blocks], axis=-1)
             # a pre-image outside the window loses its mark weight
@@ -362,8 +352,7 @@ class AdjointOperator:
         nothing."""
         from scipy.sparse import csr_array
 
-        if size is None:
-            size = (self.k + 1) * self.size
+        size = size or (self.k + 1) * self.size
         if not parts:
             return csr_array((size, size))
         rows, cols, data = (np.concatenate([p[c] for p in parts]) for c in range(3))

@@ -243,7 +243,7 @@ class CoefficientSet(Described):
     p: float = 2.0
     c0_tol: float = 1e-8
     y_window: tuple[float, float] = (-10.0, 10.0)
-    audit_points: int = field(default=241, metadata={"rule": _check_audit_points})
+    audit_points: int = 241
     label: str = ""
 
     def __post_init__(self):

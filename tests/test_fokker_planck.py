@@ -301,14 +301,15 @@ def _affine_slope_model():
     return dataclasses.replace(model, h=h)
 
 
-# the blocks (l, r) of T that each model's table fills at k = 3: B = 0
-# (wobble, power) leaves the one block (0, 0), B = 0.1 the diagonal, and the
-# ripple amplitude, not affine in the state, every block
+# the blocks (l, r) of T that each build merges at k = 3: B = 0 (wobble,
+# power) leaves the one block (0, 0); B = 0.1, whose table is zero off the
+# diagonal, and the ripple amplitude, not affine in the state, take every block
+_EVERY_BLOCK = [(l, r) for l in range(4) for r in range(l + 1)]
 _K3_BUILDS = {
     "wobble": ("bench", [(0, 0)]),
     "power": ("bench", [(0, 0)]),
-    "affine": ("affine", [(l, l) for l in range(4)]),
-    "ripple": ("ripple_model", [(l, r) for l in range(4) for r in range(l + 1)]),
+    "affine": ("affine", _EVERY_BLOCK),
+    "ripple": ("ripple_model", _EVERY_BLOCK),
 }
 
 
