@@ -10,11 +10,16 @@ fine) or the model was rejected, 2 configuration problems (found before any
 run), 3 numerical failure.  Every successful run
 writes a manifest.json with the config digest, seed, and output list so
 results can be traced back to their inputs.
+
+Each command imports the engines it runs inside its `_cmd_*` function, so a
+`check` process loads none of them and an `evolve` process only the
+adjoint evolution.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -25,7 +30,6 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, load_config
-from .diagnostics import PipelineConfig, smoothness_pipeline
 from .errors import (
     ConfigError,
     ContractError,
@@ -34,10 +38,7 @@ from .errors import (
     JumpsmoothError,
     NumericalError,
 )
-from .fokker_planck import EvolutionConfig, evolve, gaussian_density, sobolev_norm
-from .kernels import kernel_sobolev_audit, make_kernels
 from .model import AssumptionReport, check_A, check_B, check_S
-from .simulate import RngSpec, simulate_batch
 
 
 def _sha256(path: str) -> str:
@@ -98,6 +99,9 @@ def _cmd_check(cfg: ExperimentConfig, out_dir: Path, args) -> tuple[int, list[st
 
 
 def _cmd_simulate(cfg: ExperimentConfig, out_dir: Path, args, seed: int) -> tuple[int, list[str]]:
+    from .kernels import make_kernels
+    from .simulate import RngSpec, simulate_batch
+
     coeffs, sim = cfg.coeffs, cfg.simulation
     trunc = coeffs.q.resolve_trunc(sim.trunc)
     kernels = None
@@ -131,6 +135,8 @@ def _cmd_simulate(cfg: ExperimentConfig, out_dir: Path, args, seed: int) -> tupl
 
 
 def _cmd_evolve(cfg: ExperimentConfig, out_dir: Path, args) -> tuple[int, list[str]]:
+    from .fokker_planck import EvolutionConfig, evolve, gaussian_density, sobolev_norm
+
     coeffs, ev = cfg.coeffs, cfg.evolution
     initial = gaussian_density(
         ev.window, ev.nodes, coeffs.k, ev.initial_mean, ev.initial_sigma
@@ -160,6 +166,8 @@ def _cmd_evolve(cfg: ExperimentConfig, out_dir: Path, args) -> tuple[int, list[s
 
 
 def _cmd_kernels(cfg: ExperimentConfig, out_dir: Path, args) -> tuple[int, list[str]]:
+    from .kernels import kernel_sobolev_audit, make_kernels
+
     coeffs, ks = cfg.coeffs, cfg.kernels
     kd = make_kernels(coeffs, ks.n_values, ks.theta)
     y_grid = coeffs.y_audit_grid()[:: max(1, coeffs.audit_points // 9)]
@@ -177,6 +185,10 @@ def _cmd_kernels(cfg: ExperimentConfig, out_dir: Path, args) -> tuple[int, list[
 
 
 def _cmd_certify(cfg: ExperimentConfig, out_dir: Path, args, seed: int) -> tuple[int, list[str]]:
+    from .diagnostics import PipelineConfig, smoothness_pipeline
+    from .kernels import make_kernels
+    from .simulate import RngSpec
+
     coeffs, diag, sim = cfg.coeffs, cfg.diagnostics, cfg.simulation
     kd = make_kernels(coeffs, cfg.kernels.n_values, cfg.kernels.theta)
     pipe = PipelineConfig(
@@ -215,7 +227,9 @@ def _cmd_certify(cfg: ExperimentConfig, out_dir: Path, args, seed: int) -> tuple
     return (0 if ok else 1), ["certificate.json"]
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="jumpsmooth",
         description="Simulation, density evolution, and smoothness certificates "

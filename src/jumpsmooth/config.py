@@ -44,15 +44,12 @@ from dataclasses import dataclass
 import yaml
 
 from . import presets
-from .diagnostics import _check_band
 from .errors import ConfigError, ContractError, JumpsmoothError
-from .fokker_planck import _density_grid
-from .kernels import _check_audit_indices, _check_kernel_index, _kernel_indices
 from .model import (
-    CoefficientSet, JumpMeasureSpec, _check_audit_points, _check_drift_index, _check_horizon,
-    _check_n_max, _check_theta, _require_finite_number, _require_positive,
+    CoefficientSet, JumpMeasureSpec, _check_audit_indices, _check_audit_points, _check_band,
+    _check_drift_index, _check_horizon, _check_kernel_index, _check_n_max, _check_theta,
+    _density_grid, _initial_states, _kernel_indices, _require_finite_number, _require_positive,
 )
-from .simulate import _initial_states
 
 # family name -> preset class, read off the classes themselves
 _FAMILIES = {cls.family: cls for cls in presets.Function1D.__subclasses__()}

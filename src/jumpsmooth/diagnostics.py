@@ -22,14 +22,12 @@ import numpy as np
 from .errors import ContractError, ResolutionError, WindowTooSmallError
 from .fokker_planck import GridDensity
 from .kernels import KernelDecomposition
-from .model import CoefficientSet, _check_theta, _require_int, _require_positive
+from .model import MIN_FIT_POINTS, CoefficientSet, _check_band, _check_theta
 from .simulate import FLOOR_MULT, CFEstimate, RngSpec, empirical_cf, simulate_batch
 
 # A CF magnitude that stays above this (or 5 standard errors) over the upper
 # half of the usable band is read as an atom.
 ATOM_FLOOR = 0.05
-# The decay fit needs this many usable frequencies.
-MIN_FIT_POINTS = 10
 
 
 @dataclass(frozen=True)
@@ -160,28 +158,6 @@ class PipelineConfig:
     xi_max: float | None = None
     threads: int = 1
     max_step: float | None = None
-
-
-def _check_band(xi_min: float, xi_points: int, xi_max: float | None, runs: int) -> float:
-    """The top of the certify band, the one rule of `frequency_grid` and the
-    `diagnostics` stanza: `xi_max`, or by default where sampling noise bites
-    at `runs` samples (0.1 sqrt(N) heuristic, capped at 1000).  ContractError
-    unless xi_min is positive and finite, there are an integer number of at
-    least MIN_FIT_POINTS frequencies, runs is at least 1 where it sets the
-    top, and the top is finite and above xi_min."""
-    _require_positive(xi_min, "xi_min")
-    _require_int(xi_points, "xi_points")
-    if xi_points < MIN_FIT_POINTS:
-        raise ContractError(f"xi_points must be at least {MIN_FIT_POINTS}, got {xi_points}")
-    if xi_max is None and not runs >= 1:  # the default top takes sqrt(runs)
-        raise ContractError(f"runs must be at least 1, got {runs!r}")
-    hi = xi_max if xi_max is not None else min(0.1 * math.sqrt(runs), 1e3)
-    if not (math.isfinite(hi) and hi > xi_min):
-        raise ContractError(
-            f"frequency band [{xi_min!r}, {hi!r}] is empty or unbounded; "
-            "raise xi_max or the run count"
-        )
-    return hi
 
 
 def frequency_grid(runs: int, cfg: PipelineConfig) -> np.ndarray:

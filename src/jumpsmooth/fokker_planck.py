@@ -58,24 +58,10 @@ from .errors import (
     WindowTooSmallError,
 )
 from .model import (
-    CoefficientSet, _check_drift_index, _check_horizon, _require_finite, _require_finite_number,
-    _require_int, _require_positive, gauss_panels,
+    CoefficientSet, _check_drift_index, _check_horizon, _density_grid, _require_finite,
+    _require_finite_number, _require_int, _require_positive, gauss_panels,
 )
 from .presets import Function1D, GaussBump, _check_order
-
-
-def _density_grid(window: tuple[float, float], nodes: int, name: str) -> tuple[float, float]:
-    """The window's ends, checked with the node count `name`: the one rule of
-    every grid density (`GridDensity`, the sample densities and the
-    `evolution` stanza), an integer of at least 8 on a finite window with
-    hi > lo."""
-    _require_int(nodes, name)
-    if nodes < 8:
-        raise ContractError(f"{name} must be at least 8, got {nodes!r}")
-    lo, hi = float(window[0]), float(window[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
-        raise ContractError(f"density window must be finite with hi > lo, got {window!r}")
-    return lo, hi
 
 
 @dataclass
@@ -421,6 +407,8 @@ class AdjointOperator:
         # Gamma, then T, on each row of the stack when T is one (size, size) block
         rated = (self.rate @ flat).reshape(-1, self.jump.shape[1])
         pulled = np.concatenate([self.jump @ row for row in rated])
+        if self.drift.nnz == 0:  # a zero drift: its product would only add +0.0
+            return pulled.reshape(vals.shape)
         return (self.drift @ flat + pulled).reshape(vals.shape)
 
 

@@ -56,7 +56,8 @@ from .errors import (
     ResolutionError,
 )
 from .model import (
-    CoefficientSet, _check_theta, _envelope, _frame, _require_finite, _require_int, gauss_panels,
+    CoefficientSet, _check_audit_indices, _check_kernel_index, _check_theta, _envelope, _frame,
+    _kernel_indices, _require_finite, gauss_panels,
 )
 from .fokker_planck import GridDensity
 from .presets import SmoothstepBump
@@ -433,32 +434,6 @@ class KernelDecomposition:
             "theta": self.theta,
             "audit": self.audit,
         }
-
-
-def _kernel_indices(n_values) -> tuple[int, ...]:
-    """The declared kernel indices, sorted; ContractError unless they are
-    positive, distinct integers."""
-    for n in n_values:
-        _require_int(n, "kernel index")
-    n_values = tuple(sorted(int(n) for n in n_values))
-    if not n_values or n_values[0] < 1:
-        raise ContractError("kernel indices must be positive integers")
-    if len(set(n_values)) < len(n_values):
-        raise ContractError(f"kernel indices must be distinct, got {list(n_values)}")
-    return n_values
-
-
-def _check_audit_indices(n_values) -> None:
-    """ContractError unless the kernel audit has at least two indices to fit
-    its profile in n through."""
-    if len(n_values) < 2:
-        raise ContractError("kernel audit needs at least two kernel indices")
-
-
-def _check_kernel_index(n: int, n_values) -> None:
-    """ContractError unless n is one of the declared kernel indices."""
-    if n not in n_values:
-        raise ContractError(f"kernel index {n} was not declared in the decomposition")
 
 
 def make_kernels(

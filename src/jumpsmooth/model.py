@@ -475,6 +475,104 @@ def _check_drift_index(coeffs: CoefficientSet, i: int) -> None:
         raise ContractError(f"drift surrogate index i={i} below i0={i0} (2 sup|b'|, at least 1)")
 
 
+# The rules below are the engines' own, kept here with the other setting
+# checks so that `config` applies them to its stanzas without importing an
+# engine.
+
+BLOW_UP = 1e8  # |state| beyond this is a blow-up
+# The decay fit needs this many usable frequencies.
+MIN_FIT_POINTS = 10
+
+
+def _density_grid(window: tuple[float, float], nodes: int, name: str) -> tuple[float, float]:
+    """The window's ends, checked with the node count `name`: the one rule of
+    every grid density (`GridDensity`, the sample densities and the
+    `evolution` stanza), an integer of at least 8 on a finite window with
+    hi > lo."""
+    _require_int(nodes, name)
+    if nodes < 8:
+        raise ContractError(f"{name} must be at least 8, got {nodes!r}")
+    lo, hi = float(window[0]), float(window[1])
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        raise ContractError(f"density window must be finite with hi > lo, got {window!r}")
+    return lo, hi
+
+
+def _initial_states(x0, runs: int) -> np.ndarray:
+    """`x0`, one initial state or one per run, broadcast to `runs` states.
+    The one start rule, of every simulator entry point and config stanza:
+    ContractError naming x0 unless it has such a shape and every state is
+    finite and within +-BLOW_UP, beyond which a state has blown up."""
+    x = np.asarray(x0, dtype=float)
+    if x.ndim == 0:
+        _require_finite_number(float(x), "x0")
+    try:
+        x = np.broadcast_to(x, (runs,))
+    except ValueError:
+        raise ContractError(
+            f"x0 must be one state or {runs} states, got shape {x.shape}"
+        ) from None
+    bad = runs - int(np.count_nonzero(np.isfinite(x)))
+    if bad:
+        raise ContractError(f"x0 must be finite: {bad} of {runs} initial states are not")
+    beyond = np.flatnonzero(np.abs(x) > BLOW_UP)
+    if beyond.size:
+        raise ContractError(
+            f"x0 must lie within +-{BLOW_UP:g}: {beyond.size} of {runs} initial states "
+            f"do not, the first {float(x[beyond[0]])!r}"
+        )
+    return x
+
+
+def _check_band(xi_min: float, xi_points: int, xi_max: float | None, runs: int) -> float:
+    """The top of the certify band, the one rule of
+    `diagnostics.frequency_grid` and the `diagnostics` stanza: `xi_max`, or
+    by default where sampling noise bites at `runs` samples (0.1 sqrt(N)
+    heuristic, capped at 1000).  ContractError unless xi_min is positive and
+    finite, there are an integer number of at least MIN_FIT_POINTS
+    frequencies, runs is at least 1 where it sets the top, and the top is
+    finite and above xi_min."""
+    _require_positive(xi_min, "xi_min")
+    _require_int(xi_points, "xi_points")
+    if xi_points < MIN_FIT_POINTS:
+        raise ContractError(f"xi_points must be at least {MIN_FIT_POINTS}, got {xi_points}")
+    if xi_max is None and not runs >= 1:  # the default top takes sqrt(runs)
+        raise ContractError(f"runs must be at least 1, got {runs!r}")
+    hi = xi_max if xi_max is not None else min(0.1 * math.sqrt(runs), 1e3)
+    if not (math.isfinite(hi) and hi > xi_min):
+        raise ContractError(
+            f"frequency band [{xi_min!r}, {hi!r}] is empty or unbounded; "
+            "raise xi_max or the run count"
+        )
+    return hi
+
+
+def _kernel_indices(n_values) -> tuple[int, ...]:
+    """The declared kernel indices, sorted; ContractError unless they are
+    positive, distinct integers."""
+    for n in n_values:
+        _require_int(n, "kernel index")
+    n_values = tuple(sorted(int(n) for n in n_values))
+    if not n_values or n_values[0] < 1:
+        raise ContractError("kernel indices must be positive integers")
+    if len(set(n_values)) < len(n_values):
+        raise ContractError(f"kernel indices must be distinct, got {list(n_values)}")
+    return n_values
+
+
+def _check_audit_indices(n_values) -> None:
+    """ContractError unless the kernel audit has at least two indices to fit
+    its profile in n through."""
+    if len(n_values) < 2:
+        raise ContractError("kernel audit needs at least two kernel indices")
+
+
+def _check_kernel_index(n: int, n_values) -> None:
+    """ContractError unless n is one of the declared kernel indices."""
+    if n not in n_values:
+        raise ContractError(f"kernel index {n} was not declared in the decomposition")
+
+
 def _require_finite(vals, points: np.ndarray, tag: str, var: str) -> None:
     """InvalidModelError naming the coefficient `tag` and the first of
     `points` (C order) where its values `vals` are not finite."""

@@ -354,11 +354,23 @@ def smoothstep_coefficients(order: int) -> tuple[float, ...]:
     return tuple(coeffs)
 
 
+@lru_cache(maxsize=None)
+def _smoothstep_derivative_coefficients(order: int, l: int) -> tuple[float, ...]:
+    """Polynomial coefficients of the l-th derivative of the smoothstep."""
+    return tuple(np.polynomial.polynomial.polyder(smoothstep_coefficients(order), l))
+
+
 def _smoothstep_derivative(u, order: int, l: int):
     """l-th derivative of the smoothstep of the given order, evaluated on
-    u clipped to [0, 1] (callers mask the outside)."""
-    poly = np.polynomial.polynomial.polyder(smoothstep_coefficients(order), l) if l else smoothstep_coefficients(order)
-    return np.polynomial.polynomial.polyval(u, poly)
+    u clipped to [0, 1] (callers mask the outside), by Horner's rule in
+    place: the multiply-then-add of `np.polynomial.polynomial.polyval`, with
+    its bytes."""
+    c = _smoothstep_derivative_coefficients(order, l)
+    out = c[-1] + u * 0
+    for ci in c[-2::-1]:
+        out *= u
+        out += ci
+    return out
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ one on the caller's generator: the coupling between single paths and
 batches holds by construction.  Batches and single paths need a finite
 horizon (`model._check_horizon`, the one horizon rule);
 `sample_tau_n` may wait without one for its first kept jump.  Every entry
-point checks its starts by one rule, `_initial_states`, before any draw.
+point checks its starts by one rule, `model._initial_states`, before any draw.
 """
 
 from __future__ import annotations
@@ -58,17 +58,16 @@ from .errors import (
     InvalidModelError,
     WindowTooSmallError,
 )
-from .fokker_planck import GridDensity, _density_grid
+from .fokker_planck import GridDensity
 from .kernels import KernelDecomposition
 from .model import (
-    CoefficientSet, _check_drift_index, _check_horizon, _require_finite_number, _require_int,
-    _require_positive,
+    BLOW_UP, CoefficientSet, _check_drift_index, _check_horizon, _density_grid, _initial_states,
+    _require_int, _require_positive,
 )
 from .presets import _check_order
 
 N_CHUNKS = 32  # fixed RNG fan-out; results do not depend on thread count
 GROUP_RUNS = 2**15  # runs the engine advances at once, unless one chunk holds more
-BLOW_UP = 1e8  # |state| beyond this is a blow-up
 FLOOR_MULT = 3.0  # a usable CF magnitude stands this many 1/sqrt(N) clear of 0
 GUIDE_BUCKETS = 4096  # level bins of the mark sampler's guide table; a power of two
 MARK_CDF_NODES = 4097  # equispaced marks of the mark sampler's trapezoid CDF
@@ -631,32 +630,6 @@ def _chunk_groups(sizes: list[int], threads: int) -> list[np.ndarray]:
     per_group = max(1, GROUP_RUNS // max(sizes))
     count = max(threads, -(-N_CHUNKS // per_group))
     return [g for g in np.array_split(np.arange(N_CHUNKS), count) if g.size]
-
-
-def _initial_states(x0, runs: int) -> np.ndarray:
-    """`x0`, one initial state or one per run, broadcast to `runs` states.
-    The one start rule, of every entry point and config stanza: ContractError
-    naming x0 unless it has such a shape and every state is finite and
-    within +-BLOW_UP, beyond which a state has blown up."""
-    x = np.asarray(x0, dtype=float)
-    if x.ndim == 0:
-        _require_finite_number(float(x), "x0")
-    try:
-        x = np.broadcast_to(x, (runs,))
-    except ValueError:
-        raise ContractError(
-            f"x0 must be one state or {runs} states, got shape {x.shape}"
-        ) from None
-    bad = runs - int(np.count_nonzero(np.isfinite(x)))
-    if bad:
-        raise ContractError(f"x0 must be finite: {bad} of {runs} initial states are not")
-    beyond = np.flatnonzero(np.abs(x) > BLOW_UP)
-    if beyond.size:
-        raise ContractError(
-            f"x0 must lie within +-{BLOW_UP:g}: {beyond.size} of {runs} initial states "
-            f"do not, the first {float(x[beyond[0]])!r}"
-        )
-    return x
 
 
 def simulate_batch(

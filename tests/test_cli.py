@@ -676,6 +676,64 @@ def test_package_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+ENGINES = ("simulate", "fokker_planck", "kernels", "diagnostics")
+
+
+def _fresh_modules(code: str) -> list[str]:
+    """The jumpsmooth submodules and scipy packages a fresh interpreter has
+    loaded after running `code`."""
+    import jumpsmooth
+
+    env = dict(os.environ, PYTHONPATH=str(Path(jumpsmooth.__file__).resolve().parents[1]))
+    code += ("\nimport sys\nprint(sorted(m.split('.', 1)[1] if m.startswith('jumpsmooth.') else m"
+             " for m in sys.modules if m.startswith(('jumpsmooth.', 'scipy'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    return eval(out.stdout.strip().splitlines()[-1])
+
+
+def test_config_load_leaves_the_engines_unloaded(tmp_path):
+    # each engine loads on first use: reading a config needs none of them
+    readme = _shipped_configs(tmp_path)[0]
+    loaded = _fresh_modules(f"import jumpsmooth\njumpsmooth.load_config({str(readme)!r})")
+    assert sorted(loaded) == ["calculus", "config", "errors", "model", "presets"]
+
+
+def test_check_and_evolve_import_only_their_engines(tmp_path):
+    path = _write(tmp_path, _base_config(tmp_path / "out"))
+    run = "from jumpsmooth.cli import main\nassert main([{!r}, '--config', {!r}]) == 0"
+    assert not set(_fresh_modules(run.format("check", path))) & set(ENGINES)
+    loaded = _fresh_modules(run.format("evolve", path))
+    assert "fokker_planck" in loaded
+    assert not {"simulate", "diagnostics"} & set(loaded)
+
+
+def test_package_namespace_resolves_on_first_use():
+    import jumpsmooth as js
+
+    assert set(js.__all__) <= set(dir(js))
+    assert js.load_config is js.config.load_config
+    assert vars(js)["load_config"] is js.config.load_config  # bound once resolved
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(js, "no_such_name")
+
+
+def test_import_error_inside_an_engine_propagates():
+    # diagnostics imports simulate at its top; a failure there must reach the
+    # caller as the ImportError it is, not as a missing attribute
+    loaded = _fresh_modules(
+        "import sys, jumpsmooth\n"
+        "sys.modules['jumpsmooth.simulate'] = None\n"
+        "try:\n"
+        "    jumpsmooth.smoothness_pipeline\n"
+        "except ImportError as exc:\n"
+        "    assert 'jumpsmooth.simulate' in str(exc), exc\n"
+        "else:\n"
+        "    raise AssertionError('no ImportError')\n"
+    )
+    assert "diagnostics" not in loaded
+
+
 def test_kernels_audit_pass_and_fail(tmp_path, capsys):
     cfg = _base_config(tmp_path / "out")
     path = _write(tmp_path, cfg)
