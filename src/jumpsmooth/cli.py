@@ -258,6 +258,8 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise ConfigError(f"--threads must be at least 1, got {args.threads}")
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         cfg = load_config(args.config, args.command)
         seed = args.seed if args.seed is not None else cfg.seed
         out_dir = Path(args.out if args.out is not None else cfg.output_dir)

@@ -46,9 +46,10 @@ import yaml
 from . import presets
 from .errors import ConfigError, ContractError, JumpsmoothError
 from .model import (
-    CoefficientSet, JumpMeasureSpec, _check_audit_indices, _check_audit_points, _check_band,
-    _check_drift_index, _check_horizon, _check_kernel_index, _check_n_max, _check_theta,
-    _density_grid, _initial_states, _kernel_indices, _require_finite_number, _require_positive,
+    QUAD_PANELS, CoefficientSet, JumpMeasureSpec, _check_audit_indices, _check_audit_points,
+    _check_band, _check_drift_index, _check_horizon, _check_kernel_index, _check_n_max,
+    _check_panel_split, _check_theta, _density_grid, _initial_states, _kernel_indices,
+    _require_finite_number, _require_positive,
 )
 
 # family name -> preset class, read off the classes themselves
@@ -233,6 +234,7 @@ class EvolutionStanza:
         _density_grid(self.window, self.nodes, "nodes")
         if self.quad_nodes < 1:
             raise ContractError(f"quad_nodes must be at least 1, got {self.quad_nodes}")
+        _check_panel_split(self.quad_nodes, QUAD_PANELS, "quad_nodes")
 
 
 @dataclass(frozen=True)
@@ -346,5 +348,7 @@ def load_config(path: str, command: str | None = None) -> ExperimentConfig:
         output_dir=str(raw.get("output", "out")),
         seed=_as_int(raw.get("seed", 0), "seed"),
     )
+    if cfg.seed < 0:  # np.random.SeedSequence takes no negative entropy
+        raise _fail("seed", f"expected a non-negative integer, got {cfg.seed}")
     _check_against_model(cfg, command)
     return cfg

@@ -58,8 +58,8 @@ from .errors import (
     WindowTooSmallError,
 )
 from .model import (
-    CoefficientSet, _check_drift_index, _check_horizon, _density_grid, _require_finite,
-    _require_finite_number, _require_int, _require_positive, gauss_panels,
+    QUAD_PANELS, CoefficientSet, _check_drift_index, _check_horizon, _density_grid,
+    _require_finite, _require_finite_number, _require_int, _require_positive, gauss_panels,
 )
 from .presets import Function1D, GaussBump, _check_order
 
@@ -144,8 +144,6 @@ def sobolev_norm(density: GridDensity, order: int | None = None) -> float:
     )
 
 
-# Gauss-Legendre panels of the mark quadrature (`quad_nodes` nodes in all).
-QUAD_PANELS = 8
 # Share of the stability budget that the default step uses.
 STABILITY_MARGIN = 0.9
 # Budgets of the discretisation, not parameters of the model: the mass drift
@@ -166,10 +164,11 @@ class EvolutionConfig:
     ``None`` picks the largest step inside the stability budget
     dt * (2 i + 2 sup(gamma) q(G)) <= 0.5, scaled by STABILITY_MARGIN.
     ``quad_nodes`` is the node count of the mark quadrature, in QUAD_PANELS
-    panels.  The budgets that guard the discretisation are module constants:
-    mass drift beyond MASS_TOL per unit horizon raises, and an interior
-    escape fraction above ESCAPE_TOL means the window is too small.  The
-    inverse maps are solved to the calculus default tolerance.
+    panels of at least 2 nodes each.  The budgets that guard the
+    discretisation are module constants: mass drift beyond MASS_TOL per unit
+    horizon raises, and an interior escape fraction above ESCAPE_TOL means
+    the window is too small.  The inverse maps are solved to the calculus
+    default tolerance.
     """
 
     i: int

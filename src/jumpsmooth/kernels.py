@@ -443,17 +443,20 @@ def make_kernels(
 ) -> KernelDecomposition:
     """Build and audit the filtered kernel family for a model.
 
-    Audits on the model's window: positive rate, strictly monotone
-    displacement map at every audit state, and a finite mark density >= 1 on
-    every cutoff window (needed for the filter ratio to be a probability).
+    Audits every ``max(1, len // 24)``-th state of the model's audit grid
+    (25 of the default 241; ``"audited_states"`` counts them) at the largest
+    index: positive rate, strictly monotone displacement map, and a finite
+    mark density >= 1 on the cutoff window (needed for the filter ratio to
+    be a probability).
     """
     n_values = _kernel_indices(n_values)
     if theta is not None:
         _check_theta(theta)
     y_grid = coeffs.y_audit_grid()
+    states = y_grid[:: max(1, y_grid.size // 24)]
     # the states that pass construction have their density checked first, so
     # failures come in state order
-    kernel = _Kernel(coeffs, y_grid[:: max(1, y_grid.size // 24)], n_values[-1])
+    kernel = _Kernel(coeffs, states, n_values[-1])
     z = kernel.z(np.linspace(1.0, n_values[-1] + 3.0, 257))
     rho = np.asarray(coeffs.q.density.value(z), dtype=float)
     _require_finite(rho, z, "mark density", "z")
@@ -464,5 +467,5 @@ def make_kernels(
             f"mark density falls to {density_floor} on a cutoff window; "
             "the filter ratio would exceed 1"
         )
-    audit = {"density_floor": float(density_floor), "audited_states": int(len(y_grid))}
+    audit = {"density_floor": float(density_floor), "audited_states": int(states.size)}
     return KernelDecomposition(coeffs, n_values, theta, audit)

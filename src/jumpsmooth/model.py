@@ -52,7 +52,8 @@ def _jsonable(obj):
 class QuadratureSpec:
     """Panelled Gauss-Legendre budget for mark-space integrals.
 
-    ``nodes`` is the total node count split over ``panels`` equal panels;
+    ``nodes`` is the total node count split over ``panels`` equal panels
+    of at least 2 nodes each (`gauss_panels` refuses any other count);
     ``horizon`` truncates infinite supports (defaults to a multiple of the
     largest declared truncation).
     """
@@ -62,12 +63,17 @@ class QuadratureSpec:
     horizon: float | None = None
 
 
+# Gauss-Legendre panels of the evolution's mark quadrature
+# (`EvolutionConfig.quad_nodes` nodes in all).
+QUAD_PANELS = 8
+
+
 @functools.lru_cache(maxsize=None)
 def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only n-point Gauss-Legendre rule on [-1, 1], computed once per n."""
-    from scipy.special import roots_legendre
-
-    x, w = roots_legendre(n)
+    """Read-only n-point Gauss-Legendre rule on [-1, 1], computed once per n:
+    numpy's `leggauss`, the nodes as eigenvalues of the Jacobi matrix (Golub
+    & Welsch 1969) polished by one Newton step."""
+    x, w = np.polynomial.legendre.leggauss(n)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -78,10 +84,11 @@ def gauss_panels(lo, hi, nodes: int = 256, panels: int = 8):
 
     `lo` and `hi` broadcast against each other; each of their entries is one
     interval, and the nodes and weights come back with one row per interval,
-    shape (..., panels * ceil(nodes / panels)), from one affine map of the
-    cached Legendre rule.  A scalar call returns row 0 of a broadcast call
-    bit for bit.  A node or panel count that is not an integer, or is below
-    1, is refused, not rounded up.
+    shape (..., nodes), from one affine map of the cached Legendre rule.  A
+    scalar call returns row 0 of a broadcast call bit for bit.  A node or
+    panel count that is not an integer, or is below 1, is refused, as is a
+    node count that does not split into `panels` panels of at least 2 nodes
+    each: no count is rounded up.
 
     >>> z, w = gauss_panels(np.array([0.0, 1.0]), np.array([1.0, 3.0]), nodes=8, panels=2)
     >>> z.shape, w.shape
@@ -98,7 +105,8 @@ def gauss_panels(lo, hi, nodes: int = 256, panels: int = 8):
         raise ContractError(f"empty quadrature interval [{lo.flat[empty[0]]}, {hi.flat[empty[0]]}]")
     if not (nodes >= 1 and panels >= 1):
         raise ContractError(f"quadrature needs nodes and panels >= 1, got {nodes!r} and {panels!r}")
-    per = max(2, int(math.ceil(nodes / panels)))
+    _check_panel_split(nodes, panels, "quadrature nodes")
+    per = nodes // panels
     x, w = _legendre(per)
     edges = np.linspace(lo, hi, panels + 1, axis=-1)[..., None]
     a, b = edges[..., :-1, :], edges[..., 1:, :]
@@ -422,6 +430,15 @@ def _require_int(value, name: str) -> None:
     bool is not): an integer setting is refused, never truncated."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ContractError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_panel_split(nodes: int, panels: int, name: str) -> None:
+    """ContractError unless `nodes`, the setting `name`, splits into `panels`
+    equal panels of at least 2 nodes each."""
+    if nodes % panels or nodes < 2 * panels:
+        raise ContractError(
+            f"{name} must split into {panels} panels of at least 2 nodes each, got {nodes}"
+        )
 
 
 def _require_positive(value: float, name: str) -> None:

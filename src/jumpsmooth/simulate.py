@@ -91,11 +91,19 @@ class RngSpec:
     """Seed bookkeeping for reproducible streams.
 
     `stream` separates independent experiments under one seed; batch chunk c
-    draws from the child sequence spawn_key=(stream, c).
+    draws from the child sequence spawn_key=(stream, c).  Both are
+    non-negative integers, as `np.random.SeedSequence` needs them.
     """
 
     seed: int
     stream: int = 0
+
+    def __post_init__(self):
+        for name in ("seed", "stream"):
+            value = getattr(self, name)
+            _require_int(value, name)
+            if value < 0:
+                raise ContractError(f"{name} must be a non-negative integer, got {value}")
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))

@@ -501,12 +501,16 @@ def test_evolve_cli_on_bench_workloads(tmp_path, capsys):
 
 
 # sha256 of kernels.json, recorded before the `kernels` command read its
-# masses from the one Sobolev audit; collapse exits 3 and writes none
+# masses from the one Sobolev audit; collapse exits 3 and writes none.
+# Re-recorded when the Gauss-Legendre rule came from numpy's `leggauss` (the
+# ratio tables and masses moved by at most 7.3e-16 of the file's largest
+# entry) and `audited_states` came to count the 25 states `make_kernels`
+# audits, not the 241 of the audit grid.
 KERNELS_JSON_SHA256 = {
-    "exp.yaml": "60c89d3c9480431dc4d49821a0b28b32cfd1c0457b032f1ea9b5c76e97bb8214",
+    "exp.yaml": "0519d1ff2f0a56d697569beb497b597a1568d0f523ef2ddb210cf318ee1f0bee",
     "collapse.yaml": None,
-    "power.yaml": "5e6d4cc16c8bde59b301e807202a17c06680cf564e07b742a4a6e9a7221142e9",
-    "wobble.yaml": "60c89d3c9480431dc4d49821a0b28b32cfd1c0457b032f1ea9b5c76e97bb8214",
+    "power.yaml": "eb07d949e8150f4e16ce26ae73c93d6d7d98a2b2907e216df16f8c5d4eb5c449",
+    "wobble.yaml": "0519d1ff2f0a56d697569beb497b597a1568d0f523ef2ddb210cf318ee1f0bee",
 }
 
 
@@ -540,6 +544,36 @@ def test_evolution_node_counts_below_their_floor_exit_2(tmp_path, capsys, key, b
     err = capsys.readouterr().err
     assert "config error" in err and f"evolution: {message}" in err
     assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("quad_nodes", [100, 12, 15])
+def test_quad_nodes_that_do_not_fill_the_panels_exit_2(tmp_path, capsys, quad_nodes):
+    # 100 used to run on 104 mark nodes and 12 or 15 on 16, each with exit 0
+    cfg = _base_config(tmp_path / "out")
+    cfg["evolution"]["quad_nodes"] = quad_nodes
+    assert main(["evolve", "--config", _write(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and (
+        f"evolution: quad_nodes must split into 8 panels of at least 2 nodes each, "
+        f"got {quad_nodes}") in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_exits_2_before_any_output(tmp_path, capsys):
+    # a negative seed reached np.random.SeedSequence, whose ValueError ended
+    # the run in a traceback after the output directory had been made
+    cfg = _base_config(tmp_path / "out")
+    path = _write(tmp_path, cfg)
+    for command in ("simulate", "certify"):
+        assert main([command, "--config", path, "--seed", "-1"]) == 2
+        assert ("config error: --seed must be a non-negative integer, got -1"
+                in capsys.readouterr().err)
+    cfg["seed"] = -5
+    assert main(["simulate", "--config", _write(tmp_path, cfg, "negative.yaml")]) == 2
+    assert ("config error: seed: expected a non-negative integer, got -5"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+    assert main(["simulate", "--config", path, "--seed", "0"]) == 0
 
 
 @pytest.mark.parametrize("stanza", ["simulation", "evolution", "diagnostics"])
@@ -666,11 +700,17 @@ def test_evolve_writes_density_columns(tmp_path, capsys):
 
 def test_package_import_leaves_scipy_unloaded():
     # scipy is imported lazily where it is used; importing it up front costs
-    # every CLI run a fixed start-up delay
+    # every CLI run a fixed start-up delay.  Every module of the package is
+    # imported, the engines and `cli` included
     import jumpsmooth
 
     env = dict(os.environ, PYTHONPATH=str(Path(jumpsmooth.__file__).resolve().parents[1]))
-    code = "import sys, jumpsmooth; print([m for m in sys.modules if m.startswith('scipy')])"
+    code = ("import importlib, pkgutil, sys, jumpsmooth\n"
+            "for m in pkgutil.iter_modules(jumpsmooth.__path__):\n"
+            "    importlib.import_module('jumpsmooth.' + m.name)\n"
+            "assert {'cli', 'simulate', 'fokker_planck', 'kernels', 'diagnostics'}"
+            " <= {m.name for m in pkgutil.iter_modules(jumpsmooth.__path__)}\n"
+            "print([m for m in sys.modules if m.startswith('scipy')])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
@@ -706,6 +746,22 @@ def test_check_and_evolve_import_only_their_engines(tmp_path):
     loaded = _fresh_modules(run.format("evolve", path))
     assert "fokker_planck" in loaded
     assert not {"simulate", "diagnostics"} & set(loaded)
+
+
+@pytest.mark.parametrize("config", ["exp.yaml", "wobble.yaml"])
+def test_only_evolve_loads_scipy(tmp_path, config):
+    # each command in a fresh interpreter: the Gauss-Legendre rule is numpy's,
+    # so only `evolve` loads scipy, for the CSR products of `scipy.sparse`
+    path = next(p for p in _shipped_configs(tmp_path) if p.name == config)
+    run = "from jumpsmooth.cli import main\nassert main([{!r}, '--config', {!r}, '--out', {!r}]) == 0"
+    for command in ("check", "simulate", "evolve", "kernels", "certify"):
+        loaded = _fresh_modules(run.format(command, str(path), str(tmp_path / command)))
+        scipy = {m for m in loaded if m.startswith("scipy")}
+        if command == "evolve":
+            assert "scipy.sparse" in scipy
+            assert not {m for m in scipy if m.startswith(("scipy.special", "scipy.linalg"))}
+        else:
+            assert not scipy, command
 
 
 def test_package_namespace_resolves_on_first_use():

@@ -462,13 +462,31 @@ def test_audit_masses_are_kernel_mass_calls(wobble_model, collapse_model, monkey
     assert want == got == calls and want[0] == "MassBracketError" and "y=-3.0, n=2" in want[1]
 
 
+def test_make_kernels_reports_the_states_it_audits(wobble_model, monkeypatch):
+    # kernels.json read "audited_states": 241, the whole audit grid, where
+    # make_kernels audits every 10th state of it
+    sizes = []
+
+    class Counting(js.kernels._Kernel):
+        def __init__(self, coeffs, ys, n):
+            sizes.append(np.size(ys))
+            super().__init__(coeffs, ys, n)
+
+    monkeypatch.setattr(js.kernels, "_Kernel", Counting)
+    kd = js.make_kernels(wobble_model, (2, 4), 12.0)
+    assert wobble_model.audit_points == 241
+    assert sizes == [25] and kd.audit["audited_states"] == 25
+
+
 # ---------------------------------------------------------------------------
 # pinned values of the whole kernel layer
 # ---------------------------------------------------------------------------
 
 # the densities and the conditional law repeat the per-state Newton path
 # exactly; the masses and the Sobolev tables were re-recorded when the audits
-# moved to their own Gauss nodes (moves below 5e-13 relative)
+# moved to their own Gauss nodes (moves below 5e-13 relative), and again when
+# the Gauss-Legendre rule came from numpy's `leggauss` (moves below 8.2e-16 of
+# the largest entry under each key: a mass of 4.0 reads 3.9999999999999996)
 KERNEL_PINS = Path(__file__).parent / "data" / "kernel_layer.json"
 
 

@@ -329,9 +329,7 @@ def test_reports_serialize(exp_unit_model):
 
 
 def test_gauss_panels_computes_each_legendre_rule_once(exp_unit_model, monkeypatch):
-    import scipy.special
-
-    real = scipy.special.roots_legendre
+    real = np.polynomial.legendre.leggauss
     calls: dict[int, int] = {}
 
     def counting(n):
@@ -339,7 +337,7 @@ def test_gauss_panels_computes_each_legendre_rule_once(exp_unit_model, monkeypat
         return real(n)
 
     js.model._legendre.cache_clear()
-    monkeypatch.setattr(scipy.special, "roots_legendre", counting)
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
     first = js.check_B(exp_unit_model, n_max=6, theta=4.2)
     second = js.check_B(exp_unit_model, n_max=6, theta=4.2)
     js.model._legendre.cache_clear()
@@ -348,10 +346,8 @@ def test_gauss_panels_computes_each_legendre_rule_once(exp_unit_model, monkeypat
 
 
 def test_gauss_panels_matches_the_reference_rule():
-    from scipy.special import roots_legendre
-
     z, w = js.gauss_panels(-1.0, 3.0, nodes=24, panels=3)
-    x, v = roots_legendre(8)
+    x, v = np.polynomial.legendre.leggauss(8)
     edges = np.linspace(-1.0, 3.0, 4)
     for p in range(3):
         a, b = edges[p], edges[p + 1]
@@ -362,6 +358,29 @@ def test_gauss_panels_matches_the_reference_rule():
     assert js.gauss_panels(-1.0, 3.0, nodes=24, panels=3)[0][0] != 99.0
     rule = js.model._legendre(8)
     assert not rule[0].flags.writeable and not rule[1].flags.writeable
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_legendre_rule_integrates_polynomials_of_degree_2n_minus_1(n):
+    # x^d integrates to 2 / (d + 1) over [-1, 1] for even d and to 0 for odd d.
+    # The weights sum to 2 and every |x^d| <= 1, so an error is read in ulps
+    # of 2: at most 5 were measured (n = 64), where scipy's rule errs by 10
+    x, w = js.model._legendre(n)
+    for d in range(2 * n):
+        exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+        assert abs(math.fsum(w * x**d) - exact) <= 6 * np.spacing(2.0), d
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_legendre_rule_matches_scipy(n):
+    # an independent reference, imported here only: the library needs no scipy
+    # for its quadrature
+    from scipy.special import roots_legendre
+
+    x, w = js.model._legendre(n)
+    ref_x, ref_w = roots_legendre(n)
+    assert np.max(np.abs(x - ref_x)) <= 4 * np.finfo(float).eps
+    assert np.max(np.abs(w - ref_w) / ref_w) <= 4e-12
 
 
 @pytest.mark.parametrize("nodes, panels", [(0, 8), (-3, 8), (24, 0), (24, -1)])
@@ -386,6 +405,22 @@ def test_gauss_panels_refuses_counts_that_are_not_integers(wobble_model, nodes, 
             js.AdjointOperator(wobble_model, g, js.EvolutionConfig(i=8, trunc=2, quad_nodes=nodes))
     z, _ = js.gauss_panels(-1.0, 3.0, nodes=np.int64(24), panels=np.int32(3))
     assert z.shape == (24,)
+
+
+@pytest.mark.parametrize("nodes, panels", [(100, 8), (1, 8), (15, 8), (10, 3), (16, 16)])
+def test_gauss_panels_uses_the_node_count_it_is_given_or_refuses_it(wobble_model, nodes, panels):
+    # 100 nodes in 8 panels used to give 104 nodes, and 1-15 gave 16
+    with pytest.raises(js.ContractError, match=(
+            f"^quadrature nodes must split into {panels} panels of at least 2 nodes each, "
+            f"got {nodes}$")):
+        js.gauss_panels(-1.0, 3.0, nodes=nodes, panels=panels)
+    if panels == js.model.QUAD_PANELS:
+        g = js.gaussian_density((-8.0, 8.0), 64, order=2)
+        with pytest.raises(js.ContractError, match="^quadrature nodes must split into 8 panels"):
+            js.AdjointOperator(wobble_model, g, js.EvolutionConfig(i=8, trunc=2, quad_nodes=nodes))
+    for nodes, panels in ((16, 8), (104, 8), (6, 3), (64, 2)):
+        z, w = js.gauss_panels(-1.0, 3.0, nodes=nodes, panels=panels)
+        assert z.shape == w.shape == (nodes,)
 
 
 @pytest.mark.parametrize("index", [2.5, 2.0, True, "2"])
@@ -486,7 +521,10 @@ def test_min_drift_index_takes_the_drift_slope_once(exp_unit_model, monkeypatch)
 
 # recorded from the state-by-state audit that preceded the blocked broadcast
 # over (state, n, node); the arithmetic of each entry is unchanged, so every
-# value and every message must repeat exactly
+# value and every message must repeat exactly.  The values were re-recorded
+# when the Gauss-Legendre rule came from numpy's `leggauss`: they moved by at
+# most 1.1e-14 of the largest entry of their audit (the `per_n_constant` of
+# stretched-exp), and no message moved
 BUDGET_PINS = Path(__file__).parent / "data" / "inversion_budget.json"
 
 # the model stanzas of the wobble and power bench workloads

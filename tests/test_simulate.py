@@ -50,6 +50,23 @@ def _gapped_collapse(collapse_model):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+    ({"seed": 3, "stream": -2}, "stream must be a non-negative integer, got -2"),
+    ({"seed": 2.5}, "seed must be an integer, got 2.5"),
+    ({"seed": True}, "seed must be an integer, got True"),
+    ({"seed": 3, "stream": 1.0}, "stream must be an integer, got 1.0"),
+], ids=["seed-negative", "stream-negative", "seed-fraction", "seed-bool", "stream-float"])
+def test_rng_spec_refuses_a_seed_that_is_not_a_non_negative_integer(kwargs, message):
+    # these passed here and failed later, in np.random.SeedSequence: a
+    # negative seed or stream with a ValueError, a float one with a TypeError;
+    # True seeded the stream of seed 1
+    with pytest.raises(js.ContractError, match=f"^{re.escape(message)}$"):
+        js.RngSpec(**kwargs)
+    assert js.RngSpec(np.int64(3), np.int32(1)).generator().random() == (
+        js.RngSpec(3, 1).generator().random())
+
+
 def test_exact_trajectory_deterministic_under_seed():
     m = _thin_model(js.FunctionSum(js.constant(0.6), js.Sinusoidal(0.3, 1.0)), amp=0.2)
     a = js.simulate_exact(m, 0.4, 3.0, 1, js.RngSpec(77).generator())
