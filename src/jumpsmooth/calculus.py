@@ -595,7 +595,9 @@ def transfer_alpha_grid(
 
     `z` may also be a 1-d array of marks; the pre-image solve then runs once
     over all (node, mark) pairs and returns (alpha[l, r, j, m], tau[l, j, m]).
-    The operator build calls it this way, one block of marks at a time.  The
+    The operator build calls it this way, one block of nodes at a time over
+    every mark; for an amplitude h = A(z) it solves the first block and then
+    only the edge rows that the first block does not hold.  The
     table comes from `_alpha_from_tau` for every amplitude.  On the
     closed-form stack of an amplitude affine in the state it is diagonal,
     alpha[l, l] = tau'^(l+1) - 1, with +0.0 everywhere else, and depends on

@@ -166,12 +166,12 @@ def _cmd_evolve(cfg: ExperimentConfig, out_dir: Path, args) -> tuple[int, list[s
 
 
 def _cmd_kernels(cfg: ExperimentConfig, out_dir: Path, args) -> tuple[int, list[str]]:
-    from .kernels import kernel_sobolev_audit, make_kernels
+    from .kernels import SOBOLEV_AUDIT_STATES, kernel_sobolev_audit, make_kernels
 
     coeffs, ks = cfg.coeffs, cfg.kernels
     kd = make_kernels(coeffs, ks.n_values, ks.theta)
-    y_grid = coeffs.y_audit_grid()[:: max(1, coeffs.audit_points // 9)]
-    audit = kernel_sobolev_audit(coeffs, y_grid, kd.n_values, ks.theta)
+    states = coeffs.y_audit_states(SOBOLEV_AUDIT_STATES)
+    audit = kernel_sobolev_audit(coeffs, states, kd.n_values, ks.theta)
     masses = audit.pop("masses")  # written at the first three states
     payload = {
         "decomposition": kd.describe(),

@@ -32,7 +32,9 @@ coefficients (delta_lr + alpha[l, r]) times the mark weights.  T is built a
 block of nodes at a time, each block's pre-images at every mark from one
 call, and its stencils merged by one sparse product: a stencil matrix with
 one column of 4 cubic weights per (node, mark) pair, times the (pair, block)
-coefficient matrix.  A time step is one CSR product per factor.
+coefficient matrix; for h = A(z) only the edge rows and one interior row are
+built so, and that row is tiled over the interior.  A time step is one CSR
+product per factor.
 `norm_growth_audit` builds the jump part once and derives its 2 i operator
 with `AdjointOperator.with_drift_index`.
 `evolve` repeats the run at half the step on the same map to estimate its
@@ -226,9 +228,12 @@ class AdjointOperator:
     time: one `transfer_alpha_grid` call solves a block's pre-images at every
     mark, and the block's stencils of T's blocks (l, r) are merged in one
     sparse product (`_merge_stencils`).  An amplitude h = A(z) (affine, B = 0)
-    has a zero table, so every T_ll is T_00 and `jump` is that one (size,
-    size) matrix, which `apply` takes to each row.  The drift part is one
-    block of the merge, one pre-image per node.
+    has a zero table, so `jump` is the one (size, size) block T_00, which
+    `apply` takes to each row, and its pre-images y_j - A(z) make it one row
+    shifted along the diagonal away from the window's edges: only the edge
+    rows and the first interior row are solved and merged (`_edge_rows`),
+    and that row is tiled over the other interior rows.  The drift part is
+    one block of the merge, one pre-image per node.
     `with_drift_index` gives the operator at another index that shares this
     one's jump part.
     """
@@ -290,23 +295,48 @@ class AdjointOperator:
         self.drift = self._csr(parts)
 
     def _jump_part(self, z: np.ndarray, wq: np.ndarray):
-        """The factors T - qmass I and Gamma of the jump part: T built
+        """The factors T - qmass I and Gamma of the jump part: T's rows built
         `JUMP_BLOCK_NODES` nodes at a time, each block's pre-images at every
-        mark from one `transfer_alpha_grid` call, then Gamma on the grid."""
+        mark from one `transfer_alpha_grid` call, then Gamma on the grid.
+        For h = A(z) only the edge rows and one interior reference row are
+        built so (`_edge_rows`); the reference row, shifted along the
+        diagonal, gives every other interior row."""
         coeffs, grid, k, n = self.coeffs, self.grid, self.k, self.size
-        parts, escape = [], np.empty(n)
-        for first in range(0, n, JUMP_BLOCK_NODES):
-            rows = slice(first, min(first + JUMP_BLOCK_NODES, n))
-            alpha, tau = transfer_alpha_grid(coeffs, grid[rows], z, k)
-            if not first:  # once the first solve has accepted the model
-                affine = coeffs.h.affine(z)  # h = A(z): a zero table, so T_ll = T_00
-                blocks = _block_pairs(k) if affine is None or np.any(affine[1]) else [(0, 0)]
-            # T_lr's coefficient at each (node, mark): (delta_lr + alpha[l, r]) wq
-            coef = np.stack([((l == r) + alpha[l, r]) * wq for l, r in blocks], axis=-1)
-            # a pre-image outside the window loses its mark weight
-            base, w, inside = _interp_weights(tau[0], self.lo, self.spacing, n)
-            escape[rows] = (~inside * wq).sum(axis=1)
-            parts += self._merge_stencils(base, w, coef.reshape(-1, len(blocks)), first, blocks)
+        escape = np.zeros(n)
+        first = slice(0, min(JUMP_BLOCK_NODES, n))
+        solved = transfer_alpha_grid(coeffs, grid[first], z, k)
+        # once the first solve has accepted the model: h = A(z) has a zero
+        # table, so T_ll = T_00
+        affine = coeffs.h.affine(z)
+        state_free = affine is not None and not np.any(affine[1])
+        blocks = [(0, 0)] if state_free else _block_pairs(k)
+        low, high = self._edge_rows(affine[0]) if state_free else (n, n)
+
+        def build(start: int, stop: int) -> list:
+            parts = []
+            for a in range(start, stop, JUMP_BLOCK_NODES):
+                rows = slice(a, min(a + JUMP_BLOCK_NODES, stop))
+                if rows.stop <= first.stop:  # rows that the first solve holds
+                    alpha, tau = solved[0][:, :, rows], solved[1][:, rows]
+                else:
+                    alpha, tau = transfer_alpha_grid(coeffs, grid[rows], z, k)
+                # T_lr's coefficient at each (node, mark): (delta_lr + alpha[l, r]) wq
+                coef = np.stack([((l == r) + alpha[l, r]) * wq for l, r in blocks], axis=-1)
+                # a pre-image outside the window loses its mark weight
+                base, w, inside = _interp_weights(tau[0], self.lo, self.spacing, n)
+                escape[rows] = (~inside * wq).sum(axis=1)
+                parts += self._merge_stencils(base, w, coef.reshape(-1, len(blocks)), a, blocks)
+            return parts
+
+        parts = build(0, low)
+        if low < high:  # the reference row low - 1, tiled; the tiled rows' escape is 0
+            prow, pcol, pdata = parts[-1]
+            ref = prow == low - 1
+            tiled = np.arange(low, high)
+            parts.append((np.repeat(tiled, np.count_nonzero(ref)),
+                          (tiled[:, None] + (pcol[ref] - (low - 1))).ravel(),
+                          np.tile(pdata[ref], tiled.size)))
+        parts += build(high, n)
         # Per-state fraction of transported mark mass that reads outside
         # the window, summed over the marks in ascending order; large values
         # in the interior mean the window is too small for this truncation.
@@ -327,6 +357,29 @@ class AdjointOperator:
         terms = _leibniz_terms(coeffs.gamma.stack(grid, k))
         return self._csr(parts, size), self._csr(
             [(l * n + nodes, r * n + nodes, terms[l][r]) for l, r in _block_pairs(k)])
+
+    def _edge_rows(self, shift: np.ndarray) -> tuple[int, int]:
+        """(low, high) for an amplitude h = A(z), A = `shift` at the marks:
+        the jump build solves rows 0..low-1 and high..size-1 node by node,
+        and rows low..high-1 repeat row low - 1 shifted along the diagonal;
+        (size, size) when no row is left to tile.
+
+        Node j reads its pre-image y_j - A at t = j - A / spacing grid steps,
+        through a stencil that starts at floor(t) - 1.  The stencil is
+        clipped, or the point leaves the window, when t < 1 (bottom) or
+        t >= size - 2 (top).  The edge rows are the first
+        max(0, ceil(max A / spacing)) + 3 and the last
+        4 - min(0, floor(min A / spacing)), so every other row reads at
+        t >= 3 and t <= size - 5: a margin of 2 grid steps at the bottom and
+        3 at the top.  The reference row is the first row past the bottom
+        edge; the rule does not depend on `JUMP_BLOCK_NODES`.
+        """
+        n, sp = self.size, self.spacing
+        # clamped to the grid before rounding, so that a huge shift stays finite
+        bottom = max(0, math.ceil(min(float(np.max(shift)) / sp, n))) + 3
+        top = 4 - min(0, math.floor(max(float(np.min(shift)) / sp, -n)))
+        low, high = bottom + 1, n - top
+        return (low, high) if low < high else (n, n)
 
     def _csr(self, parts: list, size: int | None = None):
         """The `scipy.sparse.csr_array` of the coefficient triples (rows,
@@ -530,16 +583,16 @@ def evolve(
     window or step budget is inadequate), as does any non-finite value, and
     an interior escape fraction above ESCAPE_TOL raises WindowTooSmallError
     in the build.  A companion run at dt / 2 on the same operator gives
-    ``time_error``.
+    ``time_error``.  A horizon or snapshot time out of range is refused
+    before the build.
     """
     _check_horizon(t_end)
-    op = AdjointOperator(coeffs, initial, cfg)
-    dt = _checked_step(op)
-
     wanted = sorted(set(float(s) for s in snapshot_times))
     for s in wanted:
         if not 0.0 <= s <= t_end + 1e-12:
             raise ContractError(f"snapshot time {s} outside [0, {t_end}]")
+    op = AdjointOperator(coeffs, initial, cfg)
+    dt = _checked_step(op)
 
     final, snaps, times, masses = _euler(op, initial, t_end, dt, wanted)
     half = _euler(op, initial, t_end, 0.5 * dt)[0]

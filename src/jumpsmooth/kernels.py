@@ -62,6 +62,12 @@ from .model import (
 from .fokker_planck import GridDensity
 from .presets import SmoothstepBump
 
+# Audit-state counts (`CoefficientSet.y_audit_states`): the construction and
+# filtered-rate audits of a decomposition, and the Sobolev audit of the
+# `kernels` command.
+RATE_AUDIT_STATES = 24
+SOBOLEV_AUDIT_STATES = 9
+
 
 def make_cutoff(n: int, order: int) -> SmoothstepBump:
     """The n-th plateau cutoff: 0 below 1, 1 on [2, n+2], 0 above n+3.
@@ -409,17 +415,17 @@ class KernelDecomposition:
         """Refuse to filter a simulation of `coeffs` on truncation `trunc`
         through the n-th kernel unless the decomposition belongs to the model,
         declares n, and the truncated marks leave the full rate n on the audit
-        states.  The rate quadratures run once per passing (n, trunc)."""
+        states, `coeffs.y_audit_states(RATE_AUDIT_STATES)`.  The rate
+        quadratures run once per passing (n, trunc)."""
         if self.coeffs is not coeffs:
             raise ContractError("kernel decomposition was built for a different model")
         _check_kernel_index(n, self.n_values)
         if (n, trunc) in self._rate_audited:
             return
         interval = coeffs.q.trunc_interval(trunc)
-        grid = coeffs.y_audit_grid()
         worst = min(
             cutoff_window_mass(coeffs, float(y), n, interval)
-            for y in grid[:: max(1, grid.size // 24)]
+            for y in coeffs.y_audit_states(RATE_AUDIT_STATES)
         )
         if worst < n - 1e-6:
             raise ContractError(
@@ -443,8 +449,8 @@ def make_kernels(
 ) -> KernelDecomposition:
     """Build and audit the filtered kernel family for a model.
 
-    Audits every ``max(1, len // 24)``-th state of the model's audit grid
-    (25 of the default 241; ``"audited_states"`` counts them) at the largest
+    Audits the states ``coeffs.y_audit_states(RATE_AUDIT_STATES)`` (25 of
+    the default 241; ``"audited_states"`` counts them) at the largest
     index: positive rate, strictly monotone displacement map, and a finite
     mark density >= 1 on the cutoff window (needed for the filter ratio to
     be a probability).
@@ -452,8 +458,7 @@ def make_kernels(
     n_values = _kernel_indices(n_values)
     if theta is not None:
         _check_theta(theta)
-    y_grid = coeffs.y_audit_grid()
-    states = y_grid[:: max(1, y_grid.size // 24)]
+    states = coeffs.y_audit_states(RATE_AUDIT_STATES)
     # the states that pass construction have their density checked first, so
     # failures come in state order
     kernel = _Kernel(coeffs, states, n_values[-1])

@@ -266,6 +266,12 @@ class CoefficientSet(Described):
     def y_audit_grid(self) -> np.ndarray:
         return np.linspace(self.y_window[0], self.y_window[1], self.audit_points)
 
+    def y_audit_states(self, count: int) -> np.ndarray:
+        """Every ``max(1, audit_points // count)``-th state of `y_audit_grid`,
+        from the first: the states an audit of about `count` states reads
+        (25 of the default 241 for count 24, 10 for count 9)."""
+        return self.y_audit_grid()[:: max(1, self.audit_points // count)]
+
     def z_audit_grid(self) -> np.ndarray:
         lo, hi = self.q.trunc_interval(len(self.q.truncations))
         pad = 1e-9 * max(1.0, abs(hi - lo))

@@ -1,11 +1,23 @@
 """Shared models and finite-difference helpers for the test suite."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import jumpsmooth as js
+from jumpsmooth.config import load_config
+
+# The bench workloads: the tests read them and never edit them.
+BENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
+
+
+def bench_workload(name, load=False):
+    """Path of the bench workload `name` (``bench/workloads/<name>.yaml``),
+    or with `load` its `ExperimentConfig`."""
+    path = BENCH_WORKLOADS / f"{name}.yaml"
+    return load_config(str(path)) if load else path
 
 
 def fd_derivative(fn, x, l, h=0.05, points=9):

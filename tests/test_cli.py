@@ -20,6 +20,8 @@ from jumpsmooth.config import build_model, load_config
 from jumpsmooth.errors import ConfigError
 from jumpsmooth.simulate import flow_step
 
+from conftest import BENCH_WORKLOADS, bench_workload
+
 
 def _base_config(out_dir):
     return {
@@ -441,7 +443,7 @@ def _shipped_configs(tmp_path) -> list[Path]:
     block = (root / "README.md").read_text().split("```yaml\n# exp.yaml\n", 1)[1]
     readme = tmp_path / "exp.yaml"
     readme.write_text(block.split("```", 1)[0])
-    return [readme, *sorted((root / "bench" / "workloads").glob("*.yaml"))]
+    return [readme, *sorted(BENCH_WORKLOADS.glob("*.yaml"))]
 
 
 def test_readme_and_bench_configs_load(tmp_path):
@@ -467,7 +469,6 @@ def test_kernels_cli_on_bench_workloads(tmp_path, capsys):
     # the bench `kernels` stage on each workload, read but not edited: the
     # exit codes, verdicts and worst entries recorded before the kernel audits
     # were evaluated at their own nodes over blocks of states
-    workloads = Path(__file__).resolve().parents[1] / "bench" / "workloads"
     want = {
         "wobble": (0, {"y": -1.0666666666666664, "n": 4}),
         "power": (0, {"y": 0.06666666666666643, "n": 16}),
@@ -475,7 +476,7 @@ def test_kernels_cli_on_bench_workloads(tmp_path, capsys):
     }
     for name, (code, worst) in want.items():
         out = tmp_path / name
-        assert main(["kernels", "--config", str(workloads / f"{name}.yaml"), "--out", str(out)]) == code
+        assert main(["kernels", "--config", str(bench_workload(name)), "--out", str(out)]) == code
         if worst is None:
             assert "not strictly monotone in the mark at y=-3.0, n=4" in capsys.readouterr().err
             continue
@@ -486,10 +487,9 @@ def test_kernels_cli_on_bench_workloads(tmp_path, capsys):
 def test_evolve_cli_on_bench_workloads(tmp_path, capsys):
     # the bench `evolve` stage on each workload, read but not edited: its
     # exit codes, collapse's failure and the mass-drift budget it checks
-    workloads = Path(__file__).resolve().parents[1] / "bench" / "workloads"
     for name, code in {"wobble": 0, "power": 0, "collapse": 3}.items():
         out = tmp_path / name
-        assert main(["evolve", "--config", str(workloads / f"{name}.yaml"), "--out", str(out)]) == code
+        assert main(["evolve", "--config", str(bench_workload(name)), "--out", str(out)]) == code
         err = capsys.readouterr().err
         if code:
             assert err.strip() == (
@@ -614,8 +614,7 @@ def test_initial_laws_that_are_not_finite_exit_2(
     tmp_path, capsys, command, stanza, key, bad, message
 ):
     # on a copy of the power bench config, read but not edited
-    workloads = Path(__file__).resolve().parents[1] / "bench" / "workloads"
-    cfg = yaml.safe_load((workloads / "power.yaml").read_text())
+    cfg = yaml.safe_load(bench_workload("power").read_text())
     cfg["output"] = str(tmp_path / "out")
     cfg.setdefault(stanza, {})[key] = bad
     assert main([command, "--config", _write(tmp_path, cfg)]) == 2

@@ -3,15 +3,16 @@
 import dataclasses
 import hashlib
 import math
+import re
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import jumpsmooth as js
-from jumpsmooth.config import load_config
+
+from conftest import bench_workload
 
 
 def _translate_model(beta=0.25):
@@ -184,11 +185,13 @@ def test_blocked_jump_build_matches_per_mark_reference(request, monkeypatch, mod
     # blocked build, one solve per block of nodes, must give the same
     # triples: exactly where the coefficients' array arithmetic rounds as
     # their scalar calls do (wobble), within 1e-15 of the largest entry
-    # through power laws
+    # through power laws.  The Newton build (ripple) solves every block of
+    # nodes; an amplitude h = A(z) its first block and its top edge rows.
     model, g, cfg = _build(request, model_name)
     blocked = _counting(monkeypatch, "transfer_alpha_grid")
     got = js.AdjointOperator(model, g, cfg).jump
-    assert len(blocked) == math.ceil(g.size / js.fokker_planck.JUMP_BLOCK_NODES)
+    per_block = math.ceil(g.size / js.fokker_planck.JUMP_BLOCK_NODES)
+    assert len(blocked) == (per_block if model_name == "ripple_model" else 2)
 
     def per_mark(coeffs, y, z, k):
         tables = [js.calculus.transfer_alpha_grid(coeffs, y, float(zm), k) for zm in z]
@@ -256,8 +259,7 @@ def _bincount_merge(op, base, w, coef, first, blocks):
 
 def _bench_evolution(name):
     """(model, initial stack, EvolutionConfig) of a bench workload."""
-    cfg = load_config(str(Path(__file__).resolve().parents[1] / "bench" / "workloads"
-                          / f"{name}.yaml"))
+    cfg = bench_workload(name, load=True)
     ev = cfg.evolution
     init = js.gaussian_density(ev.window, ev.nodes, cfg.coeffs.k, ev.initial_mean,
                                ev.initial_sigma)
@@ -270,7 +272,8 @@ def _bench_evolution(name):
 def test_stencil_merge_matches_per_block_bincount(request, monkeypatch, setting):
     # one sparse product sums each slot in the bincount's (mark, offset)
     # order with the same products, so both parts repeat to the byte; the
-    # ragged builds take 300 nodes, whose last block is short
+    # ragged builds take 300 nodes: the Newton build's last block is short,
+    # and the h = A(z) build merges its 12 bottom and 4 top edge rows
     kind, _, name = setting.rpartition(":")
     if kind == "bench":
         model, g, cfg = _bench_evolution(name)
@@ -284,7 +287,9 @@ def test_stencil_merge_matches_per_block_bincount(request, monkeypatch, setting)
     if kind == "ragged":
         block = js.fokker_planck.JUMP_BLOCK_NODES
         assert 300 % block
-        assert nodes[-math.ceil(300 / block):] == [block] * (300 // block) + [300 % block]
+        layout = ([block] * (300 // block) + [300 % block] if name == "ripple_model"
+                  else [12, 4])
+        assert nodes[-len(layout):] == layout
     for part in ("drift", "jump"):
         a, b = getattr(got, part), getattr(want, part)
         np.testing.assert_array_equal(a.indptr, b.indptr)
@@ -342,14 +347,16 @@ def test_k3_jump_build_matches_the_inline_binomial_loops(request, monkeypatch, n
                         lambda self, z, wq: marks.append(wq) or part(self, z, wq))
     op = js.AdjointOperator(model, g, dataclasses.replace(cfg, quad_nodes=64))
     (wq,) = marks
-    # the last merges, one per block of nodes, are the jump part's
+    # the last merges, one per block of nodes, are the jump part's; each
+    # merges the first rows of its solve (the h = A(z) build merges only the
+    # bottom edge rows of its first block)
     assert len(tables) > 1
     jump_merges = merged[-len(tables):]
     assert all(bl == blocks for _, bl in jump_merges)
     for (alpha, _), (coef, _) in zip(tables, jump_merges):
         for b, (l, r) in enumerate(blocks):
             delta = 1.0 if l == r else 0.0
-            want = np.stack([(delta + alpha[l, r, j]) * wq for j in range(alpha.shape[2])])
+            want = np.stack([(delta + alpha[l, r, j]) * wq for j in range(len(coef) // wq.size)])
             assert coef[:, b].tobytes() == want.ravel().tobytes()
     n = g.size
     gamma = model.gamma.stack(op.grid, 3)
@@ -486,6 +493,85 @@ def test_jump_block_size_moves_no_byte(request, monkeypatch, block):
                 assert getattr(a, arr).tobytes() == getattr(b, arr).tobytes()
 
 
+def _tilt_amplitude():
+    """Jumps h = 0.4 e^(-z) - 0.1: A(z) < 0 for z > ln 4, so those
+    pre-images lie above their states and the top edge grows."""
+    return js.JumpAmplitude(((js.constant(0.4), js.ExpDecay(1.0, 1.0)),
+                             (js.constant(-0.1), js.constant(1.0))))
+
+
+# setting: (model source, window, nodes); a source "bench:<name>" takes the
+# workload's whole evolution stanza, "tilt" the wobble fixture with the
+# jumps of _tilt_amplitude
+_TILED_BUILDS = {
+    "bench:wobble": ("bench:wobble", None, None),
+    "bench:power": ("bench:power", None, None),
+    "ragged:wobble": ("wobble_model", (-8.0, 8.0), 300),
+    "ragged:power": ("power_model", (-6.0, 8.0), 300),
+    # 8.6% of the mark mass leaves the window at its edges
+    "escape": ("wobble_model", (-0.6, 0.6), 256),
+    "negative": ("tilt", (-8.0, 8.0), 256),
+    # the jumps span the window: the edge rows cover every node
+    "fallback": ("wobble_model", (-0.2, 0.2), 100),
+}
+
+
+@pytest.mark.parametrize("setting", sorted(_TILED_BUILDS))
+def test_tiled_jump_build_matches_the_per_row_build(request, monkeypatch, setting):
+    # for h = A(z) the build solves the edge rows and one interior row, and
+    # tiles that row over the interior; the per-row build solves every row.
+    # Same pattern, edge rows to the byte, the rest within 1e-13 of the
+    # largest entry; the interior reads at t in [3, size - 5] grid steps (the
+    # edge rule's margin), so no interior pre-image leaves the window
+    source, window, size = _TILED_BUILDS[setting]
+    if source.startswith("bench:"):
+        model, g, cfg = _bench_evolution(source[len("bench:"):])
+    else:
+        fixture = "wobble_model" if source == "tilt" else source
+        model = request.getfixturevalue(fixture)
+        if source == "tilt":
+            model = dataclasses.replace(model, h=_tilt_amplitude())
+        g = js.gaussian_density(window, size, 2, sigma=0.2 if setting == "escape" else 0.8)
+        cfg = js.EvolutionConfig(i=8, trunc=_BUILDS[fixture][1])
+    n = g.size
+    edges, rule = [], js.AdjointOperator._edge_rows
+    monkeypatch.setattr(js.AdjointOperator, "_edge_rows",
+                        lambda self, shift: edges.append(rule(self, shift)) or edges[-1])
+    solves = _counting(monkeypatch, "transfer_alpha_grid")
+    tiled = js.AdjointOperator(model, g, cfg)
+    ((low, high),), solved = edges, [len(c[1]) for c in solves]
+    monkeypatch.setattr(js.AdjointOperator, "_edge_rows", lambda self, shift: (n, n))
+    reads, weights = [], js.fokker_planck._interp_weights
+    monkeypatch.setattr(js.fokker_planck, "_interp_weights",
+                        lambda p, *a: reads.append(p) or weights(p, *a))
+    per_row = js.AdjointOperator(model, g, cfg)
+    a, b = tiled.jump, per_row.jump
+    assert tiled.escape_fraction == per_row.escape_fraction
+    if setting == "fallback":
+        assert (low, high) == (n, n)
+        for arr in ("indptr", "indices", "data"):
+            assert getattr(a, arr).tobytes() == getattr(b, arr).tobytes()
+        return
+    assert low < high
+    np.testing.assert_array_equal(a.indptr, b.indptr)
+    np.testing.assert_array_equal(a.indices, b.indices)
+    assert np.max(np.abs(a.data - b.data)) <= 1e-13 * np.max(np.abs(b.data))
+    for edge in (slice(0, a.indptr[low]), slice(a.indptr[high], None)):
+        assert a.data[edge].tobytes() == b.data[edge].tobytes()
+    t = (np.concatenate([p for p in reads if p.ndim == 2]) - g.lo) / g.spacing
+    interior = t[low - 1:high]
+    assert interior.min() >= 3.0 - 1e-9 and interior.max() <= n - 5.0 + 1e-9
+    outside = (t < 0.0) | (t > n - 1.0)
+    assert not outside[low:high].any()
+    if setting == "escape":
+        assert outside[:low].any() and tiled.escape_fraction > 0.08
+    if setting == "negative":
+        assert n - high > 4
+    if source.startswith("bench:"):
+        # the first block of nodes and the top edge rows, not one solve per block
+        assert solved == [js.fokker_planck.JUMP_BLOCK_NODES, n - high]
+
+
 def test_operator_build_memory_peak():
     # a bench build over every (node, mark) pair at once peaked at 49.7 MB
     # (wobble) and 51.6 MB (power) under numpy 2.4; a block of nodes at a
@@ -537,10 +623,13 @@ def test_norm_growth_audit_builds_the_jump_part_once(wobble_model, monkeypatch):
     cfg = js.EvolutionConfig(i=8, trunc=3)
     report = js.norm_growth_audit(wobble_model, init, 0.3, cfg)
     assert report["status"] == "ok"
-    # one jump part: one pass over the nodes in blocks, shared by i and 2 i
-    assert len(jump_parts) == math.ceil(init.size / js.fokker_planck.JUMP_BLOCK_NODES)
-    assert sum(len(c[1]) for c in jump_parts) == init.size
-    assert all(len(c[2]) == cfg.quad_nodes for c in jump_parts)
+    # one jump part, shared by i and 2 i: the solves of one build, its first
+    # block of nodes and its 4 top edge rows
+    audited = [(len(c[1]), len(c[2])) for c in jump_parts]
+    jump_parts.clear()
+    js.AdjointOperator(wobble_model, init, cfg)
+    assert audited == [(len(c[1]), len(c[2])) for c in jump_parts]
+    assert audited == [(js.fokker_planck.JUMP_BLOCK_NODES, cfg.quad_nodes), (4, cfg.quad_nodes)]
 
 
 def test_gate5_fitted_rates_pinned(wobble_model, ripple_model):
@@ -785,6 +874,23 @@ def test_evolve_argument_validation(wobble_model):
         js.evolve(wobble_model, init, 0.5, js.EvolutionConfig(i=0, trunc=3))
 
 
+@pytest.mark.parametrize("times, shown", [((0.025, math.nan), "nan"), ((0.9,), "0.9"),
+                                          ((-0.1, 0.02), "-0.1")])
+def test_evolve_refuses_snapshot_times_before_the_build(wobble_model, monkeypatch, times, shown):
+    # the times were checked only after the operator had been built
+    builds, build = [], js.AdjointOperator.__init__
+    monkeypatch.setattr(js.AdjointOperator, "__init__",
+                        lambda self, *a: builds.append(a) or build(self, *a))
+    init = js.gaussian_density((-8.0, 8.0), 128, order=2)
+    cfg = js.EvolutionConfig(i=8, trunc=3)
+    with pytest.raises(js.ContractError,
+                       match=rf"^snapshot time {re.escape(shown)} outside \[0, 0.05\]$"):
+        js.evolve(wobble_model, init, 0.05, cfg, snapshot_times=times)
+    assert not builds
+    js.evolve(wobble_model, init, 0.05, cfg, snapshot_times=(0.025,))
+    assert len(builds) == 1
+
+
 @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf])
 def test_evolution_rejects_nonpositive_or_nonfinite_dt(wobble_model, dt):
     # dt = 0 used to loop forever and dt < 0 ran time backwards
@@ -874,7 +980,11 @@ def test_evolve_refuses_a_bad_horizon_at_once(wobble_model, t_end):
 # re-recorded when the jump part came to pull back the product gamma g: rows
 # moved by at most 4.2e-8 (wobble) and 1.6e-7 (power) of the largest entry,
 # time_error by 1.5e-7 and 1.6e-8 relative, the wobble mass_drift from 6.64e-9
-# to 6.63e-9 and the power one from 9.9e-10 to 2.2e-16.
+# to 6.63e-9 and the power one from 9.9e-10 to 2.2e-16.  The wobble mass_drift
+# was re-recorded when the interior rows of an h = A(z) jump part came to be
+# tiled from one row: a difference of nearly equal masses, it moved by 1.7e-8
+# relative (6.63111099e-9 to 6.63111088e-9) while the rows moved by at most
+# 1.2e-15 of each row's largest entry.
 _EVOLVE_PINS = {
     "wobble": (
         416,
@@ -896,7 +1006,7 @@ _EVOLVE_PINS = {
             ],
         ],
         0.0008934683096961341,
-        6.63111099363789e-09,
+        6.631110882615587e-09,
     ),
     "power": (
         320,
@@ -925,13 +1035,8 @@ _EVOLVE_PINS = {
 
 @pytest.mark.parametrize("name", sorted(_EVOLVE_PINS))
 def test_evolve_pinned_on_bench_settings(name):
-    cfg = load_config(str(Path(__file__).resolve().parents[1] / "bench" / "workloads"
-                          / f"{name}.yaml"))
-    ev = cfg.evolution
-    init = js.gaussian_density(ev.window, ev.nodes, cfg.coeffs.k, ev.initial_mean,
-                               ev.initial_sigma)
-    econf = js.EvolutionConfig(i=ev.i, dt=ev.dt, trunc=ev.trunc, quad_nodes=ev.quad_nodes)
-    result = js.evolve(cfg.coeffs, init, ev.t_end, econf)
+    model, init, econf = _bench_evolution(name)
+    result = js.evolve(model, init, bench_workload(name, load=True).evolution.t_end, econf)
     start, rows, time_error, mass_drift = _EVOLVE_PINS[name]
     nodes = np.arange(start, start + 9 * 24, 24)
     np.testing.assert_allclose(result.final.values[:, nodes], rows, rtol=1e-12, atol=0.0)
@@ -961,27 +1066,65 @@ def test_norm_growth_audit_refuses_a_bad_horizon(wobble_model, t_end):
 # against 182,040 and 247,446 for the six blocks before), and `rate` is new.
 # `jump` was re-recorded again when the Gauss-Legendre rule came from numpy's
 # `leggauss` (same pattern, entries moved by at most 7.1e-16 (wobble) and
-# 1.4e-15 (power) of the largest entry).
+# 1.4e-15 (power) of the largest entry), and again when the interior rows of
+# an h = A(z) jump part came to be tiled from one row (same pattern and nnz,
+# entries moved by at most 1.8e-14 (wobble) and 5.6e-14 (power) of the
+# largest entry).
 _OPERATOR_PINS = {
     "power": {
         "drift": "13f4aafd8f5311dd836cb1b1ced9fb5bd53bf2177ed0062f766e53aa0d780ec5",
-        "jump": "ba2ed06fe862a18a0548419e046334f984f3df71d35fe1e2902960e543f2a82a",
+        "jump": "29b5d6b264ba1e4b1236cdea1470cc526fb25f9765e7fc8c2262877405cacdf5",
         "rate": "1b5f2d90edc3a63eb0f7da0d88259dcca68f83b8a8b1fba38cd8875212e3a2a7",
     },
     "wobble": {
         "drift": "b3014c9238ad9588bd85cf286476e374b42c575dc5727ca23ca03aa1a3c7fd6f",
-        "jump": "3b28891d826ecbf16d8bd2c6641fb2655a66bbefe27897449a1deb203f26d4bb",
+        "jump": "a004faa6267e5823cd6f0f795f28143f8d996b4377cabac4ca60da8439330634",
         "rate": "b729f8ce8280bd1206eb3bc891a653396087fa56d66fd5e6fcc2781172bf04b4",
     },
 }
 
 
-@pytest.mark.parametrize("name", ["wobble", "power"])
-def test_bench_operators_pinned(name):
-    op = js.AdjointOperator(*_bench_evolution(name))
-    for part, want in _OPERATOR_PINS[name].items():
+def _digests(op):
+    """sha256 of indptr, indices and data of each CSR part of `op`."""
+    out = {}
+    for part in ("drift", "jump", "rate"):
         mat = getattr(op, part)
         digest = hashlib.sha256()
         for arr in (mat.indptr, mat.indices, mat.data):
             digest.update(arr.tobytes())
-        assert digest.hexdigest() == want, part
+        out[part] = digest.hexdigest()
+    return out
+
+
+@pytest.mark.parametrize("name", ["wobble", "power"])
+def test_bench_operators_pinned(name):
+    assert _digests(js.AdjointOperator(*_bench_evolution(name))) == _OPERATOR_PINS[name]
+
+
+# The same digests on the builds whose jump amplitude depends on the state,
+# at 512 nodes: the ripple fixture (Newton pre-images, the _BUILDS setting)
+# and the affine B = 0.1 model, on (-8, 8) with sigma 0.8 and trunc 2.
+# Recorded before the interior rows of an h = A(z) jump part came to be tiled:
+# these builds solve every row, and keep every byte.
+_STATE_DEPENDENT_PINS = {
+    "affine": {
+        "drift": "a163b999bd38935727aac1e7b71da6b6f09977c58bc1c2e83476e2d762438e05",
+        "jump": "6980a99154c1d2797260f20fe32248cb1638b7efe72617f9a9366fd5217e9f9a",
+        "rate": "d2b6c22d9d22f326b779504eb128ac5c1650f59926eb5d183dec19d4d5e0f47f",
+    },
+    "ripple": {
+        "drift": "84f02426c7245326bce89c46d70c3d6d77ea38bcff3699deb708bc29c25ca42e",
+        "jump": "fd02d1b4d363a34113724b303c0a1502f4c10d1f9655ed8df5e0d73bb46da9e4",
+        "rate": "051867717c70cd0a9499614f841c6ff4a3b398303d487ad751d67395cc931e84",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STATE_DEPENDENT_PINS))
+def test_state_dependent_operators_pinned(request, name):
+    if name == "ripple":
+        args = _build(request, "ripple_model")
+    else:
+        args = (_affine_slope_model(), js.gaussian_density((-8.0, 8.0), 512, 2, sigma=0.8),
+                js.EvolutionConfig(i=8, trunc=2))
+    assert _digests(js.AdjointOperator(*args)) == _STATE_DEPENDENT_PINS[name]

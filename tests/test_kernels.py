@@ -254,7 +254,7 @@ def test_kernel_sobolev_audit_needs_two_indices(exp_unit_model):
 
 def _power_audit_states(m):
     # the states the `kernels` command audits
-    return m.y_audit_grid()[:: max(1, m.audit_points // 9)]
+    return m.y_audit_states(js.kernels.SOBOLEV_AUDIT_STATES)
 
 
 def test_kernel_indices_must_be_distinct(power_model):

@@ -13,6 +13,8 @@ import yaml
 import jumpsmooth as js
 from jumpsmooth.config import build_model
 
+from conftest import BENCH_WORKLOADS
+
 
 def _model(h_terms, eta, k=2, p=2.0, window=(-10.0, 10.0), gamma=None, b=None,
            truncs=(4.0, 8.0), density=None):
@@ -552,7 +554,7 @@ def _config_model_nodes():
     root = Path(__file__).resolve().parents[1]
     readme = (root / "README.md").read_text().split("```yaml\n# exp.yaml\n", 1)[1]
     nodes = {"readme": yaml.safe_load(readme.split("```", 1)[0])["model"]}
-    for path in sorted((root / "bench" / "workloads").glob("*.yaml")):
+    for path in sorted(BENCH_WORKLOADS.glob("*.yaml")):
         nodes[path.stem] = yaml.safe_load(path.read_text())["model"]
     return nodes
 
