@@ -32,8 +32,8 @@ _EXPORTS = {
         "smoothstep_coefficients",
     ),
     "model": (
-        "AssumptionReport", "CoefficientSet", "JumpMeasureSpec", "QuadratureSpec", "check_A",
-        "check_B", "check_S", "gauss_panels",
+        "AssumptionReport", "CoefficientSet", "JumpMeasureSpec", "check_A", "check_B", "check_S",
+        "gauss_panels",
     ),
     "fokker_planck": (
         "AdjointOperator", "EvolutionConfig", "EvolutionResult", "GridDensity",

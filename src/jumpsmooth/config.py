@@ -46,10 +46,10 @@ import yaml
 from . import presets
 from .errors import ConfigError, ContractError, JumpsmoothError
 from .model import (
-    QUAD_PANELS, CoefficientSet, JumpMeasureSpec, _check_audit_indices, _check_audit_points,
-    _check_band, _check_drift_index, _check_horizon, _check_kernel_index, _check_n_max,
-    _check_panel_split, _check_theta, _density_grid, _initial_states, _kernel_indices,
-    _require_finite_number, _require_positive,
+    QUAD_PANELS, CoefficientSet, JumpMeasureSpec, _check_audit_indices, _check_band,
+    _check_drift_index, _check_horizon, _check_kernel_index, _check_n_max, _check_panel_split,
+    _check_theta, _density_grid, _initial_states, _kernel_indices, _require_finite_number,
+    _require_positive,
 )
 
 # family name -> preset class, read off the classes themselves
@@ -176,16 +176,9 @@ def _build_amplitude(node, path: str) -> presets.JumpAmplitude:
 def build_model(node, path: str = "model") -> CoefficientSet:
     """The model from its config node: `CoefficientSet`'s fields under their
     config keys, with ``drift: 0.0`` where the node sets none (b has no
-    default of its own).  An audit point count out of range is refused at
-    its key."""
+    default of its own)."""
     if isinstance(node, dict):
         node = {"drift": 0.0, **node}
-        if "audit_points" in node:
-            key = f"{path}.audit_points"
-            try:
-                _check_audit_points(_as_int(node["audit_points"], key))
-            except ContractError as exc:
-                raise _fail(key, str(exc)) from None
     return _build(CoefficientSet, node, path)
 
 

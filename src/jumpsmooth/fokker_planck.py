@@ -258,7 +258,7 @@ class AdjointOperator:
         zlo, zhi = coeffs.q.trunc_interval(trunc)
         z, w = gauss_panels(zlo, zhi, cfg.quad_nodes, QUAD_PANELS)
         rho = np.asarray(coeffs.q.density.value(z), dtype=float)
-        _require_finite(rho, z, "mark density", "z")
+        _require_finite(rho, "mark density", z=z)
         wq = w * rho
         self.qmass = float(np.sum(wq))
         self.gamma_sup = coeffs.gamma_sup()
@@ -284,7 +284,7 @@ class AdjointOperator:
             return
         k, n = self.k, self.size
         for l, row in enumerate(self.coeffs.b.stack(self.grid, k + 1)):
-            _require_finite(row, self.grid, f"drift derivative {l}", "y")
+            _require_finite(row, f"drift derivative {l}", y=self.grid)
         beta, taui = transfer_beta_grid(self.coeffs, self.grid, self.i, k)
         base, w, _ = _interp_weights(taui[0], self.lo, self.spacing, n)
         coef = np.stack([self.i * ((l == r) + beta[l, r]) for l, r in _block_pairs(k)],

@@ -104,12 +104,14 @@ class _Kernel:
     """The n-th filtered kernel over a block of states, built once per
     (block, n); a scalar state is a block of one.
 
-    Construction checks, state by state, that the rate is positive and that
-    the displacement map H(w) = h(y, z(w)) is strictly monotone on the cutoff
-    window, and keeps the states before the first one that fails, each with
-    its frame (one row per state) and image window H([1, n+3]).  `checked`
-    then raises what that first failing state raises on its own, so a caller
-    that checks something per state first meets the failures in state order.
+    Construction checks, state by state, that the rate is positive, that
+    dh/dz is finite on the cutoff window and that the displacement map
+    H(w) = h(y, z(w)) is strictly monotone there, and keeps the states
+    before the first one that fails, each with its frame (one row per
+    state) and image window H([1, n+3]).  `checked` then raises what that
+    first failing state raises on its own (a non-finite dh/dz before a
+    monotonicity failure), so a caller that checks something per state
+    first meets the failures in state order.
     Every state shares the cutoff phi_n.  Every kernel routine reads the
     kernel through `stack` (derivatives of the density mu_n at given
     displacements, whose marks a bracketed Newton solve finds) and
@@ -125,11 +127,15 @@ class _Kernel:
         stop = _first(~(np.isfinite(gam) & (gam > 0.0)), ys.size)
         self.ys, self.gam = ys[:stop, None], gam[:stop, None]
         self.a = np.asarray(coeffs.q.endpoint_fn().value(self.ys), dtype=float)
-        slope = self.dH(np.linspace(0.75, n + 3.25, 257))
+        w = np.linspace(0.75, n + 3.25, 257)
+        slope = self.dH(w)
         signs = np.sign(slope)
         flat = np.any(np.abs(slope) < 1e-280, axis=1)
-        stop = _first(flat | (np.max(signs, axis=1) != np.min(signs, axis=1)), stop)
+        nonfinite = ~np.all(np.isfinite(slope), axis=1)
+        stop = _first(nonfinite | flat | (np.max(signs, axis=1) != np.min(signs, axis=1)), stop)
         self.failed = float(ys[stop]) if stop < ys.size else None
+        # the marks of the first failing state, when its rate passed
+        self._failed_marks = self.z(w)[stop] if stop < len(slope) else None
         self.ys, self.gam, self.a = self.ys[:stop], self.gam[:stop], self.a[:stop]
         self.sign = signs[:stop, :1]
         ends = self.H(np.array([1.0, float(n + 3)]))
@@ -140,6 +146,8 @@ class _Kernel:
         what the first failing state raises on its own."""
         if self.failed is not None:
             _frame(self.coeffs, self.failed)  # a rate that is not positive
+            z = self._failed_marks
+            _require_finite(self.coeffs.h.dz(self.failed, z, 1), "dh/dz", y=self.failed, z=z)
             raise DegenerateKernelError(
                 f"displacement map is not strictly monotone in the mark at y={self.failed}, n={self.n}"
             )
@@ -464,7 +472,7 @@ def make_kernels(
     kernel = _Kernel(coeffs, states, n_values[-1])
     z = kernel.z(np.linspace(1.0, n_values[-1] + 3.0, 257))
     rho = np.asarray(coeffs.q.density.value(z), dtype=float)
-    _require_finite(rho, z, "mark density", "z")
+    _require_finite(rho, "mark density", z=z)
     kernel.checked()
     density_floor = float(np.min(rho))
     if density_floor < 1.0 - 1e-9:

@@ -48,20 +48,11 @@ def _jsonable(obj):
     return str(obj)
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Panelled Gauss-Legendre budget for mark-space integrals.
-
-    ``nodes`` is the total node count split over ``panels`` equal panels
-    of at least 2 nodes each (`gauss_panels` refuses any other count);
-    ``horizon`` truncates infinite supports (defaults to a multiple of the
-    largest declared truncation).
-    """
-
-    nodes: int = 256
-    panels: int = 8
-    horizon: float | None = None
-
+# The audit resolution, fixed for every model: `check_S` and `check_A` read
+# h on the AUDIT_POINTS x AUDIT_POINTS (y, z) grid, and `check_S` passes a
+# smallest slope 1 + dh/dy above SLOPE_TOL.
+AUDIT_POINTS = 241
+SLOPE_TOL = 1e-8
 
 # Gauss-Legendre panels of the evolution's mark quadrature
 # (`EvolutionConfig.quad_nodes` nodes in all).
@@ -88,7 +79,8 @@ def gauss_panels(lo, hi, nodes: int = 256, panels: int = 8):
     scalar call returns row 0 of a broadcast call bit for bit.  A node or
     panel count that is not an integer, or is below 1, is refused, as is a
     node count that does not split into `panels` panels of at least 2 nodes
-    each: no count is rounded up.
+    each: no count is rounded up.  The defaults, 256 nodes in 8 panels, are
+    the mark rule of the audits `check_A` and `check_B`.
 
     >>> z, w = gauss_panels(np.array([0.0, 1.0]), np.array([1.0, 3.0]), nodes=8, panels=2)
     >>> z.shape, w.shape
@@ -204,33 +196,15 @@ class JumpMeasureSpec(Described):
         lo, hi = self.trunc_interval(i)
         return self.interval_mass(lo, hi)
 
-    def quad_horizon(self, spec: QuadratureSpec) -> float:
-        if spec.horizon is not None:
-            return float(spec.horizon)
-        return max(40.0, 4.0 * self.truncations[-1])
-
-
-# Largest audit grid: the (y, z) pair grids of `check_S` and `check_A` hold
-# audit_points**2 entries each.
-MAX_AUDIT_POINTS = 4096
-
-
-def _check_audit_points(n: int) -> None:
-    """ContractError unless the audit point count n is in 1..MAX_AUDIT_POINTS."""
-    if n < 1:
-        raise ContractError("audit_points must be >= 1")
-    if n > MAX_AUDIT_POINTS:
-        raise ContractError(f"audit_points must be at most {MAX_AUDIT_POINTS}")
-
 
 @dataclass(frozen=True)
 class CoefficientSet(Described):
     """All coefficients of one model plus its audit window.
 
-    ``k`` is the smoothness budget (derivative stacks run to k+1), ``p`` the
-    polynomial weight power used by the audits, ``c0_tol`` the smallest
-    admissible slope of the post-jump map.  The audit window is the y-range
-    on which grid audits (sup bounds for rates, drift, slopes) are taken.
+    ``k`` is the smoothness budget (derivative stacks run to k+1) and ``p``
+    the polynomial weight power used by the audits.  The audit window is the
+    y-range on which grid audits (sup bounds for rates, drift, slopes) are
+    taken, on AUDIT_POINTS states; its ends and its width must be finite.
     """
 
     config_keys = {
@@ -249,9 +223,7 @@ class CoefficientSet(Described):
     q: JumpMeasureSpec
     k: int = 2
     p: float = 2.0
-    c0_tol: float = 1e-8
     y_window: tuple[float, float] = (-10.0, 10.0)
-    audit_points: int = 241
     label: str = ""
 
     def __post_init__(self):
@@ -259,28 +231,26 @@ class CoefficientSet(Described):
             raise ContractError("smoothness budget k must be in 1..6")
         if self.p < 1:
             raise ContractError("weight power p must be >= 1")
-        if not (self.y_window[1] > self.y_window[0]):
-            raise ContractError("empty audit window")
-        _check_audit_points(self.audit_points)
+        _finite_window(self.y_window, "audit window")
 
     def y_audit_grid(self) -> np.ndarray:
-        return np.linspace(self.y_window[0], self.y_window[1], self.audit_points)
+        return np.linspace(self.y_window[0], self.y_window[1], AUDIT_POINTS)
 
     def y_audit_states(self, count: int) -> np.ndarray:
-        """Every ``max(1, audit_points // count)``-th state of `y_audit_grid`,
+        """Every ``max(1, AUDIT_POINTS // count)``-th state of `y_audit_grid`,
         from the first: the states an audit of about `count` states reads
-        (25 of the default 241 for count 24, 10 for count 9)."""
-        return self.y_audit_grid()[:: max(1, self.audit_points // count)]
+        (25 of the 241 for count 24, 10 for count 9)."""
+        return self.y_audit_grid()[:: max(1, AUDIT_POINTS // count)]
 
     def z_audit_grid(self) -> np.ndarray:
         lo, hi = self.q.trunc_interval(len(self.q.truncations))
         pad = 1e-9 * max(1.0, abs(hi - lo))
-        return np.linspace(lo + pad, hi, self.audit_points)
+        return np.linspace(lo + pad, hi, AUDIT_POINTS)
 
     def _grid_sup(self, fn: Function1D, order: int, tag: str) -> float:
         grid = self.y_audit_grid()
         vals = np.asarray(fn.derivative(grid, order), dtype=float)
-        _require_finite(vals, grid, f"{tag} derivative {order}", "y")
+        _require_finite(vals, f"{tag} derivative {order}", y=grid)
         return float(np.max(np.abs(vals)))
 
     def b_prime_sup(self) -> float:
@@ -292,7 +262,7 @@ class CoefficientSet(Described):
     def gamma_inf(self) -> float:
         grid = self.y_audit_grid()
         vals = np.asarray(self.gamma.value(grid), dtype=float)
-        _require_finite(vals, grid, "jump rate", "y")
+        _require_finite(vals, "jump rate", y=grid)
         return float(np.min(vals))
 
     def min_drift_index(self) -> int:
@@ -322,88 +292,69 @@ class AssumptionReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _pair_grids(y_grid, z_grid):
-    y = np.asarray(y_grid, dtype=float)
-    z = np.asarray(z_grid, dtype=float)
-    if y.ndim != 1 or z.ndim != 1 or y.size == 0 or z.size == 0:
-        raise ContractError("audit grids must be nonempty 1-d arrays")
-    return y[:, None], z[None, :]
-
-
 def check_S(coeffs: CoefficientSet) -> AssumptionReport:
-    """Slope audit: min over the audit grid of 1 + dh/dy must exceed c0_tol.
+    """Slope audit: min over the audit grid of 1 + dh/dy must exceed SLOPE_TOL.
 
     A positive verdict certifies (on the grid) that y -> y + h(y, z) is
     strictly increasing, which is what every inverse-map computation and the
     density transport rely on.
     """
     y_grid, z_grid = coeffs.y_audit_grid(), coeffs.z_audit_grid()
-    tol = coeffs.c0_tol
-    yy, zz = _pair_grids(y_grid, z_grid)
+    yy, zz = y_grid[:, None], z_grid[None, :]
     slope = 1.0 + np.asarray(coeffs.h.dy(yy, zz, 1), dtype=float)
-    if not np.all(np.isfinite(slope)):
-        iy, iz = np.argwhere(~np.isfinite(slope))[0]
-        raise InvalidModelError(
-            f"jump amplitude slope non-finite at y={float(np.ravel(yy)[iy])}, "
-            f"z={float(np.ravel(zz)[iz])}"
-        )
+    _require_finite(slope, "jump amplitude slope", y=yy, z=zz)
     idx = np.unravel_index(np.argmin(slope), slope.shape)
     c0 = float(slope[idx])
-    report = AssumptionReport(
+    return AssumptionReport(
         name="slope",
-        passed=bool(c0 > tol),
-        constants={"c0": c0, "tol": tol},
-        worst={"y": float(np.ravel(y_grid)[idx[0]]), "z": float(np.ravel(z_grid)[idx[1]])},
+        passed=bool(c0 > SLOPE_TOL),
+        constants={"c0": c0, "tol": SLOPE_TOL},
+        worst={"y": float(y_grid[idx[0]]), "z": float(z_grid[idx[1]])},
         details={"grid_shape": list(slope.shape)},
     )
-    return report
 
 
-def check_A(coeffs: CoefficientSet, quadrature: QuadratureSpec | None = None) -> AssumptionReport:
+def check_A(coeffs: CoefficientSet) -> AssumptionReport:
     """Smoothness-budget audit for orders 0..k.
 
     Fails when some y-derivative of h escapes the declared bound eta on the
-    grid, when eta is not q-integrable at powers 1 and p on the declared
-    horizon, or when b, gamma or a y-factor of h declares a `smooth_order`
-    below k (listed under ``details["smooth_order_below_k"]``).  Non-finite
-    coefficient values raise immediately.
+    grid, when eta is not q-integrable at powers 1 and p on the horizon
+    max(40, 4 x the widest truncation) (256 Gauss nodes in 8 panels), or
+    when b, gamma or a y-factor of h declares a `smooth_order` below k
+    (listed under ``details["smooth_order_below_k"]``).  A coefficient that
+    is not finite on the grid or at a quadrature node raises
+    InvalidModelError.
     """
     y_grid, z_grid = coeffs.y_audit_grid(), coeffs.z_audit_grid()
-    quadrature = quadrature or QuadratureSpec()
-    yy, zz = _pair_grids(y_grid, z_grid)
+    yy, zz = y_grid[:, None], z_grid[None, :]
 
     margins = {}
     worst = {"l": None, "y": None, "z": None, "margin": -np.inf}
-    eta_on_grid = np.asarray(coeffs.eta.value(np.ravel(zz)), dtype=float)
-    if not np.all(np.isfinite(eta_on_grid)):
-        bad = np.ravel(zz)[~np.isfinite(eta_on_grid)][0]
-        raise InvalidModelError(f"eta non-finite at z={float(bad)}")
+    eta_on_grid = np.asarray(coeffs.eta.value(z_grid), dtype=float)
+    _require_finite(eta_on_grid, "eta", z=z_grid)
     for l in range(coeffs.k + 1):
         dval = np.asarray(coeffs.h.dy(yy, zz, l), dtype=float)
-        if not np.all(np.isfinite(dval)):
-            iy, iz = np.argwhere(~np.isfinite(dval))[0]
-            raise InvalidModelError(
-                f"jump amplitude derivative {l} non-finite at "
-                f"y={float(np.ravel(y_grid)[iy])}, z={float(np.ravel(z_grid)[iz])}"
-            )
+        _require_finite(dval, f"jump amplitude derivative {l}", y=yy, z=zz)
         margin = np.abs(dval) - eta_on_grid[None, :]
         idx = np.unravel_index(np.argmax(margin), margin.shape)
         margins[l] = float(margin[idx])
         if margin[idx] > worst["margin"]:
             worst = {
                 "l": l,
-                "y": float(np.ravel(y_grid)[idx[0]]),
-                "z": float(np.ravel(z_grid)[idx[1]]),
+                "y": float(y_grid[idx[0]]),
+                "z": float(z_grid[idx[1]]),
                 "margin": float(margin[idx]),
             }
 
     sup_b = [coeffs._grid_sup(coeffs.b, l, "drift") for l in range(coeffs.k + 1)]
     sup_gamma = [coeffs._grid_sup(coeffs.gamma, l, "jump rate") for l in range(coeffs.k + 1)]
 
-    horizon = coeffs.q.quad_horizon(quadrature)
-    z, w = gauss_panels(*coeffs.q._cut(horizon), quadrature.nodes, quadrature.panels)
+    horizon = max(40.0, 4.0 * coeffs.q.truncations[-1])
+    z, w = gauss_panels(*coeffs.q._cut(horizon))
     rho = np.asarray(coeffs.q.density.value(z), dtype=float)
+    _require_finite(rho, "mark density", z=z)
     eta_q = np.asarray(coeffs.eta.value(z), dtype=float)
+    _require_finite(eta_q, "eta", z=z)
     eta_l1 = float(np.sum(w * rho * np.abs(eta_q)))
     eta_lp = float(np.sum(w * rho * np.abs(eta_q) ** coeffs.p))
 
@@ -510,14 +461,21 @@ MIN_FIT_POINTS = 10
 def _density_grid(window: tuple[float, float], nodes: int, name: str) -> tuple[float, float]:
     """The window's ends, checked with the node count `name`: the one rule of
     every grid density (`GridDensity`, the sample densities and the
-    `evolution` stanza), an integer of at least 8 on a finite window with
-    hi > lo."""
+    `evolution` stanza), an integer of at least 8 on a window that
+    `_finite_window` takes."""
     _require_int(nodes, name)
     if nodes < 8:
         raise ContractError(f"{name} must be at least 8, got {nodes!r}")
+    return _finite_window(window, "density window")
+
+
+def _finite_window(window: tuple[float, float], name: str) -> tuple[float, float]:
+    """The ends of the window `name`, the one window rule of the model and
+    every grid density: ContractError unless hi > lo and the width hi - lo
+    is finite (so are both ends then, and no grid spacing overflows)."""
     lo, hi = float(window[0]), float(window[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
-        raise ContractError(f"density window must be finite with hi > lo, got {window!r}")
+    if not (math.isfinite(hi - lo) and hi > lo):
+        raise ContractError(f"{name} must be finite with hi > lo, got {window!r}")
     return lo, hi
 
 
@@ -596,12 +554,17 @@ def _check_kernel_index(n: int, n_values) -> None:
         raise ContractError(f"kernel index {n} was not declared in the decomposition")
 
 
-def _require_finite(vals, points: np.ndarray, tag: str, var: str) -> None:
-    """InvalidModelError naming the coefficient `tag` and the first of
-    `points` (C order) where its values `vals` are not finite."""
-    bad = ~np.isfinite(np.broadcast_to(np.asarray(vals, dtype=float), points.shape))
-    if np.any(bad):
-        raise InvalidModelError(f"{tag} non-finite at {var}={float(points[bad][0])!r}")
+def _require_finite(vals, tag: str, **points) -> None:
+    """InvalidModelError naming the coefficient `tag` and the first point (C
+    order) where its values `vals` are not finite: each keyword is one
+    coordinate of the points, an array broadcast against `vals` and the
+    others, named in the message as ``y=..., z=...``."""
+    finite = np.isfinite(np.asarray(vals, dtype=float))
+    if not finite.all():
+        finite, *coords = np.broadcast_arrays(finite, *points.values())
+        at = int(np.argmin(finite))
+        where = ", ".join(f"{name}={float(c.flat[at])!r}" for name, c in zip(points, coords))
+        raise InvalidModelError(f"{tag} non-finite at {where}")
 
 
 def _frame(coeffs: CoefficientSet, y):
@@ -652,22 +615,22 @@ def check_B(coeffs: CoefficientSet, n_max: int, theta: float) -> AssumptionRepor
     mark density dominates Lebesgue measure on the windows, which the kernel
     construction needs.
 
-    Each window takes the default `QuadratureSpec` rule (256 nodes in 8
-    panels).  The states are audited in blocks of `AUDIT_BLOCK_STATES`: one
-    broadcast `gauss_panels` call maps the rule onto every (state, n) window
-    of a block, and dh/dz, the integrand and the mark density are evaluated
-    once on the (states, n, nodes) array.  Failures are raised in state
-    order, as a state-by-state audit meets them.  Within a state, a
+    Each window takes the audit rule of `gauss_panels`' defaults (256 nodes
+    in 8 panels).  The states are audited in blocks of `AUDIT_BLOCK_STATES`:
+    one broadcast `gauss_panels` call maps the rule onto every (state, n)
+    window of a block, and dh/dz, the integrand and the mark density are
+    evaluated once on the (states, n, nodes) array.  Failures are raised in
+    state order, as a state-by-state audit meets them.  Within a state, a
     non-positive rate (`_frame`'s InvalidModelError) comes first, then an
-    empty window (ContractError), then the first n, then node, where
-    |dh/dz| < 1e-12 (DegenerateKernelError).  A failure at a later state of a block never
+    empty window (ContractError), then the first n, then node, where dh/dz
+    is not finite (InvalidModelError) or |dh/dz| < 1e-12
+    (DegenerateKernelError).  A failure at a later state of a block never
     pre-empts one at an earlier state, and no block after the failing one
     is evaluated.  A mark density that is not finite on a block's windows
     raises InvalidModelError after that block's slope check.
     """
     _check_n_max(n_max)
     _check_theta(theta)
-    quadrature = QuadratureSpec()
     y = coeffs.y_audit_grid()
     ns = np.arange(1, n_max + 1)
     sigma = coeffs.q.direction
@@ -685,18 +648,19 @@ def check_B(coeffs: CoefficientSet, n_max: int, theta: float) -> AssumptionRepor
         ok = np.isfinite(gam) & (gam > 0.0) & (hi[:, 0] > lo[:, 0])
         stop = ys.size if ok.all() else int(np.argmin(ok))
         if stop:
-            z, w = gauss_panels(lo[:stop], hi[:stop], quadrature.nodes, quadrature.panels)
+            z, w = gauss_panels(lo[:stop], hi[:stop])
             slope = np.abs(np.asarray(coeffs.h.dz(ys[:stop, None, None], z, 1), dtype=float))
-            vanishing = slope < 1e-12
-            if np.any(vanishing):
-                j, n, m = np.unravel_index(np.argmax(vanishing), vanishing.shape)
+            failing = ~np.isfinite(slope) | (slope < 1e-12)
+            if np.any(failing):
+                j, n, m = np.unravel_index(np.argmax(failing), failing.shape)
+                _require_finite(slope[j, n, m], "dh/dz", y=ys[j], z=z[j, n, m])
                 raise DegenerateKernelError(
                     f"dh/dz vanishes inside the inversion window at y={ys[j]}, z={float(z[j, n, m])}"
                 )
             table = gam[:stop, None] / ns * np.sum(w * slope ** (-2 * coeffs.k), axis=-1)
             values[:, start:start + stop] = table.T
             rho = np.asarray(coeffs.q.density.value(z), dtype=float)
-            _require_finite(rho, z, "mark density", "z")
+            _require_finite(rho, "mark density", z=z)
             density_floor = min(density_floor, float(np.min(rho)))
         if stop < ys.size:
             # the first state whose frame or window fails raises what it

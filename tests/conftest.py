@@ -1,6 +1,7 @@
 """Shared models and finite-difference helpers for the test suite."""
 
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,20 @@ def bench_workload(name, load=False):
     or with `load` its `ExperimentConfig`."""
     path = BENCH_WORKLOADS / f"{name}.yaml"
     return load_config(str(path)) if load else path
+
+
+@dataclass(frozen=True)
+class NaNBeyond(js.ExpDecay):
+    """amp * exp(-rate * x), every derivative NaN beyond x = edge: a
+    coefficient that goes bad where only some audit reads it."""
+
+    edge: float = 20.0
+
+    def _derivative(self, x, l):
+        return np.where(x > self.edge, np.nan, super()._derivative(x, l))
+
+    def _stack(self, x, order):
+        return np.where(x > self.edge, np.nan, super()._stack(x, order))
 
 
 def fd_derivative(fn, x, l, h=0.05, points=9):

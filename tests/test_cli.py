@@ -118,12 +118,13 @@ def test_malformed_or_missing_config_exits_2(tmp_path, capsys):
     assert main(["check", "--config", _write(tmp_path, cfg, "badfield.yaml")]) == 2
 
 
-def test_zero_audit_points_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("key, value", [("audit_points", 241), ("c0_tol", 1e-8)])
+def test_a_retired_audit_setting_is_an_unknown_key(tmp_path, capsys, key, value):
+    # the audit resolution is fixed: the model stanza has no key for it
     cfg = _base_config(tmp_path / "out")
-    cfg["model"]["audit_points"] = 0
+    cfg["model"][key] = value
     assert main(["check", "--config", _write(tmp_path, cfg)]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "audit_points must be >= 1" in err
+    assert capsys.readouterr().err == f"config error: model: unknown keys: ['{key}']\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -238,6 +239,14 @@ def test_nonpositive_max_step_or_threads_exit_2(tmp_path, capsys):
         ("evolve", "evolution", "window", [8.0, 8.0], "density window must be finite"),
         ("evolve", "evolution", "window", [-8.0, math.inf], "density window must be finite"),
         ("evolve", "evolution", "window", [math.nan, 8.0], "density window must be finite"),
+        # a width that overflows exited 1 too, naming the drift at y=nan
+        ("evolve", "evolution", "window", [-1e308, 1e308], "density window must be finite"),
+        # the model window: each command exited 1 ("model rejected: ...
+        # non-finite at y=nan") after numpy warnings
+        ("check", "model", "window", [-math.inf, math.inf], "audit window must be finite"),
+        ("evolve", "model", "window", [-1e308, 1e308], "audit window must be finite"),
+        ("simulate", "model", "window", [-8.0, math.nan], "audit window must be finite"),
+        ("kernels", "model", "window", [8.0, -8.0], "audit window must be finite"),
     ],
 )
 def test_out_of_range_stanza_values_exit_2(tmp_path, capsys, command, stanza, key, bad, message):
@@ -263,8 +272,6 @@ def test_out_of_range_stanza_values_exit_2(tmp_path, capsys, command, stanza, ke
         ("check", "kernels.n_values", [1], "check_B needs n_max >= 2"),
         # exited 0, fitted through one index counted twice
         ("kernels", "kernels.n_values", [4, 4], "kernel indices must be distinct"),
-        # an integral count numpy cannot allocate ended load_config in a traceback
-        ("evolve", "model.audit_points", 1e308, "audit_points must be at most 4096"),
     ],
 )
 def test_values_the_model_refuses_exit_2_before_any_output(tmp_path, capsys, command, key,
@@ -335,7 +342,7 @@ def _set(cfg, dotted, value):
         ("seed", "abc"),
         ("model.k", "two"),
         ("model.k", 2.7),
-        ("model.audit_points", 100.5),
+        ("seed", 3.5),
         ("model.amplitude", [{"y": {"family": "constant", "c": 0.4},
                               "z": {"family": "smoothstep_bump", "lo": 0.0, "hi": 4.0,
                                     "ramp": 1.0, "order": "x", "amp": 1.0}}]),

@@ -10,6 +10,8 @@ import pytest
 
 import jumpsmooth as js
 
+from conftest import NaNBeyond
+
 
 def _left_model():
     # marks on (-inf, 0), displacement e^{z} increasing toward the endpoint
@@ -91,13 +93,16 @@ def test_mu_closed_form_scaled_rate():
     assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
 
 
-def test_mu_locality(exp_unit_model):
+def test_mu_locality(exp_unit_model, monkeypatch):
     n = 2
     inside = np.exp(-0.5 * (1.0 + n + 3.0))
     outside = np.array([np.exp(-(n + 3.5)), np.exp(-0.8), 0.5, 1.5])
     got = js.mu_density(exp_unit_model, 0.0, n, np.concatenate([[inside], outside]))
     assert got[0] > 0.0
     assert np.allclose(got[1:], 0.0, atol=1e-300)
+    # with no displacement inside the image window there is nothing to solve
+    monkeypatch.setattr(js.kernels, "_bracketed_newton", None)
+    assert js.mu_density(exp_unit_model, 0.0, n, outside).tolist() == [0.0] * outside.size
 
 
 def test_mu_left_support_matches_mirrored_form():
@@ -350,6 +355,24 @@ def test_make_kernels_rejects_nan_mark_density(exp_unit_model):
         js.make_kernels(m, (2, 3))
 
 
+def test_a_non_finite_amplitude_slope_is_an_invalid_model(exp_unit_model):
+    # dh/dz NaN beyond z = 2.5, inside the cutoff windows: the NaN slopes
+    # used to read as a sign change, "not strictly monotone"
+    h = js.JumpAmplitude(((js.constant(1.0), NaNBeyond(1.0, 1.0, edge=2.5)),))
+    m = dataclasses.replace(exp_unit_model, h=h)
+    w = np.linspace(0.75, 4 + 3.25, 257)  # the marks at unit rate from 0
+    first = float(w[w > 2.5][0])
+    y0 = float(m.y_audit_states(js.kernels.RATE_AUDIT_STATES)[0])
+    calls = (
+        (lambda: js.make_kernels(m, (2, 4)), y0),
+        (lambda: js.kernel_mass(m, 0.5, 4), 0.5),
+        (lambda: js.mu_density(m, 0.5, 4, np.array([0.01])), 0.5),
+    )
+    for call, y in calls:
+        with pytest.raises(js.InvalidModelError) as err:
+            call()
+        assert str(err.value) == f"dh/dz non-finite at y={y!r}, z={first!r}"
+
 def test_make_kernels_rejects_zero_rate():
     h = js.JumpAmplitude(((js.constant(1.0), js.ExpDecay(1.0, 1.0)),))
     q = js.JumpMeasureSpec((0.0, np.inf), js.constant(1.0), (12.0,))
@@ -365,6 +388,20 @@ def test_make_kernels_rejects_degenerate_displacement(collapse_model):
     with pytest.raises((js.DegenerateKernelError, js.InvalidModelError)):
         js.make_kernels(collapse_model, (1, 2))
 
+
+def test_acceptance_refuses_a_filter_ratio_above_one():
+    # a mark density of 0.5, below Lebesgue, that no audit has refused: on
+    # the plateau phi_n = 1 the ratio reads 2
+    h = js.JumpAmplitude(((js.constant(1.0), js.ExpDecay(1.0, 1.0)),))
+    q = js.JumpMeasureSpec((0.0, np.inf), js.constant(0.5), (12.0,))
+    m = js.CoefficientSet(
+        b=js.constant(0.0), gamma=js.constant(1.0), h=h,
+        eta=js.ExpDecay(1.0, 1.0), q=q, k=2, y_window=(-2.0, 2.0),
+    )
+    kd = js.KernelDecomposition(m, (1, 2))
+    assert kd.acceptance(2, 0.0, np.array([0.5, 5.5])).tolist() == [0.0, 0.0]
+    with pytest.raises(js.InvalidModelError, match="filter ratio exceeded 1"):
+        kd.acceptance(2, 0.0, np.array([3.0]))
 
 def test_kernel_mass_error_out_of_bracket_is_diagnosed():
     # a model whose mark density undercounts mass inside the window would
@@ -474,7 +511,7 @@ def test_make_kernels_reports_the_states_it_audits(wobble_model, monkeypatch):
 
     monkeypatch.setattr(js.kernels, "_Kernel", Counting)
     kd = js.make_kernels(wobble_model, (2, 4), 12.0)
-    assert wobble_model.audit_points == 241
+    assert js.model.AUDIT_POINTS == 241
     assert sizes == [25] and kd.audit["audited_states"] == 25
 
 

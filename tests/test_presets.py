@@ -87,6 +87,11 @@ def test_affine_and_constant():
     assert js.constant(0.0).is_zero
 
 
+def test_function_sum_is_zero_when_every_part_is():
+    assert js.FunctionSum(js.constant(0.0), js.Affine(0.0, 0.0)).is_zero
+    assert not js.FunctionSum(js.constant(0.0), js.Sinusoidal(0.2, 1.0)).is_zero
+    assert not js.FunctionSum(js.constant(0.0), js.constant(1e-300)).is_zero
+
 def test_gauss_bump_hermite_oracle():
     # amp e^{-((x-c)/w)^2}: second derivative amp (4u^2 - 2)/w^2 e^{-u^2}.
     fn = js.GaussBump(2.0, 0.5, 1.5)
