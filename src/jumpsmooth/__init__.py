@@ -57,7 +57,7 @@ _EXPORTS = {
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = sorted(_MODULE_OF) + ["__version__"]
 

@@ -23,7 +23,7 @@ from .errors import ContractError, ResolutionError, WindowTooSmallError
 from .fokker_planck import GridDensity
 from .kernels import KernelDecomposition
 from .model import MIN_FIT_POINTS, CoefficientSet, _check_band, _check_theta
-from .simulate import FLOOR_MULT, CFEstimate, RngSpec, empirical_cf, simulate_batch
+from .simulate import CFEstimate, RngSpec, empirical_cf, simulate_batch
 
 # A CF magnitude that stays above this (or 5 standard errors) over the upper
 # half of the usable band is read as an atom.
@@ -55,9 +55,10 @@ class DecayReport:
 def decay_fit(cf: CFEstimate, band: tuple[float, float] | None = None) -> DecayReport:
     """Fit |cf| ~ C |xi|^slope on the usable part of a frequency band.
 
-    Frequencies where the magnitude sits within FLOOR_MULT standard errors of
-    the 1/sqrt(N) sampling floor are excluded: below that the estimate is
-    noise and would fake decay.  Needs MIN_FIT_POINTS usable points.
+    Frequencies where the magnitude sits within `simulate.FLOOR_MULT`
+    standard errors of the 1/sqrt(N) sampling floor are excluded: below that
+    the estimate is noise and would fake decay.  Needs MIN_FIT_POINTS usable
+    points.
     """
     mag = cf.magnitude()
     mask = cf.xi > 0
@@ -147,8 +148,8 @@ class PipelineConfig:
     `simulate.flow_step`).  The CF is read at ``xi_points`` (at least
     MIN_FIT_POINTS) log-spaced frequencies from ``xi_min`` (positive) to
     ``xi_max`` (default from the run count, see `frequency_grid`); the decay
-    fit uses all of them that clear the sampling floor (FLOOR_MULT), and
-    ATOM_FLOOR separates an atom from slow decay.
+    fit uses all of them that clear the sampling floor
+    (`simulate.FLOOR_MULT`), and ATOM_FLOOR separates an atom from slow decay.
     """
 
     runs: int = 200_000

@@ -67,6 +67,21 @@ def test_rng_spec_refuses_a_seed_that_is_not_a_non_negative_integer(kwargs, mess
         js.RngSpec(3, 1).generator().random())
 
 
+def test_generators_are_pcg64dxsm_on_the_spawned_seed_sequences():
+    spec = js.RngSpec(2024, stream=3)
+
+    def pcg(*key):
+        return np.random.PCG64DXSM(np.random.SeedSequence(entropy=2024, spawn_key=key))
+
+    assert spec.generator().bit_generator.state == pcg(3).state
+    firsts = set()
+    for c in range(simulate_module.N_CHUNKS):
+        gen = spec.chunk_generator(c)
+        assert gen.bit_generator.state == pcg(3, c).state, c
+        firsts.add(gen.random())
+    assert len(firsts) == simulate_module.N_CHUNKS
+
+
 def test_exact_trajectory_deterministic_under_seed():
     m = _thin_model(js.FunctionSum(js.constant(0.6), js.Sinusoidal(0.3, 1.0)), amp=0.2)
     a = js.simulate_exact(m, 0.4, 3.0, 1, js.RngSpec(77).generator())
@@ -100,37 +115,35 @@ def test_batch_thread_count_does_not_change_results(wobble_model):
     assert base["runs"] == 3001
 
 
-# sha256 of the batch outputs, recorded before the chunks were advanced in
-# lockstep (the exact_power and exact_collapse pins: before the engine kept
-# only the alive runs' state and inverted marks through a guide table; the
-# exact_drift terminal: when each run got its own RK4 step count); every
-# thread count must reproduce them byte for byte.  The drift batches were
-# recorded at the fixed step 1e-3 and spell it out
+# sha256 of the batch outputs, recorded when the substreams moved from
+# Philox to PCG64DXSM; every thread count and grouping must reproduce them
+# byte for byte.  The drift batches were recorded at the fixed step 1e-3 and
+# spell it out
 PINNED_BATCHES = {
     "exact_drift": {
-        "terminal": "08679d3898de96d3761faa8d32b1306b64e6659e5c48900255959198c64f1ce8",
-        "jumps": "913c78ad930b1b2146da15b008026fbec913ade1c5df142960cb1fbe2381fca2",
+        "terminal": "ff618796c9becd2d8a4710cbe6793e2a88d03dfbccae11f5e6d4f80b9ae1d507",
+        "jumps": "e9b75075464939794e840f65bf32df6285a5681489cd92372b2038b1f5534e61",
     },
     "exact_sparse": {
-        "terminal": "6cbe2e0d0e3c8631b7179c4bd456d281b55865880cb6a1ac91e0b9c90ef56ddd",
-        "jumps": "3e8622c3c56871757a03fa4e70c4be436521b8810349a63badd3afa7a6d44fe9",
+        "terminal": "281b54b760baa0e56aa3bc1bf3dc049ece5fae7961435e6fd321da7d0b0e44c2",
+        "jumps": "8ecddf0eeb695507f5eab40ea3e59fcfc32cbf21f6794f99f67149aa0c3abd91",
     },
     "poissonized": {
-        "terminal": "14eb02546afc10f44f94db565621dfdfecc98c739cbd82a1678f997d0463a20b",
-        "jumps": "3d399fb6531387a90cbc8fe1022f3f22ceb7dd0f6642e57a18f04dbfbc80e7c5",
+        "terminal": "bc71b959397f042de29acfea4703daab89817db00be47ad7142827329493d36d",
+        "jumps": "7e6d5df64d62af46617a1e3c04e0fa39db4c84d57de40e918fa27adcd0b0bd2a",
     },
     "exact_power": {
-        "terminal": "2bd38a89695c28d2c9f661be7590e4dac674e567b111ef667a1682a44f804c1a",
-        "jumps": "1220e0af552573da477d87bb6a9a3767fabfa13dfd9c98f9025cd6b36bf0c1e0",
+        "terminal": "ed765a15ea4062cb7fd60736c4fffe7ae9ecba8c65bafcc51b5bd5a068c8294e",
+        "jumps": "02eb09c3d5c28034c229e13b15cb9cfb887b70a8b414197111d83c36aee4d4f2",
     },
     "exact_collapse": {
-        "terminal": "e38d2bf72824462ea4bdeba7cb75b2bd2824ee1a9b4a409af84285512c9c455d",
-        "jumps": "476391da5f84883cc80b7876a93175e345a7ce75390a33cba4ba365a10935400",
+        "terminal": "2c0a8aa49a1772305d99829d7bc92ac6d205bdb88a4fd7fcb5a2ea0f1fbf035a",
+        "jumps": "02f618e3d21002668268b8cd7265ef1cf9b0d5f81893d473e7b337ca40da1b26",
     },
     "filtered": {
-        "terminal": "4526f29297149cdef45d13b7720115cc571e5e8784aedf65de6c09a3111b1adf",
-        "jumps": "e0156def8a4ad6aa81b8c3a11ebf810860c59a84e47e08382e5030b6c3bea51c",
-        "tau": "57b8bc757b3f3deb3585ad359c71bdac1231b268d731bc8b3c1f028a3e48fc9e",
+        "terminal": "5f7b882dc2bd98e5f0a4e847cce37dd34df4970eadc65d1c4ca19841d02eb262",
+        "jumps": "6334efb88d295cdc543be64e0c46af1c36b843953048d56d4c3b58bc05eb08f4",
+        "tau": "4cf35afd8f5e2509e10f1c18584c27eb286ccc35dc069f1bb89eafdb993822da",
     },
 }
 
@@ -258,6 +271,27 @@ def test_rate_bound_breach_is_detected():
     m = _thin_model(rate, amp=0.0, trunc=(4.0,), window=(-1.0, 1.0))
     with pytest.raises(js.ContractError, match="bound"):
         js.simulate_exact(m, 3.0, 5.0, 1, js.RngSpec(3).generator())
+
+
+def test_a_rate_that_is_not_finite_at_a_landed_candidate_is_refused():
+    # (1 + y)^-1.5 is NaN below y = -1, far outside the audited (0, 8); a NaN
+    # rate passed the bound check, accepted no candidate and left every path
+    # unmoved
+    m = _thin_model(js.InversePower(1.0, 1.5), window=(0.0, 8.0))
+    message = "^jump rate is not finite at a landed candidate: gamma = nan$"
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(js.ContractError, match=message):
+            js.simulate_batch(m, -3.0, 1.0, 1, js.RngSpec(1), 64)
+        with pytest.raises(js.ContractError, match=message):
+            js.simulate_exact(m, -3.0, 1.0, 1, js.RngSpec(1).generator())
+        # a candidate that did not land has not met the rate
+        out = js.simulate_batch(m, -3.0, 1e-9, 1, js.RngSpec(1), 64)
+    assert np.all(out["terminal"] == -3.0) and not out["jumps"].any()
+    with pytest.raises(js.ContractError, match=r"^jump rate is not finite .*: gamma = inf$"):
+        simulate_module._check_rate_bound(np.array([0.5, np.inf, 9.0]), 1.0)
+    with pytest.raises(js.ContractError, match="left the audited window"):
+        simulate_module._check_rate_bound(np.array([0.5, 9.0]), 1.0)
+    simulate_module._check_rate_bound(np.array([0.5, 1.0, -np.inf]), 1.0)
 
 
 def _thrown_model():
@@ -764,7 +798,7 @@ def test_filtered_survival_rate(exp_unit_model):
 # single paths: batch-of-one runs of the thinning core
 # ---------------------------------------------------------------------------
 
-# recorded from the per-path thinning loops that preceded the shared core
+# recorded when the substreams moved from Philox to PCG64DXSM
 SCALAR_PINS = Path(__file__).parent / "data" / "scalar_paths.json"
 
 
