@@ -48,8 +48,8 @@ from .errors import ConfigError, ContractError, JumpsmoothError
 from .model import (
     QUAD_PANELS, CoefficientSet, JumpMeasureSpec, _check_audit_indices, _check_band,
     _check_drift_index, _check_horizon, _check_kernel_index, _check_n_max, _check_panel_split,
-    _check_theta, _density_grid, _initial_states, _kernel_indices, _require_finite_number,
-    _require_positive,
+    _check_runs, _check_theta, _density_grid, _initial_states, _kernel_indices,
+    _require_finite_number, _require_positive,
 )
 
 # family name -> preset class, read off the classes themselves
@@ -182,13 +182,6 @@ def build_model(node, path: str = "model") -> CoefficientSet:
     return _build(CoefficientSet, node, path)
 
 
-def _check_t_end_and_runs(t_end: float | None, runs: int | None = None) -> None:
-    if t_end is not None:
-        _check_horizon(t_end)
-    if runs is not None and runs < 1:
-        raise ContractError(f"runs must be at least 1, got {runs}")
-
-
 @dataclass(frozen=True)
 class SimulationStanza:
     x0: float = 0.0
@@ -203,7 +196,8 @@ class SimulationStanza:
         _initial_states(self.x0, 1)
         if self.max_step is not None:
             _require_positive(self.max_step, "max_step")
-        _check_t_end_and_runs(self.t_end, self.runs)
+        _check_horizon(self.t_end)
+        _check_runs(self.runs)
 
 
 @dataclass(frozen=True)
@@ -223,7 +217,7 @@ class EvolutionStanza:
         _require_positive(self.initial_sigma, "initial_sigma")
         if self.dt is not None:
             _require_positive(self.dt, "dt")
-        _check_t_end_and_runs(self.t_end)
+        _check_horizon(self.t_end)
         _density_grid(self.window, self.nodes, "nodes")
         if self.quad_nodes < 1:
             raise ContractError(f"quad_nodes must be at least 1, got {self.quad_nodes}")
@@ -251,7 +245,9 @@ class DiagnosticsStanza:
     def __post_init__(self):
         if self.x0 is not None:
             _initial_states(self.x0, 1)
-        _check_t_end_and_runs(self.t_end, self.runs)
+        if self.t_end is not None:
+            _check_horizon(self.t_end)
+        _check_runs(self.runs)
         _check_band(self.xi_min, self.xi_points, self.xi_max, self.runs)
 
 

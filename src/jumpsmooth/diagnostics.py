@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ResolutionError, WindowTooSmallError
-from .fokker_planck import GridDensity
+from .fokker_planck import GridDensity, _cumulative_trapezoid
 from .kernels import KernelDecomposition
 from .model import MIN_FIT_POINTS, CoefficientSet, _check_band, _check_theta
 from .simulate import CFEstimate, RngSpec, empirical_cf, simulate_batch
@@ -87,13 +87,6 @@ def decay_fit(cf: CFEstimate, band: tuple[float, float] | None = None) -> DecayR
     )
 
 
-def _cumulative(density: GridDensity, row: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    x = density.grid
-    v = density.values[row]
-    inc = 0.5 * (v[1:] + v[:-1]) * np.diff(x)
-    return x, np.concatenate([[0.0], np.cumsum(inc)])
-
-
 def compare_densities(left: GridDensity, right: GridDensity) -> dict:
     """Distance between two grid densities via conservative bin averages.
 
@@ -108,7 +101,8 @@ def compare_densities(left: GridDensity, right: GridDensity) -> dict:
     if hi <= lo:
         raise WindowTooSmallError("density windows do not overlap")
     for name, d in (("left", left), ("right", right)):
-        x, cum = _cumulative(d)
+        x = d.grid
+        cum = _cumulative_trapezoid(x, d.values[0])
         total = cum[-1]
         inside = np.interp(hi, x, cum) - np.interp(lo, x, cum)
         if total <= 0 or inside < 0.99 * total:
@@ -122,8 +116,8 @@ def compare_densities(left: GridDensity, right: GridDensity) -> dict:
     widths = np.diff(edges)
 
     def bin_masses(d: GridDensity, row: int) -> np.ndarray:
-        x, cum = _cumulative(d, row)
-        return np.diff(np.interp(edges, x, cum))
+        x = d.grid
+        return np.diff(np.interp(edges, x, _cumulative_trapezoid(x, d.values[row])))
 
     dm = bin_masses(left, 0) - bin_masses(right, 0)
     out = {

@@ -21,7 +21,8 @@ class ContractError(JumpsmoothError):
 
 
 class InvalidModelError(JumpsmoothError):
-    """A model coefficient evaluated to a non-finite value on an audit grid."""
+    """A model coefficient outside the model: not finite on an audit grid,
+    or a negative jump rate or mark density."""
 
 
 class NumericalError(JumpsmoothError):

@@ -61,9 +61,17 @@ from .errors import (
 )
 from .model import (
     QUAD_PANELS, CoefficientSet, _check_drift_index, _check_horizon, _density_grid,
-    _require_finite, _require_finite_number, _require_int, _require_positive, gauss_panels,
+    _require_finite, _require_finite_number, _require_int, _require_nonnegative,
+    _require_positive, gauss_panels,
 )
 from .presets import Function1D, GaussBump, _check_order
+
+
+def _cumulative_trapezoid(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The trapezoid rule's running integral of the values v at the nodes x,
+    0 at x[0]: the CDF of the mark sampler and of every grid density."""
+    inc = 0.5 * (v[1:] + v[:-1]) * np.diff(x)
+    return np.concatenate([[0.0], np.cumsum(inc)])
 
 
 @dataclass
@@ -253,13 +261,7 @@ class AdjointOperator:
         self._set_drift(cfg)
 
         # Jump pullback: integral q(dz) (gamma g)(tau(., z)) tau'(., z).
-        trunc = coeffs.q.resolve_trunc(cfg.trunc)
-        self.trunc = trunc
-        zlo, zhi = coeffs.q.trunc_interval(trunc)
-        z, w = gauss_panels(zlo, zhi, cfg.quad_nodes, QUAD_PANELS)
-        rho = np.asarray(coeffs.q.density.value(z), dtype=float)
-        _require_finite(rho, "mark density", z=z)
-        wq = w * rho
+        z, wq = _mark_quadrature(coeffs, cfg)
         self.qmass = float(np.sum(wq))
         self.gamma_sup = coeffs.gamma_sup()
         self.escape_fraction = 0.0
@@ -300,8 +302,13 @@ class AdjointOperator:
         mark from one `transfer_alpha_grid` call, then Gamma on the grid.
         For h = A(z) only the edge rows and one interior reference row are
         built so (`_edge_rows`); the reference row, shifted along the
-        diagonal, gives every other interior row."""
+        diagonal, gives every other interior row.  The rate's rule
+        (`CoefficientSet.gamma_sup`) holds on the audit window only, and the
+        grid can reach past it, so the rate stack's row 0 is checked at the
+        nodes by the same rule first."""
         coeffs, grid, k, n = self.coeffs, self.grid, self.k, self.size
+        rate = coeffs.gamma.stack(grid, k)
+        _require_nonnegative(rate[0], "jump rate", y=grid)
         escape = np.zeros(n)
         first = slice(0, min(JUMP_BLOCK_NODES, n))
         solved = transfer_alpha_grid(coeffs, grid[first], z, k)
@@ -354,7 +361,7 @@ class AdjointOperator:
         parts.append((diag, diag, np.full(size, -self.qmass)))
         # Gamma: (gamma g)^(l) = sum_r C(l, r) gamma^(l - r) g^(r) at the nodes
         nodes = np.arange(n)
-        terms = _leibniz_terms(coeffs.gamma.stack(grid, k))
+        terms = _leibniz_terms(rate)
         return self._csr(parts, size), self._csr(
             [(l * n + nodes, r * n + nodes, terms[l][r]) for l, r in _block_pairs(k)])
 
@@ -464,6 +471,15 @@ class AdjointOperator:
         return (self.drift @ flat + pulled).reshape(vals.shape)
 
 
+def _mark_quadrature(coeffs: CoefficientSet, cfg: EvolutionConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The evolution's mark quadrature (z, wq): `cfg.quad_nodes` Gauss nodes
+    in QUAD_PANELS panels on the truncation `cfg.trunc` (default the
+    widest), and their weights times q's density (`density_at`)."""
+    zlo, zhi = coeffs.q.trunc_interval(coeffs.q.resolve_trunc(cfg.trunc))
+    z, w = gauss_panels(zlo, zhi, cfg.quad_nodes, QUAD_PANELS)
+    return z, w * coeffs.q.density_at(z)
+
+
 def apply_generator(coeffs: CoefficientSet, phi, y: np.ndarray, cfg: EvolutionConfig):
     """Direct action L phi at states y for a test function.
 
@@ -475,10 +491,7 @@ def apply_generator(coeffs: CoefficientSet, phi, y: np.ndarray, cfg: EvolutionCo
     i = cfg.i
     _require_int(i, "drift surrogate index i")
     out = i * (phi(y + np.asarray(coeffs.b.value(y)) / i) - phi(y))
-    trunc = coeffs.q.resolve_trunc(cfg.trunc)
-    zlo, zhi = coeffs.q.trunc_interval(trunc)
-    z, w = gauss_panels(zlo, zhi, cfg.quad_nodes, QUAD_PANELS)
-    wq = w * np.asarray(coeffs.q.density.value(z), dtype=float)
+    z, wq = _mark_quadrature(coeffs, cfg)
     gam = np.asarray(coeffs.gamma.value(y), dtype=float)
     acc = np.zeros_like(y)
     for zm, wm in zip(z, wq):
@@ -689,12 +702,13 @@ def norm_growth_audit(
     doubles.  The 2 i operator is derived from the i operator with
     `AdjointOperator.with_drift_index`, so the jump part is built once.
     Both runs take the stable step of their own index, so that the two
-    rates are measured alike.  A set ``cfg.dt`` and a horizon that is
-    negative, nan or infinite are caller errors, refused with ContractError
-    before any run.  Numerical failures (`NumericalError`), coefficients
-    that are not finite on a grid (`InvalidModelError`) and floating-point
-    traps (degenerate models blow up or cannot even build the pullback) are
-    caught and reported as failed audits.  Any other exception propagates:
+    rates are measured alike.  A set ``cfg.dt`` and a horizon that is not
+    positive and finite (the fit needs distinct checkpoint times) are caller
+    errors, refused with ContractError before any run.  Numerical failures
+    (`NumericalError`), coefficients that are not finite on a grid
+    (`InvalidModelError`) and floating-point traps (degenerate models blow
+    up or cannot even build the pullback) are caught and reported as failed
+    audits.  Any other exception propagates:
     a `ContractError`, such as a stack order that does not match the model,
     is the caller's error, and anything else is a bug.
     """
@@ -702,7 +716,7 @@ def norm_growth_audit(
         raise ContractError(
             f"norm_growth_audit runs at the stable step of each index; got dt={cfg.dt!r}"
         )
-    _check_horizon(t_end)
+    _require_positive(t_end, "t_end")
     ts = np.linspace(0.0, t_end, NORM_CHECKPOINTS + 1)
     report: dict = {"t": [float(v) for v in ts], "passed": False}
 
@@ -726,8 +740,6 @@ def norm_growth_audit(
 
     def fitted_rate(norms: np.ndarray) -> float:
         head = ts <= t_end / 4.0 + 1e-12
-        if np.sum(head) < 2:
-            head = np.arange(len(ts)) < 3
         coefs = np.polyfit(ts[head], np.log(np.maximum(norms[head], 1e-300)), 1)
         return float(coefs[0])
 

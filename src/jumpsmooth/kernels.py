@@ -471,8 +471,7 @@ def make_kernels(
     # failures come in state order
     kernel = _Kernel(coeffs, states, n_values[-1])
     z = kernel.z(np.linspace(1.0, n_values[-1] + 3.0, 257))
-    rho = np.asarray(coeffs.q.density.value(z), dtype=float)
-    _require_finite(rho, "mark density", z=z)
+    rho = coeffs.q.density_at(z)
     kernel.checked()
     density_floor = float(np.min(rho))
     if density_floor < 1.0 - 1e-9:

@@ -116,7 +116,8 @@ class JumpMeasureSpec(Described):
     on the whole line): the i-th truncation G_i is the support cut to that
     extent, and carries finite q-mass.  ``endpoint`` is the state-dependent
     start a(y) of the window where q dominates Lebesgue measure; it defaults
-    to the finite endpoint of the support.
+    to the finite endpoint of the support.  Every reader of the density goes
+    through `density_at`, the one rule of q: finite and >= 0.
     """
 
     support: tuple[float, float]
@@ -128,9 +129,7 @@ class JumpMeasureSpec(Described):
         lo, hi = self.support
         if not (hi > lo):
             raise ContractError("mark support must be a nonempty interval")
-        if math.isinf(lo) and math.isinf(hi):
-            pass
-        elif math.isinf(lo) == math.isinf(hi):
+        if math.isfinite(lo) and math.isfinite(hi):
             raise ContractError("mark support must be half-infinite or the whole line")
         ext = tuple(float(t) for t in self.truncations)
         if not ext or any(t <= 0 for t in ext) or any(
@@ -154,12 +153,7 @@ class JumpMeasureSpec(Described):
     @property
     def anchor(self) -> float:
         """Finite endpoint of the support (0 on the whole line)."""
-        lo, hi = self.support
-        if self.orientation == "right":
-            return lo
-        if self.orientation == "left":
-            return hi
-        return 0.0
+        return math.fsum(e for e in self.support if math.isfinite(e))
 
     def endpoint_fn(self) -> Function1D:
         return self.endpoint if self.endpoint is not None else constant(self.anchor)
@@ -178,19 +172,20 @@ class JumpMeasureSpec(Described):
         return len(self.truncations) if i is None else i
 
     def _cut(self, ext: float) -> tuple[float, float]:
-        """The support cut to extent ext from the anchor."""
-        if self.orientation == "right":
-            return (self.anchor, self.anchor + ext)
-        if self.orientation == "left":
-            return (self.anchor - ext, self.anchor)
-        return (-ext, ext)
+        """The support cut to extent ext from the anchor, on either side: the
+        side beyond a finite end is cut off by the support itself."""
+        lo, hi = self.support
+        return (max(lo, self.anchor - ext), min(hi, self.anchor + ext))
+
+    def density_at(self, z) -> np.ndarray:
+        """q's density at the marks z, the one rule of the mark measure:
+        InvalidModelError naming the first mark (C order) where it is not
+        finite or is negative."""
+        return _require_nonnegative(self.density.value(z), "mark density", z=z)
 
     def interval_mass(self, lo: float, hi: float) -> float:
         z, w = gauss_panels(lo, hi, 512, 16)
-        rho = np.asarray(self.density.value(z), dtype=float)
-        if np.any(rho < 0):
-            raise InvalidModelError("mark density is negative inside the support")
-        return float(np.sum(w * rho))
+        return float(np.sum(w * self.density_at(z)))
 
     def trunc_mass(self, i: int) -> float:
         lo, hi = self.trunc_interval(i)
@@ -257,13 +252,11 @@ class CoefficientSet(Described):
         return self._grid_sup(self.b, 1, "drift")
 
     def gamma_sup(self) -> float:
-        return self._grid_sup(self.gamma, 0, "jump rate")
-
-    def gamma_inf(self) -> float:
+        """The largest jump rate on the audit grid, under the one rule of the
+        rate, a Poisson intensity: InvalidModelError naming the first state
+        where gamma is not finite or is negative.  A zero rate is legal."""
         grid = self.y_audit_grid()
-        vals = np.asarray(self.gamma.value(grid), dtype=float)
-        _require_finite(vals, "jump rate", y=grid)
-        return float(np.min(vals))
+        return float(np.max(_require_nonnegative(self.gamma.value(grid), "jump rate", y=grid)))
 
     def min_drift_index(self) -> int:
         """Smallest admissible drift surrogate index i0 = 2 sup|b'| (>= 1),
@@ -322,8 +315,9 @@ def check_A(coeffs: CoefficientSet) -> AssumptionReport:
     max(40, 4 x the widest truncation) (256 Gauss nodes in 8 panels), or
     when b, gamma or a y-factor of h declares a `smooth_order` below k
     (listed under ``details["smooth_order_below_k"]``).  A coefficient that
-    is not finite on the grid or at a quadrature node raises
-    InvalidModelError.
+    is not finite on the grid or at a quadrature node, a negative rate
+    (`CoefficientSet.gamma_sup`) and a negative mark density
+    (`JumpMeasureSpec.density_at`) raise InvalidModelError.
     """
     y_grid, z_grid = coeffs.y_audit_grid(), coeffs.z_audit_grid()
     yy, zz = y_grid[:, None], z_grid[None, :]
@@ -347,12 +341,13 @@ def check_A(coeffs: CoefficientSet) -> AssumptionReport:
             }
 
     sup_b = [coeffs._grid_sup(coeffs.b, l, "drift") for l in range(coeffs.k + 1)]
-    sup_gamma = [coeffs._grid_sup(coeffs.gamma, l, "jump rate") for l in range(coeffs.k + 1)]
+    sup_gamma = [coeffs.gamma_sup()] + [
+        coeffs._grid_sup(coeffs.gamma, l, "jump rate") for l in range(1, coeffs.k + 1)
+    ]
 
     horizon = max(40.0, 4.0 * coeffs.q.truncations[-1])
     z, w = gauss_panels(*coeffs.q._cut(horizon))
-    rho = np.asarray(coeffs.q.density.value(z), dtype=float)
-    _require_finite(rho, "mark density", z=z)
+    rho = coeffs.q.density_at(z)
     eta_q = np.asarray(coeffs.eta.value(z), dtype=float)
     _require_finite(eta_q, "eta", z=z)
     eta_l1 = float(np.sum(w * rho * np.abs(eta_q)))
@@ -423,6 +418,13 @@ def _check_n_max(n_max: int) -> None:
     so that its budget has a head and a tail half."""
     if n_max < 2:
         raise ContractError("check_B needs n_max >= 2")
+
+
+def _check_runs(runs: int) -> None:
+    """ContractError unless the run count is at least 1: the one rule of
+    `simulate_batch`, the certify band and the config stanzas."""
+    if not runs >= 1:
+        raise ContractError(f"runs must be at least 1, got {runs!r}")
 
 
 def _check_horizon(t_end: float, name: str = "t_end", finite: bool = True) -> None:
@@ -517,8 +519,8 @@ def _check_band(xi_min: float, xi_points: int, xi_max: float | None, runs: int) 
     _require_int(xi_points, "xi_points")
     if xi_points < MIN_FIT_POINTS:
         raise ContractError(f"xi_points must be at least {MIN_FIT_POINTS}, got {xi_points}")
-    if xi_max is None and not runs >= 1:  # the default top takes sqrt(runs)
-        raise ContractError(f"runs must be at least 1, got {runs!r}")
+    if xi_max is None:  # the default top takes sqrt(runs)
+        _check_runs(runs)
     hi = xi_max if xi_max is not None else min(0.1 * math.sqrt(runs), 1e3)
     if not (math.isfinite(hi) and hi > xi_min):
         raise ContractError(
@@ -559,12 +561,29 @@ def _require_finite(vals, tag: str, **points) -> None:
     order) where its values `vals` are not finite: each keyword is one
     coordinate of the points, an array broadcast against `vals` and the
     others, named in the message as ``y=..., z=...``."""
-    finite = np.isfinite(np.asarray(vals, dtype=float))
-    if not finite.all():
-        finite, *coords = np.broadcast_arrays(finite, *points.values())
-        at = int(np.argmin(finite))
+    vals = np.asarray(vals, dtype=float)
+    _refuse_at(np.isfinite(vals), vals, tag, points)
+
+
+def _require_nonnegative(vals, tag: str, **points) -> np.ndarray:
+    """`vals` as floats; InvalidModelError, named as by `_require_finite`,
+    at the first point (C order) where they are not finite or are negative:
+    the rule of a density or an intensity (`JumpMeasureSpec.density_at`,
+    `CoefficientSet.gamma_sup`)."""
+    vals = np.asarray(vals, dtype=float)
+    _refuse_at(np.isfinite(vals) & (vals >= 0.0), vals, tag, points)
+    return vals
+
+
+def _refuse_at(ok: np.ndarray, vals: np.ndarray, tag: str, points: dict) -> None:
+    """InvalidModelError at the first point (C order) where `ok` is false:
+    "`tag` non-finite at y=..." or "`tag` negative at y=..."."""
+    if not ok.all():
+        ok, vals, *coords = np.broadcast_arrays(ok, vals, *points.values())
+        at = int(np.argmin(ok))
+        what = "non-finite" if not np.isfinite(vals.flat[at]) else "negative"
         where = ", ".join(f"{name}={float(c.flat[at])!r}" for name, c in zip(points, coords))
-        raise InvalidModelError(f"{tag} non-finite at {where}")
+        raise InvalidModelError(f"{tag} {what} at {where}")
 
 
 def _frame(coeffs: CoefficientSet, y):
@@ -626,8 +645,9 @@ def check_B(coeffs: CoefficientSet, n_max: int, theta: float) -> AssumptionRepor
     is not finite (InvalidModelError) or |dh/dz| < 1e-12
     (DegenerateKernelError).  A failure at a later state of a block never
     pre-empts one at an earlier state, and no block after the failing one
-    is evaluated.  A mark density that is not finite on a block's windows
-    raises InvalidModelError after that block's slope check.
+    is evaluated.  A mark density that `JumpMeasureSpec.density_at` refuses
+    on a block's windows raises InvalidModelError after that block's slope
+    check.
     """
     _check_n_max(n_max)
     _check_theta(theta)
@@ -659,8 +679,7 @@ def check_B(coeffs: CoefficientSet, n_max: int, theta: float) -> AssumptionRepor
                 )
             table = gam[:stop, None] / ns * np.sum(w * slope ** (-2 * coeffs.k), axis=-1)
             values[:, start:start + stop] = table.T
-            rho = np.asarray(coeffs.q.density.value(z), dtype=float)
-            _require_finite(rho, "mark density", z=z)
+            rho = coeffs.q.density_at(z)
             density_floor = min(density_floor, float(np.min(rho)))
         if stop < ys.size:
             # the first state whose frame or window fails raises what it

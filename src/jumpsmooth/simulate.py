@@ -58,11 +58,11 @@ from .errors import (
     InvalidModelError,
     WindowTooSmallError,
 )
-from .fokker_planck import GridDensity
+from .fokker_planck import GridDensity, _cumulative_trapezoid
 from .kernels import KernelDecomposition
 from .model import (
-    BLOW_UP, CoefficientSet, _check_drift_index, _check_horizon, _density_grid, _initial_states,
-    _require_int, _require_positive,
+    BLOW_UP, CoefficientSet, _check_drift_index, _check_horizon, _check_runs, _density_grid,
+    _initial_states, _require_int, _require_positive,
 )
 from .presets import _check_order
 
@@ -135,11 +135,7 @@ class MarkSampler:
         if not hi > lo:
             raise ContractError("mark interval must have positive length")
         zs = np.linspace(lo, hi, MARK_CDF_NODES)
-        dens = np.asarray(spec.density.value(zs), dtype=float)
-        if np.any(dens < 0) or not np.all(np.isfinite(dens)):
-            raise InvalidModelError("mark density must be finite and nonnegative")
-        inc = 0.5 * (dens[1:] + dens[:-1]) * np.diff(zs)
-        cdf = np.concatenate([[0.0], np.cumsum(inc)])
+        cdf = _cumulative_trapezoid(zs, spec.density_at(zs))
         self.mass = float(cdf[-1])
         if self.mass <= 0.0:
             raise InvalidModelError("mark density vanishes on the sampling interval")
@@ -234,13 +230,17 @@ def _rate_bound(coeffs: CoefficientSet) -> float:
 
 
 def _check_rate_bound(gam_pre, ubar: float) -> None:
+    """ContractError unless every rate at the landed candidates lies in
+    [0, ubar]: the rule of `gamma_sup` at states the audit grid did not
+    cover, naming the first rate that is not finite, else the first that
+    is negative, else the bound."""
     gam = np.asarray(gam_pre)
-    bad = gam[~(gam <= ubar)]  # a NaN rate fails `<=` as well as `>`
+    bad = gam[~((0.0 <= gam) & (gam <= ubar))]  # a NaN rate fails both
     if bad.size == 0:
         return
-    worst = bad[~np.isfinite(bad)]
-    if worst.size:
-        raise ContractError(f"jump rate is not finite at a landed candidate: gamma = {worst[0]}")
+    for what, worst in (("not finite", bad[~np.isfinite(bad)]), ("negative", bad[bad < 0.0])):
+        if worst.size:
+            raise ContractError(f"jump rate is {what} at a landed candidate: gamma = {worst[0]}")
     raise ContractError("state left the audited window: jump rate exceeded the thinning bound")
 
 
@@ -413,10 +413,11 @@ def _thinning(
     ones by `_initial_states`).  Marks are inverted at the accepted
     candidates only; an accepted mark outside the active window (a wider
     coupling window's) is a skip.  A zero rate has no sampler and accepts
-    nothing.  The rate bound is read as the round's largest rate first, and
-    by landing only when that is above ubar or NaN; a landed candidate whose
-    rate is not finite is refused, as one above ubar is.  A round in which
-    every candidate landed skips the compaction.  After the states are updated,
+    nothing.  The rate bound is read as the round's largest and smallest
+    rates first, and by landing only when one is outside [0, ubar] or NaN; a
+    landed candidate whose rate is not finite or is negative is refused, as
+    one above ubar is.  A round in which every candidate landed skips the
+    compaction.  After the states are updated,
     `on_round` (if not None) gets the round's `_Round` (a callback, so no
     round's arrays outlive the next round's); a true return stops the
     engine, and its draws, there.  Compaction only moves values, it never
@@ -464,7 +465,7 @@ def _thinning(
         if drift:
             pre = _drift_flow_batch(coeffs, xs, np.minimum(t_next, t_end) - t, step)
         gam = np.asarray(coeffs.gamma.value(pre), dtype=float)
-        if not gam.max() <= ubar:  # rare: find out whether a landed one broke it
+        if not (gam.max() <= ubar and gam.min() >= 0.0):  # rare: did a landed one break it?
             _check_rate_bound(gam[landed], ubar)
         acc = u <= gam if sampler is not None else np.zeros(n, dtype=bool)  # no marks, no jumps
         acc &= landed
@@ -684,8 +685,7 @@ def simulate_batch(
     _check_horizon(t_end)
     _require_int(runs, "runs")
     _require_int(threads, "threads")
-    if runs < 1:
-        raise ContractError("batch needs at least one run")
+    _check_runs(runs)
     if threads < 1:
         raise ContractError(f"threads must be at least 1, got {threads}")
     x0_all = _initial_states(x0, runs)

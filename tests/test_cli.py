@@ -315,8 +315,30 @@ def test_a_coefficient_not_finite_on_the_audit_window_exits_1(tmp_path, capsys):
     cfg["model"]["rate"] = {"family": "constant", "c": float("inf")}
     assert main(["check", "--config", _write(tmp_path, cfg)]) == 1
     err = capsys.readouterr().err
-    assert "model rejected: InvalidModelError: jump rate derivative 0 non-finite" in err
+    assert "model rejected: InvalidModelError: jump rate non-finite at y=" in err
     assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("coefficient", ["rate", "density"])
+def test_evolve_on_a_negative_rate_or_mark_density_exits_1_with_no_output(
+    tmp_path, capsys, coefficient
+):
+    # rate 0.1 + y on the audit window (-1, 1), or mark density 1 - 0.6 z on
+    # the marks (0, 3): both used to evolve and exit 0
+    cfg = _base_config(tmp_path / "out")
+    if coefficient == "rate":
+        cfg["model"]["rate"] = {"family": "affine", "a0": 0.1, "a1": 1.0}
+        cfg["model"]["window"] = [-1.0, 1.0]
+        message = "jump rate negative at y=-1.0"
+    else:
+        cfg["model"]["marks"].update(
+            density={"family": "affine", "a0": 1.0, "a1": -0.6}, truncations=[3.0]
+        )
+        del cfg["evolution"]["trunc"]
+        message = "mark density negative at z="
+    assert main(["evolve", "--config", _write(tmp_path, cfg)]) == 1
+    assert f"model rejected: InvalidModelError: {message}" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_any_other_package_error_exits_1(tmp_path, capsys, monkeypatch):

@@ -657,6 +657,34 @@ def test_nan_mark_density_is_refused_in_the_build(wobble_model):
         js.AdjointOperator(m, g, js.EvolutionConfig(i=8, trunc=3))
 
 
+def _small_jump_model(gamma=None, density=None, window=(-1.0, 1.0)):
+    h = js.JumpAmplitude(((js.constant(0.05), js.ExpDecay(1.0, 1.0)),))
+    q = js.JumpMeasureSpec((0.0, np.inf), density or js.constant(1.0), (3.0,))
+    return js.CoefficientSet(b=js.constant(0.0), gamma=gamma or js.constant(1.0), h=h,
+                             eta=js.ExpDecay(0.05, 1.0), q=q, k=2, y_window=window)
+
+
+@pytest.mark.parametrize("model, message", [
+    # 0.1 + y on the audit window (-1, 1), and 1 - 0.6 z on the marks (0, 3):
+    # each used to evolve without error
+    (_small_jump_model(gamma=js.Affine(0.1, 1.0)), r"^jump rate negative at y=-1\.0$"),
+    (_small_jump_model(density=js.Affine(1.0, -0.6)), "^mark density negative at z="),
+    # 1 + y holds on the audit window (-0.5, 0.5), not at the grid's nodes below -1
+    (_small_jump_model(gamma=js.Affine(1.0, 1.0), window=(-0.5, 0.5)),
+     r"^jump rate negative at y=-2\.0$"),
+], ids=["rate", "density", "rate-past-the-audit-window"])
+def test_evolve_refuses_a_negative_rate_or_mark_density(model, message):
+    g = js.gaussian_density((-2.0, 2.0), 128, 2, sigma=0.3)
+    with pytest.raises(js.InvalidModelError, match=message):
+        js.evolve(model, g, 0.2, js.EvolutionConfig(i=8))
+
+
+def test_apply_generator_reads_the_mark_density_by_the_same_rule():
+    m = _small_jump_model(density=js.Affine(1.0, -0.6))
+    with pytest.raises(js.InvalidModelError, match="^mark density negative at z="):
+        js.apply_generator(m, np.sin, np.linspace(-1.0, 1.0, 5), js.EvolutionConfig(i=8))
+
+
 def test_nan_drift_is_refused_in_the_build(wobble_model):
     # it used to surface as "could not bracket the pre-image"
     m = dataclasses.replace(wobble_model, b=js.Affine(math.nan, 0.0))
@@ -1044,10 +1072,12 @@ def test_evolve_pinned_on_bench_settings(name):
     assert result.mass_drift == pytest.approx(mass_drift, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("t_end", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("t_end", [-1.0, 0.0, math.nan, math.inf])
 def test_norm_growth_audit_refuses_a_bad_horizon(wobble_model, t_end):
     # an infinite horizon used to warn from np.linspace and come back as a
-    # numerical_failure report; a bad horizon is the caller's error
+    # numerical_failure report, and a zero one, whose checkpoints coincide,
+    # to end in numpy's LinAlgError from the growth fit; a bad horizon is
+    # the caller's error
     g = js.gaussian_density((-8.0, 8.0), 64, order=2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

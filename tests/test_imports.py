@@ -32,3 +32,44 @@ def test_the_scan_finds_an_unread_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_every_top_level_import_is_read(path):
     assert _unread_imports(path.read_text()) == []
+
+
+def _unread_private_names(sources: dict[str, str]) -> list[tuple[str, str, int]]:
+    """(module, name, line) of each top-level private name (one leading
+    underscore: a function, class or assigned name) that a module defines
+    and no module of `sources` reads, as a name or as an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            unread += [(module, name, node.lineno) for name in names
+                       if name.startswith("_") and not name.startswith("__") and name not in read]
+    return sorted(unread)
+
+
+def test_the_scan_finds_an_unread_private_name():
+    sources = {
+        "a.py": "_LIMIT = 3\n_used = 1\n__all__ = []\ndef _dead():\n    return _used\n"
+                "class _Gone:\n    pass\nx: int = _LIMIT\n_y, z = 1, 2\n",
+        "b.py": "from a import _LIMIT\nimport a\na._dead()\n",
+    }
+    assert _unread_private_names(sources) == [("a.py", "_Gone", 6), ("a.py", "_y", 9)]
+
+
+def test_every_top_level_private_name_is_read_in_the_package():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert _unread_private_names(sources) == []

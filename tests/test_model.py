@@ -82,7 +82,6 @@ def test_measure_invalid_specs():
 def test_coefficient_set_validation():
     good = _model(((js.constant(0.1), js.ExpDecay(1.0, 1.0)),), js.ExpDecay(0.2, 1.0))
     assert good.gamma_sup() == 1.0
-    assert good.gamma_inf() == 1.0
     assert good.min_drift_index() == 1
     with pytest.raises(js.ContractError):
         js.CoefficientSet(
@@ -114,9 +113,49 @@ def test_non_finite_drift_and_rate_name_the_state_as_a_float():
         with pytest.raises(js.InvalidModelError) as drift:
             m.b_prime_sup()
         with pytest.raises(js.InvalidModelError) as rate:
-            m.gamma_inf()
+            m.gamma_sup()
     assert str(drift.value) == "drift derivative 1 non-finite at y=0.0"
     assert str(rate.value) == "jump rate non-finite at y=0.0"
+
+
+def test_density_at_names_the_first_mark_that_is_not_finite_or_is_negative():
+    # 1 - 0.6 z is negative past z = 5/3; NaNBeyond adds NaN past its edge
+    def q(density):
+        return js.JumpMeasureSpec((0.0, np.inf), density, (3.0,))
+
+    line = js.Affine(1.0, -0.6)
+    z = np.array([0.0, 1.0, 2.0, 3.0])
+    assert np.array_equal(q(line).density_at(z[:2]), [1.0, 0.4])
+    for edge, message in ((2.5, "negative at z=2.0"), (0.5, "non-finite at z=1.0")):
+        bad = q(js.FunctionSum(line, NaNBeyond(0.0, 1.0, edge=edge)))
+        with pytest.raises(js.InvalidModelError) as err:
+            bad.density_at(z)
+        assert str(err.value) == f"mark density {message}"
+    # the mass and the sampler read the density through the same rule
+    with pytest.raises(js.InvalidModelError, match="^mark density negative at z="):
+        q(line).interval_mass(0.0, 3.0)
+    with pytest.raises(js.InvalidModelError, match="^mark density negative at z="):
+        js.MarkSampler(q(line), (0.0, 3.0))
+    assert q(js.constant(0.0)).interval_mass(0.0, 3.0) == 0.0  # a zero density is legal
+
+
+@pytest.mark.parametrize("audit", ["gamma_sup", "check_A"])
+def test_a_negative_rate_on_the_audit_window_is_refused(audit):
+    # 0.1 + y on (-1, 1): check_A used to pass it and `gamma_sup` to read |gamma|
+    m = _model(((js.constant(0.1), js.ExpDecay(1.0, 1.0)),), js.ExpDecay(0.2, 1.0),
+               window=(-1.0, 1.0), gamma=js.Affine(0.1, 1.0))
+    run = m.gamma_sup if audit == "gamma_sup" else (lambda: js.check_A(m))
+    with pytest.raises(js.InvalidModelError, match=r"^jump rate negative at y=-1\.0$"):
+        run()
+    assert dataclasses.replace(m, gamma=js.constant(0.0)).gamma_sup() == 0.0  # zero stays legal
+
+
+def test_check_A_refuses_a_negative_mark_density():
+    # 1 - 0.6 z on marks (0, 3): check_A used to pass it
+    m = _model(((js.constant(0.1), js.ExpDecay(1.0, 1.0)),), js.ExpDecay(0.2, 1.0),
+               window=(-1.0, 1.0), truncs=(3.0,), density=js.Affine(1.0, -0.6))
+    with pytest.raises(js.InvalidModelError, match="^mark density negative at z="):
+        js.check_A(m)
 
 
 # ---------------------------------------------------------------------------

@@ -291,7 +291,39 @@ def test_a_rate_that_is_not_finite_at_a_landed_candidate_is_refused():
         simulate_module._check_rate_bound(np.array([0.5, np.inf, 9.0]), 1.0)
     with pytest.raises(js.ContractError, match="left the audited window"):
         simulate_module._check_rate_bound(np.array([0.5, 9.0]), 1.0)
-    simulate_module._check_rate_bound(np.array([0.5, 1.0, -np.inf]), 1.0)
+    # -inf passed `gamma <= ubar` and read as no jump
+    with pytest.raises(js.ContractError, match=r"^jump rate is not finite .*: gamma = -inf$"):
+        simulate_module._check_rate_bound(np.array([0.5, 1.0, -np.inf]), 1.0)
+    with pytest.raises(js.ContractError, match=r"^jump rate is negative .*: gamma = -0\.25$"):
+        simulate_module._check_rate_bound(np.array([0.5, -0.25, 9.0]), 1.0)
+    simulate_module._check_rate_bound(np.array([0.0, 0.5, 1.0]), 1.0)
+
+
+def test_a_negative_rate_on_the_audit_window_is_refused_before_any_draw():
+    # 0.1 + y on (-1, 1): the batch used to read the negative rate as zero
+    # (mean jumps 0.0 from x0 = -0.8)
+    m = _thin_model(js.Affine(0.1, 1.0), window=(-1.0, 1.0))
+    with pytest.raises(js.InvalidModelError, match=r"^jump rate negative at y=-1\.0$"):
+        js.simulate_batch(m, -0.8, 1.0, 1, js.RngSpec(1), 64)
+
+
+def test_a_negative_rate_at_a_landed_candidate_is_refused():
+    # 1 - y is positive on the audited (-0.5, 0.5) but -2 at x0 = 3, where a
+    # run used to stop jumping (mean jumps 0.0 over 64 runs to t = 5)
+    m = _thin_model(js.Affine(1.0, -1.0), window=(-0.5, 0.5))
+    message = r"^jump rate is negative at a landed candidate: gamma = -2\.0$"
+    with pytest.raises(js.ContractError, match=message):
+        js.simulate_batch(m, 3.0, 5.0, 1, js.RngSpec(1), 64)
+    with pytest.raises(js.ContractError, match=message):
+        js.simulate_exact(m, 3.0, 5.0, 1, js.RngSpec(1).generator())
+
+
+def test_a_batch_refuses_zero_runs_and_a_filter_without_kernels():
+    m = _thin_model()
+    with pytest.raises(js.ContractError, match=r"^runs must be at least 1, got 0$"):
+        js.simulate_batch(m, 0.0, 1.0, 1, js.RngSpec(1), 0)
+    with pytest.raises(js.ContractError, match="^filtering needs a kernel decomposition$"):
+        js.simulate_batch(m, 0.0, 1.0, 1, js.RngSpec(1), 64, filter_n=2)
 
 
 def _thrown_model():
