@@ -47,9 +47,9 @@ from . import presets
 from .errors import ConfigError, ContractError, JumpsmoothError
 from .model import (
     QUAD_PANELS, CoefficientSet, JumpMeasureSpec, _check_audit_indices, _check_band,
-    _check_drift_index, _check_horizon, _check_kernel_index, _check_n_max, _check_panel_split,
-    _check_runs, _check_theta, _density_grid, _initial_states, _kernel_indices,
-    _require_finite_number, _require_positive,
+    _check_drift_index, _check_flow_step, _check_horizon, _check_kernel_index, _check_n_max,
+    _check_panel_split, _check_runs, _check_theta, _density_grid, _initial_states,
+    _kernel_indices, _require_finite_number, _require_positive,
 )
 
 # family name -> preset class, read off the classes themselves
@@ -194,8 +194,7 @@ class SimulationStanza:
 
     def __post_init__(self):
         _initial_states(self.x0, 1)
-        if self.max_step is not None:
-            _require_positive(self.max_step, "max_step")
+        _check_flow_step(self.max_step, None)  # with `i`: `_check_against_model`, for `simulate`
         _check_horizon(self.t_end)
         _check_runs(self.runs)
 
@@ -273,9 +272,11 @@ def _check_against_model(cfg: ExperimentConfig, command: str | None) -> None:
     command hands to the model and the model refuses, by the rule the library
     applies at run time: the kernel indices (`kernels`, `certify`, a filtered
     `simulate`; the largest at least 2 for `check_B`, and at least two for
-    the `kernels` audit), and the drift surrogate and truncation indices of the
-    `simulation` or `evolution` stanza (`simulate`, `evolve`).  A command of
-    None checks every value."""
+    the `kernels` audit), the drift surrogate and truncation indices of the
+    `simulation` or `evolution` stanza (`simulate`, `evolve`), and a
+    `simulation.max_step` set with `simulation.i` (`simulate`: the
+    drift-poissonized chain has no flow to step).  A command of None checks
+    every value."""
 
     def refuse(key: str, rule, *args) -> None:
         try:
@@ -302,6 +303,8 @@ def _check_against_model(cfg: ExperimentConfig, command: str | None) -> None:
             refuse(f"{stanza}.i", _check_drift_index, coeffs, node.i)
         if node.trunc is not None:
             refuse(f"{stanza}.trunc", coeffs.q.trunc_interval, node.trunc)
+        if node is sim:
+            refuse("simulation.max_step", _check_flow_step, sim.max_step, sim.i)
 
 
 def load_config(path: str, command: str | None = None) -> ExperimentConfig:
@@ -309,13 +312,17 @@ def load_config(path: str, command: str | None = None) -> ExperimentConfig:
     loader where PyYAML was built with it, else the pure-Python one.  The
     stanza values that `command` (a CLI subcommand; None for all of them)
     hands to the model and the model refuses are ConfigErrors here, before
-    any run."""
+    any run, as is a file that is missing, cannot be read or is not UTF-8."""
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        with open(path, "r") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.load(fh, Loader=loader)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:  # a directory, or a file this process may not read
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed YAML in {path}: {exc}") from None
     if not isinstance(raw, dict):

@@ -21,8 +21,8 @@ class ContractError(JumpsmoothError):
 
 
 class InvalidModelError(JumpsmoothError):
-    """A model coefficient outside the model: not finite on an audit grid,
-    or a negative jump rate or mark density."""
+    """A model coefficient outside the model: not finite on an audit grid, a
+    negative mark density, or a jump rate outside [0, its bound] at a state."""
 
 
 class NumericalError(JumpsmoothError):

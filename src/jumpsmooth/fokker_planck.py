@@ -24,21 +24,13 @@ differentiated equation.
 
 Everything state-independent (inverse maps, transfer tables, quadrature and
 interpolation weights) is folded once per grid into `scipy.sparse` CSR
-matrices (imported lazily at the first build): the drift pullback, which
-depends on i, and the jump part J = (T - qmass I) Gamma, which does not and
-pulls back the product gamma g as written above.  Gamma is the Leibniz
-multiply by gamma at the nodes; T interpolates at the pre-images, with the
-coefficients (delta_lr + alpha[l, r]) times the mark weights.  T is built a
-block of nodes at a time, each block's pre-images at every mark from one
-call, and its stencils merged by one sparse product: a stencil matrix with
-one column of 4 cubic weights per (node, mark) pair, times the (pair, block)
-coefficient matrix; for h = A(z) only the edge rows and one interior row are
-built so, and that row is tiled over the interior.  A time step is one CSR
-product per factor.
-`norm_growth_audit` builds the jump part once and derives its 2 i operator
-with `AdjointOperator.with_drift_index`.
-`evolve` repeats the run at half the step on the same map to estimate its
-own time-discretisation error.
+matrices (`AdjointOperator`): the drift pullback, which depends on i, and
+the jump part J = (T - qmass I) Gamma, which does not and pulls back the
+product gamma g as written above.  Gamma reads the rate at the grid nodes,
+which can reach past the model's audit window, so the build puts those
+rates to the model's reach rule, `CoefficientSet.check_rate`.  A time step
+is one CSR product per factor.  `evolve` repeats the run at half the step on
+the same map to estimate its own time-discretisation error.
 """
 
 from __future__ import annotations
@@ -61,8 +53,7 @@ from .errors import (
 )
 from .model import (
     QUAD_PANELS, CoefficientSet, _check_drift_index, _check_horizon, _density_grid,
-    _require_finite, _require_finite_number, _require_int, _require_nonnegative,
-    _require_positive, gauss_panels,
+    _require_finite, _require_finite_number, _require_int, _require_positive, gauss_panels,
 )
 from .presets import Function1D, GaussBump, _check_order
 
@@ -265,8 +256,15 @@ class AdjointOperator:
         self.qmass = float(np.sum(wq))
         self.gamma_sup = coeffs.gamma_sup()
         self.escape_fraction = 0.0
-        jumps = self.qmass > 0.0 and self.gamma_sup > 0.0
+        # the rate stack at the nodes, which can reach past the audit window:
+        # its row 0 under the model's reach rule, and no jump part where it is 0
+        self._rates = coeffs.gamma.stack(self.grid, self.k)
+        jumps = self.qmass > 0.0 and np.any(coeffs.check_rate(self.grid, self._rates[0]) > 0.0)
         self.jump, self.rate = self._jump_part(z, wq) if jumps else (self._csr([]),) * 2
+        if coeffs.b.is_zero:
+            # built after the jump part's first solve, so that a model the
+            # solve refuses fails before scipy loads
+            self.drift = self._csr([])
 
     def with_drift_index(self, i: int) -> "AdjointOperator":
         """The operator at drift surrogate index i on the same grid and marks.
@@ -276,13 +274,13 @@ class AdjointOperator:
         return op
 
     def _set_drift(self, cfg: EvolutionConfig) -> None:
-        """Drift pullback i [g(tau_i) tau_i' - g], skipped for a zero drift."""
+        """Drift pullback i [g(tau_i) tau_i' - g]; for a zero drift only its
+        index is checked (the constructor builds the empty part)."""
         self.cfg = cfg
         self.i = cfg.i
         if self.coeffs.b.is_zero:
             # transfer_beta_grid checks the index of a nonzero drift
             _check_drift_index(self.coeffs, self.i)
-            self.drift = self._csr([])
             return
         k, n = self.k, self.size
         for l, row in enumerate(self.coeffs.b.stack(self.grid, k + 1)):
@@ -302,13 +300,9 @@ class AdjointOperator:
         mark from one `transfer_alpha_grid` call, then Gamma on the grid.
         For h = A(z) only the edge rows and one interior reference row are
         built so (`_edge_rows`); the reference row, shifted along the
-        diagonal, gives every other interior row.  The rate's rule
-        (`CoefficientSet.gamma_sup`) holds on the audit window only, and the
-        grid can reach past it, so the rate stack's row 0 is checked at the
-        nodes by the same rule first."""
+        diagonal, gives every other interior row.  Gamma takes the rate
+        stack that the constructor checked."""
         coeffs, grid, k, n = self.coeffs, self.grid, self.k, self.size
-        rate = coeffs.gamma.stack(grid, k)
-        _require_nonnegative(rate[0], "jump rate", y=grid)
         escape = np.zeros(n)
         first = slice(0, min(JUMP_BLOCK_NODES, n))
         solved = transfer_alpha_grid(coeffs, grid[first], z, k)
@@ -361,7 +355,7 @@ class AdjointOperator:
         parts.append((diag, diag, np.full(size, -self.qmass)))
         # Gamma: (gamma g)^(l) = sum_r C(l, r) gamma^(l - r) g^(r) at the nodes
         nodes = np.arange(n)
-        terms = _leibniz_terms(rate)
+        terms = _leibniz_terms(self._rates)
         return self._csr(parts, size), self._csr(
             [(l * n + nodes, r * n + nodes, terms[l][r]) for l, r in _block_pairs(k)])
 

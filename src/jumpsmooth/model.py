@@ -58,6 +58,10 @@ SLOPE_TOL = 1e-8
 # (`EvolutionConfig.quad_nodes` nodes in all).
 QUAD_PANELS = 8
 
+# The jump rate's reach: at every state an engine reads, the rate lies in
+# [0, RATE_MARGIN * gamma_sup], the thinning bound (`CoefficientSet.rate_bound`).
+RATE_MARGIN = 1.05
+
 
 @functools.lru_cache(maxsize=None)
 def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -252,11 +256,23 @@ class CoefficientSet(Described):
         return self._grid_sup(self.b, 1, "drift")
 
     def gamma_sup(self) -> float:
-        """The largest jump rate on the audit grid, under the one rule of the
-        rate, a Poisson intensity: InvalidModelError naming the first state
-        where gamma is not finite or is negative.  A zero rate is legal."""
+        """The largest jump rate on the audit grid, where it must be finite
+        and >= 0 (InvalidModelError naming the first state where it is not;
+        a zero rate is legal): the anchor of `rate_bound`."""
         grid = self.y_audit_grid()
         return float(np.max(_require_nonnegative(self.gamma.value(grid), "jump rate", y=grid)))
+
+    def rate_bound(self) -> float:
+        """RATE_MARGIN * `gamma_sup`: the thinning bound, and the top of `check_rate`."""
+        return RATE_MARGIN * self.gamma_sup()
+
+    def check_rate(self, y, gam=None) -> np.ndarray:
+        """The jump rate at the states y (`gam`, its values there, where the
+        caller has them) under the one reach rule of every state an engine
+        reads: InvalidModelError naming the first state (C order) where it
+        is not finite, is negative or is above `rate_bound`."""
+        gam = self.gamma.value(y) if gam is None else gam
+        return _require_nonnegative(gam, "jump rate", upper=self.rate_bound(), y=y)
 
     def min_drift_index(self) -> int:
         """Smallest admissible drift surrogate index i0 = 2 sup|b'| (>= 1),
@@ -451,6 +467,17 @@ def _check_drift_index(coeffs: CoefficientSet, i: int) -> None:
         raise ContractError(f"drift surrogate index i={i} below i0={i0} (2 sup|b'|, at least 1)")
 
 
+def _check_flow_step(max_step: float | None, i: int | None) -> None:
+    """ContractError unless the drift flow's RK4 step `max_step` is None, or
+    is positive and finite on the exact flow (`i` None): the one step rule
+    of the simulator and the `simulation` stanza."""
+    if max_step is not None and i is not None:
+        raise ContractError(f"max_step={max_step!r} is the drift flow's RK4 step, "
+                            f"and the drift-poissonized chain (i={i}) has no flow")
+    if max_step is not None:
+        _require_positive(max_step, "max_step")
+
+
 # The rules below are the engines' own, kept here with the other setting
 # checks so that `config` applies them to its stanzas without importing an
 # engine.
@@ -565,23 +592,26 @@ def _require_finite(vals, tag: str, **points) -> None:
     _refuse_at(np.isfinite(vals), vals, tag, points)
 
 
-def _require_nonnegative(vals, tag: str, **points) -> np.ndarray:
+def _require_nonnegative(vals, tag: str, upper: float = math.inf, **points) -> np.ndarray:
     """`vals` as floats; InvalidModelError, named as by `_require_finite`,
-    at the first point (C order) where they are not finite or are negative:
-    the rule of a density or an intensity (`JumpMeasureSpec.density_at`,
-    `CoefficientSet.gamma_sup`)."""
+    at the first point (C order) where they are not finite, are negative or
+    are above `upper`: the rule of a density or an intensity
+    (`JumpMeasureSpec.density_at`, `CoefficientSet.check_rate`)."""
     vals = np.asarray(vals, dtype=float)
-    _refuse_at(np.isfinite(vals) & (vals >= 0.0), vals, tag, points)
+    _refuse_at(np.isfinite(vals) & (vals >= 0.0) & (vals <= upper), vals, tag, points, upper)
     return vals
 
 
-def _refuse_at(ok: np.ndarray, vals: np.ndarray, tag: str, points: dict) -> None:
+def _refuse_at(ok: np.ndarray, vals: np.ndarray, tag: str, points: dict, upper=math.inf) -> None:
     """InvalidModelError at the first point (C order) where `ok` is false:
-    "`tag` non-finite at y=..." or "`tag` negative at y=..."."""
+    "`tag` non-finite at y=...", "`tag` negative at y=..." or "`tag` above
+    its bound `upper` at y=..."."""
     if not ok.all():
         ok, vals, *coords = np.broadcast_arrays(ok, vals, *points.values())
         at = int(np.argmin(ok))
-        what = "non-finite" if not np.isfinite(vals.flat[at]) else "negative"
+        val = vals.flat[at]
+        what = ("non-finite" if not np.isfinite(val) else "negative" if val < 0.0
+                else f"above its bound {upper!r}")
         where = ", ".join(f"{name}={float(c.flat[at])!r}" for name, c in zip(points, coords))
         raise InvalidModelError(f"{tag} {what} at {where}")
 

@@ -1,48 +1,30 @@
 """Pathwise simulation of the jumping dynamics by thinning.
 
-One engine, `_thinning`, draws and classifies every candidate
-(thinning as in Lewis & Shedler 1979 and Ogata 1981).  Candidates arrive as
-a Poisson stream with intensity ubar * q(G), for ubar a constant bound on the
-state-dependent rate and G the mark window.  Each carries a mark z ~ q|_G, a
-rate variable u uniform on (0, ubar) and a filter variable v uniform on
-(0, 1), and becomes a jump when u <= gamma(X-).  v is drawn whether or not a
-filtered kernel is checked, so filtered and plain runs can be coupled.
-Between candidates the state follows the drift flow: each run takes
-ceil(segment / step) equal classical RK4 steps on each of its segments, so
-its steps depend on that run alone.  The step is resolved once per entry
-point.  An explicit `max_step` (positive and finite) is the step, the fixed
-rule of earlier releases.  By default (`max_step=None`) it is `flow_step`:
-the largest step whose RK4 error bound per unit time is at most FLOW_TOL,
-from the drift's sup bounds on the audit window.  The error model: the
-leading local error of one RK4 step on x' = b(x) is h^5 times a polynomial
-in b, ..., b'''' (`_RK4_ERROR_TERMS`), so the error per unit time is about
-C(b) h^4; for x' = -L x on |x| <= X it is X L (hL)^4 / 120 (Hairer, Norsett
-& Wanner, Solving ODEs I, II.1-3).  The budget is per unit time, so the step
-does not depend on the horizon.  A zero drift and the poissonized chain have
-no flow and never evaluate the rule.  The drift-poissonized chain, whose
-density evolution the adjoint solver mirrors, replaces the flow with kicks
-b(X)/i at rate i.
+One engine, `_thinning`, draws and classifies every candidate (thinning as
+in Lewis & Shedler 1979 and Ogata 1981).  Candidates arrive as a Poisson
+stream with intensity ubar * q(G), for G the mark window and ubar the
+model's thinning bound, `CoefficientSet.rate_bound`.  Thinning is exact only
+while the state-dependent rate stays in [0, ubar], so the engine puts every
+rate it reads to the model's reach rule, `CoefficientSet.check_rate`.  Each
+candidate carries a mark z ~ q|_G, a rate variable u uniform on (0, ubar)
+and a filter variable v uniform on (0, 1), and becomes a jump when
+u <= gamma(X-).  v is drawn whether or not a filtered kernel is checked, so
+filtered and plain runs can be coupled.  Between candidates the state
+follows the drift flow in classical RK4 steps (`_resolve_step`); the
+drift-poissonized chain, whose density evolution the adjoint solver
+mirrors, replaces the flow with kicks b(X)/i at rate i.
 
 Random streams fan out into 32 PCG64DXSM substreams per (seed, stream) pair,
 one per chunk of a batch's runs.  The engine advances a group of chunks in
 lockstep, one candidate round at a time, each chunk drawing from its own
 substream in a fixed order, so batch output is byte-identical for any
-grouping of the chunks and any thread count.  A batch hands the engine its
-chunks in groups of at most GROUP_RUNS runs, so the engine's memory is
-bounded by the group, not the batch.  The engine keeps state for the alive
-runs only, so a round costs time and memory in proportion to the runs still
-going, and it inverts the marks through a guide table over the mark CDF
-that reproduces `np.interp` bit for bit.  A round's draws go straight into
-one buffer made once per group; the mark inversion, the jump map, the filter
-ratio and the blow-up check run at the accepted candidates only, the
-compaction only in rounds where some candidate fell past the horizon, and
-each run's jump count rides in its alive state.
+grouping of the chunks and any thread count (`simulate_batch`).
 `simulate_exact`, `simulate_poissonized` and `sample_tau_n` are batches of
 one on the caller's generator: the coupling between single paths and
-batches holds by construction.  Batches and single paths need a finite
-horizon (`model._check_horizon`, the one horizon rule);
-`sample_tau_n` may wait without one for its first kept jump.  Every entry
-point checks its starts by one rule, `model._initial_states`, before any draw.
+batches holds by construction.  Every entry point checks its horizon
+(`model._check_horizon`) and its starts (`model._initial_states`) before any
+draw; only `sample_tau_n` may wait without a finite horizon, for its first
+kept jump.
 """
 
 from __future__ import annotations
@@ -61,8 +43,8 @@ from .errors import (
 from .fokker_planck import GridDensity, _cumulative_trapezoid
 from .kernels import KernelDecomposition
 from .model import (
-    BLOW_UP, CoefficientSet, _check_drift_index, _check_horizon, _check_runs, _density_grid,
-    _initial_states, _require_int, _require_positive,
+    BLOW_UP, CoefficientSet, _check_drift_index, _check_flow_step, _check_horizon, _check_runs,
+    _density_grid, _initial_states, _require_int,
 )
 from .presets import _check_order
 
@@ -224,31 +206,13 @@ class RegularizingJumpRecord:
     mark: float
 
 
-def _rate_bound(coeffs: CoefficientSet) -> float:
-    # zero is allowed: the jump stream is empty and paths are pure drift
-    return 1.05 * coeffs.gamma_sup()
-
-
-def _check_rate_bound(gam_pre, ubar: float) -> None:
-    """ContractError unless every rate at the landed candidates lies in
-    [0, ubar]: the rule of `gamma_sup` at states the audit grid did not
-    cover, naming the first rate that is not finite, else the first that
-    is negative, else the bound."""
-    gam = np.asarray(gam_pre)
-    bad = gam[~((0.0 <= gam) & (gam <= ubar))]  # a NaN rate fails both
-    if bad.size == 0:
-        return
-    for what, worst in (("not finite", bad[~np.isfinite(bad)]), ("negative", bad[bad < 0.0])):
-        if worst.size:
-            raise ContractError(f"jump rate is {what} at a landed candidate: gamma = {worst[0]}")
-    raise ContractError("state left the audited window: jump rate exceeded the thinning bound")
-
-
 def flow_step(coeffs: CoefficientSet) -> float:
     """The default RK4 step of the drift flow: the largest h with
     C(b) h^4 <= FLOW_TOL, for C(b) the bound on the h^5 term of RK4's local
-    error (`_RK4_ERROR_TERMS`) with each derivative of b replaced by its sup
-    M_d on the audit grid.
+    error (`_RK4_ERROR_TERMS`; Hairer, Norsett & Wanner, Solving ODEs I,
+    II.1-3) with each derivative of b replaced by its sup M_d on the audit
+    grid.  The budget is per unit time, so the step does not depend on the
+    horizon.
 
     Orders d up to D = min(4, b.smooth_order) are read off the drift's exact
     derivatives.  Orders above D (a `tabulated` or `smoothstep_bump` drift)
@@ -279,10 +243,12 @@ def flow_step(coeffs: CoefficientSet) -> float:
 
 def _resolve_step(coeffs: CoefficientSet, max_step: float | None, i: int | None) -> float | None:
     """One entry point's RK4 step: an explicit `max_step`, which must be
-    positive and finite, else `flow_step`; None where nothing flows (a zero
-    drift, or the poissonized chain `i`), which never evaluates the rule."""
+    positive and finite and is refused on the poissonized chain `i`
+    (`model._check_flow_step`), else `flow_step`; None where nothing flows
+    (a zero drift, or the poissonized chain), which never evaluates the
+    rule."""
+    _check_flow_step(max_step, i)
     if max_step is not None:
-        _require_positive(max_step, "max_step")
         return max_step
     if i is not None or coeffs.b.is_zero:
         return None
@@ -331,7 +297,7 @@ def _candidate_frame(coeffs: CoefficientSet, trunc: int, couple_top: int | None)
     sample_from = active if couple_top is None else coeffs.q.trunc_interval(couple_top)
     if couple_top is not None and couple_top < trunc:
         raise ContractError("coupling window must contain the active truncation")
-    ubar = _rate_bound(coeffs)
+    ubar = coeffs.rate_bound()  # zero: no jump stream, pure drift
     if ubar == 0.0:
         return None, active, 0.0, 0.0
     sampler = MarkSampler(coeffs.q, sample_from)
@@ -413,11 +379,12 @@ def _thinning(
     ones by `_initial_states`).  Marks are inverted at the accepted
     candidates only; an accepted mark outside the active window (a wider
     coupling window's) is a skip.  A zero rate has no sampler and accepts
-    nothing.  The rate bound is read as the round's largest and smallest
-    rates first, and by landing only when one is outside [0, ubar] or NaN; a
-    landed candidate whose rate is not finite or is negative is refused, as
-    one above ubar is.  A round in which every candidate landed skips the
-    compaction.  After the states are updated,
+    nothing.  The round's largest and smallest rates are tested against
+    [0, ubar] first; only when one fails (or is NaN) does the model's reach
+    rule, `CoefficientSet.check_rate`, read the landed candidates.  With a
+    zero bound the exact flow is one drift segment, and the rule reads its
+    start and end states.  A round in which every candidate landed skips
+    the compaction.  After the states are updated,
     `on_round` (if not None) gets the round's `_Round` (a callback, so no
     round's arrays outlive the next round's); a true return stops the
     engine, and its draws, there.  Compaction only moves values, it never
@@ -428,7 +395,9 @@ def _thinning(
     m = x.size
     jumps = np.zeros(m, dtype=np.int64)
     if lam == 0.0 and i is None:  # no jumps, no kicks: one drift segment
+        coeffs.check_rate(x)
         x[:] = _drift_flow_batch(coeffs, x, np.full(m, t_end), step)
+        coeffs.check_rate(x)
         return jumps
     offsets = np.cumsum([0] + list(sizes))
     total = lam if i is None else float(i) + lam
@@ -466,7 +435,7 @@ def _thinning(
             pre = _drift_flow_batch(coeffs, xs, np.minimum(t_next, t_end) - t, step)
         gam = np.asarray(coeffs.gamma.value(pre), dtype=float)
         if not (gam.max() <= ubar and gam.min() >= 0.0):  # rare: did a landed one break it?
-            _check_rate_bound(gam[landed], ubar)
+            coeffs.check_rate(pre[landed], gam[landed])
         acc = u <= gam if sampler is not None else np.zeros(n, dtype=bool)  # no marks, no jumps
         acc &= landed
         if i is None:
@@ -669,9 +638,9 @@ def simulate_batch(
     the drift-poissonized chain, None for the exact flow.  When `filter_n`
     is given, `tau` holds the first time each run's jumps passed the n-th
     filtered kernel (inf if none did).  `t_end` must be finite.  `max_step`
-    is the exact flow's RK4 step: each run takes ceil(segment / max_step)
-    equal steps per segment; None (the default) derives the step from
-    FLOW_TOL and the drift's bounds (`flow_step`), once per batch.
+    is the exact flow's RK4 step, refused with `i`: each run takes
+    ceil(segment / max_step) equal steps per segment; None (the default)
+    derives it from FLOW_TOL and the drift's bounds (`flow_step`), once.
 
     The 32 chunks go to the engine in contiguous groups of at most
     GROUP_RUNS runs (or one chunk, where a chunk holds more), and at least

@@ -85,6 +85,29 @@ def wobble_model():
     )
 
 
+def _readme_jumps(gamma, window):
+    """The README model's amplitude and marks, with zero drift, the rate
+    `gamma` and the audit window `window`."""
+    h = js.JumpAmplitude(((js.constant(0.4), js.ExpDecay(1.0, 1.0)),))
+    q = js.JumpMeasureSpec((0.0, np.inf), js.constant(1.0), (2.0, 4.0, 6.0))
+    return js.CoefficientSet(b=js.constant(0.0), gamma=gamma, h=h, eta=js.ExpDecay(0.4, 1.0),
+                             q=q, k=2, y_window=window)
+
+
+@pytest.fixture(scope="session")
+def reach_model():
+    """Rate 1 + y / 2 audited on (-1, 1): gamma_sup 1.5 and the bound 1.575,
+    but the rate is 4 at y = 6, where the runs of the reach tests start."""
+    return _readme_jumps(js.Affine(1.0, 0.5), (-1.0, 1.0))
+
+
+@pytest.fixture(scope="session")
+def off_window_rate_model():
+    """A rate that is 0 on the audit window (-0.5, 0.5) and 1 on [1, 5): its
+    bound is 0, and the runs of its tests start at y = 2."""
+    return _readme_jumps(js.Indicator(1.0, 5.0, 1.0), (-0.5, 0.5))
+
+
 @pytest.fixture(scope="session")
 def ripple_model():
     """Second smooth k=2 model: power-law displacement, y-modulated."""

@@ -118,6 +118,22 @@ def test_malformed_or_missing_config_exits_2(tmp_path, capsys):
     assert main(["check", "--config", _write(tmp_path, cfg, "badfield.yaml")]) == 2
 
 
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_an_unreadable_config_exits_2_with_no_output(tmp_path, capsys, kind):
+    # each used to end in a traceback (IsADirectoryError, UnicodeDecodeError)
+    # and exit 1
+    path = tmp_path / "exp.yaml"
+    if kind == "directory":
+        path.mkdir()
+        message = f"config error: cannot read config file {path}: Is a directory"
+    else:
+        path.write_bytes(yaml.safe_dump(_base_config(tmp_path / "out")).encode() + b"# \xff\n")
+        message = f"config error: config file {path} is not UTF-8: 'utf-8' codec can't decode byte 0xff"
+    assert main(["check", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("key, value", [("audit_points", 241), ("c0_tol", 1e-8)])
 def test_a_retired_audit_setting_is_an_unknown_key(tmp_path, capsys, key, value):
     # the audit resolution is fixed: the model stanza has no key for it
@@ -195,6 +211,21 @@ def test_simulate_honours_max_step(tmp_path):
     default = (tmp_path / "a" / "terminal.txt").read_bytes()
     assert (tmp_path / "b" / "terminal.txt").read_bytes() == default
     assert (tmp_path / "c" / "terminal.txt").read_bytes() != default
+
+
+def test_max_step_with_the_drift_poissonized_chain_exits_2(tmp_path, capsys):
+    # the chain has no flow: `simulate` used to ignore the step, byte for byte
+    cfg = _base_config(tmp_path / "out")
+    cfg["simulation"].update(i=8, max_step=1e-6)
+    path = _write(tmp_path, cfg)
+    assert main(["simulate", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: simulation.max_step: max_step=1e-06 is the drift flow's RK4 step")
+    with pytest.raises(ConfigError, match="^simulation.max_step: "):
+        load_config(path)
+    # `certify` runs the exact flow, which reads the step
+    assert load_config(path, "certify").simulation.max_step == 1e-6
+    assert not (tmp_path / "out").exists()
 
 
 def test_nonpositive_max_step_or_threads_exit_2(tmp_path, capsys):
@@ -338,6 +369,19 @@ def test_evolve_on_a_negative_rate_or_mark_density_exits_1_with_no_output(
         message = "mark density negative at z="
     assert main(["evolve", "--config", _write(tmp_path, cfg)]) == 1
     assert f"model rejected: InvalidModelError: {message}" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_evolve_with_a_rate_past_its_bound_on_the_grid_exits_1_with_no_output(tmp_path, capsys):
+    # rate 1 + y / 2 audited on (-1, 1) reaches 7 on the grid: `evolve` used
+    # to exit 0 at t = 0.3, at 2.3x Euler's true step budget
+    cfg = _base_config(tmp_path / "out")
+    cfg["model"].update(drift=0.0, rate={"family": "affine", "a0": 1.0, "a1": 0.5},
+                        window=[-1.0, 1.0])
+    cfg["evolution"].update(window=[-0.15, 12.0], nodes=1024, initial_mean=6.0)
+    assert main(["evolve", "--config", _write(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("model rejected: InvalidModelError: jump rate above its bound 1.575")
     assert list((tmp_path / "out").iterdir()) == []
 
 
@@ -774,6 +818,15 @@ def test_check_and_evolve_import_only_their_engines(tmp_path):
     loaded = _fresh_modules(run.format("evolve", path))
     assert "fokker_planck" in loaded
     assert not {"simulate", "diagnostics"} & set(loaded)
+
+
+def test_a_failing_collapse_evolve_exits_before_scipy_loads(tmp_path):
+    # its first pre-image solve fails; the zero drift's empty part used to
+    # load scipy.sparse before it
+    run = "from jumpsmooth.cli import main\nassert main(['evolve', '--config', {!r}, '--out', {!r}]) == 3"
+    loaded = _fresh_modules(run.format(str(bench_workload("collapse")), str(tmp_path)))
+    assert "fokker_planck" in loaded
+    assert not [m for m in loaded if m.startswith("scipy")]
 
 
 @pytest.mark.parametrize("config", ["exp.yaml", "wobble.yaml"])

@@ -679,6 +679,24 @@ def test_evolve_refuses_a_negative_rate_or_mark_density(model, message):
         js.evolve(model, g, 0.2, js.EvolutionConfig(i=8))
 
 
+@pytest.mark.parametrize("t_end", [0.3, 2.0])
+def test_evolve_refuses_a_rate_past_its_bound_at_a_node(reach_model, t_end):
+    # 1 + y / 2 reaches 7 on the grid, past its bound 1.575: to t = 0.3 the
+    # run returned without a warning, at 2.3x Euler's true step budget, and
+    # to t = 2 it failed at t = 0.98 with a MassConservationError
+    g = js.gaussian_density((-0.15, 12.0), 1024, 2, mean=6.0)
+    with pytest.raises(js.InvalidModelError, match=r"^jump rate above its bound 1\.575\d* at y=1\.1"):
+        js.evolve(reach_model, g, t_end, js.EvolutionConfig(i=8, trunc=2))
+
+
+def test_evolve_reads_a_rate_that_is_zero_on_the_audit_window(off_window_rate_model):
+    # gamma_sup is 0, so no jump part was built, and the density near y = 2,
+    # where the rate is 1, came back unchanged
+    g = js.gaussian_density((-2.0, 6.0), 256, 2, mean=2.0)
+    with pytest.raises(js.InvalidModelError, match=r"^jump rate above its bound 0\.0 at y=1\.0"):
+        js.evolve(off_window_rate_model, g, 0.5, js.EvolutionConfig(i=8, trunc=2))
+
+
 def test_apply_generator_reads_the_mark_density_by_the_same_rule():
     m = _small_jump_model(density=js.Affine(1.0, -0.6))
     with pytest.raises(js.InvalidModelError, match="^mark density negative at z="):

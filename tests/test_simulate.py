@@ -269,7 +269,7 @@ def test_rate_bound_breach_is_detected():
         js.constant(0.1), js.FunctionProduct(js.Affine(0.0, 1.0), js.Affine(0.0, 1.0))
     )  # 0.1 + y^2, audited only on (-1, 1)
     m = _thin_model(rate, amp=0.0, trunc=(4.0,), window=(-1.0, 1.0))
-    with pytest.raises(js.ContractError, match="bound"):
+    with pytest.raises(js.InvalidModelError, match=r"^jump rate above its bound .* at y=3\.0$"):
         js.simulate_exact(m, 3.0, 5.0, 1, js.RngSpec(3).generator())
 
 
@@ -278,25 +278,28 @@ def test_a_rate_that_is_not_finite_at_a_landed_candidate_is_refused():
     # rate passed the bound check, accepted no candidate and left every path
     # unmoved
     m = _thin_model(js.InversePower(1.0, 1.5), window=(0.0, 8.0))
-    message = "^jump rate is not finite at a landed candidate: gamma = nan$"
+    message = r"^jump rate non-finite at y=-3\.0$"
     with np.errstate(invalid="ignore"):
-        with pytest.raises(js.ContractError, match=message):
+        with pytest.raises(js.InvalidModelError, match=message):
             js.simulate_batch(m, -3.0, 1.0, 1, js.RngSpec(1), 64)
-        with pytest.raises(js.ContractError, match=message):
+        with pytest.raises(js.InvalidModelError, match=message):
             js.simulate_exact(m, -3.0, 1.0, 1, js.RngSpec(1).generator())
         # a candidate that did not land has not met the rate
         out = js.simulate_batch(m, -3.0, 1e-9, 1, js.RngSpec(1), 64)
     assert np.all(out["terminal"] == -3.0) and not out["jumps"].any()
-    with pytest.raises(js.ContractError, match=r"^jump rate is not finite .*: gamma = inf$"):
-        simulate_module._check_rate_bound(np.array([0.5, np.inf, 9.0]), 1.0)
-    with pytest.raises(js.ContractError, match="left the audited window"):
-        simulate_module._check_rate_bound(np.array([0.5, 9.0]), 1.0)
+    # the model's reach rule, on rates the caller already holds: gamma_sup is
+    # 1 at y = 0, so the bound is 1.05
+    y = np.array([0.0, 1.0, 2.0])
+    with pytest.raises(js.InvalidModelError, match=r"^jump rate non-finite at y=1\.0$"):
+        m.check_rate(y, np.array([0.5, np.inf, 9.0]))
+    with pytest.raises(js.InvalidModelError, match=r"^jump rate above its bound 1\.05 at y=1\.0$"):
+        m.check_rate(y[:2], np.array([0.5, 9.0]))
     # -inf passed `gamma <= ubar` and read as no jump
-    with pytest.raises(js.ContractError, match=r"^jump rate is not finite .*: gamma = -inf$"):
-        simulate_module._check_rate_bound(np.array([0.5, 1.0, -np.inf]), 1.0)
-    with pytest.raises(js.ContractError, match=r"^jump rate is negative .*: gamma = -0\.25$"):
-        simulate_module._check_rate_bound(np.array([0.5, -0.25, 9.0]), 1.0)
-    simulate_module._check_rate_bound(np.array([0.0, 0.5, 1.0]), 1.0)
+    with pytest.raises(js.InvalidModelError, match=r"^jump rate non-finite at y=2\.0$"):
+        m.check_rate(y, np.array([0.5, 1.0, -np.inf]))
+    with pytest.raises(js.InvalidModelError, match=r"^jump rate negative at y=1\.0$"):
+        m.check_rate(y, np.array([0.5, -0.25, 9.0]))
+    assert m.check_rate(y, np.array([0.0, 0.5, 1.05])).tolist() == [0.0, 0.5, 1.05]
 
 
 def test_a_negative_rate_on_the_audit_window_is_refused_before_any_draw():
@@ -311,11 +314,44 @@ def test_a_negative_rate_at_a_landed_candidate_is_refused():
     # 1 - y is positive on the audited (-0.5, 0.5) but -2 at x0 = 3, where a
     # run used to stop jumping (mean jumps 0.0 over 64 runs to t = 5)
     m = _thin_model(js.Affine(1.0, -1.0), window=(-0.5, 0.5))
-    message = r"^jump rate is negative at a landed candidate: gamma = -2\.0$"
-    with pytest.raises(js.ContractError, match=message):
+    message = r"^jump rate negative at y=3\.0$"
+    with pytest.raises(js.InvalidModelError, match=message):
         js.simulate_batch(m, 3.0, 5.0, 1, js.RngSpec(1), 64)
-    with pytest.raises(js.ContractError, match=message):
+    with pytest.raises(js.InvalidModelError, match=message):
         js.simulate_exact(m, 3.0, 5.0, 1, js.RngSpec(1).generator())
+
+
+def test_a_rate_past_its_bound_at_the_start_is_refused_before_any_output(reach_model):
+    # 1 + y / 2 is 4 at x0 = 6, past its bound 1.575: the batch used to refuse
+    # it with ContractError, as the evolution did not
+    message = r"^jump rate above its bound 1\.575\d* at y=6\.0$"
+    with pytest.raises(js.InvalidModelError, match=message):
+        js.simulate_batch(reach_model, 6.0, 0.3, 2, js.RngSpec(1), 64)
+    with pytest.raises(js.InvalidModelError, match=message):
+        js.simulate_batch(reach_model, 6.0, 0.3, 2, js.RngSpec(1), 64, i=8)
+
+
+def test_a_rate_zero_on_the_audit_window_is_read_where_the_runs_are(off_window_rate_model):
+    # the rate is 1 at x0 = 2 and its bound is 0: one drift segment used to
+    # leave every run unjumped (mean jumps 0.0) without reading the rate
+    m, message = off_window_rate_model, r"^jump rate above its bound 0\.0 at y=2\.0$"
+    with pytest.raises(js.InvalidModelError, match=message):
+        js.simulate_batch(m, 2.0, 5.0, 1, js.RngSpec(1), 64)
+    with pytest.raises(js.InvalidModelError, match=message):
+        js.simulate_exact(m, 2.0, 5.0, 1, js.RngSpec(1).generator())
+    with pytest.raises(js.InvalidModelError, match=message):
+        js.simulate_poissonized(m, 2.0, 5.0, 8, 1, js.RngSpec(1).generator())
+    # the end state is read too: a drift from 0 to 1.5 meets the rate there
+    drifting = dataclasses.replace(m, b=js.constant(0.75))
+    with pytest.raises(js.InvalidModelError, match=r"^jump rate above its bound 0\.0 at y=1\.5$"):
+        js.simulate_batch(drifting, 0.0, 2.0, 1, js.RngSpec(1), 4)
+    assert np.all(js.simulate_batch(drifting, 0.0, 1.0, 1, js.RngSpec(1), 4)["terminal"] == 0.75)
+
+
+def test_max_step_is_refused_on_the_drift_poissonized_chain(wobble_model):
+    # the chain has no flow: a set step used to be ignored, byte for byte
+    with pytest.raises(js.ContractError, match=r"^max_step=1e-06 is the drift flow's RK4 step"):
+        js.simulate_batch(wobble_model, 0.0, 0.1, 1, js.RngSpec(1), 8, i=8, max_step=1e-6)
 
 
 def test_a_batch_refuses_zero_runs_and_a_filter_without_kernels():
@@ -337,27 +373,28 @@ def _thrown_model():
 
 def test_jumps_out_of_the_window_break_the_rate_bound(monkeypatch):
     m = _thrown_model()
-    real, checked = simulate_module._check_rate_bound, []
+    real, checked = js.CoefficientSet.check_rate, []
 
-    def spy(gam, ubar):
-        checked.append(np.size(gam))
-        real(gam, ubar)
+    def spy(self, y, gam=None):
+        checked.append(np.size(y))
+        return real(self, y, gam)
 
-    monkeypatch.setattr(simulate_module, "_check_rate_bound", spy)
+    monkeypatch.setattr(js.CoefficientSet, "check_rate", spy)
+    above = "^jump rate above its bound " + re.escape(repr(m.rate_bound())) + " at y="
     # no run reaches t = 1000 before its first jump: every round is one in
     # which all candidates landed, and all 64 runs are still alive
-    with pytest.raises(js.ContractError, match="left the audited window"):
+    with pytest.raises(js.InvalidModelError, match=above):
         js.simulate_batch(m, 0.0, 1000.0, 1, js.RngSpec(4), 64)
     assert checked == [64]
     # at t_end = 1 the runs thrown out meet the bound while others finish
-    with pytest.raises(js.ContractError, match="left the audited window"):
+    with pytest.raises(js.InvalidModelError, match=above):
         js.simulate_batch(m, 0.0, 1.0, 1, js.RngSpec(4), 64)
-    with pytest.raises(js.ContractError, match="left the audited window"):
+    with pytest.raises(js.InvalidModelError, match=above):
         js.simulate_exact(m, 0.0, 1000.0, 1, js.RngSpec(4).generator())
     # from outside the window at t_end = 0.5 about half the first candidates
     # land: the round has finished runs, and only the landed ones are checked
     checked.clear()
-    with pytest.raises(js.ContractError, match="left the audited window"):
+    with pytest.raises(js.InvalidModelError, match=above + r"3\.0$"):
         js.simulate_batch(m, 3.0, 0.5, 1, js.RngSpec(4), 64)
     assert 0 < checked[0] < 64
     # a run whose candidate did not land has not met the rate: no refusal
