@@ -20,10 +20,9 @@ _EXPORTS = {
         "ResolutionError", "StabilityError", "WindowTooSmallError",
     ),
     "calculus": (
-        "DerivativeStack", "TransferCoefficients", "composition_terms", "faa_di_bruno",
-        "inverse_derivatives", "leibniz_product", "solve_tau", "solve_tau_grid", "solve_tau_i",
-        "solve_tau_i_grid", "tau_i_stack_grid", "tau_stack_grid", "transfer_alpha",
-        "transfer_alpha_grid", "transfer_beta", "transfer_beta_grid",
+        "DerivativeStack", "composition_terms", "faa_di_bruno", "inverse_derivatives",
+        "leibniz_product", "tau_i_stack_grid", "tau_stack_grid", "transfer_alpha_grid",
+        "transfer_beta_grid",
     ),
     "presets": (
         "Affine", "ExpDecay", "Function1D", "FunctionProduct", "FunctionSum", "GaussBump",
@@ -57,7 +56,7 @@ _EXPORTS = {
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = sorted(_MODULE_OF) + ["__version__"]
 

@@ -10,26 +10,25 @@ map requires derivatives of the inverse and of compositions with it.
 This module provides the three layers of that calculus:
 
 * composition derivatives (`faa_di_bruno`) from integer partition tables,
-* derivatives of inverse maps (`inverse_derivatives`, `solve_tau`,
-  `solve_tau_i`),
+* derivatives of inverse maps (`inverse_derivatives`; `tau_stack_grid` for
+  the pre-jump map, `tau_i_stack_grid` for the pre-step map, whose row 0 is
+  the pre-image itself),
 * the transfer coefficients that expand the l-th derivative of a pulled-back
   density ``[phi(tau(y)) tau'(y)]^(l)`` over the stack ``phi^(r)(tau(y))``
-  (`transfer_alpha` for the jump map, `transfer_beta` for the drift map).
+  (`transfer_alpha_grid` for the jump map, `transfer_beta_grid` for the
+  drift map).
 
-Both maps have the form x -> x + step(x).  A jump amplitude affine in the
-state, h(y, z) = A(z) + B(z) y (every y-factor `Affine`, as in every bench
-and README model), has the closed-form pre-jump map tau = (y - A) / (1 + B):
-tau' = 1 / (1 + B) and every higher row is 0.  Every other stack, jump or
-drift, comes from one private pipeline: a bracketed pre-image solve, the
-forward stack at the pre-image, and its inversion; only the increment and
-the initial bracket radius differ.  Every transfer table comes from its
-stack by one path (`_alpha_from_tau`; diagonal on an affine stack, whose
-jump table is formed once per mark and broadcast over the nodes), and every
-Leibniz coefficient C(l, r) s^(l-r) from one helper (`_leibniz_terms`).
-
-Scalar entry points operate on `DerivativeStack` records; the ``*_grid``
-variants broadcast over numpy arrays of base points and back the density
-evolution engine.
+The stacks and tables take one state or an array of states.  Both maps have
+the form x -> x + step(x).  A jump amplitude affine in the state, h(y, z) =
+A(z) + B(z) y (every y-factor `Affine`, as in every bench and README model),
+has the closed-form pre-jump map tau = (y - A) / (1 + B): tau' = 1 / (1 + B)
+and every higher row is 0.  Every other stack, jump or drift, comes from one
+private pipeline: a bracketed pre-image solve, the forward stack at the
+pre-image, and its inversion; only the increment and the initial bracket
+radius differ.  Every transfer table comes from its stack by one path
+(`_alpha_from_tau`; diagonal on an affine stack, whose jump table is formed
+once per mark and broadcast over the nodes), and every Leibniz coefficient
+C(l, r) s^(l-r) from one helper (`_leibniz_terms`).
 """
 
 from __future__ import annotations
@@ -46,6 +45,8 @@ from .errors import ContractError, DomainEscapeError, NearSingularError
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
     from .model import CoefficientSet
 
+_STACK_MAX = 16  # hard cap on requested derivative order
+
 # Partition tables are memoized up to this derivative order; smoothness
 # budgets k <= 6 need stacks no deeper than k + 1.
 MAX_ORDER = 7
@@ -54,7 +55,7 @@ MAX_ORDER = 7
 # treated as non-invertible at that point.
 SINGULAR_SLOPE = 1e-10
 
-# Tolerance of every inverse-map stack's pre-image solve; `solve_tau*` default.
+# Relative tolerance of every pre-image solve (`_bracketed_newton`).
 PREIMAGE_TOL = 1e-12
 
 
@@ -85,26 +86,10 @@ class DerivativeStack:
         return float(self.values[l])
 
 
-@dataclass(frozen=True)
-class TransferCoefficients:
-    """Expansion coefficients of a pulled-back derivative stack.
-
-    For a monotone map with inverse stack ``tau_stack`` (derivatives at the
-    post-move point y), ``table[l, r]`` is the coefficient of phi^(r)(tau(y))
-    in::
-
-        [phi(tau(y)) tau'(y)]^(l) = phi^(l)(tau(y)) + sum_r table[l, r] phi^(r)(tau(y))
-
-    ``table`` is lower triangular with shape (order+1, order+1).
-    """
-
-    point: float
-    tau_stack: DerivativeStack
-    table: np.ndarray
-
-    @property
-    def order(self) -> int:
-        return self.table.shape[0] - 1
+def _check_order(l) -> None:
+    """Refuse a derivative order that is not an integer in [0, _STACK_MAX]."""
+    if isinstance(l, bool) or not isinstance(l, (int, np.integer)) or not 0 <= l <= _STACK_MAX:
+        raise ContractError(f"derivative order {l!r} outside [0, {_STACK_MAX}]")
 
 
 @lru_cache(maxsize=None)
@@ -123,9 +108,7 @@ def composition_terms(n: int) -> tuple[tuple[int, tuple[int, ...], int], ...]:
     if n < 1:
         raise ContractError("composition order must be >= 1")
     if n > MAX_ORDER:
-        raise ContractError(
-            f"composition order {n} exceeds supported maximum {MAX_ORDER}"
-        )
+        raise ContractError(f"composition order {n} exceeds supported maximum {MAX_ORDER}")
     terms: list[tuple[int, tuple[int, ...], int]] = []
 
     def extend(parts: tuple[int, ...], remaining: int, minimum: int) -> None:
@@ -277,19 +260,17 @@ def leibniz_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 _MAX_BRACKET_GROWTH = 60
 _MAX_NEWTON_ITER = 120
-_UNBRACKETED = (
-    "could not bracket the pre-image: monotonicity or the jump size bound "
-    "is violated on this model"
-)
+_UNBRACKETED = ("could not bracket the pre-image: monotonicity or the jump size bound "
+                "is violated on this model")
 
 
-def _bracketed_newton(fun, dfun, target, lo, hi, tol, slope_floor: float = SINGULAR_SLOPE):
+def _bracketed_newton(fun, dfun, target, lo, hi, slope_floor: float = SINGULAR_SLOPE):
     """Vectorized safeguarded Newton for increasing maps.
 
     Solves fun(x) = target component-wise with fun increasing on [lo, hi]
     and fun(lo) <= target <= fun(hi).  Newton steps are clipped back to the
-    shrinking bracket; a component converges when the residual is small
-    relative to its target or the bracket has collapsed (the latter carries
+    shrinking bracket; a component converges when the residual is within
+    `PREIMAGE_TOL` of its target or the bracket has collapsed (the latter carries
     exponentially small targets, whose absolute residuals mean nothing).
     With `slope_floor` > 0 a flat stretch raises; with 0 the solver falls
     back to bisection there instead, for maps that flatten legitimately.
@@ -299,10 +280,10 @@ def _bracketed_newton(fun, dfun, target, lo, hi, tol, slope_floor: float = SINGU
     lo = np.array(lo, dtype=float, order="C")
     hi = np.array(hi, dtype=float, order="C")
     x = 0.5 * (lo + hi)
-    ftol = tol * np.maximum(np.abs(target), 1e-300)
+    ftol = PREIMAGE_TOL * np.maximum(np.abs(target), 1e-300)
     for _ in range(_MAX_NEWTON_ITER):
         f = fun(x) - target
-        done = (np.abs(f) <= ftol) | (hi - lo <= tol * np.maximum(1.0, np.abs(x)))
+        done = (np.abs(f) <= ftol) | (hi - lo <= PREIMAGE_TOL * np.maximum(1.0, np.abs(x)))
         if np.all(done):
             break
         move = ~done
@@ -313,10 +294,8 @@ def _bracketed_newton(fun, dfun, target, lo, hi, tol, slope_floor: float = SINGU
         if slope_floor > 0.0:
             bad_slope = (np.abs(d) < slope_floor) & move
             if np.any(bad_slope):
-                idx = np.flatnonzero(bad_slope)[0]
-                raise NearSingularError(
-                    f"map slope below {slope_floor:.0e} at component {int(idx)}"
-                )
+                idx = int(np.flatnonzero(bad_slope)[0])
+                raise NearSingularError(f"map slope below {slope_floor:.0e} at component {idx}")
         # the candidates of finished components are never read
         with np.errstate(divide="ignore", invalid="ignore"):
             cand = x - f / d
@@ -326,9 +305,7 @@ def _bracketed_newton(fun, dfun, target, lo, hi, tol, slope_floor: float = SINGU
         x = cand
     else:
         resid = np.max(np.abs(fun(x) - target))
-        raise DomainEscapeError(
-            f"root refinement stalled with residual {resid:.3e}"
-        )
+        raise DomainEscapeError(f"root refinement stalled with residual {resid:.3e}")
     return x
 
 
@@ -388,7 +365,7 @@ def _drift_map(coeffs: "CoefficientSet", y: np.ndarray, i: int):
             radius)
 
 
-def _preimage(step, radius, y: np.ndarray, tol: float) -> np.ndarray:
+def _preimage(step, radius, y: np.ndarray) -> np.ndarray:
     """The x with x + step(x, 0) = y, for an increasing map, by safeguarded
     Newton inside a bracket grown from [y - radius, y + radius]."""
 
@@ -399,63 +376,23 @@ def _preimage(step, radius, y: np.ndarray, tol: float) -> np.ndarray:
         return 1.0 + step(x, 1)
 
     lo, hi = _expand_bracket(fun, y, y, radius)
-    return _bracketed_newton(fun, dfun, y, lo, hi, tol)
+    return _bracketed_newton(fun, dfun, y, lo, hi)
 
 
 def _inverse_stack(step, stack, radius, y: np.ndarray, order: int) -> np.ndarray:
-    """Inverse-map stack of x -> x + step(x, 0) at y, shape (order+1, len(y)):
-    the pre-image, the forward stack there (rows 0..order of `stack`), then
-    its inversion."""
-    tau0 = _preimage(step, radius, y, PREIMAGE_TOL)
+    """Inverse-map stack of x -> x + step(x, 0) at y, shape (order+1,) +
+    y.shape: the pre-image, the forward stack there (rows 0..order of
+    `stack`), then its inversion; order 0 is the pre-image row alone.  One
+    state is solved as a one-state array, to that array's bytes."""
+    tau0 = _preimage(step, radius, np.atleast_1d(y))
+    if order == 0:
+        return tau0.reshape((1,) + np.shape(y))
     fwd = stack(tau0, order)
     fwd[0] += tau0
     fwd[1] += 1.0
     tau = _invert_values(fwd)
     tau[0] = tau0
-    return tau
-
-
-def solve_tau(coeffs: "CoefficientSet", y: float, z: float, tol: float = PREIMAGE_TOL) -> float:
-    """Pre-jump state: the unique tau with tau + h(tau, z) = y.
-
-    Existence and uniqueness come from the slope condition
-    1 + dh/dy >= c0 > 0.  An amplitude affine in the state gives
-    (y - A(z)) / (1 + B(z)) in closed form (`tol` is then unused); any other
-    is solved by Newton in a bracket whose initial radius is the jump size
-    bound eta(z), grown geometrically if the audit bound was optimistic.
-    """
-    return float(solve_tau_grid(coeffs, np.asarray([y], dtype=float), z, tol)[0])
-
-
-def solve_tau_grid(
-    coeffs: "CoefficientSet", y: np.ndarray, z: float, tol: float = PREIMAGE_TOL
-) -> np.ndarray:
-    """Vectorized `solve_tau` over an array of post-jump states."""
-    y = np.asarray(y, dtype=float)
-    affine = _affine_jump(coeffs, z)
-    if affine is not None:
-        shift, slope = affine
-        return (y - shift) / slope
-    step, _, radius = _jump_map(coeffs, z)
-    return _preimage(step, radius, y, tol)
-
-
-def solve_tau_i(coeffs: "CoefficientSet", y: float, i: int, tol: float = PREIMAGE_TOL) -> float:
-    """Pre-step state of the drift surrogate: tau_i + b(tau_i)/i = y.
-
-    Requires i >= i0 = 2 * sup|b'| (audited on the model's window), which
-    makes the map increasing with slope >= 1/2.
-    """
-    return float(solve_tau_i_grid(coeffs, np.asarray([y], dtype=float), i, tol)[0])
-
-
-def solve_tau_i_grid(
-    coeffs: "CoefficientSet", y: np.ndarray, i: int, tol: float = PREIMAGE_TOL
-) -> np.ndarray:
-    """Vectorized `solve_tau_i`."""
-    y = np.asarray(y, dtype=float)
-    step, _, radius = _drift_map(coeffs, y, i)
-    return _preimage(step, radius, y, tol)
+    return tau.reshape((order + 1,) + np.shape(y))
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +416,7 @@ def _alpha_from_tau(tau: np.ndarray) -> np.ndarray:
     if order < 0:
         raise ContractError("transfer table needs tau stack of order >= 1")
     batch = tau.shape[1:]
-    tau1 = tau[1]
+    tau1 = tau[1, ...]  # a 0-d array at one state: its powers round as an array's
     # delta[n, r]: coefficient of phi^(r)(tau) in (phi o tau)^(n), summed
     # from zero; only r < n is read (phi^(n) enters alpha through tau1 ** n)
     delta = {}
@@ -508,16 +445,29 @@ def _alpha_from_tau(tau: np.ndarray) -> np.ndarray:
 
 
 def tau_stack_grid(coeffs: "CoefficientSet", y: np.ndarray, z, order: int) -> np.ndarray:
-    """Inverse-map stacks of the jump map over an array of base points.
+    """Inverse-map stacks of the jump map at one state or an array of states.
 
-    Returns shape (order+1, len(y)): row l holds tau^(l)(y) (row 0 is tau).
-    `z` is one mark, or a 1-d array of marks, which broadcasts the solve to
-    (order+1, len(y), len(z)).  Each column is the one-mark call's value,
-    except in the last bits where a coefficient's numpy function rounds an
-    array differently from a scalar (array `pow` in power laws).  An
-    amplitude affine in the state takes the closed form: tau = (y - A) /
-    (1 + B), tau' = 1 / (1 + B), higher rows exactly 0.
+    Returns shape (order+1,) + y.shape: row l holds tau^(l)(y), and row 0 is
+    the pre-jump state tau, the unique tau with tau + h(tau, z) = y (it
+    exists by the slope condition 1 + dh/dy >= c0 > 0); `order` 0 returns
+    that row alone.  `z` is one mark, or a 1-d array of marks, which
+    broadcasts the solve to (order+1,) + y.shape + z.shape.  Each column is
+    the one-mark call's value, except in the last bits where a coefficient's
+    numpy function rounds an array differently from a scalar (array `pow` in
+    power laws).  An amplitude affine in the state takes the closed form:
+    tau = (y - A) / (1 + B), tau' = 1 / (1 + B), higher rows exactly 0.  Any
+    other is solved by Newton in a bracket whose initial radius is the jump
+    size bound eta(z), grown geometrically if the audit bound was optimistic.
+
+    >>> from jumpsmooth import Affine, CoefficientSet, JumpAmplitude, JumpMeasureSpec, constant
+    >>> h = JumpAmplitude(((Affine(1.0, 1.0), constant(1.0)),))  # h = 1 + y
+    >>> m = CoefficientSet(constant(0), constant(1), h, constant(4), JumpMeasureSpec((0, np.inf)))
+    >>> tau_stack_grid(m, 3.0, 0.5, 2)  # one state: tau = (3 - 1) / 2, tau' = 1 / 2
+    array([1. , 0.5, 0. ])
+    >>> tau_stack_grid(m, np.array([1.0, 3.0]), 0.5, 0)  # the pre-jump states alone
+    array([[0., 1.]])
     """
+    _check_order(order)
     y, z = _node_mark_batch(y, z)
     return _jump_stack(coeffs, y, z, _affine_jump(coeffs, z), order)
 
@@ -530,7 +480,7 @@ def _node_mark_batch(y, z):
     if z.ndim > 1:
         raise ContractError("marks must be a scalar or a 1-d array")
     if z.ndim:
-        y = np.broadcast_to(y[:, None], y.shape + z.shape)
+        y = np.broadcast_to(y[..., None], y.shape + z.shape)
     return y, z
 
 
@@ -543,67 +493,61 @@ def _jump_stack(coeffs: "CoefficientSet", y: np.ndarray, z: np.ndarray, affine,
     shift, slope = affine
     tau = np.zeros((order + 1,) + y.shape)
     tau[0] = (y - shift) / slope
-    tau[1] = 1.0 / slope
+    if order:
+        tau[1] = 1.0 / slope
     return tau
 
 
 def tau_i_stack_grid(coeffs: "CoefficientSet", y: np.ndarray, i: int, order: int) -> np.ndarray:
-    """Inverse-map stacks of the drift-step map over an array of base points."""
+    """Inverse-map stacks of the drift-step map at one state or an array of
+    states, shape (order+1,) + y.shape; row 0 is the pre-step state tau_i,
+    with tau_i + b(tau_i)/i = y, and `order` 0 returns that row alone.
+
+    Requires i >= i0 = 2 * sup|b'| (audited on the model's window), which
+    makes the map increasing with slope >= 1/2.
+
+    >>> from jumpsmooth import Affine, CoefficientSet, JumpAmplitude, JumpMeasureSpec, constant
+    >>> h = JumpAmplitude(((Affine(1.0, 1.0), constant(1.0)),))
+    >>> m = CoefficientSet(constant(2), constant(1), h, constant(4), JumpMeasureSpec((0, np.inf)))
+    >>> tau_i_stack_grid(m, 1.5, 4, 1)  # one state: tau_i = 1.5 - 2 / 4
+    array([1., 1.])
+    >>> tau_i_stack_grid(m, np.array([0.5, 1.5]), 4, 0)  # the pre-step states alone
+    array([[0., 1.]])
+    """
+    _check_order(order)
     y = np.asarray(y, dtype=float)
     return _inverse_stack(*_drift_map(coeffs, y, i), y, order)
-
-
-def _transfer_at(y: float, alpha: np.ndarray, tau: np.ndarray) -> TransferCoefficients:
-    """Transfer coefficients at one point from its one-column table and
-    inverse stack."""
-    stack = DerivativeStack(float(y), tau[:, 0])
-    return TransferCoefficients(float(y), stack, alpha[:, :, 0])
-
-
-def transfer_alpha(
-    coeffs: "CoefficientSet", y: float, z: float, order: int
-) -> TransferCoefficients:
-    """Transfer coefficients of the pre-jump pullback at one point.
-
-    With tau = tau(., z) the inverse jump map, the returned table expands::
-
-        [phi(tau(y)) tau'(y)]^(l) = phi^(l)(tau(y)) + sum_r table[l, r] phi^(r)(tau(y))
-
-    for l = 0..order.  Needs y-derivatives of h up to order+1; the table of
-    an amplitude affine in the state is diagonal.
-    """
-    return _transfer_at(y, *transfer_alpha_grid(coeffs, np.asarray([y], dtype=float), z, order))
-
-
-def transfer_beta(
-    coeffs: "CoefficientSet", y: float, i: int, order: int
-) -> TransferCoefficients:
-    """Transfer coefficients of the drift-step pullback at one point.
-
-    Same expansion as `transfer_alpha` for the map x -> x + b(x)/i.  The
-    coefficients scale like 1/i: sum_r i * |table[l, r]| stays bounded as i
-    grows, which is what keeps the drift surrogate stable.
-    """
-    tau = tau_i_stack_grid(coeffs, np.asarray([y], dtype=float), i, order + 1)
-    return _transfer_at(y, _alpha_from_tau(tau), tau)
 
 
 def transfer_alpha_grid(
     coeffs: "CoefficientSet", y: np.ndarray, z, order: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized `transfer_alpha`: returns (alpha[l, r, j], tau[l, j]).
+    """Transfer coefficients of the pre-jump pullback at one state or an
+    array of states: (alpha[l, r, ...], tau[l, ...]), tau the
+    `tau_stack_grid` to order+1 and, for l = 0..order::
+
+        [phi(tau(y)) tau'(y)]^(l) = phi^(l)(tau(y)) + sum_r alpha[l, r] phi^(r)(tau(y))
 
     `z` may also be a 1-d array of marks; the pre-image solve then runs once
-    over all (node, mark) pairs and returns (alpha[l, r, j, m], tau[l, j, m]).
-    The operator build calls it this way, one block of nodes at a time over
-    every mark; for an amplitude h = A(z) it solves the first block and then
-    only the edge rows that the first block does not hold.  The
-    table comes from `_alpha_from_tau` for every amplitude.  On the
-    closed-form stack of an amplitude affine in the state it is diagonal,
-    alpha[l, l] = tau'^(l+1) - 1, with +0.0 everywhere else, and depends on
-    the mark only: it is formed once per mark, from the stack at the first
-    node, and returned as a read-only view broadcast over the nodes.
+    over all (node, mark) pairs and returns (alpha[l, r, j, m], tau[l, j, m]),
+    as the operator build calls it, one block of nodes at a time.  On the
+    closed-form stack of an amplitude affine in the state the table is
+    diagonal, alpha[l, l] = tau'^(l+1) - 1, with +0.0 everywhere else, and
+    depends on the mark only: it is formed once per mark, from the stack at
+    the first node, and returned as a read-only view broadcast over the
+    nodes.
+
+    >>> from jumpsmooth import Affine, CoefficientSet, JumpAmplitude, JumpMeasureSpec, constant
+    >>> h = JumpAmplitude(((Affine(1.0, 1.0), constant(1.0)),))  # h = 1 + y: tau' = 1 / 2
+    >>> m = CoefficientSet(constant(0), constant(1), h, constant(4), JumpMeasureSpec((0, np.inf)))
+    >>> alpha, tau = transfer_alpha_grid(m, 3.0, 0.5, 1)  # one state
+    >>> alpha
+    array([[-0.5 ,  0.  ],
+           [ 0.  , -0.75]])
+    >>> tau
+    array([1. , 0.5, 0. ])
     """
+    _check_order(order)
     y, z = _node_mark_batch(y, z)
     affine = _affine_jump(coeffs, z)
     tau = _jump_stack(coeffs, y, z, affine, order + 1)
@@ -617,6 +561,10 @@ def transfer_alpha_grid(
 def transfer_beta_grid(
     coeffs: "CoefficientSet", y: np.ndarray, i: int, order: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized `transfer_beta`: returns (beta[l, r, j], tau_i[l, j])."""
+    """Transfer coefficients of the drift-step pullback: the expansion of
+    `transfer_alpha_grid` for the map x -> x + b(x)/i, returned as
+    (beta[l, r, ...], tau_i[l, ...]).  The coefficients scale like 1/i:
+    sum_r i * |beta[l, r]| stays bounded as i grows, which is what keeps
+    the drift surrogate stable."""
     tau = tau_i_stack_grid(coeffs, y, i, order + 1)
     return _alpha_from_tau(tau), tau

@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calculus import _leibniz_terms, transfer_alpha_grid, transfer_beta_grid
+from .calculus import _check_order, _leibniz_terms, transfer_alpha_grid, transfer_beta_grid
 from .errors import (
     ContractError,
     DivergenceError,
@@ -55,7 +55,7 @@ from .model import (
     QUAD_PANELS, CoefficientSet, _check_drift_index, _check_horizon, _density_grid,
     _require_finite, _require_finite_number, _require_int, _require_positive, gauss_panels,
 )
-from .presets import Function1D, GaussBump, _check_order
+from .presets import Function1D, GaussBump
 
 
 def _cumulative_trapezoid(x: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -198,7 +198,7 @@ class _Kernel:
         w_sol = _bracketed_newton(
             lambda w: sgn * self.H(w), lambda w: sgn * self.dH(w),
             np.where(inside, sgn * u, sgn * self.H(mid)),
-            np.where(inside, 0.75, mid), np.where(inside, self.n + 3.25, mid), 1e-12,
+            np.where(inside, 0.75, mid), np.where(inside, self.n + 3.25, mid),
             slope_floor=0.0,
         )
         return np.where(inside, self._stack_at(w_sol, order)[0], 0.0)

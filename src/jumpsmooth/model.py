@@ -258,7 +258,12 @@ class CoefficientSet(Described):
     def gamma_sup(self) -> float:
         """The largest jump rate on the audit grid, where it must be finite
         and >= 0 (InvalidModelError naming the first state where it is not;
-        a zero rate is legal): the anchor of `rate_bound`."""
+        a zero rate is legal): the anchor of `rate_bound`.  Taken once per
+        model: every later call reuses the first."""
+        return self._gamma_sup
+
+    @functools.cached_property
+    def _gamma_sup(self) -> float:
         grid = self.y_audit_grid()
         return float(np.max(_require_nonnegative(self.gamma.value(grid), "jump rate", y=grid)))
 

@@ -19,20 +19,12 @@ from math import comb
 
 import numpy as np
 
-from .calculus import _compose_values, leibniz_product
+from .calculus import _check_order, _compose_values, leibniz_product
 from .errors import ContractError
-
-_STACK_MAX = 16  # hard cap on requested derivative order
 
 
 def _as_array(x):
     return np.asarray(x, dtype=float)
-
-
-def _check_order(l) -> None:
-    """Refuse a derivative order that is not an integer in [0, _STACK_MAX]."""
-    if isinstance(l, bool) or not isinstance(l, (int, np.integer)) or not 0 <= l <= _STACK_MAX:
-        raise ContractError(f"derivative order {l!r} outside [0, {_STACK_MAX}]")
 
 
 class Described:

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .calculus import _check_order
 from .errors import (
     BlowUpError,
     ContractError,
@@ -43,10 +44,9 @@ from .errors import (
 from .fokker_planck import GridDensity, _cumulative_trapezoid
 from .kernels import KernelDecomposition
 from .model import (
-    BLOW_UP, CoefficientSet, _check_drift_index, _check_flow_step, _check_horizon, _check_runs,
-    _density_grid, _initial_states, _require_int,
+    AUDIT_POINTS, BLOW_UP, CoefficientSet, _check_drift_index, _check_flow_step, _check_horizon,
+    _check_runs, _density_grid, _initial_states, _require_int,
 )
-from .presets import _check_order
 
 N_CHUNKS = 32  # fixed RNG fan-out; results do not depend on thread count
 GROUP_RUNS = 2**15  # runs the engine advances at once, unless one chunk holds more
@@ -383,7 +383,10 @@ def _thinning(
     [0, ubar] first; only when one fails (or is NaN) does the model's reach
     rule, `CoefficientSet.check_rate`, read the landed candidates.  With a
     zero bound the exact flow is one drift segment, and the rule reads its
-    start and end states.  A round in which every candidate landed skips
+    start and end states and, for a nonzero drift, AUDIT_POINTS evenly spaced
+    states between them, one fraction of every run's segment at a time: a
+    scalar autonomous flow is monotone, so a segment crosses exactly the
+    states between its ends.  A round in which every candidate landed skips
     the compaction.  After the states are updated,
     `on_round` (if not None) gets the round's `_Round` (a callback, so no
     round's arrays outlive the next round's); a true return stops the
@@ -396,8 +399,12 @@ def _thinning(
     jumps = np.zeros(m, dtype=np.int64)
     if lam == 0.0 and i is None:  # no jumps, no kicks: one drift segment
         coeffs.check_rate(x)
-        x[:] = _drift_flow_batch(coeffs, x, np.full(m, t_end), step)
-        coeffs.check_rate(x)
+        end = _drift_flow_batch(coeffs, x, np.full(m, t_end), step)
+        coeffs.check_rate(end)
+        if not coeffs.b.is_zero:  # a monotone flow crosses every state between its ends
+            for s in np.linspace(0.0, 1.0, AUDIT_POINTS):
+                coeffs.check_rate(x + s * (end - x))
+        x[:] = end
         return jumps
     offsets = np.cumsum([0] + list(sizes))
     total = lam if i is None else float(i) + lam

@@ -227,15 +227,25 @@ def test_inverse_near_singular_raises():
 
 
 # ---------------------------------------------------------------------------
-# solve_tau / solve_tau_i
+# pre-images: order-0 stacks at one state
 # ---------------------------------------------------------------------------
+
+
+def _tau(m, y, z):
+    """The pre-jump state of one state: the order-0 stack's one row."""
+    return float(js.tau_stack_grid(m, y, z, 0)[0])
+
+
+def _tau_i(m, y, i):
+    """The pre-step state of one state."""
+    return float(js.tau_i_stack_grid(m, y, i, 0)[0])
 
 
 def test_solve_tau_constant_shift():
     m = _exp_model(js.constant(1.0))
     # h = e^{-z}, independent of y: tau = y - e^{-z}.
     for y, z in [(0.0, 0.5), (2.0, 1.0), (-1.5, 2.0)]:
-        assert js.solve_tau(m, y, z) == pytest.approx(y - math.exp(-z), abs=1e-12)
+        assert _tau(m, y, z) == pytest.approx(y - math.exp(-z), abs=1e-12)
 
 
 def test_solve_tau_linear_map():
@@ -243,7 +253,7 @@ def test_solve_tau_linear_map():
     # h = 0.5 y e^{-z}: tau = y / (1 + 0.5 e^{-z}).
     for y in [-2.0, 0.3, 4.0]:
         for z in [0.2, 1.0, 3.0]:
-            assert js.solve_tau(m, y, z) == pytest.approx(
+            assert _tau(m, y, z) == pytest.approx(
                 y / (1.0 + 0.5 * math.exp(-z)), rel=1e-12
             )
 
@@ -252,7 +262,7 @@ def test_solve_tau_tanh_vs_bisection():
     m = _exp_model(js.TanhSigmoid(0.5, 1.0), amp_eta=0.5)
     for y in np.linspace(-3, 3, 7):
         for z in [0.1, 1.0, 2.5]:
-            tau = js.solve_tau(m, float(y), float(z))
+            tau = _tau(m, float(y), float(z))
             assert abs(tau + 0.5 * math.tanh(tau) * math.exp(-z) - y) <= 1e-12
             oracle = brentq(
                 lambda x: x + 0.5 * math.tanh(x) * math.exp(-z) - y,
@@ -262,24 +272,28 @@ def test_solve_tau_tanh_vs_bisection():
 
 
 def test_solve_tau_grid_matches_scalar():
+    # the bracketed Newton at one (0-d) state lands on the bytes of that
+    # state's entry in an array of states
     m = _exp_model(js.Sinusoidal(0.4, 1.0))
     ys = np.linspace(-2, 2, 11)
-    grid = js.solve_tau_grid(m, ys, 0.7)
+    grid = js.tau_stack_grid(m, ys, 0.7, 0)[0]
     for y, t in zip(ys, grid):
-        assert t == pytest.approx(js.solve_tau(m, float(y), 0.7), abs=1e-12)
+        one = js.tau_stack_grid(m, y, 0.7, 0)
+        assert one.shape == (1,)
+        assert one[0].tobytes() == t.tobytes()
 
 
 def test_solve_tau_i_exact_cases():
     m0 = _exp_model(js.constant(1.0))
-    assert js.solve_tau_i(m0, 1.3, 5) == pytest.approx(1.3, abs=1e-14)
+    assert _tau_i(m0, 1.3, 5) == pytest.approx(1.3, abs=1e-14)
     mb = _exp_model(js.constant(1.0), b=js.constant(0.7))
-    assert js.solve_tau_i(mb, 1.3, 4) == pytest.approx(1.3 - 0.7 / 4.0, abs=1e-13)
+    assert _tau_i(mb, 1.3, 4) == pytest.approx(1.3 - 0.7 / 4.0, abs=1e-13)
 
 
 def test_solve_tau_i_sin_vs_bisection():
     m = _exp_model(js.constant(1.0), b=js.Sinusoidal(1.0, 1.0))
     for y in np.linspace(-3, 3, 9):
-        tau = js.solve_tau_i(m, float(y), 10)
+        tau = _tau_i(m, float(y), 10)
         assert abs(tau + math.sin(tau) / 10.0 - y) <= 1e-12
         assert abs(tau - y) <= 0.1
         oracle = brentq(lambda x: x + math.sin(x) / 10.0 - y, y - 0.2, y + 0.2, xtol=1e-14)
@@ -289,7 +303,7 @@ def test_solve_tau_i_sin_vs_bisection():
 def test_solve_tau_i_below_index_floor():
     m = _exp_model(js.constant(1.0), b=js.Sinusoidal(3.0, 1.0))
     with pytest.raises(js.ContractError, match="i0=6"):
-        js.solve_tau_i(m, 0.0, 2)
+        js.tau_i_stack_grid(m, 0.0, 2, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -299,21 +313,21 @@ def test_solve_tau_i_below_index_floor():
 
 def test_transfer_alpha_shift_model_vanishes():
     m = _exp_model(js.constant(1.0))
-    tc = js.transfer_alpha(m, 0.7, 1.2, 3)
-    assert np.allclose(tc.table, 0.0, atol=1e-12)
+    alpha, _ = js.transfer_alpha_grid(m, 0.7, 1.2, 3)
+    assert alpha.shape == (4, 4)
+    assert np.allclose(alpha, 0.0, atol=1e-12)
 
 
 def test_transfer_alpha_hand_values():
     m = _exp_model(js.Sinusoidal(0.3, 1.0), amp_eta=0.3)
     y, z = 1.0, 0.4
-    tc = js.transfer_alpha(m, y, z, 2)
-    tau = tc.tau_stack.values
-    assert tc.table[0, 0] == pytest.approx(tau[1] - 1.0, rel=1e-12)
-    assert tc.table[1, 0] == pytest.approx(tau[2], rel=1e-10)
-    assert tc.table[1, 1] == pytest.approx(tau[1] ** 2 - 1.0, rel=1e-10)
-    assert tc.table[2, 0] == pytest.approx(tau[3], rel=1e-8)
-    assert tc.table[2, 1] == pytest.approx(3.0 * tau[1] * tau[2], rel=1e-10)
-    assert tc.table[2, 2] == pytest.approx(tau[1] ** 3 - 1.0, rel=1e-10)
+    alpha, tau = js.transfer_alpha_grid(m, y, z, 2)
+    assert alpha[0, 0] == pytest.approx(tau[1] - 1.0, rel=1e-12)
+    assert alpha[1, 0] == pytest.approx(tau[2], rel=1e-10)
+    assert alpha[1, 1] == pytest.approx(tau[1] ** 2 - 1.0, rel=1e-10)
+    assert alpha[2, 0] == pytest.approx(tau[3], rel=1e-8)
+    assert alpha[2, 1] == pytest.approx(3.0 * tau[1] * tau[2], rel=1e-10)
+    assert alpha[2, 2] == pytest.approx(tau[1] ** 3 - 1.0, rel=1e-10)
 
 
 def _phi_rhs(table, tau0, phi_coef, l):
@@ -328,16 +342,15 @@ def test_transfer_alpha_identity_vs_fd():
     y0, z0 = 1.0, 0.0
     phi = np.array([0.0, 0.0, 0.0, 1.0])
     Phi = np.array([0.0, 0.0, 0.0, 0.0, 0.25])
-    tc = js.transfer_alpha(m, y0, z0, 2)
-    tau0 = tc.tau_stack.values[0]
+    alpha, tau = js.transfer_alpha_grid(m, y0, z0, 2)
     PhiP = np.polynomial.Polynomial(Phi)
 
     def big(y):
-        return PhiP(js.solve_tau(m, float(y), z0))
+        return PhiP(_tau(m, float(y), z0))
 
     for l in range(3):
         lhs = fd_derivative(big, y0, l + 1, h=0.02)
-        rhs = _phi_rhs(tc.table, tau0, phi, l)
+        rhs = _phi_rhs(alpha, tau[0], phi, l)
         assert abs(lhs - rhs) <= 1e-6 * max(1.0, abs(rhs))
 
 
@@ -354,15 +367,16 @@ def test_transfer_alpha_randomized_fd_sweep():
         l = int(rng.integers(1, 3))
         phi = rng.uniform(-1, 1, size=5)
         Phi = np.polynomial.Polynomial(phi).integ().coef
-        tc = js.transfer_alpha(m, y0, z0, l)
-        tau0 = tc.tau_stack.values[0]
+        alpha, tau = js.transfer_alpha_grid(m, y0, z0, l)
         PhiP = np.polynomial.Polynomial(Phi)
 
         def big(y):
-            return PhiP(js.solve_tau(m, float(y), z0, 1e-14))
+            # the pre-image to 1e-14, from an independent solver
+            return PhiP(brentq(lambda x: x + a * math.sin(w * x) * math.exp(-z0) - y,
+                               y - 1.0, y + 1.0, xtol=1e-14))
 
         lhs = fd_derivative(big, y0, l + 1, h=0.02)
-        rhs = _phi_rhs(tc.table, tau0, phi, l)
+        rhs = _phi_rhs(alpha, tau[0], phi, l)
         assert abs(lhs - rhs) <= 1e-6 * max(1.0, abs(rhs))
 
 
@@ -373,24 +387,25 @@ def test_transfer_alpha_cubic_exact_for_linear_state():
     y0, z0 = 1.7, 0.6
     s = 1.0 + 0.4 * math.exp(-z0)
     phi = np.array([0.3, -1.0, 0.5, 2.0, -0.7])
-    tc = js.transfer_alpha(m, y0, z0, 3)
-    tau0 = tc.tau_stack.values[0]
+    alpha, tau = js.transfer_alpha_grid(m, y0, z0, 3)
+    tau0 = tau[0]
     assert tau0 == pytest.approx(y0 / s, rel=1e-13)
     stack = poly_taylor(phi, tau0, 3)
     for l in range(4):
         lhs = stack[l] / s ** (l + 1)
-        rhs = _phi_rhs(tc.table, tau0, phi, l)
+        rhs = _phi_rhs(alpha, tau0, phi, l)
         assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-11)
 
 
 def test_transfer_beta_zero_and_constant_drift():
     m0 = _exp_model(js.constant(1.0))
-    tc = js.transfer_beta(m0, 0.3, 20, 3)
-    assert np.allclose(tc.table, 0.0, atol=1e-13)
+    beta, _ = js.transfer_beta_grid(m0, 0.3, 20, 3)
+    assert beta.shape == (4, 4)
+    assert np.allclose(beta, 0.0, atol=1e-13)
     mc = _exp_model(js.constant(1.0), b=js.constant(2.0))
-    tc = js.transfer_beta(mc, 0.3, 20, 3)
-    assert np.allclose(tc.table, 0.0, atol=1e-12)
-    assert tc.tau_stack.values[0] == pytest.approx(0.3 - 2.0 / 20.0, abs=1e-12)
+    beta, tau = js.transfer_beta_grid(mc, 0.3, 20, 3)
+    assert np.allclose(beta, 0.0, atol=1e-12)
+    assert tau[0] == pytest.approx(0.3 - 2.0 / 20.0, abs=1e-12)
 
 
 def test_transfer_beta_identity_vs_fd():
@@ -400,15 +415,14 @@ def test_transfer_beta_identity_vs_fd():
     Phi = np.polynomial.Polynomial(phi).integ().coef
     PhiP = np.polynomial.Polynomial(Phi)
     for i in (20, 40, 80):
-        tc = js.transfer_beta(m, y0, i, 2)
-        tau0 = tc.tau_stack.values[0]
+        beta, tau = js.transfer_beta_grid(m, y0, i, 2)
 
         def big(y):
-            return PhiP(js.solve_tau_i(m, float(y), i))
+            return PhiP(_tau_i(m, float(y), i))
 
         for l in range(3):
             lhs = fd_derivative(big, y0, l + 1, h=0.02)
-            rhs = _phi_rhs(tc.table, tau0, phi, l)
+            rhs = _phi_rhs(beta, tau[0], phi, l)
             assert abs(lhs - rhs) <= 1e-6 * max(1.0, abs(rhs))
 
 
@@ -418,8 +432,8 @@ def test_transfer_beta_scaled_sum_bounded_as_i_doubles():
     for i in (20, 40, 80):
         worst = 0.0
         for y in np.linspace(-3, 3, 13):
-            tc = js.transfer_beta(m, float(y), i, 3)
-            worst = max(worst, i * float(np.sum(np.abs(tc.table))))
+            beta, _ = js.transfer_beta_grid(m, float(y), i, 3)
+            worst = max(worst, i * float(np.sum(np.abs(beta))))
         sums[i] = worst
     assert sums[80] <= 1.25 * sums[20]
     assert all(v <= 50.0 for v in sums.values())
@@ -436,14 +450,15 @@ def test_transfer_beta_randomized_fd_sweep():
         l = int(rng.integers(1, 3))
         phi = rng.uniform(-1, 1, size=5)
         PhiP = np.polynomial.Polynomial(np.polynomial.Polynomial(phi).integ().coef)
-        tc = js.transfer_beta(m, y0, i, l)
-        tau0 = tc.tau_stack.values[0]
+        beta, tau = js.transfer_beta_grid(m, y0, i, l)
 
         def big(y):
-            return PhiP(js.solve_tau_i(m, float(y), i, 1e-14))
+            # the pre-image to 1e-14, from an independent solver
+            return PhiP(brentq(lambda x: x + a * math.sin(w * x) / i - y,
+                               y - 0.2, y + 0.2, xtol=1e-14))
 
         lhs = fd_derivative(big, y0, l + 1, h=0.02)
-        rhs = _phi_rhs(tc.table, tau0, phi, l)
+        rhs = _phi_rhs(beta, tau[0], phi, l)
         assert abs(lhs - rhs) <= 1e-6 * max(1.0, abs(rhs))
 
 
@@ -453,9 +468,8 @@ def test_tau_stack_grid_consistency():
     stacks = js.tau_stack_grid(m, ys, 0.5, 3)
     assert stacks.shape == (4, ys.size)
     for j, y in enumerate(ys):
-        tau = js.solve_tau(m, float(y), 0.5)
-        assert stacks[0, j] == pytest.approx(tau, abs=1e-12)
-        fd = fd_derivative(lambda t: js.solve_tau(m, float(t), 0.5), float(y), 2, h=0.02)
+        assert stacks[0, j] == pytest.approx(_tau(m, float(y), 0.5), abs=1e-12)
+        fd = fd_derivative(lambda t: _tau(m, float(t), 0.5), float(y), 2, h=0.02)
         assert stacks[2, j] == pytest.approx(fd, rel=1e-6, abs=1e-8)
     stacks_i = js.tau_i_stack_grid(m, ys, 25, 3)
     assert np.allclose(stacks_i[0], ys, atol=0.05)
@@ -479,6 +493,56 @@ def test_transfer_alpha_grid_over_marks_matches_scalar_marks(wobble_model, power
                     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
     with pytest.raises(js.ContractError, match="1-d array"):
         js.transfer_alpha_grid(wobble_model, y, z[None, :], 2)
+
+
+def _power_law_state_model():
+    """Power laws in the state, in the jump amplitude and the drift: numpy
+    rounds a scalar's `pow` apart from an array's."""
+    h = js.JumpAmplitude(((js.IsoPower(0.1, 1.5), js.ExpDecay(1.0, 1.0)),))
+    q = js.JumpMeasureSpec((0.0, np.inf), js.constant(1.0), (4.0,))
+    return js.CoefficientSet(b=js.FunctionSum(js.IsoPower(0.3, 1.5)), gamma=js.constant(1.0),
+                             h=h, eta=js.ExpDecay(2.0, 1.0), q=q, k=2, y_window=(-7.0, 7.0))
+
+
+@pytest.mark.parametrize("name", ["wobble", "ripple", "power_law_state"])
+def test_one_state_is_its_column_in_an_array_of_states(name, request):
+    # a 0-d state on the closed form (wobble's jump map) and on the bracketed
+    # Newton (every other map): the bytes of a one-state array's column, at
+    # every order, and order 0 is row 0 of a deeper stack
+    if name == "power_law_state":
+        m = _power_law_state_model()
+    else:
+        m = request.getfixturevalue(f"{name}_model")
+    z, marks = 0.7, np.linspace(0.05, 2.5, 4)
+    for y in np.linspace(-6.375, 6.375, 5):
+        for stack, arg in ((js.tau_stack_grid, z), (js.tau_stack_grid, marks),
+                           (js.tau_i_stack_grid, 8)):
+            for order in (0, 2):
+                one = stack(m, y, arg, order)
+                assert one.shape == (order + 1,) + np.shape(arg if stack is js.tau_stack_grid else 0)
+                assert one.tobytes() == stack(m, np.array([y]), arg, order)[:, 0].tobytes()
+            assert stack(m, y, arg, 0).tobytes() == stack(m, y, arg, 3)[:1].tobytes()
+        for table, arg in ((js.transfer_alpha_grid, z), (js.transfer_beta_grid, 8)):
+            one, tau = table(m, y, arg, 2)
+            many, taus = table(m, np.array([y]), arg, 2)
+            assert one.shape == (3, 3) and tau.shape == (4,)
+            assert one.tobytes() == many[..., 0].tobytes()
+            assert tau.tobytes() == taus[:, 0].tobytes()
+
+
+@pytest.mark.parametrize("order", [-1, 1.5])
+def test_a_stack_order_must_be_an_integer_from_zero(wobble_model, ripple_model, order):
+    message = rf"^derivative order {order} outside \[0, 16\]$"
+    for m in (wobble_model, ripple_model):
+        with pytest.raises(js.ContractError, match=message):
+            js.tau_stack_grid(m, 0.3, 0.7, order)
+        with pytest.raises(js.ContractError, match=message):
+            js.tau_i_stack_grid(m, 0.3, 8, order)
+        # a table reads the stack one order deeper
+        with pytest.raises(js.ContractError):
+            js.transfer_alpha_grid(m, 0.3, 0.7, order)
+        with pytest.raises(js.ContractError):
+            js.transfer_beta_grid(m, 0.3, 8, order)
 
 
 # ---------------------------------------------------------------------------
@@ -522,9 +586,9 @@ def test_closed_form_tau_stack_matches_the_bracketed_newton():
         states = y[:, None] if np.ndim(z) else y
         np.testing.assert_array_equal(got[0], (states - shift) / (1.0 + scale))
         np.testing.assert_array_equal(got[1], np.broadcast_to(1.0 / (1.0 + scale), got[1].shape))
-        if np.ndim(z) == 0:
-            np.testing.assert_array_equal(js.solve_tau_grid(closed, y, z), got[0])
-            np.testing.assert_allclose(js.solve_tau_grid(newton, y, z), got[0], rtol=0.0, atol=atol)
+        # order 0: the pre-image row alone, to the byte, one mark or many
+        np.testing.assert_array_equal(js.tau_stack_grid(closed, y, z, 0), got[:1])
+        np.testing.assert_array_equal(js.tau_stack_grid(newton, y, z, 0), want[:1])
 
 
 def test_closed_form_transfer_table_is_diagonal(monkeypatch):
@@ -548,10 +612,10 @@ def test_closed_form_transfer_table_is_diagonal(monkeypatch):
         np.testing.assert_array_equal(alpha[l, l], tau[1] ** (l + 1) - 1.0)
     want = js.transfer_alpha_grid(newton, y, z, 3)[0]
     np.testing.assert_allclose(alpha, want, rtol=0.0, atol=1e-14)
-    one = js.transfer_alpha(closed, 1.3, 0.7, 3)
-    assert one.table.shape == (4, 4)
-    assert not np.any(one.table - np.diag(np.diag(one.table)))
-    assert not np.any(one.tau_stack.values[2:])
+    one, one_tau = js.transfer_alpha_grid(closed, 1.3, 0.7, 3)
+    assert one.shape == (4, 4)
+    assert not np.any(one - np.diag(np.diag(one)))
+    assert not np.any(one_tau[2:])
 
 
 @pytest.mark.parametrize("order", [3, 6])
@@ -585,8 +649,8 @@ def test_closed_form_refuses_a_flat_slope_before_evaluating_the_map(monkeypatch,
     calls = [
         lambda m: js.tau_stack_grid(m, y, np.array([0.5, 1.5]), 2),
         lambda m: js.transfer_alpha_grid(m, y, 1.5, 2),
-        lambda m: js.transfer_alpha(m, 0.3, 1.5, 2),
-        lambda m: js.solve_tau(m, 0.3, 1.5),
+        lambda m: js.transfer_alpha_grid(m, 0.3, 1.5, 2),
+        lambda m: js.tau_stack_grid(m, 0.3, 1.5, 0),
     ]
     # the bracketed Newton's failure on the same map, class and message
     want = []
@@ -645,7 +709,11 @@ def test_calculus_doctests_pass():
 # the shared one; the arithmetic is unchanged, so every digest must repeat.
 # The jump-map keys of wobble and power (amplitudes affine in the state)
 # were re-recorded from the closed form: their values moved by at most
-# 6.1e-17 of each array's largest entry, and signed zeros became +0.
+# 6.1e-17 of each array's largest entry, and signed zeros became +0.  The
+# pre-image keys (`solve_tau*_grid`) are read from order-0 stacks and the
+# one-point keys (`transfer_alpha`, `transfer_beta`) from one-state table
+# calls, whose (table, stack) pairs are those of the scalar spellings they
+# replaced, to the byte.
 TRANSFER_PINS = Path(__file__).parent / "data" / "transfer_tables.json"
 PIN_MARKS = (0.05, 0.7, 2.5)
 PIN_DRIFT_INDEX = 8
@@ -668,22 +736,18 @@ def _transfer_tables(models) -> dict:
         k = m.k
         for z in PIN_MARKS:
             tag = f"{name}/z={z}"
-            out[f"{tag}/solve_tau_grid"] = _digest(js.solve_tau_grid(m, y, z))
+            out[f"{tag}/solve_tau_grid"] = _digest(js.tau_stack_grid(m, y, z, 0)[0])
             out[f"{tag}/tau_stack_grid"] = _digest(js.tau_stack_grid(m, y, z, k + 1))
             out[f"{tag}/transfer_alpha_grid"] = _digest(*js.transfer_alpha_grid(m, y, z, k))
-            tables = [js.transfer_alpha(m, p, z, k) for p in points]
-            out[f"{tag}/transfer_alpha"] = _digest(
-                *(a for t in tables for a in (t.table, t.tau_stack.values))
-            )
+            tables = [js.transfer_alpha_grid(m, p, z, k) for p in points]
+            out[f"{tag}/transfer_alpha"] = _digest(*(a for t in tables for a in t))
         i = PIN_DRIFT_INDEX
         tag = f"{name}/i={i}"
-        out[f"{tag}/solve_tau_i_grid"] = _digest(js.solve_tau_i_grid(m, y, i))
+        out[f"{tag}/solve_tau_i_grid"] = _digest(js.tau_i_stack_grid(m, y, i, 0)[0])
         out[f"{tag}/tau_i_stack_grid"] = _digest(js.tau_i_stack_grid(m, y, i, k + 1))
         out[f"{tag}/transfer_beta_grid"] = _digest(*js.transfer_beta_grid(m, y, i, k))
-        tables = [js.transfer_beta(m, p, i, k) for p in points]
-        out[f"{tag}/transfer_beta"] = _digest(
-            *(a for t in tables for a in (t.table, t.tau_stack.values))
-        )
+        tables = [js.transfer_beta_grid(m, p, i, k) for p in points]
+        out[f"{tag}/transfer_beta"] = _digest(*(a for t in tables for a in t))
     return out
 
 

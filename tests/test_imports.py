@@ -34,18 +34,24 @@ def test_every_top_level_import_is_read(path):
     assert _unread_imports(path.read_text()) == []
 
 
-def _unread_private_names(sources: dict[str, str]) -> list[tuple[str, str, int]]:
-    """(module, name, line) of each top-level private name (one leading
-    underscore: a function, class or assigned name) that a module defines
-    and no module of `sources` reads, as a name or as an attribute."""
-    trees = {module: ast.parse(source) for module, source in sources.items()}
+def _read_names(trees) -> set[str]:
+    """Every name the modules read, as a name or as an attribute."""
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+    return read
+
+
+def _unread_private_names(sources: dict[str, str]) -> list[tuple[str, str, int]]:
+    """(module, name, line) of each top-level private name (one leading
+    underscore: a function, class or assigned name) that a module defines
+    and no module of `sources` reads, as a name or as an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = _read_names(trees.values())
     unread = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -73,3 +79,38 @@ def test_the_scan_finds_an_unread_private_name():
 def test_every_top_level_private_name_is_read_in_the_package():
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert _unread_private_names(sources) == []
+
+
+def _orphaned_public_names(sources: dict[str, str], exports: dict[str, tuple]) -> list:
+    """(module, name, line) of each top-level public function or class that
+    a module defines, that `exports` (module stem -> exported names, as the
+    package's `_EXPORTS`) does not export from that module, and that no
+    module of `sources` reads, as a name or as an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = _read_names(trees.values())
+    return sorted(
+        (module, node.name, node.lineno)
+        for module, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and node.name not in read
+        and node.name not in exports.get(Path(module).stem, ())
+    )
+
+
+def test_the_scan_finds_an_orphaned_public_name():
+    sources = {
+        "a.py": "def kept():\n    pass\ndef helper():\n    pass\nclass Gone:\n    pass\n"
+                "def old_spelling():\n    return helper()\nLIMIT = 3\n",
+        "b.py": "import a\ndef exported_elsewhere():\n    pass\na.read_by_attribute()\n"
+                "def read_by_attribute():\n    pass\n",
+    }
+    exports = {"a": ("kept", "exported_elsewhere"), "b": ()}
+    assert _orphaned_public_names(sources, exports) == [
+        ("a.py", "Gone", 5), ("a.py", "old_spelling", 7), ("b.py", "exported_elsewhere", 2)]
+
+
+def test_every_top_level_public_name_is_exported_or_read_in_the_package():
+    import jumpsmooth
+
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert _orphaned_public_names(sources, jumpsmooth._EXPORTS) == []

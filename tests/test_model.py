@@ -565,8 +565,8 @@ _BELOW_I0 = {
     "simulate_batch": lambda m, i: js.simulate_batch(m, 0.0, 1.0, 1, js.RngSpec(1), 8, i=i),
     "simulate_poissonized": lambda m, i: js.simulate_poissonized(
         m, 0.0, 1.0, i, 1, js.RngSpec(1).generator()),
-    "solve_tau_i": lambda m, i: js.solve_tau_i(m, 0.0, i),
-    "transfer_beta": lambda m, i: js.transfer_beta(m, 0.0, i, 2),
+    "tau_i_stack_grid": lambda m, i: js.tau_i_stack_grid(m, 0.0, i, 0),
+    "transfer_beta_grid": lambda m, i: js.transfer_beta_grid(m, 0.0, i, 2),
     "AdjointOperator": lambda m, i: js.AdjointOperator(
         m, js.gaussian_density((-8.0, 8.0), 64, order=2), js.EvolutionConfig(i=i)),
 }
@@ -586,6 +586,25 @@ def test_model_doctests_pass():
     result = doctest.testmod(js.model)
     assert result.attempted > 0
     assert result.failed == 0
+
+
+def test_the_rate_is_read_on_the_audit_grid_once_per_model(wobble_model, monkeypatch):
+    model = dataclasses.replace(wobble_model)  # a fresh copy: nothing taken yet
+    grid = model.y_audit_grid()
+    reads = []
+    derivative = js.FunctionSum.derivative
+    monkeypatch.setattr(js.FunctionSum, "derivative", lambda self, x, l: reads.append(
+        self is model.gamma and l == 0 and np.array_equal(x, grid)) or derivative(self, x, l))
+    bound = model.rate_bound()
+    assert bound == js.model.RATE_MARGIN * model.gamma_sup()
+    model.check_rate(np.linspace(-1.0, 1.0, 5))
+    op = js.AdjointOperator(model, js.gaussian_density((-8.0, 8.0), 64, order=2),
+                            js.EvolutionConfig(i=8))
+    assert op.gamma_sup == model.gamma_sup()
+    assert js.simulate_batch(model, 0.0, 0.1, 1, js.RngSpec(1), 64)["rate_bound"] == bound
+    assert sum(reads) == 1
+    # a copy with another rate takes its own
+    assert dataclasses.replace(model, gamma=js.constant(2.0)).gamma_sup() == 2.0
 
 
 def test_min_drift_index_takes_the_drift_slope_once(exp_unit_model, monkeypatch):

@@ -348,6 +348,21 @@ def test_a_rate_zero_on_the_audit_window_is_read_where_the_runs_are(off_window_r
     assert np.all(js.simulate_batch(drifting, 0.0, 1.0, 1, js.RngSpec(1), 4)["terminal"] == 0.75)
 
 
+def test_a_zero_bound_drift_segment_is_read_between_its_ends(off_window_rate_model):
+    # a drift of 3 from 0 to t = 2 crosses the rate's support [1, 5) and
+    # leaves it: both ends read rate 0, and every run used to end at 6.0
+    # with no jump and no error
+    m = dataclasses.replace(off_window_rate_model, b=js.constant(3.0))
+    message = r"^jump rate above its bound 0\.0 at y=1\.0$"
+    with pytest.raises(js.InvalidModelError, match=message):
+        js.simulate_batch(m, 0.0, 2.0, 1, js.RngSpec(1), 64)
+    with pytest.raises(js.InvalidModelError, match=message):
+        js.simulate_exact(m, 0.0, 2.0, 1, js.RngSpec(1).generator())
+    # a segment short of the support runs
+    out = js.simulate_batch(m, 0.0, 0.3, 1, js.RngSpec(1), 4)
+    np.testing.assert_allclose(out["terminal"], 0.9, rtol=1e-12)
+
+
 def test_max_step_is_refused_on_the_drift_poissonized_chain(wobble_model):
     # the chain has no flow: a set step used to be ignored, byte for byte
     with pytest.raises(js.ContractError, match=r"^max_step=1e-06 is the drift flow's RK4 step"):
