@@ -18,12 +18,14 @@ This module provides the three layers of that calculus:
   (`transfer_alpha_grid` for the jump map, `transfer_beta_grid` for the
   drift map).
 
-The stacks and tables take one state or an array of states.  Both maps have
-the form x -> x + step(x).  A jump amplitude affine in the state, h(y, z) =
-A(z) + B(z) y (every y-factor `Affine`, as in every bench and README model),
-has the closed-form pre-jump map tau = (y - A) / (1 + B): tau' = 1 / (1 + B)
-and every higher row is 0.  Every other stack, jump or drift, comes from one
-private pipeline: a bracketed pre-image solve, the forward stack at the
+The stacks and tables take one state or an array of states, and one order
+rule (`_check_order`): a derivative order is an integer in [0, 16], for
+which the partition tables are built on first use.  Both maps have the form
+x -> x + step(x).  A jump amplitude affine in the state, h(y, z) = A(z) +
+B(z) y (every y-factor `Affine`, as in every bench and README model), has
+the closed-form pre-jump map tau = (y - A) / (1 + B): tau' = 1 / (1 + B)
+and every higher row is 0.  Every other stack, jump or drift, comes from
+one private pipeline: a bracketed pre-image solve, the forward stack at the
 pre-image, and its inversion; only the increment and the initial bracket
 radius differ.  Every transfer table comes from its stack by one path
 (`_alpha_from_tau`; diagonal on an affine stack, whose jump table is formed
@@ -45,11 +47,7 @@ from .errors import ContractError, DomainEscapeError, NearSingularError
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
     from .model import CoefficientSet
 
-_STACK_MAX = 16  # hard cap on requested derivative order
-
-# Partition tables are memoized up to this derivative order; smoothness
-# budgets k <= 6 need stacks no deeper than k + 1.
-MAX_ORDER = 7
+_STACK_MAX = 16  # the one ceiling on a derivative order (`_check_order`)
 
 # A map whose derivative falls below this threshold (in absolute value) is
 # treated as non-invertible at that point.
@@ -107,8 +105,7 @@ def composition_terms(n: int) -> tuple[tuple[int, tuple[int, ...], int], ...]:
     """
     if n < 1:
         raise ContractError("composition order must be >= 1")
-    if n > MAX_ORDER:
-        raise ContractError(f"composition order {n} exceeds supported maximum {MAX_ORDER}")
+    _check_order(n)
     terms: list[tuple[int, tuple[int, ...], int]] = []
 
     def extend(parts: tuple[int, ...], remaining: int, minimum: int) -> None:
@@ -413,8 +410,6 @@ def _alpha_from_tau(tau: np.ndarray) -> np.ndarray:
     """
     depth = tau.shape[0]
     order = depth - 2
-    if order < 0:
-        raise ContractError("transfer table needs tau stack of order >= 1")
     batch = tau.shape[1:]
     tau1 = tau[1, ...]  # a 0-d array at one state: its powers round as an array's
     # delta[n, r]: coefficient of phi^(r)(tau) in (phi o tau)^(n), summed
@@ -548,6 +543,7 @@ def transfer_alpha_grid(
     array([1. , 0.5, 0. ])
     """
     _check_order(order)
+    _check_order(order + 1)  # the stack it reads, on every path, as `transfer_beta_grid`'s
     y, z = _node_mark_batch(y, z)
     affine = _affine_jump(coeffs, z)
     tau = _jump_stack(coeffs, y, z, affine, order + 1)
@@ -566,5 +562,6 @@ def transfer_beta_grid(
     (beta[l, r, ...], tau_i[l, ...]).  The coefficients scale like 1/i:
     sum_r i * |beta[l, r]| stays bounded as i grows, which is what keeps
     the drift surrogate stable."""
+    _check_order(order)
     tau = tau_i_stack_grid(coeffs, y, i, order + 1)
     return _alpha_from_tau(tau), tau

@@ -411,7 +411,7 @@ class KernelDecomposition:
         gam, a, sigma = _frame(self.coeffs, np.asarray(y, dtype=float))
         w = gam * sigma * (z - a)
         phi = make_cutoff(n, self.coeffs.k)
-        rho = np.asarray(self.coeffs.q.density.value(z), dtype=float)
+        rho = self.coeffs.q.density_at(z)
         ratio = np.where(rho > 0, phi.value(w) / np.maximum(rho, 1e-300), 0.0)
         if np.any(ratio > 1.0 + 1e-6):
             raise InvalidModelError(

@@ -31,21 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DegenerateKernelError, InvalidModelError
-from .presets import Described, Function1D, JumpAmplitude, constant
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, int, float, str)) or obj is None:
-        return obj
-    return str(obj)
+from .presets import Described, Function1D, JumpAmplitude, _plain, constant
 
 
 # The audit resolution, fixed for every model: `check_S` and `check_A` read
@@ -116,11 +102,11 @@ class JumpMeasureSpec(Described):
     """Mark measure q(dz): support interval, Lebesgue density, truncations.
 
     ``support`` may be half-infinite or the whole line.  ``truncations`` are
-    increasing positive extents measured from the finite endpoint (or from 0
-    on the whole line): the i-th truncation G_i is the support cut to that
-    extent, and carries finite q-mass.  ``endpoint`` is the state-dependent
-    start a(y) of the window where q dominates Lebesgue measure; it defaults
-    to the finite endpoint of the support.  Every reader of the density goes
+    increasing, positive and finite extents measured from the finite
+    endpoint (or from 0 on the whole line): the i-th truncation G_i is the
+    support cut to that extent, and carries finite q-mass.  ``endpoint`` is
+    the state-dependent start a(y) of the window where q dominates Lebesgue
+    measure; it defaults to the finite endpoint of the support.  Every reader of the density goes
     through `density_at`, the one rule of q: finite and >= 0.
     """
 
@@ -136,10 +122,8 @@ class JumpMeasureSpec(Described):
         if math.isfinite(lo) and math.isfinite(hi):
             raise ContractError("mark support must be half-infinite or the whole line")
         ext = tuple(float(t) for t in self.truncations)
-        if not ext or any(t <= 0 for t in ext) or any(
-            b <= a for a, b in zip(ext[:-1], ext[1:])
-        ):
-            raise ContractError("truncations must be positive and strictly increasing")
+        if not ext or not all(a < b for a, b in zip((0.0,) + ext, ext + (math.inf,))):
+            raise ContractError("truncations must be finite, positive and strictly increasing")
         object.__setattr__(self, "truncations", ext)
 
     @property
@@ -200,10 +184,11 @@ class JumpMeasureSpec(Described):
 class CoefficientSet(Described):
     """All coefficients of one model plus its audit window.
 
-    ``k`` is the smoothness budget (derivative stacks run to k+1) and ``p``
-    the polynomial weight power used by the audits.  The audit window is the
-    y-range on which grid audits (sup bounds for rates, drift, slopes) are
-    taken, on AUDIT_POINTS states; its ends and its width must be finite.
+    ``k`` is the smoothness budget, an integer in 1..6 (derivative stacks run
+    to k+1), and ``p`` the audits' polynomial weight power, finite and >= 1.
+    The audit window is the y-range on which grid audits (sup bounds for
+    rates, drift, slopes) are taken, on AUDIT_POINTS states; its ends and its
+    width must be finite.
     """
 
     config_keys = {
@@ -226,10 +211,13 @@ class CoefficientSet(Described):
     label: str = ""
 
     def __post_init__(self):
-        if self.k < 1 or self.k > 6:
+        _require_int(self.k, "smoothness budget k")
+        # the cutoffs' smoothstep ramps of order k (`kernels.make_cutoff`) hold to 3e-12
+        # up to order 6: |S(u) + S(1 - u) - 1| on [0, 1] is 3e-11 at 7 and 2e-3 at 16
+        if not 1 <= self.k <= 6:
             raise ContractError("smoothness budget k must be in 1..6")
-        if self.p < 1:
-            raise ContractError("weight power p must be >= 1")
+        if not (math.isfinite(self.p) and self.p >= 1):
+            raise ContractError(f"weight power p must be finite and >= 1, got {self.p!r}")
         _finite_window(self.y_window, "audit window")
 
     def y_audit_grid(self) -> np.ndarray:
@@ -300,7 +288,7 @@ class AssumptionReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return _jsonable(dataclasses.asdict(self))
+        return _plain(dataclasses.asdict(self))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)

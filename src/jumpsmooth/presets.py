@@ -38,17 +38,18 @@ class Described:
 
     def describe(self) -> dict:
         key = {name: k for k, name in self.config_keys.items()}
-        return {key.get(f.name, f.name): _node(getattr(self, f.name)) for f in fields(self)}
+        return {key.get(f.name, f.name): _plain(getattr(self, f.name)) for f in fields(self)}
 
 
-def _node(value):
-    """`value` as a config node: described objects by their `describe`,
-    tuples as lists, numpy scalars as Python ones (so a YAML safe dumper
-    takes the node)."""
+def _plain(value):
+    """`value` as plain Python for `json.dumps` or a YAML safe dumper; any
+    other type is left as it is, so the dumper refuses it loudly."""
     if isinstance(value, Described):
         return value.describe()
-    if isinstance(value, tuple):
-        return [_node(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list, np.ndarray)):
+        return [_plain(v) for v in value]
     if isinstance(value, np.generic):
         return value.item()
     return value
@@ -336,10 +337,9 @@ def smoothstep_coefficients(order: int) -> tuple[float, ...]:
     """Polynomial coefficients of the degree 2*order+1 smoothstep on [0, 1].
 
     S(0) = 0, S(1) = 1, derivatives 1..order vanish at both ends, and
-    S(1 - x) = 1 - S(x).
+    S(1 - x) = 1 - S(x).  The order is a derivative order, in [0, 16].
     """
-    if order < 0:
-        raise ContractError("smoothstep order must be >= 0")
+    _check_order(order)
     coeffs = np.zeros(2 * order + 2)
     for j in range(order + 1):
         coeffs[order + 1 + j] = comb(order + j, j) * comb(2 * order + 1, order - j) * (-1.0) ** j
@@ -368,7 +368,7 @@ def _smoothstep_derivative(u, order: int, l: int):
 @dataclass(frozen=True)
 class SmoothstepBump(Function1D):
     """Plateau bump: 0 outside [lo, hi], amp on [lo+ramp, hi-ramp], joined by
-    smoothstep ramps of width ramp; globally C^order."""
+    smoothstep ramps of width ramp; globally C^order, for an order in [0, 16]."""
 
     family = "smoothstep_bump"
 
@@ -379,6 +379,7 @@ class SmoothstepBump(Function1D):
     amp: float = 1.0
 
     def __post_init__(self):
+        _check_order(self.order)
         if self.hi - self.lo < 2.0 * self.ramp:
             raise ContractError("bump interval shorter than its two ramps")
 

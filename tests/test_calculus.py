@@ -69,6 +69,25 @@ def test_composition_bell_numbers():
     assert np.allclose(out.values, [1, 1, 2, 5, 15, 52], rtol=1e-13)
 
 
+def test_partition_tables_serve_every_stack_order():
+    # the n-th table has one term per integer partition of n (A000041), and
+    # its coefficients count the set partitions of n (Bell numbers, A000110)
+    partitions = [1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231]
+    bell = [1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597, 27644437,
+            190899322, 1382958545, 10480142147]
+    for n in range(1, 17):
+        terms = js.composition_terms(n)
+        assert len(terms) == partitions[n - 1]
+        assert sum(coef for _, _, coef in terms) == bell[n - 1]
+    # e^{e^y - 1} at 0, to the stack cap: the Bell numbers exactly
+    out = js.faa_di_bruno(_stack(0.0, np.ones(17)), _stack(0.0, [0.0] + [1.0] * 16))
+    assert out.values.tolist() == [1.0] + [float(b) for b in bell]
+    with pytest.raises(js.ContractError, match=r"^derivative order 17 outside \[0, 16\]$"):
+        js.composition_terms(17)
+    with pytest.raises(js.ContractError, match="^composition order must be >= 1$"):
+        js.composition_terms(0)
+
+
 def test_composition_exp_sin_oracle():
     # e^{sin y} at 0; classical series expansion.
     inner = _stack(0.0, [0.0, 1.0, 0.0, -1.0, 0.0, 1.0])
@@ -543,6 +562,36 @@ def test_a_stack_order_must_be_an_integer_from_zero(wobble_model, ripple_model, 
             js.transfer_alpha_grid(m, 0.3, 0.7, order)
         with pytest.raises(js.ContractError):
             js.transfer_beta_grid(m, 0.3, 8, order)
+
+
+def test_a_stack_past_order_seven_is_taken_on_every_path(wobble_model, ripple_model):
+    # order 8 returned 9 rows on wobble's closed form and raised "composition
+    # order 8 exceeds supported maximum 7" on ripple's Newton path
+    message = r"^derivative order 17 outside \[0, 16\]$"
+    for m in (wobble_model, ripple_model):
+        jump = js.tau_stack_grid(m, 0.3, 0.7, 7)
+        drift = js.tau_i_stack_grid(m, 0.3, 8, 7)
+        for order in range(8, 17):
+            st = js.tau_stack_grid(m, 0.3, 0.7, order)
+            assert st.shape == (order + 1,) and np.all(np.isfinite(st))
+            assert st[:8].tobytes() == jump.tobytes()
+            assert js.tau_i_stack_grid(m, 0.3, 8, order)[:8].tobytes() == drift.tobytes()
+        alpha, tau = js.transfer_alpha_grid(m, 0.3, 0.7, 6)
+        deep, deep_tau = js.transfer_alpha_grid(m, 0.3, 0.7, 15)
+        assert deep[:7, :7].tobytes() == alpha.tobytes()
+        assert deep_tau[:8].tobytes() == tau.tobytes()
+        with pytest.raises(js.ContractError, match=message):
+            js.tau_stack_grid(m, 0.3, 0.7, 17)
+        with pytest.raises(js.ContractError, match=message):
+            js.tau_i_stack_grid(m, 0.3, 8, 17)
+        # a table reads the stack one order deeper
+        with pytest.raises(js.ContractError, match=message):
+            js.transfer_alpha_grid(m, 0.3, 0.7, 16)
+        with pytest.raises(js.ContractError, match=message):
+            js.transfer_beta_grid(m, 0.3, 8, 16)
+        for bad in (-1, 1.5):  # named as given, as `transfer_alpha_grid` names it
+            with pytest.raises(js.ContractError, match=rf"^derivative order {bad} outside \[0, 16\]$"):
+                js.transfer_beta_grid(m, 0.3, 8, bad)
 
 
 # ---------------------------------------------------------------------------

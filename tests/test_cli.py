@@ -489,6 +489,37 @@ def test_tabulated_nodes_the_preset_refuses_exit_2(tmp_path, capsys, xs, message
     assert not (tmp_path / "out").exists()
 
 
+def _bump_term(order):
+    return [dict(_TERM, z={"family": "smoothstep_bump", "lo": 0.0, "hi": 4.0, "order": order})]
+
+
+@pytest.mark.parametrize(
+    "key, bad, message",
+    [
+        # refused only at the first evaluation (check exited 1), or evaluated
+        # outside [0, 1] (check exited 0)
+        ("model.amplitude", _bump_term(-1), "model.amplitude[0].z: derivative order -1 outside [0, 16]"),
+        ("model.amplitude", _bump_term(17), "model.amplitude[0].z: derivative order 17 outside [0, 16]"),
+        # p: .inf printed PASS for all three audits, .nan failed them with NaN constants
+        ("model.p", math.inf, "model: weight power p must be finite and >= 1, got inf"),
+        ("model.p", math.nan, "model: weight power p must be finite and >= 1, got nan"),
+        # exited 1 blaming the amplitude at z=nan, after numpy warnings
+        ("model.marks.truncations", [2.0, 4.0, math.inf],
+         "model.marks: truncations must be finite, positive and strictly increasing"),
+        ("model.marks.truncations", [2.0, 4.0, math.nan],
+         "model.marks: truncations must be finite, positive and strictly increasing"),
+    ],
+    ids=["order--1", "order-17", "p-inf", "p-nan", "trunc-inf", "trunc-nan"],
+)
+def test_model_settings_the_model_refuses_exit_2_before_any_output(tmp_path, capsys, key, bad,
+                                                                  message):
+    cfg = _base_config(tmp_path / "out")
+    _set(cfg, key, bad)
+    assert main(["check", "--config", _write(tmp_path, cfg)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_value_error_inside_a_constructor_propagates(tmp_path, monkeypatch):
     # only a JumpsmoothError is a value the file sets wrong; any other error
     # is a fault of the program, not a config error

@@ -95,6 +95,38 @@ def test_coefficient_set_validation():
             dataclasses.replace(good, y_window=window)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        # k = 2.5 built and ended check_A in a bare TypeError; True audited as k = 1
+        (lambda good: dataclasses.replace(good, k=2.5),
+         r"^smoothness budget k must be an integer, got 2\.5$"),
+        (lambda good: dataclasses.replace(good, k=True),
+         r"^smoothness budget k must be an integer, got True$"),
+        # p = inf passed every audit on the states in [-1, 1]; nan failed them with NaN constants
+        (lambda good: dataclasses.replace(good, p=math.inf),
+         r"^weight power p must be finite and >= 1, got inf$"),
+        (lambda good: dataclasses.replace(good, p=math.nan),
+         r"^weight power p must be finite and >= 1, got nan$"),
+        # an infinite or NaN extent blamed the amplitude or the density at z=nan
+        (lambda good: dataclasses.replace(good.q, truncations=(2.0, 4.0, math.inf)),
+         r"^truncations must be finite, positive and strictly increasing$"),
+        (lambda good: dataclasses.replace(good.q, truncations=(2.0, math.nan)),
+         r"^truncations must be finite, positive and strictly increasing$"),
+        # each of these built and failed, or evaluated outside [0, 1], when first read
+        (lambda good: js.SmoothstepBump(0.0, 4.0, 1.0, 2.5), r"^derivative order 2\.5 outside \[0, 16\]$"),
+        (lambda good: js.SmoothstepBump(0.0, 4.0, 1.0, -1), r"^derivative order -1 outside \[0, 16\]$"),
+        (lambda good: js.SmoothstepBump(0.0, 4.0, 1.0, 17), r"^derivative order 17 outside \[0, 16\]$"),
+    ],
+    ids=["k-2.5", "k-True", "p-inf", "p-nan", "trunc-inf", "trunc-nan",
+         "smoothstep-2.5", "smoothstep--1", "smoothstep-17"],
+)
+def test_a_setting_is_refused_when_its_object_is_built(build, message):
+    good = _model(((js.constant(0.1), js.ExpDecay(1.0, 1.0)),), js.ExpDecay(0.2, 1.0))
+    with pytest.raises(js.ContractError, match=message):
+        build(good)
+
+
 def test_min_drift_index_scales_with_slope():
     m = _model(
         ((js.constant(0.1), js.ExpDecay(1.0, 1.0)),), js.ExpDecay(0.2, 1.0),

@@ -261,6 +261,30 @@ def test_stack_rows_are_the_derivatives_to_the_byte(fn):
         assert np.asarray(fn.value(x)).tobytes() == fn.stack(x, 0)[0].tobytes()
 
 
+@pytest.mark.parametrize("fn", EVERY_FAMILY, ids=_family_id)
+def test_every_family_stacks_to_the_one_order_cap(fn):
+    # [0, 16] is the one order rule: the compositions (iso_power,
+    # stretched_exp, the sum holding an iso_power) stack to 16 as every other
+    # family does, each row `derivative` to the byte; the table holds every
+    # family, as `Function1D.__subclasses__()` lists them when the package loads
+    assert {type(f) for f in EVERY_FAMILY} == set(_FAMILIES.values())
+    st = fn.stack(STACK_POINTS, 16)
+    assert st.shape == (17,) + STACK_POINTS.shape and np.all(np.isfinite(st))
+    for l in range(17):
+        assert st[l].tobytes() == np.asarray(fn.derivative(STACK_POINTS, l)).tobytes(), l
+    with pytest.raises(js.ContractError, match=r"^derivative order 17 outside \[0, 16\]$"):
+        fn.stack(STACK_POINTS, 17)
+
+
+def test_iso_power_stack_is_its_binomial_series_at_zero():
+    # (1 + x^2)^(-1/2) = sum_j C(-1/2, j) x^(2j): row 2j at 0 is
+    # (2j)! C(-1/2, j) = (-1)^j ((2j - 1)!!)^2, and every odd row is 0
+    st = js.IsoPower(1.0, 1.0).stack(0.0, 16)
+    for j in range(9):
+        assert st[2 * j] == (-1) ** j * math.prod(range(1, 2 * j, 2)) ** 2
+    assert not np.any(st[1::2])
+
+
 def test_jump_amplitude_stacks_are_the_partials_to_the_byte():
     h = js.JumpAmplitude((
         (js.Sinusoidal(0.3, 1.0), js.ExpDecay(1.0, 1.0)),
