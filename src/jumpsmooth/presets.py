@@ -204,6 +204,11 @@ class IsoPower(Function1D):
     amp: float
     power: float
 
+    def _derivative(self, x, l: int):
+        if l == 0:  # row 0 of the stack, without a one-row stack around it
+            return self.amp * (1.0 + x * x) ** (-self.power / 2.0)
+        return self._stack(x, l)[l]
+
     def _stack(self, x, order: int):
         # row 0 is amp * (1 + x * x) ** (-power / 2) itself
         u = 1.0 + x * x
@@ -368,7 +373,14 @@ def _smoothstep_derivative(u, order: int, l: int):
 @dataclass(frozen=True)
 class SmoothstepBump(Function1D):
     """Plateau bump: 0 outside [lo, hi], amp on [lo+ramp, hi-ramp], joined by
-    smoothstep ramps of width ramp; globally C^order, for an order in [0, 16]."""
+    smoothstep ramps of width ramp; globally C^order, for an order in [0, 16].
+
+    The ramps are evaluated from monomial coefficients by Horner's rule, and
+    those coefficients (up to about 1e13 at order 16) cancel at high orders:
+    |S(u) + S(1 - u) - 1| is 3e-12 at order 6, 3e-11 at 7, 4.6e-7 at 12
+    and 1.8e-3 at 16, and at order 16 the ramp overshoots, so the bump
+    peaks at about 1.0018 amp (100,001 points on [0, 1]).
+    """
 
     family = "smoothstep_bump"
 

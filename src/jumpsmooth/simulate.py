@@ -110,6 +110,12 @@ class MarkSampler:
     bucket's entry, instead of a binary search over all nodes.  It then
     applies `np.interp`'s own arithmetic to the same cell, so the marks are
     the ones `np.interp` gives, bit for bit.
+
+    `invert` is the public entry: it checks its input and hands anything
+    the guide table does not serve to `np.interp`.  `_invert` is the inner
+    step behind it, and it skips that check.  Only the thinning engine
+    calls it, with its own `gen.random` levels, which are a non-empty 1-d
+    array in [0, 1) by construction.
     """
 
     def __init__(self, spec, interval: tuple[float, float]):
@@ -133,16 +139,27 @@ class MarkSampler:
     def invert(self, uniforms: np.ndarray) -> np.ndarray:
         """Marks at the given CDF levels in [0, 1].
 
-        A 1-d array of levels in [0, 1) goes through the guide table; the cell
-        j is the last node with cdf[j] <= u, as in `np.interp`'s search, and
-        the mark is (u - cdf[j]) * slope[j] + z[j], or z[j] where u hits the
-        node, as in `np.interp`.  When every level lies in its bucket's cell,
-        the usual case, the step-up passes are skipped.  Other input (1.0,
-        NaN, other shapes) is left to `np.interp` itself.
+        A non-empty 1-d array of levels in [0, 1) goes through the guide
+        table (`_invert`).  Other input (1.0, NaN, other shapes, no levels)
+        is left to `np.interp` itself.
         """
         u = np.asarray(uniforms, dtype=float)
         if u.ndim != 1 or u.size == 0 or not (u.min() >= 0.0 and u.max() < 1.0):
             return np.interp(u, self._cdf, self._zs)
+        return self._invert(u)
+
+    def _invert(self, u: np.ndarray) -> np.ndarray:
+        """`invert` at a non-empty 1-d float array of levels in [0, 1),
+        unchecked.
+
+        The cell j is the last node with cdf[j] <= u, as in `np.interp`'s
+        search, and the mark is (u - cdf[j]) * slope[j] + z[j], or z[j] where
+        u hits the node, as in `np.interp`.  When every level lies in its
+        bucket's cell, the usual case, the step-up passes are skipped.  u -
+        cdf[j] >= 0, and it is 0 exactly at a node hit, so one min reduction
+        tells whether any level hit a node; only then is the hit mask built
+        and those marks set to z[j].
+        """
         upper = self._upper
         # u * G is exact (G is a power of two), so guide[b] <= j for b = floor(u G)
         j = self._guide[(u * GUIDE_BUCKETS).astype(np.intp)]
@@ -153,13 +170,13 @@ class MarkSampler:
             far = upper[j] <= u
             if far.any():
                 j[far] = np.searchsorted(self._cdf, u[far], "right") - 1
-        zj = self._zs[j]
         mark = u - self._cdf[j]
-        hit = mark == 0.0  # u == cdf[j]
+        node = np.flatnonzero(mark == 0.0) if mark.min() == 0.0 else None  # u == cdf[j]
         with np.errstate(over="ignore", invalid="ignore"):
             mark *= self._slope[j]
-            mark += zj
-        np.copyto(mark, zj, where=hit)
+            mark += self._zs[j]
+        if node is not None:
+            mark[node] = self._zs[j[node]]
         return mark
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -281,8 +298,7 @@ def _drift_flow_batch(coeffs, x: np.ndarray, seg: np.ndarray, step: float) -> np
             k3 = np.asarray(b(xm + 0.5 * hm * k2), dtype=float)
             k4 = np.asarray(b(xm + hm * k3), dtype=float)
             xs[:m] = xm + hm * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-    if not np.all(np.isfinite(xs)) or np.max(np.abs(xs)) > BLOW_UP:
-        raise BlowUpError("drift flow left the finite range in a batch segment")
+    _check_state(xs, "drift flow left the finite range in a batch segment")
     out = np.empty_like(xs)
     out[order] = xs
     return out
@@ -310,18 +326,19 @@ class _Round:
 
     `landed` marks candidates at or before t_end (a run whose candidate did
     not land has drifted to t_end and is done).  Of the landed ones, `kick`
-    marks drift kicks, `acc` the accepted jumps and `kept` the jumps the
-    filtered kernel also kept (None when not filtering).  `pre` and `post`
-    are the states just before and after each candidate, `levels` the CDF
-    levels of the marks (unset without a mark sampler); a recorder inverts
-    the ones it reads with `MarkSampler.invert`, element by element, so
-    each mark has the engine's bits.
+    marks drift kicks (None on the exact flow, which has none), `acc` the
+    accepted jumps and `kept` the jumps the filtered kernel also kept (None
+    when not filtering).  `pre` and `post` are the states just before and
+    after each candidate, `levels` the CDF levels of the marks (unset
+    without a mark sampler); a recorder inverts the ones it reads with
+    `MarkSampler.invert`, element by element, so each mark has the engine's
+    bits.
     """
 
     idx: np.ndarray
     t_next: np.ndarray
     landed: np.ndarray
-    kick: np.ndarray
+    kick: np.ndarray | None
     acc: np.ndarray
     kept: np.ndarray | None
     pre: np.ndarray
@@ -331,10 +348,13 @@ class _Round:
     v: np.ndarray
 
 
-def _check_state(values: np.ndarray) -> None:
-    # NaN fails the comparison, so this also refuses non-finite states
-    if not np.all(np.abs(values) <= BLOW_UP):
-        raise BlowUpError("state blew up at a thinning candidate")
+def _check_state(values: np.ndarray, message="state blew up at a thinning candidate") -> None:
+    """Refuse states outside [-BLOW_UP, BLOW_UP] with BlowUpError, through
+    two reductions and no elementwise mask.  A NaN makes both extremes NaN,
+    which fails the comparisons, so non-finite states are refused too; an
+    empty array passes."""
+    if values.size and not (values.min() >= -BLOW_UP and values.max() <= BLOW_UP):
+        raise BlowUpError(message)
 
 
 def _thinning(
@@ -376,18 +396,27 @@ def _thinning(
     ratio at the accepted jumps, b at the kicks of a nonzero drift (a zero
     drift's kicks move nothing), and the blow-up check on their new states
     (a state that did not move was checked when it was made, the initial
-    ones by `_initial_states`).  Marks are inverted at the accepted
-    candidates only; an accepted mark outside the active window (a wider
-    coupling window's) is a skip.  A zero rate has no sampler and accepts
-    nothing.  The round's largest and smallest rates are tested against
-    [0, ubar] first; only when one fails (or is NaN) does the model's reach
-    rule, `CoefficientSet.check_rate`, read the landed candidates.  With a
-    zero bound the exact flow is one drift segment, and the rule reads its
-    start and end states and, for a nonzero drift, AUDIT_POINTS evenly spaced
-    states between them, one fraction of every run's segment at a time: a
-    scalar autonomous flow is monotone, so a segment crosses exactly the
-    states between its ends.  A round in which every candidate landed skips
-    the compaction.  After the states are updated,
+    ones by `_initial_states`).  The accepted candidates are indexed once,
+    as `hit`; that one index reads their mark levels, pre states and filter
+    variables, and writes their post states and `kept`; the kicks of a
+    nonzero drift are indexed once the same way.  Marks are inverted there
+    only, by `MarkSampler._invert`, which skips the public input check: the
+    levels are `gen.random` draws, so in [0, 1).  An accepted mark outside
+    the active window (a wider coupling window's) is a skip.  The window
+    and the blow-up bound are each tested by a min and a max reduction (an
+    empty array passes), and only a failed window test builds the
+    elementwise mask that drops the skips.  A zero rate has
+    no sampler and accepts nothing; the exact flow has no kicks, and its
+    rounds carry `kick` None.  The round's largest and smallest rates are
+    tested against [0, ubar] first; only when one fails (or is NaN) does
+    the model's reach rule, `CoefficientSet.check_rate`, read the landed
+    candidates.  With a zero bound the exact flow is one drift segment, and
+    the rule reads its start and end states and, for a nonzero drift,
+    AUDIT_POINTS evenly spaced states between them, one fraction of every
+    run's segment at a time: a scalar autonomous flow is monotone, so a
+    segment crosses exactly the states between its ends.  A round in which
+    every candidate landed (`count_nonzero(landed)` equals the alive count)
+    skips the compaction.  After the states are updated,
     `on_round` (if not None) gets the round's `_Round` (a callback, so no
     round's arrays outlive the next round's); a true return stops the
     engine, and its draws, there.  Compaction only moves values, it never
@@ -411,6 +440,7 @@ def _thinning(
     drift = i is None and not coeffs.b.is_zero
     # a zero drift's kicks move nothing
     kicks_move = i is not None and not coeffs.b.is_zero
+    lo_mark, hi_mark = active
     # the alive runs, in run order, with their clocks, states and jump counts
     ids = np.arange(m)
     t = np.zeros(m)
@@ -419,7 +449,7 @@ def _thinning(
     buffers = np.empty((4 if i is None else 5, m))
     while ids.size:
         n = ids.size
-        bounds = np.searchsorted(ids, offsets)
+        bounds = np.searchsorted(ids, offsets).tolist()
         gaps, uni, u, v = buffers[:4, :n]
         wkick = buffers[4, :n] if i is not None else None
         for gen, lo, hi in zip(gens, bounds[:-1], bounds[1:]):
@@ -445,32 +475,34 @@ def _thinning(
             coeffs.check_rate(pre[landed], gam[landed])
         acc = u <= gam if sampler is not None else np.zeros(n, dtype=bool)  # no marks, no jumps
         acc &= landed
-        if i is None:
-            kick = np.zeros(n, dtype=bool)
-        else:
+        kick = None
+        if i is not None:
             kick = wkick <= i / total
             kick &= landed
             acc &= ~kick
         post = pre if on_round is None else pre.copy()
         kept = None if filter_n is None else np.zeros(n, dtype=bool)
         moved = []
-        if acc.any():
-            hit = np.flatnonzero(acc)
-            za = sampler.invert(uni[hit])
-            inside = (za >= active[0]) & (za <= active[1])
-            if not inside.all():  # skips: marks outside the active window
+        hit = np.flatnonzero(acc)  # the accepted candidates, indexed once
+        if hit.size:
+            za = sampler._invert(uni[hit])
+            if not (za.min() >= lo_mark and za.max() <= hi_mark):
+                # skips: marks outside the active window
+                inside = (za >= lo_mark) & (za <= hi_mark)
                 acc[hit[~inside]] = False
-                za = za[inside]
-            pa = pre[acc]
+                hit, za = hit[inside], za[inside]
+            pa = pre[hit]
             moved.append(pa + np.asarray(coeffs.h.value(pa, za), dtype=float))
-            post[acc] = moved[-1]
+            post[hit] = moved[-1]
             if filter_n is not None:
-                kept[acc] = v[acc] <= kernels.acceptance(filter_n, pa, za)
+                kept[hit] = v[hit] <= kernels.acceptance(filter_n, pa, za)
         nj += acc
-        if kicks_move and kick.any():
-            pk = pre[kick]
-            moved.append(pk + np.asarray(coeffs.b.value(pk), dtype=float) / i)
-            post[kick] = moved[-1]
+        if kicks_move:
+            kicked = np.flatnonzero(kick)  # indexed once, like `hit`
+            if kicked.size:
+                pk = pre[kicked]
+                moved.append(pk + np.asarray(coeffs.b.value(pk), dtype=float) / i)
+                post[kicked] = moved[-1]
         for values in moved:
             _check_state(values)
         if on_round is not None and on_round(
@@ -479,19 +511,19 @@ def _thinning(
             x[ids] = post
             jumps[ids] = nj
             return jumps
-        done = np.flatnonzero(~landed)
-        if done.size == 0:  # every candidate landed: nothing to compact
+        alive = np.count_nonzero(landed)
+        if alive == n:  # every candidate landed: nothing to compact
             t[:] = t_next
             if post is not xs:
                 xs[:] = post
             continue
         # a run whose candidate did not land has drifted to t_end: write it
         # out, and move the others to the front of the alive-state buffers
+        done = np.flatnonzero(~landed)
         out = ids[done]
         x[out] = post[done]
         jumps[out] = nj[done]
         keep = np.flatnonzero(landed)
-        alive = keep.size
         ids[:alive] = ids[keep]
         t[:alive] = t_next[keep]
         xs[:alive] = post[keep]
@@ -518,7 +550,7 @@ def _single_path(
         if len(events) == 1_000_000:
             raise BlowUpError("event budget exhausted; rate is too large to record")
         z = math.nan if sampler is None else float(sampler.invert(r.levels[:1])[0])
-        kind = ("drift" if r.kick[0] else "skip" if not lo <= z <= hi
+        kind = ("drift" if r.kick is not None and r.kick[0] else "skip" if not lo <= z <= hi
                 else "jump" if r.acc[0] else "reject")
         events.append(JumpEvent(
             float(r.t_next[0]), kind, float(r.pre[0]), float(r.post[0]),

@@ -441,6 +441,19 @@ def test_thinning_candidates_blow_up():
         js.simulate_poissonized(quad, 2.0, 50.0, i, 1, js.RngSpec(8).generator())
 
 
+def test_blow_up_check_takes_two_reductions():
+    # min/max reductions: NaN, +-inf and the floats just past +-BLOW_UP are
+    # refused wherever they sit; the bounds themselves and no states pass
+    check, top = simulate_module._check_state, simulate_module.BLOW_UP
+    bad = (np.nan, np.inf, -np.inf, np.nextafter(top, np.inf), np.nextafter(-top, -np.inf))
+    for value in bad:
+        for states in (np.array([value]), np.array([0.0, value, 1.0])):
+            with pytest.raises(js.BlowUpError, match="state blew up at a thinning candidate"):
+                check(states)
+    check(np.array([-top, 0.0, top]))
+    check(np.empty(0))
+
+
 @pytest.mark.parametrize(
     "probe, message",
     [
@@ -578,7 +591,9 @@ def test_mark_sampler_invert_is_np_interp_bit_for_bit(
     # the guide table must find np.interp's cell and repeat its arithmetic:
     # flat CDF stretches (gapped), cells crowded into few buckets (steep,
     # where the binary-search fallback runs), exact node hits, u = 0; u = 1
-    # and 2-d input go to np.interp itself
+    # and 2-d input go to np.interp itself.  The engine's inner step takes
+    # each array's levels in [0, 1) as one 1-d array, unchecked, and repairs
+    # node hits only where some level hits a node (none in u past the nodes)
     steep = js.JumpMeasureSpec((0.0, np.inf), js.ExpDecay(1.0, 8.0), (6.0,))
     spec, interval = {
         "wobble": (wobble_model.q, wobble_model.q.trunc_interval(3)),
@@ -591,8 +606,11 @@ def test_mark_sampler_invert_is_np_interp_bit_for_bit(
     cdf, zs = sampler._cdf, sampler._zs
     u = js.RngSpec(71).generator().uniform(0.0, 1.0, 1_000_000)
     u[: cdf.size - 1] = cdf[:-1]  # every node below 1, u = 0 among them
-    for levels in (u, u[:1], np.array([0.0, 1.0, 0.5, 1.0]), u[:4096].reshape(64, 64)):
+    for levels in (u, u[:1], u[cdf.size - 1 :], np.array([0.0, 1.0, 0.5, 1.0]),
+                   u[:4096].reshape(64, 64)):
         assert sampler.invert(levels).tobytes() == np.interp(levels, cdf, zs).tobytes()
+        inner = levels.ravel()[levels.ravel() < 1.0]
+        assert sampler._invert(inner).tobytes() == np.interp(inner, cdf, zs).tobytes()
 
 
 # ---------------------------------------------------------------------------
